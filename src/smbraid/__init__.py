@@ -49,14 +49,10 @@ from .algebra import (
     AlgebraElement,
     CyclicElement,
     FormalElement,
-    FreeAbelianGroupModel,
     GroupModel,
     Matrix,
     MatrixGroupModel,
     SymmetricGroupModel,
-    TrivialGroupModel,
-    embed,
-    make_group,
 )
 from .reps import (
     BraidRep,

@@ -11,9 +11,10 @@ Three backends realize "a scalar-linear combination of group elements":
   relation X^s = twist * X^0; the quotient seen by a representation whose
   generator image has a scalar power.
 
-Group elements are canonical, hashable payloads; every model provides a
-total injective `canonical_key` (a string) used as the sparse map key, with
-a key -> element registry kept alongside for convolution.
+Group elements are canonical, hashable payloads (permutation tuples,
+matrices), and a formal element is a map from those elements to their
+coefficients.  Each model's `text` renders an element for output; it is
+injective, so sorting terms by it gives a canonical printed form.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def parse_matrix(text: str) -> Matrix:
 
 
 class GroupModel(ABC):
-    """A group with canonical, hashable elements and a total injective key."""
+    """A group with canonical, hashable elements and an injective text form."""
 
     @abstractmethod
     def identity(self):
@@ -219,19 +220,8 @@ class GroupModel(ABC):
         ...
 
     @abstractmethod
-    def canonical_key(self, g) -> str:
+    def text(self, g) -> str:
         ...
-
-    def power(self, g, e: int):
-        if e < 0:
-            g, e = self.invert(g), -e
-        acc = self.identity()
-        while e:
-            if e & 1:
-                acc = self.multiply(acc, g)
-            g = self.multiply(g, g)
-            e >>= 1
-        return acc
 
 
 @dataclass(frozen=True)
@@ -269,48 +259,8 @@ class SymmetricGroupModel(GroupModel):
         images[i - 1], images[i] = images[i], images[i - 1]
         return tuple(images)
 
-    def canonical_key(self, g) -> str:
+    def text(self, g) -> str:
         return "[" + ",".join(str(v + 1) for v in g) + "]"
-
-
-@dataclass(frozen=True)
-class FreeAbelianGroupModel(GroupModel):
-    """Z^rank with elements stored as exponent tuples."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("need rank >= 1")
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
-    def multiply(self, g, h) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(g, h))
-
-    def invert(self, g) -> tuple[int, ...]:
-        return tuple(-a for a in g)
-
-    def canonical_key(self, g) -> str:
-        if self.rank == 1:
-            return str(g[0])
-        return "[" + ",".join(str(a) for a in g) + "]"
-
-
-@dataclass(frozen=True)
-class TrivialGroupModel(GroupModel):
-    def identity(self) -> tuple:
-        return ()
-
-    def multiply(self, g, h) -> tuple:
-        return ()
-
-    def invert(self, g) -> tuple:
-        return ()
-
-    def canonical_key(self, g) -> str:
-        return "e"
 
 
 @dataclass(frozen=True)
@@ -332,49 +282,32 @@ class MatrixGroupModel(GroupModel):
     def invert(self, g: Matrix) -> Matrix:
         return g.inverse()
 
-    def canonical_key(self, g: Matrix) -> str:
+    def text(self, g: Matrix) -> str:
         return g.text()
-
-
-def make_group(kind: str, param: int | None = None) -> GroupModel:
-    if kind == "symmetric":
-        return SymmetricGroupModel(int(param))
-    if kind == "free_abelian":
-        return FreeAbelianGroupModel(int(param))
-    if kind == "matrix":
-        return MatrixGroupModel(int(param))
-    if kind == "trivial":
-        return TrivialGroupModel()
-    raise ValueError(f"unknown group kind {kind!r}")
 
 
 # --- formal group algebra -------------------------------------------------------
 
 
 class FormalElement:
-    """Sparse K-linear combination of group elements, keyed canonically.
+    """Sparse K-linear combination of group elements, keyed by the elements.
 
     Zero coefficients are purged eagerly, so equality, support size and the
     identity test are all O(support).
     """
 
-    __slots__ = ("model", "coeffs", "reg")
+    __slots__ = ("model", "coeffs")
 
     def __init__(self, model: GroupModel, terms: Iterable[tuple[object, ScalarValue | int]] = ()):
-        coeffs: dict[str, ScalarValue] = {}
-        reg: dict[str, object] = {}
+        coeffs: dict[object, ScalarValue] = {}
         for g, c in terms:
-            key = model.canonical_key(g)
-            acc = scalar_add(coeffs.get(key, 0), c)
+            acc = scalar_add(coeffs.get(g, 0), c)
             if is_zero(acc):
-                coeffs.pop(key, None)
-                reg.pop(key, None)
+                coeffs.pop(g, None)
             else:
-                coeffs[key] = acc
-                reg[key] = g
+                coeffs[g] = acc
         self.model = model
         self.coeffs = coeffs
-        self.reg = reg
 
     @staticmethod
     def zero(model: GroupModel) -> "FormalElement":
@@ -385,7 +318,8 @@ class FormalElement:
         return FormalElement(model, [(model.identity(), 1)])
 
     def terms(self) -> list[tuple[object, ScalarValue]]:
-        return [(self.reg[key], self.coeffs[key]) for key in sorted(self.coeffs)]
+        """(element, coefficient) pairs in printed order."""
+        return sorted(self.coeffs.items(), key=lambda term: self.model.text(term[0]))
 
     def support_size(self) -> int:
         return len(self.coeffs)
@@ -396,18 +330,22 @@ class FormalElement:
 
     def __add__(self, other: "FormalElement") -> "FormalElement":
         self._require_same(other)
-        return FormalElement(self.model, list(self.terms()) + list(other.terms()))
+        return FormalElement(self.model, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __mul__(self, other: "FormalElement") -> "FormalElement":
         self._require_same(other)
-        out: list[tuple[object, ScalarValue]] = []
-        for g, a in self.terms():
-            for h, b in other.terms():
-                out.append((self.model.multiply(g, h), scalar_mul(a, b)))
-        return FormalElement(self.model, out)
+        multiply = self.model.multiply
+        return FormalElement(
+            self.model,
+            [
+                (multiply(g, h), scalar_mul(a, b))
+                for g, a in self.coeffs.items()
+                for h, b in other.coeffs.items()
+            ],
+        )
 
     def scale(self, s: ScalarValue | int) -> "FormalElement":
-        return FormalElement(self.model, [(g, scalar_mul(s, c)) for g, c in self.terms()])
+        return FormalElement(self.model, [(g, scalar_mul(s, c)) for g, c in self.coeffs.items()])
 
     def power(self, e: int) -> "FormalElement":
         if e < 0:
@@ -418,18 +356,12 @@ class FormalElement:
         return acc
 
     def is_identity(self) -> bool:
-        if len(self.coeffs) != 1:
-            return False
-        key = self.model.canonical_key(self.model.identity())
-        return key in self.coeffs and self.coeffs[key] == 1
-
-    def canonical_key(self) -> str:
-        return ";".join(f"{format_scalar(self.coeffs[k])}*{k}" for k in sorted(self.coeffs))
+        return len(self.coeffs) == 1 and self.coeffs.get(self.model.identity()) == 1
 
     def text(self) -> str:
         if not self.coeffs:
             return "0"
-        return " + ".join(f"{format_scalar(self.coeffs[k])} * {k}" for k in sorted(self.coeffs))
+        return " + ".join(f"{format_scalar(c)} * {self.model.text(g)}" for g, c in self.terms())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalElement):
@@ -437,15 +369,10 @@ class FormalElement:
         return self.model == other.model and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.model, tuple(sorted((k, v) for k, v in self.coeffs.items()))))
+        return hash((self.model, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
         return f"FormalElement({self.text()})"
-
-
-def embed(model: GroupModel, g) -> FormalElement:
-    """The group element as an algebra element, 1*[g]."""
-    return FormalElement(model, [(g, 1)])
 
 
 # --- twisted cyclic algebra ------------------------------------------------------
@@ -478,6 +405,8 @@ class CyclicElement:
     @staticmethod
     def x_power(order: int, twist: ScalarValue | int, k: int) -> "CyclicElement":
         """X^k for any integer k, reduced via X^order = twist."""
+        if order < 1:
+            raise ValueError("need order >= 1")
         twist = as_scalar(twist)
         j = k % order
         m = (k - j) // order
@@ -531,54 +460,12 @@ class CyclicElement:
     def is_identity(self) -> bool:
         return self.coords[0] == 1 and all(is_zero(a) for a in self.coords[1:])
 
-    def canonical_key(self) -> str:
-        return "[" + ",".join(format_scalar(a) for a in self.coords) + "]"
-
     def text(self) -> str:
         return " + ".join(f"{format_scalar(a)}*X^{i}" for i, a in enumerate(self.coords))
 
     def __repr__(self) -> str:
-        return f"CyclicElement(order={self.order}, twist={format_scalar(self.twist)}, {self.canonical_key()})"
+        coords = ",".join(format_scalar(a) for a in self.coords)
+        return f"CyclicElement(order={self.order}, twist={format_scalar(self.twist)}, [{coords}])"
 
-
-# --- backend-generic operations ---------------------------------------------------
 
 AlgebraElement = FormalElement | Matrix | CyclicElement
-
-
-def _require_compatible(x: AlgebraElement, y: AlgebraElement) -> None:
-    if type(x) is not type(y):
-        raise ValueError(f"backend mismatch: {type(x).__name__} vs {type(y).__name__}")
-
-
-def alg_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _require_compatible(x, y)
-    return x + y
-
-
-def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _require_compatible(x, y)
-    return x * y
-
-
-def alg_scale(x: AlgebraElement, s: ScalarValue | int) -> AlgebraElement:
-    return x.scale(s)
-
-
-def alg_pow(x: AlgebraElement, e: int) -> AlgebraElement:
-    return x.power(e)
-
-
-def is_identity(x: AlgebraElement) -> bool:
-    return x.is_identity()
-
-
-def element_key(x: AlgebraElement) -> str:
-    """Canonical serialization, usable as an exact-equality dedup key."""
-    if isinstance(x, Matrix):
-        return x.text()
-    return x.canonical_key()
-
-
-def element_text(x: AlgebraElement) -> str:
-    return x.text()

@@ -17,12 +17,10 @@ between the two words, and their images must be exactly equal.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Matrix, element_key
+from .algebra import AlgebraElement, Matrix
 from .phi import PhiParams, in_kernel, phi_eval, phi_image_equal, tau_image, tau_power_expand
 from .reps import BraidRep, as_formal, burau_reduced, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import (
@@ -49,16 +47,6 @@ from .words import (
 )
 
 MODES = ("a00", "0b0", "00c")
-
-
-def worker_count() -> int:
-    """Worker cap for grid searches, from SMBRAID_THREADS (default 1)."""
-    raw = os.environ.get("SMBRAID_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SMBRAID_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
 
 
 # --- distinctness certificates ---------------------------------------------------
@@ -178,8 +166,8 @@ def find_scalar_witness(
 ) -> tuple[BraidWord, int] | None:
     """Bounded search for a braid word v with rho(v) == value**(-s) * identity.
 
-    Words are enumerated shortest first and deduplicated by the canonical key
-    of their image (equal images explore identical futures, so pruning is
+    Words are enumerated shortest first and deduplicated by their image
+    (equal images explore identical futures, so pruning is
     complete).  Exponents are tried s = 1..s_max, then s = -1..-s_max, so the
     returned exponent is positive whenever a positive one exists in bounds.
     Absence of a hit is evidence only; the search is bounded.
@@ -190,13 +178,12 @@ def find_scalar_witness(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     states: list[tuple[BraidWord, AlgebraElement]] = []
-    seen: set[str] = set()
+    seen: set[AlgebraElement] = set()
     for v in enumerate_braid_words(rep.n, len_max):
         img = rep_eval(rep, v)
-        key = element_key(img)
-        if key in seen:
+        if img in seen:
             continue
-        seen.add(key)
+        seen.add(img)
         states.append((v, img))
     one = rep.one()
     for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
@@ -271,8 +258,8 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
 
     The p = 0 row (q != 0) is scanned as well: any hit there is a braid word
     in the kernel and flags an unfaithful rho.  The trivial pair (0, 0) is
-    never reported.  Rows are independent and may be scanned by several
-    workers (SMBRAID_THREADS); the merged result is sorted by (p, |q|).
+    never reported.  The scan visits the grid in hit order: by p, then |q|,
+    positive q first.
     """
     if rep.n != 2:
         raise ValueError(f"SM_2 kernel search needs n=2, got n={rep.n}")
@@ -282,39 +269,26 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     s_inv = rep.image_inv(1)
     t_img = tau_image(rep, params, 1)
 
-    row_heads = [rep.one()]
-    for _ in range(p_max):
-        row_heads.append(row_heads[-1] * t_img)
-
-    def scan_row(p: int) -> list[tuple[int, int]]:
-        row_hits = []
-        cur = row_heads[p]
-        if cur.is_identity() and p != 0:
-            row_hits.append((p, 0))
-        pos = cur
-        neg = cur
+    hits = []
+    head = rep.one()
+    for p in range(p_max + 1):
+        if p:
+            head = head * t_img
+        if head.is_identity() and p != 0:
+            hits.append((p, 0))
+        pos = neg = head
         for q in range(1, q_max + 1):
             pos = pos * s_img
             neg = neg * s_inv
             if pos.is_identity():
-                row_hits.append((p, q))
+                hits.append((p, q))
             if neg.is_identity():
-                row_hits.append((p, -q))
-        return row_hits
+                hits.append((p, -q))
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(scan_row, range(p_max + 1)))
-    else:
-        rows = [scan_row(p) for p in range(p_max + 1)]
-
-    hits = tuple(sorted((h for row in rows for h in row), key=_hit_order))
-    positive = [h for h in hits if h[0] >= 1]
-    minimal = min(positive, key=_hit_order) if positive else None
-    report = KernelReport(p_max, q_max, hits, minimal, None)
+    minimal = next((h for h in hits if h[0] >= 1), None)
+    report = KernelReport(p_max, q_max, tuple(hits), minimal, None)
     if minimal is not None:
-        report = KernelReport(p_max, q_max, hits, minimal, verify_cyclic_structure(report))
+        report = KernelReport(p_max, q_max, tuple(hits), minimal, verify_cyclic_structure(report))
     return report
 
 

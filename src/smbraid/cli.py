@@ -23,7 +23,6 @@ import json
 import sys
 
 from . import analysis, phi, words
-from .algebra import element_text
 from .reps import BraidRep, cyclic_rep, as_formal, rep_from_selector
 from .scalars import format_scalar, parse_scalar
 
@@ -72,7 +71,7 @@ def _witness_doc(w: analysis.UnfaithfulnessWitness) -> dict:
         "w1": w.w1.text(),
         "w2": w.w2.text(),
         "certificate": w.certificate.text(),
-        "image": element_text(w.image),
+        "image": w.image.text(),
     }
 
 
@@ -87,7 +86,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "rep": rep.name,
         "params": [format_scalar(params.a), format_scalar(params.b), format_scalar(params.c)],
         "word": w.text(),
-        "image": element_text(image),
+        "image": image.text(),
         "is_identity": image.is_identity(),
     }
     _emit(doc, [f"image: {doc['image']}", f"is_identity: {doc['is_identity']}"], args.json)
@@ -141,6 +140,8 @@ def cmd_kernel2(args: argparse.Namespace) -> int:
 
 
 def cmd_unfaith(args: argparse.Namespace) -> int:
+    if min(args.smax, args.lmax, args.rmax) < 0:
+        raise ValueError("bounds must be nonnegative")
     rep = _select_rep(args, args.n)
     value = parse_scalar(args.val)
     doc: dict = {

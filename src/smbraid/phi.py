@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement
-from .reps import BraidRep
+from .reps import BraidRep, rep_eval
 from .scalars import (
     ScalarValue,
     as_scalar,
@@ -33,7 +33,7 @@ from .scalars import (
     scalar_mul,
     scalar_pow,
 )
-from .words import LetterKind, SMWord, defining_relations
+from .words import SMWord, defining_relations
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,15 @@ def tau_image(rep: BraidRep, params: PhiParams, i: int) -> AlgebraElement:
 
 
 def phi_eval(rep: BraidRep, params: PhiParams, w: SMWord) -> AlgebraElement:
-    if w.n != rep.n:
-        raise ValueError(f"word has n={w.n}, representation has n={rep.n}")
-    acc = rep.one()
-    for letter in w:
-        if letter.kind is LetterKind.SIGMA:
-            acc = acc * rep.image(letter.index)
-        elif letter.kind is LetterKind.SIGMA_INV:
-            acc = acc * rep.image_inv(letter.index)
-        else:
-            acc = acc * tau_image(rep, params, letter.index)
-    return acc
+    """Image of w under the extension; each tau_i image is built at most once."""
+    built: dict[int, AlgebraElement] = {}
+
+    def tau_images(i: int) -> AlgebraElement:
+        if i not in built:
+            built[i] = tau_image(rep, params, i)
+        return built[i]
+
+    return rep_eval(rep, w, tau_images)
 
 
 def phi_image_equal(rep: BraidRep, params: PhiParams, w1: SMWord, w2: SMWord) -> bool:

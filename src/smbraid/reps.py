@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .algebra import (
     AlgebraElement,
@@ -165,8 +166,16 @@ class BraidRep:
         return f"BraidRep({self.describe()})"
 
 
-def rep_eval(rep: BraidRep, w: SMWord) -> AlgebraElement:
-    """Image of a braid word: the left-to-right product of generator images."""
+def rep_eval(
+    rep: BraidRep,
+    w: SMWord,
+    tau_images: Callable[[int], AlgebraElement] | None = None,
+) -> AlgebraElement:
+    """Image of a word: the left-to-right product of its letter images.
+
+    Without `tau_images` this is the representation on braid words and a tau
+    letter is an error; with it, tau_i maps to `tau_images(i)`.
+    """
     if w.n != rep.n:
         raise ValueError(f"word has n={w.n}, representation has n={rep.n}")
     acc = rep.one()
@@ -175,8 +184,10 @@ def rep_eval(rep: BraidRep, w: SMWord) -> AlgebraElement:
             acc = acc * rep.image(letter.index)
         elif letter.kind is LetterKind.SIGMA_INV:
             acc = acc * rep.image_inv(letter.index)
-        else:
+        elif tau_images is None:
             raise ValueError("rep_eval is defined on braid words only (no tau letters)")
+        else:
+            acc = acc * tau_images(letter.index)
     return acc
 
 

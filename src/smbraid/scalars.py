@@ -254,7 +254,7 @@ def multinomial_coeff(p: int, i: int, j: int, k: int) -> int:
 
 # --- text format -----------------------------------------------------------
 #
-# Rational:  p/q  or  p.
+# Rational:  p/q  or  p, ASCII digits with an optional sign on p.
 # Laurent:   terms  c*t^e  joined by " + ", descending exponent, coefficient
 #            carries its sign, e.g.  -1*t^1 + 1*t^-1.
 # Parsing also accepts the shorthands  t, -t, t^k, c*t  and "-"-separated sums.
@@ -265,8 +265,17 @@ _TERM_RE = re.compile(
             (?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*t(?:\^(?P<exp1>-?\d+))?)?
           | t(?:\^(?P<exp2>-?\d+))?
         )\s*""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _rational(digits: str, text: str) -> Fraction:
+    """`digits` (a match of p or p/q inside `text`) as a Fraction."""
+    try:
+        return Fraction(digits)
+    except ZeroDivisionError:
+        raise ValueError(f"bad scalar {text!r}: zero denominator") from None
 
 
 def parse_scalar(text: str) -> ScalarValue:
@@ -274,10 +283,9 @@ def parse_scalar(text: str) -> ScalarValue:
     if not text:
         raise ValueError("empty scalar")
     if "t" not in text:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational {text!r}: {exc}") from None
+        if _RATIONAL_RE.fullmatch(text) is None:
+            raise ValueError(f"bad rational {text!r}: expected p or p/q")
+        return _rational(text, text)
     coeffs: dict[int, Fraction] = {}
     pos = 0
     first = True
@@ -288,7 +296,7 @@ def parse_scalar(text: str) -> ScalarValue:
         sep, sign = m.group("sep"), m.group("sign")
         if sep is None and sign is None and not first:
             raise ValueError(f"missing +/- between terms in {text!r}")
-        c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        c = _rational(m.group("coeff"), text) if m.group("coeff") else Fraction(1)
         for mark in (sep, sign):
             if mark == "-":
                 c = -c

@@ -12,12 +12,14 @@ the freely-reduced enumeration stream.
 
 Token grammar (whitespace separated): ``s<k>`` = sigma_k, ``S<k>`` =
 sigma_k^-1, ``t<k>`` = tau_k, ``x`` = sigma_1 ... sigma_{n-1}, ``X`` = its
-inverse.  `x`/`X` expand at parse time; serialization never re-folds them.
+inverse.  The index ``<k>`` is an ASCII decimal with no leading zero.
+`x`/`X` expand at parse time; serialization never re-folds them.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -138,6 +140,9 @@ def tau_power(n: int, i: int, e: int) -> SMWord:
     return word(n, (tau(i),) * e)
 
 
+_INDEX_RE = re.compile(r"[1-9][0-9]*")
+
+
 def parse_word(text: str, n: int) -> SMWord:
     """Parse the token grammar; `x`/`X` expand to the full twist word."""
     if n < 2:
@@ -151,7 +156,7 @@ def parse_word(text: str, n: int) -> SMWord:
             letters.extend(sigma_inv(i) for i in range(n - 1, 0, -1))
             continue
         head, tail = token[0], token[1:]
-        if head not in ("s", "S", "t") or not tail.isdigit():
+        if head not in ("s", "S", "t") or _INDEX_RE.fullmatch(tail) is None:
             raise ValueError(f"unknown token {token!r}")
         index = int(tail)
         if not 1 <= index <= n - 1:

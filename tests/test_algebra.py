@@ -10,15 +10,9 @@ import pytest
 from smbraid.algebra import (
     CyclicElement,
     FormalElement,
-    FreeAbelianGroupModel,
     Matrix,
     MatrixGroupModel,
     SymmetricGroupModel,
-    TrivialGroupModel,
-    alg_add,
-    alg_mul,
-    embed,
-    make_group,
     parse_matrix,
 )
 from smbraid.scalars import T, scalar_neg
@@ -41,14 +35,12 @@ def symmetric_elements(model: SymmetricGroupModel, rng: random.Random, count: in
 
 
 def test_make_group_kinds():
-    assert isinstance(make_group("symmetric", 3), SymmetricGroupModel)
-    assert isinstance(make_group("free_abelian", 1), FreeAbelianGroupModel)
-    assert isinstance(make_group("matrix", 2), MatrixGroupModel)
-    assert isinstance(make_group("trivial"), TrivialGroupModel)
+    assert SymmetricGroupModel(3).identity() == (0, 1, 2)
+    assert MatrixGroupModel(2).identity() == Matrix.identity(2)
     with pytest.raises(ValueError):
-        make_group("symmetric", 0)
+        SymmetricGroupModel(0)
     with pytest.raises(ValueError):
-        make_group("nope")
+        MatrixGroupModel(0)
 
 
 def test_symmetric_product_example():
@@ -60,23 +52,17 @@ def test_symmetric_product_example():
     assert s3.multiply(product, s3.multiply(product, product)) == s3.identity()
 
 
-def test_free_abelian_key():
-    z = FreeAbelianGroupModel(1)
-    assert z.canonical_key((5,)) == "5"
-    assert z.multiply((2,), (3,)) == (5,)
-
-
 def test_matrix_model_identity():
     gl2 = MatrixGroupModel(2)
     assert gl2.identity() == Matrix([[1, 0], [0, 1]])
-    assert gl2.canonical_key(gl2.identity()) == "[[1,0],[0,1]]"
+    assert gl2.text(gl2.identity()) == "[[1,0],[0,1]]"
 
 
 @pytest.mark.parametrize(
     "model,seed",
     [
         (SymmetricGroupModel(4), 1),
-        (FreeAbelianGroupModel(2), 2),
+        (MatrixGroupModel(1), 2),
         (MatrixGroupModel(2), 3),
     ],
 )
@@ -84,12 +70,10 @@ def test_group_axioms_on_random_triples(model, seed):
     rng = random.Random(seed)
     if isinstance(model, SymmetricGroupModel):
         elements = symmetric_elements(model, rng, 6)
-    elif isinstance(model, FreeAbelianGroupModel):
-        elements = [tuple(rng.randint(-5, 5) for _ in range(model.rank)) for _ in range(6)]
     else:
         elements = []
         while len(elements) < 5:
-            m = Matrix([[random_fraction(rng) for _ in range(2)] for _ in range(2)])
+            m = Matrix([[random_fraction(rng) for _ in range(model.dim)] for _ in range(model.dim)])
             try:
                 m.inverse()
             except ValueError:
@@ -100,7 +84,7 @@ def test_group_axioms_on_random_triples(model, seed):
         assert model.multiply(g, e) == g == model.multiply(e, g)
         assert model.multiply(g, model.invert(g)) == e
         for h in elements:
-            assert (model.canonical_key(g) == model.canonical_key(h)) == (g == h)
+            assert (model.text(g) == model.text(h)) == (g == h)
             for k in elements:
                 lhs = model.multiply(model.multiply(g, h), k)
                 rhs = model.multiply(g, model.multiply(h, k))
@@ -159,26 +143,31 @@ def test_parse_matrix_round_trip():
 
 
 def test_formal_singleton_convolution():
-    z = FreeAbelianGroupModel(1)
-    g, ginv, e = (1,), (-1,), (0,)
+    # [[2]] has infinite order in GL_1, so its powers are distinct basis elements
+    z = MatrixGroupModel(1)
+    g, ginv, e = Matrix([[2]]), Matrix([[Fraction(1, 2)]]), z.identity()
     x = FormalElement(z, [(g, Fraction(3)), (e, Fraction(5))])
-    product = x * embed(z, ginv)
+    product = x * FormalElement(z, [(ginv, 1)])
     assert product == FormalElement(z, [(e, 3), (ginv, 5)])
 
 
 def test_formal_square_expansion():
     # (a[g] + b[g^-1] + c[e])^2 expanded by hand
-    z = FreeAbelianGroupModel(1)
+    z = MatrixGroupModel(1)
+
+    def g(k: int) -> Matrix:
+        return Matrix([[Fraction(2) ** k]])
+
     a, b, c = Fraction(2), Fraction(-3), Fraction(5)
-    x = FormalElement(z, [((1,), a), ((-1,), b), ((0,), c)])
+    x = FormalElement(z, [(g(1), a), (g(-1), b), (g(0), c)])
     expected = FormalElement(
         z,
         [
-            ((2,), a * a),
-            ((-2,), b * b),
-            ((0,), 2 * a * b + c * c),
-            ((1,), 2 * a * c),
-            ((-1,), 2 * b * c),
+            (g(2), a * a),
+            (g(-2), b * b),
+            (g(0), 2 * a * b + c * c),
+            (g(1), 2 * a * c),
+            (g(-1), 2 * b * c),
         ],
     )
     assert x.power(2) == expected
@@ -191,20 +180,33 @@ def test_formal_product_matches_brute_force_oracle():
         xs = [(g, random_fraction(rng)) for g in symmetric_elements(s3, rng, 3)]
         ys = [(g, random_fraction(rng)) for g in symmetric_elements(s3, rng, 3)]
         x, y = FormalElement(s3, xs), FormalElement(s3, ys)
-        # oracle: double loop over support pairs, collecting by key
-        total: dict[str, Fraction] = {}
+        # oracle: double loop over support pairs, collecting by group element
+        total: dict[tuple[int, ...], Fraction] = {}
         for g, cg in x.terms():
             for h, ch in y.terms():
-                key = s3.canonical_key(s3.multiply(g, h))
-                total[key] = total.get(key, Fraction(0)) + cg * ch
+                gh = s3.multiply(g, h)
+                total[gh] = total.get(gh, Fraction(0)) + cg * ch
         product = x * y
         assert product.coeffs == {k: v for k, v in total.items() if v != 0}
+
+
+def test_formal_keys_are_group_elements():
+    s3 = SymmetricGroupModel(3)
+    t1, t2 = s3.transposition(1), s3.transposition(2)
+    x = FormalElement(s3, [(t1, 2), (t2, 3), (t1, -2)])
+    assert x.coeffs == {t2: 3}
+    y = FormalElement(s3, [(t2, 1), (t2, 2)])
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    gl1 = MatrixGroupModel(1)
+    m = FormalElement(gl1, [(Matrix([[2]]), 1), (Matrix([[-1]]), T)])
+    assert m.text() == "1*t^1 * [[-1]] + 1 * [[2]]"
+    assert m.terms() == [(Matrix([[-1]]), T), (Matrix([[2]]), 1)]
 
 
 def test_formal_identity_and_zero():
     s3 = SymmetricGroupModel(3)
     assert FormalElement.one(s3).is_identity()
-    assert not embed(s3, s3.transposition(1)).is_identity()
+    assert not FormalElement(s3, [(s3.transposition(1), 1)]).is_identity()
     assert not FormalElement.zero(s3).is_identity()
     assert FormalElement.zero(s3).support_size() == 0
 
@@ -213,14 +215,14 @@ def test_formal_embed_inverse_cancels():
     rng = random.Random(4)
     s4 = SymmetricGroupModel(4)
     for g in symmetric_elements(s4, rng, 8):
-        assert (embed(s4, g) * embed(s4, s4.invert(g))).is_identity()
+        assert (FormalElement(s4, [(g, 1)]) * FormalElement(s4, [(s4.invert(g), 1)])).is_identity()
 
 
 def test_formal_backend_mismatch_raises():
     with pytest.raises(ValueError):
-        alg_add(FormalElement.one(SymmetricGroupModel(3)), FormalElement.one(SymmetricGroupModel(4)))
+        FormalElement.one(SymmetricGroupModel(3)) + FormalElement.one(SymmetricGroupModel(4))
     with pytest.raises(ValueError):
-        alg_mul(FormalElement.one(SymmetricGroupModel(3)), Matrix.identity(2))
+        FormalElement.one(SymmetricGroupModel(3)) * Matrix.identity(2)
 
 
 # --- twisted cyclic algebra --------------------------------------------------------
@@ -266,7 +268,7 @@ def test_cyclic_matches_matrix_power_span():
 
 def test_cyclic_mismatch_raises():
     with pytest.raises(ValueError):
-        alg_mul(CyclicElement.one(2, -2), CyclicElement.one(3, -2))
+        CyclicElement.one(2, -2) * CyclicElement.one(3, -2)
     with pytest.raises(ValueError):
         CyclicElement.one(2, -2) * CyclicElement.one(2, 5)
 

@@ -354,19 +354,3 @@ def test_sm3_oracle_confirms_rewrites_on_random_words():
         w = random_sm_word(rng, 3, 5)
         assert sm3_word_equality(w, decompose_tau_blocks(w).assemble())
         assert sm3_word_equality(w, shape_form(w, 2, -1).assemble())
-
-
-# --- worker configuration -----------------------------------------------------------------
-
-
-def test_thread_cap_preserves_results(monkeypatch):
-    baseline = kernel_search_sm2(scalar_char(2, 2), PhiParams.of(2, 0, 0), 6, 12)
-    monkeypatch.setenv("SMBRAID_THREADS", "3")
-    threaded = kernel_search_sm2(scalar_char(2, 2), PhiParams.of(2, 0, 0), 6, 12)
-    assert threaded == baseline
-
-
-def test_thread_cap_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("SMBRAID_THREADS", "lots")
-    with pytest.raises(ValueError):
-        kernel_search_sm2(scalar_char(2, 2), PhiParams.of(2, 0, 0), 1, 1)

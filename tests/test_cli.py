@@ -127,6 +127,32 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multinomial", "--a", "1/0*t", "--b", "0", "--c", "0", "--d", "2", "--p", "1", "--q", "0"],
+        ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--backend", "cyclic:0:1"],
+        ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--backend", "cyclic:-3:1"],
+    ],
+    ids=["zero-denominator-coefficient", "cyclic-order-zero", "cyclic-order-negative"],
+)
+def test_former_crashes_are_domain_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--smax", "--lmax", "--rmax"])
+def test_unfaith_rejects_negative_bounds(capsys, flag):
+    # value -1 is a root of unity: the bound check must not depend on which search runs
+    for value in ("2", "-1"):
+        code, out, err = run_cli(capsys, "unfaith", "--mode", "a00", f"--val={value}",
+                                 "--rep", "perm", "--n", "3", f"{flag}=-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nonnegative" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["kernel2", "--rep", "scalar:2"])  # missing required params
@@ -134,3 +160,87 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+# --- golden output ---------------------------------------------------------------------
+#
+# Exact --json lines, one query per subcommand plus a multi-term formal image and
+# a formal-backend kernel report.  Any change to these bytes is a change of output.
+
+GOLDEN = [
+    (
+        ["eval", "--n", "2", "--rep", "scalar:2", "--a", "1", "--b", "2", "--c", "1", "--word", "t1 s1"],
+        '{"command": "eval", "image": "[[8]]", "is_identity": false, "n": 2, "params": ["1", "2", "1"], '
+        '"rep": "scalar:2", "word": "t1 s1"}',
+    ),
+    (
+        ["eval", "--n", "3", "--rep", "perm", "--a", "2", "--b", "-1", "--c", "1/2", "--word", "t1 s2 t2 t1"],
+        '{"command": "eval", "image": "5/4 * [1,2,3] + 1/8 * [1,3,2] + 1 * [2,1,3] + 1/4 * [2,3,1] + '
+        '1/4 * [3,1,2] + 1/2 * [3,2,1]", "is_identity": false, "n": 3, "params": ["2", "-1", "1/2"], '
+        '"rep": "perm", "word": "t1 s2 t2 t1"}',
+    ),
+    (
+        ["relcheck", "--n", "2", "--rep", "burau-unreduced", "--a", "1", "--b", "-1", "--c", "0"],
+        '{"all_pass": true, "checks": [{"family": 5, "indices": [1], "lhs": "t1 s1", '
+        '"name": "tau-sigma same-index commutation", "passed": true, "rhs": "s1 t1"}], '
+        '"command": "relcheck", "families_passed": 7, "n": 2, "params": "(1, -1, 0)", "rep": "burau-unreduced"}',
+    ),
+    (
+        ["kernel2", "--rep", "scalar:2", "--a", "2", "--b", "0", "--c", "0", "--pmax", "3", "--qmax", "6"],
+        '{"bounded": true, "bounds": {"p_max": 3, "q_max": 6}, "command": "kernel2", "cyclic_ok": true, '
+        '"hits": [[1, -2], [2, -4], [3, -6]], "minimal_generator": [1, -2], "params": "(2, 0, 0)", "rep": "scalar:2"}',
+    ),
+    (
+        ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "2", "--c", "1", "--backend", "formal",
+         "--pmax", "3", "--qmax", "4"],
+        '{"bounded": true, "bounds": {"p_max": 3, "q_max": 4}, "command": "kernel2", "cyclic_ok": null, '
+        '"hits": [], "minimal_generator": null, "params": "(1, 2, 1)", "rep": "scalar:2+formal"}',
+    ),
+    (
+        ["kernel2", "--rep", "perm", "--a", "1", "--b", "1", "--c", "-1", "--backend", "formal",
+         "--pmax", "3", "--qmax", "3"],
+        '{"bounded": true, "bounds": {"p_max": 3, "q_max": 3}, "command": "kernel2", "cyclic_ok": null, '
+        '"hits": [[0, 2], [0, -2]], "minimal_generator": null, "params": "(1, 1, -1)", "rep": "perm"}',
+    ),
+    (
+        ["unfaith", "--mode", "a00", "--val", "2", "--rep", "scalar:2", "--n", "2", "--smax", "4", "--lmax", "4"],
+        '{"bounded": true, "bounds": {"len_max": 4, "r_max": 8, "s_max": 4}, "command": "unfaith", '
+        '"found": true, "kind": "scalar-power", "mode": "a00", "rep": "scalar:2", "s": 1, "v": "S1", '
+        '"value": "2", "witnesses": [{"certificate": "tau-count: 1 != 0", "image": "[[2]]", '
+        '"w1": "t1 S1", "w2": "s1"}]}',
+    ),
+    (
+        ["prop8", "--matrix", "{matrix}", "--s", "2", "--ds", "-2", "--a", "1", "--b", "2", "--c", "1",
+         "--pmax", "3", "--qmax", "4"],
+        '{"command": "prop8", "cyclic_report": {"bounded": true, "bounds": {"p_max": 3, "q_max": 4}, '
+        '"cyclic_ok": true, "hits": [[1, 0], [2, 0], [3, 0]], "minimal_generator": [1, 0]}, "ds": "-2", '
+        '"equal": true, "matrix": "[[0,-2],[1,0]]", "matrix_report": {"bounded": true, '
+        '"bounds": {"p_max": 3, "q_max": 4}, "cyclic_ok": true, "hits": [[1, 0], [2, 0], [3, 0]], '
+        '"minimal_generator": [1, 0]}, "params": "(1, 2, 1)", "s": 2}',
+    ),
+    (
+        ["multinomial", "--a", "1", "--b", "0", "--c", "-3", "--d", "2", "--p", "2", "--q", "0"],
+        '{"agree": true, "command": "multinomial", "d": "2", "direct": "1", "expand": "1", "is_one": true, '
+        '"p": 2, "params": "(1, 0, -3)", "q": 0}',
+    ),
+    (
+        ["wordeq3", "--w1", "s1 s2 t1", "--w2", "t2 s1 s2"],
+        '{"certificate": null, "command": "wordeq3", "equal": true, "w1": "s1 s2 t1", "w2": "t2 s1 s2"}',
+    ),
+    (
+        ["shape", "--n", "3", "--word", "t2 t1 t1 s2", "--p", "2", "--q", "1"],
+        '{"assembled": "s1 s2 t1 S2 S1 t1 t1 s1 S1 s2", "blocks": [{"braid": "s1 s2", "tau_run": 0, '
+        '"v_power": 0}, {"braid": "S2 S1", "tau_run": 1, "v_power": 0}, {"braid": "S1 s2", "tau_run": 0, '
+        '"v_power": 1}], "command": "shape", "n": 3, "p": 2, "q": 1, "stripped": "s1 s2 t1 S2 S1 S1 s2", '
+        '"word": "t2 t1 t1 s2"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN, ids=[f"{i:02d}-{a[0]}" for i, (a, _) in enumerate(GOLDEN)])
+def test_golden_json_output(capsys, tmp_path, argv, expected):
+    path = tmp_path / "m.txt"
+    path.write_text("0,-2\n1,0\n")
+    argv = [str(path) if arg == "{matrix}" else arg for arg in argv]
+    _, raw = run_json(capsys, *argv)
+    assert raw == expected

@@ -36,6 +36,30 @@ def random_params(rng: random.Random) -> PhiParams:
     return PhiParams.of(pick(), pick(), pick())
 
 
+def test_phi_eval_builds_each_tau_image_once(monkeypatch):
+    import smbraid.phi as phi_module
+
+    rep, params = burau_unreduced(3), PhiParams.of(2, -1, T)
+    w = parse_word("t1 s2 t1 t2 S1 t1 t2", 3)
+    # independent route: the product of freshly built letter images
+    expected = rep.one()
+    for letter in w:
+        if letter.is_tau:
+            expected = expected * tau_image(rep, params, letter.index)
+        else:
+            expected = expected * rep_eval(rep, parse_word(letter.token(), 3))
+    built = []
+    original = phi_module.tau_image
+
+    def counting(rep_, params_, i):
+        built.append(i)
+        return original(rep_, params_, i)
+
+    monkeypatch.setattr(phi_module, "tau_image", counting)
+    assert phi_eval(rep, params, w) == expected
+    assert sorted(built) == [1, 2]
+
+
 def test_zero_parameters_kill_tau_words():
     rep = scalar_char(2, 2)
     params = PhiParams.of(0, 0, 0)

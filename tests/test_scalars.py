@@ -143,6 +143,8 @@ def test_laurent_product_matches_convolution_oracle(x, y):
         ("1 + t", LaurentPoly({0: 1, 1: 1})),
         ("1 - t", LaurentPoly({0: 1, 1: -1})),
         ("1/2*t^3", LaurentPoly({3: Fraction(1, 2)})),
+        ("+3", Fraction(3)),
+        (" -3/6 ", Fraction(-1, 2)),
     ],
 )
 def test_parse_scalar(text, value):
@@ -150,7 +152,9 @@ def test_parse_scalar(text, value):
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "q", "t^", "2 2", "5t"]:
+    # rationals are p or p/q in ASCII digits; a zero denominator is an error, not a crash
+    for bad in ["", "q", "t^", "2 2", "5t", "1e3", "1.5", ".5", "1.", "1_000", "\u0661", "1/\u0662",
+                "1/0", "1/0*t", "\u0661*t", "t^\u0661"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

@@ -67,6 +67,10 @@ def test_parse_examples():
         parse_word("y2", 3)
     with pytest.raises(ValueError):
         parse_word("s1", 1)
+    # an index is ASCII [1-9][0-9]*: no Unicode digits, no leading zeros, no signs
+    for token in ["s\u0661", "s01", "t0", "S+1", "s1.0", "s\u00b2", "t"]:
+        with pytest.raises(ValueError, match="unknown token"):
+            parse_word(token, 3)
 
 
 def test_parse_round_trip_never_folds_x():
