@@ -21,21 +21,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .scalars import (
-    ScalarValue,
-    as_scalar,
-    format_scalar,
-    is_unit,
-    is_zero,
-    scalar_add,
-    scalar_invert,
-    scalar_mul,
-    scalar_neg,
-    scalar_pow,
-)
+from .scalars import ZERO, ScalarValue, as_scalar, format_scalar, is_unit
 
 
 class Matrix:
@@ -72,42 +60,34 @@ class Matrix:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return Matrix(
             [
-                [scalar_add(a, b) for a, b in zip(r1, r2)]
+                [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ]
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[scalar_neg(a) for a in row] for row in self.rows])
+        return Matrix([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        dim = self.dim
         cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc: ScalarValue = Fraction(0)
-                for a, b in zip(row, col):
-                    acc = scalar_add(acc, scalar_mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(out)
+        return Matrix(
+            [[sum((a * b for a, b in zip(row, col)), ZERO) for col in cols] for row in self.rows]
+        )
 
     def scale(self, s: ScalarValue | int) -> "Matrix":
-        return Matrix([[scalar_mul(s, a) for a in row] for row in self.rows])
+        return Matrix([[s * a for a in row] for row in self.rows])
 
     def det(self) -> ScalarValue:
         """Exact determinant by cofactor expansion (dimensions here are small)."""
         if self.dim == 1:
             return self.rows[0][0]
-        total: ScalarValue = Fraction(0)
+        total: ScalarValue = ZERO
         for j, entry in enumerate(self.rows[0]):
-            if is_zero(entry):
+            if entry == 0:
                 continue
             minor = Matrix(
                 [
@@ -115,8 +95,8 @@ class Matrix:
                     for row in self.rows[1:]
                 ]
             )
-            term = scalar_mul(entry, minor.det())
-            total = scalar_add(total, term if j % 2 == 0 else scalar_neg(term))
+            term = entry * minor.det()
+            total = total + term if j % 2 == 0 else total - term
         return total
 
     def inverse(self) -> "Matrix":
@@ -125,7 +105,7 @@ class Matrix:
         d = self.det()
         if not is_unit(d):
             raise ValueError(f"matrix not invertible over the scalar ring (det = {format_scalar(d)})")
-        d_inv = scalar_invert(d)
+        d_inv = d**-1
         if self.dim == 1:
             return Matrix([[d_inv]])
         cof = []
@@ -140,10 +120,10 @@ class Matrix:
                     ]
                 )
                 m = minor.det()
-                cof_row.append(m if (i + j) % 2 == 0 else scalar_neg(m))
+                cof_row.append(m if (i + j) % 2 == 0 else -m)
             cof.append(cof_row)
         # adjugate = transpose of cofactor matrix
-        return Matrix([[scalar_mul(d_inv, cof[j][i]) for j in range(self.dim)] for i in range(self.dim)])
+        return Matrix([[d_inv * cof[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def power(self, e: int) -> "Matrix":
         base = self if e >= 0 else self.inverse()
@@ -167,7 +147,7 @@ class Matrix:
                 if i == j:
                     if self.rows[i][j] != d:
                         return None
-                elif not is_zero(self.rows[i][j]):
+                elif self.rows[i][j] != 0:
                     return None
         return d
 
@@ -301,8 +281,8 @@ class FormalElement:
     def __init__(self, model: GroupModel, terms: Iterable[tuple[object, ScalarValue | int]] = ()):
         coeffs: dict[object, ScalarValue] = {}
         for g, c in terms:
-            acc = scalar_add(coeffs.get(g, 0), c)
-            if is_zero(acc):
+            acc = coeffs[g] + c if g in coeffs else as_scalar(c)
+            if acc == 0:
                 coeffs.pop(g, None)
             else:
                 coeffs[g] = acc
@@ -338,14 +318,14 @@ class FormalElement:
         return FormalElement(
             self.model,
             [
-                (multiply(g, h), scalar_mul(a, b))
+                (multiply(g, h), a * b)
                 for g, a in self.coeffs.items()
                 for h, b in other.coeffs.items()
             ],
         )
 
     def scale(self, s: ScalarValue | int) -> "FormalElement":
-        return FormalElement(self.model, [(g, scalar_mul(s, c)) for g, c in self.coeffs.items()])
+        return FormalElement(self.model, [(g, s * c) for g, c in self.coeffs.items()])
 
     def power(self, e: int) -> "FormalElement":
         if e < 0:
@@ -396,7 +376,7 @@ class CyclicElement:
 
     @staticmethod
     def zero(order: int, twist: ScalarValue | int) -> "CyclicElement":
-        return CyclicElement(order, as_scalar(twist), (Fraction(0),) * order)
+        return CyclicElement(order, as_scalar(twist), (ZERO,) * order)
 
     @staticmethod
     def one(order: int, twist: ScalarValue | int) -> "CyclicElement":
@@ -407,11 +387,13 @@ class CyclicElement:
         """X^k for any integer k, reduced via X^order = twist."""
         if order < 1:
             raise ValueError("need order >= 1")
+        if not is_unit(twist):
+            raise ValueError("twist must be a unit")
         twist = as_scalar(twist)
         j = k % order
         m = (k - j) // order
-        coords = [as_scalar(0)] * order
-        coords[j] = scalar_pow(twist, m)
+        coords = [ZERO] * order
+        coords[j] = twist**m
         return CyclicElement(order, twist, tuple(coords))
 
     def _require_same(self, other: "CyclicElement") -> None:
@@ -422,28 +404,28 @@ class CyclicElement:
         self._require_same(other)
         return CyclicElement(
             self.order, self.twist,
-            tuple(scalar_add(a, b) for a, b in zip(self.coords, other.coords)),
+            tuple(a + b for a, b in zip(self.coords, other.coords)),
         )
 
     def __mul__(self, other: "CyclicElement") -> "CyclicElement":
         self._require_same(other)
-        out = [as_scalar(0)] * self.order
+        out = [ZERO] * self.order
         for i, a in enumerate(self.coords):
-            if is_zero(a):
+            if a == 0:
                 continue
             for j, b in enumerate(other.coords):
-                if is_zero(b):
+                if b == 0:
                     continue
-                c = scalar_mul(a, b)
+                c = a * b
                 e = i + j
                 if e >= self.order:  # single reduction suffices: i + j < 2*order
                     e -= self.order
-                    c = scalar_mul(c, self.twist)
-                out[e] = scalar_add(out[e], c)
+                    c = c * self.twist
+                out[e] = out[e] + c
         return CyclicElement(self.order, self.twist, tuple(out))
 
     def scale(self, s: ScalarValue | int) -> "CyclicElement":
-        return CyclicElement(self.order, self.twist, tuple(scalar_mul(s, a) for a in self.coords))
+        return CyclicElement(self.order, self.twist, tuple(s * a for a in self.coords))
 
     def power(self, e: int) -> "CyclicElement":
         if e < 0:
@@ -458,7 +440,7 @@ class CyclicElement:
         return acc
 
     def is_identity(self) -> bool:
-        return self.coords[0] == 1 and all(is_zero(a) for a in self.coords[1:])
+        return self.coords[0] == 1 and all(a == 0 for a in self.coords[1:])
 
     def text(self) -> str:
         return " + ".join(f"{format_scalar(a)}*X^{i}" for i, a in enumerate(self.coords))

@@ -23,15 +23,7 @@ from functools import lru_cache
 from .algebra import AlgebraElement, Matrix
 from .phi import PhiParams, in_kernel, phi_eval, phi_image_equal, tau_image, tau_power_expand
 from .reps import BraidRep, as_formal, burau_reduced, cyclic_rep, matrix_rep_from_images, rep_eval
-from .scalars import (
-    ScalarValue,
-    as_scalar,
-    format_scalar,
-    is_one,
-    is_unit,
-    scalar_pow,
-    unit_root_order,
-)
+from .scalars import ScalarValue, as_scalar, format_scalar, is_unit, unit_root_order
 from .words import (
     BraidWord,
     SMWord,
@@ -149,7 +141,7 @@ def unit_power_witness(rep: BraidRep, mode: str, value: ScalarValue | int, r: in
     value = as_scalar(value)
     if r < 1:
         raise ValueError("need r >= 1")
-    if not is_one(scalar_pow(value, r)):
+    if value**r != 1:
         raise ValueError(f"{format_scalar(value)}**{r} != 1")
     params = _mode_params(mode, value)
     w1 = tau_power(rep.n, 1, r)
@@ -187,7 +179,7 @@ def find_scalar_witness(
         states.append((v, img))
     one = rep.one()
     for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
-        target = one.scale(scalar_pow(value, -s))
+        target = one.scale(value**-s)
         for v, img in states:
             if img == target:
                 return v, s
@@ -205,11 +197,13 @@ def scalar_power_witness(
     against the braid word with the same image.  A negative s is normalized
     by replacing (v, s) with (v^-1, -s)."""
     value = as_scalar(value)
+    if not is_unit(value):
+        raise ValueError(f"need a unit, got {format_scalar(value)}")
     if s == 0:
         raise ValueError("need s != 0")
     if s < 0:
         v, s = v.inverse(), -s
-    expected = rep.one().scale(scalar_pow(value, -s))
+    expected = rep.one().scale(value**-s)
     if rep_eval(rep, v) != expected:
         raise ValueError("rho(v) is not the required scalar multiple of the identity")
     params = _mode_params(mode, value)
@@ -330,7 +324,7 @@ def scalar_kernel_hits(params: PhiParams, d: ScalarValue | int, p_max: int, q_ma
     hits = []
     for p in range(1, p_max + 1):
         for q in range(-q_max, q_max + 1):
-            if is_one(tau_power_expand(params, d, p, q)):
+            if tau_power_expand(params, d, p, q) == 1:
                 hits.append((p, q))
     return tuple(sorted(hits, key=_hit_order))
 

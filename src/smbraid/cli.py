@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import analysis, phi, words
@@ -31,6 +32,19 @@ DEFAULT_QMAX = 12
 DEFAULT_SMAX = 4
 DEFAULT_LMAX = 6
 DEFAULT_RMAX = 8
+
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An integer written in ASCII decimal, `[+-]?[0-9]+`.
+
+    Python's `int()` also takes non-ASCII digits, `_` separators and
+    surrounding spaces; the CLI grammar does not.
+    """
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise ValueError(f"bad integer {text!r}: expected ASCII [+-]?[0-9]+")
+    return int(text)
 
 
 def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
@@ -62,7 +76,7 @@ def _apply_backend(rep: BraidRep, backend: str | None) -> BraidRep:
         parts = backend.split(":")
         if len(parts) != 3:
             raise ValueError("cyclic backend selector is cyclic:<s>:<ds>")
-        return cyclic_rep(int(parts[1]), parse_scalar(parts[2]), n=rep.n)
+        return cyclic_rep(integer(parts[1]), parse_scalar(parts[2]), n=rep.n)
     raise ValueError(f"unknown backend selector {backend!r}")
 
 
@@ -297,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate the image of a word")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--rep", required=True)
     _add_params(p)
     p.add_argument("--word", required=True, help="token word, e.g. 't1 s1 S2'")
@@ -305,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("relcheck", help="verify the defining relations")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--rep", required=True)
     _add_params(p)
     p.add_argument("--json", action="store_true")
@@ -314,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel2", help="bounded SM_2 kernel grid search")
     p.add_argument("--rep", required=True)
     _add_params(p)
-    p.add_argument("--pmax", type=int, default=DEFAULT_PMAX)
-    p.add_argument("--qmax", type=int, default=DEFAULT_QMAX)
+    p.add_argument("--pmax", type=integer, default=DEFAULT_PMAX)
+    p.add_argument("--qmax", type=integer, default=DEFAULT_QMAX)
     p.add_argument("--backend", default=None, help="formal | matrix | cyclic:<s>:<ds>")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_kernel2)
@@ -324,28 +338,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=list(analysis.MODES), required=True)
     p.add_argument("--val", required=True, help="the nonzero parameter value")
     p.add_argument("--rep", required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--smax", type=int, default=DEFAULT_SMAX)
-    p.add_argument("--lmax", type=int, default=DEFAULT_LMAX)
-    p.add_argument("--rmax", type=int, default=DEFAULT_RMAX)
+    p.add_argument("--n", type=integer, default=2)
+    p.add_argument("--smax", type=integer, default=DEFAULT_SMAX)
+    p.add_argument("--lmax", type=integer, default=DEFAULT_LMAX)
+    p.add_argument("--rmax", type=integer, default=DEFAULT_RMAX)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_unfaith)
 
     p = sub.add_parser("prop8", help="compare matrix and twisted-cyclic kernel searches")
     p.add_argument("--matrix", required=True, help="matrix file: one row per line, comma-separated scalars")
-    p.add_argument("--s", type=int, required=True, help="minimal power with scalar image")
+    p.add_argument("--s", type=integer, required=True, help="minimal power with scalar image")
     p.add_argument("--ds", required=True, help="the scalar with matrix^s = ds * identity")
     _add_params(p)
-    p.add_argument("--pmax", type=int, default=DEFAULT_PMAX)
-    p.add_argument("--qmax", type=int, default=DEFAULT_QMAX)
+    p.add_argument("--pmax", type=integer, default=DEFAULT_PMAX)
+    p.add_argument("--qmax", type=integer, default=DEFAULT_QMAX)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_prop8)
 
     p = sub.add_parser("multinomial", help="scalar character value of tau_1^p sigma_1^q")
     _add_params(p)
     p.add_argument("--d", required=True, help="the unit scalar character value")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=integer, required=True)
+    p.add_argument("--q", type=integer, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_multinomial)
 
@@ -356,10 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wordeq3)
 
     p = sub.add_parser("shape", help="block decomposition and kernel-power shape")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=integer, required=True)
+    p.add_argument("--q", type=integer, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_shape)
 

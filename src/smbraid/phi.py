@@ -22,16 +22,14 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement
 from .reps import BraidRep, rep_eval
 from .scalars import (
+    ONE,
+    ZERO,
     ScalarValue,
     as_scalar,
     format_scalar,
     is_unit,
     multinomial_coeff,
     parse_scalar,
-    scalar_add,
-    scalar_invert,
-    scalar_mul,
-    scalar_pow,
 )
 from .words import SMWord, defining_relations
 
@@ -148,19 +146,12 @@ def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) ->
         raise ValueError("need p >= 0")
     if not is_unit(d):
         raise ValueError(f"need a unit d, got {format_scalar(d)}")
-    total: ScalarValue = as_scalar(0)
+    total: ScalarValue = ZERO
     for i in range(p + 1):
         for j in range(p - i + 1):
             k = p - i - j
             coeff = multinomial_coeff(p, i, j, k)
-            term = scalar_mul(
-                coeff,
-                scalar_mul(
-                    scalar_mul(scalar_pow(params.a, i), scalar_pow(params.b, j)),
-                    scalar_mul(scalar_pow(params.c, k), scalar_pow(d, i - j + q)),
-                ),
-            )
-            total = scalar_add(total, term)
+            total = total + coeff * (params.a**i * params.b**j) * (params.c**k * d ** (i - j + q))
     return total
 
 
@@ -172,11 +163,8 @@ def tau_power_direct(params: PhiParams, d: ScalarValue | int, p: int, q: int) ->
         raise ValueError("need p >= 0")
     if not is_unit(d):
         raise ValueError(f"need a unit d, got {format_scalar(d)}")
-    base = scalar_add(
-        scalar_add(scalar_mul(params.a, d), scalar_mul(params.b, scalar_invert(d))),
-        params.c,
-    )
-    acc: ScalarValue = as_scalar(1)
+    base = params.a * d + params.b * d**-1 + params.c
+    acc: ScalarValue = ONE
     for _ in range(p):
-        acc = scalar_mul(acc, base)
-    return scalar_mul(acc, scalar_pow(d, q))
+        acc = acc * base
+    return acc * d**q

@@ -36,13 +36,13 @@ from .algebra import (
     parse_matrix,
 )
 from .scalars import (
-    LaurentPoly,
+    ONE,
+    T,
     ScalarValue,
     as_scalar,
     format_scalar,
     is_unit,
     parse_scalar,
-    scalar_invert,
     unit_root_order,
 )
 from .words import BraidWord, LetterKind, SMWord, sigma, sigma_inv, sigma_power
@@ -65,6 +65,11 @@ class GenImage:
 
     unit: ScalarValue
     element: object  # group element (formal), Matrix, or X-exponent (cyclic)
+
+    def __post_init__(self):
+        if not is_unit(self.unit):
+            raise ValueError(f"generator scalar must be a unit, got {format_scalar(self.unit)}")
+        object.__setattr__(self, "unit", as_scalar(self.unit))
 
 
 class BraidRep:
@@ -103,7 +108,7 @@ class BraidRep:
                 FormalElement(model, [(img.element, img.unit)]) for img in gen_images
             )
             self._inv_images = tuple(
-                FormalElement(model, [(model.invert(img.element), scalar_invert(img.unit))])
+                FormalElement(model, [(model.invert(img.element), img.unit**-1)])
                 for img in gen_images
             )
         elif backend == "matrix":
@@ -124,7 +129,7 @@ class BraidRep:
                 for img in gen_images
             )
             self._inv_images = tuple(
-                CyclicElement.x_power(order, twist, -img.element).scale(scalar_invert(img.unit))
+                CyclicElement.x_power(order, twist, -img.element).scale(img.unit**-1)
                 for img in gen_images
             )
         else:
@@ -199,15 +204,14 @@ def burau_unreduced(n: int) -> BraidRep:
     strands (i, i+1) inside the n x n identity."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    t = LaurentPoly({1: 1})
     images = []
     for i in range(1, n):
-        rows = [[as_scalar(1 if r == c else 0) for c in range(n)] for r in range(n)]
-        rows[i - 1][i - 1] = as_scalar(1 - t)
-        rows[i - 1][i] = as_scalar(t)
-        rows[i][i - 1] = as_scalar(1)
-        rows[i][i] = as_scalar(0)
-        images.append(GenImage(as_scalar(1), Matrix(rows)))
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i - 1][i - 1] = 1 - T
+        rows[i - 1][i] = T
+        rows[i][i - 1] = 1
+        rows[i][i] = 0
+        images.append(GenImage(ONE, Matrix(rows)))
     if n <= 3:
         meta = Faithfulness(KNOWN_FAITHFUL, "Burau is faithful for n <= 3")
     elif n == 4:
@@ -219,14 +223,13 @@ def burau_unreduced(n: int) -> BraidRep:
 
 def burau_reduced(n: int) -> BraidRep:
     """Reduced Burau for n in {2, 3}; faithful in both cases."""
-    t = LaurentPoly({1: 1})
     meta = Faithfulness(KNOWN_FAITHFUL, "reduced Burau is faithful for n <= 3")
     if n == 2:
-        images = (GenImage(as_scalar(1), Matrix([[-t]])),)
+        images = (GenImage(ONE, Matrix([[-T]])),)
     elif n == 3:
         images = (
-            GenImage(as_scalar(1), Matrix([[-t, 1], [0, 1]])),
-            GenImage(as_scalar(1), Matrix([[1, 0], [t, -t]])),
+            GenImage(ONE, Matrix([[-T, 1], [0, 1]])),
+            GenImage(ONE, Matrix([[1, 0], [T, -T]])),
         )
     else:
         raise ValueError(f"reduced Burau is provided for n in {{2, 3}}, got {n}")
@@ -236,7 +239,7 @@ def burau_reduced(n: int) -> BraidRep:
 def permutation_rep(n: int) -> BraidRep:
     """sigma_i -> the transposition (i, i+1) in the group algebra of S_n."""
     model = SymmetricGroupModel(n)
-    images = tuple(GenImage(as_scalar(1), model.transposition(i)) for i in range(1, n))
+    images = tuple(GenImage(ONE, model.transposition(i)) for i in range(1, n))
     meta = Faithfulness(
         KNOWN_UNFAITHFUL,
         "transpositions square to the identity",
@@ -278,14 +281,14 @@ def matrix_rep_from_images(
 ) -> BraidRep:
     """Matrix representation from explicit generator images; the braid
     relations and invertibility are checked at construction."""
-    images = tuple(GenImage(as_scalar(1), m) for m in matrices)
+    images = tuple(GenImage(ONE, m) for m in matrices)
     return BraidRep(n, "matrix", images, faithfulness=faithfulness, name=name)
 
 
 def cyclic_rep(order: int, twist: ScalarValue | int, n: int = 2) -> BraidRep:
     """sigma_i -> X in the twisted cyclic algebra with X^order = twist."""
     twist = as_scalar(twist)
-    images = tuple(GenImage(as_scalar(1), 1) for _ in range(n - 1))
+    images = tuple(GenImage(ONE, 1) for _ in range(n - 1))
     return BraidRep(
         n,
         "cyclic",
@@ -304,7 +307,7 @@ def as_formal(rep: BraidRep) -> BraidRep:
     if rep.backend != "matrix":
         raise ValueError(f"cannot lift backend {rep.backend!r} to the formal group algebra")
     model = MatrixGroupModel(rep.dim)
-    images = tuple(GenImage(as_scalar(1), rep.image(i)) for i in range(1, rep.n))
+    images = tuple(GenImage(ONE, rep.image(i)) for i in range(1, rep.n))
     return BraidRep(
         rep.n,
         "formal",

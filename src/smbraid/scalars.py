@@ -1,13 +1,17 @@
-"""Exact scalar arithmetic over the rationals.
+"""Exact scalar arithmetic over Q[t, t^-1].
 
-Two scalar flavours are supported: plain rationals (``fractions.Fraction``)
-and Laurent polynomials in a single variable ``t`` with rational
-coefficients.  Every operation is exact; there is no floating point anywhere.
+Scalars are rationals (``fractions.Fraction``) and Laurent polynomials in a
+single variable ``t`` with rational coefficients: one ring in two flavours.
+Every operation is exact; there is no floating point anywhere.
 
 The canonical form of a scalar is a ``Fraction`` whenever the value is
-constant, and a ``LaurentPoly`` otherwise.  All arithmetic helpers in this
-module funnel their results through that normalization, so equality and
-hashing are reliable across the two flavours.
+constant, and a ``LaurentPoly`` otherwise.  ``LaurentPoly`` arithmetic
+(``+ - * **`` with ``int``, ``Fraction`` or ``LaurentPoly`` operands, and
+``invert()``) returns canonical values, and ``Fraction`` arithmetic is closed
+already, so callers use plain operators and equality and hashing are reliable
+across the two flavours.  ``as_scalar`` is the coercion at the boundary: it
+turns ``int`` inputs and constant ``LaurentPoly`` values into canonical form
+(a negative power of a plain ``int`` would be a float).
 
 Units of Q[t, t^-1] are exactly the nonzero monomials c*t^k; inversion and
 negative powers are only defined for those (and for nonzero rationals).
@@ -34,16 +38,12 @@ class LaurentPoly:
                 pruned[int(exp)] = c
         self._coeffs = pruned
 
-    @staticmethod
-    def term(coeff: Fraction | int, exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: Fraction(coeff)})
-
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Terms in descending exponent order."""
         return iter(sorted(self._coeffs.items(), reverse=True))
 
     def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
+        return self._coeffs.get(exp, ZERO)
 
     @property
     def support(self) -> frozenset[int]:
@@ -53,67 +53,68 @@ class LaurentPoly:
         return not self._coeffs
 
     def is_constant(self) -> bool:
-        return not self._coeffs or set(self._coeffs) == {0}
+        return not self._coeffs or (len(self._coeffs) == 1 and 0 in self._coeffs)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self._coeffs.get(0, Fraction(0))
+        return self._coeffs.get(0, ZERO)
 
     def is_unit(self) -> bool:
         return len(self._coeffs) == 1
 
-    def invert(self) -> "LaurentPoly":
+    def invert(self) -> ScalarValue:
         if not self.is_unit():
             raise ValueError(f"not a unit in Q[t, t^-1]: {self}")
         ((exp, c),) = self._coeffs.items()
-        return LaurentPoly({-exp: 1 / c})
+        return _canonical({-exp: 1 / c})
 
-    def __add__(self, other: object) -> "LaurentPoly":
-        other = _promote(other)
-        if other is NotImplemented:
+    def __add__(self, other: object) -> ScalarValue:
+        terms = _terms(other)
+        if terms is None:
             return NotImplemented
-        coeffs = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
-        return LaurentPoly(coeffs)
+        return _sum(self._coeffs, terms, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+    def __neg__(self) -> ScalarValue:
+        return _canonical({e: -c for e, c in self._coeffs.items()})
 
-    def __sub__(self, other: object) -> "LaurentPoly":
-        other = _promote(other)
-        if other is NotImplemented:
+    def __sub__(self, other: object) -> ScalarValue:
+        terms = _terms(other)
+        if terms is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self._coeffs, terms, -1)
 
-    def __rsub__(self, other: object) -> "LaurentPoly":
-        other = _promote(other)
-        if other is NotImplemented:
+    def __rsub__(self, other: object) -> ScalarValue:
+        terms = _terms(other)
+        if terms is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(terms, self._coeffs, -1)
 
-    def __mul__(self, other: object) -> "LaurentPoly":
-        other = _promote(other)
-        if other is NotImplemented:
+    def __mul__(self, other: object) -> ScalarValue:
+        terms = _terms(other)
+        if terms is None:
             return NotImplemented
         coeffs: dict[int, Fraction] = {}
         for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+            for e2, c2 in terms.items():
                 e = e1 + e2
-                coeffs[e] = coeffs.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(coeffs)
+                c = c1 * c2
+                coeffs[e] = coeffs[e] + c if e in coeffs else c
+        return _canonical(coeffs)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "LaurentPoly":
-        if e == 0:
-            return LaurentPoly({0: 1})
-        base = self if e > 0 else self.invert()
-        e = abs(e)
-        acc = LaurentPoly({0: 1})
+    def __pow__(self, e: int) -> ScalarValue:
+        """Exact power, with x**0 == 1; negative exponents require a unit."""
+        if self.is_unit():
+            ((exp, c),) = self._coeffs.items()
+            return _canonical({exp * e: c**e})
+        if e < 0:
+            raise ValueError(f"negative power of a non-unit: {self}")
+        acc: ScalarValue = ONE
+        base: ScalarValue = self
         while e:
             if e & 1:
                 acc = acc * base
@@ -148,51 +149,48 @@ ONE = Fraction(1)
 T = LaurentPoly({1: 1})
 
 
-def _promote(x: object) -> LaurentPoly:
+def _terms(x: object) -> dict[int, Fraction] | None:
+    """The exponent -> coefficient map of an operand, or None for a non-scalar."""
     if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly({0: Fraction(x)})
-    return NotImplemented
+        return x._coeffs
+    if isinstance(x, Fraction):
+        return {0: x}
+    if isinstance(x, int):
+        return {0: Fraction(x)}
+    return None
+
+
+def _sum(x: dict[int, Fraction], y: dict[int, Fraction], sign: int) -> ScalarValue:
+    coeffs = dict(x)
+    for e, c in y.items():
+        if sign < 0:
+            c = -c
+        coeffs[e] = coeffs[e] + c if e in coeffs else c
+    return _canonical(coeffs)
+
+
+def _canonical(coeffs: dict[int, Fraction]) -> ScalarValue:
+    """The canonical value of a map whose coefficients are Fractions already:
+    zero terms dropped, a constant returned as its Fraction."""
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    if not coeffs:
+        return ZERO
+    if len(coeffs) == 1 and 0 in coeffs:
+        return coeffs[0]
+    poly = object.__new__(LaurentPoly)
+    poly._coeffs = coeffs
+    return poly
 
 
 def as_scalar(x: ScalarValue | int) -> ScalarValue:
     """Coerce to canonical form: Fraction when constant, LaurentPoly otherwise."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, LaurentPoly):
+        return x.constant_value() if x.is_constant() else x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, LaurentPoly) and x.is_constant():
-        return x.constant_value()
-    if isinstance(x, (Fraction, LaurentPoly)):
-        return x
     raise TypeError(f"not a scalar: {x!r}")
-
-
-def scalar_add(x: ScalarValue | int, y: ScalarValue | int) -> ScalarValue:
-    if isinstance(x, LaurentPoly) or isinstance(y, LaurentPoly):
-        return as_scalar(_promote(x) + _promote(y))
-    return Fraction(x) + Fraction(y)
-
-
-def scalar_mul(x: ScalarValue | int, y: ScalarValue | int) -> ScalarValue:
-    if isinstance(x, LaurentPoly) or isinstance(y, LaurentPoly):
-        return as_scalar(_promote(x) * _promote(y))
-    return Fraction(x) * Fraction(y)
-
-
-def scalar_neg(x: ScalarValue | int) -> ScalarValue:
-    return as_scalar(-x if isinstance(x, LaurentPoly) else -Fraction(x))
-
-
-def scalar_sub(x: ScalarValue | int, y: ScalarValue | int) -> ScalarValue:
-    return scalar_add(x, scalar_neg(y))
-
-
-def is_zero(x: ScalarValue | int) -> bool:
-    return as_scalar(x) == 0
-
-
-def is_one(x: ScalarValue | int) -> bool:
-    return as_scalar(x) == 1
 
 
 def is_unit(x: ScalarValue | int) -> bool:
@@ -200,28 +198,6 @@ def is_unit(x: ScalarValue | int) -> bool:
     if isinstance(x, Fraction):
         return x != 0
     return x.is_unit()
-
-
-def scalar_invert(x: ScalarValue | int) -> ScalarValue:
-    """Exact inverse of a unit; raises ValueError for non-units."""
-    x = as_scalar(x)
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ValueError("zero is not invertible")
-        return 1 / x
-    return as_scalar(x.invert())
-
-
-def scalar_pow(x: ScalarValue | int, e: int) -> ScalarValue:
-    """Exact power, with 0**0 == 1; negative exponents require a unit."""
-    x = as_scalar(x)
-    if e == 0:
-        return ONE
-    if e < 0 and not is_unit(x):
-        raise ValueError(f"negative power of a non-unit: {format_scalar(x)}")
-    if isinstance(x, Fraction):
-        return x**e
-    return as_scalar(x**e)
 
 
 def unit_root_order(x: ScalarValue | int) -> int | None:

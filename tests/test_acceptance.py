@@ -31,7 +31,7 @@ from smbraid.analysis import (
 )
 from smbraid.phi import PhiParams, check_relations, phi_eval, tau_power_direct, tau_power_expand
 from smbraid.reps import burau_reduced, burau_unreduced, permutation_rep, rep_eval, scalar_char
-from smbraid.scalars import T, scalar_neg
+from smbraid.scalars import T
 from smbraid.words import (
     ShapeForm,
     SMWord,
@@ -177,7 +177,7 @@ def test_criterion_06_nonscalar_image_evidence():
 def test_criterion_07_multinomial_formula():
     budget = Budget("criterion 7 (multinomial expansion vs direct powering)", 60)
     rng = random.Random(107)
-    ds = [Fraction(2), Fraction(1, 2), Fraction(-1), scalar_neg(T)]
+    ds = [Fraction(2), Fraction(1, 2), Fraction(-1), -T]
     triples = [random_params(rng) for _ in range(20)]
     for params in triples:
         for d in ds:

@@ -15,7 +15,7 @@ from smbraid.algebra import (
     SymmetricGroupModel,
     parse_matrix,
 )
-from smbraid.scalars import T, scalar_neg
+from smbraid.scalars import T
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -132,7 +132,7 @@ def test_matrix_non_invertible_raises():
 def test_parse_matrix_round_trip():
     m = parse_matrix("0,-2\n1,0\n")
     assert m == Matrix([[0, -2], [1, 0]])
-    assert parse_matrix("-t\n") == Matrix([[scalar_neg(T)]])
+    assert parse_matrix("-t\n") == Matrix([[-T]])
     with pytest.raises(ValueError):
         parse_matrix("")
     with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from smbraid.analysis import (
 )
 from smbraid.phi import PhiParams, phi_eval
 from smbraid.reps import burau_reduced, burau_unreduced, permutation_rep, scalar_char
-from smbraid.scalars import T, scalar_neg
+from smbraid.scalars import T
 from smbraid.words import (
     defining_relations,
     empty_word,
@@ -55,7 +55,7 @@ def test_root_of_unity_order():
     assert root_of_unity_order(Fraction(-1)) == 2
     assert root_of_unity_order(Fraction(1)) == 1
     assert root_of_unity_order(Fraction(2)) is None
-    assert root_of_unity_order(scalar_neg(T)) is None
+    assert root_of_unity_order(-T) is None
     with pytest.raises(ValueError):
         root_of_unity_order(Fraction(0))
 
@@ -237,7 +237,7 @@ def test_nonscalar_power_check():
 def test_scalar_kernel_criterion_examples():
     assert scalar_kernel_criterion(PhiParams.of(2, 0, 0), Fraction(2), 6, 12) == (1, -2)
     assert scalar_kernel_criterion(PhiParams.of(1, 0, -3), Fraction(2), 6, 12) == (2, 0)
-    assert scalar_kernel_criterion(PhiParams.of(1, -1, 0), scalar_neg(T), 6, 12) is None
+    assert scalar_kernel_criterion(PhiParams.of(1, -1, 0), -T, 6, 12) is None
 
 
 def test_scalar_criterion_agrees_with_kernel_search():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smbraid.cli import main
 
@@ -153,6 +157,56 @@ def test_unfaith_rejects_negative_bounds(capsys, flag):
         assert err.startswith("error:") and "nonnegative" in err
 
 
+EVAL = ["eval", "--rep", "perm", "--a", "1", "--b", "0", "--c", "0", "--word", "s1"]
+KERNEL2 = ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "2", "--c", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*EVAL, "--n", "\u0662"],
+        [*EVAL, "--n", "1_0"],
+        [*EVAL, "--n", " 2"],
+        [*EVAL, "--n", "2.0"],
+        [*EVAL, "--n", ""],
+        [*KERNEL2, "--pmax", "\u0663"],
+        [*KERNEL2, "--qmax", "1_0"],
+        ["unfaith", "--mode", "a00", "--val", "2", "--rep", "perm", "--lmax", "1_0"],
+        ["unfaith", "--mode", "a00", "--val", "2", "--rep", "perm", "--smax", "\uff12"],
+        ["unfaith", "--mode", "a00", "--val", "2", "--rep", "perm", "--rmax=+-1"],
+        ["multinomial", "--a", "1", "--b", "0", "--c", "0", "--d", "2", "--p", "\u0661", "--q", "0"],
+        ["shape", "--n", "2", "--word", "t1", "--p", "1", "--q=0x1"],
+        ["prop8", "--matrix", "m.txt", "--s", "2 ", "--ds", "-2", "--a", "1", "--b", "2", "--c", "1"],
+    ],
+)
+def test_integer_options_are_ascii_decimal(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["\u0662", "1_0", " 2", "2.0", "+", ""])
+def test_cyclic_order_is_ascii_decimal(capsys, order):
+    code, out, err = run_cli(capsys, *KERNEL2, "--backend", f"cyclic:{order}:-2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "bad integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multinomial", "--a", "1", "--b", "0", "--c", "-3", "--d", "2", "--p", "+2", "--q=-3"],
+        ["multinomial", "--a", "1", "--b", "0", "--c", "-3", "--d", "2", "--p", "002", "--q=+3"],
+        [*KERNEL2, "--backend", "cyclic:+2:-2", "--pmax", "02", "--qmax=+2"],
+        [*EVAL, "--n=+3"],
+    ],
+)
+def test_integer_ascii_forms_accepted(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["kernel2", "--rep", "scalar:2"])  # missing required params
@@ -160,6 +214,72 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+# --- no tracebacks over drawn argv ------------------------------------------------------
+#
+# Each option draws from a small pool of well-formed values (domain-degenerate ones
+# included: zero scalars, negative bounds, cyclic:0:1, cyclic:2:0) and at most one
+# option per argv from a pool of malformed ones (non-ASCII digits, `_` separators,
+# zero denominators, garbage).  Bounds stay at most 3 and n at most 4, so every
+# draw runs quickly.
+
+SCALAR = (["2", "-1", "1/2", "0", "t", "-t", "1 - t", "t^-2"], ["1/0*t", "1/0", "\u0662", "1_0", "q", ""])
+BOUND = (["0", "1", "3", "-1"], ["\u0663", "1_0", " 1", "1.0"])
+SIGNED = (["0", "1", "2", "-2", "+3"], ["\u0662", "1_0", " 1", "1.0"])
+N = (["2", "3", "4", "1", "0", "-1"], ["\u0662", "1_0", " 2"])
+WORD = (["", "s1", "t1 s1", "S1 t1 t1", "s1 s2 t2", "x X t1"], ["s9", "t0", "s\u0661", "s01", "t1 q"])
+REP = (
+    ["perm", "burau-unreduced", "burau-reduced", "scalar:2", "scalar:-1", "scalar:t", "scalar:0", "scalar:1+t"],
+    ["scalar:1_0", "scalar:1/0", "matrix:missing.txt", "bogus"],
+)
+BACKEND = (
+    ["formal", "matrix", "cyclic:2:-2", "cyclic:1:1", "cyclic:3:t", "cyclic:0:1", "cyclic:-3:1", "cyclic:2:0"],
+    ["cyclic:\u0662:-2", "cyclic:1_0:1", "cyclic:2", "cyclic:x:1", "cyclic:2:1/0", "bogus"],
+)
+MODE = (["a00", "0b0", "00c"], ["abc"])
+ABC = [("--a", SCALAR), ("--b", SCALAR), ("--c", SCALAR)]
+COMMANDS = {
+    "eval": [("--n", N), ("--rep", REP), *ABC, ("--word", WORD)],
+    "relcheck": [("--n", N), ("--rep", REP), *ABC],
+    "kernel2": [("--rep", REP), *ABC, ("--pmax", BOUND), ("--qmax", BOUND), ("--backend", BACKEND)],
+    "unfaith": [("--mode", MODE), ("--val", SCALAR), ("--rep", REP), ("--n", N),
+                ("--smax", BOUND), ("--lmax", BOUND), ("--rmax", BOUND)],
+    "prop8": [("--s", SIGNED), ("--ds", SCALAR), *ABC, ("--pmax", BOUND), ("--qmax", BOUND)],
+    "multinomial": [*ABC, ("--d", SCALAR), ("--p", BOUND), ("--q", SIGNED)],
+    "wordeq3": [("--w1", WORD), ("--w2", WORD)],
+    "shape": [("--n", N), ("--word", WORD), ("--p", BOUND), ("--q", SIGNED)],
+}
+MATRICES = ["0,-2\n1,0\n", "1,1\n0,1\n", "0,1\n1,0\n", "t,0\n0,t\n", "1,2\n3\n", "q\n", ""]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = COMMANDS[command]
+    malformed = draw(st.one_of(st.none(), st.integers(0, len(options) - 1)))
+    argv = [command]
+    for k, (flag, (good, bad)) in enumerate(options):
+        argv.append(f"{flag}={draw(st.sampled_from(bad if k == malformed else good))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs(), matrix=st.sampled_from(MATRICES))
+def test_cli_never_raises(tmp_path_factory, argv, matrix):
+    if argv[0] == "prop8":
+        path = tmp_path_factory.mktemp("argv") / "m.txt"
+        path.write_text(matrix)
+        argv = [*argv, f"--matrix={path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    assert code in (0, 1, ("exit", 2)), argv
+    if code == 1:
+        assert err.getvalue().startswith("error:"), argv
 
 
 # --- golden output ---------------------------------------------------------------------

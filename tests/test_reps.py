@@ -24,7 +24,7 @@ from smbraid.reps import (
 )
 from fractions import Fraction
 
-from smbraid.scalars import T, scalar_neg
+from smbraid.scalars import T
 from smbraid.words import empty_word, parse_word, sigma_power
 
 
@@ -59,8 +59,8 @@ def test_burau_unreduced_metadata():
 
 def test_burau_reduced_n2_is_scalar_minus_t():
     rep = burau_reduced(2)
-    assert rep.image(1) == Matrix([[scalar_neg(T)]])
-    assert rep_eval(rep, sigma_power(2, 1, 3)) == Matrix([[scalar_neg(T**3)]])
+    assert rep.image(1) == Matrix([[-T]])
+    assert rep_eval(rep, sigma_power(2, 1, 3)) == Matrix([[-(T**3)]])
 
 
 def test_burau_reduced_n3_relation_and_nonscalar():
@@ -88,7 +88,7 @@ def test_scalar_char_metadata():
     assert rep_eval(unfaithful, unfaithful.faithfulness.witness).is_identity()
     assert scalar_char(2, 3).faithfulness.status == KNOWN_UNFAITHFUL
     # d = -t coincides with reduced Burau at n=2
-    assert scalar_char(scalar_neg(T), 2).image(1) == burau_reduced(2).image(1)
+    assert scalar_char(-T, 2).image(1) == burau_reduced(2).image(1)
     with pytest.raises(ValueError):
         scalar_char(0, 2)
 

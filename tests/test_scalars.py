@@ -1,13 +1,19 @@
-"""Exact scalar arithmetic: examples, ring axioms, and a convolution oracle."""
+"""Exact scalar arithmetic: examples, ring axioms, a convolution oracle and a
+sympy oracle for the operators."""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smbraid.algebra import CyclicElement, Matrix
+from smbraid.phi import PhiParams, tau_power_direct
+from smbraid.reps import scalar_char
 from smbraid.scalars import (
     LaurentPoly,
     T,
@@ -16,11 +22,6 @@ from smbraid.scalars import (
     is_unit,
     multinomial_coeff,
     parse_scalar,
-    scalar_add,
-    scalar_invert,
-    scalar_mul,
-    scalar_neg,
-    scalar_pow,
     unit_root_order,
 )
 
@@ -37,40 +38,54 @@ scalars = st.one_of(fractions, laurents())
 
 
 def test_rational_addition():
-    assert scalar_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
 
 def test_unit_monomial_product():
     # (-t) * (-t^-1) == 1
-    assert scalar_mul(scalar_neg(T), scalar_neg(T.invert())) == 1
+    assert (-T) * (-T.invert()) == 1
 
 
 def test_poly_times_monomial():
     # (1 - t) * t == t - t^2
-    assert scalar_mul(scalar_add(1, scalar_neg(T)), T) == LaurentPoly({1: 1, 2: -1})
+    assert (1 - T) * T == LaurentPoly({1: 1, 2: -1})
 
 
 def test_invert_rational():
-    assert scalar_invert(Fraction(2)) == Fraction(1, 2)
+    assert Fraction(2) ** -1 == Fraction(1, 2)
+    inverse = LaurentPoly({0: 2}).invert()
+    assert isinstance(inverse, Fraction) and inverse == Fraction(1, 2)
 
 
 def test_invert_monomial():
-    assert scalar_invert(scalar_neg(T)) == LaurentPoly({-1: -1})
+    assert (-T).invert() == LaurentPoly({-1: -1})
+    assert (-T) ** -1 == LaurentPoly({-1: -1})
 
 
 def test_invert_non_unit_raises():
     with pytest.raises(ValueError):
-        scalar_invert(scalar_add(1, T))
+        (1 + T).invert()
     with pytest.raises(ValueError):
-        scalar_invert(Fraction(0))
+        LaurentPoly({}).invert()
+    # zero is not a unit: the library entry points that invert refuse it
+    with pytest.raises(ValueError):
+        CyclicElement.x_power(2, 0, -1)
+    with pytest.raises(ValueError):
+        Matrix([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(ValueError):
+        scalar_char(0, 2)
+    with pytest.raises(ValueError):
+        tau_power_direct(PhiParams.of(1, 1, 1), 0, 1, 0)
 
 
 def test_pow_examples():
-    assert scalar_pow(Fraction(2), -3) == Fraction(1, 8)
-    assert scalar_pow(scalar_neg(T), 2) == LaurentPoly({2: 1})
-    assert scalar_pow(Fraction(0), 0) == 1
+    assert Fraction(2) ** -3 == Fraction(1, 8)
+    assert (-T) ** 2 == LaurentPoly({2: 1})
+    assert as_scalar(0) ** 0 == 1
+    zero_power = LaurentPoly({}) ** 0
+    assert isinstance(zero_power, Fraction) and zero_power == 1
     with pytest.raises(ValueError):
-        scalar_pow(scalar_add(1, T), -1)
+        (1 + T) ** -1
 
 
 def test_multinomial_examples():
@@ -86,12 +101,12 @@ def test_unit_root_orders():
     assert unit_root_order(Fraction(1)) == 1
     assert unit_root_order(Fraction(-1)) == 2
     assert unit_root_order(Fraction(2)) is None
-    assert unit_root_order(scalar_neg(T)) is None
+    assert unit_root_order(-T) is None
     assert unit_root_order(LaurentPoly({0: -1})) == 2
 
 
 def test_canonical_form_constant_laurent_collapses():
-    x = scalar_mul(T, T.invert())
+    x = T * T.invert()
     assert isinstance(x, Fraction)
     assert x == 1
 
@@ -100,24 +115,24 @@ def test_units():
     assert is_unit(Fraction(-5, 3))
     assert is_unit(LaurentPoly({3: Fraction(2)}))
     assert not is_unit(Fraction(0))
-    assert not is_unit(scalar_add(1, T))
+    assert not is_unit(1 + T)
 
 
 @given(scalars, scalars, scalars)
 def test_ring_axioms(x, y, z):
-    assert scalar_add(x, y) == scalar_add(y, x)
-    assert scalar_mul(x, y) == scalar_mul(y, x)
-    assert scalar_add(scalar_add(x, y), z) == scalar_add(x, scalar_add(y, z))
-    assert scalar_mul(scalar_mul(x, y), z) == scalar_mul(x, scalar_mul(y, z))
-    assert scalar_mul(x, scalar_add(y, z)) == scalar_add(scalar_mul(x, y), scalar_mul(x, z))
-    assert scalar_add(x, scalar_neg(x)) == 0
-    assert scalar_mul(x, 1) == x
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == 0
+    assert x * 1 == x
 
 
 @given(scalars)
 def test_unit_inverse_round_trip(x):
     if is_unit(x):
-        assert scalar_mul(scalar_invert(x), x) == 1
+        assert x**-1 * x == 1
 
 
 @given(laurents(), laurents())
@@ -127,9 +142,50 @@ def test_laurent_product_matches_convolution_oracle(x, y):
     for e1 in x.support:
         for e2 in y.support:
             expected[e1 + e2] = expected.get(e1 + e2, Fraction(0)) + x.coeff(e1) * y.coeff(e2)
-    product = x * y
-    assert all(product.coeff(e) == c for e, c in expected.items())
-    assert product.support <= set(expected)
+    assert x * y == as_scalar(LaurentPoly(expected))
+
+
+# --- sympy oracle for the operators ------------------------------------------------
+
+t = sympy.Symbol("t")
+operands = st.one_of(st.integers(-6, 6), fractions, laurents())
+
+
+def to_sympy(x: int | Fraction | LaurentPoly) -> sympy.Expr:
+    if isinstance(x, LaurentPoly):
+        return sympy.Add(*(to_sympy(c) * t**e for e, c in x.items()))
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def assert_canonical(value: object) -> None:
+    """A Fraction when constant, a non-constant LaurentPoly otherwise; for a
+    constant, a LaurentPoly of the same value compares and hashes alike."""
+    assert type(value) in (Fraction, LaurentPoly)
+    if isinstance(value, LaurentPoly):
+        assert not value.is_constant()
+    else:
+        assert LaurentPoly({0: value}) == value and hash(LaurentPoly({0: value})) == hash(value)
+
+
+def assert_matches(value: object, expected: sympy.Expr) -> None:
+    assert_canonical(value)
+    assert sympy.expand(to_sympy(value) - expected) == 0
+
+
+@given(laurents(), operands, st.integers(-3, 4))
+def test_operators_match_sympy(x, y, e):
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_matches(op(x, y), op(to_sympy(x), to_sympy(y)))
+        assert_matches(op(y, x), op(to_sympy(y), to_sympy(x)))
+    assert_matches(-x, -to_sympy(x))
+    if e >= 0 or is_unit(x):
+        assert_matches(x**e, to_sympy(x) ** e)
+    else:
+        with pytest.raises(ValueError):
+            x**e
+    if is_unit(x):
+        assert_matches(x.invert(), 1 / to_sympy(x))
 
 
 @pytest.mark.parametrize(
