@@ -26,10 +26,12 @@ from .reps import BraidRep, as_formal, burau_reduced, cyclic_rep, matrix_rep_fro
 from .scalars import ScalarValue, as_scalar, format_scalar, is_unit, unit_root_order
 from .words import (
     BraidWord,
+    GenLetter,
+    LetterKind,
     SMWord,
+    braid_letters,
     conjugate,
     empty_word,
-    enumerate_braid_words,
     permutation_image,
     sigma_exponent_sum,
     sigma_power,
@@ -158,9 +160,16 @@ def find_scalar_witness(
 ) -> tuple[BraidWord, int] | None:
     """Bounded search for a braid word v with rho(v) == value**(-s) * identity.
 
-    Words are enumerated shortest first and deduplicated by their image
-    (equal images explore identical futures, so pruning is
-    complete).  Exponents are tried s = 1..s_max, then s = -1..-s_max, so the
+    A breadth-first walk over distinct images of freely reduced words of
+    length <= len_max.  Level k extends the words kept at level k-1, in
+    order, by each letter of `braid_letters` except the inverse of the last
+    one; a new word costs one multiply by the letter's image.  A word whose
+    image was already reached is neither kept nor extended, since equal
+    images have equal futures, so each image keeps the first word that
+    reaches it in `enumerate_braid_words` order.  The walk stops early when a
+    level reaches no new image (a finite image group is exhausted).
+
+    Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
     returned exponent is positive whenever a positive one exists in bounds.
     Absence of a hit is evidence only; the search is bounded.
     """
@@ -169,20 +178,32 @@ def find_scalar_witness(
         raise ValueError(f"need a unit, got {format_scalar(value)}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    states: list[tuple[BraidWord, AlgebraElement]] = []
-    seen: set[AlgebraElement] = set()
-    for v in enumerate_braid_words(rep.n, len_max):
-        img = rep_eval(rep, v)
-        if img in seen:
-            continue
-        seen.add(img)
-        states.append((v, img))
+    if s_max < 0 or len_max < 0:
+        raise ValueError("bounds must be nonnegative")
+    steps = []
+    for letter in braid_letters(rep.n):
+        image = rep.image if letter.kind is LetterKind.SIGMA else rep.image_inv
+        steps.append((letter, letter.inverse(), image(letter.index)))
     one = rep.one()
+    first: dict[AlgebraElement, tuple[GenLetter, ...]] = {one: ()}
+    level: list[tuple[tuple[GenLetter, ...], AlgebraElement]] = [((), one)]
+    for _ in range(len_max):
+        if not level:
+            break
+        next_level = []
+        for letters, img in level:
+            for letter, inverse, step in steps:
+                if letters and letters[-1] == inverse:
+                    continue
+                new = img * step
+                if new not in first:
+                    first[new] = grown = letters + (letter,)
+                    next_level.append((grown, new))
+        level = next_level
     for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
-        target = one.scale(value**-s)
-        for v, img in states:
-            if img == target:
-                return v, s
+        letters = first.get(one.scale(value**-s))
+        if letters is not None:
+            return BraidWord(rep.n, letters), s
     return None
 
 

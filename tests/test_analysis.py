@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_braid_word
-from smbraid.algebra import Matrix
+from smbraid import analysis, reps, words
+from smbraid.algebra import FormalElement, Matrix
 from smbraid.analysis import (
     KernelReport,
     compare_matrix_cyclic_kernels,
@@ -26,11 +28,21 @@ from smbraid.analysis import (
     verify_cyclic_structure,
 )
 from smbraid.phi import PhiParams, phi_eval
-from smbraid.reps import burau_reduced, burau_unreduced, permutation_rep, scalar_char
+from smbraid.reps import (
+    as_formal,
+    burau_reduced,
+    burau_unreduced,
+    cyclic_rep,
+    matrix_rep_from_images,
+    permutation_rep,
+    rep_eval,
+    scalar_char,
+)
 from smbraid.scalars import T
 from smbraid.words import (
     defining_relations,
     empty_word,
+    enumerate_braid_words,
     parse_word,
     sigma_power,
     tau_power,
@@ -118,6 +130,118 @@ def test_find_scalar_witness_absent_on_burau():
 def test_find_scalar_witness_absent_on_mismatched_bases():
     # 2^-s never equals a power of 3
     assert find_scalar_witness(scalar_char(3, 2), "a00", Fraction(2), 4, 8) is None
+
+
+def test_find_scalar_witness_rejects_negative_bounds():
+    for s_max, len_max in ((-1, 4), (4, -1), (-1, -3)):
+        with pytest.raises(ValueError, match="bounds must be nonnegative"):
+            find_scalar_witness(scalar_char(2, 2), "a00", Fraction(-1), s_max, len_max)
+
+
+def enumerated_witness_states(rep, len_max):
+    """The enumerate-evaluate-dedup route: every freely reduced word is
+    evaluated from scratch, and the first word of each image is kept."""
+    states = []
+    seen = set()
+    for v in enumerate_braid_words(rep.n, len_max):
+        img = rep_eval(rep, v)
+        if img in seen:
+            continue
+        seen.add(img)
+        states.append((v, img))
+    return states
+
+
+def enumerated_witness(states, rep, value, s_max):
+    one = rep.one()
+    for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
+        target = one.scale(value**-s)
+        for v, img in states:
+            if img == target:
+                return v, s
+    return None
+
+
+WITNESS_REPS = {
+    "perm2": permutation_rep(2),
+    "perm3": permutation_rep(3),
+    "perm4": permutation_rep(4),
+    "burau-reduced3": burau_reduced(3),
+    "burau-unreduced2": burau_unreduced(2),
+    "burau-unreduced3": burau_unreduced(3),
+    "burau-reduced3-formal": as_formal(burau_reduced(3)),
+    "scalar2-n2": scalar_char(2, 2),
+    "scalar2-n3": scalar_char(2, 3),
+    "scalar1_2-n3": scalar_char(Fraction(1, 2), 3),
+    "scalar-1-n3": scalar_char(-1, 3),
+    "scalar-t-n3": scalar_char(-T, 3),
+    "cyclic2_2-n2": cyclic_rep(2, 2),
+    "cyclic3_-1-n3": cyclic_rep(3, -1, 3),
+    "cyclic2_2t^-1-n3": cyclic_rep(2, 2 * T**-1, 3),
+    "matrix2x2-n2": matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]),
+}
+WITNESS_VALUES = (Fraction(2), Fraction(-1), Fraction(1, 2), T, -T, 2 * T**-1)
+
+
+@pytest.mark.parametrize("name", WITNESS_REPS)
+def test_find_scalar_witness_matches_enumeration(name):
+    # The breadth-first walk keeps exactly the words the enumeration keeps, so
+    # the reported (v, s) is the same pair, not merely an equivalent one.
+    rep = WITNESS_REPS[name]
+    found = 0
+    for len_max in range(5):
+        states = enumerated_witness_states(rep, len_max)
+        for value in WITNESS_VALUES:
+            for s_max in (0, 1, 4):
+                expected = enumerated_witness(states, rep, value, s_max)
+                got = find_scalar_witness(rep, "a00", value, s_max, len_max)
+                assert got == expected, (len_max, value, s_max)
+                found += expected is not None
+    if name.startswith(("scalar", "cyclic", "matrix")):
+        assert found, "grid rows for scalar, cyclic and matrix reps must include hits"
+
+
+def count_search_work(monkeypatch, mul_budget):
+    """Count FormalElement products and calls of the enumeration route; a
+    product past the budget fails at once instead of running on."""
+    calls = Counter()
+    mul = FormalElement.__mul__
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        assert calls["mul"] <= mul_budget, f"more than {mul_budget} multiplications"
+        return mul(self, other)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(FormalElement, "__mul__", counted_mul)
+    for module in (analysis, reps, words):
+        for name in ("enumerate_braid_words", "rep_eval"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
+    # S_4 has 24 elements and each kept image is extended by at most 6 letters.
+    rep = permutation_rep(4)
+    calls = count_search_work(monkeypatch, 24 * 6)
+    assert find_scalar_witness(rep, "a00", Fraction(2), 4, 6) is None
+    assert calls["mul"] <= 24 * 6
+    assert calls["enumerate_braid_words"] == 0 and calls["rep_eval"] == 0
+
+
+def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
+    # Once a level adds no new image the walk ends, whatever len_max says.
+    rep = permutation_rep(4)
+    calls = count_search_work(monkeypatch, 24 * 6)
+    assert find_scalar_witness(rep, "a00", Fraction(2), 4, 10**6) is None
+    assert calls["mul"] <= 24 * 6
 
 
 def test_scalar_power_witness_examples():

@@ -284,8 +284,9 @@ def test_cli_never_raises(tmp_path_factory, argv, matrix):
 
 # --- golden output ---------------------------------------------------------------------
 #
-# Exact --json lines, one query per subcommand plus a multi-term formal image and
-# a formal-backend kernel report.  Any change to these bytes is a change of output.
+# Exact --json lines, one query per subcommand plus a multi-term formal image,
+# a formal-backend kernel report and two witness searches whose reported word is
+# one of many with the same image.  Any change to these bytes is a change of output.
 
 GOLDEN = [
     (
@@ -353,6 +354,22 @@ GOLDEN = [
         '"v_power": 0}, {"braid": "S2 S1", "tau_run": 1, "v_power": 0}, {"braid": "S1 s2", "tau_run": 0, '
         '"v_power": 1}], "command": "shape", "n": 3, "p": 2, "q": 1, "stripped": "s1 s2 t1 S2 S1 S1 s2", '
         '"word": "t2 t1 t1 s2"}',
+    ),
+    # Many words share each image here (under scalar:2, S1 S1, S1 S2, S2 S1 and S2 S2
+    # all map to 1/4), so these two lines pin which representative the search reports.
+    (
+        ["unfaith", "--mode", "a00", "--val", "4", "--rep", "scalar:2", "--n", "3", "--smax", "2", "--lmax", "3"],
+        '{"bounded": true, "bounds": {"len_max": 3, "r_max": 8, "s_max": 2}, "command": "unfaith", '
+        '"found": true, "kind": "scalar-power", "mode": "a00", "rep": "scalar:2", "s": 1, "v": "S1 S1", '
+        '"value": "4", "witnesses": [{"certificate": "tau-count: 1 != 0", "image": "[[2]]", '
+        '"w1": "t1 S1 S1", "w2": "s1"}]}',
+    ),
+    (
+        ["unfaith", "--mode", "0b0", "--val", "4", "--rep", "scalar:1/2", "--n", "3", "--smax", "2", "--lmax", "3"],
+        '{"bounded": true, "bounds": {"len_max": 3, "r_max": 8, "s_max": 2}, "command": "unfaith", '
+        '"found": true, "kind": "scalar-power", "mode": "0b0", "rep": "scalar:1/2", "s": 1, "v": "s1 s1", '
+        '"value": "4", "witnesses": [{"certificate": "tau-count: 1 != 0", "image": "[[2]]", '
+        '"w1": "t1 s1 s1", "w2": "S1"}]}',
     ),
 ]
 
