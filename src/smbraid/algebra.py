@@ -125,17 +125,6 @@ class Matrix:
         # adjugate = transpose of cofactor matrix
         return Matrix([[d_inv * cof[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
-    def power(self, e: int) -> "Matrix":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        acc = Matrix.identity(self.dim)
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def is_identity(self) -> bool:
         return self == Matrix.identity(self.dim)
 
@@ -327,14 +316,6 @@ class FormalElement:
     def scale(self, s: ScalarValue | int) -> "FormalElement":
         return FormalElement(self.model, [(g, s * c) for g, c in self.coeffs.items()])
 
-    def power(self, e: int) -> "FormalElement":
-        if e < 0:
-            raise ValueError("negative powers are not defined for formal elements")
-        acc = FormalElement.one(self.model)
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
     def is_identity(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs.get(self.model.identity()) == 1
 
@@ -426,18 +407,6 @@ class CyclicElement:
 
     def scale(self, s: ScalarValue | int) -> "CyclicElement":
         return CyclicElement(self.order, self.twist, tuple(s * a for a in self.coords))
-
-    def power(self, e: int) -> "CyclicElement":
-        if e < 0:
-            raise ValueError("negative powers are not defined for general cyclic elements")
-        acc = CyclicElement.one(self.order, self.twist)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
 
     def is_identity(self) -> bool:
         return self.coords[0] == 1 and all(a == 0 for a in self.coords[1:])

@@ -27,7 +27,6 @@ from .scalars import ScalarValue, as_scalar, format_scalar, is_unit, unit_root_o
 from .words import (
     BraidWord,
     GenLetter,
-    LetterKind,
     SMWord,
     braid_letters,
     conjugate,
@@ -170,7 +169,8 @@ def find_scalar_witness(
     level reaches no new image (a finite image group is exhausted).
 
     Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
-    returned exponent is positive whenever a positive one exists in bounds.
+    returned exponent is positive whenever a positive one exists in bounds;
+    with s_max == 0 there is nothing to try and no walk is made.
     Absence of a hit is evidence only; the search is bounded.
     """
     value = as_scalar(value)
@@ -180,10 +180,9 @@ def find_scalar_witness(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if s_max < 0 or len_max < 0:
         raise ValueError("bounds must be nonnegative")
-    steps = []
-    for letter in braid_letters(rep.n):
-        image = rep.image if letter.kind is LetterKind.SIGMA else rep.image_inv
-        steps.append((letter, letter.inverse(), image(letter.index)))
+    if s_max == 0:
+        return None
+    steps = [(letter, letter.inverse(), rep.letters[letter]) for letter in braid_letters(rep.n)]
     one = rep.one()
     first: dict[AlgebraElement, tuple[GenLetter, ...]] = {one: ()}
     level: list[tuple[tuple[GenLetter, ...], AlgebraElement]] = [((), one)]
@@ -328,6 +327,8 @@ def nonscalar_power_check(rep: BraidRep, s_max: int) -> bool:
     of a scalar matrix is scalar.)"""
     if rep.backend != "matrix":
         raise ValueError(f"scalar-power check needs the matrix backend, got {rep.backend!r}")
+    if s_max < 0:
+        raise ValueError("bounds must be nonnegative")
     m: Matrix = rep.image(1)
     acc = Matrix.identity(m.dim)
     for _ in range(s_max):
@@ -342,6 +343,8 @@ def scalar_kernel_hits(params: PhiParams, d: ScalarValue | int, p_max: int, q_ma
     d = as_scalar(d)
     if not is_unit(d):
         raise ValueError(f"need a unit d, got {format_scalar(d)}")
+    if p_max < 0 or q_max < 0:
+        raise ValueError("bounds must be nonnegative")
     hits = []
     for p in range(1, p_max + 1):
         for q in range(-q_max, q_max + 1):

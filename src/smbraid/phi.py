@@ -62,15 +62,9 @@ def tau_image(rep: BraidRep, params: PhiParams, i: int) -> AlgebraElement:
 
 
 def phi_eval(rep: BraidRep, params: PhiParams, w: SMWord) -> AlgebraElement:
-    """Image of w under the extension; each tau_i image is built at most once."""
-    built: dict[int, AlgebraElement] = {}
-
-    def tau_images(i: int) -> AlgebraElement:
-        if i not in built:
-            built[i] = tau_image(rep, params, i)
-        return built[i]
-
-    return rep_eval(rep, w, tau_images)
+    """Image of w under the extension; each tau_i image is built once per call."""
+    taus = {letter: tau_image(rep, params, letter.index) for letter in set(w) if letter.is_tau}
+    return rep_eval(rep, w, taus)
 
 
 def phi_image_equal(rep: BraidRep, params: PhiParams, w1: SMWord, w2: SMWord) -> bool:

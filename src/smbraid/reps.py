@@ -1,11 +1,11 @@
 """Concrete braid group representations.
 
-A `BraidRep` assigns each generator sigma_i an invertible element of one of
-the algebra backends, stored as a (unit scalar, element) pair so that scalar
-characters, scalar-twisted matrix images and plain group images all share one
-shape.  Construction verifies the braid relations on the images exactly and
-records declarative faithfulness metadata; the library never claims to decide
-faithfulness of a representation by itself.
+A `BraidRep` is its letter-image table: each braid letter sigma_i^(+-1) maps
+to an invertible element of one of the algebra backends, and a word's image
+is the left-to-right product of its letters' images.  Construction verifies
+the braid relations on the images exactly and records declarative
+faithfulness metadata; the library never claims to decide faithfulness of a
+representation by itself.
 
 Shipped representations:
 
@@ -23,20 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Mapping, Sequence
 
 from .algebra import (
     AlgebraElement,
     CyclicElement,
     FormalElement,
-    GroupModel,
     Matrix,
     MatrixGroupModel,
     SymmetricGroupModel,
     parse_matrix,
 )
 from .scalars import (
-    ONE,
     T,
     ScalarValue,
     as_scalar,
@@ -45,11 +43,13 @@ from .scalars import (
     parse_scalar,
     unit_root_order,
 )
-from .words import BraidWord, LetterKind, SMWord, sigma, sigma_inv, sigma_power
+from .words import BraidWord, GenLetter, SMWord, sigma, sigma_inv, sigma_power
 
 KNOWN_FAITHFUL = "known_faithful"
 KNOWN_UNFAITHFUL = "known_unfaithful"
 UNKNOWN = "unknown"
+
+_BACKENDS = {FormalElement: "formal", Matrix: "matrix", CyclicElement: "cyclic"}
 
 
 @dataclass(frozen=True)
@@ -59,97 +59,51 @@ class Faithfulness:
     witness: BraidWord | None = None
 
 
-@dataclass(frozen=True)
-class GenImage:
-    """Image of one generator: unit scalar times a backend element."""
-
-    unit: ScalarValue
-    element: object  # group element (formal), Matrix, or X-exponent (cyclic)
-
-    def __post_init__(self):
-        if not is_unit(self.unit):
-            raise ValueError(f"generator scalar must be a unit, got {format_scalar(self.unit)}")
-        object.__setattr__(self, "unit", as_scalar(self.unit))
-
-
 class BraidRep:
-    """An exactly-verified assignment sigma_i -> invertible algebra element."""
+    """An exactly-verified assignment sigma_i -> invertible algebra element.
+
+    `images[i-1]` and `inverses[i-1]` are the images of sigma_i and
+    sigma_i^-1; `one` is the identity of the algebra they live in.  The
+    `letters` table maps each braid letter to its image.
+    """
 
     def __init__(
         self,
         n: int,
-        backend: str,
-        gen_images: tuple[GenImage, ...],
+        one: AlgebraElement,
+        images: Sequence[AlgebraElement],
+        inverses: Sequence[AlgebraElement],
         *,
-        model: GroupModel | None = None,
-        order: int | None = None,
-        twist: ScalarValue | None = None,
         faithfulness: Faithfulness | None = None,
-        name: str = "",
+        name: str,
     ):
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
-        if len(gen_images) != n - 1:
-            raise ValueError(f"need {n - 1} generator images, got {len(gen_images)}")
+        if len(images) != n - 1:
+            raise ValueError(f"need {n - 1} generator images, got {len(images)}")
         self.n = n
-        self.backend = backend
-        self.model = model
-        self.order = order
-        self.twist = twist
-        self.gen_images = gen_images
         self.faithfulness = faithfulness or Faithfulness(UNKNOWN)
-        self.name = name or backend
-
-        if backend == "formal":
-            if model is None:
-                raise ValueError("formal backend needs a group model")
-            self._one: AlgebraElement = FormalElement.one(model)
-            self._images = tuple(
-                FormalElement(model, [(img.element, img.unit)]) for img in gen_images
-            )
-            self._inv_images = tuple(
-                FormalElement(model, [(model.invert(img.element), img.unit**-1)])
-                for img in gen_images
-            )
-        elif backend == "matrix":
-            mats = [img.element.scale(img.unit) for img in gen_images]
-            dims = {m.dim for m in mats}
-            if len(dims) != 1:
-                raise ValueError("generator matrices must share one dimension")
-            self.dim = dims.pop()
-            self._one = Matrix.identity(self.dim)
-            self._images = tuple(mats)
-            self._inv_images = tuple(m.inverse() for m in mats)
-        elif backend == "cyclic":
-            if order is None or twist is None:
-                raise ValueError("cyclic backend needs order and twist")
-            self._one = CyclicElement.one(order, twist)
-            self._images = tuple(
-                CyclicElement.x_power(order, twist, img.element).scale(img.unit)
-                for img in gen_images
-            )
-            self._inv_images = tuple(
-                CyclicElement.x_power(order, twist, -img.element).scale(img.unit**-1)
-                for img in gen_images
-            )
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-
-        self._verify()
-
-    def _verify(self) -> None:
-        for i, (img, inv) in enumerate(zip(self._images, self._inv_images), start=1):
+        self.name = name
+        self._one = one
+        self.letters: dict[GenLetter, AlgebraElement] = {}
+        for i, (img, inv) in enumerate(zip(images, inverses, strict=True), start=1):
             if not (img * inv).is_identity():
                 raise ValueError(f"image of generator {i} is not invertible")
-        for i in range(1, self.n - 1):
-            a, b = self.image(i), self.image(i + 1)
+            self.letters[sigma(i)] = img
+            self.letters[sigma_inv(i)] = inv
+        for i in range(1, n - 1):
+            a, b = images[i - 1], images[i]
             if a * b * a != b * a * b:
                 raise ValueError(f"braid relation fails at generators ({i}, {i + 1})")
-        for i in range(1, self.n):
-            for j in range(i + 2, self.n):
-                a, b = self.image(i), self.image(j)
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                a, b = images[i - 1], images[j - 1]
                 if a * b != b * a:
                     raise ValueError(f"far commutation fails at generators ({i}, {j})")
+
+    @property
+    def backend(self) -> str:
+        return _BACKENDS[type(self._one)]
 
     def one(self) -> AlgebraElement:
         return self._one
@@ -157,12 +111,12 @@ class BraidRep:
     def image(self, i: int) -> AlgebraElement:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range for n={self.n}")
-        return self._images[i - 1]
+        return self.letters[sigma(i)]
 
     def image_inv(self, i: int) -> AlgebraElement:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range for n={self.n}")
-        return self._inv_images[i - 1]
+        return self.letters[sigma_inv(i)]
 
     def describe(self) -> str:
         return f"{self.name} (n={self.n}, backend={self.backend}, {self.faithfulness.status})"
@@ -174,25 +128,23 @@ class BraidRep:
 def rep_eval(
     rep: BraidRep,
     w: SMWord,
-    tau_images: Callable[[int], AlgebraElement] | None = None,
+    taus: Mapping[GenLetter, AlgebraElement] | None = None,
 ) -> AlgebraElement:
     """Image of a word: the left-to-right product of its letter images.
 
-    Without `tau_images` this is the representation on braid words and a tau
-    letter is an error; with it, tau_i maps to `tau_images(i)`.
+    Sigma letters are looked up in `rep.letters` and tau letters in `taus`;
+    without `taus` this is the representation on braid words and a tau
+    letter is an error.
     """
     if w.n != rep.n:
         raise ValueError(f"word has n={w.n}, representation has n={rep.n}")
+    letters = {**rep.letters, **taus} if taus else rep.letters
     acc = rep.one()
     for letter in w:
-        if letter.kind is LetterKind.SIGMA:
-            acc = acc * rep.image(letter.index)
-        elif letter.kind is LetterKind.SIGMA_INV:
-            acc = acc * rep.image_inv(letter.index)
-        elif tau_images is None:
+        image = letters.get(letter)
+        if image is None:
             raise ValueError("rep_eval is defined on braid words only (no tau letters)")
-        else:
-            acc = acc * tau_images(letter.index)
+        acc = acc * image
     return acc
 
 
@@ -211,41 +163,39 @@ def burau_unreduced(n: int) -> BraidRep:
         rows[i - 1][i] = T
         rows[i][i - 1] = 1
         rows[i][i] = 0
-        images.append(GenImage(ONE, Matrix(rows)))
+        images.append(Matrix(rows))
     if n <= 3:
         meta = Faithfulness(KNOWN_FAITHFUL, "Burau is faithful for n <= 3")
     elif n == 4:
         meta = Faithfulness(UNKNOWN, "faithfulness of Burau at n = 4 is open")
     else:
         meta = Faithfulness(KNOWN_UNFAITHFUL, "Burau is unfaithful for n >= 5 (Bigelow)")
-    return BraidRep(n, "matrix", tuple(images), faithfulness=meta, name="burau-unreduced")
+    return matrix_rep_from_images(n, images, faithfulness=meta, name="burau-unreduced")
 
 
 def burau_reduced(n: int) -> BraidRep:
     """Reduced Burau for n in {2, 3}; faithful in both cases."""
     meta = Faithfulness(KNOWN_FAITHFUL, "reduced Burau is faithful for n <= 3")
     if n == 2:
-        images = (GenImage(ONE, Matrix([[-T]])),)
+        images = [Matrix([[-T]])]
     elif n == 3:
-        images = (
-            GenImage(ONE, Matrix([[-T, 1], [0, 1]])),
-            GenImage(ONE, Matrix([[1, 0], [T, -T]])),
-        )
+        images = [Matrix([[-T, 1], [0, 1]]), Matrix([[1, 0], [T, -T]])]
     else:
         raise ValueError(f"reduced Burau is provided for n in {{2, 3}}, got {n}")
-    return BraidRep(n, "matrix", images, faithfulness=meta, name="burau-reduced")
+    return matrix_rep_from_images(n, images, faithfulness=meta, name="burau-reduced")
 
 
 def permutation_rep(n: int) -> BraidRep:
     """sigma_i -> the transposition (i, i+1) in the group algebra of S_n."""
     model = SymmetricGroupModel(n)
-    images = tuple(GenImage(ONE, model.transposition(i)) for i in range(1, n))
+    # transpositions are involutions, so each image is its own inverse
+    images = [FormalElement(model, [(model.transposition(i), 1)]) for i in range(1, n)]
     meta = Faithfulness(
         KNOWN_UNFAITHFUL,
         "transpositions square to the identity",
         witness=BraidWord(n, (sigma(1), sigma(1))),
     )
-    return BraidRep(n, "formal", images, model=model, faithfulness=meta, name="perm")
+    return BraidRep(n, FormalElement.one(model), images, images, faithfulness=meta, name="perm")
 
 
 def scalar_char(d: ScalarValue | int, n: int) -> BraidRep:
@@ -253,7 +203,6 @@ def scalar_char(d: ScalarValue | int, n: int) -> BraidRep:
     d = as_scalar(d)
     if not is_unit(d):
         raise ValueError(f"scalar character needs a unit, got {format_scalar(d)}")
-    images = tuple(GenImage(d, Matrix.identity(1)) for _ in range(n - 1))
     r = unit_root_order(d)
     if n == 2:
         if r is None:
@@ -270,31 +219,38 @@ def scalar_char(d: ScalarValue | int, n: int) -> BraidRep:
             "abelian image: sigma_1 sigma_2^-1 maps to 1",
             witness=BraidWord(n, (sigma(1), sigma_inv(2))),
         )
-    return BraidRep(n, "matrix", images, faithfulness=meta, name=f"scalar:{format_scalar(d)}")
+    images = [Matrix([[d]])] * (n - 1)
+    return matrix_rep_from_images(n, images, faithfulness=meta, name=f"scalar:{format_scalar(d)}")
 
 
 def matrix_rep_from_images(
     n: int,
-    matrices: list[Matrix] | tuple[Matrix, ...],
+    matrices: Sequence[Matrix],
     faithfulness: Faithfulness | None = None,
     name: str = "matrix",
 ) -> BraidRep:
     """Matrix representation from explicit generator images; the braid
     relations and invertibility are checked at construction."""
-    images = tuple(GenImage(ONE, m) for m in matrices)
-    return BraidRep(n, "matrix", images, faithfulness=faithfulness, name=name)
+    dims = {m.dim for m in matrices}
+    if len(dims) > 1:
+        raise ValueError("generator matrices must share one dimension")
+    # with no matrices (n < 2) the dimension is moot: BraidRep rejects n
+    one = Matrix.identity(dims.pop() if dims else 1)
+    inverses = [m.inverse() for m in matrices]
+    return BraidRep(n, one, matrices, inverses, faithfulness=faithfulness, name=name)
 
 
 def cyclic_rep(order: int, twist: ScalarValue | int, n: int = 2) -> BraidRep:
     """sigma_i -> X in the twisted cyclic algebra with X^order = twist."""
     twist = as_scalar(twist)
-    images = tuple(GenImage(ONE, 1) for _ in range(n - 1))
+    one = CyclicElement.one(order, twist)
+    x = CyclicElement.x_power(order, twist, 1)
+    x_inv = CyclicElement.x_power(order, twist, -1)
     return BraidRep(
         n,
-        "cyclic",
-        images,
-        order=order,
-        twist=twist,
+        one,
+        [x] * (n - 1),
+        [x_inv] * (n - 1),
         name=f"cyclic:{order}:{format_scalar(twist)}",
     )
 
@@ -306,13 +262,13 @@ def as_formal(rep: BraidRep) -> BraidRep:
         return rep
     if rep.backend != "matrix":
         raise ValueError(f"cannot lift backend {rep.backend!r} to the formal group algebra")
-    model = MatrixGroupModel(rep.dim)
-    images = tuple(GenImage(ONE, rep.image(i)) for i in range(1, rep.n))
+    model = MatrixGroupModel(rep.one().dim)
+    gens = range(1, rep.n)
     return BraidRep(
         rep.n,
-        "formal",
-        images,
-        model=model,
+        FormalElement.one(model),
+        [FormalElement(model, [(rep.image(i), 1)]) for i in gens],
+        [FormalElement(model, [(rep.image_inv(i), 1)]) for i in gens],
         faithfulness=rep.faithfulness,
         name=f"{rep.name}+formal",
     )

@@ -452,9 +452,9 @@ _FAMILY_NAMES = {
 RELATION_FAMILIES = tuple(sorted(_FAMILY_NAMES))
 
 
-def defining_relations(n: int, families: Iterable[int] = RELATION_FAMILIES) -> Iterator[RelationInstance]:
+def defining_relations(n: int) -> Iterator[RelationInstance]:
     """All instances of the seven defining relation families at strand count n."""
-    for family in families:
+    for family in RELATION_FAMILIES:
         name = _FAMILY_NAMES[family]
         if family == 1:
             for i in range(1, n - 1):
@@ -508,5 +508,3 @@ def defining_relations(n: int, families: Iterable[int] = RELATION_FAMILIES) -> I
                     word(n, (sigma(i + 1), sigma(i), tau(i + 1))),
                     word(n, (tau(i), sigma(i + 1), sigma(i))),
                 )
-        else:
-            raise ValueError(f"unknown relation family {family}")

@@ -236,6 +236,14 @@ def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
     assert calls["enumerate_braid_words"] == 0 and calls["rep_eval"] == 0
 
 
+def test_find_scalar_witness_without_exponents_walks_nothing(monkeypatch):
+    # s_max == 0 leaves no exponent to try, so no image is worth building.
+    rep = permutation_rep(4)
+    calls = count_search_work(monkeypatch, 0)
+    assert find_scalar_witness(rep, "a00", 2, 0, 6) is None
+    assert calls["mul"] == 0
+
+
 def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
     # Once a level adds no new image the walk ends, whatever len_max says.
     rep = permutation_rep(4)
@@ -356,12 +364,22 @@ def test_nonscalar_power_check():
     assert not nonscalar_power_check(ident, 1)
     with pytest.raises(ValueError):
         nonscalar_power_check(permutation_rep(2), 2)
+    with pytest.raises(ValueError, match="bounds must be nonnegative"):
+        nonscalar_power_check(burau_unreduced(2), -3)
 
 
 def test_scalar_kernel_criterion_examples():
     assert scalar_kernel_criterion(PhiParams.of(2, 0, 0), Fraction(2), 6, 12) == (1, -2)
     assert scalar_kernel_criterion(PhiParams.of(1, 0, -3), Fraction(2), 6, 12) == (2, 0)
     assert scalar_kernel_criterion(PhiParams.of(1, -1, 0), -T, 6, 12) is None
+
+
+def test_scalar_kernel_hits_reject_negative_bounds():
+    for p_max, q_max in ((2, -1), (-1, 5), (-1, -1)):
+        with pytest.raises(ValueError, match="bounds must be nonnegative"):
+            scalar_kernel_hits(PhiParams.of(2, 0, 0), 2, p_max, q_max)
+        with pytest.raises(ValueError, match="bounds must be nonnegative"):
+            scalar_kernel_criterion(PhiParams.of(2, 0, 0), 2, p_max, q_max)
 
 
 def test_scalar_criterion_agrees_with_kernel_search():

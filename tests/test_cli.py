@@ -131,6 +131,13 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_matrix_backend_rejects_formal_rep(capsys):
+    code, out, err = run_cli(capsys, "kernel2", "--rep", "perm", "--a", "1", "--b", "1", "--c", "-1",
+                             "--backend", "matrix")
+    assert (code, out) == (1, "")
+    assert err == "error: selected representation has backend 'formal', not matrix\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -370,6 +377,17 @@ GOLDEN = [
         '"found": true, "kind": "scalar-power", "mode": "0b0", "rep": "scalar:1/2", "s": 1, "v": "s1 s1", '
         '"value": "4", "witnesses": [{"certificate": "tau-count: 1 != 0", "image": "[[2]]", '
         '"w1": "t1 s1 s1", "w2": "S1"}]}',
+    ),
+    (
+        ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--backend", "cyclic:1:t"],
+        '{"bounded": true, "bounds": {"p_max": 6, "q_max": 12}, "command": "kernel2", "cyclic_ok": true, '
+        '"hits": [[1, -1], [2, -2], [3, -3], [4, -4], [5, -5], [6, -6]], "minimal_generator": [1, -1], '
+        '"params": "(1, 0, 0)", "rep": "cyclic:1:1*t^1"}',
+    ),
+    (
+        ["eval", "--n", "3", "--rep", "scalar:-t", "--a", "1", "--b", "2", "--c", "3", "--word", "t1 s2 t2 S1"],
+        '{"command": "eval", "image": "[[1*t^2 + -6*t^1 + 13*t^0 + -12*t^-1 + 4*t^-2]]", "is_identity": false, '
+        '"n": 3, "params": ["1", "2", "3"], "rep": "scalar:-1*t^1", "word": "t1 s2 t2 S1"}',
     ),
 ]
 

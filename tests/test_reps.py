@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_braid_word
-from smbraid.algebra import Matrix
+from smbraid.algebra import CyclicElement, FormalElement, Matrix, MatrixGroupModel, SymmetricGroupModel
 from smbraid.reps import (
     KNOWN_FAITHFUL,
     KNOWN_UNFAITHFUL,
@@ -182,3 +182,91 @@ def test_rep_from_selector(tmp_path):
         rep_from_selector("nope", 2)
     with pytest.raises(ValueError):
         rep_from_selector(f"matrix:{path}", 3)
+
+
+# --- construction pinned against independently built images --------------------------
+
+
+def _burau_block(n: int, i: int, block) -> Matrix:
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for dr in range(2):
+        for dc in range(2):
+            rows[i - 1 + dr][i - 1 + dc] = block[dr][dc]
+    return Matrix(rows)
+
+
+def _burau_unreduced_case(n: int):
+    tinv = T**-1
+    images = [
+        (_burau_block(n, i, [[1 - T, T], [1, 0]]), _burau_block(n, i, [[0, 1], [tinv, 1 - tinv]]))
+        for i in range(1, n)
+    ]
+    status = {2: "known_faithful", 3: "known_faithful", 4: "unknown"}[n]
+    return (f"burau-unreduced{n}", lambda: burau_unreduced(n), images,
+            f"BraidRep(burau-unreduced (n={n}, backend=matrix, {status}))")
+
+
+def _perm_case(n: int):
+    model = SymmetricGroupModel(n)
+    images = []
+    for i in range(1, n):
+        swap = list(range(n))
+        swap[i - 1], swap[i] = swap[i], swap[i - 1]
+        x = FormalElement(model, [(tuple(swap), 1)])
+        images.append((x, x))
+    return (f"perm{n}", lambda: permutation_rep(n), images,
+            f"BraidRep(perm (n={n}, backend=formal, known_unfaithful))")
+
+
+def _scalar_case(d, text: str, n: int, status: str):
+    images = [(Matrix([[d]]), Matrix([[d**-1]]))] * (n - 1)
+    return (f"scalar{text}-{n}", lambda: scalar_char(d, n), images,
+            f"BraidRep(scalar:{text} (n={n}, backend=matrix, {status}))")
+
+
+_REDUCED3 = [
+    (Matrix([[-T, 1], [0, 1]]), Matrix([[-(T**-1), T**-1], [0, 1]])),
+    (Matrix([[1, 0], [T, -T]]), Matrix([[1, 0], [1, -(T**-1)]])),
+]
+_FORMAL2 = MatrixGroupModel(2)
+
+CONSTRUCTION_CASES = [
+    *(_burau_unreduced_case(n) for n in (2, 3, 4)),
+    ("burau-reduced2", lambda: burau_reduced(2), [(Matrix([[-T]]), Matrix([[-(T**-1)]]))],
+     "BraidRep(burau-reduced (n=2, backend=matrix, known_faithful))"),
+    ("burau-reduced3", lambda: burau_reduced(3), _REDUCED3,
+     "BraidRep(burau-reduced (n=3, backend=matrix, known_faithful))"),
+    *(_perm_case(n) for n in (2, 3, 4)),
+    _scalar_case(Fraction(2), "2", 2, "known_faithful"),
+    _scalar_case(Fraction(2), "2", 3, "known_unfaithful"),
+    _scalar_case(Fraction(-1), "-1", 2, "known_unfaithful"),
+    _scalar_case(Fraction(-1), "-1", 3, "known_unfaithful"),
+    _scalar_case(-T, "-1*t^1", 2, "known_faithful"),
+    _scalar_case(-T, "-1*t^1", 3, "known_unfaithful"),
+    ("cyclic2", lambda: cyclic_rep(2, -2),
+     [(CyclicElement(2, Fraction(-2), (Fraction(0), Fraction(1))),
+       CyclicElement(2, Fraction(-2), (Fraction(0), Fraction(-1, 2))))],
+     "BraidRep(cyclic:2:-2 (n=2, backend=cyclic, unknown))"),
+    ("cyclic1", lambda: cyclic_rep(1, T),
+     [(CyclicElement(1, T, (T,)), CyclicElement(1, T, (T**-1,)))],
+     "BraidRep(cyclic:1:1*t^1 (n=2, backend=cyclic, unknown))"),
+    ("burau-reduced3-formal", lambda: as_formal(burau_reduced(3)),
+     [(FormalElement(_FORMAL2, [(m, 1)]), FormalElement(_FORMAL2, [(m_inv, 1)])) for m, m_inv in _REDUCED3],
+     "BraidRep(burau-reduced+formal (n=3, backend=formal, known_faithful))"),
+    ("matrix-images", lambda: matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])], name="m"),
+     [(Matrix([[0, -2], [1, 0]]), Matrix([[0, 1], [Fraction(-1, 2), 0]]))],
+     "BraidRep(m (n=2, backend=matrix, unknown))"),
+]
+
+
+@pytest.mark.parametrize("make,images,expected_repr", [c[1:] for c in CONSTRUCTION_CASES],
+                         ids=[c[0] for c in CONSTRUCTION_CASES])
+def test_construction_matches_independent_images(make, images, expected_repr):
+    rep = make()
+    assert repr(rep) == expected_repr
+    assert rep.n - 1 == len(images)
+    for i, (img, inv) in enumerate(images, start=1):
+        assert rep.image(i) == img
+        assert rep.image_inv(i) == inv
+        assert (rep.image(i) * rep.image_inv(i)).is_identity()
+        assert (rep.image_inv(i) * rep.image(i)).is_identity()
