@@ -20,7 +20,7 @@ injective, so sorting terms by it gives a canonical printed form.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .scalars import ZERO, ScalarValue, as_scalar, format_scalar, is_unit
@@ -37,6 +37,13 @@ class Matrix:
         if dim == 0 or any(len(row) != dim for row in normalized):
             raise ValueError("matrix must be square and nonempty")
         object.__setattr__(self, "rows", normalized)
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[ScalarValue, ...], ...]) -> "Matrix":
+        """A matrix whose rows are tuples of canonical scalars already."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -58,28 +65,42 @@ class Matrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
+        # a zero summand leaves the other one as it is
+        return Matrix._of(
+            tuple(
+                tuple(a + b if a and b else a or b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.rows, other.rows)
-            ]
+            )
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows])
+        return Matrix._of(tuple(tuple(-a for a in row) for row in self.rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Row-by-column product that skips every pair with a zero entry;
+        sums of canonical products are canonical, so no entry is re-coerced."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         cols = tuple(zip(*other.rows))
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col)), ZERO) for col in cols] for row in self.rows]
-        )
+        rows = []
+        for row in self.rows:
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            out = []
+            for col in cols:
+                acc = None
+                for k, a in nonzero:
+                    b = col[k]
+                    if b:
+                        acc = a * b if acc is None else acc + a * b
+                out.append(ZERO if acc is None else acc)
+            rows.append(tuple(out))
+        return Matrix._of(tuple(rows))
 
     def scale(self, s: ScalarValue | int) -> "Matrix":
-        return Matrix([[s * a for a in row] for row in self.rows])
+        s = as_scalar(s)
+        return Matrix._of(tuple(tuple(s * a if a else a for a in row) for row in self.rows))
 
     def det(self) -> ScalarValue:
         """Exact determinant by cofactor expansion (dimensions here are small)."""
@@ -126,7 +147,7 @@ class Matrix:
         return Matrix([[d_inv * cof[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def is_identity(self) -> bool:
-        return self == Matrix.identity(self.dim)
+        return self.scalar_multiple_of_identity() == 1
 
     def scalar_multiple_of_identity(self) -> ScalarValue | None:
         """The scalar d with self == d * I, or None."""
@@ -237,13 +258,15 @@ class MatrixGroupModel(GroupModel):
     """Invertible dim x dim matrices over the exact scalars."""
 
     dim: int
+    _identity: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("need dim >= 1")
+        object.__setattr__(self, "_identity", Matrix.identity(self.dim))
 
     def identity(self) -> Matrix:
-        return Matrix.identity(self.dim)
+        return self._identity
 
     def multiply(self, g: Matrix, h: Matrix) -> Matrix:
         return g * h

@@ -4,113 +4,138 @@ Scalars are rationals (``fractions.Fraction``) and Laurent polynomials in a
 single variable ``t`` with rational coefficients: one ring in two flavours.
 Every operation is exact; there is no floating point anywhere.
 
+A ``LaurentPoly`` keeps integer numerators over one denominator: a lowest
+exponent, the tuple of numerators from there up, and a positive denominator
+that shares no factor with all the numerators together.  A product is one
+integer convolution and one ``gcd``; a sum puts both sides on a common
+denominator and aligns the exponents.
+
 The canonical form of a scalar is a ``Fraction`` whenever the value is
 constant, and a ``LaurentPoly`` otherwise.  ``LaurentPoly`` arithmetic
-(``+ - * **`` with ``int``, ``Fraction`` or ``LaurentPoly`` operands, and
-``invert()``) returns canonical values, and ``Fraction`` arithmetic is closed
-already, so callers use plain operators and equality and hashing are reliable
-across the two flavours.  ``as_scalar`` is the coercion at the boundary: it
-turns ``int`` inputs and constant ``LaurentPoly`` values into canonical form
-(a negative power of a plain ``int`` would be a float).
+(``+ - * **`` with ``int``, ``Fraction`` or ``LaurentPoly`` operands) returns
+canonical values, and ``Fraction`` arithmetic is closed already, so callers
+use plain operators and equality and hashing are reliable across the two
+flavours.  ``as_scalar`` is the coercion at the boundary: it turns ``int``
+inputs and constant ``LaurentPoly`` values into canonical form (a negative
+power of a plain ``int`` would be a float).
 
-Units of Q[t, t^-1] are exactly the nonzero monomials c*t^k; inversion and
-negative powers are only defined for those (and for nonzero rationals).
+Units of Q[t, t^-1] are exactly the nonzero monomials c*t^k; ``x ** -1`` and
+other negative powers are only defined for those (and for nonzero rationals).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
-from typing import Iterator, Union
+from math import factorial, gcd, lcm
+from typing import Iterator, Sequence, Union
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: a map exponent -> nonzero rational coefficient."""
+    """Laurent polynomial stored as integer numerators over one denominator.
 
-    __slots__ = ("_coeffs",)
+    The value is ``sum(nums[i] * t**(low + i)) / den``.  Every stored triple is
+    canonical: ``nums`` has no zero at either end (and is empty only for zero,
+    then with ``low == 0``), ``den > 0`` and ``gcd(den, *nums) == 1``, so equal
+    values have equal triples.
+    """
+
+    __slots__ = ("_low", "_nums", "_den")
 
     def __init__(self, coeffs: dict[int, Fraction | int] | None = None):
-        pruned: dict[int, Fraction] = {}
+        terms: dict[int, Fraction] = {}
         for exp, c in (coeffs or {}).items():
             c = Fraction(c)
             if c != 0:
-                pruned[int(exp)] = c
-        self._coeffs = pruned
+                terms[int(exp)] = c
+        if not terms:
+            self._low, self._nums, self._den = 0, (), 1
+            return
+        low, high = min(terms), max(terms)
+        _check_span(high - low + 1)
+        # Each coefficient is in lowest terms, so the lcm of the denominators
+        # shares no factor with all the scaled numerators together.
+        den = lcm(*(c.denominator for c in terms.values()))
+        self._low, self._den = low, den
+        self._nums = tuple(
+            c.numerator * (den // c.denominator) if (c := terms.get(e)) else 0
+            for e in range(low, high + 1)
+        )
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Terms in descending exponent order."""
-        return iter(sorted(self._coeffs.items(), reverse=True))
-
-    def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, ZERO)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self._coeffs)
+        low, den = self._low, self._den
+        return (
+            (low + i, Fraction(n, den))
+            for i, n in reversed(tuple(enumerate(self._nums)))
+            if n
+        )
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
+
+    def __bool__(self) -> bool:
+        return bool(self._nums)
 
     def is_constant(self) -> bool:
-        return not self._coeffs or (len(self._coeffs) == 1 and 0 in self._coeffs)
+        return not self._nums or (self._low == 0 and len(self._nums) == 1)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self._coeffs.get(0, ZERO)
+        return Fraction(self._nums[0], self._den) if self._nums else ZERO
 
     def is_unit(self) -> bool:
-        return len(self._coeffs) == 1
-
-    def invert(self) -> ScalarValue:
-        if not self.is_unit():
-            raise ValueError(f"not a unit in Q[t, t^-1]: {self}")
-        ((exp, c),) = self._coeffs.items()
-        return _canonical({-exp: 1 / c})
+        return len(self._nums) == 1
 
     def __add__(self, other: object) -> ScalarValue:
-        terms = _terms(other)
-        if terms is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return _sum(self._coeffs, terms, 1)
+        return _sum(self._low, self._nums, self._den, *parts, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> ScalarValue:
-        return _canonical({e: -c for e, c in self._coeffs.items()})
+        return _make(self._low, [-n for n in self._nums], self._den)
 
     def __sub__(self, other: object) -> ScalarValue:
-        terms = _terms(other)
-        if terms is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return _sum(self._coeffs, terms, -1)
+        return _sum(self._low, self._nums, self._den, *parts, -1)
 
     def __rsub__(self, other: object) -> ScalarValue:
-        terms = _terms(other)
-        if terms is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return _sum(terms, self._coeffs, -1)
+        return _sum(*parts, self._low, self._nums, self._den, -1)
 
     def __mul__(self, other: object) -> ScalarValue:
-        terms = _terms(other)
-        if terms is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        coeffs: dict[int, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in terms.items():
-                e = e1 + e2
-                c = c1 * c2
-                coeffs[e] = coeffs[e] + c if e in coeffs else c
-        return _canonical(coeffs)
+        low, b, den = parts
+        a = self._nums
+        if not a or not b:
+            return ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _make(self._low + low, out, self._den * den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> ScalarValue:
         """Exact power, with x**0 == 1; negative exponents require a unit."""
         if self.is_unit():
-            ((exp, c),) = self._coeffs.items()
-            return _canonical({exp * e: c**e})
+            (n,) = self._nums
+            num, den = (n**e, self._den**e) if e >= 0 else (self._den**-e, n**-e)
+            if den < 0:
+                num, den = -num, -den
+            return _make(self._low * e, [num], den)
         if e < 0:
             raise ValueError(f"negative power of a non-unit: {self}")
         acc: ScalarValue = ONE
@@ -124,16 +149,26 @@ class LaurentPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._coeffs == other._coeffs
+            return self._low == other._low and self._nums == other._nums and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Constant polynomials must hash like their Fraction value.
+        # Constant polynomials must hash like their Fraction value; the others
+        # hash like the tuple of their (exponent, Fraction coefficient) pairs in
+        # ascending order.  hash(Fraction(n)) == hash(n), so an integer
+        # numerator stands for itself when the denominator is 1.
         if self.is_constant():
             return hash(self.constant_value())
-        return hash(tuple(sorted(self._coeffs.items())))
+        low, den = self._low, self._den
+        return hash(
+            tuple(
+                (low + i, n if den == 1 else Fraction(n, den))
+                for i, n in enumerate(self._nums)
+                if n
+            )
+        )
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_scalar(self)!r})"
@@ -146,40 +181,82 @@ ScalarValue = Union[Fraction, LaurentPoly]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-T = LaurentPoly({1: 1})
+
+# Longest exponent range a LaurentPoly may span.  The numerators are stored
+# densely, so a sum such as 1 + t^(10**12) would otherwise allocate one slot per
+# exponent in between.
+MAX_SPAN = 1 << 20
 
 
-def _terms(x: object) -> dict[int, Fraction] | None:
-    """The exponent -> coefficient map of an operand, or None for a non-scalar."""
+def _check_span(span: int) -> None:
+    if span > MAX_SPAN:
+        raise ValueError(f"Laurent polynomial spans {span} exponents, more than {MAX_SPAN}")
+
+
+def _parts(x: object) -> tuple[int, Sequence[int], int] | None:
+    """The canonical (low, nums, den) triple of an operand, or None for a
+    non-scalar."""
     if isinstance(x, LaurentPoly):
-        return x._coeffs
+        return x._low, x._nums, x._den
     if isinstance(x, Fraction):
-        return {0: x}
+        return 0, (x.numerator,) if x else (), x.denominator
     if isinstance(x, int):
-        return {0: Fraction(x)}
+        return 0, (x,) if x else (), 1
     return None
 
 
-def _sum(x: dict[int, Fraction], y: dict[int, Fraction], sign: int) -> ScalarValue:
-    coeffs = dict(x)
-    for e, c in y.items():
-        if sign < 0:
-            c = -c
-        coeffs[e] = coeffs[e] + c if e in coeffs else c
-    return _canonical(coeffs)
+def _sum(
+    low1: int, a: Sequence[int], den1: int, low2: int, b: Sequence[int], den2: int, sign: int
+) -> ScalarValue:
+    """a/den1 + sign * b/den2, on the common denominator lcm(den1, den2)."""
+    if not b:
+        return _make(low1, list(a), den1)
+    if not a:
+        return _make(low2, [sign * n for n in b], den2)
+    g = gcd(den1, den2)
+    fa, fb = den2 // g, sign * (den1 // g)
+    low = min(low1, low2)
+    span = max(low1 + len(a), low2 + len(b)) - low
+    _check_span(span)
+    out = [0] * span
+    for i, n in enumerate(a, low1 - low):
+        out[i] = n * fa
+    for i, n in enumerate(b, low2 - low):
+        out[i] += n * fb
+    return _make(low, out, den1 // g * den2)
 
 
-def _canonical(coeffs: dict[int, Fraction]) -> ScalarValue:
-    """The canonical value of a map whose coefficients are Fractions already:
-    zero terms dropped, a constant returned as its Fraction."""
-    coeffs = {e: c for e, c in coeffs.items() if c}
-    if not coeffs:
+def _make(low: int, nums: list[int], den: int) -> ScalarValue:
+    """The canonical value of sum(nums[i] * t**(low + i)) / den, for den > 0:
+    zeros trimmed from both ends, the common factor of den and the numerators
+    cancelled, and a constant returned as its Fraction."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    if not end:
         return ZERO
-    if len(coeffs) == 1 and 0 in coeffs:
-        return coeffs[0]
+    start = 0
+    while not nums[start]:
+        start += 1
+    if start or end < len(nums):
+        nums = nums[start:end]
+        low += start
+    _check_span(len(nums))
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+    if low == 0 and len(nums) == 1:
+        return Fraction(nums[0], den)
     poly = object.__new__(LaurentPoly)
-    poly._coeffs = coeffs
+    poly._low = low
+    poly._nums = tuple(nums)
+    poly._den = den
     return poly
+
+
+T = LaurentPoly({1: 1})
 
 
 def as_scalar(x: ScalarValue | int) -> ScalarValue:

@@ -15,7 +15,7 @@ from smbraid.algebra import (
     SymmetricGroupModel,
     parse_matrix,
 )
-from smbraid.scalars import T
+from smbraid.scalars import T, LaurentPoly, as_scalar
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -118,7 +118,52 @@ def test_matrix_laurent_inverse_stays_in_ring():
     burau_block = Matrix([[1 - T, T], [1, 0]])
     inv = burau_block.inverse()
     assert (burau_block * inv).is_identity()
-    assert inv == Matrix([[0, 1], [T.invert(), 1 - T.invert()]])
+    assert inv == Matrix([[0, 1], [T**-1, 1 - T**-1]])
+
+
+def test_matrix_is_identity_compares_in_place(monkeypatch):
+    cases = [
+        (Matrix.identity(3), True),
+        (Matrix([[1, 0], [0, 2]]), False),  # diagonal, but not the identity
+        (Matrix([[1, 0], [0, T]]), False),
+        (Matrix([[1, 0], [T, 1]]), False),
+        (Matrix.identity(2).scale(-1), False),
+        (Matrix([[1 - T, T], [1, 0]]) * Matrix([[1 - T, T], [1, 0]]).inverse(), True),
+    ]
+    # no fresh identity matrix is built to compare against
+    monkeypatch.setattr(Matrix, "identity", None)
+    for m, expected in cases:
+        assert m.is_identity() is expected
+
+
+def random_sparse_entry(rng: random.Random):
+    """Zero most of the time, else an int, a Fraction or a LaurentPoly that may
+    be constant or zero."""
+    kind = rng.random()
+    if kind < 0.55:
+        return 0
+    if kind < 0.65:
+        return rng.randint(-3, 3)
+    if kind < 0.8:
+        return random_fraction(rng)
+    exps = rng.sample(range(-2, 3), rng.randint(0, 3))
+    return LaurentPoly({e: random_fraction(rng) for e in exps})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_matrix_product_matches_dense_sum(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        x, y = (Matrix([[random_sparse_entry(rng) for _ in range(dim)] for _ in range(dim)]) for _ in range(2))
+        cols = list(zip(*y.rows))
+        dense = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in x.rows]
+        product = x * y
+        assert product == Matrix(dense)
+        # every entry is canonical already: coercing it again changes nothing
+        for row in product.rows:
+            for entry in row:
+                assert as_scalar(entry) is entry
 
 
 def test_matrix_non_invertible_raises():
@@ -208,6 +253,19 @@ def test_formal_identity_and_zero():
     assert not FormalElement(s3, [(s3.transposition(1), 1)]).is_identity()
     assert not FormalElement.zero(s3).is_identity()
     assert FormalElement.zero(s3).support_size() == 0
+
+
+def test_formal_identity_over_matrices(monkeypatch):
+    gl2 = MatrixGroupModel(2)
+    assert gl2.identity() is gl2.identity()
+    diagonal = Matrix([[1, 0], [0, 2]])
+    one, other = FormalElement.one(gl2), FormalElement(gl2, [(diagonal, 1)])
+    # the model holds its identity: the test builds no matrix
+    monkeypatch.setattr(Matrix, "identity", None)
+    assert one.is_identity()
+    assert not other.is_identity()
+    assert not FormalElement(gl2, [(gl2.identity(), 2)]).is_identity()
+    assert not (one + other).is_identity()
 
 
 def test_formal_embed_inverse_cancels():

@@ -1,10 +1,11 @@
-"""Exact scalar arithmetic: examples, ring axioms, a convolution oracle and a
-sympy oracle for the operators."""
+"""Exact scalar arithmetic: examples, ring axioms, a convolution oracle, a
+sympy oracle for the operators and a dict-of-Fraction reference class."""
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -15,6 +16,7 @@ from smbraid.algebra import CyclicElement, Matrix
 from smbraid.phi import PhiParams, tau_power_direct
 from smbraid.reps import scalar_char
 from smbraid.scalars import (
+    MAX_SPAN,
     LaurentPoly,
     T,
     as_scalar,
@@ -43,7 +45,7 @@ def test_rational_addition():
 
 def test_unit_monomial_product():
     # (-t) * (-t^-1) == 1
-    assert (-T) * (-T.invert()) == 1
+    assert (-T) * (-(T**-1)) == 1
 
 
 def test_poly_times_monomial():
@@ -53,20 +55,20 @@ def test_poly_times_monomial():
 
 def test_invert_rational():
     assert Fraction(2) ** -1 == Fraction(1, 2)
-    inverse = LaurentPoly({0: 2}).invert()
+    inverse = LaurentPoly({0: 2}) ** -1
     assert isinstance(inverse, Fraction) and inverse == Fraction(1, 2)
 
 
 def test_invert_monomial():
-    assert (-T).invert() == LaurentPoly({-1: -1})
+    assert T**-1 == LaurentPoly({-1: 1})
     assert (-T) ** -1 == LaurentPoly({-1: -1})
 
 
 def test_invert_non_unit_raises():
     with pytest.raises(ValueError):
-        (1 + T).invert()
+        (1 + T) ** -1
     with pytest.raises(ValueError):
-        LaurentPoly({}).invert()
+        LaurentPoly({}) ** -1
     # zero is not a unit: the library entry points that invert refuse it
     with pytest.raises(ValueError):
         CyclicElement.x_power(2, 0, -1)
@@ -88,6 +90,24 @@ def test_pow_examples():
         (1 + T) ** -1
 
 
+def test_span_limit():
+    # numerators are stored densely, so a value may span at most MAX_SPAN exponents
+    far = T ** (MAX_SPAN + 5)
+    assert far == LaurentPoly({MAX_SPAN + 5: 1}) and far * far ** -1 == 1
+    assert len(list((1 + T ** (MAX_SPAN - 1)).items())) == 2
+    assert far + 0 == far - Fraction(0) == far and far * 0 == 0
+    for make in (
+        lambda: 1 + far,
+        lambda: far - T**-1,
+        lambda: (1 + T ** (MAX_SPAN // 2 + 1)) ** 2,
+        lambda: LaurentPoly({0: 1, MAX_SPAN: 1}),
+        lambda: parse_scalar("1 + t^2000000"),
+    ):
+        with pytest.raises(ValueError, match="spans"):
+            make()
+    assert parse_scalar("t^2000000") == T**2000000
+
+
 def test_multinomial_examples():
     assert multinomial_coeff(1, 1, 0, 0) == 1
     assert multinomial_coeff(2, 1, 1, 0) == 2
@@ -106,7 +126,7 @@ def test_unit_root_orders():
 
 
 def test_canonical_form_constant_laurent_collapses():
-    x = T * T.invert()
+    x = T * T**-1
     assert isinstance(x, Fraction)
     assert x == 1
 
@@ -139,9 +159,9 @@ def test_unit_inverse_round_trip(x):
 def test_laurent_product_matches_convolution_oracle(x, y):
     # brute-force exponent-shifted convolution
     expected: dict[int, Fraction] = {}
-    for e1 in x.support:
-        for e2 in y.support:
-            expected[e1 + e2] = expected.get(e1 + e2, Fraction(0)) + x.coeff(e1) * y.coeff(e2)
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            expected[e1 + e2] = expected.get(e1 + e2, Fraction(0)) + c1 * c2
     assert x * y == as_scalar(LaurentPoly(expected))
 
 
@@ -185,7 +205,125 @@ def test_operators_match_sympy(x, y, e):
         with pytest.raises(ValueError):
             x**e
     if is_unit(x):
-        assert_matches(x.invert(), 1 / to_sympy(x))
+        assert_matches(x**-1, 1 / to_sympy(x))
+
+
+# --- differential reference: Laurent polynomials as dicts of Fractions --------------
+
+
+class DictLaurent:
+    """The exponent -> Fraction map representation that integer numerators
+    replaced, kept as a reference: every operation works term by term on
+    Fractions.  Only non-constant values are built; constants are Fractions."""
+
+    def __init__(self, coeffs: dict[int, Fraction]):
+        self.coeffs = coeffs
+
+    def items(self) -> list[tuple[int, Fraction]]:
+        return sorted(self.coeffs.items(), reverse=True)
+
+    def text(self) -> str:
+        return " + ".join(f"{c}*t^{e}" for e, c in self.items())
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self.coeffs.items())))
+
+
+def dict_canonical(coeffs: dict[int, Fraction]) -> Fraction | DictLaurent:
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    if not coeffs:
+        return Fraction(0)
+    if len(coeffs) == 1 and 0 in coeffs:
+        return coeffs[0]
+    return DictLaurent(coeffs)
+
+
+def dict_add(x: dict, y: dict, sign: int) -> Fraction | DictLaurent:
+    coeffs = dict(x)
+    for e, c in y.items():
+        coeffs[e] = coeffs.get(e, Fraction(0)) + sign * c
+    return dict_canonical(coeffs)
+
+
+def dict_mul(x: dict, y: dict) -> Fraction | DictLaurent:
+    coeffs: dict[int, Fraction] = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            coeffs[e1 + e2] = coeffs.get(e1 + e2, Fraction(0)) + c1 * c2
+    return dict_canonical(coeffs)
+
+
+def dict_pow(x: dict, e: int) -> Fraction | DictLaurent:
+    if len(x) == 1:
+        ((exp, c),) = x.items()
+        return dict_canonical({exp * e: c**e})
+    if e < 0:
+        raise ValueError("negative power of a non-unit")
+    acc: dict[int, Fraction] = {0: Fraction(1)}
+    for _ in range(e):
+        value = dict_mul(acc, x)
+        acc = value.coeffs if isinstance(value, DictLaurent) else ({0: value} if value else {})
+    return dict_canonical(acc)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """A LaurentPoly as the public constructor builds it (it may be constant
+    or zero) and its map of nonzero terms."""
+    support = draw(st.lists(st.integers(-4, 4), max_size=5, unique=True))
+    coeffs = {e: draw(st.one_of(fractions, st.integers(-10**12, 10**12))) for e in support}
+    return LaurentPoly(coeffs), {e: Fraction(c) for e, c in coeffs.items() if c}
+
+
+@st.composite
+def paired_operands(draw):
+    """An int, Fraction or LaurentPoly operand and its map of nonzero terms."""
+    kind = draw(st.sampled_from(["int", "fraction", "laurent"]))
+    if kind == "laurent":
+        return draw(laurent_pairs())
+    value = draw(st.integers(-6, 6) if kind == "int" else fractions)
+    return value, {0: Fraction(value)} if value else {}
+
+
+def assert_agrees(value: object, ref: Fraction | DictLaurent) -> None:
+    """Same value, type, text, terms and hash as the reference, and a
+    non-constant result holds a canonical (low, nums, den) triple."""
+    if isinstance(ref, Fraction):
+        assert type(value) is Fraction and value == ref
+        assert format_scalar(value) == str(ref)
+        return
+    assert type(value) is LaurentPoly
+    assert list(value.items()) == ref.items()
+    assert format_scalar(value) == ref.text()
+    assert hash(value) == hash(ref)
+    low, nums, den = value._low, value._nums, value._den
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert nums[0] != 0 and nums[-1] != 0
+    assert den > 0 and gcd(den, *nums) == 1
+    assert low == min(ref.coeffs)
+
+
+@given(laurent_pairs(), paired_operands(), st.integers(-3, 4))
+def test_operators_match_dict_reference(xs, ys, e):
+    (x, xd), (y, yd) = xs, ys
+    cases = [
+        (lambda: x + y, lambda: dict_add(xd, yd, 1)),
+        (lambda: y + x, lambda: dict_add(yd, xd, 1)),
+        (lambda: x - y, lambda: dict_add(xd, yd, -1)),
+        (lambda: y - x, lambda: dict_add(yd, xd, -1)),
+        (lambda: x * y, lambda: dict_mul(xd, yd)),
+        (lambda: y * x, lambda: dict_mul(yd, xd)),
+        (lambda: -x, lambda: dict_add({}, xd, -1)),
+        (lambda: x**e, lambda: dict_pow(xd, e)),
+    ]
+    for got, expected in cases:
+        try:
+            ref = expected()
+        except ValueError:
+            with pytest.raises(ValueError):
+                got()
+            continue
+        assert_agrees(got(), ref)
 
 
 @pytest.mark.parametrize(
