@@ -8,8 +8,11 @@ from the `src` directory next to this script's parent:
 * scalars: a product and a sum of two 6-term Laurent polynomials with
   rational coefficients, and a product of two Fractions;
 * algebra: a 4x4 unreduced Burau product (the image of a 6-letter word times
-  a generator image, as in a word fold) and one tau image
-  a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation.
+  a generator image, as in a word fold), one tau image
+  a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation, and a
+  product of two formal elements over the reduced Burau group in GL_2, the
+  images of two SM_3 words with two tau letters each (the `wordeq3` oracle
+  path: Phi_{1,-1,0} into the group algebra).
 
 Each operation is timed in 7 repeats of a loop long enough to last about
 0.2 s; the file records the median and the minimum time per operation in
@@ -32,8 +35,8 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from smbraid.phi import PhiParams, tau_image  # noqa: E402
-from smbraid.reps import burau_unreduced, rep_eval  # noqa: E402
+from smbraid.phi import PhiParams, phi_eval, tau_image  # noqa: E402
+from smbraid.reps import as_formal, burau_reduced, burau_unreduced, rep_eval  # noqa: E402
 from smbraid.scalars import T, LaurentPoly  # noqa: E402
 from smbraid.words import parse_word  # noqa: E402
 
@@ -48,12 +51,16 @@ def operations() -> dict:
     word = rep_eval(rep, parse_word("s1 s2 S3 s1 s2 s3", 4))
     step = rep.image(2)
     params = PhiParams.of(T, Fraction(-1, 2), 3)
+    formal3, oracle_params = as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0)
+    u = phi_eval(formal3, oracle_params, parse_word("t1 s2 t2 S1", 3))
+    v = phi_eval(formal3, oracle_params, parse_word("s1 t2 S2 t1", 3))
     return {
         "scalars.laurent_mul_6": lambda: x * y,
         "scalars.laurent_add_6": lambda: x + y,
         "scalars.fraction_mul": lambda: p * q,
         "algebra.burau4_mul": lambda: word * step,
         "algebra.tau_image_burau4": lambda: tau_image(rep, params, 2),
+        "algebra.formal_mul_burau3": lambda: u * v,
     }
 
 

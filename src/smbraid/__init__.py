@@ -5,7 +5,7 @@ The package is organized bottom-up:
 
 * `scalars`  -- exact rationals and Laurent polynomials in t
 * `words`    -- words in B_n and SM_n, invariants, rewriting, normal forms
-* `algebra`  -- group models and the formal / matrix / twisted-cyclic backends
+* `algebra`  -- permutations and the formal / matrix / twisted-cyclic backends
 * `reps`     -- Burau, permutation, scalar-character and custom matrix reps
 * `phi`      -- the extension family, relation checking, character formulas
 * `analysis` -- kernel searches, unfaithfulness witnesses, structure checks
@@ -49,10 +49,8 @@ from .algebra import (
     AlgebraElement,
     CyclicElement,
     FormalElement,
-    GroupModel,
     Matrix,
-    MatrixGroupModel,
-    SymmetricGroupModel,
+    Permutation,
 )
 from .reps import (
     BraidRep,

@@ -1,4 +1,4 @@
-"""Group models and exact algebra backends.
+"""Exact algebra backends.
 
 Three backends realize "a scalar-linear combination of group elements":
 
@@ -11,16 +11,15 @@ Three backends realize "a scalar-linear combination of group elements":
   relation X^s = twist * X^0; the quotient seen by a representation whose
   generator image has a scalar power.
 
-Group elements are canonical, hashable payloads (permutation tuples,
-matrices), and a formal element is a map from those elements to their
-coefficients.  Each model's `text` renders an element for output; it is
+Group elements are canonical, hashable values that multiply themselves
+(`Permutation`, `Matrix`), and a formal element is a map from those elements
+to their coefficients.  Each element's `text()` renders it for output; it is
 injective, so sorting terms by it gives a canonical printed form.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .scalars import ZERO, ScalarValue, as_scalar, format_scalar, is_unit
@@ -55,10 +54,6 @@ class Matrix:
     @staticmethod
     def identity(dim: int) -> "Matrix":
         return Matrix([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
-
-    @staticmethod
-    def zeros(dim: int) -> "Matrix":
-        return Matrix([[0] * dim for _ in range(dim)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -191,91 +186,57 @@ def parse_matrix(text: str) -> Matrix:
     return Matrix(rows)
 
 
-# --- group models -------------------------------------------------------------
+# --- permutations -----------------------------------------------------------------
 
 
-class GroupModel(ABC):
-    """A group with canonical, hashable elements and an injective text form."""
+class Permutation:
+    """An element of S_n, stored as its image tuple (0-based).
 
-    @abstractmethod
-    def identity(self):
-        ...
-
-    @abstractmethod
-    def multiply(self, g, h):
-        ...
-
-    @abstractmethod
-    def invert(self, g):
-        ...
-
-    @abstractmethod
-    def text(self, g) -> str:
-        ...
-
-
-@dataclass(frozen=True)
-class SymmetricGroupModel(GroupModel):
-    """S_n with elements stored as image tuples (0-based).
-
-    The product g*h acts as the composite function g after h, which makes
+    The product g * h acts as the composite function g after h, which makes
     left-to-right letter products agree with the in-place strand swaps used
-    for permutation words.
+    for permutation words.  A permutation is a dict key: never rebind
+    `images`.
     """
 
-    n: int
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+    def __init__(self, images: tuple[int, ...]):
+        self.images = images
 
-    def identity(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
+    @staticmethod
+    def identity(n: int) -> "Permutation":
+        return Permutation(tuple(range(n)))
 
-    def multiply(self, g, h) -> tuple[int, ...]:
-        return tuple(g[h[k]] for k in range(self.n))
-
-    def invert(self, g) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for k, v in enumerate(g):
-            inv[v] = k
-        return tuple(inv)
-
-    def transposition(self, i: int) -> tuple[int, ...]:
+    @staticmethod
+    def transposition(n: int, i: int) -> "Permutation":
         """Swap of strands i, i+1 (1-based i)."""
-        if not 1 <= i <= self.n - 1:
+        if not 1 <= i <= n - 1:
             raise ValueError(f"transposition index {i} out of range")
-        images = list(range(self.n))
+        images = list(range(n))
         images[i - 1], images[i] = images[i], images[i - 1]
-        return tuple(images)
+        return Permutation(tuple(images))
 
-    def text(self, g) -> str:
-        return "[" + ",".join(str(v + 1) for v in g) + "]"
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        g, h = self.images, other.images
+        if len(g) != len(h):
+            raise ValueError(f"size mismatch: {len(g)} vs {len(h)}")
+        return Permutation(tuple([g[k] for k in h]))
 
+    def text(self) -> str:
+        return "[" + ",".join(str(v + 1) for v in self.images) + "]"
 
-@dataclass(frozen=True)
-class MatrixGroupModel(GroupModel):
-    """Invertible dim x dim matrices over the exact scalars."""
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.images == other.images
 
-    dim: int
-    _identity: Matrix = field(init=False, repr=False, compare=False)
+    def __hash__(self) -> int:
+        return hash(self.images)
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("need dim >= 1")
-        object.__setattr__(self, "_identity", Matrix.identity(self.dim))
-
-    def identity(self) -> Matrix:
-        return self._identity
-
-    def multiply(self, g: Matrix, h: Matrix) -> Matrix:
-        return g * h
-
-    def invert(self, g: Matrix) -> Matrix:
-        return g.inverse()
-
-    def text(self, g: Matrix) -> str:
-        return g.text()
+    def __repr__(self) -> str:
+        return f"Permutation({self.text()})"
 
 
 # --- formal group algebra -------------------------------------------------------
@@ -284,13 +245,16 @@ class MatrixGroupModel(GroupModel):
 class FormalElement:
     """Sparse K-linear combination of group elements, keyed by the elements.
 
+    The elements are permutations or matrices: they multiply with `*` and
+    render with `text()`.  `identity` is the identity of their group, and two
+    formal elements belong to one algebra when their identities are equal.
     Zero coefficients are purged eagerly, so equality, support size and the
     identity test are all O(support).
     """
 
-    __slots__ = ("model", "coeffs")
+    __slots__ = ("identity", "coeffs")
 
-    def __init__(self, model: GroupModel, terms: Iterable[tuple[object, ScalarValue | int]] = ()):
+    def __init__(self, identity: Permutation | Matrix, terms: Iterable[tuple[object, ScalarValue | int]] = ()):
         coeffs: dict[object, ScalarValue] = {}
         for g, c in terms:
             acc = coeffs[g] + c if g in coeffs else as_scalar(c)
@@ -298,62 +262,57 @@ class FormalElement:
                 coeffs.pop(g, None)
             else:
                 coeffs[g] = acc
-        self.model = model
+        self.identity = identity
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(model: GroupModel) -> "FormalElement":
-        return FormalElement(model)
-
-    @staticmethod
-    def one(model: GroupModel) -> "FormalElement":
-        return FormalElement(model, [(model.identity(), 1)])
+    def one(identity: Permutation | Matrix) -> "FormalElement":
+        return FormalElement(identity, [(identity, 1)])
 
     def terms(self) -> list[tuple[object, ScalarValue]]:
         """(element, coefficient) pairs in printed order."""
-        return sorted(self.coeffs.items(), key=lambda term: self.model.text(term[0]))
+        return sorted(self.coeffs.items(), key=lambda term: term[0].text())
 
     def support_size(self) -> int:
         return len(self.coeffs)
 
     def _require_same(self, other: "FormalElement") -> None:
-        if not isinstance(other, FormalElement) or self.model != other.model:
+        if not isinstance(other, FormalElement) or self.identity != other.identity:
             raise ValueError("formal elements over different groups")
 
     def __add__(self, other: "FormalElement") -> "FormalElement":
         self._require_same(other)
-        return FormalElement(self.model, [*self.coeffs.items(), *other.coeffs.items()])
+        return FormalElement(self.identity, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __mul__(self, other: "FormalElement") -> "FormalElement":
         self._require_same(other)
-        multiply = self.model.multiply
         return FormalElement(
-            self.model,
+            self.identity,
             [
-                (multiply(g, h), a * b)
+                (g * h, a * b)
                 for g, a in self.coeffs.items()
                 for h, b in other.coeffs.items()
             ],
         )
 
     def scale(self, s: ScalarValue | int) -> "FormalElement":
-        return FormalElement(self.model, [(g, s * c) for g, c in self.coeffs.items()])
+        return FormalElement(self.identity, [(g, s * c) for g, c in self.coeffs.items()])
 
     def is_identity(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs.get(self.model.identity()) == 1
+        return len(self.coeffs) == 1 and self.coeffs.get(self.identity) == 1
 
     def text(self) -> str:
         if not self.coeffs:
             return "0"
-        return " + ".join(f"{format_scalar(c)} * {self.model.text(g)}" for g, c in self.terms())
+        return " + ".join(f"{format_scalar(c)} * {g.text()}" for g, c in self.terms())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalElement):
             return NotImplemented
-        return self.model == other.model and self.coeffs == other.coeffs
+        return self.identity == other.identity and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.model, frozenset(self.coeffs.items())))
+        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self) -> str:
         return f"FormalElement({self.text()})"
@@ -377,10 +336,6 @@ class CyclicElement:
             raise ValueError("twist must be a unit")
         if len(self.coords) != self.order:
             raise ValueError(f"need {self.order} coordinates, got {len(self.coords)}")
-
-    @staticmethod
-    def zero(order: int, twist: ScalarValue | int) -> "CyclicElement":
-        return CyclicElement(order, as_scalar(twist), (ZERO,) * order)
 
     @staticmethod
     def one(order: int, twist: ScalarValue | int) -> "CyclicElement":

@@ -30,8 +30,7 @@ from .algebra import (
     CyclicElement,
     FormalElement,
     Matrix,
-    MatrixGroupModel,
-    SymmetricGroupModel,
+    Permutation,
     parse_matrix,
 )
 from .scalars import (
@@ -187,15 +186,15 @@ def burau_reduced(n: int) -> BraidRep:
 
 def permutation_rep(n: int) -> BraidRep:
     """sigma_i -> the transposition (i, i+1) in the group algebra of S_n."""
-    model = SymmetricGroupModel(n)
+    e = Permutation.identity(n)
     # transpositions are involutions, so each image is its own inverse
-    images = [FormalElement(model, [(model.transposition(i), 1)]) for i in range(1, n)]
+    images = [FormalElement(e, [(Permutation.transposition(n, i), 1)]) for i in range(1, n)]
     meta = Faithfulness(
         KNOWN_UNFAITHFUL,
         "transpositions square to the identity",
         witness=BraidWord(n, (sigma(1), sigma(1))),
     )
-    return BraidRep(n, FormalElement.one(model), images, images, faithfulness=meta, name="perm")
+    return BraidRep(n, FormalElement.one(e), images, images, faithfulness=meta, name="perm")
 
 
 def scalar_char(d: ScalarValue | int, n: int) -> BraidRep:
@@ -262,13 +261,13 @@ def as_formal(rep: BraidRep) -> BraidRep:
         return rep
     if rep.backend != "matrix":
         raise ValueError(f"cannot lift backend {rep.backend!r} to the formal group algebra")
-    model = MatrixGroupModel(rep.one().dim)
+    e = rep.one()
     gens = range(1, rep.n)
     return BraidRep(
         rep.n,
-        FormalElement.one(model),
-        [FormalElement(model, [(rep.image(i), 1)]) for i in gens],
-        [FormalElement(model, [(rep.image_inv(i), 1)]) for i in gens],
+        FormalElement.one(e),
+        [FormalElement(e, [(rep.image(i), 1)]) for i in gens],
+        [FormalElement(e, [(rep.image_inv(i), 1)]) for i in gens],
         faithfulness=rep.faithfulness,
         name=f"{rep.name}+formal",
     )

@@ -1,4 +1,4 @@
-"""Group models and algebra backends: axioms, oracles, and examples."""
+"""Group elements and algebra backends: axioms, oracles, and examples."""
 
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ from smbraid.algebra import (
     CyclicElement,
     FormalElement,
     Matrix,
-    MatrixGroupModel,
-    SymmetricGroupModel,
+    Permutation,
     parse_matrix,
 )
+from smbraid.reps import permutation_rep
 from smbraid.scalars import T, LaurentPoly, as_scalar
 
 
@@ -22,73 +22,97 @@ def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
-# --- group models ------------------------------------------------------------
+# --- group elements ------------------------------------------------------------
 
 
-def symmetric_elements(model: SymmetricGroupModel, rng: random.Random, count: int):
+def symmetric_elements(n: int, rng: random.Random, count: int):
     out = []
     for _ in range(count):
-        images = list(range(model.n))
+        images = list(range(n))
         rng.shuffle(images)
-        out.append(tuple(images))
+        out.append(Permutation(tuple(images)))
     return out
 
 
+def invert(g):
+    """Inverse of a permutation or a matrix, computed here from the images."""
+    if isinstance(g, Matrix):
+        return g.inverse()
+    inv = [0] * len(g.images)
+    for k, v in enumerate(g.images):
+        inv[v] = k
+    return Permutation(tuple(inv))
+
+
 def test_make_group_kinds():
-    assert SymmetricGroupModel(3).identity() == (0, 1, 2)
-    assert MatrixGroupModel(2).identity() == Matrix.identity(2)
+    assert Permutation.identity(3) == Permutation((0, 1, 2))
+    assert Permutation.transposition(3, 2) == Permutation((0, 2, 1))
     with pytest.raises(ValueError):
-        SymmetricGroupModel(0)
+        Permutation.transposition(3, 3)
     with pytest.raises(ValueError):
-        MatrixGroupModel(0)
+        Matrix.identity(0)
+    with pytest.raises(ValueError):
+        permutation_rep(0)
 
 
 def test_symmetric_product_example():
-    s3 = SymmetricGroupModel(3)
-    t1, t2 = s3.transposition(1), s3.transposition(2)
-    product = s3.multiply(t1, t2)
+    t1, t2 = Permutation.transposition(3, 1), Permutation.transposition(3, 2)
+    product = t1 * t2
+    # g after h: t1 * t2 sends 0 -> t1(t2(0)) = t1(0) = 1
+    assert product == Permutation((1, 2, 0))
+    assert product.text() == "[2,3,1]"
     # a 3-cycle: applying it three times is the identity
-    assert product != s3.identity()
-    assert s3.multiply(product, s3.multiply(product, product)) == s3.identity()
+    assert product != Permutation.identity(3)
+    assert product * (product * product) == Permutation.identity(3)
+
+
+def test_permutation_size_mismatch_raises():
+    with pytest.raises(ValueError):
+        Permutation.identity(3) * Permutation.identity(4)
+    s3 = Permutation.identity(3)
+    swap = FormalElement(s3, [(Permutation((1, 0, 2)), 1)])
+    # a 4-point key inside an S_3 element is not truncated to 3 points
+    with pytest.raises(ValueError):
+        swap * FormalElement(s3, [(Permutation((0, 1, 2, 3)), 1)])
 
 
 def test_matrix_model_identity():
-    gl2 = MatrixGroupModel(2)
-    assert gl2.identity() == Matrix([[1, 0], [0, 1]])
-    assert gl2.text(gl2.identity()) == "[[1,0],[0,1]]"
+    assert Matrix.identity(2) == Matrix([[1, 0], [0, 1]])
+    assert Matrix.identity(2).text() == "[[1,0],[0,1]]"
 
 
 @pytest.mark.parametrize(
     "model,seed",
     [
-        (SymmetricGroupModel(4), 1),
-        (MatrixGroupModel(1), 2),
-        (MatrixGroupModel(2), 3),
+        (("perm", 4), 1),
+        (("matrix", 1), 2),
+        (("matrix", 2), 3),
     ],
 )
 def test_group_axioms_on_random_triples(model, seed):
     rng = random.Random(seed)
-    if isinstance(model, SymmetricGroupModel):
-        elements = symmetric_elements(model, rng, 6)
+    kind, n = model
+    if kind == "perm":
+        e = Permutation.identity(n)
+        elements = symmetric_elements(n, rng, 6)
     else:
+        e = Matrix.identity(n)
         elements = []
         while len(elements) < 5:
-            m = Matrix([[random_fraction(rng) for _ in range(model.dim)] for _ in range(model.dim)])
+            m = Matrix([[random_fraction(rng) for _ in range(n)] for _ in range(n)])
             try:
                 m.inverse()
             except ValueError:
                 continue
             elements.append(m)
-    e = model.identity()
     for g in elements:
-        assert model.multiply(g, e) == g == model.multiply(e, g)
-        assert model.multiply(g, model.invert(g)) == e
+        assert g * e == g == e * g
+        assert g * invert(g) == e == invert(g) * g
         for h in elements:
-            assert (model.text(g) == model.text(h)) == (g == h)
+            assert (g.text() == h.text()) == (g == h)
+            assert (hash(g) == hash(h)) or g != h
             for k in elements:
-                lhs = model.multiply(model.multiply(g, h), k)
-                rhs = model.multiply(g, model.multiply(h, k))
-                assert lhs == rhs
+                assert (g * h) * k == g * (h * k)
 
 
 # --- matrices ------------------------------------------------------------------
@@ -188,8 +212,8 @@ def test_parse_matrix_round_trip():
 
 def test_formal_singleton_convolution():
     # [[2]] has infinite order in GL_1, so its powers are distinct basis elements
-    z = MatrixGroupModel(1)
-    g, ginv, e = Matrix([[2]]), Matrix([[Fraction(1, 2)]]), z.identity()
+    g, ginv, e = Matrix([[2]]), Matrix([[Fraction(1, 2)]]), Matrix.identity(1)
+    z = e
     x = FormalElement(z, [(g, Fraction(3)), (e, Fraction(5))])
     product = x * FormalElement(z, [(ginv, 1)])
     assert product == FormalElement(z, [(e, 3), (ginv, 5)])
@@ -197,7 +221,7 @@ def test_formal_singleton_convolution():
 
 def test_formal_square_expansion():
     # (a[g] + b[g^-1] + c[e])^2 expanded by hand
-    z = MatrixGroupModel(1)
+    z = Matrix.identity(1)
 
     def g(k: int) -> Matrix:
         return Matrix([[Fraction(2) ** k]])
@@ -219,67 +243,77 @@ def test_formal_square_expansion():
 
 def test_formal_product_matches_brute_force_oracle():
     rng = random.Random(9)
-    s3 = SymmetricGroupModel(3)
+    s3 = Permutation.identity(3)
     for _ in range(20):
-        xs = [(g, random_fraction(rng)) for g in symmetric_elements(s3, rng, 3)]
-        ys = [(g, random_fraction(rng)) for g in symmetric_elements(s3, rng, 3)]
+        xs = [(g, random_fraction(rng)) for g in symmetric_elements(3, rng, 3)]
+        ys = [(g, random_fraction(rng)) for g in symmetric_elements(3, rng, 3)]
         x, y = FormalElement(s3, xs), FormalElement(s3, ys)
         # oracle: double loop over support pairs, collecting by group element
         total: dict[tuple[int, ...], Fraction] = {}
         for g, cg in x.terms():
             for h, ch in y.terms():
-                gh = s3.multiply(g, h)
+                # g after h, composed here on the image tuples
+                gh = tuple(g.images[h.images[k]] for k in range(3))
                 total[gh] = total.get(gh, Fraction(0)) + cg * ch
         product = x * y
-        assert product.coeffs == {k: v for k, v in total.items() if v != 0}
+        assert {k.images: v for k, v in product.coeffs.items()} == {k: v for k, v in total.items() if v != 0}
 
 
 def test_formal_keys_are_group_elements():
-    s3 = SymmetricGroupModel(3)
-    t1, t2 = s3.transposition(1), s3.transposition(2)
+    s3 = Permutation.identity(3)
+    t1, t2 = Permutation.transposition(3, 1), Permutation.transposition(3, 2)
     x = FormalElement(s3, [(t1, 2), (t2, 3), (t1, -2)])
     assert x.coeffs == {t2: 3}
     y = FormalElement(s3, [(t2, 1), (t2, 2)])
     assert x == y and hash(x) == hash(y) and len({x, y}) == 1
-    gl1 = MatrixGroupModel(1)
+    assert FormalElement(s3, [(t1, 1)]).text() == "1 * [2,1,3]"
+    gl1 = Matrix.identity(1)
     m = FormalElement(gl1, [(Matrix([[2]]), 1), (Matrix([[-1]]), T)])
     assert m.text() == "1*t^1 * [[-1]] + 1 * [[2]]"
     assert m.terms() == [(Matrix([[-1]]), T), (Matrix([[2]]), 1)]
 
 
 def test_formal_identity_and_zero():
-    s3 = SymmetricGroupModel(3)
+    s3 = Permutation.identity(3)
+    swap = FormalElement(s3, [(Permutation.transposition(3, 1), 1)])
     assert FormalElement.one(s3).is_identity()
-    assert not FormalElement(s3, [(s3.transposition(1), 1)]).is_identity()
-    assert not FormalElement.zero(s3).is_identity()
-    assert FormalElement.zero(s3).support_size() == 0
+    assert not swap.is_identity()
+    zero = FormalElement(s3)
+    assert not zero.is_identity()
+    assert zero.support_size() == 0
+    assert zero == swap + swap.scale(-1) and zero.text() == "0"
 
 
 def test_formal_identity_over_matrices(monkeypatch):
-    gl2 = MatrixGroupModel(2)
-    assert gl2.identity() is gl2.identity()
+    gl2 = Matrix.identity(2)
     diagonal = Matrix([[1, 0], [0, 2]])
     one, other = FormalElement.one(gl2), FormalElement(gl2, [(diagonal, 1)])
-    # the model holds its identity: the test builds no matrix
+    assert one.identity is other.identity is gl2
+    # each element holds its identity: the test builds no matrix
     monkeypatch.setattr(Matrix, "identity", None)
     assert one.is_identity()
     assert not other.is_identity()
-    assert not FormalElement(gl2, [(gl2.identity(), 2)]).is_identity()
+    assert not FormalElement(gl2, [(gl2, 2)]).is_identity()
     assert not (one + other).is_identity()
 
 
 def test_formal_embed_inverse_cancels():
     rng = random.Random(4)
-    s4 = SymmetricGroupModel(4)
-    for g in symmetric_elements(s4, rng, 8):
-        assert (FormalElement(s4, [(g, 1)]) * FormalElement(s4, [(s4.invert(g), 1)])).is_identity()
+    s4 = Permutation.identity(4)
+    for g in symmetric_elements(4, rng, 8):
+        assert (FormalElement(s4, [(g, 1)]) * FormalElement(s4, [(invert(g), 1)])).is_identity()
 
 
 def test_formal_backend_mismatch_raises():
+    s3 = FormalElement.one(Permutation.identity(3))
     with pytest.raises(ValueError):
-        FormalElement.one(SymmetricGroupModel(3)) + FormalElement.one(SymmetricGroupModel(4))
+        s3 + FormalElement.one(Permutation.identity(4))
     with pytest.raises(ValueError):
-        FormalElement.one(SymmetricGroupModel(3)) * Matrix.identity(2)
+        FormalElement.one(Matrix.identity(2)) * FormalElement.one(Matrix.identity(3))
+    with pytest.raises(ValueError):
+        s3 * FormalElement.one(Matrix.identity(3))
+    with pytest.raises(ValueError):
+        s3 * Matrix.identity(2)
 
 
 # --- twisted cyclic algebra --------------------------------------------------------
@@ -301,7 +335,7 @@ def test_cyclic_negative_x_powers():
 def test_cyclic_is_identity():
     assert CyclicElement.one(3, 5).is_identity()
     assert not CyclicElement.x_power(3, 5, 1).is_identity()
-    assert not CyclicElement.zero(3, 5).is_identity()
+    assert not CyclicElement(3, Fraction(5), (Fraction(0),) * 3).is_identity()
 
 
 def test_cyclic_matches_matrix_power_span():
@@ -311,7 +345,7 @@ def test_cyclic_matches_matrix_power_span():
     s, twist = 2, Fraction(-2)
 
     def to_matrix(v: CyclicElement) -> Matrix:
-        acc, m_i = Matrix.zeros(2), Matrix.identity(2)
+        acc, m_i = Matrix([[0, 0], [0, 0]]), Matrix.identity(2)
         for coeff in v.coords:
             acc = acc + m_i.scale(coeff)
             m_i = m_i * m
@@ -337,9 +371,9 @@ def test_cyclic_mismatch_raises():
 @pytest.mark.parametrize("seed", [21, 22])
 def test_backend_algebra_axioms(seed):
     rng = random.Random(seed)
-    s3 = SymmetricGroupModel(3)
+    s3 = Permutation.identity(3)
     formal = [
-        FormalElement(s3, [(g, random_fraction(rng)) for g in symmetric_elements(s3, rng, 2)])
+        FormalElement(s3, [(g, random_fraction(rng)) for g in symmetric_elements(3, rng, 2)])
         for _ in range(3)
     ]
     mats = [Matrix([[random_fraction(rng) for _ in range(2)] for _ in range(2)]) for _ in range(3)]

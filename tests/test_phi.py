@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sm_word
-from smbraid.algebra import Matrix
+from smbraid.algebra import CyclicElement, FormalElement, Matrix
 from smbraid.phi import (
     PhiParams,
     check_relations,
@@ -19,6 +21,7 @@ from smbraid.phi import (
     tau_power_expand,
 )
 from smbraid.reps import (
+    as_formal,
     burau_reduced,
     burau_unreduced,
     cyclic_rep,
@@ -28,7 +31,7 @@ from smbraid.reps import (
     scalar_char,
 )
 from smbraid.scalars import T
-from smbraid.words import decompose_tau_blocks, parse_word, shape_form, tau_power
+from smbraid.words import braid_letters, decompose_tau_blocks, parse_word, shape_form, tau, tau_power, word
 
 
 def random_params(rng: random.Random) -> PhiParams:
@@ -254,3 +257,79 @@ def test_scalar_invert_consistency_in_tau_image():
     img = tau_image(rep, PhiParams.of(0, 1, 0), 1)
     assert img == rep.image(1).inverse()
     assert Fraction(2) ** -1 == Fraction(1, 2)
+
+
+# --- cross-backend property: each backend maps onto the matrix image ---------------
+#
+# Collapsing sends a formal element sum c_g [g] to sum c_g * M_g, and a cyclic
+# element sum c_i X^i to sum c_i * M^i.  Both are algebra maps that send the
+# generator images of one representation to those of a matrix representation,
+# so the collapsed image of every SM_n word under Phi_{a,b,c} must be that
+# word's image under the matrix representation.
+
+
+def collapse(terms, to_matrix, dim: int) -> Matrix:
+    acc = Matrix([[0] * dim for _ in range(dim)])
+    for g, c in terms:
+        acc = acc + to_matrix(g).scale(c)
+    return acc
+
+
+def permutation_matrix(g) -> Matrix:
+    """P_g with P_g[g[k]][k] = 1, so that P_g * P_h = P_(g after h)."""
+    n = len(g.images)
+    rows = [[0] * n for _ in range(n)]
+    for k, v in enumerate(g.images):
+        rows[v][k] = 1
+    return Matrix(rows)
+
+
+cross_scalars = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.sampled_from([T, -T, 1 - T, T**-1, T + T**-1]),
+)
+
+
+@st.composite
+def sm_cases(draw, n_values):
+    n = draw(st.sampled_from(n_values))
+    alphabet = list(braid_letters(n)) + [tau(i) for i in range(1, n)]
+    letters = draw(st.lists(st.sampled_from(alphabet), max_size=6))
+    params = PhiParams.of(draw(cross_scalars), draw(cross_scalars), draw(cross_scalars))
+    return n, word(n, tuple(letters)), params
+
+
+@settings(max_examples=60, deadline=None)
+@given(sm_cases((2, 3)))
+def test_formal_matrix_image_collapses_to_matrix_image(case):
+    n, w, params = case
+    rep = burau_reduced(n)
+    image = phi_eval(as_formal(rep), params, w)
+    assert isinstance(image, FormalElement)
+    assert collapse(image.coeffs.items(), lambda g: g, rep.one().dim) == phi_eval(rep, params, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sm_cases((2, 3, 4)))
+def test_formal_permutation_image_collapses_to_permutation_matrices(case):
+    n, w, params = case
+    swaps = []
+    for i in range(1, n):
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i - 1], rows[i] = rows[i], rows[i - 1]
+        swaps.append(Matrix(rows))
+    image = phi_eval(permutation_rep(n), params, w)
+    mats = matrix_rep_from_images(n, swaps)
+    assert collapse(image.coeffs.items(), permutation_matrix, n) == phi_eval(mats, params, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sm_cases((2, 3, 4)))
+def test_cyclic_image_collapses_to_matrix_powers(case):
+    n, w, params = case
+    m = Matrix([[0, -2], [1, 0]])  # m^2 = -2 * I
+    powers = [Matrix.identity(2), m]
+    image = phi_eval(cyclic_rep(2, -2, n), params, w)
+    assert isinstance(image, CyclicElement)
+    expected = phi_eval(matrix_rep_from_images(n, [m] * (n - 1)), params, w)
+    assert collapse(zip(range(2), image.coords), powers.__getitem__, 2) == expected

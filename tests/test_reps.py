@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_braid_word
-from smbraid.algebra import CyclicElement, FormalElement, Matrix, MatrixGroupModel, SymmetricGroupModel
+from smbraid.algebra import CyclicElement, FormalElement, Matrix, Permutation
 from smbraid.reps import (
     KNOWN_FAITHFUL,
     KNOWN_UNFAITHFUL,
@@ -45,7 +45,7 @@ def test_burau_unreduced_characteristic_roots():
     m = burau_unreduced(2).image(1)
     eye = Matrix.identity(2)
     product = (m + eye.scale(-1)) * (m + eye.scale(T))
-    assert product == Matrix.zeros(2)
+    assert product == Matrix([[0, 0], [0, 0]])
 
 
 def test_burau_unreduced_metadata():
@@ -207,12 +207,12 @@ def _burau_unreduced_case(n: int):
 
 
 def _perm_case(n: int):
-    model = SymmetricGroupModel(n)
+    e = Permutation.identity(n)
     images = []
     for i in range(1, n):
         swap = list(range(n))
         swap[i - 1], swap[i] = swap[i], swap[i - 1]
-        x = FormalElement(model, [(tuple(swap), 1)])
+        x = FormalElement(e, [(Permutation(tuple(swap)), 1)])
         images.append((x, x))
     return (f"perm{n}", lambda: permutation_rep(n), images,
             f"BraidRep(perm (n={n}, backend=formal, known_unfaithful))")
@@ -228,7 +228,7 @@ _REDUCED3 = [
     (Matrix([[-T, 1], [0, 1]]), Matrix([[-(T**-1), T**-1], [0, 1]])),
     (Matrix([[1, 0], [T, -T]]), Matrix([[1, 0], [1, -(T**-1)]])),
 ]
-_FORMAL2 = MatrixGroupModel(2)
+_FORMAL2 = Matrix.identity(2)
 
 CONSTRUCTION_CASES = [
     *(_burau_unreduced_case(n) for n in (2, 3, 4)),
