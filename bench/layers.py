@@ -2,22 +2,32 @@
 
     python3 bench/layers.py --label NAME [--out DIR]
 
-Times a few fixed operations of two layers with `timeit`, importing smbraid
+Times a few fixed operations of four layers with `timeit`, importing smbraid
 from the `src` directory next to this script's parent:
 
 * scalars: a product and a sum of two 6-term Laurent polynomials with
   rational coefficients, and a product of two Fractions;
 * algebra: a 4x4 unreduced Burau product (the image of a 6-letter word times
-  a generator image, as in a word fold), one tau image
-  a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation, and a
-  product of two formal elements over the reduced Burau group in GL_2, the
-  images of two SM_3 words with two tau letters each (the `wordeq3` oracle
-  path: Phi_{1,-1,0} into the group algebra).
+  a generator image, as in a word fold), the algebra of one tau image
+  a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation (two
+  scalings and two sums), and a product of two formal elements over the
+  reduced Burau group in GL_2, the images of two SM_3 words with two tau
+  letters each (the `wordeq3` oracle path: Phi_{1,-1,0} into the group
+  algebra);
+* phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
+  `Extension(burau_unreduced(4), params)`, the extension's table built once;
+* analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
+  path, which builds its own extension.
 
 Each operation is timed in 7 repeats of a loop long enough to last about
-0.2 s; the file records the median and the minimum time per operation in
-microseconds, the loop length, and the Python version, platform and CPU
-count.  Compare two files only when they were taken on the same machine.
+0.2 s.  After each repeat the reference kernel of `perfbench/refkernel.py`
+(stdlib `Fraction` arithmetic that no change to smbraid can move) is timed
+as well, and the repeat's time per operation is divided by the kernel's time
+per call.  The file records, per operation, the median of those ratios, the
+median and minimum time in microseconds, the loop length and the kernel's
+median time; and the kernel's loop length, the Python version, platform and
+CPU count.  Host speed drifts by tens of percent between runs, so compare two
+files by their ratios, and only when they were taken on the same machine.
 Standard library only.
 """
 
@@ -34,8 +44,10 @@ from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from smbraid.phi import PhiParams, phi_eval, tau_image  # noqa: E402
+from refkernel import kernel  # noqa: E402
+from smbraid.phi import Extension, PhiParams, check_relations  # noqa: E402
 from smbraid.reps import as_formal, burau_reduced, burau_unreduced, rep_eval  # noqa: E402
 from smbraid.scalars import T, LaurentPoly  # noqa: E402
 from smbraid.words import parse_word  # noqa: E402
@@ -51,25 +63,43 @@ def operations() -> dict:
     word = rep_eval(rep, parse_word("s1 s2 S3 s1 s2 s3", 4))
     step = rep.image(2)
     params = PhiParams.of(T, Fraction(-1, 2), 3)
-    formal3, oracle_params = as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0)
-    u = phi_eval(formal3, oracle_params, parse_word("t1 s2 t2 S1", 3))
-    v = phi_eval(formal3, oracle_params, parse_word("s1 t2 S2 t1", 3))
+    sm4 = Extension(rep, params)
+    sm4_word = parse_word("t1 s2 S3 t3 s1 t2 S2 s3", 4)
+    oracle = Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
+    u = rep_eval(oracle, parse_word("t1 s2 t2 S1", 3))
+    v = rep_eval(oracle, parse_word("s1 t2 S2 t1", 3))
     return {
         "scalars.laurent_mul_6": lambda: x * y,
         "scalars.laurent_add_6": lambda: x + y,
         "scalars.fraction_mul": lambda: p * q,
         "algebra.burau4_mul": lambda: word * step,
-        "algebra.tau_image_burau4": lambda: tau_image(rep, params, 2),
+        "algebra.tau_image_burau4": lambda: (
+            rep.image(2).scale(params.a) + rep.image_inv(2).scale(params.b) + rep.one().scale(params.c)
+        ),
         "algebra.formal_mul_burau3": lambda: u * v,
+        "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
+        "analysis.relcheck_burau4": lambda: check_relations(rep, params),
     }
 
 
-def time_op(fn) -> dict:
+def time_op(fn, ref: timeit.Timer, ref_loop: int) -> dict:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
     number = max(1, number)
-    runs = [t / number * 1e6 for t in timer.repeat(REPEATS, number)]
-    return {"us_median": round(statistics.median(runs), 3), "us_min": round(min(runs), 3), "loop": number}
+    runs, ratios, refs = [], [], []
+    for _ in range(REPEATS):
+        us = timer.timeit(number) / number * 1e6
+        ref_us = ref.timeit(ref_loop) / ref_loop * 1e6
+        runs.append(us)
+        ratios.append(us / ref_us)
+        refs.append(ref_us)
+    return {
+        "ref_ratio": float(f"{statistics.median(ratios):.4g}"),
+        "us_median": round(statistics.median(runs), 3),
+        "us_min": round(min(runs), 3),
+        "loop": number,
+        "ref_us_median": round(statistics.median(refs), 3),
+    }
 
 
 def main() -> None:
@@ -77,20 +107,27 @@ def main() -> None:
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     ap.add_argument("--out", default=os.path.dirname(os.path.abspath(__file__)), help="output directory")
     args = ap.parse_args()
+    ref = timeit.Timer(kernel)
+    ref_loop, _ = ref.autorange()
+    ops = {name: time_op(fn, ref, ref_loop) for name, fn in operations().items()}
     doc = {
         "label": args.label,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
-        "ops": {name: time_op(fn) for name, fn in operations().items()},
+        "ref_loop": ref_loop,
+        "ops": ops,
     }
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    for name, row in doc["ops"].items():
-        print(f"{name:28s} {row['us_median']:10.2f} us/op (min {row['us_min']:.2f}, loop {row['loop']})")
+    for name, row in ops.items():
+        print(
+            f"{name:28s} {row['ref_ratio']:10.4g} ref  {row['us_median']:10.2f} us/op "
+            f"(min {row['us_min']:.2f}, loop {row['loop']})"
+        )
     print(f"wrote {path}")
 
 

@@ -66,12 +66,9 @@ from .reps import (
     scalar_char,
 )
 from .phi import (
+    Extension,
     PhiParams,
     check_relations,
-    in_kernel,
-    phi_eval,
-    phi_image_equal,
-    tau_image,
     tau_power_direct,
     tau_power_expand,
 )

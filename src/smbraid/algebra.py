@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .scalars import ZERO, ScalarValue, as_scalar, format_scalar, is_unit
+from .scalars import ONE, ZERO, ScalarValue, as_scalar, format_scalar, is_unit
 
 
 class Matrix:
@@ -99,47 +99,29 @@ class Matrix:
 
     def det(self) -> ScalarValue:
         """Exact determinant by cofactor expansion (dimensions here are small)."""
-        if self.dim == 1:
-            return self.rows[0][0]
-        total: ScalarValue = ZERO
-        for j, entry in enumerate(self.rows[0]):
-            if entry == 0:
-                continue
-            minor = Matrix(
-                [
-                    [row[k] for k in range(self.dim) if k != j]
-                    for row in self.rows[1:]
-                ]
-            )
-            term = entry * minor.det()
-            total = total + term if j % 2 == 0 else total - term
-        return total
+        return _det(self.rows)
 
     def inverse(self) -> "Matrix":
         """Adjugate inverse; requires the determinant to be a unit so the
-        result stays inside the scalar ring."""
-        d = self.det()
+        result stays inside the scalar ring.  Each cofactor is computed once,
+        and the determinant is the expansion along row 0 over them."""
+        dim = self.dim
+        cof = []
+        for i in range(dim):
+            cof_row = []
+            for j in range(dim):
+                m = _det(_minor(self.rows, i, j))
+                cof_row.append(m if (i + j) % 2 == 0 else -m)
+            cof.append(cof_row)
+        d: ScalarValue = ZERO
+        for entry, c in zip(self.rows[0], cof[0]):
+            if entry:
+                d = d + entry * c
         if not is_unit(d):
             raise ValueError(f"matrix not invertible over the scalar ring (det = {format_scalar(d)})")
         d_inv = d**-1
-        if self.dim == 1:
-            return Matrix([[d_inv]])
-        cof = []
-        for i in range(self.dim):
-            cof_row = []
-            for j in range(self.dim):
-                minor = Matrix(
-                    [
-                        [row[k] for k in range(self.dim) if k != j]
-                        for r, row in enumerate(self.rows)
-                        if r != i
-                    ]
-                )
-                m = minor.det()
-                cof_row.append(m if (i + j) % 2 == 0 else -m)
-            cof.append(cof_row)
         # adjugate = transpose of cofactor matrix
-        return Matrix([[d_inv * cof[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        return Matrix._of(tuple(tuple(d_inv * cof[j][i] for j in range(dim)) for i in range(dim)))
 
     def is_identity(self) -> bool:
         return self.scalar_multiple_of_identity() == 1
@@ -169,6 +151,26 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.text()})"
+
+
+def _minor(rows: tuple[tuple[ScalarValue, ...], ...], i: int, j: int) -> tuple[tuple[ScalarValue, ...], ...]:
+    """The rows without row i and column j."""
+    return tuple(row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i)
+
+
+def _det(rows: tuple[tuple[ScalarValue, ...], ...]) -> ScalarValue:
+    """Cofactor expansion along row 0 of canonical entries, skipping zeros;
+    the empty matrix has determinant 1."""
+    if not rows:
+        return ONE
+    if len(rows) == 1:
+        return rows[0][0]
+    total: ScalarValue = ZERO
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = entry * _det(_minor(rows, 0, j))
+            total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def parse_matrix(text: str) -> Matrix:

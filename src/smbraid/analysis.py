@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import AlgebraElement, Matrix
-from .phi import PhiParams, in_kernel, phi_eval, phi_image_equal, tau_image, tau_power_expand
+from .phi import Extension, PhiParams, tau_power_expand
 from .reps import BraidRep, as_formal, burau_reduced, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import ScalarValue, as_scalar, format_scalar, is_unit, unit_root_order
 from .words import (
@@ -35,6 +35,7 @@ from .words import (
     sigma_exponent_sum,
     sigma_power,
     sm2_normal_form,
+    tau,
     tau_count,
     tau_power,
 )
@@ -92,8 +93,9 @@ def _make_witness(rep: BraidRep, params: PhiParams, w1: SMWord, w2: SMWord) -> U
     cert = distinctness_certificate(w1, w2)
     if cert is None:
         raise ValueError("words are not separated by any invariant; no distinctness certificate")
-    img1 = phi_eval(rep, params, w1)
-    img2 = phi_eval(rep, params, w2)
+    ext = Extension(rep, params)
+    img1 = rep_eval(ext, w1)
+    img2 = rep_eval(ext, w2)
     if img1 != img2:
         raise ValueError("images differ; the pair is not a witness")
     return UnfaithfulnessWitness(w1, w2, cert, img1, params)
@@ -281,7 +283,7 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
         raise ValueError("bounds must be nonnegative")
     s_img = rep.image(1)
     s_inv = rep.image_inv(1)
-    t_img = tau_image(rep, params, 1)
+    t_img = Extension(rep, params).letters[tau(1)]
 
     hits = []
     head = rep.one()
@@ -401,17 +403,18 @@ def conjugation_kernel_check(
 ) -> bool:
     """Whether every braid conjugate u w u^-1 of a kernel word stays in the
     kernel.  Raises if the input word is not in the kernel to begin with."""
-    if not in_kernel(rep, params, kernel_word):
+    ext = Extension(rep, params)
+    if not rep_eval(ext, kernel_word).is_identity():
         raise ValueError("input word is not in the kernel")
-    return all(in_kernel(rep, params, conjugate(kernel_word, u)) for u in conjugators)
+    return all(rep_eval(ext, conjugate(kernel_word, u)).is_identity() for u in conjugators)
 
 
 # --- SM_3 equality oracle -----------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
-def _sm3_oracle() -> tuple[BraidRep, PhiParams]:
-    return as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0)
+def _sm3_oracle() -> Extension:
+    return Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
 
 
 def sm3_word_equality(w1: SMWord, w2: SMWord) -> bool:
@@ -424,5 +427,5 @@ def sm3_word_equality(w1: SMWord, w2: SMWord) -> bool:
     """
     if w1.n != 3 or w2.n != 3:
         raise ValueError(f"oracle is for n=3 words, got n={w1.n} and n={w2.n}")
-    rep, params = _sm3_oracle()
-    return phi_image_equal(rep, params, w1, w2)
+    ext = _sm3_oracle()
+    return rep_eval(ext, w1) == rep_eval(ext, w2)

@@ -22,9 +22,11 @@ import argparse
 import json
 import re
 import sys
+from pathlib import Path
 
 from . import analysis, phi, words
-from .reps import BraidRep, cyclic_rep, as_formal, rep_from_selector
+from .algebra import parse_matrix
+from .reps import BraidRep, as_formal, cyclic_rep, rep_eval, rep_from_selector
 from .scalars import format_scalar, parse_scalar
 
 DEFAULT_PMAX = 6
@@ -59,10 +61,6 @@ def _params(args: argparse.Namespace) -> phi.PhiParams:
     return phi.PhiParams.parse(args.a, args.b, args.c)
 
 
-def _select_rep(args: argparse.Namespace, n: int) -> BraidRep:
-    return rep_from_selector(args.rep, n)
-
-
 def _apply_backend(rep: BraidRep, backend: str | None) -> BraidRep:
     if backend is None:
         return rep
@@ -90,10 +88,10 @@ def _witness_doc(w: analysis.UnfaithfulnessWitness) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    rep = _select_rep(args, args.n)
+    rep = rep_from_selector(args.rep, args.n)
     params = _params(args)
     w = words.parse_word(args.word, args.n)
-    image = phi.phi_eval(rep, params, w)
+    image = rep_eval(phi.Extension(rep, params), w)
     doc = {
         "command": "eval",
         "n": args.n,
@@ -108,7 +106,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_relcheck(args: argparse.Namespace) -> int:
-    rep = _select_rep(args, args.n)
+    rep = rep_from_selector(args.rep, args.n)
     report = phi.check_relations(rep, _params(args))
     doc = {
         "command": "relcheck",
@@ -134,7 +132,7 @@ def cmd_relcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel2(args: argparse.Namespace) -> int:
-    rep = _apply_backend(_select_rep(args, 2), args.backend)
+    rep = _apply_backend(rep_from_selector(args.rep, 2), args.backend)
     params = _params(args)
     report = analysis.kernel_search_sm2(rep, params, args.pmax, args.qmax)
     doc = {
@@ -156,7 +154,7 @@ def cmd_kernel2(args: argparse.Namespace) -> int:
 def cmd_unfaith(args: argparse.Namespace) -> int:
     if min(args.smax, args.lmax, args.rmax) < 0:
         raise ValueError("bounds must be nonnegative")
-    rep = _select_rep(args, args.n)
+    rep = rep_from_selector(args.rep, args.n)
     value = parse_scalar(args.val)
     doc: dict = {
         "command": "unfaith",
@@ -197,9 +195,6 @@ def cmd_unfaith(args: argparse.Namespace) -> int:
 
 
 def cmd_prop8(args: argparse.Namespace) -> int:
-    from .algebra import parse_matrix
-    from pathlib import Path
-
     m = parse_matrix(Path(args.matrix).read_text())
     params = _params(args)
     matrix_report, cyclic_report, equal = analysis.compare_matrix_cyclic_kernels(
@@ -384,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,9 +5,11 @@ sigma letters to their rho-images and every singular generator to
 
     tau_i  ->  a * rho(sigma_i) + b * rho(sigma_i)^-1 + c * 1,
 
-where 1 is the algebra identity of the backend.  Evaluation is a strict
-left-to-right product with no reordering, so a failed comparison localizes to
-a letter position.
+where 1 is the algebra identity of the backend.  An `Extension` holds these
+images as one letter table, built once per (representation, parameters)
+pair, and `reps.rep_eval(ext, w)` folds a word through it: a strict
+left-to-right product with no reordering, so a failed comparison localizes
+to a letter position.
 
 `check_relations` verifies all seven defining relation families on a given
 (representation, parameters) pair by exact evaluation of both sides, and the
@@ -31,7 +33,7 @@ from .scalars import (
     multinomial_coeff,
     parse_scalar,
 )
-from .words import SMWord, defining_relations
+from .words import GenLetter, SMWord, defining_relations, tau
 
 
 @dataclass(frozen=True)
@@ -52,30 +54,28 @@ class PhiParams:
         return f"({format_scalar(self.a)}, {format_scalar(self.b)}, {format_scalar(self.c)})"
 
 
-def tau_image(rep: BraidRep, params: PhiParams, i: int) -> AlgebraElement:
-    """a * rho(sigma_i) + b * rho(sigma_i)^-1 + c * identity."""
-    return (
-        rep.image(i).scale(params.a)
-        + rep.image_inv(i).scale(params.b)
-        + rep.one().scale(params.c)
-    )
+class Extension:
+    """The letter table of Phi_{a,b,c} on SM_n, built once.
 
+    `letters` maps every sigma_i^(+-1) to its rho-image and every tau_i to
+    a * rho(sigma_i) + b * rho(sigma_i)^-1 + c * 1.  `rep_eval(ext, w)` folds
+    a word through it.
+    """
 
-def phi_eval(rep: BraidRep, params: PhiParams, w: SMWord) -> AlgebraElement:
-    """Image of w under the extension; each tau_i image is built once per call."""
-    taus = {letter: tau_image(rep, params, letter.index) for letter in set(w) if letter.is_tau}
-    return rep_eval(rep, w, taus)
+    def __init__(self, rep: BraidRep, params: PhiParams):
+        self.rep = rep
+        self.params = params
+        self.n = rep.n
+        self.letters: dict[GenLetter, AlgebraElement] = dict(rep.letters)
+        for i in range(1, rep.n):
+            self.letters[tau(i)] = (
+                rep.image(i).scale(params.a)
+                + rep.image_inv(i).scale(params.b)
+                + rep.one().scale(params.c)
+            )
 
-
-def phi_image_equal(rep: BraidRep, params: PhiParams, w1: SMWord, w2: SMWord) -> bool:
-    if w1.n != w2.n:
-        raise ValueError(f"strand counts differ: {w1.n} vs {w2.n}")
-    return phi_eval(rep, params, w1) == phi_eval(rep, params, w2)
-
-
-def in_kernel(rep: BraidRep, params: PhiParams, w: SMWord) -> bool:
-    """Whether the image of w is the algebra identity."""
-    return phi_eval(rep, params, w).is_identity()
+    def one(self) -> AlgebraElement:
+        return self.rep.one()
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,10 @@ class RelationReport:
 
 def check_relations(rep: BraidRep, params: PhiParams) -> RelationReport:
     """Evaluate both sides of every defining relation instance, exactly."""
+    ext = Extension(rep, params)
     checks = []
     for inst in defining_relations(rep.n):
-        passed = phi_image_equal(rep, params, inst.lhs, inst.rhs)
+        passed = rep_eval(ext, inst.lhs) == rep_eval(ext, inst.rhs)
         checks.append(
             RelationCheck(inst.family, inst.name, inst.indices, inst.lhs, inst.rhs, passed)
         )

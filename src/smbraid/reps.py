@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -43,6 +43,9 @@ from .scalars import (
     unit_root_order,
 )
 from .words import BraidWord, GenLetter, SMWord, sigma, sigma_inv, sigma_power
+
+if TYPE_CHECKING:
+    from .phi import Extension
 
 KNOWN_FAITHFUL = "known_faithful"
 KNOWN_UNFAITHFUL = "known_unfaithful"
@@ -124,20 +127,16 @@ class BraidRep:
         return f"BraidRep({self.describe()})"
 
 
-def rep_eval(
-    rep: BraidRep,
-    w: SMWord,
-    taus: Mapping[GenLetter, AlgebraElement] | None = None,
-) -> AlgebraElement:
+def rep_eval(rep: BraidRep | Extension, w: SMWord) -> AlgebraElement:
     """Image of a word: the left-to-right product of its letter images.
 
-    Sigma letters are looked up in `rep.letters` and tau letters in `taus`;
-    without `taus` this is the representation on braid words and a tau
-    letter is an error.
+    `rep` is anything with `n`, `one()` and a `letters` table: a `BraidRep`,
+    whose table holds braid letters only, so a tau letter is an error, or a
+    `phi.Extension`, whose table holds the tau images as well.
     """
     if w.n != rep.n:
         raise ValueError(f"word has n={w.n}, representation has n={rep.n}")
-    letters = {**rep.letters, **taus} if taus else rep.letters
+    letters = rep.letters
     acc = rep.one()
     for letter in w:
         image = letters.get(letter)

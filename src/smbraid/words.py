@@ -231,6 +231,20 @@ def tau_conjugator(i: int, n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
+def _expand_taus(w: SMWord) -> list[GenLetter]:
+    """The letters of w with each tau_i replaced by w_i tau_1 w_i^-1."""
+    expanded: list[GenLetter] = []
+    for letter in w:
+        if not letter.is_tau:
+            expanded.append(letter)
+            continue
+        conj = tau_conjugator(letter.index, w.n)
+        expanded.extend(conj.letters)
+        expanded.append(tau(1))
+        expanded.extend(conj.inverse().letters)
+    return expanded
+
+
 def _sigma_to_s1x(letter: GenLetter) -> list[str]:
     i = letter.index
     core = "s1" if letter.kind is LetterKind.SIGMA else "S1"
@@ -246,16 +260,11 @@ def to_s1x_generators(w: SMWord) -> tuple[str, ...]:
     under every representation.
     """
     tokens: list[str] = []
-    for letter in w:
-        if not letter.is_tau:
+    for letter in _expand_taus(w):
+        if letter.is_tau:
+            tokens.append("t1")
+        else:
             tokens.extend(_sigma_to_s1x(letter))
-            continue
-        conj = tau_conjugator(letter.index, w.n)
-        for braid_letter in conj:
-            tokens.extend(_sigma_to_s1x(braid_letter))
-        tokens.append("t1")
-        for braid_letter in conj.inverse():
-            tokens.extend(_sigma_to_s1x(braid_letter))
     return tuple(tokens)
 
 
@@ -307,16 +316,7 @@ def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
     the sliding relations), so the assembled form has the same image as w
     under every representation and the same tau count.
     """
-    expanded: list[GenLetter] = []
-    for letter in w:
-        if not letter.is_tau:
-            expanded.append(letter)
-            continue
-        conj = tau_conjugator(letter.index, w.n)
-        expanded.extend(conj.letters)
-        expanded.append(tau(1))
-        expanded.extend(conj.inverse().letters)
-
+    expanded = _expand_taus(w)
     pos = 0
     while pos < len(expanded) and not expanded[pos].is_tau:
         pos += 1

@@ -29,7 +29,7 @@ from smbraid.analysis import (
     unit_power_witness,
     verify_cyclic_structure,
 )
-from smbraid.phi import PhiParams, check_relations, phi_eval, tau_power_direct, tau_power_expand
+from smbraid.phi import Extension, PhiParams, check_relations, tau_power_direct, tau_power_expand
 from smbraid.reps import burau_reduced, burau_unreduced, permutation_rep, rep_eval, scalar_char
 from smbraid.scalars import T
 from smbraid.words import (
@@ -101,7 +101,8 @@ def test_criterion_02_all_zero_parameters():
     rep = burau_reduced(2)
     params = PhiParams.of(0, 0, 0)
     w1, w2 = parse_word("t1 s1", 2), parse_word("t1", 2)
-    img1, img2 = phi_eval(rep, params, w1), phi_eval(rep, params, w2)
+    ext = Extension(rep, params)
+    img1, img2 = rep_eval(ext, w1), rep_eval(ext, w2)
     assert img1 == img2 == Matrix([[0]])
     nf1, nf2 = sm2_normal_form(w1), sm2_normal_form(w2)
     assert (nf1.p, nf1.q) == (1, 1) and (nf2.p, nf2.q) == (1, 0)
@@ -136,7 +137,7 @@ def test_criterion_04_scalar_power_witness_search():
     assert v == sigma_power(2, 1, -1) and s == 1
     witness = scalar_power_witness(rep, "a00", Fraction(2), v, s)
     assert witness.image == rep.one().scale(2)
-    assert phi_eval(rep, PhiParams.of(2, 0, 0), witness.w1) == rep.one().scale(2)
+    assert rep_eval(Extension(rep, PhiParams.of(2, 0, 0)), witness.w1) == rep.one().scale(2)
     budget.done("found (S1, 1); both witness images equal 2*identity")
 
 
@@ -214,8 +215,9 @@ def test_criterion_09_conjugation_and_shape_stripping():
     rng = random.Random(109)
     rep = scalar_char(2, 3)
     params = PhiParams.of(2, 0, 0)
+    ext = Extension(rep, params)
     v = parse_word("t1 S1 S1", 3)
-    assert phi_eval(rep, params, v).is_identity()
+    assert rep_eval(ext, v).is_identity()
 
     for _ in range(50):
         m = rng.randint(1, 3)
@@ -224,7 +226,7 @@ def test_criterion_09_conjugation_and_shape_stripping():
             power = power * v
         u = random_braid_word(rng, 3, 6)
         assert conjugation_kernel_check(rep, params, power, [u])
-        assert phi_eval(rep, params, conjugate(power, u)).is_identity()
+        assert rep_eval(ext, conjugate(power, u)).is_identity()
 
     for _ in range(50):
         blocks = tuple(
@@ -232,7 +234,7 @@ def test_criterion_09_conjugation_and_shape_stripping():
         )
         sf = ShapeForm(3, 1, -2, blocks)
         assembled, stripped = sf.assemble(), sf.strip()
-        assert phi_eval(rep, params, assembled) == phi_eval(rep, params, stripped)
+        assert rep_eval(ext, assembled) == rep_eval(ext, stripped)
     budget.done("50 conjugates of v^m stay in kernel; 50 shape strips image-equal")
 
 
@@ -240,8 +242,8 @@ def test_criterion_10_block_decomposition_and_two_generators():
     budget = Budget("criterion 10 (block decomposition and two-generator rewrite)", 30)
     rng = random.Random(110)
     oracles = [
-        (burau_unreduced(3), PhiParams.of(1, -1, 0)),
-        (permutation_rep(3), PhiParams.of(1, -1, 0)),
+        Extension(burau_unreduced(3), PhiParams.of(1, -1, 0)),
+        Extension(permutation_rep(3), PhiParams.of(1, -1, 0)),
     ]
     for _ in range(200):
         w = random_sm_word(rng, 3, 8)
@@ -253,8 +255,8 @@ def test_criterion_10_block_decomposition_and_two_generators():
             assert tau_count(other) == tau_count(w)
             assert sigma_exponent_sum(other) == sigma_exponent_sum(w)
             assert permutation_image(other) == permutation_image(w)
-            for rep, params in oracles:
-                assert phi_eval(rep, params, other) == phi_eval(rep, params, w)
+            for ext in oracles:
+                assert rep_eval(ext, other) == rep_eval(ext, w)
     budget.done("200 random SM_3 words, both rewrites, both oracles, all invariants")
 
 

@@ -6,6 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from smbraid.algebra import (
     CyclicElement,
@@ -15,7 +19,7 @@ from smbraid.algebra import (
     parse_matrix,
 )
 from smbraid.reps import permutation_rep
-from smbraid.scalars import T, LaurentPoly, as_scalar
+from smbraid.scalars import T, LaurentPoly, as_scalar, is_unit
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -195,6 +199,69 @@ def test_matrix_non_invertible_raises():
         Matrix([[1, 1], [1, 1]]).inverse()
     with pytest.raises(ValueError):
         Matrix([[1, T], [0, 1 + T]]).inverse()  # det 1+t is not a unit
+
+
+# --- determinant and inverse against sympy ------------------------------------------
+
+t_sym = sympy.Symbol("t")
+
+
+def scalar_to_sympy(x) -> sympy.Expr:
+    if isinstance(x, LaurentPoly):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * t_sym**e for e, c in x.items()))
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def matrix_to_sympy(m: Matrix) -> sympy.Matrix:
+    return sympy.Matrix([[scalar_to_sympy(a) for a in row] for row in m.rows])
+
+
+rational_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+laurent_entries = st.one_of(
+    rational_entries,
+    st.sampled_from([T, -T, 1 - T, T**-1, T + T**-1, 2 * T**2 - 1]),
+)
+unit_entries = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]),
+    st.sampled_from([T, -T, T**-1, 2 * T**2]),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """A random rational or Laurent matrix of dimension 1 to 4; half of them
+    are L * U with unit diagonals, so that their inverses exist."""
+    dim = draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([rational_entries, laurent_entries]))
+    if not draw(st.booleans()):
+        return Matrix([[draw(entries) for _ in range(dim)] for _ in range(dim)])
+    lower = [[draw(entries) if c < r else int(c == r) for c in range(dim)] for r in range(dim)]
+    upper = [[draw(entries) if c > r else 0 for c in range(dim)] for r in range(dim)]
+    for i in range(dim):
+        upper[i][i] = draw(unit_entries)
+    return Matrix(lower) * Matrix(upper)
+
+
+@settings(max_examples=50, deadline=None)
+@given(square_matrices())
+def test_det_and_inverse_match_sympy(m):
+    # sympy computes over the fraction field QQ(t) (or QQ), by its own routes
+    expected = DomainMatrix.from_Matrix(matrix_to_sympy(m)).to_field()
+    field = expected.domain
+
+    def ours(x):
+        return field.from_sympy(scalar_to_sympy(x))
+
+    assert ours(m.det()) == expected.det()
+    if not is_unit(m.det()):
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert [[ours(a) for a in row] for row in inv.rows] == expected.inv().to_list()
+    for row in inv.rows:
+        for entry in row:
+            assert as_scalar(entry) is entry
 
 
 def test_parse_matrix_round_trip():

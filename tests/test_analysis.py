@@ -27,7 +27,7 @@ from smbraid.analysis import (
     unit_power_witness,
     verify_cyclic_structure,
 )
-from smbraid.phi import PhiParams, phi_eval
+from smbraid.phi import Extension, PhiParams
 from smbraid.reps import (
     as_formal,
     burau_reduced,
@@ -445,7 +445,7 @@ def test_conjugation_keeps_kernel_scalar_char():
 def test_conjugation_check_rejects_non_kernel_word():
     rep = scalar_char(2, 3)
     params = PhiParams.of(2, 0, 0)
-    assert phi_eval(rep, params, parse_word("t1", 3)) == rep.one().scale(4)
+    assert rep_eval(Extension(rep, params), parse_word("t1", 3)) == rep.one().scale(4)
     with pytest.raises(ValueError):
         conjugation_kernel_check(rep, params, parse_word("t1", 3), [empty_word(3)])
 

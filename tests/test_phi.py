@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from conftest import random_sm_word
 from smbraid.algebra import CyclicElement, FormalElement, Matrix
 from smbraid.phi import (
+    Extension,
     PhiParams,
     check_relations,
-    phi_eval,
-    phi_image_equal,
-    tau_image,
     tau_power_direct,
     tau_power_expand,
 )
@@ -31,7 +29,16 @@ from smbraid.reps import (
     scalar_char,
 )
 from smbraid.scalars import T
-from smbraid.words import braid_letters, decompose_tau_blocks, parse_word, shape_form, tau, tau_power, word
+from smbraid.words import (
+    braid_letters,
+    decompose_tau_blocks,
+    parse_word,
+    shape_form,
+    sigma_power,
+    tau,
+    tau_power,
+    word,
+)
 
 
 def random_params(rng: random.Random) -> PhiParams:
@@ -39,35 +46,46 @@ def random_params(rng: random.Random) -> PhiParams:
     return PhiParams.of(pick(), pick(), pick())
 
 
-def test_phi_eval_builds_each_tau_image_once(monkeypatch):
+def test_check_relations_builds_one_extension(monkeypatch):
     import smbraid.phi as phi_module
 
-    rep, params = burau_unreduced(3), PhiParams.of(2, -1, T)
-    w = parse_word("t1 s2 t1 t2 S1 t1 t2", 3)
-    # independent route: the product of freshly built letter images
-    expected = rep.one()
-    for letter in w:
-        if letter.is_tau:
-            expected = expected * tau_image(rep, params, letter.index)
-        else:
-            expected = expected * rep_eval(rep, parse_word(letter.token(), 3))
+    rep, params = burau_unreduced(4), PhiParams.of(2, -1, T)
     built = []
-    original = phi_module.tau_image
 
-    def counting(rep_, params_, i):
-        built.append(i)
-        return original(rep_, params_, i)
+    class CountingExtension(Extension):
+        def __init__(self, rep_, params_):
+            super().__init__(rep_, params_)
+            built.append(self)
 
-    monkeypatch.setattr(phi_module, "tau_image", counting)
-    assert phi_eval(rep, params, w) == expected
-    assert sorted(built) == [1, 2]
+    monkeypatch.setattr(phi_module, "Extension", CountingExtension)
+    assert check_relations(rep, params).all_pass
+    assert len(built) == 1
+    (ext,) = built
+    # independent route: each tau image built by hand from the rep's images
+    for i in range(1, 4):
+        expected = rep.image(i).scale(2) + rep.image_inv(i).scale(-1) + rep.one().scale(T)
+        assert ext.letters[tau(i)] == expected
+    for letter in braid_letters(4):
+        assert ext.letters[letter] is rep.letters[letter]
+    assert len(ext.letters) == 9
+
+
+def test_scalar_extension_matches_direct_power():
+    rng = random.Random(19)
+    for d in (Fraction(2), Fraction(-1, 3), -T):
+        params = random_params(rng)
+        ext = Extension(scalar_char(d, 2), params)
+        for p in range(4):
+            for q in range(-3, 4):
+                w = tau_power(2, 1, p) * sigma_power(2, 1, q)
+                assert rep_eval(ext, w) == Matrix([[tau_power_direct(params, d, p, q)]])
 
 
 def test_zero_parameters_kill_tau_words():
     rep = scalar_char(2, 2)
-    params = PhiParams.of(0, 0, 0)
-    img1 = phi_eval(rep, params, parse_word("t1 s1", 2))
-    img2 = phi_eval(rep, params, parse_word("t1", 2))
+    ext = Extension(rep, PhiParams.of(0, 0, 0))
+    img1 = rep_eval(ext, parse_word("t1 s1", 2))
+    img2 = rep_eval(ext, parse_word("t1", 2))
     assert img1 == img2 == Matrix([[0]])
     assert not img1.is_identity()
 
@@ -75,14 +93,14 @@ def test_zero_parameters_kill_tau_words():
 def test_scalar_character_value():
     # 2 * 2 * 2^-2 == 1
     rep = scalar_char(2, 2)
-    img = phi_eval(rep, PhiParams.of(2, 0, 0), parse_word("t1 S1 S1", 2))
+    img = rep_eval(Extension(rep, PhiParams.of(2, 0, 0)), parse_word("t1 S1 S1", 2))
     assert img.is_identity()
 
 
 def test_matrix_tau_image_identity_instance():
     m = Matrix([[0, -2], [1, 0]])
     rep = matrix_rep_from_images(2, [m])
-    img = phi_eval(rep, PhiParams.of(1, 2, 1), parse_word("t1", 2))
+    img = rep_eval(Extension(rep, PhiParams.of(1, 2, 1)), parse_word("t1", 2))
     assert img == m + m.inverse().scale(2) + Matrix.identity(2)
     assert img.is_identity()
 
@@ -90,49 +108,46 @@ def test_matrix_tau_image_identity_instance():
 def test_extension_property_matches_rep_eval():
     rng = random.Random(23)
     for rep in (burau_unreduced(3), permutation_rep(3)):
-        params = random_params(rng)
+        ext = Extension(rep, random_params(rng))
         for _ in range(10):
             w = random_sm_word(rng, 3, 6)
             braid = parse_word(" ".join(l.token() for l in w if not l.is_tau), 3)
-            assert phi_eval(rep, params, braid) == rep_eval(rep, braid)
+            assert rep_eval(ext, braid) == rep_eval(rep, braid)
 
 
 def test_phi_eval_is_monoid_homomorphism_every_backend():
     rng = random.Random(29)
     reps = [burau_unreduced(3), permutation_rep(3), scalar_char(2, 3)]
     for rep in reps:
-        params = random_params(rng)
+        ext = Extension(rep, random_params(rng))
         for _ in range(10):
             w1, w2 = random_sm_word(rng, 3, 5), random_sm_word(rng, 3, 5)
-            assert phi_eval(rep, params, w1 * w2) == phi_eval(rep, params, w1) * phi_eval(rep, params, w2)
-    rep = cyclic_rep(2, -2)
-    params = random_params(rng)
+            assert rep_eval(ext, w1 * w2) == rep_eval(ext, w1) * rep_eval(ext, w2)
+    ext = Extension(cyclic_rep(2, -2), random_params(rng))
     for _ in range(10):
         w1, w2 = random_sm_word(rng, 2, 5), random_sm_word(rng, 2, 5)
-        assert phi_eval(rep, params, w1 * w2) == phi_eval(rep, params, w1) * phi_eval(rep, params, w2)
+        assert rep_eval(ext, w1 * w2) == rep_eval(ext, w1) * rep_eval(ext, w2)
 
 
 def test_phi_invariant_under_block_and_shape_rewrites():
     rng = random.Random(31)
-    rep = burau_unreduced(3)
-    params = PhiParams.of(1, -1, 0)
+    ext = Extension(burau_unreduced(3), PhiParams.of(1, -1, 0))
     for _ in range(15):
         w = random_sm_word(rng, 3, 6)
-        assert phi_image_equal(rep, params, w, decompose_tau_blocks(w).assemble())
-        assert phi_image_equal(rep, params, w, shape_form(w, 2, 1).assemble())
+        assert rep_eval(ext, w) == rep_eval(ext, decompose_tau_blocks(w).assemble())
+        assert rep_eval(ext, w) == rep_eval(ext, shape_form(w, 2, 1).assemble())
 
 
 def test_stripping_kernel_generator_powers_preserves_image():
     # with v = tau_1 sigma_1^-2 in the kernel of (2,0,0) over sigma_1 -> 2,
     # rewriting against (p, q) = (1, -2) and dropping the v powers is invisible
     rng = random.Random(33)
-    rep = scalar_char(2, 2)
-    params = PhiParams.of(2, 0, 0)
-    assert phi_eval(rep, params, parse_word("t1 S1 S1", 2)).is_identity()
+    ext = Extension(scalar_char(2, 2), PhiParams.of(2, 0, 0))
+    assert rep_eval(ext, parse_word("t1 S1 S1", 2)).is_identity()
     for _ in range(20):
         w = random_sm_word(rng, 2, 8)
         sf = shape_form(w, 1, -2)
-        assert phi_image_equal(rep, params, w, sf.strip())
+        assert rep_eval(ext, w) == rep_eval(ext, sf.strip())
 
 
 # --- relation checking ---------------------------------------------------------
@@ -166,12 +181,13 @@ def test_corrupted_tau_image_fails_slide_relation():
     # sigma_1 sigma_2 tau_1 = tau_2 sigma_1 sigma_2 must then fail
     rep = burau_unreduced(3)
     params = PhiParams.of(1, 2, 3)
-    corrupted = tau_image(rep, params, 1) + rep.one().scale(params.c)
+    ext = Extension(rep, params)
+    corrupted = ext.letters[tau(1)] + rep.one().scale(params.c)
     lhs = rep_eval(rep, parse_word("s1 s2", 3)) * corrupted
-    rhs = phi_eval(rep, params, parse_word("t2 s1 s2", 3))
+    rhs = rep_eval(ext, parse_word("t2 s1 s2", 3))
     assert lhs != rhs
     # sanity: the uncorrupted sides agree
-    assert phi_image_equal(rep, params, parse_word("s1 s2 t1", 3), parse_word("t2 s1 s2", 3))
+    assert rep_eval(ext, parse_word("s1 s2 t1", 3)) == rhs
 
 
 def test_relation_report_text_counts_families():
@@ -221,7 +237,7 @@ def test_tau_power_routes_agree_random_rationals():
 def test_tau_power_matches_cyclic_backend_instance():
     # (X + 2 X^-1 + 1) in the twisted algebra X^2 = -2 equals the identity
     rep = cyclic_rep(2, -2)
-    img = phi_eval(rep, PhiParams.of(1, 2, 1), tau_power(2, 1, 1))
+    img = rep_eval(Extension(rep, PhiParams.of(1, 2, 1)), tau_power(2, 1, 1))
     assert img.is_identity()
 
 
@@ -239,22 +255,22 @@ def test_tau_power_rejects_non_unit():
 
 def test_phi_image_equal_examples():
     rep = burau_reduced(3)
-    birman = PhiParams.of(1, -1, 0)
+    birman = Extension(rep, PhiParams.of(1, -1, 0))
     w = parse_word("t1 s2", 3)
-    assert phi_image_equal(rep, birman, w, w)
+    assert rep_eval(birman, w) == rep_eval(birman, w)
     # relation (5) instance
-    assert phi_image_equal(rep, birman, parse_word("t1 s1", 3), parse_word("s1 t1", 3))
+    assert rep_eval(birman, parse_word("t1 s1", 3)) == rep_eval(birman, parse_word("s1 t1", 3))
     # a = -1 root-of-unity collapse: tau_1^2 and sigma_1^2 share an image
-    minus = PhiParams.of(-1, 0, 0)
-    assert phi_image_equal(rep, minus, parse_word("t1 t1", 3), parse_word("s1 s1", 3))
+    minus = Extension(rep, PhiParams.of(-1, 0, 0))
+    assert rep_eval(minus, parse_word("t1 t1", 3)) == rep_eval(minus, parse_word("s1 s1", 3))
     with pytest.raises(ValueError):
-        phi_image_equal(rep, birman, parse_word("t1", 3), parse_word("t1", 2))
+        rep_eval(birman, parse_word("t1", 2))
 
 
 def test_scalar_invert_consistency_in_tau_image():
     # b * rho(sigma^-1) really uses the exact inverse image
     rep = burau_unreduced(2)
-    img = tau_image(rep, PhiParams.of(0, 1, 0), 1)
+    img = Extension(rep, PhiParams.of(0, 1, 0)).letters[tau(1)]
     assert img == rep.image(1).inverse()
     assert Fraction(2) ** -1 == Fraction(1, 2)
 
@@ -304,9 +320,9 @@ def sm_cases(draw, n_values):
 def test_formal_matrix_image_collapses_to_matrix_image(case):
     n, w, params = case
     rep = burau_reduced(n)
-    image = phi_eval(as_formal(rep), params, w)
+    image = rep_eval(Extension(as_formal(rep), params), w)
     assert isinstance(image, FormalElement)
-    assert collapse(image.coeffs.items(), lambda g: g, rep.one().dim) == phi_eval(rep, params, w)
+    assert collapse(image.coeffs.items(), lambda g: g, rep.one().dim) == rep_eval(Extension(rep, params), w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,9 +334,9 @@ def test_formal_permutation_image_collapses_to_permutation_matrices(case):
         rows = [[int(r == c) for c in range(n)] for r in range(n)]
         rows[i - 1], rows[i] = rows[i], rows[i - 1]
         swaps.append(Matrix(rows))
-    image = phi_eval(permutation_rep(n), params, w)
+    image = rep_eval(Extension(permutation_rep(n), params), w)
     mats = matrix_rep_from_images(n, swaps)
-    assert collapse(image.coeffs.items(), permutation_matrix, n) == phi_eval(mats, params, w)
+    assert collapse(image.coeffs.items(), permutation_matrix, n) == rep_eval(Extension(mats, params), w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +345,7 @@ def test_cyclic_image_collapses_to_matrix_powers(case):
     n, w, params = case
     m = Matrix([[0, -2], [1, 0]])  # m^2 = -2 * I
     powers = [Matrix.identity(2), m]
-    image = phi_eval(cyclic_rep(2, -2, n), params, w)
+    image = rep_eval(Extension(cyclic_rep(2, -2, n), params), w)
     assert isinstance(image, CyclicElement)
-    expected = phi_eval(matrix_rep_from_images(n, [m] * (n - 1)), params, w)
+    expected = rep_eval(Extension(matrix_rep_from_images(n, [m] * (n - 1)), params), w)
     assert collapse(zip(range(2), image.coords), powers.__getitem__, 2) == expected

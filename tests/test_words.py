@@ -15,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_braid_word, random_sm_word
-from smbraid.phi import PhiParams, phi_image_equal
-from smbraid.reps import burau_unreduced, permutation_rep
+from smbraid.phi import Extension, PhiParams
+from smbraid.reps import burau_unreduced, permutation_rep, rep_eval
 from smbraid.words import (
     BraidWord,
     SMWord,
@@ -45,13 +45,13 @@ from smbraid.words import (
 
 def oracles(n):
     return (
-        (permutation_rep(n), PhiParams.of(1, -1, 0)),
-        (burau_unreduced(n), PhiParams.of(2, -3, 7)),
+        Extension(permutation_rep(n), PhiParams.of(1, -1, 0)),
+        Extension(burau_unreduced(n), PhiParams.of(2, -3, 7)),
     )
 
 
 def images_equal(w1: SMWord, w2: SMWord) -> bool:
-    return all(phi_image_equal(rep, params, w1, w2) for rep, params in oracles(w1.n))
+    return all(rep_eval(ext, w1) == rep_eval(ext, w2) for ext in oracles(w1.n))
 
 
 # --- parsing and serialization -------------------------------------------------
@@ -266,14 +266,11 @@ def test_conjugate_examples():
 
 
 def test_conjugate_image_is_conjugated_image():
-    rep, params = oracles(3)[1]
+    ext = oracles(3)[1]
     w = parse_word("t1 S1 S1", 3)
     u = word(3, (sigma(2),))
-    from smbraid.phi import phi_eval
-    from smbraid.reps import rep_eval
-
-    conjugated = phi_eval(rep, params, conjugate(w, u))
-    expected = rep_eval(rep, u) * phi_eval(rep, params, w) * rep_eval(rep, u.inverse())
+    conjugated = rep_eval(ext, conjugate(w, u))
+    expected = rep_eval(ext.rep, u) * rep_eval(ext, w) * rep_eval(ext.rep, u.inverse())
     assert conjugated == expected
 
 
