@@ -2,7 +2,7 @@
 
     python3 bench/layers.py --label NAME [--out DIR]
 
-Times a few fixed operations of four layers with `timeit`, importing smbraid
+Times a few fixed operations of five layers with `timeit`, importing smbraid
 from the `src` directory next to this script's parent:
 
 * scalars: a product and a sum of two 6-term Laurent polynomials with
@@ -17,7 +17,12 @@ from the `src` directory next to this script's parent:
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
   `Extension(burau_unreduced(4), params)`, the extension's table built once;
 * analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
-  path, which builds its own extension.
+  path, which builds its own extension;
+* cli: two whole in-process CLI calls, `cli.main([..., "--json"])` with
+  stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
+  the same n = 4 Burau representation and parameters as above.  They cover
+  argument parsing and representation selection as well as the algebra, but
+  not interpreter start-up, which `perfbench/run.py` reports as `setup_s`.
 
 Each operation is timed in 7 repeats of a loop long enough to last about
 0.2 s.  After each repeat the reference kernel of `perfbench/refkernel.py`
@@ -34,6 +39,8 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -47,12 +54,21 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from refkernel import kernel  # noqa: E402
+from smbraid import cli  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations  # noqa: E402
 from smbraid.reps import as_formal, burau_reduced, burau_unreduced, rep_eval  # noqa: E402
 from smbraid.scalars import T, LaurentPoly  # noqa: E402
 from smbraid.words import parse_word  # noqa: E402
 
 REPEATS = 7
+
+
+def cli_call(argv: list[str]):
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+
+    return run
 
 
 def operations() -> dict:
@@ -79,6 +95,10 @@ def operations() -> dict:
         "algebra.formal_mul_burau3": lambda: u * v,
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
+        "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
+        "cli.main_relcheck4": cli_call(
+            ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]
+        ),
     }
 
 

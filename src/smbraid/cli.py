@@ -19,6 +19,7 @@ codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -298,7 +299,13 @@ def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", required=True, help="scalar c")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process.
+
+    `parse_args` leaves the parser unchanged, so `main` reuses it across
+    calls; `build_parser.__wrapped__()` builds a fresh one.
+    """
     parser = argparse.ArgumentParser(
         prog="smbraid",
         description="Exact computation with extensions of braid representations to the singular braid monoid.",

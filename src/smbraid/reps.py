@@ -22,6 +22,7 @@ Shipped representations:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -67,6 +68,10 @@ class BraidRep:
     `images[i-1]` and `inverses[i-1]` are the images of sigma_i and
     sigma_i^-1; `one` is the identity of the algebra they live in.  The
     `letters` table maps each braid letter to its image.
+
+    A `BraidRep` may be shared, so it must not be mutated: `rep_from_selector`
+    hands the same instance of a shipped representation to every caller in a
+    process, and `phi.Extension` copies `letters` before adding tau images.
     """
 
     def __init__(
@@ -274,7 +279,25 @@ def as_formal(rep: BraidRep) -> BraidRep:
 
 def rep_from_selector(selector: str, n: int) -> BraidRep:
     """CLI selectors: burau-unreduced | burau-reduced | perm |
-    scalar:<scalar> | matrix:<file>."""
+    scalar:<scalar> | matrix:<file>.
+
+    A shipped selector's representation is built and relation-checked once
+    per process and then shared, so callers must not mutate it.  A
+    `matrix:<file>` selector reads its file again on every call."""
+    if selector.startswith("matrix:"):
+        if n != 2:
+            raise ValueError("matrix:<file> selectors support n = 2 only")
+        path = Path(selector[len("matrix:") :])
+        m = parse_matrix(path.read_text())
+        return matrix_rep_from_images(2, [m], name=f"matrix:{path.name}")
+    return _shipped_rep(selector, n)
+
+
+# Bounded so that a long-lived process does not grow with each distinct
+# `scalar:` value; a selector error is raised again on every call, because
+# the cache stores only returned values.
+@lru_cache(maxsize=32)
+def _shipped_rep(selector: str, n: int) -> BraidRep:
     if selector == "burau-unreduced":
         return burau_unreduced(n)
     if selector == "burau-reduced":
@@ -283,10 +306,4 @@ def rep_from_selector(selector: str, n: int) -> BraidRep:
         return permutation_rep(n)
     if selector.startswith("scalar:"):
         return scalar_char(parse_scalar(selector[len("scalar:") :]), n)
-    if selector.startswith("matrix:"):
-        if n != 2:
-            raise ValueError("matrix:<file> selectors support n = 2 only")
-        path = Path(selector[len("matrix:") :])
-        m = parse_matrix(path.read_text())
-        return matrix_rep_from_images(2, [m], name=f"matrix:{path.name}")
     raise ValueError(f"unknown representation selector {selector!r}")

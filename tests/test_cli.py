@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smbraid import cli
 from smbraid.cli import main
 
 
@@ -221,6 +222,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+SEQUENCE = [
+    ["wordeq3", "--w1", "s1 s2 t1", "--w2", "t2 s1 s2", "--json"],
+    ["relcheck", "--n", "3", "--rep", "burau-unreduced", "--a", "1", "--b", "-1", "--c", "0"],
+    ["kernel2", "--rep", "scalar:2"],  # usage error: missing --a/--b/--c
+    ["eval", "--n", "2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--word", "t1 s1", "--json"],
+    ["eval", "--n", "4", "--rep", "burau-reduced", "--a", "1", "--b", "0", "--c", "0", "--word", "s1"],  # domain error
+    ["shape", "--n", "3", "--word", "t2 t1 t1 s2", "--p", "2", "--q", "1", "--json"],
+    ["wordeq3", "--w1", "s1 s2 t1", "--w2", "t2 s1 s2", "--json"],
+]
+
+
+def _outcomes(capsys) -> list:
+    outcomes = []
+    for argv in SEQUENCE:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        outcomes.append((code, out.out, out.err))
+    return outcomes
+
+
+def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    shared = _outcomes(capsys)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 1, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _outcomes(capsys) == shared
 
 
 # --- no tracebacks over drawn argv ------------------------------------------------------

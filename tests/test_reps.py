@@ -24,8 +24,9 @@ from smbraid.reps import (
 )
 from fractions import Fraction
 
+from smbraid.phi import Extension, PhiParams
 from smbraid.scalars import T
-from smbraid.words import empty_word, parse_word, sigma_power
+from smbraid.words import braid_letters, empty_word, parse_word, sigma_power
 
 
 def test_burau_unreduced_generator_matrix():
@@ -182,6 +183,25 @@ def test_rep_from_selector(tmp_path):
         rep_from_selector("nope", 2)
     with pytest.raises(ValueError):
         rep_from_selector(f"matrix:{path}", 3)
+
+
+def test_rep_from_selector_shares_shipped_reps(tmp_path):
+    for selector, n in [("burau-unreduced", 4), ("perm", 3), ("scalar:2", 2)]:
+        assert rep_from_selector(selector, n) is rep_from_selector(selector, n)
+    # a matrix file is read again on every call
+    path = tmp_path / "m.txt"
+    path.write_text("0,-2\n1,0\n")
+    assert rep_from_selector(f"matrix:{path}", 2).image(1) == Matrix([[0, -2], [1, 0]])
+    path.write_text("0,1\n1,0\n")
+    assert rep_from_selector(f"matrix:{path}", 2).image(1) == Matrix([[0, 1], [1, 0]])
+    # errors are not cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            rep_from_selector("scalar:0", 2)
+    # an extension built on a shared rep leaves its letter table alone
+    rep = rep_from_selector("burau-unreduced", 4)
+    Extension(rep, PhiParams.of(1, -1, 0))
+    assert set(rep.letters) == set(braid_letters(4))
 
 
 # --- construction pinned against independently built images --------------------------
