@@ -1,8 +1,8 @@
 """Per-layer micro-timings of smbraid, written to BENCH_<label>.json.
 
-    python3 bench/layers.py --label NAME [--out DIR]
+    python3 bench/layers.py --label NAME [--out DIR] [--append]
 
-Times a few fixed operations of five layers with `timeit`, importing smbraid
+Times a few fixed operations of six layers with `timeit`, importing smbraid
 from the `src` directory next to this script's parent:
 
 * scalars: a product and a sum of two 6-term Laurent polynomials with
@@ -14,6 +14,8 @@ from the `src` directory next to this script's parent:
   reduced Burau group in GL_2, the images of two SM_3 words with two tau
   letters each (the `wordeq3` oracle path: Phi_{1,-1,0} into the group
   algebra);
+* reps: building a fresh `burau_unreduced(4)`, which takes the cofactor
+  inverses of its three generator images and checks its braid relations;
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
   `Extension(burau_unreduced(4), params)`, the extension's table built once;
 * analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
@@ -28,12 +30,15 @@ Each operation is timed in 7 repeats of a loop long enough to last about
 0.2 s.  After each repeat the reference kernel of `perfbench/refkernel.py`
 (stdlib `Fraction` arithmetic that no change to smbraid can move) is timed
 as well, and the repeat's time per operation is divided by the kernel's time
-per call.  The file records, per operation, the median of those ratios, the
-median and minimum time in microseconds, the loop length and the kernel's
-median time; and the kernel's loop length, the Python version, platform and
-CPU count.  Host speed drifts by tens of percent between runs, so compare two
-files by their ratios, and only when they were taken on the same machine.
-Standard library only.
+per call.  A run records, per operation, the median of those ratios and their
+quartiles, the median and minimum time in microseconds, the loop length and
+the kernel's median time; and the kernel's loop length.  The file holds a
+list of runs, with the Python version, platform and CPU count; `--append`
+adds a run to an existing file of the same label instead of replacing it.
+Host speed drifts by tens of percent between runs, and even the ratios move
+by about 15% from one run to the next, so compare two trees by several runs
+each, taken alternately on the same machine, and by their spread as well as
+their medians.  Standard library only.
 """
 
 from __future__ import annotations
@@ -93,6 +98,7 @@ def operations() -> dict:
             rep.image(2).scale(params.a) + rep.image_inv(2).scale(params.b) + rep.one().scale(params.c)
         ),
         "algebra.formal_mul_burau3": lambda: u * v,
+        "reps.burau_unreduced4": lambda: burau_unreduced(4),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
@@ -113,8 +119,11 @@ def time_op(fn, ref: timeit.Timer, ref_loop: int) -> dict:
         runs.append(us)
         ratios.append(us / ref_us)
         refs.append(ref_us)
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
     return {
-        "ref_ratio": float(f"{statistics.median(ratios):.4g}"),
+        "ref_ratio": float(f"{median:.4g}"),
+        "ref_ratio_q1": float(f"{q1:.4g}"),
+        "ref_ratio_q3": float(f"{q3:.4g}"),
         "us_median": round(statistics.median(runs), 3),
         "us_min": round(min(runs), 3),
         "loop": number,
@@ -126,29 +135,35 @@ def main() -> None:
     ap = argparse.ArgumentParser(description="per-layer micro-timings of smbraid")
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     ap.add_argument("--out", default=os.path.dirname(os.path.abspath(__file__)), help="output directory")
+    ap.add_argument("--append", action="store_true", help="add this run to an existing file of the same label")
     args = ap.parse_args()
     ref = timeit.Timer(kernel)
     ref_loop, _ = ref.autorange()
     ops = {name: time_op(fn, ref, ref_loop) for name, fn in operations().items()}
+    path = os.path.join(args.out, f"BENCH_{args.label}.json")
+    runs = []
+    if args.append and os.path.exists(path):
+        with open(path) as fh:
+            runs = json.load(fh)["runs"]
+    runs.append({"ref_loop": ref_loop, "ops": ops})
     doc = {
         "label": args.label,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
-        "ref_loop": ref_loop,
-        "ops": ops,
+        "runs": runs,
     }
-    path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     for name, row in ops.items():
         print(
-            f"{name:28s} {row['ref_ratio']:10.4g} ref  {row['us_median']:10.2f} us/op "
+            f"{name:28s} {row['ref_ratio']:10.4g} ref ({row['ref_ratio_q1']:.4g}-{row['ref_ratio_q3']:.4g})"
+            f" {row['us_median']:10.2f} us/op "
             f"(min {row['us_min']:.2f}, loop {row['loop']})"
         )
-    print(f"wrote {path}")
+    print(f"wrote {path} (run {len(runs)})")
 
 
 if __name__ == "__main__":

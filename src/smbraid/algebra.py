@@ -68,9 +68,6 @@ class Matrix:
             )
         )
 
-    def __neg__(self) -> "Matrix":
-        return Matrix._of(tuple(tuple(-a for a in row) for row in self.rows))
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Row-by-column product that skips every pair with a zero entry;
         sums of canonical products are canonical, so no entry is re-coerced."""

@@ -89,18 +89,6 @@ class UnfaithfulnessWitness:
     params: PhiParams
 
 
-def _make_witness(rep: BraidRep, params: PhiParams, w1: SMWord, w2: SMWord) -> UnfaithfulnessWitness:
-    cert = distinctness_certificate(w1, w2)
-    if cert is None:
-        raise ValueError("words are not separated by any invariant; no distinctness certificate")
-    ext = Extension(rep, params)
-    img1 = rep_eval(ext, w1)
-    img2 = rep_eval(ext, w2)
-    if img1 != img2:
-        raise ValueError("images differ; the pair is not a witness")
-    return UnfaithfulnessWitness(w1, w2, cert, img1, params)
-
-
 def _mode_params(mode: str, value: ScalarValue) -> PhiParams:
     if mode == "a00":
         return PhiParams.of(value, 0, 0)
@@ -140,16 +128,15 @@ def root_of_unity_order(a: ScalarValue | int, r_max: int = 8) -> int | None:
 
 def unit_power_witness(rep: BraidRep, mode: str, value: ScalarValue | int, r: int) -> UnfaithfulnessWitness:
     """Witness pair for a root-of-unity parameter: tau_1^r against the braid
-    word with the same image (value**r == 1 required)."""
+    word with the same image (value**r == 1 required).  This is the
+    scalar-power witness with v the empty word, since rho(empty) = 1 =
+    value**(-r) * 1."""
     value = as_scalar(value)
     if r < 1:
         raise ValueError("need r >= 1")
     if value**r != 1:
         raise ValueError(f"{format_scalar(value)}**{r} != 1")
-    params = _mode_params(mode, value)
-    w1 = tau_power(rep.n, 1, r)
-    w2 = _mode_braid_side(mode, rep.n, r)
-    return _make_witness(rep, params, w1, w2)
+    return scalar_power_witness(rep, mode, value, empty_word(rep.n), r)
 
 
 def find_scalar_witness(
@@ -231,7 +218,14 @@ def scalar_power_witness(
     params = _mode_params(mode, value)
     w1 = tau_power(rep.n, 1, s) * v
     w2 = _mode_braid_side(mode, rep.n, s)
-    return _make_witness(rep, params, w1, w2)
+    cert = distinctness_certificate(w1, w2)
+    if cert is None:
+        raise ValueError("words are not separated by any invariant; no distinctness certificate")
+    ext = Extension(rep, params)
+    image = rep_eval(ext, w1)
+    if rep_eval(ext, w2) != image:
+        raise ValueError("images differ; the pair is not a witness")
+    return UnfaithfulnessWitness(w1, w2, cert, image, params)
 
 
 # --- SM_2 kernel searches ---------------------------------------------------------

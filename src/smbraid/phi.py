@@ -33,7 +33,7 @@ from .scalars import (
     multinomial_coeff,
     parse_scalar,
 )
-from .words import GenLetter, SMWord, defining_relations, tau
+from .words import GenLetter, RelationInstance, defining_relations, tau
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,7 @@ class Extension:
 
 
 @dataclass(frozen=True)
-class RelationCheck:
-    family: int
-    name: str
-    indices: tuple[int, ...]
-    lhs: SMWord
-    rhs: SMWord
+class RelationCheck(RelationInstance):
     passed: bool
 
 
@@ -125,9 +120,7 @@ def check_relations(rep: BraidRep, params: PhiParams) -> RelationReport:
     checks = []
     for inst in defining_relations(rep.n):
         passed = rep_eval(ext, inst.lhs) == rep_eval(ext, inst.rhs)
-        checks.append(
-            RelationCheck(inst.family, inst.name, inst.indices, inst.lhs, inst.rhs, passed)
-        )
+        checks.append(RelationCheck(inst.family, inst.name, inst.indices, inst.lhs, inst.rhs, passed))
     return RelationReport(rep.n, rep.name, params, tuple(checks))
 
 

@@ -2,10 +2,10 @@
 
 A `BraidRep` is its letter-image table: each braid letter sigma_i^(+-1) maps
 to an invertible element of one of the algebra backends, and a word's image
-is the left-to-right product of its letters' images.  Construction verifies
-the braid relations on the images exactly and records declarative
-faithfulness metadata; the library never claims to decide faithfulness of a
-representation by itself.
+is the left-to-right product of its letters' images.  Construction checks
+every instance of `words.braid_relations` exactly, through `rep_eval`, and
+records declarative faithfulness metadata; the library never claims to
+decide faithfulness of a representation by itself.
 
 Shipped representations:
 
@@ -43,7 +43,7 @@ from .scalars import (
     parse_scalar,
     unit_root_order,
 )
-from .words import BraidWord, GenLetter, SMWord, sigma, sigma_inv, sigma_power
+from .words import BraidWord, GenLetter, SMWord, braid_relations, sigma, sigma_inv, sigma_power
 
 if TYPE_CHECKING:
     from .phi import Extension
@@ -98,15 +98,12 @@ class BraidRep:
                 raise ValueError(f"image of generator {i} is not invertible")
             self.letters[sigma(i)] = img
             self.letters[sigma_inv(i)] = inv
-        for i in range(1, n - 1):
-            a, b = images[i - 1], images[i]
-            if a * b * a != b * a * b:
-                raise ValueError(f"braid relation fails at generators ({i}, {i + 1})")
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                a, b = images[i - 1], images[j - 1]
-                if a * b != b * a:
-                    raise ValueError(f"far commutation fails at generators ({i}, {j})")
+        for inst in braid_relations(n):
+            if rep_eval(self, inst.lhs) != rep_eval(self, inst.rhs):
+                raise ValueError(
+                    f"relation ({inst.family}) {inst.name} {inst.indices} fails on the images: "
+                    f"{inst.lhs.text()!r} vs {inst.rhs.text()!r}"
+                )
 
     @property
     def backend(self) -> str:

@@ -71,9 +71,6 @@ class LaurentPoly:
             if n
         )
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def __bool__(self) -> bool:
         return bool(self._nums)
 
@@ -368,6 +365,6 @@ def format_scalar(x: ScalarValue | int) -> str:
     x = as_scalar(x)
     if isinstance(x, Fraction):
         return str(x)
-    if x.is_zero():
+    if not x:
         return "0"
     return " + ".join(f"{c}*t^{e}" for e, c in x.items())

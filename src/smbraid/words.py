@@ -449,62 +449,39 @@ _FAMILY_NAMES = {
     7: "right slide",
 }
 
-RELATION_FAMILIES = tuple(sorted(_FAMILY_NAMES))
+
+def _relation(
+    n: int, family: int, indices: tuple[int, ...], lhs: Iterable[GenLetter], rhs: Iterable[GenLetter]
+) -> RelationInstance:
+    return RelationInstance(family, _FAMILY_NAMES[family], indices, word(n, lhs), word(n, rhs))
+
+
+def _far_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j with j - i >= 2."""
+    return ((i, j) for i in range(1, n) for j in range(i + 2, n))
+
+
+def braid_relations(n: int) -> Iterator[RelationInstance]:
+    """The presentation of B_n: the braid relation (family 1) and far
+    commutation (family 2)."""
+    for i in range(1, n - 1):
+        yield _relation(n, 1, (i,), (sigma(i), sigma(i + 1), sigma(i)), (sigma(i + 1), sigma(i), sigma(i + 1)))
+    for i, j in _far_pairs(n):
+        yield _relation(n, 2, (i, j), (sigma(i), sigma(j)), (sigma(j), sigma(i)))
 
 
 def defining_relations(n: int) -> Iterator[RelationInstance]:
-    """All instances of the seven defining relation families at strand count n."""
-    for family in RELATION_FAMILIES:
-        name = _FAMILY_NAMES[family]
-        if family == 1:
-            for i in range(1, n - 1):
-                yield RelationInstance(
-                    1, name, (i,),
-                    word(n, (sigma(i), sigma(i + 1), sigma(i))),
-                    word(n, (sigma(i + 1), sigma(i), sigma(i + 1))),
-                )
-        elif family == 2:
-            for i, j in itertools.combinations(range(1, n), 2):
-                if j - i >= 2:
-                    yield RelationInstance(
-                        2, name, (i, j),
-                        word(n, (sigma(i), sigma(j))),
-                        word(n, (sigma(j), sigma(i))),
-                    )
-        elif family == 3:
-            for i, j in itertools.combinations(range(1, n), 2):
-                if j - i >= 2:
-                    yield RelationInstance(
-                        3, name, (i, j),
-                        word(n, (tau(i), tau(j))),
-                        word(n, (tau(j), tau(i))),
-                    )
-        elif family == 4:
-            for i, j in itertools.permutations(range(1, n), 2):
-                if abs(i - j) >= 2:
-                    yield RelationInstance(
-                        4, name, (i, j),
-                        word(n, (tau(i), sigma(j))),
-                        word(n, (sigma(j), tau(i))),
-                    )
-        elif family == 5:
-            for i in range(1, n):
-                yield RelationInstance(
-                    5, name, (i,),
-                    word(n, (tau(i), sigma(i))),
-                    word(n, (sigma(i), tau(i))),
-                )
-        elif family == 6:
-            for i in range(1, n - 1):
-                yield RelationInstance(
-                    6, name, (i,),
-                    word(n, (sigma(i), sigma(i + 1), tau(i))),
-                    word(n, (tau(i + 1), sigma(i), sigma(i + 1))),
-                )
-        elif family == 7:
-            for i in range(1, n - 1):
-                yield RelationInstance(
-                    7, name, (i,),
-                    word(n, (sigma(i + 1), sigma(i), tau(i + 1))),
-                    word(n, (tau(i), sigma(i + 1), sigma(i))),
-                )
+    """All instances of the seven defining relation families of SM_n at
+    strand count n: those of B_n, then families 3 to 7."""
+    yield from braid_relations(n)
+    for i, j in _far_pairs(n):
+        yield _relation(n, 3, (i, j), (tau(i), tau(j)), (tau(j), tau(i)))
+    for i, j in itertools.permutations(range(1, n), 2):
+        if abs(i - j) >= 2:
+            yield _relation(n, 4, (i, j), (tau(i), sigma(j)), (sigma(j), tau(i)))
+    for i in range(1, n):
+        yield _relation(n, 5, (i,), (tau(i), sigma(i)), (sigma(i), tau(i)))
+    for i in range(1, n - 1):
+        yield _relation(n, 6, (i,), (sigma(i), sigma(i + 1), tau(i)), (tau(i + 1), sigma(i), sigma(i + 1)))
+    for i in range(1, n - 1):
+        yield _relation(n, 7, (i,), (sigma(i + 1), sigma(i), tau(i + 1)), (tau(i), sigma(i + 1), sigma(i)))

@@ -140,18 +140,26 @@ def test_matrix_rep_from_images_validates():
     assert len(set(powers)) == 8
 
     bad = Matrix([[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        matrix_rep_from_images(3, [bad, Matrix([[2, 0], [0, 1]])])  # braid relation fails
+    with pytest.raises(ValueError, match=r"relation \(1\) braid \(1,\) fails on the images: 's1 s2 s1' vs 's2 s1 s2'"):
+        matrix_rep_from_images(3, [bad, Matrix([[2, 0], [0, 1]])])
     with pytest.raises(ValueError):
         matrix_rep_from_images(2, [Matrix([[1, 1], [1, 1]])])  # singular
 
 
 def test_far_commutation_checked():
-    # n=4 with a deliberately non-commuting far pair must be rejected
+    # n=4 with a deliberately non-commuting far pair must be rejected; with
+    # the identity in the middle, the braid relation at (1, 2) fails first
     a = Matrix([[1, 1], [0, 1]])
     b = Matrix([[1, 0], [1, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"relation \(1\) braid \(1,\) fails"):
         matrix_rep_from_images(4, [a, Matrix.identity(2), b])
+    # the transpositions (2 3), (1 2), (1 3) satisfy both braid relations,
+    # but (2 3) and (1 3) do not commute
+    p23 = Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    p12 = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    p13 = Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    with pytest.raises(ValueError, match=r"relation \(2\) sigma far commutation \(1, 3\) fails on the images: 's1 s3' vs 's3 s1'"):
+        matrix_rep_from_images(4, [p23, p12, p13])
 
 
 def test_cyclic_rep_images():

@@ -8,7 +8,9 @@ random rational parameters.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from smbraid.reps import burau_unreduced, permutation_rep, rep_eval
 from smbraid.words import (
     BraidWord,
     SMWord,
+    braid_relations,
     conjugate,
     decompose_tau_blocks,
     defining_relations,
@@ -112,6 +115,48 @@ def test_invariants_agree_on_all_relations(n):
         assert tau_count(inst.lhs) == tau_count(inst.rhs)
         assert sigma_exponent_sum(inst.lhs) == sigma_exponent_sum(inst.rhs)
         assert permutation_image(inst.lhs) == permutation_image(inst.rhs)
+
+
+def test_defining_relations_at_n4():
+    got = [(i.family, i.name, i.indices, i.lhs.text(), i.rhs.text()) for i in defining_relations(4)]
+    assert got == [
+        (1, "braid", (1,), "s1 s2 s1", "s2 s1 s2"),
+        (1, "braid", (2,), "s2 s3 s2", "s3 s2 s3"),
+        (2, "sigma far commutation", (1, 3), "s1 s3", "s3 s1"),
+        (3, "tau far commutation", (1, 3), "t1 t3", "t3 t1"),
+        (4, "tau-sigma far commutation", (1, 3), "t1 s3", "s3 t1"),
+        (4, "tau-sigma far commutation", (3, 1), "t3 s1", "s1 t3"),
+        (5, "tau-sigma same-index commutation", (1,), "t1 s1", "s1 t1"),
+        (5, "tau-sigma same-index commutation", (2,), "t2 s2", "s2 t2"),
+        (5, "tau-sigma same-index commutation", (3,), "t3 s3", "s3 t3"),
+        (6, "left slide", (1,), "s1 s2 t1", "t2 s1 s2"),
+        (6, "left slide", (2,), "s2 s3 t2", "t3 s2 s3"),
+        (7, "right slide", (1,), "s2 s1 t2", "t1 s2 s1"),
+        (7, "right slide", (2,), "s3 s2 t3", "t2 s3 s2"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        (2, {5: 1}),
+        (3, {1: 1, 5: 2, 6: 1, 7: 1}),
+        (4, {1: 2, 2: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 2}),
+        (5, {1: 3, 2: 3, 3: 3, 4: 6, 5: 4, 6: 3, 7: 3}),
+        (6, {1: 4, 2: 6, 3: 6, 4: 12, 5: 5, 6: 4, 7: 4}),
+    ],
+)
+def test_defining_relation_counts_per_family(n, counts):
+    assert Counter(i.family for i in defining_relations(n)) == counts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_braid_relations_are_the_tau_free_prefix(n):
+    relations = list(defining_relations(n))
+    prefix = list(itertools.takewhile(lambda i: i.lhs.is_braid and i.rhs.is_braid, relations))
+    assert list(braid_relations(n)) == prefix
+    # every later instance has a tau letter on both sides
+    assert not any(i.lhs.is_braid or i.rhs.is_braid for i in relations[len(prefix) :])
 
 
 def test_relation_6_preserves_tau_count():
