@@ -1,6 +1,6 @@
 """Per-layer micro-timings of smbraid, written to BENCH_<label>.json.
 
-    python3 bench/layers.py --label NAME [--out DIR] [--append]
+    python3 bench/layers.py --label NAME [--out DIR]
 
 Times a few fixed operations of six layers with `timeit`, importing smbraid
 from the `src` directory next to this script's parent:
@@ -33,8 +33,10 @@ as well, and the repeat's time per operation is divided by the kernel's time
 per call.  A run records, per operation, the median of those ratios and their
 quartiles, the median and minimum time in microseconds, the loop length and
 the kernel's median time; and the kernel's loop length.  The file holds a
-list of runs, with the Python version, platform and CPU count; `--append`
-adds a run to an existing file of the same label instead of replacing it.
+list of runs, with the Python version, platform and CPU count, and each run
+is added to the file of its label (a file in the older one-run layout, with
+`ops` at the top, is read as its first run); delete the file to start a
+label afresh.
 Host speed drifts by tens of percent between runs, and even the ratios move
 by about 15% from one run to the next, so compare two trees by several runs
 each, taken alternately on the same machine, and by their spread as well as
@@ -135,16 +137,16 @@ def main() -> None:
     ap = argparse.ArgumentParser(description="per-layer micro-timings of smbraid")
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     ap.add_argument("--out", default=os.path.dirname(os.path.abspath(__file__)), help="output directory")
-    ap.add_argument("--append", action="store_true", help="add this run to an existing file of the same label")
     args = ap.parse_args()
     ref = timeit.Timer(kernel)
     ref_loop, _ = ref.autorange()
     ops = {name: time_op(fn, ref, ref_loop) for name, fn in operations().items()}
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     runs = []
-    if args.append and os.path.exists(path):
+    if os.path.exists(path):
         with open(path) as fh:
-            runs = json.load(fh)["runs"]
+            old = json.load(fh)
+        runs = old["runs"] if "runs" in old else [{"ref_loop": old.get("ref_loop"), "ops": old["ops"]}]
     runs.append({"ref_loop": ref_loop, "ops": ops})
     doc = {
         "label": args.label,

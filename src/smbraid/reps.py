@@ -134,18 +134,19 @@ def rep_eval(rep: BraidRep | Extension, w: SMWord) -> AlgebraElement:
 
     `rep` is anything with `n`, `one()` and a `letters` table: a `BraidRep`,
     whose table holds braid letters only, so a tau letter is an error, or a
-    `phi.Extension`, whose table holds the tau images as well.
+    `phi.Extension`, whose table holds the tau images as well.  The fold
+    starts from the first letter's image; the empty word maps to `one()`.
     """
     if w.n != rep.n:
         raise ValueError(f"word has n={w.n}, representation has n={rep.n}")
     letters = rep.letters
-    acc = rep.one()
+    acc = None
     for letter in w:
         image = letters.get(letter)
         if image is None:
             raise ValueError("rep_eval is defined on braid words only (no tau letters)")
-        acc = acc * image
-    return acc
+        acc = image if acc is None else acc * image
+    return rep.one() if acc is None else acc
 
 
 # --- shipped representations ---------------------------------------------------

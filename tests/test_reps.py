@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from smbraid.phi import Extension, PhiParams
 from smbraid.scalars import T
-from smbraid.words import braid_letters, empty_word, parse_word, sigma_power
+from smbraid.words import SMWord, braid_letters, empty_word, parse_word, sigma_power, tau
 
 
 def test_burau_unreduced_generator_matrix():
@@ -115,10 +115,22 @@ def test_rep_eval_free_cancellation():
     assert rep_eval(rep, parse_word("s1 S1", 2)).is_identity()
 
 
+def test_rep_eval_empty_and_one_letter_words():
+    rep = burau_unreduced(3)
+    ext = Extension(rep, PhiParams.of(T, Fraction(-1, 2), 3))
+    for target in (rep, ext):
+        assert rep_eval(target, empty_word(3)) == target.one()
+    for letter in braid_letters(3):
+        assert rep_eval(rep, SMWord(3, (letter,))) == rep.letters[letter]
+    assert rep_eval(ext, SMWord(3, (tau(2),))) == ext.letters[tau(2)]
+
+
 def test_rep_eval_rejects_tau_and_wrong_n():
     rep = burau_unreduced(3)
     with pytest.raises(ValueError):
         rep_eval(rep, parse_word("t1", 3))
+    with pytest.raises(ValueError):
+        rep_eval(rep, parse_word("s1 t1", 3))
     with pytest.raises(ValueError):
         rep_eval(rep, parse_word("s1", 2))
 
