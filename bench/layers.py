@@ -19,10 +19,14 @@ from the `src` directory next to this script's parent:
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
   `Extension(burau_unreduced(4), params)`, the extension's table built once;
 * analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
-  path, which builds its own extension;
-* cli: two whole in-process CLI calls, `cli.main([..., "--json"])` with
+  path, which builds its own extension; the `SM_2` kernel grid (p <= 6,
+  |q| <= 12) of sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of
+  `prop8`; and `scalar_kernel_hits` for the character d = 2 (p <= 4,
+  |q| <= 8), the route of acceptance criterion 7;
+* cli: three whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
-  the same n = 4 Burau representation and parameters as above.  They cover
+  the same n = 4 Burau representation and parameters as above, and a
+  `kernel2` query on the scalar character 3/2.  They cover
   argument parsing and representation selection as well as the algebra, but
   not interpreter start-up, which `perfbench/run.py` reports as `setup_s`.
 
@@ -62,8 +66,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from refkernel import kernel  # noqa: E402
 from smbraid import cli  # noqa: E402
+from smbraid.algebra import Matrix  # noqa: E402
+from smbraid.analysis import kernel_search_sm2, scalar_kernel_hits  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations  # noqa: E402
-from smbraid.reps import as_formal, burau_reduced, burau_unreduced, rep_eval  # noqa: E402
+from smbraid.reps import as_formal, burau_reduced, burau_unreduced, matrix_rep_from_images, rep_eval  # noqa: E402
 from smbraid.scalars import T, LaurentPoly  # noqa: E402
 from smbraid.words import parse_word  # noqa: E402
 
@@ -91,6 +97,8 @@ def operations() -> dict:
     oracle = Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
     u = rep_eval(oracle, parse_word("t1 s2 t2 S1", 3))
     v = rep_eval(oracle, parse_word("s1 t2 S2 t1", 3))
+    rational2 = matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])])
+    grid_params = PhiParams.of(1, 2, 1)
     return {
         "scalars.laurent_mul_6": lambda: x * y,
         "scalars.laurent_add_6": lambda: x + y,
@@ -103,9 +111,14 @@ def operations() -> dict:
         "reps.burau_unreduced4": lambda: burau_unreduced(4),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
+        "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
+        "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, Fraction(2), 4, 8),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]
+        ),
+        "cli.main_kernel2_scalar": cli_call(
+            ["kernel2", "--rep", "scalar:3/2", "--a=1/2", "--b=-1", "--c=2", "--json"]
         ),
     }
 

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Iterator
 
 from .algebra import AlgebraElement, Matrix
 from .phi import Extension, PhiParams, tau_power_expand
@@ -263,37 +266,43 @@ def _hit_order(hit: tuple[int, int]) -> tuple[int, int, int]:
     return (p, abs(q), 0 if q > 0 else 1)
 
 
+def _powers(x: AlgebraElement, k: int) -> Iterator[AlgebraElement]:
+    """x, x^2, ..., x^k, streamed: one product per power after the first."""
+    return accumulate(repeat(x, k), mul)
+
+
 def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) -> KernelReport:
     """All (p, q) in bounds with Phi(tau_1^p sigma_1^q) equal to the identity.
 
     The p = 0 row (q != 0) is scanned as well: any hit there is a braid word
     in the kernel and flags an unfaithful rho.  The trivial pair (0, 0) is
-    never reported.  The scan visits the grid in hit order: by p, then |q|,
-    positive q first.
+    never reported.
+
+    A cell is a hit iff its row head tau_1^p equals sigma_1^-q: the images of
+    sigma_1 and sigma_1^-1 are two-sided inverses (matrices over a domain,
+    the commutative cyclic algebra, single group elements).  So the p_max + 1
+    heads are computed once and held, keyed by image, and sigma_1^q and
+    sigma_1^-q are streamed for q = 1..q_max with one lookup each: at most
+    p_max + 2*q_max products and no identity test.  Several p share a head
+    when tau_1 has finite image order.  The hits are sorted into hit order,
+    by p, then |q|, positive q first, rather than scanned in it.
     """
     if rep.n != 2:
         raise ValueError(f"SM_2 kernel search needs n=2, got n={rep.n}")
     if p_max < 0 or q_max < 0:
         raise ValueError("bounds must be nonnegative")
-    s_img = rep.image(1)
-    s_inv = rep.image_inv(1)
+    one = rep.one()
     t_img = Extension(rep, params).letters[tau(1)]
+    rows: dict[AlgebraElement, list[int]] = {one: [0]}
+    for p, head in enumerate(_powers(t_img, p_max), start=1):
+        rows.setdefault(head, []).append(p)
 
-    hits = []
-    head = rep.one()
-    for p in range(p_max + 1):
-        if p:
-            head = head * t_img
-        if head.is_identity() and p != 0:
-            hits.append((p, 0))
-        pos = neg = head
-        for q in range(1, q_max + 1):
-            pos = pos * s_img
-            neg = neg * s_inv
-            if pos.is_identity():
-                hits.append((p, q))
-            if neg.is_identity():
-                hits.append((p, -q))
+    hits = [(p, 0) for p in rows[one] if p]
+    powers = zip(_powers(rep.image(1), q_max), _powers(rep.image_inv(1), q_max))
+    for q, (pos, neg) in enumerate(powers, start=1):
+        hits.extend((p, q) for p in rows.get(neg, ()))
+        hits.extend((p, -q) for p in rows.get(pos, ()))
+    hits.sort(key=_hit_order)
 
     minimal = next((h for h in hits if h[0] >= 1), None)
     report = KernelReport(p_max, q_max, tuple(hits), minimal, None)
@@ -325,13 +334,7 @@ def nonscalar_power_check(rep: BraidRep, s_max: int) -> bool:
         raise ValueError(f"scalar-power check needs the matrix backend, got {rep.backend!r}")
     if s_max < 0:
         raise ValueError("bounds must be nonnegative")
-    m: Matrix = rep.image(1)
-    acc = Matrix.identity(m.dim)
-    for _ in range(s_max):
-        acc = acc * m
-        if acc.scalar_multiple_of_identity() is not None:
-            return False
-    return True
+    return all(acc.scalar_multiple_of_identity() is None for acc in _powers(rep.image(1), s_max))
 
 
 def scalar_kernel_hits(params: PhiParams, d: ScalarValue | int, p_max: int, q_max: int) -> tuple[tuple[int, int], ...]:
@@ -343,9 +346,9 @@ def scalar_kernel_hits(params: PhiParams, d: ScalarValue | int, p_max: int, q_ma
         raise ValueError("bounds must be nonnegative")
     hits = []
     for p in range(1, p_max + 1):
-        for q in range(-q_max, q_max + 1):
-            if tau_power_expand(params, d, p, q) == 1:
-                hits.append((p, q))
+        # row * d**q == 1 iff row == d**-q, as d is a unit
+        row = tau_power_expand(params, d, p, 0)
+        hits.extend((p, q) for q in range(-q_max, q_max + 1) if row == d**-q)
     return tuple(sorted(hits, key=_hit_order))
 
 
@@ -376,9 +379,7 @@ def compare_matrix_cyclic_kernels(
         raise ValueError("need s >= 1")
     if m.scalar_multiple_of_identity() is not None:
         raise ValueError("generator image is already scalar; use a scalar character instead")
-    acc = Matrix.identity(m.dim)
-    for k in range(1, s + 1):
-        acc = acc * m
+    for k, acc in enumerate(_powers(m, s), start=1):
         scalar = acc.scalar_multiple_of_identity()
         if k < s and scalar is not None:
             raise ValueError(f"m**{k} is already scalar; s={s} is not minimal")

@@ -7,6 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_braid_word
 from smbraid import analysis, reps, words
@@ -27,7 +29,7 @@ from smbraid.analysis import (
     unit_power_witness,
     verify_cyclic_structure,
 )
-from smbraid.phi import Extension, PhiParams
+from smbraid.phi import Extension, PhiParams, tau_power_expand
 from smbraid.reps import (
     as_formal,
     burau_reduced,
@@ -343,6 +345,107 @@ def test_kernel_hits_closed_under_addition():
                 assert (p1 + p2, q1 + q2) in hits
 
 
+def grid_reference(rep, params, p_max, q_max):
+    """The grid cell by cell, in hit order: each row head tau_1^p times
+    sigma_1^q and sigma_1^-q, each cell tested with is_identity()."""
+    s, s_inv, one = rep.image(1), rep.image_inv(1), rep.one()
+    t = s.scale(params.a) + s_inv.scale(params.b) + one.scale(params.c)
+    hits = []
+    head = one
+    for p in range(p_max + 1):
+        if p:
+            head = head * t
+        if p and head.is_identity():
+            hits.append((p, 0))
+        pos = neg = head
+        for q in range(1, q_max + 1):
+            pos = pos * s
+            neg = neg * s_inv
+            if pos.is_identity():
+                hits.append((p, q))
+            if neg.is_identity():
+                hits.append((p, -q))
+    return tuple(hits)
+
+
+GRID_TRIPLES = [
+    PhiParams.of(1, 0, 0),
+    PhiParams.of(0, 0, 0),
+    PhiParams.of(2, 0, 0),
+    PhiParams.of(1, 0, -3),
+    PhiParams.of(1, -1, 0),
+    PhiParams.of(0, 0, 1),
+    PhiParams.of(Fraction(1, 2), -1, 2),
+]
+GRID_BOUNDS = [(0, 0), (0, 5), (4, 0), (4, 8)]
+
+
+def grid_reps():
+    yield from (scalar_char(d, 2) for d in (2, 1, -1, T))
+    yield permutation_rep(2)
+    yield burau_reduced(2)
+    yield burau_unreduced(2)
+    yield as_formal(burau_unreduced(2))
+    yield from (cyclic_rep(s, ds) for s, ds in ((1, 2), (2, -1), (3, 1), (4, T)))
+
+
+def test_kernel_search_matches_cell_by_cell_grid():
+    for rep in grid_reps():
+        for params in GRID_TRIPLES:
+            for p_max, q_max in GRID_BOUNDS:
+                expected = grid_reference(rep, params, p_max, q_max)
+                assert kernel_search_sm2(rep, params, p_max, q_max).hits == expected, (rep.name, params.text())
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([Fraction(2), Fraction(-1, 2), Fraction(3, 2), Fraction(-1), Fraction(1)]),
+    a=small_rationals,
+    b=small_rationals,
+    c=small_rationals,
+    k=st.sampled_from([None, -2, -1, 1, 2]),
+    p_max=st.integers(0, 4),
+    q_max=st.integers(0, 8),
+)
+def test_kernel_search_matches_cell_by_cell_grid_property(d, a, b, c, k, p_max, q_max):
+    if k is not None:
+        # plant a d + b d^-1 + c = d^-k, so tau^p sigma^(k p) maps to 1
+        c = d**-k - a * d - b / d
+    rep, params = scalar_char(d, 2), PhiParams.of(a, b, c)
+    expected = grid_reference(rep, params, p_max, q_max)
+    assert kernel_search_sm2(rep, params, p_max, q_max).hits == expected
+    if k is not None and 1 <= p_max and abs(k) <= q_max:
+        assert (1, k) in expected
+
+
+def test_kernel_search_dense_grid_in_hit_order():
+    # tau -> sigma -> 1: every cell but (0, 0) is a hit
+    rep, params = scalar_char(1, 2), PhiParams.of(1, 0, 0)
+    assert kernel_search_sm2(rep, params, 1, 2).hits == (
+        (0, 1), (0, -1), (0, 2), (0, -2),
+        (1, 0), (1, 1), (1, -1), (1, 2), (1, -2),
+    )
+    report = kernel_search_sm2(rep, params, 6, 12)
+    expected = [(p, sq) for p in range(7) for q in range(13) for sq in ((q, -q) if q else (0,)) if (p, sq) != (0, 0)]
+    assert report.hits == tuple(expected)
+    assert report.minimal_generator == (1, 0)
+    assert report.cyclic_structure_verified is False
+
+
+def test_kernel_search_repeated_heads():
+    # tau -> sigma has order 2 in S_2: rows 0, 2, 4 share a head, as do 1, 3
+    assert kernel_search_sm2(permutation_rep(2), PhiParams.of(1, 0, 0), 4, 2).hits == (
+        (0, 2), (0, -2),
+        (1, 1), (1, -1),
+        (2, 0), (2, 2), (2, -2),
+        (3, 1), (3, -1),
+        (4, 0), (4, 2), (4, -2),
+    )
+
+
 def test_verify_cyclic_structure():
     ok = KernelReport(6, 12, ((1, -2), (2, -4), (3, -6)), (1, -2), None)
     assert verify_cyclic_structure(ok)
@@ -394,6 +497,19 @@ def test_scalar_criterion_agrees_with_kernel_search():
             report = kernel_search_sm2(scalar_char(d, 2), params, 4, 6)
             assert hits == tuple(h for h in report.hits if h[0] >= 1)
             assert scalar_kernel_criterion(params, d, 4, 6) == report.minimal_generator
+
+
+def test_scalar_kernel_hits_match_per_cell_expansion():
+    rng = random.Random(53)
+    triples = [PhiParams.of(2, 0, 0), PhiParams.of(1, 0, -3)] + [
+        PhiParams.of(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))) for _ in range(4)
+    ]
+    for params in triples:
+        for d in (Fraction(2), Fraction(1, 2), Fraction(-1), -T):
+            expected = tuple(
+                (p, q) for p in range(1, 4) for q in range(-6, 7) if tau_power_expand(params, d, p, q) == 1
+            )
+            assert scalar_kernel_hits(params, d, 3, 6) == tuple(sorted(expected, key=analysis._hit_order))
 
 
 # --- matrix vs cyclic comparison -------------------------------------------------------
