@@ -6,7 +6,8 @@ Times a few fixed operations of six layers with `timeit`, importing smbraid
 from the `src` directory next to this script's parent:
 
 * scalars: a product and a sum of two 6-term Laurent polynomials with
-  rational coefficients, and a product of two Fractions;
+  rational coefficients, and a product and a sum of two rational constants
+  (3/2 and -4/3, as the scalar values `as_scalar` makes of them);
 * algebra: a 4x4 unreduced Burau product (the image of a 6-letter word times
   a generator image, as in a word fold), the algebra of one tau image
   a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation (two
@@ -21,8 +22,10 @@ from the `src` directory next to this script's parent:
 * analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
   path, which builds its own extension; the `SM_2` kernel grid (p <= 6,
   |q| <= 12) of sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of
-  `prop8`; and `scalar_kernel_hits` for the character d = 2 (p <= 4,
-  |q| <= 8), the route of acceptance criterion 7;
+  `prop8`; `scalar_kernel_hits` for the character d = 2 (p <= 4,
+  |q| <= 8), the route of acceptance criterion 7; and the witness walk of
+  `find_scalar_witness` on `burau_unreduced(3)` (mode a00, value 2, s <= 4,
+  words of length <= 6), which multiplies and hashes Laurent matrices;
 * cli: three whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, and a
@@ -67,10 +70,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from refkernel import kernel  # noqa: E402
 from smbraid import cli  # noqa: E402
 from smbraid.algebra import Matrix  # noqa: E402
-from smbraid.analysis import kernel_search_sm2, scalar_kernel_hits  # noqa: E402
+from smbraid.analysis import find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations  # noqa: E402
 from smbraid.reps import as_formal, burau_reduced, burau_unreduced, matrix_rep_from_images, rep_eval  # noqa: E402
-from smbraid.scalars import T, LaurentPoly  # noqa: E402
+from smbraid.scalars import T, LaurentPoly, as_scalar  # noqa: E402
 from smbraid.words import parse_word  # noqa: E402
 
 REPEATS = 7
@@ -87,7 +90,7 @@ def cli_call(argv: list[str]):
 def operations() -> dict:
     x = LaurentPoly({e: Fraction(3 * e + 1, 4) for e in range(-2, 4)})
     y = LaurentPoly({e: Fraction(2 * e - 5, 3) for e in range(-3, 3)})
-    p, q = Fraction(-7, 12), Fraction(5, 18)
+    p, q = as_scalar(Fraction(3, 2)), as_scalar(Fraction(-4, 3))
     rep = burau_unreduced(4)
     word = rep_eval(rep, parse_word("s1 s2 S3 s1 s2 s3", 4))
     step = rep.image(2)
@@ -99,10 +102,12 @@ def operations() -> dict:
     v = rep_eval(oracle, parse_word("s1 t2 S2 t1", 3))
     rational2 = matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])])
     grid_params = PhiParams.of(1, 2, 1)
+    walk_rep = burau_unreduced(3)
     return {
         "scalars.laurent_mul_6": lambda: x * y,
         "scalars.laurent_add_6": lambda: x + y,
-        "scalars.fraction_mul": lambda: p * q,
+        "scalars.const_mul": lambda: p * q,
+        "scalars.const_add": lambda: p + q,
         "algebra.burau4_mul": lambda: word * step,
         "algebra.tau_image_burau4": lambda: (
             rep.image(2).scale(params.a) + rep.image_inv(2).scale(params.b) + rep.one().scale(params.c)
@@ -113,6 +118,7 @@ def operations() -> dict:
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, Fraction(2), 4, 8),
+        "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, "a00", 2, 4, 6),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]

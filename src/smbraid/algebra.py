@@ -26,9 +26,10 @@ from .scalars import ONE, ZERO, ScalarValue, as_scalar, format_scalar, is_unit
 
 
 class Matrix:
-    """Immutable square matrix of exact scalars."""
+    """Immutable square matrix of exact scalars.  Its hash is computed on
+    first use and kept."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[ScalarValue | int]]):
         normalized = tuple(tuple(as_scalar(entry) for entry in row) for row in rows)
@@ -144,7 +145,12 @@ class Matrix:
         return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.rows)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"Matrix({self.text()})"
@@ -256,11 +262,12 @@ class FormalElement:
     def __init__(self, identity: Permutation | Matrix, terms: Iterable[tuple[object, ScalarValue | int]] = ()):
         coeffs: dict[object, ScalarValue] = {}
         for g, c in terms:
-            acc = coeffs[g] + c if g in coeffs else as_scalar(c)
-            if acc == 0:
-                coeffs.pop(g, None)
-            else:
+            old = coeffs.get(g)
+            acc = as_scalar(c) if old is None else old + c
+            if acc:
                 coeffs[g] = acc
+            elif old is not None:
+                del coeffs[g]
         self.identity = identity
         self.coeffs = coeffs
 

@@ -20,6 +20,8 @@ under a scalar character d by multinomial expansion and by direct powering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 from .algebra import AlgebraElement
 from .reps import BraidRep, rep_eval
@@ -134,13 +136,19 @@ def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) ->
         raise ValueError("need p >= 0")
     if not is_unit(d):
         raise ValueError(f"need a unit d, got {format_scalar(d)}")
+    a_pow, b_pow, c_pow = (_powers(x, p) for x in (params.a, params.b, params.c))
     total: ScalarValue = ZERO
     for i in range(p + 1):
         for j in range(p - i + 1):
             k = p - i - j
             coeff = multinomial_coeff(p, i, j, k)
-            total = total + coeff * (params.a**i * params.b**j) * (params.c**k * d ** (i - j + q))
+            total = total + coeff * (a_pow[i] * b_pow[j]) * (c_pow[k] * d ** (i - j + q))
     return total
+
+
+def _powers(x: ScalarValue, p: int) -> list[ScalarValue]:
+    """[x**0, x**1, ..., x**p]."""
+    return list(accumulate(repeat(x, p), mul, initial=ONE))
 
 
 def tau_power_direct(params: PhiParams, d: ScalarValue | int, p: int, q: int) -> ScalarValue:

@@ -1,34 +1,39 @@
 """Exact scalar arithmetic over Q[t, t^-1].
 
-Scalars are rationals (``fractions.Fraction``) and Laurent polynomials in a
-single variable ``t`` with rational coefficients: one ring in two flavours.
-Every operation is exact; there is no floating point anywhere.
+Every scalar is a ``LaurentPoly``: a Laurent polynomial in one variable ``t``
+with rational coefficients, stored as integer numerators over one
+denominator.  Constants are ``LaurentPoly`` values too, so there is one
+scalar type; every operation is exact and there is no floating point
+anywhere.
 
-A ``LaurentPoly`` keeps integer numerators over one denominator: a lowest
-exponent, the tuple of numerators from there up, and a positive denominator
-that shares no factor with all the numerators together.  A product is one
-integer convolution and one ``gcd``; a sum puts both sides on a common
-denominator and aligns the exponents.
+The stored triple is canonical: a lowest exponent, the tuple of numerators
+from there up, and a positive denominator that shares no factor with all the
+numerators together.  A constant ``n/den`` is ``(0, (n,), den)`` and zero is
+``(0, (), 1)``.  A product is one integer convolution and one ``gcd``; a sum
+puts both sides on a common denominator and aligns the exponents.  A product
+of two one-term values, or a sum of two at the same exponent, is one integer
+product or sum and one ``gcd``.
 
-The canonical form of a scalar is a ``Fraction`` whenever the value is
-constant, and a ``LaurentPoly`` otherwise.  ``LaurentPoly`` arithmetic
-(``+ - * **`` with ``int``, ``Fraction`` or ``LaurentPoly`` operands) returns
-canonical values, and ``Fraction`` arithmetic is closed already, so callers
-use plain operators and equality and hashing are reliable across the two
-flavours.  ``as_scalar`` is the coercion at the boundary: it turns ``int``
-inputs and constant ``LaurentPoly`` values into canonical form (a negative
-power of a plain ``int`` would be a float).
+``LaurentPoly`` arithmetic (``+ - * **`` with ``int``, ``Fraction`` or
+``LaurentPoly`` operands) returns canonical ``LaurentPoly`` values.
+``fractions.Fraction`` is accepted at the boundary, as an operand, in
+comparisons, by ``as_scalar`` and by the constructor, and ``items()`` yields
+``Fraction`` coefficients, but no operation returns one.  A constant equals
+and hashes like the ``int`` or ``Fraction`` of the same value.  ``as_scalar``
+is the coercion at the boundary (a negative power of a plain ``int`` would be
+a float).
 
 Units of Q[t, t^-1] are exactly the nonzero monomials c*t^k; ``x ** -1`` and
-other negative powers are only defined for those (and for nonzero rationals).
+other negative powers are only defined for those.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterator, Sequence, Union
+from typing import Iterator
 
 
 class LaurentPoly:
@@ -77,15 +82,14 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._nums or (self._low == 0 and len(self._nums) == 1)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return Fraction(self._nums[0], self._den) if self._nums else ZERO
-
     def is_unit(self) -> bool:
         return len(self._nums) == 1
 
-    def __add__(self, other: object) -> ScalarValue:
+    def __add__(self, other: object) -> LaurentPoly:
+        if type(other) is LaurentPoly:
+            return _sum(self._low, self._nums, self._den, other._low, other._nums, other._den, 1)
+        if type(other) is int:
+            return _sum(self._low, self._nums, self._den, 0, (other,) if other else (), 1, 1)
         parts = _parts(other)
         if parts is None:
             return NotImplemented
@@ -93,27 +97,43 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> ScalarValue:
-        return _make(self._low, [-n for n in self._nums], self._den)
+    def __neg__(self) -> LaurentPoly:
+        return _new(self._low, tuple([-n for n in self._nums]), self._den)
 
-    def __sub__(self, other: object) -> ScalarValue:
+    def __sub__(self, other: object) -> LaurentPoly:
+        if type(other) is LaurentPoly:
+            return _sum(self._low, self._nums, self._den, other._low, other._nums, other._den, -1)
         parts = _parts(other)
         if parts is None:
             return NotImplemented
         return _sum(self._low, self._nums, self._den, *parts, -1)
 
-    def __rsub__(self, other: object) -> ScalarValue:
+    def __rsub__(self, other: object) -> LaurentPoly:
         parts = _parts(other)
         if parts is None:
             return NotImplemented
         return _sum(*parts, self._low, self._nums, self._den, -1)
 
-    def __mul__(self, other: object) -> ScalarValue:
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        low, b, den = parts
+    def __mul__(self, other: object) -> LaurentPoly:
+        if type(other) is LaurentPoly:
+            low, b, den = other._low, other._nums, other._den
+        elif type(other) is int:
+            low, b, den = 0, (other,) if other else (), 1
+        else:
+            parts = _parts(other)
+            if parts is None:
+                return NotImplemented
+            low, b, den = parts
         a = self._nums
+        if len(a) == 1 and len(b) == 1:
+            # one term times one term: one integer product and one gcd
+            n = a[0] * b[0]
+            den *= self._den
+            g = gcd(n, den)
+            if g != 1:
+                n //= g
+                den //= g
+            return _new(self._low + low, (n,), den)
         if not a or not b:
             return ZERO
         out = [0] * (len(a) + len(b) - 1)
@@ -125,18 +145,19 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> ScalarValue:
+    def __pow__(self, e: int) -> LaurentPoly:
         """Exact power, with x**0 == 1; negative exponents require a unit."""
-        if self.is_unit():
+        if len(self._nums) == 1:
+            # (n/den)**e is in lowest terms as n/den is
             (n,) = self._nums
             num, den = (n**e, self._den**e) if e >= 0 else (self._den**-e, n**-e)
             if den < 0:
                 num, den = -num, -den
-            return _make(self._low * e, [num], den)
+            return _new(self._low * e, (num,), den)
         if e < 0:
             raise ValueError(f"negative power of a non-unit: {self}")
-        acc: ScalarValue = ONE
-        base: ScalarValue = self
+        acc = ONE
+        base = self
         while e:
             if e & 1:
                 acc = acc * base
@@ -145,27 +166,31 @@ class LaurentPoly:
         return acc
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self._low == other._low and self._nums == other._nums and self._den == other._den
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
-        return NotImplemented
+        if type(other) is LaurentPoly:
+            return self._nums == other._nums and self._low == other._low and self._den == other._den
+        if type(other) is int:
+            nums = self._nums
+            if not other:
+                return not nums
+            return len(nums) == 1 and nums[0] == other and self._den == 1 and not self._low
+        parts = _parts(other)
+        if parts is None:
+            return NotImplemented
+        return (self._low, self._nums, self._den) == parts
 
     def __hash__(self) -> int:
-        # Constant polynomials must hash like their Fraction value; the others
-        # hash like the tuple of their (exponent, Fraction coefficient) pairs in
-        # ascending order.  hash(Fraction(n)) == hash(n), so an integer
-        # numerator stands for itself when the denominator is 1.
-        if self.is_constant():
-            return hash(self.constant_value())
-        low, den = self._low, self._den
-        return hash(
-            tuple(
-                (low + i, n if den == 1 else Fraction(n, den))
-                for i, n in enumerate(self._nums)
-                if n
-            )
-        )
+        # A constant hashes like its int or Fraction value.  Any other value
+        # hashes like the tuple of its (exponent, Fraction coefficient) pairs
+        # in ascending order; a tuple's hash depends only on the hashes of its
+        # items, and each coefficient's hash is an int that hashes to itself.
+        low, nums, den = self._low, self._nums, self._den
+        if not low and len(nums) <= 1:
+            if not nums:
+                return 0
+            return hash(nums[0]) if den == 1 else _fraction_hash(nums[0], den)
+        if den == 1:
+            return hash(tuple([(e, n) for e, n in enumerate(nums, low) if n]))
+        return hash(tuple([(e, _fraction_hash(n, den)) for e, n in enumerate(nums, low) if n]))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_scalar(self)!r})"
@@ -174,10 +199,35 @@ class LaurentPoly:
         return format_scalar(self)
 
 
-ScalarValue = Union[Fraction, LaurentPoly]
+# The one scalar type; the name is kept for annotations.
+ScalarValue = LaurentPoly
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _fraction_hash(n: int, den: int) -> int:
+    """hash(Fraction(n, den)) for n/den in lowest terms, den > 0, computed
+    as Fraction.__hash__ does, without building the Fraction."""
+    try:
+        h = hash(hash(abs(n)) * pow(den, -1, _HASH_MODULUS))
+    except ValueError:  # den is a multiple of the modulus
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _new(low: int, nums: tuple[int, ...], den: int) -> LaurentPoly:
+    """A LaurentPoly holding a triple that is canonical already."""
+    poly = object.__new__(LaurentPoly)
+    poly._low = low
+    poly._nums = nums
+    poly._den = den
+    return poly
+
+
+ZERO = _new(0, (), 1)
+ONE = _new(0, (1,), 1)
+T = _new(1, (1,), 1)
 
 # Longest exponent range a LaurentPoly may span.  The numerators are stored
 # densely, so a sum such as 1 + t^(10**12) would otherwise allocate one slot per
@@ -190,26 +240,38 @@ def _check_span(span: int) -> None:
         raise ValueError(f"Laurent polynomial spans {span} exponents, more than {MAX_SPAN}")
 
 
-def _parts(x: object) -> tuple[int, Sequence[int], int] | None:
+def _parts(x: object) -> tuple[int, tuple[int, ...], int] | None:
     """The canonical (low, nums, den) triple of an operand, or None for a
-    non-scalar."""
+    non-scalar.  The operators read LaurentPoly and int operands directly
+    first; this is their general case, for Fraction and subclasses too."""
     if isinstance(x, LaurentPoly):
         return x._low, x._nums, x._den
     if isinstance(x, Fraction):
         return 0, (x.numerator,) if x else (), x.denominator
     if isinstance(x, int):
-        return 0, (x,) if x else (), 1
+        return 0, (int(x),) if x else (), 1
     return None
 
 
 def _sum(
-    low1: int, a: Sequence[int], den1: int, low2: int, b: Sequence[int], den2: int, sign: int
-) -> ScalarValue:
-    """a/den1 + sign * b/den2, on the common denominator lcm(den1, den2)."""
+    low1: int, a: tuple[int, ...], den1: int, low2: int, b: tuple[int, ...], den2: int, sign: int
+) -> LaurentPoly:
+    """a/den1 + sign * b/den2 for canonical triples, on the common
+    denominator lcm(den1, den2)."""
+    if len(a) == 1 and len(b) == 1 and low1 == low2:
+        n = a[0] * den2 + sign * b[0] * den1
+        if not n:
+            return ZERO
+        den = den1 * den2
+        g = gcd(n, den)
+        if g != 1:
+            n //= g
+            den //= g
+        return _new(low1, (n,), den)
     if not b:
-        return _make(low1, list(a), den1)
+        return _new(low1, a, den1)
     if not a:
-        return _make(low2, [sign * n for n in b], den2)
+        return _new(low2, b if sign > 0 else tuple([-n for n in b]), den2)
     g = gcd(den1, den2)
     fa, fb = den2 // g, sign * (den1 // g)
     low = min(low1, low2)
@@ -223,10 +285,10 @@ def _sum(
     return _make(low, out, den1 // g * den2)
 
 
-def _make(low: int, nums: list[int], den: int) -> ScalarValue:
+def _make(low: int, nums: list[int], den: int) -> LaurentPoly:
     """The canonical value of sum(nums[i] * t**(low + i)) / den, for den > 0:
-    zeros trimmed from both ends, the common factor of den and the numerators
-    cancelled, and a constant returned as its Fraction."""
+    zeros trimmed from both ends and the common factor of den and the
+    numerators cancelled."""
     end = len(nums)
     while end and not nums[end - 1]:
         end -= 1
@@ -244,37 +306,24 @@ def _make(low: int, nums: list[int], den: int) -> ScalarValue:
         if g != 1:
             den //= g
             nums = [n // g for n in nums]
-    if low == 0 and len(nums) == 1:
-        return Fraction(nums[0], den)
-    poly = object.__new__(LaurentPoly)
-    poly._low = low
-    poly._nums = tuple(nums)
-    poly._den = den
-    return poly
+    return _new(low, tuple(nums), den)
 
 
-T = LaurentPoly({1: 1})
-
-
-def as_scalar(x: ScalarValue | int) -> ScalarValue:
-    """Coerce to canonical form: Fraction when constant, LaurentPoly otherwise."""
-    if isinstance(x, Fraction):
+def as_scalar(x: LaurentPoly | Fraction | int) -> LaurentPoly:
+    """Coerce an int, Fraction or LaurentPoly to its LaurentPoly value."""
+    if type(x) is LaurentPoly:
         return x
-    if isinstance(x, LaurentPoly):
-        return x.constant_value() if x.is_constant() else x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not a scalar: {x!r}")
+    parts = _parts(x)
+    if parts is None:
+        raise TypeError(f"not a scalar: {x!r}")
+    return _new(*parts)
 
 
-def is_unit(x: ScalarValue | int) -> bool:
-    x = as_scalar(x)
-    if isinstance(x, Fraction):
-        return x != 0
-    return x.is_unit()
+def is_unit(x: LaurentPoly | Fraction | int) -> bool:
+    return as_scalar(x).is_unit()
 
 
-def unit_root_order(x: ScalarValue | int) -> int | None:
+def unit_root_order(x: LaurentPoly | Fraction | int) -> int | None:
     """Smallest r >= 1 with x**r == 1, or None.
 
     Over Q the only roots of unity are 1 and -1; in Q[t, t^-1] the units are
@@ -282,16 +331,12 @@ def unit_root_order(x: ScalarValue | int) -> int | None:
     the rational case.  The decision is exact, no search bound is needed.
     """
     x = as_scalar(x)
-    if x == 0:
+    if not x:
         raise ValueError("zero has no unit order")
-    if isinstance(x, Fraction):
-        if x == 1:
-            return 1
-        if x == -1:
-            return 2
-        return None
-    # Non-constant Laurent: a monomial t^k (k != 0) has infinite order, and a
-    # non-monomial is not even a unit.
+    if x == 1:
+        return 1
+    if x == -1:
+        return 2
     return None
 
 
@@ -320,22 +365,24 @@ _TERM_RE = re.compile(
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def _rational(digits: str, text: str) -> Fraction:
-    """`digits` (a match of p or p/q inside `text`) as a Fraction."""
-    try:
-        return Fraction(digits)
-    except ZeroDivisionError:
-        raise ValueError(f"bad scalar {text!r}: zero denominator") from None
+def _rational(digits: str, text: str) -> tuple[int, int]:
+    """`digits` (a match of p or p/q inside `text`) as the integers (p, q)."""
+    p, _, q = digits.partition("/")
+    den = int(q) if q else 1
+    if not den:
+        raise ValueError(f"bad scalar {text!r}: zero denominator")
+    return int(p), den
 
 
-def parse_scalar(text: str) -> ScalarValue:
+def parse_scalar(text: str) -> LaurentPoly:
     text = text.strip()
     if not text:
         raise ValueError("empty scalar")
     if "t" not in text:
         if _RATIONAL_RE.fullmatch(text) is None:
             raise ValueError(f"bad rational {text!r}: expected p or p/q")
-        return _rational(text, text)
+        num, den = _rational(text, text)
+        return _make(0, [num], den)
     coeffs: dict[int, Fraction] = {}
     pos = 0
     first = True
@@ -346,7 +393,7 @@ def parse_scalar(text: str) -> ScalarValue:
         sep, sign = m.group("sep"), m.group("sign")
         if sep is None and sign is None and not first:
             raise ValueError(f"missing +/- between terms in {text!r}")
-        c = _rational(m.group("coeff"), text) if m.group("coeff") else Fraction(1)
+        c = Fraction(*_rational(m.group("coeff"), text)) if m.group("coeff") else Fraction(1)
         for mark in (sep, sign):
             if mark == "-":
                 c = -c
@@ -358,13 +405,20 @@ def parse_scalar(text: str) -> ScalarValue:
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
         pos = m.end()
         first = False
-    return as_scalar(LaurentPoly(coeffs))
+    return LaurentPoly(coeffs)
 
 
-def format_scalar(x: ScalarValue | int) -> str:
+def format_scalar(x: LaurentPoly | Fraction | int) -> str:
     x = as_scalar(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    if not x:
+    nums, den = x._nums, x._den
+    if not nums:
         return "0"
-    return " + ".join(f"{c}*t^{e}" for e, c in x.items())
+    if x.is_constant():
+        return _ratio(nums[0], den)
+    return " + ".join(f"{_ratio(n, den)}*t^{e}" for e, n in reversed(tuple(enumerate(nums, x._low))) if n)
+
+
+def _ratio(n: int, den: int) -> str:
+    """n/den in lowest terms, as str(Fraction(n, den)) prints it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"

@@ -19,7 +19,7 @@ from smbraid.algebra import (
     parse_matrix,
 )
 from smbraid.reps import permutation_rep
-from smbraid.scalars import T, LaurentPoly, as_scalar, is_unit
+from smbraid.scalars import T, LaurentPoly, as_scalar, format_scalar, is_unit
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -264,6 +264,26 @@ def test_det_and_inverse_match_sympy(m):
             assert as_scalar(entry) is entry
 
 
+@settings(max_examples=50, deadline=None)
+@given(square_matrices())
+def test_matrix_hash_is_stable_and_route_independent(m):
+    h = hash(m)
+    assert hash(m) == h == hash(m.rows)
+    dim = m.dim
+    text = "\n".join(",".join(format_scalar(a) for a in row) for row in m.rows)
+    routes = [
+        Matrix(m.rows),
+        Matrix.identity(dim) * m,
+        m * Matrix.identity(dim),
+        m.scale(1),
+        (m + m).scale(Fraction(1, 2)),
+        parse_matrix(text),
+        Matrix([[Fraction(format_scalar(a)) if a.is_constant() else a for a in row] for row in m.rows]),
+    ]
+    for other in routes:
+        assert other == m and hash(other) == h == hash(other)
+
+
 def test_parse_matrix_round_trip():
     m = parse_matrix("0,-2\n1,0\n")
     assert m == Matrix([[0, -2], [1, 0]])
@@ -338,6 +358,18 @@ def test_formal_keys_are_group_elements():
     m = FormalElement(gl1, [(Matrix([[2]]), 1), (Matrix([[-1]]), T)])
     assert m.text() == "1*t^1 * [[-1]] + 1 * [[2]]"
     assert m.terms() == [(Matrix([[-1]]), T), (Matrix([[2]]), 1)]
+
+
+def test_formal_cancelled_terms_are_purged():
+    gl2 = Matrix.identity(2)
+    g, h = Matrix([[0, -2], [1, 0]]), Matrix([[1 - T, T], [1, 0]])
+    x = FormalElement(gl2, [(g, T), (h, Fraction(1, 2)), (g, -T), (h, 0), (gl2, 0)])
+    assert x.coeffs == {h: Fraction(1, 2)} and x.support_size() == 1
+    # a key deleted on cancellation comes back when a later term adds it again
+    y = FormalElement(gl2, [(g, T), (g, -T), (g, 3)])
+    assert y.coeffs == {g: 3}
+    zero = FormalElement(gl2, [(g, 1), (h, T), (g, -1), (h, -T)])
+    assert zero == FormalElement(gl2) and zero.support_size() == 0 and zero.text() == "0"
 
 
 def test_formal_identity_and_zero():

@@ -53,10 +53,21 @@ def test_poly_times_monomial():
     assert (1 - T) * T == LaurentPoly({1: 1, 2: -1})
 
 
+def assert_constant(value: object, ref: Fraction) -> None:
+    """A constant is a LaurentPoly holding the triple (0, (n,), den) of its
+    value n/den (zero holds (0, (), 1)), and it compares, prints and hashes
+    like the Fraction of that value."""
+    assert type(value) is LaurentPoly
+    assert (value._low, value._nums, value._den) == (0, (ref.numerator,) if ref else (), ref.denominator)
+    assert value == ref and ref == value
+    assert format_scalar(value) == str(ref)
+    assert hash(value) == hash(ref)
+
+
 def test_invert_rational():
     assert Fraction(2) ** -1 == Fraction(1, 2)
     inverse = LaurentPoly({0: 2}) ** -1
-    assert isinstance(inverse, Fraction) and inverse == Fraction(1, 2)
+    assert_constant(inverse, Fraction(1, 2))
 
 
 def test_invert_monomial():
@@ -85,7 +96,7 @@ def test_pow_examples():
     assert (-T) ** 2 == LaurentPoly({2: 1})
     assert as_scalar(0) ** 0 == 1
     zero_power = LaurentPoly({}) ** 0
-    assert isinstance(zero_power, Fraction) and zero_power == 1
+    assert_constant(zero_power, Fraction(1))
     with pytest.raises(ValueError):
         (1 + T) ** -1
 
@@ -127,7 +138,7 @@ def test_unit_root_orders():
 
 def test_canonical_form_constant_laurent_collapses():
     x = T * T**-1
-    assert isinstance(x, Fraction)
+    assert_constant(x, Fraction(1))
     assert x == 1
 
 
@@ -178,18 +189,22 @@ def to_sympy(x: int | Fraction | LaurentPoly) -> sympy.Expr:
     return sympy.Rational(x.numerator, x.denominator)
 
 
-def assert_canonical(value: object) -> None:
-    """A Fraction when constant, a non-constant LaurentPoly otherwise; for a
-    constant, a LaurentPoly of the same value compares and hashes alike."""
-    assert type(value) in (Fraction, LaurentPoly)
-    if isinstance(value, LaurentPoly):
+def assert_canonical(value: object, expected: sympy.Expr) -> None:
+    """A LaurentPoly, constant exactly when the expected value is; a constant
+    holds the triple of its Fraction value, compares, prints and hashes like
+    it, and a LaurentPoly built from that Fraction compares and hashes alike."""
+    assert type(value) is LaurentPoly
+    expected = sympy.expand(expected)
+    if not expected.is_Rational:
         assert not value.is_constant()
-    else:
-        assert LaurentPoly({0: value}) == value and hash(LaurentPoly({0: value})) == hash(value)
+        return
+    ref = Fraction(int(expected.p), int(expected.q))
+    assert_constant(value, ref)
+    assert LaurentPoly({0: ref}) == value and hash(LaurentPoly({0: ref})) == hash(value)
 
 
 def assert_matches(value: object, expected: sympy.Expr) -> None:
-    assert_canonical(value)
+    assert_canonical(value, expected)
     assert sympy.expand(to_sympy(value) - expected) == 0
 
 
@@ -206,6 +221,21 @@ def test_operators_match_sympy(x, y, e):
             x**e
     if is_unit(x):
         assert_matches(x**-1, 1 / to_sympy(x))
+
+
+@given(st.one_of(operands.map(as_scalar), laurents()), operands, st.integers(-3, 4))
+def test_every_result_is_a_laurent_poly(x, y, e):
+    # constants included: every operation returns the one scalar type, and a
+    # constant hashes like the Fraction of the same value
+    results = [op(a, b) for op in (operator.add, operator.sub, operator.mul) for a, b in ((x, y), (y, x))]
+    results += [-x, as_scalar(y), parse_scalar(format_scalar(x))]
+    if e >= 0 or is_unit(x):
+        results.append(x**e)
+    for value in results:
+        assert type(value) is LaurentPoly
+        if value.is_constant():
+            ref = sum((c for _, c in value.items()), Fraction(0))
+            assert value == ref and hash(value) == hash(ref)
 
 
 # --- differential reference: Laurent polynomials as dicts of Fractions --------------
@@ -286,11 +316,11 @@ def paired_operands(draw):
 
 
 def assert_agrees(value: object, ref: Fraction | DictLaurent) -> None:
-    """Same value, type, text, terms and hash as the reference, and a
-    non-constant result holds a canonical (low, nums, den) triple."""
+    """Same value, text, terms and hash as the reference; a constant result
+    holds its Fraction's triple, and a non-constant one is a canonical
+    (low, nums, den) triple."""
     if isinstance(ref, Fraction):
-        assert type(value) is Fraction and value == ref
-        assert format_scalar(value) == str(ref)
+        assert_constant(value, ref)
         return
     assert type(value) is LaurentPoly
     assert list(value.items()) == ref.items()
