@@ -24,7 +24,7 @@ from the `src` directory next to this script's parent:
   |q| <= 12) of sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of
   `prop8`; `scalar_kernel_hits` for the character d = 2 (p <= 4,
   |q| <= 8), the route of acceptance criterion 7; and the witness walk of
-  `find_scalar_witness` on `burau_unreduced(3)` (mode a00, value 2, s <= 4,
+  `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
   words of length <= 6), which multiplies and hashes Laurent matrices;
 * cli: three whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
@@ -118,7 +118,7 @@ def operations() -> dict:
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, Fraction(2), 4, 8),
-        "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, "a00", 2, 4, 6),
+        "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, 2, 4, 6),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]

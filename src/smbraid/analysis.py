@@ -11,8 +11,10 @@ words with one image) are handled separately from kernel hits.
 
 A witness is only ever constructed together with a machine-checked
 distinctness certificate: one of the relation invariants (tau count, sigma
-exponent sum, strand permutation, or the SM_2 normal form) must differ
-between the two words, and their images must be exactly equal.
+exponent sum, strand permutation) must differ between the two words, and
+their images must be exactly equal.  No separate SM_2 invariant is needed:
+for n = 2 the tau count and the sigma exponent sum are the normal form
+tau_1^p sigma_1^q of SM_2 = N x Z, so they already decide equality there.
 """
 
 from __future__ import annotations
@@ -37,13 +39,17 @@ from .words import (
     permutation_image,
     sigma_exponent_sum,
     sigma_power,
-    sm2_normal_form,
     tau,
     tau_count,
     tau_power,
 )
 
-MODES = ("a00", "0b0", "00c")
+# Each one-parameter family by mode: the slot of (a, b, c) that holds the
+# value, and the sign e with sigma_1^(e*s) the braid side of a witness.  Phi
+# sends tau_1 to value * rho(sigma_1)^e (e = 0: the identity), so tau_1^s v
+# and sigma_1^(e*s) have one image whenever rho(v) = value^-s * 1.
+_MODES = {"a00": (0, 1), "0b0": (1, -1), "00c": (2, 0)}
+MODES = tuple(_MODES)
 
 
 # --- distinctness certificates ---------------------------------------------------
@@ -53,7 +59,7 @@ MODES = ("a00", "0b0", "00c")
 class DistinctnessCertificate:
     """An invariant that separates two words, proving them distinct in SM_n."""
 
-    kind: str  # tau-count | sigma-exponent | permutation | sm2-normal-form
+    kind: str  # tau-count | sigma-exponent | permutation
     left: object
     right: object
 
@@ -74,10 +80,6 @@ def distinctness_certificate(w1: SMWord, w2: SMWord) -> DistinctnessCertificate 
     p1, p2 = permutation_image(w1), permutation_image(w2)
     if p1 != p2:
         return DistinctnessCertificate("permutation", p1, p2)
-    if w1.n == 2:
-        n1, n2 = sm2_normal_form(w1), sm2_normal_form(w2)
-        if n1 != n2:
-            return DistinctnessCertificate("sm2-normal-form", (n1.p, n1.q), (n2.p, n2.q))
     return None
 
 
@@ -90,27 +92,6 @@ class UnfaithfulnessWitness:
     certificate: DistinctnessCertificate
     image: AlgebraElement
     params: PhiParams
-
-
-def _mode_params(mode: str, value: ScalarValue) -> PhiParams:
-    if mode == "a00":
-        return PhiParams.of(value, 0, 0)
-    if mode == "0b0":
-        return PhiParams.of(0, value, 0)
-    if mode == "00c":
-        return PhiParams.of(0, 0, value)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _mode_braid_side(mode: str, n: int, r: int) -> BraidWord:
-    # The braid word whose image matches tau_1^r when value**r == 1:
-    # sigma_1^r for the a-slot, sigma_1^-r for the b-slot, the empty word
-    # for the c-slot.
-    if mode == "a00":
-        return sigma_power(n, 1, r)
-    if mode == "0b0":
-        return sigma_power(n, 1, -r)
-    return empty_word(n)
 
 
 def root_of_unity_order(a: ScalarValue | int, r_max: int = 8) -> int | None:
@@ -144,12 +125,15 @@ def unit_power_witness(rep: BraidRep, mode: str, value: ScalarValue | int, r: in
 
 def find_scalar_witness(
     rep: BraidRep,
-    mode: str,
     value: ScalarValue | int,
     s_max: int,
     len_max: int,
 ) -> tuple[BraidWord, int] | None:
     """Bounded search for a braid word v with rho(v) == value**(-s) * identity.
+
+    It takes no mode: this condition is the same for all three one-parameter
+    families, and the family only decides which witness pair
+    `scalar_power_witness` builds from the (v, s) found here.
 
     A breadth-first walk over distinct images of freely reduced words of
     length <= len_max.  Level k extends the words kept at level k-1, in
@@ -168,8 +152,6 @@ def find_scalar_witness(
     value = as_scalar(value)
     if not is_unit(value):
         raise ValueError(f"need a unit, got {format_scalar(value)}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if s_max < 0 or len_max < 0:
         raise ValueError("bounds must be nonnegative")
     if s_max == 0:
@@ -218,9 +200,12 @@ def scalar_power_witness(
     expected = rep.one().scale(value**-s)
     if rep_eval(rep, v) != expected:
         raise ValueError("rho(v) is not the required scalar multiple of the identity")
-    params = _mode_params(mode, value)
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    slot, sign = _MODES[mode]
+    params = PhiParams.of(*(value if i == slot else 0 for i in range(3)))
     w1 = tau_power(rep.n, 1, s) * v
-    w2 = _mode_braid_side(mode, rep.n, s)
+    w2 = sigma_power(rep.n, 1, sign * s)
     cert = distinctness_certificate(w1, w2)
     if cert is None:
         raise ValueError("words are not separated by any invariant; no distinctness certificate")

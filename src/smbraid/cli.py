@@ -179,7 +179,7 @@ def cmd_unfaith(args: argparse.Namespace) -> int:
         ]
         _emit(doc, lines, args.json)
         return 0
-    hit = analysis.find_scalar_witness(rep, args.mode, value, args.smax, args.lmax)
+    hit = analysis.find_scalar_witness(rep, value, args.smax, args.lmax)
     if hit is None:
         _emit(doc, ["no witness found within bounds (bounded search, not a proof)"], args.json)
         return 0
@@ -386,8 +386,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # carries no message
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -87,8 +87,6 @@ class RelationCheck(RelationInstance):
 
 @dataclass(frozen=True)
 class RelationReport:
-    n: int
-    rep_name: str
     params: PhiParams
     checks: tuple[RelationCheck, ...]
 
@@ -123,7 +121,7 @@ def check_relations(rep: BraidRep, params: PhiParams) -> RelationReport:
     for inst in defining_relations(rep.n):
         passed = rep_eval(ext, inst.lhs) == rep_eval(ext, inst.rhs)
         checks.append(RelationCheck(inst.family, inst.name, inst.indices, inst.lhs, inst.rhs, passed))
-    return RelationReport(rep.n, rep.name, params, tuple(checks))
+    return RelationReport(params, tuple(checks))
 
 
 def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) -> ScalarValue:

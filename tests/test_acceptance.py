@@ -131,7 +131,7 @@ def test_criterion_03_root_of_unity_witnesses():
 def test_criterion_04_scalar_power_witness_search():
     budget = Budget("criterion 4 (scalar-power witness search)", 5)
     rep = scalar_char(2, 2)
-    hit = find_scalar_witness(rep, "a00", Fraction(2), 4, 4)
+    hit = find_scalar_witness(rep, Fraction(2), 4, 4)
     assert hit is not None
     v, s = hit
     assert v == sigma_power(2, 1, -1) and s == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_braid_word
+from conftest import random_braid_word, random_sm_word
 from smbraid import analysis, reps, words
 from smbraid.algebra import FormalElement, Matrix
 from smbraid.analysis import (
@@ -47,6 +47,7 @@ from smbraid.words import (
     enumerate_braid_words,
     parse_word,
     sigma_power,
+    sm2_normal_form,
     tau_power,
 )
 
@@ -119,25 +120,25 @@ def test_unit_power_witness_rejects_non_root():
 
 
 def test_find_scalar_witness_scalar_char():
-    hit = find_scalar_witness(scalar_char(2, 2), "a00", Fraction(2), 4, 4)
+    hit = find_scalar_witness(scalar_char(2, 2), Fraction(2), 4, 4)
     assert hit is not None
     v, s = hit
     assert v == sigma_power(2, 1, -1) and s == 1
 
 
 def test_find_scalar_witness_absent_on_burau():
-    assert find_scalar_witness(burau_unreduced(2), "a00", Fraction(2), 4, 6) is None
+    assert find_scalar_witness(burau_unreduced(2), Fraction(2), 4, 6) is None
 
 
 def test_find_scalar_witness_absent_on_mismatched_bases():
     # 2^-s never equals a power of 3
-    assert find_scalar_witness(scalar_char(3, 2), "a00", Fraction(2), 4, 8) is None
+    assert find_scalar_witness(scalar_char(3, 2), Fraction(2), 4, 8) is None
 
 
 def test_find_scalar_witness_rejects_negative_bounds():
     for s_max, len_max in ((-1, 4), (4, -1), (-1, -3)):
         with pytest.raises(ValueError, match="bounds must be nonnegative"):
-            find_scalar_witness(scalar_char(2, 2), "a00", Fraction(-1), s_max, len_max)
+            find_scalar_witness(scalar_char(2, 2), Fraction(-1), s_max, len_max)
 
 
 def enumerated_witness_states(rep, len_max):
@@ -196,7 +197,7 @@ def test_find_scalar_witness_matches_enumeration(name):
         for value in WITNESS_VALUES:
             for s_max in (0, 1, 4):
                 expected = enumerated_witness(states, rep, value, s_max)
-                got = find_scalar_witness(rep, "a00", value, s_max, len_max)
+                got = find_scalar_witness(rep, value, s_max, len_max)
                 assert got == expected, (len_max, value, s_max)
                 found += expected is not None
     if name.startswith(("scalar", "cyclic", "matrix")):
@@ -233,7 +234,7 @@ def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
     # S_4 has 24 elements and each kept image is extended by at most 6 letters.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 24 * 6)
-    assert find_scalar_witness(rep, "a00", Fraction(2), 4, 6) is None
+    assert find_scalar_witness(rep, Fraction(2), 4, 6) is None
     assert calls["mul"] <= 24 * 6
     assert calls["enumerate_braid_words"] == 0 and calls["rep_eval"] == 0
 
@@ -242,7 +243,7 @@ def test_find_scalar_witness_without_exponents_walks_nothing(monkeypatch):
     # s_max == 0 leaves no exponent to try, so no image is worth building.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 0)
-    assert find_scalar_witness(rep, "a00", 2, 0, 6) is None
+    assert find_scalar_witness(rep, 2, 0, 6) is None
     assert calls["mul"] == 0
 
 
@@ -250,7 +251,7 @@ def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
     # Once a level adds no new image the walk ends, whatever len_max says.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 24 * 6)
-    assert find_scalar_witness(rep, "a00", Fraction(2), 4, 10**6) is None
+    assert find_scalar_witness(rep, Fraction(2), 4, 10**6) is None
     assert calls["mul"] <= 24 * 6
 
 
@@ -289,6 +290,15 @@ def test_scalar_power_witness_rejects_bad_precondition():
         scalar_power_witness(rep, "a00", Fraction(2), sigma_power(2, 1, -1), 0)
 
 
+def test_witnesses_reject_unknown_mode():
+    # the CLI's argparse choices stop a bad mode first, so only the library sees one
+    message = r"^mode must be one of \('a00', '0b0', '00c'\), got 'zzz'$"
+    with pytest.raises(ValueError, match=message):
+        scalar_power_witness(scalar_char(2, 2), "zzz", Fraction(2), sigma_power(2, 1, -1), 1)
+    with pytest.raises(ValueError, match=message):
+        unit_power_witness(burau_reduced(3), "zzz", Fraction(-1), 2)
+
+
 def test_distinctness_certificate_kinds():
     assert distinctness_certificate(parse_word("t1", 2), empty_word(2)).kind == "tau-count"
     assert distinctness_certificate(parse_word("s1", 3), empty_word(3)).kind == "sigma-exponent"
@@ -297,6 +307,16 @@ def test_distinctness_certificate_kinds():
         == "permutation"
     )
     assert distinctness_certificate(parse_word("s1 s1", 2), parse_word("s1 s1", 2)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(0, 8))
+def test_certificate_decides_sm2(seed, max_len):
+    # In SM_2 = N x Z the tau count and sigma exponent sum are the normal
+    # form, so two n = 2 words get no certificate exactly when they are equal.
+    rng = random.Random(seed)
+    w1, w2 = random_sm_word(rng, 2, max_len), random_sm_word(rng, 2, max_len)
+    assert (distinctness_certificate(w1, w2) is None) == (sm2_normal_form(w1) == sm2_normal_form(w2))
 
 
 # --- kernel searches ----------------------------------------------------------------

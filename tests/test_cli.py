@@ -155,6 +155,24 @@ def test_former_crashes_are_domain_errors(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shape", "--n", "2", "--word", "t1", "--p", "1", "--q", "100000000000000000000"],
+        ["shape", "--n", "2", "--word", "t1", "--p", "1", "--q", "4611686018427387904"],
+        ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--backend", "cyclic:100000000000000000000:1"],
+        ["eval", "--n", "100000000000000000000", "--rep", "perm", "--a", "1", "--b", "0", "--c", "0", "--word", "t1"],
+        ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--pmax", "100000000000000000000", "--qmax", "0"],
+    ],
+    ids=["shape-overflow", "shape-out-of-memory", "cyclic-order-overflow", "eval-n-overflow", "pmax-overflow"],
+)
+def test_huge_integers_are_domain_errors(capsys, argv):
+    # each fails on one of CPython's size checks before anything is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("flag", ["--smax", "--lmax", "--rmax"])
 def test_unfaith_rejects_negative_bounds(capsys, flag):
     # value -1 is a root of unity: the bound check must not depend on which search runs
