@@ -21,12 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import mul
-from typing import Iterator
 
 from .algebra import AlgebraElement, Matrix
-from .phi import Extension, PhiParams, tau_power_expand
+from .phi import Extension, PhiParams, _powers, tau_power_expand
 from .reps import BraidRep, as_formal, burau_reduced, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import ScalarValue, as_scalar, format_scalar, is_unit, unit_root_order
 from .words import (
@@ -234,7 +231,7 @@ class KernelReport:
     hits: tuple[tuple[int, int], ...]
     minimal_generator: tuple[int, int] | None
     cyclic_structure_verified: bool | None
-    bounded: bool = True
+    bounded = True
 
     def to_dict(self) -> dict:
         return {
@@ -249,11 +246,6 @@ class KernelReport:
 def _hit_order(hit: tuple[int, int]) -> tuple[int, int, int]:
     p, q = hit
     return (p, abs(q), 0 if q > 0 else 1)
-
-
-def _powers(x: AlgebraElement, k: int) -> Iterator[AlgebraElement]:
-    """x, x^2, ..., x^k, streamed: one product per power after the first."""
-    return accumulate(repeat(x, k), mul)
 
 
 def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) -> KernelReport:

@@ -171,23 +171,20 @@ def cmd_unfaith(args: argparse.Namespace) -> int:
     r = analysis.root_of_unity_order(value, args.rmax)
     if r is not None:
         witness = analysis.unit_power_witness(rep, args.mode, value, r)
-        doc.update(found=True, kind="root-of-unity", witnesses=[_witness_doc(witness)], order=r)
-        lines = [
-            f"root of unity: order {r}",
-            f"witness: {witness.w1.text()!r} vs {witness.w2.text()!r}",
-            f"certificate: {witness.certificate.text()}",
-        ]
-        _emit(doc, lines, args.json)
-        return 0
-    hit = analysis.find_scalar_witness(rep, value, args.smax, args.lmax)
-    if hit is None:
-        _emit(doc, ["no witness found within bounds (bounded search, not a proof)"], args.json)
-        return 0
-    v, s = hit
-    witness = analysis.scalar_power_witness(rep, args.mode, value, v, s)
-    doc.update(found=True, kind="scalar-power", witnesses=[_witness_doc(witness)], v=v.text(), s=s)
+        doc.update(kind="root-of-unity", order=r)
+        head = f"root of unity: order {r}"
+    else:
+        hit = analysis.find_scalar_witness(rep, value, args.smax, args.lmax)
+        if hit is None:
+            _emit(doc, ["no witness found within bounds (bounded search, not a proof)"], args.json)
+            return 0
+        v, s = hit
+        witness = analysis.scalar_power_witness(rep, args.mode, value, v, s)
+        doc.update(kind="scalar-power", v=v.text(), s=s)
+        head = f"scalar power: rho({v.text() or 'empty word'}) = value^-({s}) * identity"
+    doc.update(found=True, witnesses=[_witness_doc(witness)])
     lines = [
-        f"scalar power: rho({v.text() or 'empty word'}) = value^-({s}) * identity",
+        head,
         f"witness: {witness.w1.text()!r} vs {witness.w2.text()!r}",
         f"certificate: {witness.certificate.text()}",
     ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
+from typing import Iterator, TypeVar
 
 from .algebra import AlgebraElement
 from .reps import BraidRep, rep_eval
@@ -134,7 +135,7 @@ def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) ->
         raise ValueError("need p >= 0")
     if not is_unit(d):
         raise ValueError(f"need a unit d, got {format_scalar(d)}")
-    a_pow, b_pow, c_pow = (_powers(x, p) for x in (params.a, params.b, params.c))
+    a_pow, b_pow, c_pow = ([ONE, *_powers(x, p)] for x in (params.a, params.b, params.c))
     total: ScalarValue = ZERO
     for i in range(p + 1):
         for j in range(p - i + 1):
@@ -144,9 +145,12 @@ def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) ->
     return total
 
 
-def _powers(x: ScalarValue, p: int) -> list[ScalarValue]:
-    """[x**0, x**1, ..., x**p]."""
-    return list(accumulate(repeat(x, p), mul, initial=ONE))
+_Power = TypeVar("_Power", ScalarValue, AlgebraElement)
+
+
+def _powers(x: _Power, k: int) -> Iterator[_Power]:
+    """x, x^2, ..., x^k, streamed: one product per power after the first."""
+    return accumulate(repeat(x, k), mul)
 
 
 def tau_power_direct(params: PhiParams, d: ScalarValue | int, p: int, q: int) -> ScalarValue:

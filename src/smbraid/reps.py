@@ -3,14 +3,14 @@
 A `BraidRep` is its letter-image table: each braid letter sigma_i^(+-1) maps
 to an invertible element of one of the algebra backends, and a word's image
 is the left-to-right product of its letters' images.  Construction checks
-every instance of `words.braid_relations` exactly, through `rep_eval`, and
-records declarative faithfulness metadata; the library never claims to
+every instance of `words.braid_relations` exactly, through `rep_eval`.  The
+classical results below are documentation only: the library never claims to
 decide faithfulness of a representation by itself.
 
 Shipped representations:
 
 * unreduced Burau over Q[t, t^-1]  (faithful for n <= 3, unfaithful for
-  n >= 5, open for n = 4 -- classical results, recorded as metadata);
+  n >= 5, open for n = 4);
 * reduced Burau for n in {2, 3}   (faithful);
 * the permutation representation  (unfaithful, witness sigma_1^2);
 * scalar characters sigma_i -> d  (faithful on B_2 iff d is not a root of
@@ -21,7 +21,6 @@ Shipped representations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -41,25 +40,13 @@ from .scalars import (
     format_scalar,
     is_unit,
     parse_scalar,
-    unit_root_order,
 )
-from .words import BraidWord, GenLetter, SMWord, braid_relations, sigma, sigma_inv, sigma_power
+from .words import GenLetter, SMWord, braid_relations, sigma, sigma_inv
 
 if TYPE_CHECKING:
     from .phi import Extension
 
-KNOWN_FAITHFUL = "known_faithful"
-KNOWN_UNFAITHFUL = "known_unfaithful"
-UNKNOWN = "unknown"
-
 _BACKENDS = {FormalElement: "formal", Matrix: "matrix", CyclicElement: "cyclic"}
-
-
-@dataclass(frozen=True)
-class Faithfulness:
-    status: str
-    note: str = ""
-    witness: BraidWord | None = None
 
 
 class BraidRep:
@@ -81,7 +68,6 @@ class BraidRep:
         images: Sequence[AlgebraElement],
         inverses: Sequence[AlgebraElement],
         *,
-        faithfulness: Faithfulness | None = None,
         name: str,
     ):
         if n < 2:
@@ -89,7 +75,6 @@ class BraidRep:
         if len(images) != n - 1:
             raise ValueError(f"need {n - 1} generator images, got {len(images)}")
         self.n = n
-        self.faithfulness = faithfulness or Faithfulness(UNKNOWN)
         self.name = name
         self._one = one
         self.letters: dict[GenLetter, AlgebraElement] = {}
@@ -122,11 +107,8 @@ class BraidRep:
             raise ValueError(f"generator index {i} out of range for n={self.n}")
         return self.letters[sigma_inv(i)]
 
-    def describe(self) -> str:
-        return f"{self.name} (n={self.n}, backend={self.backend}, {self.faithfulness.status})"
-
     def __repr__(self) -> str:
-        return f"BraidRep({self.describe()})"
+        return f"BraidRep({self.name} (n={self.n}, backend={self.backend}))"
 
 
 def rep_eval(rep: BraidRep | Extension, w: SMWord) -> AlgebraElement:
@@ -165,25 +147,18 @@ def burau_unreduced(n: int) -> BraidRep:
         rows[i][i - 1] = 1
         rows[i][i] = 0
         images.append(Matrix(rows))
-    if n <= 3:
-        meta = Faithfulness(KNOWN_FAITHFUL, "Burau is faithful for n <= 3")
-    elif n == 4:
-        meta = Faithfulness(UNKNOWN, "faithfulness of Burau at n = 4 is open")
-    else:
-        meta = Faithfulness(KNOWN_UNFAITHFUL, "Burau is unfaithful for n >= 5 (Bigelow)")
-    return matrix_rep_from_images(n, images, faithfulness=meta, name="burau-unreduced")
+    return matrix_rep_from_images(n, images, name="burau-unreduced")
 
 
 def burau_reduced(n: int) -> BraidRep:
     """Reduced Burau for n in {2, 3}; faithful in both cases."""
-    meta = Faithfulness(KNOWN_FAITHFUL, "reduced Burau is faithful for n <= 3")
     if n == 2:
         images = [Matrix([[-T]])]
     elif n == 3:
         images = [Matrix([[-T, 1], [0, 1]]), Matrix([[1, 0], [T, -T]])]
     else:
         raise ValueError(f"reduced Burau is provided for n in {{2, 3}}, got {n}")
-    return matrix_rep_from_images(n, images, faithfulness=meta, name="burau-reduced")
+    return matrix_rep_from_images(n, images, name="burau-reduced")
 
 
 def permutation_rep(n: int) -> BraidRep:
@@ -191,12 +166,7 @@ def permutation_rep(n: int) -> BraidRep:
     e = Permutation.identity(n)
     # transpositions are involutions, so each image is its own inverse
     images = [FormalElement(e, [(Permutation.transposition(n, i), 1)]) for i in range(1, n)]
-    meta = Faithfulness(
-        KNOWN_UNFAITHFUL,
-        "transpositions square to the identity",
-        witness=BraidWord(n, (sigma(1), sigma(1))),
-    )
-    return BraidRep(n, FormalElement.one(e), images, images, faithfulness=meta, name="perm")
+    return BraidRep(n, FormalElement.one(e), images, images, name="perm")
 
 
 def scalar_char(d: ScalarValue | int, n: int) -> BraidRep:
@@ -204,30 +174,13 @@ def scalar_char(d: ScalarValue | int, n: int) -> BraidRep:
     d = as_scalar(d)
     if not is_unit(d):
         raise ValueError(f"scalar character needs a unit, got {format_scalar(d)}")
-    r = unit_root_order(d)
-    if n == 2:
-        if r is None:
-            meta = Faithfulness(KNOWN_FAITHFUL, "B_2 is infinite cyclic and d is not a root of unity")
-        else:
-            meta = Faithfulness(
-                KNOWN_UNFAITHFUL,
-                f"d**{r} == 1",
-                witness=sigma_power(2, 1, r),
-            )
-    else:
-        meta = Faithfulness(
-            KNOWN_UNFAITHFUL,
-            "abelian image: sigma_1 sigma_2^-1 maps to 1",
-            witness=BraidWord(n, (sigma(1), sigma_inv(2))),
-        )
     images = [Matrix([[d]])] * (n - 1)
-    return matrix_rep_from_images(n, images, faithfulness=meta, name=f"scalar:{format_scalar(d)}")
+    return matrix_rep_from_images(n, images, name=f"scalar:{format_scalar(d)}")
 
 
 def matrix_rep_from_images(
     n: int,
     matrices: Sequence[Matrix],
-    faithfulness: Faithfulness | None = None,
     name: str = "matrix",
 ) -> BraidRep:
     """Matrix representation from explicit generator images; the braid
@@ -238,7 +191,7 @@ def matrix_rep_from_images(
     # with no matrices (n < 2) the dimension is moot: BraidRep rejects n
     one = Matrix.identity(dims.pop() if dims else 1)
     inverses = [m.inverse() for m in matrices]
-    return BraidRep(n, one, matrices, inverses, faithfulness=faithfulness, name=name)
+    return BraidRep(n, one, matrices, inverses, name=name)
 
 
 def cyclic_rep(order: int, twist: ScalarValue | int, n: int = 2) -> BraidRep:
@@ -270,7 +223,6 @@ def as_formal(rep: BraidRep) -> BraidRep:
         FormalElement.one(e),
         [FormalElement(e, [(rep.image(i), 1)]) for i in gens],
         [FormalElement(e, [(rep.image_inv(i), 1)]) for i in gens],
-        faithfulness=rep.faithfulness,
         name=f"{rep.name}+formal",
     )
 

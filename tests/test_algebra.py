@@ -487,3 +487,27 @@ def test_backend_algebra_axioms(seed):
         s = random_fraction(rng)
         assert (x + y).scale(s) == x.scale(s) + y.scale(s)
         assert x.scale(s) * y == (x * y).scale(s)
+
+
+# --- input checks ------------------------------------------------------------------
+
+_ONE2 = Matrix.identity(2)
+_ONE3 = Matrix.identity(3)
+
+BAD_INPUT_CASES = [
+    ("matrix-add-dims", lambda: _ONE2 + _ONE3, "dimension mismatch: 2 vs 3"),
+    ("matrix-mul-dims", lambda: _ONE3 * _ONE2, "dimension mismatch: 3 vs 2"),
+    # CyclicElement.x_power checks order and twist first, so only direct
+    # construction reaches the element's own checks
+    ("cyclic-order-0", lambda: CyclicElement(0, Fraction(1), ()), "need order >= 1"),
+    ("cyclic-twist-0", lambda: CyclicElement(1, Fraction(0), (Fraction(1),)), "twist must be a unit"),
+    ("cyclic-coords", lambda: CyclicElement(2, Fraction(-2), (Fraction(1),)), "need 2 coordinates, got 1"),
+]
+
+
+@pytest.mark.parametrize("make,message", [c[1:] for c in BAD_INPUT_CASES],
+                         ids=[c[0] for c in BAD_INPUT_CASES])
+def test_bad_input_is_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -632,3 +632,36 @@ def test_sm3_oracle_confirms_rewrites_on_random_words():
         w = random_sm_word(rng, 3, 5)
         assert sm3_word_equality(w, decompose_tau_blocks(w).assemble())
         assert sm3_word_equality(w, shape_form(w, 2, -1).assemble())
+
+
+# --- input checks ------------------------------------------------------------------
+
+BAD_INPUT_CASES = [
+    ("certificate-mixed-n", lambda: distinctness_certificate(empty_word(2), empty_word(3)),
+     "strand counts differ: 2 vs 3"),
+    ("witness-search-non-unit", lambda: find_scalar_witness(scalar_char(2, 2), 0, 1, 1),
+     "need a unit, got 0"),
+    ("power-witness-non-unit",
+     lambda: scalar_power_witness(scalar_char(2, 2), "a00", 0, sigma_power(2, 1, -1), 1),
+     "need a unit, got 0"),
+    ("grid-negative-p", lambda: kernel_search_sm2(scalar_char(2, 2), PhiParams.of(2, 0, 0), -1, 0),
+     "bounds must be nonnegative"),
+    ("grid-negative-q", lambda: kernel_search_sm2(scalar_char(2, 2), PhiParams.of(2, 0, 0), 0, -1),
+     "bounds must be nonnegative"),
+    # p_max = 0: no row is expanded, so only the function's own check can fire
+    ("scalar-hits-non-unit", lambda: scalar_kernel_hits(PhiParams.of(2, 0, 0), 0, 0, 1),
+     "need a unit d, got 0"),
+]
+
+
+@pytest.mark.parametrize("make,message", [c[1:] for c in BAD_INPUT_CASES],
+                         ids=[c[0] for c in BAD_INPUT_CASES])
+def test_bad_input_is_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_verify_cyclic_structure_rejects_q_off_the_line():
+    # p = 2 is twice the generator's p, but q = -3 is not twice its q
+    assert not verify_cyclic_structure(KernelReport(6, 12, ((1, -2), (2, -3)), (1, -2), None))

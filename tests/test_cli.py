@@ -220,6 +220,18 @@ def test_cyclic_order_is_ascii_decimal(capsys, order):
 
 
 @pytest.mark.parametrize(
+    "backend,message",
+    [
+        ("cyclic:2", "cyclic backend selector is cyclic:<s>:<ds>"),
+        ("bogus", "unknown backend selector 'bogus'"),
+    ],
+)
+def test_bad_backend_selector(capsys, backend, message):
+    code, out, err = run_cli(capsys, *KERNEL2, "--backend", backend)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["multinomial", "--a", "1", "--b", "0", "--c", "-3", "--d", "2", "--p", "+2", "--q=-3"],

@@ -1,4 +1,4 @@
-"""Representations: definitional matrices, relation checks, metadata, evaluation."""
+"""Representations: definitional matrices, relation checks, evaluation."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ import pytest
 from conftest import random_braid_word
 from smbraid.algebra import CyclicElement, FormalElement, Matrix, Permutation
 from smbraid.reps import (
-    KNOWN_FAITHFUL,
-    KNOWN_UNFAITHFUL,
-    UNKNOWN,
+    BraidRep,
     as_formal,
     burau_reduced,
     burau_unreduced,
@@ -50,10 +48,9 @@ def test_burau_unreduced_characteristic_roots():
 
 
 def test_burau_unreduced_metadata():
-    assert burau_unreduced(2).faithfulness.status == KNOWN_FAITHFUL
-    assert burau_unreduced(3).faithfulness.status == KNOWN_FAITHFUL
-    assert burau_unreduced(4).faithfulness.status == UNKNOWN
-    assert burau_unreduced(5).faithfulness.status == KNOWN_UNFAITHFUL
+    for n in (2, 3, 4, 5):
+        rep = burau_unreduced(n)
+        assert (rep.n, rep.name, rep.backend) == (n, "burau-unreduced", "matrix")
     with pytest.raises(ValueError):
         burau_unreduced(1)
 
@@ -68,26 +65,21 @@ def test_burau_reduced_n3_relation_and_nonscalar():
     rep = burau_reduced(3)
     assert rep_eval(rep, parse_word("s1 s2 s1", 3)) == rep_eval(rep, parse_word("s2 s1 s2", 3))
     assert rep.image(1).scalar_multiple_of_identity() is None
-    assert rep.faithfulness.status == KNOWN_FAITHFUL
+    assert not rep_eval(rep, parse_word("s1 s1", 3)).is_identity()
     with pytest.raises(ValueError):
         burau_reduced(4)
 
 
 def test_permutation_rep_witness():
     rep = permutation_rep(3)
-    assert rep.faithfulness.status == KNOWN_UNFAITHFUL
-    witness = rep.faithfulness.witness
-    assert witness is not None and len(witness) == 2
-    assert rep_eval(rep, witness).is_identity()
+    assert rep_eval(rep, parse_word("s1 s1", 3)).is_identity()
     assert rep_eval(rep, parse_word("s1 s2 s1", 3)) == rep_eval(rep, parse_word("s2 s1 s2", 3))
 
 
 def test_scalar_char_metadata():
-    assert scalar_char(2, 2).faithfulness.status == KNOWN_FAITHFUL
-    unfaithful = scalar_char(-1, 2)
-    assert unfaithful.faithfulness.status == KNOWN_UNFAITHFUL
-    assert rep_eval(unfaithful, unfaithful.faithfulness.witness).is_identity()
-    assert scalar_char(2, 3).faithfulness.status == KNOWN_UNFAITHFUL
+    assert not rep_eval(scalar_char(2, 2), parse_word("s1 s1", 2)).is_identity()
+    assert rep_eval(scalar_char(-1, 2), parse_word("s1 s1", 2)).is_identity()
+    assert rep_eval(scalar_char(2, 3), parse_word("s1 S2", 3)).is_identity()
     # d = -t coincides with reduced Burau at n=2
     assert scalar_char(-T, 2).image(1) == burau_reduced(2).image(1)
     with pytest.raises(ValueError):
@@ -241,9 +233,8 @@ def _burau_unreduced_case(n: int):
         (_burau_block(n, i, [[1 - T, T], [1, 0]]), _burau_block(n, i, [[0, 1], [tinv, 1 - tinv]]))
         for i in range(1, n)
     ]
-    status = {2: "known_faithful", 3: "known_faithful", 4: "unknown"}[n]
     return (f"burau-unreduced{n}", lambda: burau_unreduced(n), images,
-            f"BraidRep(burau-unreduced (n={n}, backend=matrix, {status}))")
+            f"BraidRep(burau-unreduced (n={n}, backend=matrix))")
 
 
 def _perm_case(n: int):
@@ -255,13 +246,13 @@ def _perm_case(n: int):
         x = FormalElement(e, [(Permutation(tuple(swap)), 1)])
         images.append((x, x))
     return (f"perm{n}", lambda: permutation_rep(n), images,
-            f"BraidRep(perm (n={n}, backend=formal, known_unfaithful))")
+            f"BraidRep(perm (n={n}, backend=formal))")
 
 
-def _scalar_case(d, text: str, n: int, status: str):
+def _scalar_case(d, text: str, n: int):
     images = [(Matrix([[d]]), Matrix([[d**-1]]))] * (n - 1)
     return (f"scalar{text}-{n}", lambda: scalar_char(d, n), images,
-            f"BraidRep(scalar:{text} (n={n}, backend=matrix, {status}))")
+            f"BraidRep(scalar:{text} (n={n}, backend=matrix))")
 
 
 _REDUCED3 = [
@@ -273,29 +264,29 @@ _FORMAL2 = Matrix.identity(2)
 CONSTRUCTION_CASES = [
     *(_burau_unreduced_case(n) for n in (2, 3, 4)),
     ("burau-reduced2", lambda: burau_reduced(2), [(Matrix([[-T]]), Matrix([[-(T**-1)]]))],
-     "BraidRep(burau-reduced (n=2, backend=matrix, known_faithful))"),
+     "BraidRep(burau-reduced (n=2, backend=matrix))"),
     ("burau-reduced3", lambda: burau_reduced(3), _REDUCED3,
-     "BraidRep(burau-reduced (n=3, backend=matrix, known_faithful))"),
+     "BraidRep(burau-reduced (n=3, backend=matrix))"),
     *(_perm_case(n) for n in (2, 3, 4)),
-    _scalar_case(Fraction(2), "2", 2, "known_faithful"),
-    _scalar_case(Fraction(2), "2", 3, "known_unfaithful"),
-    _scalar_case(Fraction(-1), "-1", 2, "known_unfaithful"),
-    _scalar_case(Fraction(-1), "-1", 3, "known_unfaithful"),
-    _scalar_case(-T, "-1*t^1", 2, "known_faithful"),
-    _scalar_case(-T, "-1*t^1", 3, "known_unfaithful"),
+    _scalar_case(Fraction(2), "2", 2),
+    _scalar_case(Fraction(2), "2", 3),
+    _scalar_case(Fraction(-1), "-1", 2),
+    _scalar_case(Fraction(-1), "-1", 3),
+    _scalar_case(-T, "-1*t^1", 2),
+    _scalar_case(-T, "-1*t^1", 3),
     ("cyclic2", lambda: cyclic_rep(2, -2),
      [(CyclicElement(2, Fraction(-2), (Fraction(0), Fraction(1))),
        CyclicElement(2, Fraction(-2), (Fraction(0), Fraction(-1, 2))))],
-     "BraidRep(cyclic:2:-2 (n=2, backend=cyclic, unknown))"),
+     "BraidRep(cyclic:2:-2 (n=2, backend=cyclic))"),
     ("cyclic1", lambda: cyclic_rep(1, T),
      [(CyclicElement(1, T, (T,)), CyclicElement(1, T, (T**-1,)))],
-     "BraidRep(cyclic:1:1*t^1 (n=2, backend=cyclic, unknown))"),
+     "BraidRep(cyclic:1:1*t^1 (n=2, backend=cyclic))"),
     ("burau-reduced3-formal", lambda: as_formal(burau_reduced(3)),
      [(FormalElement(_FORMAL2, [(m, 1)]), FormalElement(_FORMAL2, [(m_inv, 1)])) for m, m_inv in _REDUCED3],
-     "BraidRep(burau-reduced+formal (n=3, backend=formal, known_faithful))"),
+     "BraidRep(burau-reduced+formal (n=3, backend=formal))"),
     ("matrix-images", lambda: matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])], name="m"),
      [(Matrix([[0, -2], [1, 0]]), Matrix([[0, 1], [Fraction(-1, 2), 0]]))],
-     "BraidRep(m (n=2, backend=matrix, unknown))"),
+     "BraidRep(m (n=2, backend=matrix))"),
 ]
 
 
@@ -310,3 +301,31 @@ def test_construction_matches_independent_images(make, images, expected_repr):
         assert rep.image_inv(i) == inv
         assert (rep.image(i) * rep.image_inv(i)).is_identity()
         assert (rep.image_inv(i) * rep.image(i)).is_identity()
+
+
+# --- input checks ------------------------------------------------------------------
+
+_ONE1 = Matrix.identity(1)
+_TWO1 = Matrix([[2]])
+
+BAD_INPUT_CASES = [
+    ("n-below-2", lambda: BraidRep(1, _ONE1, [], [], name="x"), "need n >= 2, got 1"),
+    ("image-count", lambda: BraidRep(3, _ONE1, [_TWO1], [_TWO1.inverse()], name="x"),
+     "need 2 generator images, got 1"),
+    ("not-invertible", lambda: BraidRep(2, _ONE1, [_TWO1], [_TWO1], name="x"),
+     "image of generator 1 is not invertible"),
+    ("image-0", lambda: scalar_char(2, 2).image(0), "generator index 0 out of range for n=2"),
+    ("image-n", lambda: scalar_char(2, 2).image(2), "generator index 2 out of range for n=2"),
+    ("image-inv-0", lambda: scalar_char(2, 2).image_inv(0), "generator index 0 out of range for n=2"),
+    ("image-inv-n", lambda: scalar_char(2, 2).image_inv(2), "generator index 2 out of range for n=2"),
+    ("mixed-dimensions", lambda: matrix_rep_from_images(3, [_TWO1, Matrix.identity(2)]),
+     "generator matrices must share one dimension"),
+]
+
+
+@pytest.mark.parametrize("make,message", [c[1:] for c in BAD_INPUT_CASES],
+                         ids=[c[0] for c in BAD_INPUT_CASES])
+def test_bad_input_is_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

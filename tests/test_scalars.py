@@ -392,3 +392,20 @@ def test_format_examples():
     assert format_scalar(Fraction(-1, 2)) == "-1/2"
     assert format_scalar(LaurentPoly({1: -1, -1: 1})) == "-1*t^1 + 1*t^-1"
     assert format_scalar(LaurentPoly({})) == "0"
+
+
+# --- input checks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: as_scalar("x"), TypeError, "not a scalar: 'x'"),
+        (lambda: unit_root_order(0), ValueError, "zero has no unit order"),
+    ],
+    ids=["as-scalar-str", "unit-root-order-0"],
+)
+def test_bad_input_is_rejected(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message

@@ -21,6 +21,7 @@ from smbraid.phi import Extension, PhiParams
 from smbraid.reps import burau_unreduced, permutation_rep, rep_eval
 from smbraid.words import (
     BraidWord,
+    ShapeForm,
     SMWord,
     braid_relations,
     conjugate,
@@ -366,3 +367,32 @@ def test_enumeration_is_freely_reduced_and_shortest_first():
     assert lengths == sorted(lengths)
     for w in enumerate_braid_words(3, 3):
         assert free_reduce(w) == w
+
+
+# --- input checks ------------------------------------------------------------------
+
+BAD_INPUT_CASES = [
+    ("letter-out-of-range", lambda: SMWord(2, (sigma(2),)), "letter s2 out of range for n=2"),
+    ("tau-out-of-range", lambda: SMWord(3, (tau(3),)), "letter t3 out of range for n=3"),
+    ("product-mixed-n", lambda: empty_word(2) * empty_word(3), "strand counts differ: 2 vs 3"),
+    ("shape-p-0", lambda: ShapeForm(2, 0, 0, ()), "reference pair needs p >= 1"),
+    ("shape-r-too-big", lambda: ShapeForm(2, 2, 1, ((2, 0, empty_word(2)),)),
+     "block (2, 0) violates 0 <= r < p, m >= 0"),
+    ("shape-m-negative", lambda: ShapeForm(2, 2, 1, ((0, -1, empty_word(2)),)),
+     "block (0, -1) violates 0 <= r < p, m >= 0"),
+]
+
+
+@pytest.mark.parametrize("make,message", [c[1:] for c in BAD_INPUT_CASES],
+                         ids=[c[0] for c in BAD_INPUT_CASES])
+def test_bad_input_is_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_enumeration_rejects_n_below_2_itself():
+    # BraidWord(1, ()) fails with the same text, so check where it is raised
+    with pytest.raises(ValueError, match=r"^need n >= 2, got 1$") as exc:
+        next(enumerate_braid_words(1, 2))
+    assert exc.traceback[-1].name == "enumerate_braid_words"
