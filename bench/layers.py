@@ -11,10 +11,11 @@ from the `src` directory next to this script's parent:
 * algebra: a 4x4 unreduced Burau product (the image of a 6-letter word times
   a generator image, as in a word fold), the algebra of one tau image
   a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation (two
-  scalings and two sums), and a product of two formal elements over the
-  reduced Burau group in GL_2, the images of two SM_3 words with two tau
-  letters each (the `wordeq3` oracle path: Phi_{1,-1,0} into the group
-  algebra);
+  scalings and two sums), and two products of formal elements, the images of
+  two SM_3 words with two tau letters each under Phi_{1,-1,0} into a group
+  algebra: over the reduced Burau group in GL_2 (the tests' independent
+  route to SM_3 equality), and over B_3 kept in SL(2, Z) x Z through
+  `analysis._sm3_oracle()` (the `wordeq3` oracle path);
 * reps: building a fresh `burau_unreduced(4)`, which takes the cofactor
   inverses of its three generator images and checks its braid relations;
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
@@ -70,7 +71,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from refkernel import kernel  # noqa: E402
 from smbraid import cli  # noqa: E402
 from smbraid.algebra import Matrix  # noqa: E402
-from smbraid.analysis import find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
+from smbraid.analysis import _sm3_oracle, find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations  # noqa: E402
 from smbraid.reps import as_formal, burau_reduced, burau_unreduced, matrix_rep_from_images, rep_eval  # noqa: E402
 from smbraid.scalars import T, LaurentPoly, as_scalar  # noqa: E402
@@ -97,9 +98,10 @@ def operations() -> dict:
     params = PhiParams.of(T, Fraction(-1, 2), 3)
     sm4 = Extension(rep, params)
     sm4_word = parse_word("t1 s2 S3 t3 s1 t2 S2 s3", 4)
-    oracle = Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
-    u = rep_eval(oracle, parse_word("t1 s2 t2 S1", 3))
-    v = rep_eval(oracle, parse_word("s1 t2 S2 t1", 3))
+    burau3 = Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
+    w1, w2 = parse_word("t1 s2 t2 S1", 3), parse_word("s1 t2 S2 t1", 3)
+    u, v = rep_eval(burau3, w1), rep_eval(burau3, w2)
+    u3, v3 = rep_eval(_sm3_oracle(), w1), rep_eval(_sm3_oracle(), w2)
     rational2 = matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])])
     grid_params = PhiParams.of(1, 2, 1)
     walk_rep = burau_unreduced(3)
@@ -113,6 +115,7 @@ def operations() -> dict:
             rep.image(2).scale(params.a) + rep.image_inv(2).scale(params.b) + rep.one().scale(params.c)
         ),
         "algebra.formal_mul_burau3": lambda: u * v,
+        "algebra.formal_mul_sm3_oracle": lambda: u3 * v3,
         "reps.burau_unreduced4": lambda: burau_unreduced(4),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),

@@ -15,6 +15,9 @@ exponent sum, strand permutation) must differ between the two words, and
 their images must be exactly equal.  No separate SM_2 invariant is needed:
 for n = 2 the tau count and the sigma exponent sum are the normal form
 tau_1^p sigma_1^q of SM_2 = N x Z, so they already decide equality there.
+
+SM_3 word equality is decided in the group algebra of B_3, embedded in
+SL(2, Z) x Z; `sm3_word_equality` states what "true implies equal" rests on.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Matrix
+from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ
 from .phi import Extension, PhiParams, _powers, tau_power_expand
-from .reps import BraidRep, as_formal, burau_reduced, cyclic_rep, matrix_rep_from_images, rep_eval
+from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import ScalarValue, as_scalar, format_scalar, is_unit, unit_root_order
 from .words import (
     BraidWord,
@@ -386,16 +389,24 @@ def conjugation_kernel_check(
 
 @lru_cache(maxsize=1)
 def _sm3_oracle() -> Extension:
-    return Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
+    """Phi_{1,-1,0}, each braid kept as its image in SL(2, Z) x Z."""
+    e = SL2ZxZ((1, 0, 0, 1, 0))
+    images = [FormalElement(e, [(SL2ZxZ(g), 1)]) for g in ((1, 1, 0, 1, 1), (1, 0, -1, 1, 1))]
+    inverses = [FormalElement(e, [(SL2ZxZ(g), 1)]) for g in ((1, -1, 0, 1, -1), (1, 0, 1, 1, -1))]
+    rep = BraidRep(3, FormalElement.one(e), images, inverses, name="sl2z-x-z")
+    return Extension(rep, PhiParams.of(1, -1, 0))
 
 
 def sm3_word_equality(w1: SMWord, w2: SMWord) -> bool:
     """Decide equality of SM_3 words through a faithful instance.
 
-    Images are compared in the formal group algebra over the reduced Burau
-    matrix group at parameters (1, -1, 0).  "False implies distinct" is
-    unconditional; "true implies equal" rests on the cited faithfulness of
-    this instance (Paris) and of reduced Burau for three strands.
+    Images are compared in the group algebra of B_3 at parameters (1, -1, 0),
+    a braid g kept as (rho(g), e(g)) in SL(2, Z) x Z: rho(sigma_1) = [[1, 1],
+    [0, 1]], rho(sigma_2) = [[1, 0], [-1, 1]], e the exponent sum.  "False
+    implies distinct" is unconditional.  "True implies equal" rests on the
+    faithfulness of this instance (Paris) and on g -> (rho(g), e(g)) being
+    injective: ker rho is generated by (sigma_1 sigma_2)^6 (Kassel-Turaev),
+    of exponent sum 12, so rho(g) = I and e(g) = 0 force g = 1.
     """
     if w1.n != 3 or w2.n != 3:
         raise ValueError(f"oracle is for n=3 words, got n={w1.n} and n={w2.n}")

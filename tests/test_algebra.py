@@ -11,15 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from conftest import random_braid_word
 from smbraid.algebra import (
     CyclicElement,
     FormalElement,
     Matrix,
     Permutation,
+    SL2ZxZ,
     parse_matrix,
 )
-from smbraid.reps import permutation_rep
+from smbraid.reps import burau_reduced, permutation_rep, rep_eval
 from smbraid.scalars import T, LaurentPoly, as_scalar, format_scalar, is_unit
+from smbraid.words import enumerate_braid_words, parse_word, sigma, sigma_inv
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -117,6 +120,92 @@ def test_group_axioms_on_random_triples(model, seed):
             assert (hash(g) == hash(h)) or g != h
             for k in elements:
                 assert (g * h) * k == g * (h * k)
+
+
+# --- SL(2, Z) x Z ----------------------------------------------------------------
+
+SL2_ONE = SL2ZxZ((1, 0, 0, 1, 0))
+# B_3 -> SL(2, Z) x Z: reduced Burau at t = -1, paired with the exponent sum
+SL2_LETTERS = {
+    sigma(1): SL2ZxZ((1, 1, 0, 1, 1)),
+    sigma(2): SL2ZxZ((1, 0, -1, 1, 1)),
+    sigma_inv(1): SL2ZxZ((1, -1, 0, 1, -1)),
+    sigma_inv(2): SL2ZxZ((1, 0, 1, 1, -1)),
+}
+
+
+def sl2_image(w) -> SL2ZxZ:
+    acc = SL2_ONE
+    for letter in w:
+        acc = acc * SL2_LETTERS[letter]
+    return acc
+
+
+def test_sl2zxz_identity_and_generator_inverses():
+    assert SL2_ONE.text() == "([[1,0],[0,1]],0)"
+    assert SL2_LETTERS[sigma_inv(2)].text() == "([[1,0],[1,1]],-1)"
+    for g in SL2_LETTERS.values():
+        assert g * SL2_ONE == g == SL2_ONE * g
+    for i in (1, 2):
+        g, g_inv = SL2_LETTERS[sigma(i)], SL2_LETTERS[sigma_inv(i)]
+        assert g * g_inv == SL2_ONE == g_inv * g
+
+
+def test_sl2zxz_powers_of_s1_s2():
+    s1s2 = sl2_image(parse_word("s1 s2", 3))
+    cube = s1s2 * s1s2 * s1s2
+    assert cube == SL2ZxZ((-1, 0, 0, -1, 6))
+    # (s1 s2)^6 has the identity matrix but degree 12: it is not the identity,
+    # and neither is its reduced Burau image
+    assert cube * cube == SL2ZxZ((1, 0, 0, 1, 12)) != SL2_ONE
+    burau = burau_reduced(3)
+    assert rep_eval(burau, parse_word("s1 s2 " * 6, 3)) != burau.one()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sl2zxz_associative_on_random_triples(seed):
+    rng = random.Random(seed)
+    elements = [sl2_image(random_braid_word(rng, 3, 8)) for _ in range(6)]
+    for g in elements:
+        for h in elements:
+            for k in elements:
+                assert (g * h) * k == g * (h * k)
+
+
+def test_sl2zxz_equality_hash_and_text_agree():
+    # freely reduced words of length <= 4 reach many elements more than once
+    images = [sl2_image(w) for w in enumerate_braid_words(3, 4)]
+    by_text: dict[str, list[SL2ZxZ]] = {}
+    for g in images:
+        by_text.setdefault(g.text(), []).append(g)
+    for group in by_text.values():
+        assert all(g == group[0] and hash(g) == hash(group[0]) for g in group)
+    # unequal elements have unequal texts
+    assert len(by_text) == len(set(images)) < len(images)
+
+
+def test_sl2zxz_rejects_other_group_elements():
+    g = SL2_LETTERS[sigma(1)]
+    for other in (Permutation.identity(2), Matrix([[1, 1], [0, 1]])):
+        assert g != other
+        with pytest.raises(TypeError):
+            g * other
+        with pytest.raises(TypeError):
+            other * g
+    with pytest.raises(ValueError):
+        FormalElement.one(SL2_ONE) * FormalElement.one(Matrix.identity(2))
+
+
+def test_sl2zxz_images_match_reduced_burau():
+    burau = burau_reduced(3)
+    # every pair of freely reduced words of length <= 4, so u v^-1 has length <= 8
+    ball = list(enumerate_braid_words(3, 4))
+    pairs = {(rep_eval(burau, w), sl2_image(w)) for w in ball}
+    assert len(pairs) == len({b for b, _ in pairs}) == len({s for _, s in pairs}) < len(ball)
+    rng = random.Random(5)
+    for _ in range(200):
+        u, v = random_braid_word(rng, 3, 8), random_braid_word(rng, 3, 8)
+        assert (sl2_image(u) == sl2_image(v)) == (rep_eval(burau, u) == rep_eval(burau, v))
 
 
 # --- matrices ------------------------------------------------------------------

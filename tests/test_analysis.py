@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_braid_word, random_sm_word
@@ -42,13 +42,19 @@ from smbraid.reps import (
 )
 from smbraid.scalars import T
 from smbraid.words import (
+    braid_letters,
+    decompose_tau_blocks,
     defining_relations,
     empty_word,
     enumerate_braid_words,
     parse_word,
+    shape_form,
     sigma_power,
     sm2_normal_form,
+    tau,
+    tau_count,
     tau_power,
+    word,
 )
 
 
@@ -632,6 +638,54 @@ def test_sm3_oracle_confirms_rewrites_on_random_words():
         w = random_sm_word(rng, 3, 5)
         assert sm3_word_equality(w, decompose_tau_blocks(w).assemble())
         assert sm3_word_equality(w, shape_form(w, 2, -1).assemble())
+
+
+def test_sm3_oracle_sends_tau_to_sigma_minus_its_inverse():
+    # the cited theorem (Paris) is about tau_i -> sigma_i - sigma_i^-1 alone
+    ext = analysis._sm3_oracle()
+    for i in (1, 2):
+        s, s_inv, t = (rep_eval(ext, parse_word(f"{kind}{i}", 3)) for kind in "sSt")
+        assert t == s + s_inv.scale(-1)
+        assert t.support_size() == 2
+
+
+# The reduced Burau route to SM_3 equality: Phi_{1,-1,0} into the group algebra
+# of the reduced Burau matrix group, which is B_3 itself (faithful for n = 3).
+BURAU_SM3 = Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
+SM3_LETTERS = (*braid_letters(3), tau(1), tau(2))
+SM3_RELATIONS = tuple(defining_relations(3))
+
+
+def sm3_words(max_len: int):
+    return st.lists(st.sampled_from(SM3_LETTERS), max_size=max_len).map(lambda ls: word(3, ls))
+
+
+@st.composite
+def sm3_pairs(draw):
+    """(w1, w2, known_equal): two random words, or two words equal in SM_3
+    (a relation spliced into a context, or a block or shape rewrite)."""
+    kind = draw(st.sampled_from(("random", "relation", "blocks", "shape")))
+    if kind == "random":
+        return draw(sm3_words(8)), draw(sm3_words(8)), False
+    if kind == "relation":
+        inst = draw(st.sampled_from(SM3_RELATIONS))
+        left, right = draw(sm3_words(2)), draw(sm3_words(3))
+        return left * inst.lhs * right, left * inst.rhs * right, True
+    w = draw(sm3_words(8))
+    if kind == "blocks":
+        return w, decompose_tau_blocks(w).assemble(), True
+    p, q = draw(st.integers(1, 3)), draw(st.integers(-2, 2))
+    return w, shape_form(w, p, q).assemble(), True
+
+
+@settings(max_examples=60, deadline=None)
+@given(sm3_pairs())
+def test_sm3_oracle_matches_reduced_burau_route(pair):
+    w1, w2, known_equal = pair
+    assume(tau_count(w1) <= 4 and tau_count(w2) <= 4)
+    equal = sm3_word_equality(w1, w2)
+    assert equal == (rep_eval(BURAU_SM3, w1) == rep_eval(BURAU_SM3, w2))
+    assert equal or not known_equal
 
 
 # --- input checks ------------------------------------------------------------------
