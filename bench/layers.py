@@ -42,9 +42,8 @@ per call.  A run records, per operation, the median of those ratios and their
 quartiles, the median and minimum time in microseconds, the loop length and
 the kernel's median time; and the kernel's loop length.  The file holds a
 list of runs, with the Python version, platform and CPU count, and each run
-is added to the file of its label (a file in the older one-run layout, with
-`ops` at the top, is read as its first run); delete the file to start a
-label afresh.
+is added to the file of its label; delete the file to start a label
+afresh.
 Host speed drifts by tens of percent between runs, and even the ratios move
 by about 15% from one run to the next, so compare two trees by several runs
 each, taken alternately on the same machine, and by their spread as well as
@@ -167,8 +166,7 @@ def main() -> None:
     runs = []
     if os.path.exists(path):
         with open(path) as fh:
-            old = json.load(fh)
-        runs = old["runs"] if "runs" in old else [{"ref_loop": old.get("ref_loop"), "ops": old["ops"]}]
+            runs = json.load(fh)["runs"]
     runs.append({"ref_loop": ref_loop, "ops": ops})
     doc = {
         "label": args.label,

@@ -27,8 +27,8 @@ from .scalars import ONE, ZERO, ScalarValue, as_scalar, format_scalar, is_unit
 
 
 class Matrix:
-    """Immutable square matrix of exact scalars.  Its hash is computed on
-    first use and kept."""
+    """Square matrix of exact scalars.  Its hash is computed on first use and
+    kept; a matrix is a dict key, so never rebind `rows`."""
 
     __slots__ = ("rows", "_hash")
 
@@ -37,17 +37,14 @@ class Matrix:
         dim = len(normalized)
         if dim == 0 or any(len(row) != dim for row in normalized):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", normalized)
+        self.rows = normalized
 
     @classmethod
     def _of(cls, rows: tuple[tuple[ScalarValue, ...], ...]) -> "Matrix":
         """A matrix whose rows are tuples of canonical scalars already."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        m.rows = rows
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @property
     def dim(self) -> int:
@@ -150,7 +147,7 @@ class Matrix:
             return self._hash
         except AttributeError:
             h = hash(self.rows)
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
             return h
 
     def __repr__(self) -> str:
@@ -307,9 +304,6 @@ class FormalElement:
     def terms(self) -> list[tuple[object, ScalarValue]]:
         """(element, coefficient) pairs in printed order."""
         return sorted(self.coeffs.items(), key=lambda term: term[0].text())
-
-    def support_size(self) -> int:
-        return len(self.coeffs)
 
     def _require_same(self, other: "FormalElement") -> None:
         if not isinstance(other, FormalElement) or self.identity != other.identity:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ
-from .phi import Extension, PhiParams, _powers, tau_power_expand
+from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
-from .scalars import ScalarValue, as_scalar, format_scalar, is_unit, unit_root_order
+from .scalars import ScalarValue, as_scalar, format_scalar, is_unit
 from .words import (
     BraidWord,
     GenLetter,
@@ -97,17 +97,16 @@ class UnfaithfulnessWitness:
 def root_of_unity_order(a: ScalarValue | int, r_max: int = 8) -> int | None:
     """Smallest 1 <= r <= r_max with a**r == 1, or None.
 
-    For this scalar ring the answer is exact regardless of r_max (only 1 and
-    -1 are roots of unity); the bound is kept for interface symmetry with the
-    bounded searches.
+    The answer is exact, with no search: over Q the only roots of unity are
+    1 and -1, and in Q[t, t^-1] the units are the monomials c*t^k, whose
+    powers can be 1 only when k == 0, which reduces to the rational case.
+    The bound is kept for interface symmetry with the bounded searches.
     """
     a = as_scalar(a)
     if a == 0:
         raise ValueError("need a nonzero scalar")
-    r = unit_root_order(a)
-    if r is not None and r <= r_max:
-        return r
-    return None
+    r = 1 if a == 1 else 2 if a == -1 else None
+    return r if r is not None and r <= r_max else None
 
 
 def unit_power_witness(rep: BraidRep, mode: str, value: ScalarValue | int, r: int) -> UnfaithfulnessWitness:
@@ -140,8 +139,9 @@ def find_scalar_witness(
     order, by each letter of `braid_letters` except the inverse of the last
     one; a new word costs one multiply by the letter's image.  A word whose
     image was already reached is neither kept nor extended, since equal
-    images have equal futures, so each image keeps the first word that
-    reaches it in `enumerate_braid_words` order.  The walk stops early when a
+    images have equal futures.  So each image keeps its first word in
+    shortlex order: shorter words first, and words of one length compared
+    letter by letter in `braid_letters` order.  The walk stops early when a
     level reaches no new image (a finite image group is exhausted).
 
     Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
@@ -327,7 +327,7 @@ def scalar_kernel_hits(params: PhiParams, d: ScalarValue | int, p_max: int, q_ma
     hits = []
     for p in range(1, p_max + 1):
         # row * d**q == 1 iff row == d**-q, as d is a unit
-        row = tau_power_expand(params, d, p, 0)
+        row = _multinomial_sum(params, d, p, 0)
         hits.extend((p, q) for q in range(-q_max, q_max + 1) if row == d**-q)
     return tuple(sorted(hits, key=_hit_order))
 

@@ -50,6 +50,14 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def _index_sized(name: str, value: int) -> int:
+    """`value`, if CPython can use it as a size or index; a domain error
+    that names the option otherwise."""
+    if abs(value) > sys.maxsize:
+        raise ValueError(f"{name} must lie between -{sys.maxsize} and {sys.maxsize}")
+    return value
+
+
 def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
         print(json.dumps(doc, sort_keys=True))
@@ -59,7 +67,7 @@ def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
 
 
 def _params(args: argparse.Namespace) -> phi.PhiParams:
-    return phi.PhiParams.parse(args.a, args.b, args.c)
+    return phi.PhiParams(parse_scalar(args.a), parse_scalar(args.b), parse_scalar(args.c))
 
 
 def _apply_backend(rep: BraidRep, backend: str | None) -> BraidRep:
@@ -75,7 +83,7 @@ def _apply_backend(rep: BraidRep, backend: str | None) -> BraidRep:
         parts = backend.split(":")
         if len(parts) != 3:
             raise ValueError("cyclic backend selector is cyclic:<s>:<ds>")
-        return cyclic_rep(integer(parts[1]), parse_scalar(parts[2]), n=rep.n)
+        return cyclic_rep(_index_sized("cyclic order <s>", integer(parts[1])), parse_scalar(parts[2]), n=rep.n)
     raise ValueError(f"unknown backend selector {backend!r}")
 
 
@@ -314,14 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True)
     _add_params(p)
     p.add_argument("--word", required=True, help="token word, e.g. 't1 s1 S2'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("relcheck", help="verify the defining relations")
     p.add_argument("--n", type=integer, required=True)
     p.add_argument("--rep", required=True)
     _add_params(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_relcheck)
 
     p = sub.add_parser("kernel2", help="bounded SM_2 kernel grid search")
@@ -330,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=integer, default=DEFAULT_PMAX)
     p.add_argument("--qmax", type=integer, default=DEFAULT_QMAX)
     p.add_argument("--backend", default=None, help="formal | matrix | cyclic:<s>:<ds>")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_kernel2)
 
     p = sub.add_parser("unfaith", help="unfaithfulness witness for a one-parameter family")
@@ -341,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smax", type=integer, default=DEFAULT_SMAX)
     p.add_argument("--lmax", type=integer, default=DEFAULT_LMAX)
     p.add_argument("--rmax", type=integer, default=DEFAULT_RMAX)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_unfaith)
 
     p = sub.add_parser("prop8", help="compare matrix and twisted-cyclic kernel searches")
@@ -351,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--pmax", type=integer, default=DEFAULT_PMAX)
     p.add_argument("--qmax", type=integer, default=DEFAULT_QMAX)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_prop8)
 
     p = sub.add_parser("multinomial", help="scalar character value of tau_1^p sigma_1^q")
@@ -359,13 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="the unit scalar character value")
     p.add_argument("--p", type=integer, required=True)
     p.add_argument("--q", type=integer, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_multinomial)
 
     p = sub.add_parser("wordeq3", help="SM_3 word equality oracle")
     p.add_argument("--w1", required=True)
     p.add_argument("--w2", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_wordeq3)
 
     p = sub.add_parser("shape", help="block decomposition and kernel-power shape")
@@ -373,15 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--p", type=integer, required=True)
     p.add_argument("--q", type=integer, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_shape)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if type(value) is int:
+                _index_sized(f"--{name}", value)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

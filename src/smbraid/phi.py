@@ -34,7 +34,6 @@ from .scalars import (
     format_scalar,
     is_unit,
     multinomial_coeff,
-    parse_scalar,
 )
 from .words import GenLetter, RelationInstance, defining_relations, tau
 
@@ -48,10 +47,6 @@ class PhiParams:
     @staticmethod
     def of(a: ScalarValue | int, b: ScalarValue | int, c: ScalarValue | int) -> "PhiParams":
         return PhiParams(as_scalar(a), as_scalar(b), as_scalar(c))
-
-    @staticmethod
-    def parse(a: str, b: str, c: str) -> "PhiParams":
-        return PhiParams(parse_scalar(a), parse_scalar(b), parse_scalar(c))
 
     def text(self) -> str:
         return f"({format_scalar(self.a)}, {format_scalar(self.b)}, {format_scalar(self.c)})"
@@ -125,16 +120,26 @@ def check_relations(rep: BraidRep, params: PhiParams) -> RelationReport:
     return RelationReport(params, tuple(checks))
 
 
-def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) -> ScalarValue:
-    """Scalar image of tau_1^p sigma_1^q under the character sigma_1 -> d:
-
-        sum over i+j+k = p of  p!/(i! j! k!) * a^i b^j c^k * d^(i - j + q).
-    """
+def _unit_d(d: ScalarValue | int, p: int) -> ScalarValue:
+    """d as a scalar, after the checks both `tau_power_*` routes make."""
     d = as_scalar(d)
     if p < 0:
         raise ValueError("need p >= 0")
     if not is_unit(d):
         raise ValueError(f"need a unit d, got {format_scalar(d)}")
+    return d
+
+
+def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) -> ScalarValue:
+    """Scalar image of tau_1^p sigma_1^q under the character sigma_1 -> d:
+
+        sum over i+j+k = p of  p!/(i! j! k!) * a^i b^j c^k * d^(i - j + q).
+    """
+    return _multinomial_sum(params, _unit_d(d, p), p, q)
+
+
+def _multinomial_sum(params: PhiParams, d: ScalarValue, p: int, q: int) -> ScalarValue:
+    """The sum of `tau_power_expand`, for a unit scalar d and p >= 0."""
     a_pow, b_pow, c_pow = ([ONE, *_powers(x, p)] for x in (params.a, params.b, params.c))
     total: ScalarValue = ZERO
     for i in range(p + 1):
@@ -156,11 +161,7 @@ def _powers(x: _Power, k: int) -> Iterator[_Power]:
 def tau_power_direct(params: PhiParams, d: ScalarValue | int, p: int, q: int) -> ScalarValue:
     """Independent evaluation of the same scalar: (a d + b d^-1 + c)^p d^q by
     repeated multiplication."""
-    d = as_scalar(d)
-    if p < 0:
-        raise ValueError("need p >= 0")
-    if not is_unit(d):
-        raise ValueError(f"need a unit d, got {format_scalar(d)}")
+    d = _unit_d(d, p)
     base = params.a * d + params.b * d**-1 + params.c
     acc: ScalarValue = ONE
     for _ in range(p):

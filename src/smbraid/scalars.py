@@ -323,23 +323,6 @@ def is_unit(x: LaurentPoly | Fraction | int) -> bool:
     return as_scalar(x).is_unit()
 
 
-def unit_root_order(x: LaurentPoly | Fraction | int) -> int | None:
-    """Smallest r >= 1 with x**r == 1, or None.
-
-    Over Q the only roots of unity are 1 and -1; in Q[t, t^-1] the units are
-    the monomials c*t^k, whose powers can be 1 only when k == 0, reducing to
-    the rational case.  The decision is exact, no search bound is needed.
-    """
-    x = as_scalar(x)
-    if not x:
-        raise ValueError("zero has no unit order")
-    if x == 1:
-        return 1
-    if x == -1:
-        return 2
-    return None
-
-
 def multinomial_coeff(p: int, i: int, j: int, k: int) -> int:
     """Exact p! / (i! j! k!) for i + j + k == p."""
     if min(p, i, j, k) < 0 or i + j + k != p:

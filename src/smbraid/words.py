@@ -7,8 +7,7 @@ no inverses) and five more relation families mixing sigma and tau letters.
 
 Words are immutable letter sequences and are never normalized behind the
 caller's back: every rewriting operation returns a new word whose letter
-sequence documents the rewrite, except for explicit `free_reduce` calls and
-the freely-reduced enumeration stream.
+sequence documents the rewrite, except for explicit `free_reduce` calls.
 
 Token grammar (whitespace separated): ``s<k>`` = sigma_k, ``S<k>`` =
 sigma_k^-1, ``t<k>`` = tau_k, ``x`` = sigma_1 ... sigma_{n-1}, ``X`` = its
@@ -21,48 +20,40 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
-class LetterKind(Enum):
-    SIGMA = "s"
-    SIGMA_INV = "S"
-    TAU = "t"
+class GenLetter(NamedTuple):
+    """One generator occurrence: `kind` is the token character "s" (sigma),
+    "S" (sigma^-1) or "t" (tau), and `index` the 1-based strand position,
+    valid range 1 .. n-1."""
 
-
-@dataclass(frozen=True)
-class GenLetter:
-    """One generator occurrence: a sigma (either sign) or a tau at a strand index."""
-
-    kind: LetterKind
-    index: int  # 1-based strand position, valid range 1 .. n-1
+    kind: str
+    index: int
 
     def inverse(self) -> "GenLetter":
-        if self.kind is LetterKind.SIGMA:
-            return GenLetter(LetterKind.SIGMA_INV, self.index)
-        if self.kind is LetterKind.SIGMA_INV:
-            return GenLetter(LetterKind.SIGMA, self.index)
-        raise ValueError("tau letters have no inverse")
+        if self.kind == "t":
+            raise ValueError("tau letters have no inverse")
+        return GenLetter("S" if self.kind == "s" else "s", self.index)
 
     @property
     def is_tau(self) -> bool:
-        return self.kind is LetterKind.TAU
+        return self.kind == "t"
 
     def token(self) -> str:
-        return f"{self.kind.value}{self.index}"
+        return f"{self.kind}{self.index}"
 
 
 def sigma(i: int) -> GenLetter:
-    return GenLetter(LetterKind.SIGMA, i)
+    return GenLetter("s", i)
 
 
 def sigma_inv(i: int) -> GenLetter:
-    return GenLetter(LetterKind.SIGMA_INV, i)
+    return GenLetter("S", i)
 
 
 def tau(i: int) -> GenLetter:
-    return GenLetter(LetterKind.TAU, i)
+    return GenLetter("t", i)
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,7 @@ def parse_word(text: str, n: int) -> SMWord:
         index = int(tail)
         if not 1 <= index <= n - 1:
             raise ValueError(f"index out of range in token {token!r} for n={n}")
-        letters.append(GenLetter(LetterKind(head), index))
+        letters.append(GenLetter(head, index))
     return word(n, letters)
 
 
@@ -177,9 +168,9 @@ def sigma_exponent_sum(w: SMWord) -> int:
     """Signed sigma letter count; a second relation invariant."""
     total = 0
     for letter in w:
-        if letter.kind is LetterKind.SIGMA:
+        if letter.kind == "s":
             total += 1
-        elif letter.kind is LetterKind.SIGMA_INV:
+        elif letter.kind == "S":
             total -= 1
     return total
 
@@ -247,7 +238,7 @@ def _expand_taus(w: SMWord) -> list[GenLetter]:
 
 def _sigma_to_s1x(letter: GenLetter) -> list[str]:
     i = letter.index
-    core = "s1" if letter.kind is LetterKind.SIGMA else "S1"
+    core = "s1" if letter.kind == "s" else "S1"
     return ["x"] * (i - 1) + [core] + ["X"] * (i - 1)
 
 
@@ -304,9 +295,6 @@ class TauBlockForm:
         for r, u in self.blocks:
             out = out * tau_power(self.n, 1, r) * u
         return out
-
-    def tau_total(self) -> int:
-        return sum(r for r, _ in self.blocks)
 
 
 def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
@@ -406,25 +394,6 @@ def braid_letters(n: int) -> tuple[GenLetter, ...]:
         out.append(sigma(i))
         out.append(sigma_inv(i))
     return tuple(out)
-
-
-def enumerate_braid_words(n: int, max_len: int) -> Iterator[BraidWord]:
-    """All freely reduced braid words of length <= max_len, shortest first."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    alphabet = braid_letters(n)
-    level: list[tuple[GenLetter, ...]] = [()]
-    yield BraidWord(n, ())
-    for _ in range(max_len):
-        next_level: list[tuple[GenLetter, ...]] = []
-        for prefix in level:
-            for letter in alphabet:
-                if prefix and prefix[-1] == letter.inverse():
-                    continue
-                letters = prefix + (letter,)
-                next_level.append(letters)
-                yield BraidWord(n, letters)
-        level = next_level
 
 
 # --- defining relations -------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_braid_word, random_sm_word
-from smbraid import analysis, reps, words
+from conftest import enumerate_braid_words, random_braid_word, random_sm_word
+from smbraid import analysis, reps
 from smbraid.algebra import FormalElement, Matrix
 from smbraid.analysis import (
     KernelReport,
@@ -46,7 +46,6 @@ from smbraid.words import (
     decompose_tau_blocks,
     defining_relations,
     empty_word,
-    enumerate_braid_words,
     parse_word,
     shape_form,
     sigma_power,
@@ -211,8 +210,8 @@ def test_find_scalar_witness_matches_enumeration(name):
 
 
 def count_search_work(monkeypatch, mul_budget):
-    """Count FormalElement products and calls of the enumeration route; a
-    product past the budget fails at once instead of running on."""
+    """Count FormalElement products and `rep_eval` calls; a product past the
+    budget fails at once instead of running on."""
     calls = Counter()
     mul = FormalElement.__mul__
 
@@ -229,10 +228,8 @@ def count_search_work(monkeypatch, mul_budget):
         return wrapper
 
     monkeypatch.setattr(FormalElement, "__mul__", counted_mul)
-    for module in (analysis, reps, words):
-        for name in ("enumerate_braid_words", "rep_eval"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for module in (analysis, reps):
+        monkeypatch.setattr(module, "rep_eval", counted("rep_eval", module.rep_eval))
     return calls
 
 
@@ -242,7 +239,7 @@ def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
     calls = count_search_work(monkeypatch, 24 * 6)
     assert find_scalar_witness(rep, Fraction(2), 4, 6) is None
     assert calls["mul"] <= 24 * 6
-    assert calls["enumerate_braid_words"] == 0 and calls["rep_eval"] == 0
+    assert calls["rep_eval"] == 0
 
 
 def test_find_scalar_witness_without_exponents_walks_nothing(monkeypatch):
@@ -646,7 +643,7 @@ def test_sm3_oracle_sends_tau_to_sigma_minus_its_inverse():
     for i in (1, 2):
         s, s_inv, t = (rep_eval(ext, parse_word(f"{kind}{i}", 3)) for kind in "sSt")
         assert t == s + s_inv.scale(-1)
-        assert t.support_size() == 2
+        assert len(t.coeffs) == 2
 
 
 # The reduced Burau route to SM_3 equality: Phi_{1,-1,0} into the group algebra

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -156,21 +157,30 @@ def test_former_crashes_are_domain_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,name",
     [
-        ["shape", "--n", "2", "--word", "t1", "--p", "1", "--q", "100000000000000000000"],
-        ["shape", "--n", "2", "--word", "t1", "--p", "1", "--q", "4611686018427387904"],
-        ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--backend", "cyclic:100000000000000000000:1"],
-        ["eval", "--n", "100000000000000000000", "--rep", "perm", "--a", "1", "--b", "0", "--c", "0", "--word", "t1"],
-        ["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--pmax", "100000000000000000000", "--qmax", "0"],
+        (["shape", "--n", "2", "--word", "t1", "--p", "1", "--q", "100000000000000000000"], "--q"),
+        (["shape", "--n", "2", "--word", "t1", "--p", "1", "--q", "4611686018427387904"], None),
+        (["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0",
+          "--backend", "cyclic:100000000000000000000:1"], "cyclic order <s>"),
+        (["eval", "--n", "100000000000000000000", "--rep", "perm", "--a", "1", "--b", "0", "--c", "0",
+          "--word", "t1"], "--n"),
+        (["kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0",
+          "--pmax", "100000000000000000000", "--qmax", "0"], "--pmax"),
+        (["shape", "--n", "2", "--word", "t1", "--p", "1", "--q", "-100000000000000000000"], "--q"),
     ],
-    ids=["shape-overflow", "shape-out-of-memory", "cyclic-order-overflow", "eval-n-overflow", "pmax-overflow"],
+    ids=["shape-overflow", "shape-out-of-memory", "cyclic-order-overflow", "eval-n-overflow", "pmax-overflow",
+         "shape-negative-overflow"],
 )
-def test_huge_integers_are_domain_errors(capsys, argv):
-    # each fails on one of CPython's size checks before anything is allocated
+def test_huge_integers_are_domain_errors(capsys, argv, name):
+    # a value past sys.maxsize is named before it reaches CPython's size
+    # checks; 2^62 passes the range check and fails to allocate
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if name is None:
+        assert err == "error: out of memory\n"
+    else:
+        assert err == f"error: {name} must lie between -{sys.maxsize} and {sys.maxsize}\n"
 
 
 @pytest.mark.parametrize("flag", ["--smax", "--lmax", "--rmax"])

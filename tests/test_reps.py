@@ -177,7 +177,7 @@ def test_as_formal_lifts_matrix_group():
     rep = as_formal(burau_reduced(3))
     assert rep.backend == "formal"
     img = rep_eval(rep, parse_word("s1 s2", 3))
-    assert img.support_size() == 1
+    assert len(img.coeffs) == 1
     with pytest.raises(ValueError):
         as_formal(cyclic_rep(2, -2))
 

@@ -9,10 +9,11 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smbraid.algebra import CyclicElement, Matrix
+from smbraid.analysis import root_of_unity_order
 from smbraid.phi import PhiParams, tau_power_direct
 from smbraid.reps import scalar_char
 from smbraid.scalars import (
@@ -24,7 +25,6 @@ from smbraid.scalars import (
     is_unit,
     multinomial_coeff,
     parse_scalar,
-    unit_root_order,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -128,12 +128,15 @@ def test_multinomial_examples():
         multinomial_coeff(3, 1, 1, 0)
 
 
-def test_unit_root_orders():
-    assert unit_root_order(Fraction(1)) == 1
-    assert unit_root_order(Fraction(-1)) == 2
-    assert unit_root_order(Fraction(2)) is None
-    assert unit_root_order(-T) is None
-    assert unit_root_order(LaurentPoly({0: -1})) == 2
+@given(
+    st.one_of(st.sampled_from([1, -1, Fraction(-1), LaurentPoly({0: -1}), T, -T, 2 * T**-1]), scalars).filter(bool),
+    st.integers(0, 8),
+)
+@example(Fraction(1), 0)
+@example(Fraction(-1), 1)
+def test_root_of_unity_order_matches_brute_force(a, r_max):
+    expected = next((r for r in range(1, r_max + 1) if as_scalar(a) ** r == 1), None)
+    assert root_of_unity_order(a, r_max) == expected
 
 
 def test_canonical_form_constant_laurent_collapses():
@@ -401,9 +404,9 @@ def test_format_examples():
     "make,error,message",
     [
         (lambda: as_scalar("x"), TypeError, "not a scalar: 'x'"),
-        (lambda: unit_root_order(0), ValueError, "zero has no unit order"),
+        (lambda: root_of_unity_order(0), ValueError, "need a nonzero scalar"),
     ],
-    ids=["as-scalar-str", "unit-root-order-0"],
+    ids=["as-scalar-str", "root-of-unity-order-0"],
 )
 def test_bad_input_is_rejected(make, error, message):
     with pytest.raises(error) as exc:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_braid_word, random_sm_word
+from conftest import enumerate_braid_words, random_braid_word, random_sm_word
 from smbraid.phi import Extension, PhiParams
 from smbraid.reps import burau_unreduced, permutation_rep, rep_eval
 from smbraid.words import (
@@ -28,7 +28,6 @@ from smbraid.words import (
     decompose_tau_blocks,
     defining_relations,
     empty_word,
-    enumerate_braid_words,
     free_reduce,
     parse_word,
     permutation_image,
@@ -236,7 +235,7 @@ def test_s1x_preserves_images(n):
 def test_decompose_examples():
     form = decompose_tau_blocks(parse_word("s1 t1", 2))
     assert form.assemble() == parse_word("s1 t1", 2)
-    assert form.tau_total() == 1
+    assert tau_count(form.assemble()) == 1
 
     form = decompose_tau_blocks(parse_word("t2", 3))
     assert form.prefix.text() == "s1 s2"
@@ -254,7 +253,7 @@ def test_decompose_preserves_images_and_tau_count(n):
     for _ in range(30):
         w = random_sm_word(rng, n, 8)
         form = decompose_tau_blocks(w)
-        assert form.tau_total() == tau_count(w)
+        assert sum(r for r, _ in form.blocks) == tau_count(w)
         assert all(isinstance(u, BraidWord) for _, u in form.blocks)
         assert all(r >= 1 for r, _ in form.blocks)
         assert images_equal(w, form.assemble())
@@ -390,9 +389,3 @@ def test_bad_input_is_rejected(make, message):
         make()
     assert str(exc.value) == message
 
-
-def test_enumeration_rejects_n_below_2_itself():
-    # BraidWord(1, ()) fails with the same text, so check where it is raised
-    with pytest.raises(ValueError, match=r"^need n >= 2, got 1$") as exc:
-        next(enumerate_braid_words(1, 2))
-    assert exc.traceback[-1].name == "enumerate_braid_words"
