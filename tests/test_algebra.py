@@ -468,7 +468,7 @@ def test_formal_identity_and_zero():
     assert not swap.is_identity()
     zero = FormalElement(s3)
     assert not zero.is_identity()
-    assert len(zero.coeffs) == 0
+    assert zero.coeffs == {}
     assert zero == swap + swap.scale(-1) and zero.text() == "0"
 
 
