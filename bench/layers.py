@@ -2,7 +2,7 @@
 
     python3 bench/layers.py --label NAME [--out DIR]
 
-Times a few fixed operations of six layers with `timeit`, importing smbraid
+Times a few fixed operations of seven layers with `timeit`, importing smbraid
 from the `src` directory next to this script's parent:
 
 * scalars: a product and a sum of two 6-term Laurent polynomials with
@@ -16,6 +16,10 @@ from the `src` directory next to this script's parent:
   algebra: over the reduced Burau group in GL_2 (the tests' independent
   route to SM_3 equality), and over B_3 kept in SL(2, Z) x Z through
   `analysis._sm3_oracle()` (the `wordeq3` oracle path);
+* words: `shape_form` of the fixed SM_3 word "t1 t1 s2 t2 S1 s1" (three tau
+  letters) against v = tau_1^2 sigma_1, with `assemble` and `strip` of the
+  result, and `list(defining_relations(4))`, which builds the 13 relation
+  instances of SM_4;
 * reps: building a fresh `burau_unreduced(4)`, which takes the cofactor
   inverses of its three generator images and checks its braid relations;
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
@@ -74,7 +78,7 @@ from smbraid.analysis import _sm3_oracle, find_scalar_witness, kernel_search_sm2
 from smbraid.phi import Extension, PhiParams, check_relations  # noqa: E402
 from smbraid.reps import as_formal, burau_reduced, burau_unreduced, matrix_rep_from_images, rep_eval  # noqa: E402
 from smbraid.scalars import T, LaurentPoly, as_scalar  # noqa: E402
-from smbraid.words import parse_word  # noqa: E402
+from smbraid.words import defining_relations, parse_word, shape_form  # noqa: E402
 
 REPEATS = 7
 
@@ -104,6 +108,12 @@ def operations() -> dict:
     rational2 = matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])])
     grid_params = PhiParams.of(1, 2, 1)
     walk_rep = burau_unreduced(3)
+    shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
+
+    def shape_sm3():
+        form = shape_form(shape_word, 2, 1)
+        return form.assemble(), form.strip()
+
     return {
         "scalars.laurent_mul_6": lambda: x * y,
         "scalars.laurent_add_6": lambda: x + y,
@@ -115,6 +125,8 @@ def operations() -> dict:
         ),
         "algebra.formal_mul_burau3": lambda: u * v,
         "algebra.formal_mul_sm3_oracle": lambda: u3 * v3,
+        "words.shape_sm3": shape_sm3,
+        "words.relations_sm4": lambda: list(defining_relations(4)),
         "reps.burau_unreduced4": lambda: burau_unreduced(4),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),

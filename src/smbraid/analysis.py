@@ -30,12 +30,10 @@ from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import ScalarValue, as_scalar, format_scalar, is_unit
 from .words import (
-    BraidWord,
     GenLetter,
     SMWord,
     braid_letters,
     conjugate,
-    empty_word,
     permutation_image,
     sigma_exponent_sum,
     sigma_power,
@@ -119,7 +117,7 @@ def unit_power_witness(rep: BraidRep, mode: str, value: ScalarValue | int, r: in
         raise ValueError("need r >= 1")
     if value**r != 1:
         raise ValueError(f"{format_scalar(value)}**{r} != 1")
-    return scalar_power_witness(rep, mode, value, empty_word(rep.n), r)
+    return scalar_power_witness(rep, mode, value, SMWord(rep.n), r)
 
 
 def find_scalar_witness(
@@ -127,8 +125,9 @@ def find_scalar_witness(
     value: ScalarValue | int,
     s_max: int,
     len_max: int,
-) -> tuple[BraidWord, int] | None:
-    """Bounded search for a braid word v with rho(v) == value**(-s) * identity.
+) -> tuple[SMWord, int] | None:
+    """Bounded search for a braid word v with rho(v) == value**(-s) * identity;
+    v is returned as an `SMWord` with no tau letter.
 
     It takes no mode: this condition is the same for all three one-parameter
     families, and the family only decides which witness pair
@@ -176,7 +175,7 @@ def find_scalar_witness(
     for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
         letters = first.get(one.scale(value**-s))
         if letters is not None:
-            return BraidWord(rep.n, letters), s
+            return SMWord(rep.n, letters), s
     return None
 
 
@@ -184,7 +183,7 @@ def scalar_power_witness(
     rep: BraidRep,
     mode: str,
     value: ScalarValue | int,
-    v: BraidWord,
+    v: SMWord,
     s: int,
 ) -> UnfaithfulnessWitness:
     """Witness pair built from rho(v) == value**(-s) * identity: tau_1^s v
@@ -374,7 +373,7 @@ def conjugation_kernel_check(
     rep: BraidRep,
     params: PhiParams,
     kernel_word: SMWord,
-    conjugators: list[BraidWord] | tuple[BraidWord, ...],
+    conjugators: list[SMWord] | tuple[SMWord, ...],
 ) -> bool:
     """Whether every braid conjugate u w u^-1 of a kernel word stays in the
     kernel.  Raises if the input word is not in the kernel to begin with."""

@@ -5,6 +5,9 @@ B_n is generated by sigma_1 .. sigma_{n-1} subject to the braid relation
 commutation; SM_n adds the singular generators tau_1 .. tau_{n-1} (which have
 no inverses) and five more relation families mixing sigma and tau letters.
 
+A braid word is an `SMWord` with no tau letter (`is_braid`); there is one
+word type for both monoids, since B_n sits inside SM_n.
+
 Words are immutable letter sequences and are never normalized behind the
 caller's back: every rewriting operation returns a new word whose letter
 sequence documents the rewrite, except for explicit `free_reduce` calls.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class GenLetter(NamedTuple):
@@ -81,54 +84,32 @@ class SMWord:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"strand counts differ: {self.n} vs {other.n}")
-        return word(self.n, self.letters + other.letters)
+        return SMWord(self.n, self.letters + other.letters)
 
     @property
     def is_braid(self) -> bool:
         return not any(letter.is_tau for letter in self.letters)
 
+    def inverse(self) -> "SMWord":
+        return SMWord(self.n, tuple(l.inverse() for l in reversed(self.letters)))
+
     def text(self) -> str:
         return " ".join(letter.token() for letter in self.letters)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.n}, {self.text()!r})"
+        return f"SMWord({self.n}, {self.text()!r})"
 
 
-@dataclass(frozen=True)
-class BraidWord(SMWord):
-    """An SMWord with no tau letters; closed under inversion."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.is_braid:
-            raise ValueError("braid word contains a tau letter")
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(l.inverse() for l in reversed(self.letters)))
-
-
-def word(n: int, letters: Iterable[GenLetter] = ()) -> SMWord:
-    """Build an SMWord, downcasting to BraidWord when tau-free."""
-    letters = tuple(letters)
-    if any(l.is_tau for l in letters):
-        return SMWord(n, letters)
-    return BraidWord(n, letters)
-
-
-def empty_word(n: int) -> BraidWord:
-    return BraidWord(n, ())
-
-
-def sigma_power(n: int, i: int, e: int) -> BraidWord:
+def sigma_power(n: int, i: int, e: int) -> SMWord:
     """sigma_i**e as a literal word (inverse letters for e < 0)."""
     letter = sigma(i) if e >= 0 else sigma_inv(i)
-    return BraidWord(n, (letter,) * abs(e))
+    return SMWord(n, (letter,) * abs(e))
 
 
 def tau_power(n: int, i: int, e: int) -> SMWord:
     if e < 0:
         raise ValueError("tau letters have no inverse")
-    return word(n, (tau(i),) * e)
+    return SMWord(n, (tau(i),) * e)
 
 
 _INDEX_RE = re.compile(r"[1-9][0-9]*")
@@ -153,7 +134,7 @@ def parse_word(text: str, n: int) -> SMWord:
         if not 1 <= index <= n - 1:
             raise ValueError(f"index out of range in token {token!r} for n={n}")
         letters.append(GenLetter(head, index))
-    return word(n, letters)
+    return SMWord(n, tuple(letters))
 
 
 # --- relation-invariant statistics ------------------------------------------
@@ -207,7 +188,7 @@ def sm2_normal_form(w: SMWord) -> SM2NormalForm:
 # --- rewriting ---------------------------------------------------------------
 
 
-def tau_conjugator(i: int, n: int) -> BraidWord:
+def tau_conjugator(i: int, n: int) -> SMWord:
     """The braid word w_i with tau_i = w_i tau_1 w_i^-1.
 
     w_1 is empty; sliding tau through crossings gives the recursion
@@ -219,7 +200,7 @@ def tau_conjugator(i: int, n: int) -> BraidWord:
     letters: list[GenLetter] = []
     for j in range(i - 1, 0, -1):
         letters.extend((sigma(j), sigma(j + 1)))
-    return BraidWord(n, tuple(letters))
+    return SMWord(n, tuple(letters))
 
 
 def _expand_taus(w: SMWord) -> list[GenLetter]:
@@ -267,11 +248,11 @@ def free_reduce(w: SMWord) -> SMWord:
             stack.pop()
         else:
             stack.append(letter)
-    return word(w.n, stack)
+    return SMWord(w.n, tuple(stack))
 
 
-def conjugate(w: SMWord, u: BraidWord) -> SMWord:
-    """u * w * u^-1, literally concatenated."""
+def conjugate(w: SMWord, u: SMWord) -> SMWord:
+    """u * w * u^-1, literally concatenated; a tau letter in u raises."""
     if w.n != u.n:
         raise ValueError(f"strand counts differ: {w.n} vs {u.n}")
     return u * w * u.inverse()
@@ -287,14 +268,14 @@ class TauBlockForm:
     """
 
     n: int
-    prefix: BraidWord
-    blocks: tuple[tuple[int, BraidWord], ...]
+    prefix: SMWord
+    blocks: tuple[tuple[int, SMWord], ...]
 
     def assemble(self) -> SMWord:
-        out: SMWord = self.prefix
+        letters = list(self.prefix.letters)
         for r, u in self.blocks:
-            out = out * tau_power(self.n, 1, r) * u
-        return out
+            letters += (tau(1),) * r + u.letters
+        return SMWord(self.n, tuple(letters))
 
 
 def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
@@ -308,9 +289,9 @@ def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
     pos = 0
     while pos < len(expanded) and not expanded[pos].is_tau:
         pos += 1
-    prefix = BraidWord(w.n, tuple(expanded[:pos]))
+    prefix = SMWord(w.n, tuple(expanded[:pos]))
 
-    blocks: list[tuple[int, BraidWord]] = []
+    blocks: list[tuple[int, SMWord]] = []
     while pos < len(expanded):
         r = 0
         while pos < len(expanded) and expanded[pos].is_tau:
@@ -319,7 +300,7 @@ def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
         start = pos
         while pos < len(expanded) and not expanded[pos].is_tau:
             pos += 1
-        blocks.append((r, BraidWord(w.n, tuple(expanded[start:pos]))))
+        blocks.append((r, SMWord(w.n, tuple(expanded[start:pos]))))
     return TauBlockForm(w.n, prefix, tuple(blocks))
 
 
@@ -332,7 +313,7 @@ class ShapeForm:
     n: int
     p: int
     q: int
-    blocks: tuple[tuple[int, int, BraidWord], ...]
+    blocks: tuple[tuple[int, int, SMWord], ...]
 
     def __post_init__(self):
         if self.p < 1:
@@ -341,18 +322,12 @@ class ShapeForm:
             if not (0 <= r < self.p and m >= 0):
                 raise ValueError(f"block ({r}, {m}) violates 0 <= r < p, m >= 0")
 
-    def generator_word(self) -> SMWord:
-        return tau_power(self.n, 1, self.p) * sigma_power(self.n, 1, self.q)
-
     def assemble(self) -> SMWord:
-        v = self.generator_word()
-        out: SMWord = empty_word(self.n)
+        v = (tau(1),) * self.p + sigma_power(self.n, 1, self.q).letters
+        letters: list[GenLetter] = []
         for r, m, u in self.blocks:
-            out = out * tau_power(self.n, 1, r)
-            for _ in range(m):
-                out = out * v
-            out = out * u
-        return out
+            letters += (tau(1),) * r + v * m + u.letters
+        return SMWord(self.n, tuple(letters))
 
     def strip(self) -> SMWord:
         """Drop every v^{m_i} factor.
@@ -360,10 +335,10 @@ class ShapeForm:
         When v lies in the kernel of the representation under test, the
         stripped word has the same image as the assembled one.
         """
-        out: SMWord = empty_word(self.n)
+        letters: list[GenLetter] = []
         for r, _, u in self.blocks:
-            out = out * tau_power(self.n, 1, r) * u
-        return out
+            letters += (tau(1),) * r + u.letters
+        return SMWord(self.n, tuple(letters))
 
 
 def shape_form(w: SMWord, p: int, q: int) -> ShapeForm:
@@ -377,13 +352,12 @@ def shape_form(w: SMWord, p: int, q: int) -> ShapeForm:
     if p < 1:
         raise ValueError("need p >= 1")
     form = decompose_tau_blocks(w)
-    blocks: list[tuple[int, int, BraidWord]] = []
+    blocks: list[tuple[int, int, SMWord]] = []
     if len(form.prefix):
         blocks.append((0, 0, form.prefix))
     for s, u in form.blocks:
         m, r = divmod(s, p)
-        merged = free_reduce(sigma_power(w.n, 1, -m * q) * u)
-        blocks.append((r, m, BraidWord(w.n, merged.letters)))
+        blocks.append((r, m, free_reduce(sigma_power(w.n, 1, -m * q) * u)))
     return ShapeForm(w.n, p, q, tuple(blocks))
 
 
@@ -420,9 +394,9 @@ _FAMILY_NAMES = {
 
 
 def _relation(
-    n: int, family: int, indices: tuple[int, ...], lhs: Iterable[GenLetter], rhs: Iterable[GenLetter]
+    n: int, family: int, indices: tuple[int, ...], lhs: tuple[GenLetter, ...], rhs: tuple[GenLetter, ...]
 ) -> RelationInstance:
-    return RelationInstance(family, _FAMILY_NAMES[family], indices, word(n, lhs), word(n, rhs))
+    return RelationInstance(family, _FAMILY_NAMES[family], indices, SMWord(n, lhs), SMWord(n, rhs))
 
 
 def _far_pairs(n: int) -> Iterator[tuple[int, int]]:

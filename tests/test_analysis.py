@@ -42,10 +42,10 @@ from smbraid.reps import (
 )
 from smbraid.scalars import T
 from smbraid.words import (
+    SMWord,
     braid_letters,
     decompose_tau_blocks,
     defining_relations,
-    empty_word,
     parse_word,
     shape_form,
     sigma_power,
@@ -53,7 +53,6 @@ from smbraid.words import (
     tau,
     tau_count,
     tau_power,
-    word,
 )
 
 
@@ -96,7 +95,7 @@ def test_unit_power_witness_b_and_c_modes():
     assert wb.w2 == sigma_power(3, 1, -2)
     wc = unit_power_witness(burau_reduced(3), "00c", Fraction(1), 1)
     assert wc.w1 == tau_power(3, 1, 1)
-    assert wc.w2 == empty_word(3)
+    assert wc.w2 == SMWord(3)
     assert wc.image.is_identity()
 
 
@@ -281,14 +280,14 @@ def test_scalar_power_witness_c_mode():
     rep = scalar_char(Fraction(1, 2), 2)
     w = scalar_power_witness(rep, "00c", Fraction(2), sigma_power(2, 1, 1), 1)
     assert w.w1 == parse_word("t1 s1", 2)
-    assert w.w2 == empty_word(2)
+    assert w.w2 == SMWord(2)
     assert w.image.is_identity()
 
 
 def test_scalar_power_witness_rejects_bad_precondition():
     rep = scalar_char(2, 2)
     with pytest.raises(ValueError):
-        scalar_power_witness(rep, "a00", Fraction(2), empty_word(2), 1)
+        scalar_power_witness(rep, "a00", Fraction(2), SMWord(2), 1)
     with pytest.raises(ValueError):
         scalar_power_witness(rep, "a00", Fraction(2), sigma_power(2, 1, -1), 0)
 
@@ -303,8 +302,8 @@ def test_witnesses_reject_unknown_mode():
 
 
 def test_distinctness_certificate_kinds():
-    assert distinctness_certificate(parse_word("t1", 2), empty_word(2)).kind == "tau-count"
-    assert distinctness_certificate(parse_word("s1", 3), empty_word(3)).kind == "sigma-exponent"
+    assert distinctness_certificate(parse_word("t1", 2), SMWord(2)).kind == "tau-count"
+    assert distinctness_certificate(parse_word("s1", 3), SMWord(3)).kind == "sigma-exponent"
     assert (
         distinctness_certificate(parse_word("s1 S2", 3), parse_word("s2 S1", 3)).kind
         == "permutation"
@@ -578,7 +577,7 @@ def test_conjugation_keeps_kernel_scalar_char():
     v = parse_word("t1 S1 S1", 3)
     conjugators = [random_braid_word(rng, 3, 6) for _ in range(50)]
     assert conjugation_kernel_check(rep, params, v, conjugators)
-    assert conjugation_kernel_check(rep, params, v, [empty_word(3)])
+    assert conjugation_kernel_check(rep, params, v, [SMWord(3)])
 
 
 def test_conjugation_check_rejects_non_kernel_word():
@@ -586,7 +585,7 @@ def test_conjugation_check_rejects_non_kernel_word():
     params = PhiParams.of(2, 0, 0)
     assert rep_eval(Extension(rep, params), parse_word("t1", 3)) == rep.one().scale(4)
     with pytest.raises(ValueError):
-        conjugation_kernel_check(rep, params, parse_word("t1", 3), [empty_word(3)])
+        conjugation_kernel_check(rep, params, parse_word("t1", 3), [SMWord(3)])
 
 
 # --- SM_3 oracle -------------------------------------------------------------------------
@@ -654,7 +653,7 @@ SM3_RELATIONS = tuple(defining_relations(3))
 
 
 def sm3_words(max_len: int):
-    return st.lists(st.sampled_from(SM3_LETTERS), max_size=max_len).map(lambda ls: word(3, ls))
+    return st.lists(st.sampled_from(SM3_LETTERS), max_size=max_len).map(lambda ls: SMWord(3, tuple(ls)))
 
 
 @st.composite
@@ -688,7 +687,7 @@ def test_sm3_oracle_matches_reduced_burau_route(pair):
 # --- input checks ------------------------------------------------------------------
 
 BAD_INPUT_CASES = [
-    ("certificate-mixed-n", lambda: distinctness_certificate(empty_word(2), empty_word(3)),
+    ("certificate-mixed-n", lambda: distinctness_certificate(SMWord(2), SMWord(3)),
      "strand counts differ: 2 vs 3"),
     ("witness-search-non-unit", lambda: find_scalar_witness(scalar_char(2, 2), 0, 1, 1),
      "need a unit, got 0"),

@@ -30,6 +30,7 @@ from smbraid.reps import (
 )
 from smbraid.scalars import T
 from smbraid.words import (
+    SMWord,
     braid_letters,
     decompose_tau_blocks,
     parse_word,
@@ -37,7 +38,6 @@ from smbraid.words import (
     sigma_power,
     tau,
     tau_power,
-    word,
 )
 
 
@@ -312,7 +312,7 @@ def sm_cases(draw, n_values):
     alphabet = list(braid_letters(n)) + [tau(i) for i in range(1, n)]
     letters = draw(st.lists(st.sampled_from(alphabet), max_size=6))
     params = PhiParams.of(draw(cross_scalars), draw(cross_scalars), draw(cross_scalars))
-    return n, word(n, tuple(letters)), params
+    return n, SMWord(n, tuple(letters)), params
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from smbraid.phi import Extension, PhiParams
 from smbraid.scalars import T
-from smbraid.words import SMWord, braid_letters, empty_word, parse_word, sigma_power, tau
+from smbraid.words import SMWord, braid_letters, parse_word, sigma_power, tau
 
 
 def test_burau_unreduced_generator_matrix():
@@ -89,7 +89,7 @@ def test_scalar_char_metadata():
 def test_scalar_char_powers():
     rep = scalar_char(2, 2)
     assert rep_eval(rep, sigma_power(2, 1, -3)) == Matrix([[Fraction(1, 8)]])
-    assert rep_eval(rep, empty_word(2)).is_identity()
+    assert rep_eval(rep, SMWord(2)).is_identity()
 
 
 def test_rep_eval_is_monoid_homomorphism():
@@ -111,7 +111,7 @@ def test_rep_eval_empty_and_one_letter_words():
     rep = burau_unreduced(3)
     ext = Extension(rep, PhiParams.of(T, Fraction(-1, 2), 3))
     for target in (rep, ext):
-        assert rep_eval(target, empty_word(3)) == target.one()
+        assert rep_eval(target, SMWord(3)) == target.one()
     for letter in braid_letters(3):
         assert rep_eval(rep, SMWord(3, (letter,))) == rep.letters[letter]
     assert rep_eval(ext, SMWord(3, (tau(2),))) == ext.letters[tau(2)]

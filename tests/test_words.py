@@ -20,14 +20,12 @@ from conftest import enumerate_braid_words, random_braid_word, random_sm_word
 from smbraid.phi import Extension, PhiParams
 from smbraid.reps import burau_unreduced, permutation_rep, rep_eval
 from smbraid.words import (
-    BraidWord,
     ShapeForm,
     SMWord,
     braid_relations,
     conjugate,
     decompose_tau_blocks,
     defining_relations,
-    empty_word,
     free_reduce,
     parse_word,
     permutation_image,
@@ -42,7 +40,6 @@ from smbraid.words import (
     tau_count,
     tau_power,
     to_s1x_generators,
-    word,
 )
 
 
@@ -82,13 +79,20 @@ def test_parse_round_trip_never_folds_x():
     assert parse_word(w.text(), 4) == w
 
 
-def test_braid_word_downcast_and_inverse():
-    w = parse_word("s1 S2", 3)
-    assert isinstance(w, BraidWord)
-    assert w.inverse().text() == "s2 S1"
-    assert not isinstance(parse_word("t1", 3), BraidWord)
-    with pytest.raises(ValueError):
-        BraidWord(3, (tau(1),))
+def test_one_word_type_compares_by_letters_and_inverts():
+    # a word's value is (n, letters), whichever constructor built it
+    w = SMWord(3, (sigma(1), sigma_inv(2)))
+    assert w == parse_word("s1 S2", 3)
+    assert hash(w) == hash(parse_word("s1 S2", 3))
+    assert repr(w) == "SMWord(3, 's1 S2')"
+    assert w.is_braid
+    assert w.inverse() == parse_word("s2 S1", 3)
+    t1 = parse_word("t1", 3)
+    assert not t1.is_braid
+    with pytest.raises(ValueError, match="tau letters have no inverse"):
+        t1.inverse()
+    with pytest.raises(ValueError, match="tau letters have no inverse"):
+        conjugate(w, parse_word("s2 t1", 3))
 
 
 def test_letter_inverse():
@@ -102,7 +106,7 @@ def test_letter_inverse():
 
 def test_invariant_examples():
     assert tau_count(parse_word("t1 s1", 2)) == 1
-    assert tau_count(empty_word(2)) == 0
+    assert tau_count(SMWord(2)) == 0
     assert sigma_exponent_sum(parse_word("s1 S1", 2)) == 0
     assert sigma_exponent_sum(parse_word("t1 s1 s1", 2)) == 2
     assert permutation_image(parse_word("s1", 2)) == (1, 0)
@@ -180,7 +184,7 @@ def test_normal_form_examples():
 
 sm2_words = st.lists(
     st.sampled_from([sigma(1), sigma_inv(1), tau(1)]), max_size=12
-).map(lambda ls: word(2, tuple(ls)))
+).map(lambda ls: SMWord(2, tuple(ls)))
 
 
 @given(sm2_words, sm2_words)
@@ -204,8 +208,8 @@ def test_tau_conjugator_base_cases():
 def test_tau_conjugator_images(n, i):
     w_i = tau_conjugator(i, n)
     rewritten = w_i * tau_power(n, 1, 1) * w_i.inverse()
-    assert permutation_image(rewritten) == permutation_image(word(n, (tau(i),)))
-    assert images_equal(word(n, (tau(i),)), rewritten)
+    assert permutation_image(rewritten) == permutation_image(SMWord(n, (tau(i),)))
+    assert images_equal(SMWord(n, (tau(i),)), rewritten)
 
 
 # --- two-generator alphabet ----------------------------------------------------------
@@ -242,9 +246,9 @@ def test_decompose_examples():
     assert [(r, u.text()) for r, u in form.blocks] == [(1, "S2 S1")]
     assert images_equal(parse_word("t2", 3), form.assemble())
 
-    form = decompose_tau_blocks(empty_word(3))
+    form = decompose_tau_blocks(SMWord(3))
     assert form.blocks == ()
-    assert form.assemble() == empty_word(3)
+    assert form.assemble() == SMWord(3)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -254,26 +258,61 @@ def test_decompose_preserves_images_and_tau_count(n):
         w = random_sm_word(rng, n, 8)
         form = decompose_tau_blocks(w)
         assert sum(r for r, _ in form.blocks) == tau_count(w)
-        assert all(isinstance(u, BraidWord) for _, u in form.blocks)
+        assert all(u.is_braid for _, u in form.blocks)
         assert all(r >= 1 for r, _ in form.blocks)
         assert images_equal(w, form.assemble())
+
+
+# The parent route: each assembled word as a left fold of `*` over tau_power,
+# v = tau_1^p sigma_1^q and the braid tails, one concatenation at a time.
+
+
+def folded_block_form(form):
+    out = form.prefix
+    for r, u in form.blocks:
+        out = out * tau_power(form.n, 1, r) * u
+    return out
+
+
+def folded_shape(sf, strip=False):
+    v = tau_power(sf.n, 1, sf.p) * sigma_power(sf.n, 1, sf.q)
+    out = SMWord(sf.n)
+    for r, m, u in sf.blocks:
+        out = out * tau_power(sf.n, 1, r)
+        for _ in range(0 if strip else m):
+            out = out * v
+        out = out * u
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p,q", [(1, 0), (1, -2), (2, 1), (3, -1), (2, 3)])
+def test_assembled_words_match_the_folded_route(n, p, q):
+    rng = random.Random(100 * n + 10 * p + q)
+    for _ in range(25):
+        w = random_sm_word(rng, n, 10)
+        form = decompose_tau_blocks(w)
+        assert form.assemble() == folded_block_form(form)
+        sf = shape_form(w, p, q)
+        assert sf.assemble() == folded_shape(sf)
+        assert sf.strip() == folded_shape(sf, strip=True)
 
 
 # --- kernel-power shape --------------------------------------------------------------------
 
 
 def test_shape_examples():
-    sf = shape_form(word(2, (tau(1),) * 3), 2, 0)
+    sf = shape_form(SMWord(2, (tau(1),) * 3), 2, 0)
     assert [(r, m, u.text()) for r, m, u in sf.blocks] == [(1, 1, "")]
 
     sf = shape_form(tau_power(2, 1, 5) * sigma_power(2, 1, -10), 1, -2)
     assert [(r, m, u.text()) for r, m, u in sf.blocks] == [(0, 5, "")]
 
-    sf = shape_form(word(2, (sigma(1),)), 3, 1)
+    sf = shape_form(SMWord(2, (sigma(1),)), 3, 1)
     assert [(r, m, u.text()) for r, m, u in sf.blocks] == [(0, 0, "s1")]
 
     with pytest.raises(ValueError):
-        shape_form(word(2, (tau(1),)), 0, 1)
+        shape_form(SMWord(2, (tau(1),)), 0, 1)
 
 
 @pytest.mark.parametrize("n,p,q", [(2, 1, -2), (2, 2, 0), (3, 2, 1), (3, 3, -1)])
@@ -288,32 +327,32 @@ def test_shape_preserves_images(n, p, q):
 
 
 def test_strip_examples():
-    sf = shape_form(word(2, (tau(1),) * 3), 2, 0)
-    assert sf.strip() == word(2, (tau(1),))
+    sf = shape_form(SMWord(2, (tau(1),) * 3), 2, 0)
+    assert sf.strip() == SMWord(2, (tau(1),))
     sf = shape_form(tau_power(2, 1, 5) * sigma_power(2, 1, -10), 1, -2)
-    assert sf.strip() == empty_word(2)
-    sf = shape_form(tau_power(3, 1, 2) * word(3, (sigma(2),)), 1, 0)
-    assert sf.strip() == word(3, (sigma(2),))
+    assert sf.strip() == SMWord(2)
+    sf = shape_form(tau_power(3, 1, 2) * SMWord(3, (sigma(2),)), 1, 0)
+    assert sf.strip() == SMWord(3, (sigma(2),))
 
 
 # --- conjugation -------------------------------------------------------------------------------
 
 
 def test_conjugate_examples():
-    t1 = word(2, (tau(1),))
-    assert conjugate(t1, empty_word(2)) == t1
-    c = conjugate(t1, word(2, (sigma(1),)))
+    t1 = SMWord(2, (tau(1),))
+    assert conjugate(t1, SMWord(2)) == t1
+    c = conjugate(t1, SMWord(2, (sigma(1),)))
     assert c.text() == "s1 t1 S1"
     nf = sm2_normal_form(c)
     assert (nf.p, nf.q) == (1, 0)
     with pytest.raises(ValueError):
-        conjugate(t1, empty_word(3))
+        conjugate(t1, SMWord(3))
 
 
 def test_conjugate_image_is_conjugated_image():
     ext = oracles(3)[1]
     w = parse_word("t1 S1 S1", 3)
-    u = word(3, (sigma(2),))
+    u = SMWord(3, (sigma(2),))
     conjugated = rep_eval(ext, conjugate(w, u))
     expected = rep_eval(ext.rep, u) * rep_eval(ext, w) * rep_eval(ext.rep, u.inverse())
     assert conjugated == expected
@@ -331,7 +370,7 @@ def test_conjugate_round_trip_up_to_free_reduction():
 def test_free_reduce_blocks_at_tau():
     w = parse_word("s1 t1 S1", 2)
     assert free_reduce(w) == w
-    assert free_reduce(parse_word("s1 S1", 2)) == empty_word(2)
+    assert free_reduce(parse_word("s1 S1", 2)) == SMWord(2)
     assert free_reduce(parse_word("s1 s2 S2 S1 t1", 3)) == parse_word("t1", 3)
 
 
@@ -355,7 +394,7 @@ def test_enumeration_count_matches_brute_force():
     expected = 0
     for length in range(3):
         for combo in itertools.product(alphabet, repeat=length):
-            if len(free_reduce(BraidWord(3, combo))) == length:
+            if len(free_reduce(SMWord(3, combo))) == length:
                 expected += 1
     assert expected == 17
     assert sum(1 for _ in enumerate_braid_words(3, 2)) == 17
@@ -373,11 +412,11 @@ def test_enumeration_is_freely_reduced_and_shortest_first():
 BAD_INPUT_CASES = [
     ("letter-out-of-range", lambda: SMWord(2, (sigma(2),)), "letter s2 out of range for n=2"),
     ("tau-out-of-range", lambda: SMWord(3, (tau(3),)), "letter t3 out of range for n=3"),
-    ("product-mixed-n", lambda: empty_word(2) * empty_word(3), "strand counts differ: 2 vs 3"),
+    ("product-mixed-n", lambda: SMWord(2) * SMWord(3), "strand counts differ: 2 vs 3"),
     ("shape-p-0", lambda: ShapeForm(2, 0, 0, ()), "reference pair needs p >= 1"),
-    ("shape-r-too-big", lambda: ShapeForm(2, 2, 1, ((2, 0, empty_word(2)),)),
+    ("shape-r-too-big", lambda: ShapeForm(2, 2, 1, ((2, 0, SMWord(2)),)),
      "block (2, 0) violates 0 <= r < p, m >= 0"),
-    ("shape-m-negative", lambda: ShapeForm(2, 2, 1, ((0, -1, empty_word(2)),)),
+    ("shape-m-negative", lambda: ShapeForm(2, 2, 1, ((0, -1, SMWord(2)),)),
      "block (0, -1) violates 0 <= r < p, m >= 0"),
 ]
 
