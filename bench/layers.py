@@ -10,8 +10,9 @@ from the `src` directory next to this script's parent:
   (3/2 and -4/3, as the scalar values `as_scalar` makes of them);
 * algebra: a 4x4 unreduced Burau product (the image of a 6-letter word times
   a generator image, as in a word fold), the algebra of one tau image
-  a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation (two
-  scalings and two sums), and two products of formal elements, the images of
+  a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation (one
+  `linear_combination`, a single pass over the stored numerators, as
+  `phi.Extension` builds it), and two products of formal elements, the images of
   two SM_3 words with two tau letters each under Phi_{1,-1,0} into a group
   algebra: over the reduced Burau group in GL_2 (the tests' independent
   route to SM_3 equality), and over B_3 kept in SL(2, Z) x Z through
@@ -23,7 +24,9 @@ from the `src` directory next to this script's parent:
 * reps: building a fresh `burau_unreduced(4)`, which takes the cofactor
   inverses of its three generator images and checks its braid relations;
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
-  `Extension(burau_unreduced(4), params)`, the extension's table built once;
+  `Extension(burau_unreduced(4), params)`, the extension's table built once,
+  and `tau_power_expand` at p = 8 for rational a, b, c and d, the multinomial
+  sum of acceptance criterion 7;
 * analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
   path, which builds its own extension; the `SM_2` kernel grid (p <= 6,
   |q| <= 12) of sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of
@@ -73,9 +76,9 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from refkernel import kernel  # noqa: E402
 from smbraid import cli  # noqa: E402
-from smbraid.algebra import Matrix  # noqa: E402
+from smbraid.algebra import Matrix, linear_combination  # noqa: E402
 from smbraid.analysis import _sm3_oracle, find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
-from smbraid.phi import Extension, PhiParams, check_relations  # noqa: E402
+from smbraid.phi import Extension, PhiParams, check_relations, tau_power_expand  # noqa: E402
 from smbraid.reps import as_formal, burau_reduced, burau_unreduced, matrix_rep_from_images, rep_eval  # noqa: E402
 from smbraid.scalars import T, LaurentPoly, as_scalar  # noqa: E402
 from smbraid.words import defining_relations, parse_word, shape_form  # noqa: E402
@@ -107,6 +110,7 @@ def operations() -> dict:
     u3, v3 = rep_eval(_sm3_oracle(), w1), rep_eval(_sm3_oracle(), w2)
     rational2 = matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])])
     grid_params = PhiParams.of(1, 2, 1)
+    rational = PhiParams.of(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
     walk_rep = burau_unreduced(3)
     shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
 
@@ -120,8 +124,8 @@ def operations() -> dict:
         "scalars.const_mul": lambda: p * q,
         "scalars.const_add": lambda: p + q,
         "algebra.burau4_mul": lambda: word * step,
-        "algebra.tau_image_burau4": lambda: (
-            rep.image(2).scale(params.a) + rep.image_inv(2).scale(params.b) + rep.one().scale(params.c)
+        "algebra.tau_image_burau4": lambda: linear_combination(
+            [(params.a, rep.image(2)), (params.b, rep.image_inv(2)), (params.c, rep.one())]
         ),
         "algebra.formal_mul_burau3": lambda: u * v,
         "algebra.formal_mul_sm3_oracle": lambda: u3 * v3,
@@ -129,6 +133,7 @@ def operations() -> dict:
         "words.relations_sm4": lambda: list(defining_relations(4)),
         "reps.burau_unreduced4": lambda: burau_unreduced(4),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
+        "phi.tau_power_expand_p8": lambda: tau_power_expand(rational, Fraction(-3, 2), 8, 1),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, Fraction(2), 4, 8),

@@ -21,34 +21,41 @@ canonical printed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, ScalarValue, as_scalar, format_scalar, is_unit
+from .scalars import ONE, ZERO, ScalarValue, _check_span, _format, _make, _parts, as_scalar, format_scalar, is_unit
 
 
 class Matrix:
-    """Square matrix of exact scalars.  Its hash is computed on first use and
-    kept; a matrix is a dict key, so never rebind `rows`."""
+    """Square matrix over Q[t, t^-1]: entries (lowest exponent, trimmed integer
+    numerators), zero as (0, ()), over one positive denominator sharing no factor
+    with all the numerators, so equal matrices are stored alike.  A matrix is a
+    dict key and keeps its hash once computed: never rebind a field."""
 
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("_den", "_entries", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[ScalarValue | int]]):
-        normalized = tuple(tuple(as_scalar(entry) for entry in row) for row in rows)
-        dim = len(normalized)
-        if dim == 0 or any(len(row) != dim for row in normalized):
+        parts = [[_parts(as_scalar(entry)) for entry in row] for row in rows]
+        dim = len(parts)
+        if dim == 0 or any([len(row) != dim for row in parts]):
             raise ValueError("matrix must be square and nonempty")
-        self.rows = normalized
+        # each entry is canonical, so over the lcm the numerators share no factor
+        den = lcm(*[d for row in parts for _, _, d in row])
+        self._den = den
+        self._entries = tuple(
+            tuple([(low, nums if d == den else tuple([n * (den // d) for n in nums])) for low, nums, d in row])
+            for row in parts
+        )
 
-    @classmethod
-    def _of(cls, rows: tuple[tuple[ScalarValue, ...], ...]) -> "Matrix":
-        """A matrix whose rows are tuples of canonical scalars already."""
-        m = object.__new__(cls)
-        m.rows = rows
-        return m
+    @property
+    def rows(self) -> tuple[tuple[ScalarValue, ...], ...]:
+        """The entries as canonical scalars."""
+        return tuple(tuple(_make(*entry, self._den) for entry in row) for row in self._entries)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._entries)
 
     @staticmethod
     def identity(dim: int) -> "Matrix":
@@ -57,41 +64,29 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        # a zero summand leaves the other one as it is
-        return Matrix._of(
-            tuple(
-                tuple(a + b if a and b else a or b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
+        return linear_combination([(ONE, self), (ONE, other)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """Row-by-column product that skips every pair with a zero entry;
-        sums of canonical products are canonical, so no entry is re-coerced."""
+        """Row-by-column product over the product of the two denominators;
+        each entry is one integer accumulation over its nonzero pairs."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        cols = tuple(zip(*other.rows))
+        dim = self.dim
+        if dim != other.dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {other.dim}")
+        other_rows = [[(j, low, b) for j, (low, b) in enumerate(row) if b] for row in other._entries]
         rows = []
-        for row in self.rows:
-            nonzero = [(k, a) for k, a in enumerate(row) if a]
-            out = []
-            for col in cols:
-                acc = None
-                for k, a in nonzero:
-                    b = col[k]
-                    if b:
-                        acc = a * b if acc is None else acc + a * b
-                out.append(ZERO if acc is None else acc)
-            rows.append(tuple(out))
-        return Matrix._of(tuple(rows))
+        for row in self._entries:
+            terms = [[] for _ in range(dim)]
+            for k, (low, a) in enumerate(row):
+                if a:
+                    for j, other_low, b in other_rows[k]:
+                        terms[j].append((low + other_low, a, b))
+            rows.append([_accumulate(entry) if entry else _ZERO_ENTRY for entry in terms])
+        return _canonical(self._den * other._den, rows)
 
     def scale(self, s: ScalarValue | int) -> "Matrix":
-        s = as_scalar(s)
-        return Matrix._of(tuple(tuple(s * a if a else a for a in row) for row in self.rows))
+        return linear_combination([(s, self)])
 
     def det(self) -> ScalarValue:
         """Exact determinant by cofactor expansion (dimensions here are small)."""
@@ -102,56 +97,127 @@ class Matrix:
         result stays inside the scalar ring.  Each cofactor is computed once,
         and the determinant is the expansion along row 0 over them."""
         dim = self.dim
+        rows = self.rows
         cof = []
         for i in range(dim):
             cof_row = []
             for j in range(dim):
-                m = _det(_minor(self.rows, i, j))
+                m = _det(_minor(rows, i, j))
                 cof_row.append(m if (i + j) % 2 == 0 else -m)
             cof.append(cof_row)
         d: ScalarValue = ZERO
-        for entry, c in zip(self.rows[0], cof[0]):
+        for entry, c in zip(rows[0], cof[0]):
             if entry:
                 d = d + entry * c
         if not is_unit(d):
             raise ValueError(f"matrix not invertible over the scalar ring (det = {format_scalar(d)})")
         d_inv = d**-1
         # adjugate = transpose of cofactor matrix
-        return Matrix._of(tuple(tuple(d_inv * cof[j][i] for j in range(dim)) for i in range(dim)))
+        return Matrix([[d_inv * cof[j][i] for j in range(dim)] for i in range(dim)])
 
     def is_identity(self) -> bool:
         return self.scalar_multiple_of_identity() == 1
 
     def scalar_multiple_of_identity(self) -> ScalarValue | None:
         """The scalar d with self == d * I, or None."""
-        d = self.rows[0][0]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i == j:
-                    if self.rows[i][j] != d:
-                        return None
-                elif self.rows[i][j] != 0:
+        d = self._entries[0][0]
+        for i, row in enumerate(self._entries):
+            for j, entry in enumerate(row):
+                if entry != (d if i == j else _ZERO_ENTRY):
                     return None
-        return d
+        return _make(*d, self._den)
 
     def text(self) -> str:
-        return "[" + ",".join("[" + ",".join(format_scalar(a) for a in row) + "]" for row in self.rows) + "]"
+        return "[" + ",".join("[" + ",".join(_format(*e, self._den) for e in row) + "]" for row in self._entries) + "]"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self._den == other._den and self._entries == other._entries
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash(self.rows)
+            h = hash((self._den, self._entries))
             self._hash = h
             return h
 
     def __repr__(self) -> str:
         return f"Matrix({self.text()})"
+
+
+_ZERO_ENTRY: tuple[int, tuple[int, ...]] = (0, ())
+
+
+def _accumulate(terms: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> tuple[int, tuple[int, ...]]:
+    """The sum of t^low * a * b over a nonempty list of triples (low, a, b) of
+    trimmed numerators, as a trimmed entry; the span is checked before use."""
+    if len(terms) == 1:
+        # a monomial times a trimmed entry is trimmed already
+        low, a, b = terms[0]
+        if len(a) == 1:
+            return low, tuple([a[0] * y for y in b])
+        if len(b) == 1:
+            return low, tuple([x * b[0] for x in a])
+    low = min([t[0] for t in terms])
+    span = max([t[0] + len(t[1]) + len(t[2]) for t in terms]) - 1 - low
+    if span == 1:  # monomials at one exponent
+        n = sum([t[1][0] * t[2][0] for t in terms])
+        return (low, (n,)) if n else _ZERO_ENTRY
+    _check_span(span)
+    out = [0] * span
+    for t_low, a, b in terms:
+        if len(a) > len(b):  # fewer, longer inner loops
+            a, b = b, a
+        for i, x in enumerate(a, t_low - low):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    end = span
+    while end and not out[end - 1]:
+        end -= 1
+    start = 0
+    while start < end and not out[start]:
+        start += 1
+    return (low + start, tuple(out[start:end])) if end else _ZERO_ENTRY
+
+
+def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Matrix:
+    """The matrix of the trimmed entries over den > 0, after one gcd pass
+    over all their numerators unless den is 1."""
+    g = den
+    for row in entries:
+        if g == 1:
+            break
+        for _, nums in row:
+            g = gcd(g, *nums)
+    if g != 1:
+        den //= g
+        entries = [[(low, tuple([n // g for n in nums])) for low, nums in row] for row in entries]
+    m = object.__new__(Matrix)
+    m._den = den
+    m._entries = tuple(map(tuple, entries))
+    return m
+
+
+def linear_combination(terms: Sequence[tuple[ScalarValue | int, AlgebraElement]]) -> AlgebraElement:
+    """The sum of s * x over the nonempty pairs (s, x) of `terms`, elements of
+    one backend: matrices in one pass over their numerators on a common
+    denominator, other elements by `scale` and `+`."""
+    (s, first), *rest = terms
+    if not isinstance(first, Matrix):
+        return sum((x.scale(c) for c, x in rest), first.scale(s))
+    dim = first.dim
+    for _, x in rest:
+        if x.dim != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {x.dim}")
+    parts = [(*_parts(as_scalar(c)), x) for c, x in terms]
+    den = lcm(*(d * x._den for _, _, d, x in parts))
+    scaled = [(low, tuple([n * (den // (d * x._den)) for n in nums]), x._entries) for low, nums, d, x in parts if nums]
+    idx = range(dim)
+    cells = [[[(low + e[i][j][0], c, e[i][j][1]) for low, c, e in scaled if e[i][j][1]] for j in idx] for i in idx]
+    return _canonical(den, [[_accumulate(t) if t else _ZERO_ENTRY for t in row] for row in cells])
 
 
 def _minor(rows: tuple[tuple[ScalarValue, ...], ...], i: int, j: int) -> tuple[tuple[ScalarValue, ...], ...]:

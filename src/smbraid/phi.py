@@ -24,7 +24,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterator, TypeVar
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, linear_combination
 from .reps import BraidRep, rep_eval
 from .scalars import (
     ONE,
@@ -66,10 +66,8 @@ class Extension:
         self.n = rep.n
         self.letters: dict[GenLetter, AlgebraElement] = dict(rep.letters)
         for i in range(1, rep.n):
-            self.letters[tau(i)] = (
-                rep.image(i).scale(params.a)
-                + rep.image_inv(i).scale(params.b)
-                + rep.one().scale(params.c)
+            self.letters[tau(i)] = linear_combination(
+                [(params.a, rep.image(i)), (params.b, rep.image_inv(i)), (params.c, rep.one())]
             )
 
     def one(self) -> AlgebraElement:

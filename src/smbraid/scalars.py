@@ -393,12 +393,16 @@ def parse_scalar(text: str) -> LaurentPoly:
 
 def format_scalar(x: LaurentPoly | Fraction | int) -> str:
     x = as_scalar(x)
-    nums, den = x._nums, x._den
+    return _format(x._low, x._nums, x._den)
+
+
+def _format(low: int, nums: tuple[int, ...], den: int) -> str:
+    """The text of sum(nums[i] * t**(low + i)) / den, nums trimmed, den > 0."""
     if not nums:
         return "0"
-    if x.is_constant():
+    if not low and len(nums) == 1:
         return _ratio(nums[0], den)
-    return " + ".join(f"{_ratio(n, den)}*t^{e}" for e, n in reversed(tuple(enumerate(nums, x._low))) if n)
+    return " + ".join(f"{_ratio(n, den)}*t^{e}" for e, n in reversed(tuple(enumerate(nums, low))) if n)
 
 
 def _ratio(n: int, den: int) -> str:

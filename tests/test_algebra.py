@@ -18,10 +18,11 @@ from smbraid.algebra import (
     Matrix,
     Permutation,
     SL2ZxZ,
+    linear_combination,
     parse_matrix,
 )
 from smbraid.reps import burau_reduced, permutation_rep, rep_eval
-from smbraid.scalars import T, LaurentPoly, as_scalar, format_scalar, is_unit
+from smbraid.scalars import MAX_SPAN, ZERO, T, LaurentPoly, as_scalar, format_scalar, is_unit
 from smbraid.words import parse_word, sigma, sigma_inv
 
 
@@ -283,6 +284,116 @@ def test_sparse_matrix_product_matches_dense_sum(seed):
                 assert as_scalar(entry) is entry
 
 
+# --- the stored numerators against entrywise LaurentPoly routes ------------------------
+#
+# The references below compute on `LaurentPoly` entries, one scalar operation at a
+# time, apart from the stored numerators: the product skips every pair with a zero
+# entry, and a tau image is scale(a) + scale(b) + scale(c), entry by entry.
+
+
+def reference_product(x_rows, y_rows):
+    cols = tuple(zip(*y_rows))
+    rows = []
+    for row in x_rows:
+        nonzero = [(k, a) for k, a in enumerate(row) if a]
+        out = []
+        for col in cols:
+            acc = None
+            for k, a in nonzero:
+                b = col[k]
+                if b:
+                    acc = a * b if acc is None else acc + a * b
+            out.append(ZERO if acc is None else acc)
+        rows.append(out)
+    return rows
+
+
+def reference_scale(s, rows):
+    return [[s * a if a else a for a in row] for row in rows]
+
+
+def reference_sum(x_rows, y_rows):
+    return [[a + b if a and b else a or b for a, b in zip(r1, r2)] for r1, r2 in zip(x_rows, y_rows)]
+
+
+mixed_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+mixed_scalars = st.one_of(
+    st.just(ZERO),
+    mixed_coefficients.map(as_scalar),
+    st.dictionaries(st.integers(-3, 3), mixed_coefficients, max_size=3).map(LaurentPoly),
+)
+mixed_units = st.builds(
+    lambda c, e: c * T**e, st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2, 5)]),
+    st.integers(-2, 2),
+)
+
+
+def drawn_rows(draw, dim):
+    return [[draw(mixed_scalars) for _ in range(dim)] for _ in range(dim)]
+
+
+def assert_matches(got: Matrix, rows):
+    expected = Matrix(rows)
+    assert got == expected and hash(got) == hash(expected)
+    assert got.rows == tuple(map(tuple, rows)) and got.text() == expected.text()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_matrix_product_matches_entrywise_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    x_rows, y_rows = drawn_rows(data.draw, dim), drawn_rows(data.draw, dim)
+    if dim > 1 and data.draw(st.booleans()):
+        # x[0][1] * y[1][0] == -x[0][0] * y[0][0] + x[0][0] * u * w: entry (0, 0)
+        # cancels to zero, or loses terms, before the other pairs are added
+        u, w = data.draw(mixed_units), data.draw(mixed_scalars)
+        x_rows[0][1] = x_rows[0][0] * u
+        y_rows[1][0] = -y_rows[0][0] * u**-1 + w
+    assert_matches(Matrix(x_rows) * Matrix(y_rows), reference_product(x_rows, y_rows))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_matrix_sum_and_scale_match_entrywise_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    x_rows = drawn_rows(data.draw, dim)
+    # y == -x + w entrywise, for a small w: entries cancel or lose an end term
+    y_rows = [[data.draw(st.sampled_from([-a, ZERO])) + data.draw(mixed_scalars) for a in row] for row in x_rows]
+    x, y = Matrix(x_rows), Matrix(y_rows)
+    assert_matches(x + y, reference_sum(x_rows, y_rows))
+    s = data.draw(st.one_of(mixed_scalars, mixed_units))
+    assert_matches(x.scale(s), reference_scale(s, x_rows))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_tau_image_matches_scale_and_add_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    m_rows = drawn_rows(data.draw, dim)
+    a, c = data.draw(mixed_scalars), data.draw(mixed_scalars)
+    if data.draw(st.booleans()):
+        # n == -(a / b) * m + w for a unit b: a*m + b*n cancels down to b*w
+        b = data.draw(mixed_units)
+        n_rows = [[-(a * b**-1) * x + data.draw(mixed_scalars) for x in row] for row in m_rows]
+    else:
+        b = data.draw(mixed_scalars)
+        n_rows = drawn_rows(data.draw, dim)
+    one_rows = Matrix.identity(dim).rows
+    expected = reference_sum(
+        reference_sum(reference_scale(a, m_rows), reference_scale(b, n_rows)), reference_scale(c, one_rows)
+    )
+    got = linear_combination([(a, Matrix(m_rows)), (b, Matrix(n_rows)), (c, Matrix.identity(dim))])
+    assert_matches(got, expected)
+
+
+def test_matrix_product_rejects_an_entry_past_max_span():
+    # t^-k * 1 + t^k * 1 spans 2k + 1 exponents; no numerator list is allocated
+    k = MAX_SPAN // 2 + 1
+    x = Matrix([[T**-k, T**k], [0, 1]])
+    with pytest.raises(ValueError, match=f"spans {2 * k + 1} exponents, more than {MAX_SPAN}"):
+        x * Matrix([[1, 0], [1, 0]])
+
+
 def test_matrix_non_invertible_raises():
     with pytest.raises(ValueError):
         Matrix([[1, 1], [1, 1]]).inverse()
@@ -357,7 +468,7 @@ def test_det_and_inverse_match_sympy(m):
 @given(square_matrices())
 def test_matrix_hash_is_stable_and_route_independent(m):
     h = hash(m)
-    assert hash(m) == h == hash(m.rows)
+    assert hash(m) == h
     dim = m.dim
     text = "\n".join(",".join(format_scalar(a) for a in row) for row in m.rows)
     routes = [

@@ -242,6 +242,22 @@ def test_bad_backend_selector(capsys, backend, message):
 
 
 @pytest.mark.parametrize(
+    "k,word,span",
+    [
+        # the tau image's entry t^(k+1) + t^-k spans 2k + 2 exponents
+        (1048575, "t1", 2097152),
+        # rejected while the tau image is built, before any product could
+        # convolve entries of more than a million numerators each
+        (700000, "t1 t1", 1400002),
+    ],
+)
+def test_eval_rejects_a_tau_image_past_max_span(capsys, k, word, span):
+    argv = ["eval", "--n", "3", "--rep", "burau-unreduced", f"--a=t^{k}", f"--b=t^-{k}", "--c", "0", "--word", word]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: Laurent polynomial spans {span} exponents, more than 1048576\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["multinomial", "--a", "1", "--b", "0", "--c", "-3", "--d", "2", "--p", "+2", "--q=-3"],
