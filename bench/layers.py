@@ -12,11 +12,13 @@ from the `src` directory next to this script's parent:
   a generator image, as in a word fold), the algebra of one tau image
   a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation (one
   `linear_combination`, a single pass over the stored numerators, as
-  `phi.Extension` builds it), and two products of formal elements, the images of
+  `phi.Extension` builds it), two products of formal elements, the images of
   two SM_3 words with two tau letters each under Phi_{1,-1,0} into a group
   algebra: over the reduced Burau group in GL_2 (the tests' independent
   route to SM_3 equality), and over B_3 kept in SL(2, Z) x Z through
-  `analysis._sm3_oracle()` (the `wordeq3` oracle path);
+  `analysis._sm3_oracle()` (the `wordeq3` oracle path); and the inverse of
+  [[0, -2], [1, 0]], which every `prop8` query takes when it builds its
+  representation from a matrix file;
 * words: `shape_form` of the fixed SM_3 word "t1 t1 s2 t2 S1 s1" (three tau
   letters) against v = tau_1^2 sigma_1, with `assemble` and `strip` of the
   result, and `list(defining_relations(4))`, which builds the 13 relation
@@ -108,7 +110,8 @@ def operations() -> dict:
     w1, w2 = parse_word("t1 s2 t2 S1", 3), parse_word("s1 t2 S2 t1", 3)
     u, v = rep_eval(burau3, w1), rep_eval(burau3, w2)
     u3, v3 = rep_eval(_sm3_oracle(), w1), rep_eval(_sm3_oracle(), w2)
-    rational2 = matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])])
+    rational2_image = Matrix([[0, -2], [1, 0]])
+    rational2 = matrix_rep_from_images(2, [rational2_image])
     grid_params = PhiParams.of(1, 2, 1)
     rational = PhiParams.of(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
     walk_rep = burau_unreduced(3)
@@ -129,6 +132,7 @@ def operations() -> dict:
         ),
         "algebra.formal_mul_burau3": lambda: u * v,
         "algebra.formal_mul_sm3_oracle": lambda: u3 * v3,
+        "algebra.inverse_rational2": lambda: rational2_image.inverse(),
         "words.shape_sm3": shape_sm3,
         "words.relations_sm4": lambda: list(defining_relations(4)),
         "reps.burau_unreduced4": lambda: burau_unreduced(4),

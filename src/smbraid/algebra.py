@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, ScalarValue, _check_span, _format, _make, _parts, as_scalar, format_scalar, is_unit
+from .scalars import (
+    ONE, ZERO, _ZERO_ENTRY, ScalarValue, _accumulate, _format, _make, _parts, as_scalar, format_scalar, is_unit
+)
 
 
 class Matrix:
@@ -36,7 +38,8 @@ class Matrix:
     __slots__ = ("_den", "_entries", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[ScalarValue | int]]):
-        parts = [[_parts(as_scalar(entry)) for entry in row] for row in rows]
+        # as_scalar is reached only by a non-scalar, which it refuses
+        parts = [[_parts(entry) or as_scalar(entry) for entry in row] for row in rows]
         dim = len(parts)
         if dim == 0 or any([len(row) != dim for row in parts]):
             raise ValueError("matrix must be square and nonempty")
@@ -82,38 +85,34 @@ class Matrix:
                 if a:
                     for j, other_low, b in other_rows[k]:
                         terms[j].append((low + other_low, a, b))
-            rows.append([_accumulate(entry) if entry else _ZERO_ENTRY for entry in terms])
+            rows.append([_accumulate(entry) for entry in terms])
         return _canonical(self._den * other._den, rows)
 
     def scale(self, s: ScalarValue | int) -> "Matrix":
         return linear_combination([(s, self)])
 
     def det(self) -> ScalarValue:
-        """Exact determinant by cofactor expansion (dimensions here are small)."""
-        return _det(self.rows)
+        """Exact determinant by cofactor expansion (dimensions here are small)
+        on the stored numerators, over den**dim."""
+        return _make(*_det(self._entries), self._den**self.dim)
 
     def inverse(self) -> "Matrix":
-        """Adjugate inverse; requires the determinant to be a unit so the
-        result stays inside the scalar ring.  Each cofactor is computed once,
-        and the determinant is the expansion along row 0 over them."""
-        dim = self.dim
-        rows = self.rows
-        cof = []
-        for i in range(dim):
-            cof_row = []
-            for j in range(dim):
-                m = _det(_minor(rows, i, j))
-                cof_row.append(m if (i + j) % 2 == 0 else -m)
-            cof.append(cof_row)
-        d: ScalarValue = ZERO
-        for entry, c in zip(rows[0], cof[0]):
-            if entry:
-                d = d + entry * c
-        if not is_unit(d):
-            raise ValueError(f"matrix not invertible over the scalar ring (det = {format_scalar(d)})")
-        d_inv = d**-1
-        # adjugate = transpose of cofactor matrix
-        return Matrix([[d_inv * cof[j][i] for j in range(dim)] for i in range(dim)])
+        """Adjugate inverse on the stored numerators; requires the determinant,
+        the expansion along row 0 over the minors, to be a unit so the result
+        stays inside the scalar ring.  Each minor is computed once."""
+        dim, den, entries = self.dim, self._den, self._entries
+        minors = [[_det(_minor(entries, i, j)) for j in range(dim)] for i in range(dim)]
+        d_low, d = _det(entries, minors[0])
+        if len(d) != 1:
+            raise ValueError(f"matrix not invertible over the scalar ring (det = {_format(d_low, d, den**dim)})")
+        # The minors are over den**(dim-1) and det = d[0] * t^d_low / den**dim, so entry
+        # (i, j) of the inverse is (-1)**(i+j) * minor (j, i) * t^-d_low * den / d[0].
+        f = (den, -den) if d[0] > 0 else (-den, den)  # the factors at even and odd i + j
+        adj = [
+            [(e - d_low, tuple([n * f[(i + j) % 2] for n in m])) if m else _ZERO_ENTRY for j, (e, m) in enumerate(col)]
+            for i, col in enumerate(zip(*minors))
+        ]
+        return _canonical(abs(d[0]), adj)
 
     def is_identity(self) -> bool:
         return self.scalar_multiple_of_identity() == 1
@@ -147,42 +146,6 @@ class Matrix:
         return f"Matrix({self.text()})"
 
 
-_ZERO_ENTRY: tuple[int, tuple[int, ...]] = (0, ())
-
-
-def _accumulate(terms: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> tuple[int, tuple[int, ...]]:
-    """The sum of t^low * a * b over a nonempty list of triples (low, a, b) of
-    trimmed numerators, as a trimmed entry; the span is checked before use."""
-    if len(terms) == 1:
-        # a monomial times a trimmed entry is trimmed already
-        low, a, b = terms[0]
-        if len(a) == 1:
-            return low, tuple([a[0] * y for y in b])
-        if len(b) == 1:
-            return low, tuple([x * b[0] for x in a])
-    low = min([t[0] for t in terms])
-    span = max([t[0] + len(t[1]) + len(t[2]) for t in terms]) - 1 - low
-    if span == 1:  # monomials at one exponent
-        n = sum([t[1][0] * t[2][0] for t in terms])
-        return (low, (n,)) if n else _ZERO_ENTRY
-    _check_span(span)
-    out = [0] * span
-    for t_low, a, b in terms:
-        if len(a) > len(b):  # fewer, longer inner loops
-            a, b = b, a
-        for i, x in enumerate(a, t_low - low):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-    end = span
-    while end and not out[end - 1]:
-        end -= 1
-    start = 0
-    while start < end and not out[start]:
-        start += 1
-    return (low + start, tuple(out[start:end])) if end else _ZERO_ENTRY
-
-
 def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Matrix:
     """The matrix of the trimmed entries over den > 0, after one gcd pass
     over all their numerators unless den is 1."""
@@ -212,32 +175,34 @@ def linear_combination(terms: Sequence[tuple[ScalarValue | int, AlgebraElement]]
     for _, x in rest:
         if x.dim != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {x.dim}")
-    parts = [(*_parts(as_scalar(c)), x) for c, x in terms]
+    parts = [(*(_parts(c) or as_scalar(c)), x) for c, x in terms]
     den = lcm(*(d * x._den for _, _, d, x in parts))
     scaled = [(low, tuple([n * (den // (d * x._den)) for n in nums]), x._entries) for low, nums, d, x in parts if nums]
     idx = range(dim)
     cells = [[[(low + e[i][j][0], c, e[i][j][1]) for low, c, e in scaled if e[i][j][1]] for j in idx] for i in idx]
-    return _canonical(den, [[_accumulate(t) if t else _ZERO_ENTRY for t in row] for row in cells])
+    return _canonical(den, [[_accumulate(t) for t in row] for row in cells])
 
 
-def _minor(rows: tuple[tuple[ScalarValue, ...], ...], i: int, j: int) -> tuple[tuple[ScalarValue, ...], ...]:
-    """The rows without row i and column j."""
-    return tuple(row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i)
+def _minor(entries: tuple, i: int, j: int) -> tuple:
+    """The rows of trimmed entries without row i and column j."""
+    return tuple(row[:j] + row[j + 1 :] for r, row in enumerate(entries) if r != i)
 
 
-def _det(rows: tuple[tuple[ScalarValue, ...], ...]) -> ScalarValue:
-    """Cofactor expansion along row 0 of canonical entries, skipping zeros;
-    the empty matrix has determinant 1."""
-    if not rows:
-        return ONE
-    if len(rows) == 1:
-        return rows[0][0]
-    total: ScalarValue = ZERO
-    for j, entry in enumerate(rows[0]):
-        if entry:
-            term = entry * _det(_minor(rows, 0, j))
-            total = total + term if j % 2 == 0 else total - term
-    return total
+def _det(entries: tuple, minors: list | None = None) -> tuple[int, tuple[int, ...]]:
+    """Cofactor expansion along row 0 of trimmed entries, skipping zeros, as a
+    trimmed entry over den**dim; `minors`, if given, holds the determinants of
+    the minors of row 0.  The empty matrix has determinant 1."""
+    if not entries:
+        return 0, (1,)
+    if len(entries) == 1:
+        return entries[0][0]
+    terms = []
+    for j, (low, a) in enumerate(entries[0]):
+        if a:
+            m_low, m = minors[j] if minors else _det(_minor(entries, 0, j))
+            if m:
+                terms.append((low + m_low, a if j % 2 == 0 else tuple([-n for n in a]), m))
+    return _accumulate(terms)
 
 
 def parse_matrix(text: str) -> Matrix:

@@ -62,7 +62,6 @@ class Extension:
 
     def __init__(self, rep: BraidRep, params: PhiParams):
         self.rep = rep
-        self.params = params
         self.n = rep.n
         self.letters: dict[GenLetter, AlgebraElement] = dict(rep.letters)
         for i in range(1, rep.n):

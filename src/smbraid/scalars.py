@@ -9,10 +9,11 @@ anywhere.
 The stored triple is canonical: a lowest exponent, the tuple of numerators
 from there up, and a positive denominator that shares no factor with all the
 numerators together.  A constant ``n/den`` is ``(0, (n,), den)`` and zero is
-``(0, (), 1)``.  A product is one integer convolution and one ``gcd``; a sum
-puts both sides on a common denominator and aligns the exponents.  A product
-of two one-term values, or a sum of two at the same exponent, is one integer
-product or sum and one ``gcd``.
+``(0, (), 1)``.  A product is one integer convolution (``_accumulate``, also
+the kernel of ``algebra.Matrix``) and one ``gcd``; a sum convolves both sides
+with the monomials that put them on a common denominator.  A product of two
+one-term values, or a sum of two at the same exponent, is one integer product
+or sum and one ``gcd``.
 
 ``LaurentPoly`` arithmetic (``+ - * **`` with ``int``, ``Fraction`` or
 ``LaurentPoly`` operands) returns canonical ``LaurentPoly`` values.
@@ -136,12 +137,7 @@ class LaurentPoly:
             return _new(self._low + low, (n,), den)
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _make(self._low + low, out, self._den * den)
+        return _make(*_accumulate([(self._low + low, a, b)]), self._den * den)
 
     __rmul__ = __mul__
 
@@ -273,40 +269,60 @@ def _sum(
     if not a:
         return _new(low2, b if sign > 0 else tuple([-n for n in b]), den2)
     g = gcd(den1, den2)
-    fa, fb = den2 // g, sign * (den1 // g)
-    low = min(low1, low2)
-    span = max(low1 + len(a), low2 + len(b)) - low
-    _check_span(span)
-    out = [0] * span
-    for i, n in enumerate(a, low1 - low):
-        out[i] = n * fa
-    for i, n in enumerate(b, low2 - low):
-        out[i] += n * fb
-    return _make(low, out, den1 // g * den2)
+    return _make(*_accumulate([(low1, a, (den2 // g,)), (low2, b, (sign * (den1 // g),))]), den1 // g * den2)
 
 
-def _make(low: int, nums: list[int], den: int) -> LaurentPoly:
-    """The canonical value of sum(nums[i] * t**(low + i)) / den, for den > 0:
-    zeros trimmed from both ends and the common factor of den and the
-    numerators cancelled."""
-    end = len(nums)
-    while end and not nums[end - 1]:
-        end -= 1
-    if not end:
+def _make(low: int, nums: tuple[int, ...], den: int) -> LaurentPoly:
+    """The canonical value of sum(nums[i] * t**(low + i)) / den, for trimmed
+    numerators and den > 0: the common factor of den and the numerators
+    cancelled."""
+    if not nums:
         return ZERO
-    start = 0
-    while not nums[start]:
-        start += 1
-    if start or end < len(nums):
-        nums = nums[start:end]
-        low += start
-    _check_span(len(nums))
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
             den //= g
-            nums = [n // g for n in nums]
-    return _new(low, tuple(nums), den)
+            nums = tuple([n // g for n in nums])
+    return _new(low, nums, den)
+
+
+# A trimmed entry (lowest exponent, trimmed integer numerators); zero is (0, ()).
+_ZERO_ENTRY: tuple[int, tuple[int, ...]] = (0, ())
+
+
+def _accumulate(terms: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> tuple[int, tuple[int, ...]]:
+    """The sum of t^low * a * b over a list of triples (low, a, b) of nonempty
+    trimmed numerators, as a trimmed entry; the span is checked before use."""
+    if len(terms) == 1:
+        # a monomial times a trimmed entry is trimmed already
+        low, a, b = terms[0]
+        if len(a) == 1:
+            return low, tuple([a[0] * y for y in b])
+        if len(b) == 1:
+            return low, tuple([x * b[0] for x in a])
+    elif not terms:
+        return _ZERO_ENTRY
+    low = min([t[0] for t in terms])
+    span = max([t[0] + len(t[1]) + len(t[2]) for t in terms]) - 1 - low
+    if span == 1:  # monomials at one exponent
+        n = sum([t[1][0] * t[2][0] for t in terms])
+        return (low, (n,)) if n else _ZERO_ENTRY
+    _check_span(span)
+    out = [0] * span
+    for t_low, a, b in terms:
+        if len(a) > len(b):  # fewer, longer inner loops
+            a, b = b, a
+        for i, x in enumerate(a, t_low - low):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    end = span
+    while end and not out[end - 1]:
+        end -= 1
+    start = 0
+    while start < end and not out[start]:
+        start += 1
+    return (low + start, tuple(out[start:end])) if end else _ZERO_ENTRY
 
 
 def as_scalar(x: LaurentPoly | Fraction | int) -> LaurentPoly:
@@ -365,7 +381,7 @@ def parse_scalar(text: str) -> LaurentPoly:
         if _RATIONAL_RE.fullmatch(text) is None:
             raise ValueError(f"bad rational {text!r}: expected p or p/q")
         num, den = _rational(text, text)
-        return _make(0, [num], den)
+        return _make(0, (num,) if num else (), den)
     coeffs: dict[int, Fraction] = {}
     pos = 0
     first = True

@@ -395,10 +395,14 @@ def test_matrix_product_rejects_an_entry_past_max_span():
 
 
 def test_matrix_non_invertible_raises():
-    with pytest.raises(ValueError):
-        Matrix([[1, 1], [1, 1]]).inverse()
-    with pytest.raises(ValueError):
-        Matrix([[1, T], [0, 1 + T]]).inverse()  # det 1+t is not a unit
+    for m, det in [
+        (Matrix([[1, 1], [1, 1]]), "0"),
+        (Matrix([[1, T], [0, 1 + T]]), "1*t^1 + 1*t^0"),  # det 1+t is not a unit
+        (Matrix([[Fraction(1, 2), 0], [0, 1 + T]]), "1/2*t^1 + 1/2*t^0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            m.inverse()
+        assert str(exc.value) == f"matrix not invertible over the scalar ring (det = {det})"
 
 
 # --- determinant and inverse against sympy ------------------------------------------
@@ -462,6 +466,9 @@ def test_det_and_inverse_match_sympy(m):
     for row in inv.rows:
         for entry in row:
             assert as_scalar(entry) is entry
+    # the stored inverse is canonical: rebuilt from its rows it is stored alike
+    rebuilt = Matrix(inv.rows)
+    assert inv == rebuilt and hash(inv) == hash(rebuilt) and inv.text() == rebuilt.text()
 
 
 @settings(max_examples=50, deadline=None)

@@ -399,14 +399,17 @@ def test_format_examples():
 
 # --- input checks ------------------------------------------------------------------
 
+_NOT_A_SCALAR = object()
+
 
 @pytest.mark.parametrize(
     "make,error,message",
     [
         (lambda: as_scalar("x"), TypeError, "not a scalar: 'x'"),
+        (lambda: Matrix([[_NOT_A_SCALAR]]), TypeError, f"not a scalar: {_NOT_A_SCALAR!r}"),
         (lambda: root_of_unity_order(0), ValueError, "need a nonzero scalar"),
     ],
-    ids=["as-scalar-str", "root-of-unity-order-0"],
+    ids=["as-scalar-str", "matrix-entry-object", "root-of-unity-order-0"],
 )
 def test_bad_input_is_rejected(make, error, message):
     with pytest.raises(error) as exc:
