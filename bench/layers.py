@@ -35,7 +35,9 @@ from the `src` directory next to this script's parent:
   `prop8`; `scalar_kernel_hits` for the character d = 2 (p <= 4,
   |q| <= 8), the route of acceptance criterion 7; and the witness walk of
   `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
-  words of length <= 6), which multiplies and hashes Laurent matrices;
+  words of length <= 6) and on `burau_reduced(3)` (value 3/2, s <= 4,
+  words of length <= 5, the shape of the `word-search` workload's
+  `unfaith` queries), which multiply and key matrix images;
 * cli: three whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, and a
@@ -115,6 +117,7 @@ def operations() -> dict:
     grid_params = PhiParams.of(1, 2, 1)
     rational = PhiParams.of(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
     walk_rep = burau_unreduced(3)
+    reduced3 = burau_reduced(3)
     shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
 
     def shape_sm3():
@@ -142,6 +145,7 @@ def operations() -> dict:
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, Fraction(2), 4, 8),
         "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, 2, 4, 6),
+        "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, Fraction(3, 2), 4, 5),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .scalars import (
-    ONE, ZERO, _ZERO_ENTRY, ScalarValue, _accumulate, _format, _make, _parts, as_scalar, format_scalar, is_unit
+    MAX_SPAN, ONE, ZERO, _ZERO_ENTRY, ScalarValue, _accumulate, _format, _make, _parts, as_scalar, format_scalar, is_unit
 )
 
 
@@ -162,6 +163,52 @@ def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Ma
     m._den = den
     m._entries = tuple(map(tuple, entries))
     return m
+
+
+def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, list, Callable] | None:
+    """Kronecker-packed keys (D. Harvey, J. Symbolic Comput. 44, 2009) for
+    products of at most `depth` of `images`, as `analysis.find_scalar_witness`
+    states them: `key(m)`, the key of m, or None where m * D**depth is not
+    integral or has a coefficient above B**depth; the images packed over D;
+    and `product(key, image)`.  None instead where such a product could span
+    more than MAX_SPAN exponents, the most a `Matrix` product allows."""
+    den = lcm(*[m._den for m in images])
+    spread, bound = 0, den
+    for m in images:
+        f = den // m._den
+        ends = [(low, low + len(nums) - 1) for row in m._entries for low, nums in row if nums]
+        spread = max(spread, max([e for _, e in ends]) - min([e for e, _ in ends]))
+        bound = max(bound, *[sum([abs(n) for _, nums in row for n in nums]) * f for row in m._entries])
+    if depth * spread >= MAX_SPAN:
+        return None
+    dim, slot, scale, cap = images[0].dim, depth * bound.bit_length() + 1, den**depth, bound**depth
+
+    def packed(m: Matrix, f: int) -> tuple[int, tuple[int, ...]]:
+        entries = [entry for row in m._entries for entry in row]
+        low = min([e for e, nums in entries if nums])
+        return low, tuple([sum([n * f << slot * i for i, n in enumerate(nums, e - low)]) for e, nums in entries])
+
+    def key(m: Matrix) -> tuple[int, tuple[int, ...]] | None:
+        f, rem = divmod(scale, m._den)
+        if rem or max([abs(n) for row in m._entries for _, nums in row for n in nums]) * f > cap:
+            return None
+        return packed(m, f)
+
+    def product(held: tuple[int, tuple[int, ...]], image: tuple[int, list]) -> tuple[int, tuple[int, ...]]:
+        (low, a), (image_low, cols) = held, image
+        ents = [sum(map(mul, a[r : r + dim], col)) for r in range(0, dim * dim, dim) for col in cols]
+        if den > 1:
+            ents = [x // den for x in ents]
+        z = (min([x & -x for x in ents if x]).bit_length() - 1) // slot  # the lowest nonzero slot
+        if z:
+            ents = [x >> slot * z for x in ents]
+        return low + image_low + z, tuple(ents)
+
+    steps = []
+    for m in images:
+        low, ents = packed(m, den // m._den)
+        steps.append((low, [ents[j::dim] for j in range(dim)]))
+    return key, steps, product
 
 
 def linear_combination(terms: Sequence[tuple[ScalarValue | int, AlgebraElement]]) -> AlgebraElement:

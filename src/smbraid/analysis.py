@@ -22,10 +22,11 @@ SL(2, Z) x Z; `sm3_word_equality` states what "true implies equal" rests on.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ
+from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _kronecker_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import ScalarValue, as_scalar, format_scalar, is_unit
@@ -143,6 +144,20 @@ def find_scalar_witness(
     letter by letter in `braid_letters` order.  The walk stops early when a
     level reaches no new image (a finite image group is exhausted).
 
+    A matrix image is held as a key, never as a `Matrix`
+    (`algebra._kronecker_keys`).  With D the lcm of the letter denominators
+    and c the depth, the key of M is (low, ents): the entries of
+    t^-low * M * D**c, each packed as one integer in slots of
+    K = c * bitlen(B) + 1 bits, where low is the lowest exponent and
+    B = max(D, row sums of a letter's coefficient magnitudes times D) bounds
+    every coefficient by B**c.  A step is one integer product per entry
+    pair, an exact division by D and a shift.  A target value**(-s) * D**c * 1
+    that is not integral, or has a coefficient above B**c, has no key and no
+    hit.  c starts at min(len_max, 8) and doubles, restarting the walk, while
+    the level at c is nonempty, so K follows the depth reached, not len_max.
+    Where products could span more than `scalars.MAX_SPAN` exponents, the
+    walk multiplies the matrices themselves, and raises as their product does.
+
     Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
     returned exponent is positive whenever a positive one exists in bounds;
     with s_max == 0 there is nothing to try and no walk is made.
@@ -155,25 +170,36 @@ def find_scalar_witness(
         raise ValueError("bounds must be nonnegative")
     if s_max == 0:
         return None
-    steps = [(letter, letter.inverse(), rep.letters[letter]) for letter in braid_letters(rep.n)]
+    walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
+    images = [rep.letters[letter] for letter, _ in walk_letters]
     one = rep.one()
-    first: dict[AlgebraElement, tuple[GenLetter, ...]] = {one: ()}
-    level: list[tuple[tuple[GenLetter, ...], AlgebraElement]] = [((), one)]
-    for _ in range(len_max):
-        if not level:
+    depth = min(len_max, 8)
+    while True:
+        packed = rep.backend == "matrix" and _kronecker_keys(images, depth)
+        if not packed:  # the elements are their own keys, at any depth
+            depth = len_max
+        key, steps, mul = packed or (lambda x: x, images, operator.mul)
+        start = key(one)
+        first: dict[object, tuple[GenLetter, ...]] = {start: ()}
+        level: list[tuple[tuple[GenLetter, ...], object]] = [((), start)]
+        for _ in range(depth):
+            next_level = []
+            for letters, img in level:
+                for (letter, inverse), step in zip(walk_letters, steps):
+                    if letters and letters[-1] == inverse:
+                        continue
+                    grown = letters + (letter,)
+                    new = mul(img, step)
+                    if first.setdefault(new, grown) is grown:
+                        next_level.append((grown, new))
+            level = next_level
+            if not level:
+                break
+        if not level or depth == len_max:
             break
-        next_level = []
-        for letters, img in level:
-            for letter, inverse, step in steps:
-                if letters and letters[-1] == inverse:
-                    continue
-                new = img * step
-                if new not in first:
-                    first[new] = grown = letters + (letter,)
-                    next_level.append((grown, new))
-        level = next_level
+        depth = min(2 * depth, len_max)  # the keys only hold products of up to depth images
     for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
-        letters = first.get(one.scale(value**-s))
+        letters = first.get(key(one.scale(value**-s)))
         if letters is not None:
             return SMWord(rep.n, letters), s
     return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_braid_words, random_braid_word, random_sm_word
 from smbraid import analysis, reps
-from smbraid.algebra import FormalElement, Matrix
+from smbraid.algebra import FormalElement, Matrix, _kronecker_keys
 from smbraid.analysis import (
     KernelReport,
     compare_matrix_cyclic_kernels,
@@ -40,7 +41,7 @@ from smbraid.reps import (
     rep_eval,
     scalar_char,
 )
-from smbraid.scalars import T
+from smbraid.scalars import MAX_SPAN, T
 from smbraid.words import (
     SMWord,
     braid_letters,
@@ -186,8 +187,13 @@ WITNESS_REPS = {
     "cyclic3_-1-n3": cyclic_rep(3, -1, 3),
     "cyclic2_2t^-1-n3": cyclic_rep(2, 2 * T**-1, 3),
     "matrix2x2-n2": matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]),
+    # the inverse has denominator 2 and a t^-1 entry, and the square is -2t * 1
+    "matrix2x2-laurent-n2": matrix_rep_from_images(2, [Matrix([[0, -2 * T], [1, 0]])]),
 }
-WITNESS_VALUES = (Fraction(2), Fraction(-1), Fraction(1, 2), T, -T, 2 * T**-1)
+# -1/2 t^-1 gives the Laurent matrix rep a hit.  Under that rep at len_max 4,
+# the target 8/7 * 1 (value 7/8, s = 1) is not integral over the keys' scale
+# 2^4, and truncating it would give the identity's key.
+WITNESS_VALUES = (Fraction(2), Fraction(-1), Fraction(1, 2), T, -T, 2 * T**-1, Fraction(-1, 2) * T**-1, Fraction(7, 8))
 
 
 @pytest.mark.parametrize("name", WITNESS_REPS)
@@ -206,6 +212,55 @@ def test_find_scalar_witness_matches_enumeration(name):
                 found += expected is not None
     if name.startswith(("scalar", "cyclic", "matrix")):
         assert found, "grid rows for scalar, cyclic and matrix reps must include hits"
+
+
+def test_find_scalar_witness_matches_enumeration_on_reduced_burau3():
+    # The workload's shape (burau-reduced, n = 3, len_max = 5), at seeded units.
+    rng = random.Random(20)
+    rep = burau_reduced(3)
+    states = enumerated_witness_states(rep, 5)
+    values = [Fraction(3, 2), Fraction(2, 3), Fraction(1), Fraction(-1)]
+    values += [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5)) * T ** rng.randint(-3, 3) for _ in range(6)]
+    for value in values:
+        assert find_scalar_witness(rep, value, 4, 5) == enumerated_witness(states, rep, value, 4), value
+
+
+def test_find_scalar_witness_keys_are_injective_up_to_the_bound():
+    # Over [[0, -2t], [1, 0]] and its inverse, D = 2 and B = 4, so at depth 1 a
+    # key coefficient may reach 4 in magnitude; every (q + r t) / 2 * 1 with
+    # |q| <= 4, |r| <= 1 and q + r t != 0 must keep a key of its own.
+    m = Matrix([[0, -2 * T], [1, 0]])
+    key, _, _ = _kronecker_keys([m, m.inverse()], 1)
+    one = Matrix.identity(2)
+    keys = [key(one.scale(Fraction(q, 2) + Fraction(r, 2) * T)) for q in range(-4, 5) for r in (-1, 0, 1) if q or r]
+    assert None not in keys and len(set(keys)) == len(keys)
+
+
+def test_find_scalar_witness_sizes_keys_by_the_depth_reached():
+    # Both images have order 2, so the walk ends at depth 2 whatever len_max
+    # says; slots and scales sized from len_max would take billions of bits.
+    # The constant image is packed at any depth, as its products span one
+    # exponent.
+    for m in (Matrix([[1, -2 * T], [0, -1]]), Matrix([[1, -2], [0, -1]])):
+        rep = matrix_rep_from_images(2, [m])
+        start = time.perf_counter()
+        assert find_scalar_witness(rep, 2, 4, 10**9) is None
+        assert time.perf_counter() - start < 0.5
+
+
+def test_find_scalar_witness_restarts_past_the_first_depth():
+    # s1^9 = 2^9 * 1 lies past the first depth (8), so the walk must restart deeper.
+    rep = matrix_rep_from_images(2, [Matrix([[2]])])
+    assert find_scalar_witness(rep, Fraction(1, 2**9), 1, 8) is None
+    assert find_scalar_witness(rep, Fraction(1, 2**9), 1, 9) == (sigma_power(2, 1, 9), 1)
+
+
+def test_find_scalar_witness_keeps_the_matrix_span_limit():
+    # Products of this image span more exponents than a LaurentPoly may, so the
+    # walk multiplies matrices and raises as their product does.
+    rep = matrix_rep_from_images(2, [Matrix([[T ** (MAX_SPAN // 2 + 1), 1], [0, 1]])])
+    with pytest.raises(ValueError, match="spans"):
+        find_scalar_witness(rep, 2, 1, 3)
 
 
 def count_search_work(monkeypatch, mul_budget):

@@ -477,13 +477,23 @@ GOLDEN = [
         '{"command": "eval", "image": "[[1*t^2 + -6*t^1 + 13*t^0 + -12*t^-1 + 4*t^-2]]", "is_identity": false, '
         '"n": 3, "params": ["1", "2", "3"], "rep": "scalar:-1*t^1", "word": "t1 s2 t2 S1"}',
     ),
+    # The walk keys [[0, -2t], [1, 0]], whose inverse has denominator 2, as packed integers.
+    (
+        ["unfaith", "--mode", "a00", "--val=-1/2*t^-1", "--rep", "matrix:{laurent}", "--n", "2",
+         "--smax", "4", "--lmax", "4"],
+        '{"bounded": true, "bounds": {"len_max": 4, "r_max": 8, "s_max": 4}, "command": "unfaith", '
+        '"found": true, "kind": "scalar-power", "mode": "a00", "rep": "matrix:laurent.txt", "s": 1, '
+        '"v": "s1 s1", "value": "-1/2*t^-1", "witnesses": [{"certificate": "tau-count: 1 != 0", '
+        '"image": "[[0,-2*t^1],[1,0]]", "w1": "t1 s1 s1", "w2": "s1"}]}',
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN, ids=[f"{i:02d}-{a[0]}" for i, (a, _) in enumerate(GOLDEN)])
 def test_golden_json_output(capsys, tmp_path, argv, expected):
-    path = tmp_path / "m.txt"
+    path, laurent = tmp_path / "m.txt", tmp_path / "laurent.txt"
     path.write_text("0,-2\n1,0\n")
-    argv = [str(path) if arg == "{matrix}" else arg for arg in argv]
+    laurent.write_text("0,-2*t\n1,0\n")
+    argv = [str(path) if arg == "{matrix}" else arg.replace("{laurent}", str(laurent)) for arg in argv]
     _, raw = run_json(capsys, *argv)
     assert raw == expected
