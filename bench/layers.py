@@ -42,16 +42,21 @@ from the `src` directory next to this script's parent:
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, and a
   `kernel2` query on the scalar character 3/2.  They cover
-  argument parsing and representation selection as well as the algebra, but
-  not interpreter start-up, which `perfbench/run.py` reports as `setup_s`.
+  argument parsing and representation selection as well as the algebra.
+  And `cli.startup_sm2_grid`: a fresh interpreter answering the `sm2-grid`
+  workload's probe query through `python -m smbraid.cli`, start-up included.
 
-Each operation is timed in 7 repeats of a loop long enough to last about
-0.2 s.  After each repeat the reference kernel of `perfbench/refkernel.py`
-(stdlib `Fraction` arithmetic that no change to smbraid can move) is timed
-as well, and the repeat's time per operation is divided by the kernel's time
-per call.  A run records, per operation, the median of those ratios and their
+Each in-process operation is timed in 7 repeats of a loop long enough to
+last about 0.2 s.  After each repeat the reference kernel of
+`perfbench/refkernel.py` (stdlib `Fraction` arithmetic that no change to
+smbraid can move) is timed as well, and the repeat's time per operation is
+divided by the kernel's time per call.  The start-up operation is one fresh
+process per repeat, and its reference is instead the mean of the two bare
+interpreter starts (`python -c pass`) on either side of it, as
+`perfbench/run.py` computes `setup_s` (which is this ratio times 0.040 s).
+A run records, per operation, the median of those ratios and their
 quartiles, the median and minimum time in microseconds, the loop length and
-the kernel's median time; and the kernel's loop length.  The file holds a
+the reference's median time; and the kernel's loop length.  The file holds a
 list of runs, with the Python version, platform and CPU count, and each run
 is added to the file of its label; delete the file to start a label
 afresh.
@@ -70,7 +75,9 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import time
 import timeit
 from fractions import Fraction
 
@@ -78,6 +85,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import workloads  # noqa: E402
 from refkernel import kernel  # noqa: E402
 from smbraid import cli  # noqa: E402
 from smbraid.algebra import Matrix, linear_combination  # noqa: E402
@@ -160,13 +168,35 @@ def time_op(fn, ref: timeit.Timer, ref_loop: int) -> dict:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
     number = max(1, number)
-    runs, ratios, refs = [], [], []
+    runs, refs = [], []
     for _ in range(REPEATS):
-        us = timer.timeit(number) / number * 1e6
-        ref_us = ref.timeit(ref_loop) / ref_loop * 1e6
-        runs.append(us)
-        ratios.append(us / ref_us)
-        refs.append(ref_us)
+        runs.append(timer.timeit(number) / number * 1e6)
+        refs.append(ref.timeit(ref_loop) / ref_loop * 1e6)
+    return summary(runs, refs, number)
+
+
+def time_startup(argv: list[str]) -> dict:
+    """`python -m smbraid.cli *argv` in a fresh interpreter, against the bare
+    starts on either side of it."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONSTARTUP")}
+    env.update(PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED="0")
+
+    def start_us(args: list[str]) -> float:
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=True)
+        return (time.perf_counter() - start) * 1e6
+
+    runs, refs = [], []
+    for _ in range(REPEATS):
+        before = start_us(["-c", "pass"])
+        runs.append(start_us(["-m", "smbraid.cli", *argv]))
+        refs.append((before + start_us(["-c", "pass"])) / 2)
+    return summary(runs, refs, 1)
+
+
+def summary(runs: list[float], refs: list[float], loop: int) -> dict:
+    """Per-repeat times and reference times, in microseconds, as one row."""
+    ratios = [us / ref_us for us, ref_us in zip(runs, refs)]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     return {
         "ref_ratio": float(f"{median:.4g}"),
@@ -174,7 +204,7 @@ def time_op(fn, ref: timeit.Timer, ref_loop: int) -> dict:
         "ref_ratio_q3": float(f"{q3:.4g}"),
         "us_median": round(statistics.median(runs), 3),
         "us_min": round(min(runs), 3),
-        "loop": number,
+        "loop": loop,
         "ref_us_median": round(statistics.median(refs), 3),
     }
 
@@ -187,6 +217,7 @@ def main() -> None:
     ref = timeit.Timer(kernel)
     ref_loop, _ = ref.autorange()
     ops = {name: time_op(fn, ref, ref_loop) for name, fn in operations().items()}
+    ops["cli.startup_sm2_grid"] = time_startup(workloads.PROBES["sm2-grid"].argv)
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     runs = []
     if os.path.exists(path):

@@ -20,7 +20,6 @@ canonical printed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -165,13 +164,15 @@ def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Ma
     return m
 
 
-def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, list, Callable] | None:
+def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Callable, list, Callable] | None:
     """Kronecker-packed keys (D. Harvey, J. Symbolic Comput. 44, 2009) for
     products of at most `depth` of `images`, as `analysis.find_scalar_witness`
     states them: `key(m)`, the key of m, or None where m * D**depth is not
-    integral or has a coefficient above B**depth; the images packed over D;
-    and `product(key, image)`.  None instead where such a product could span
-    more than MAX_SPAN exponents, the most a `Matrix` product allows."""
+    integral or has a coefficient above B**depth; `scalar_key(x)`, the key
+    of the nonzero scalar x times the identity, read off x's (low, nums, den)
+    triple; the images packed over D; and `product(key, image)`.  None
+    instead where such a product could span more than MAX_SPAN exponents,
+    the most a `Matrix` product allows."""
     den = lcm(*[m._den for m in images])
     spread, bound = 0, den
     for m in images:
@@ -194,6 +195,14 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, lis
             return None
         return packed(m, f)
 
+    def scalar_key(x: ScalarValue) -> tuple[int, tuple[int, ...]] | None:
+        low, nums, d = _parts(x)
+        f, rem = divmod(scale, d)
+        if rem or max([abs(n) for n in nums]) * f > cap:
+            return None
+        diagonal = sum([n * f << slot * i for i, n in enumerate(nums)])
+        return low, tuple([0 if i % (dim + 1) else diagonal for i in range(dim * dim)])
+
     def product(held: tuple[int, tuple[int, ...]], image: tuple[int, list]) -> tuple[int, tuple[int, ...]]:
         (low, a), (image_low, cols) = held, image
         ents = [sum(map(mul, a[r : r + dim], col)) for r in range(0, dim * dim, dim) for col in cols]
@@ -208,7 +217,7 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, lis
     for m in images:
         low, ents = packed(m, den // m._den)
         steps.append((low, [ents[j::dim] for j in range(dim)]))
-    return key, steps, product
+    return key, scalar_key, steps, product
 
 
 def linear_combination(terms: Sequence[tuple[ScalarValue | int, AlgebraElement]]) -> AlgebraElement:
@@ -428,21 +437,40 @@ class FormalElement:
 # --- twisted cyclic algebra ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CyclicElement:
-    """Element of the twisted cyclic algebra K[X]/(X^order - twist)."""
+    """Element of the twisted cyclic algebra K[X]/(X^order - twist).
+    Elements are values: equal when their fields are equal, hashable, and
+    their fields cannot be rebound."""
 
-    order: int
-    twist: ScalarValue
-    coords: tuple[ScalarValue, ...]
+    __slots__ = ("order", "twist", "coords")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, twist: ScalarValue, coords: tuple[ScalarValue, ...]):
+        if order < 1:
             raise ValueError("need order >= 1")
-        if not is_unit(self.twist):
+        if not is_unit(twist):
             raise ValueError("twist must be a unit")
-        if len(self.coords) != self.order:
-            raise ValueError(f"need {self.order} coordinates, got {len(self.coords)}")
+        if len(coords) != order:
+            raise ValueError(f"need {order} coordinates, got {len(coords)}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.twist, self.coords) == (other.order, other.twist, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.twist, self.coords))
+
+    def __reduce__(self):
+        return CyclicElement, (self.order, self.twist, self.coords)
 
     @staticmethod
     def one(order: int, twist: ScalarValue | int) -> "CyclicElement":

@@ -23,8 +23,8 @@ SL(2, Z) x Z; `sm3_word_equality` states what "true implies equal" rests on.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _kronecker_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
@@ -54,8 +54,7 @@ MODES = tuple(_MODES)
 # --- distinctness certificates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistinctnessCertificate:
+class DistinctnessCertificate(NamedTuple):
     """An invariant that separates two words, proving them distinct in SM_n."""
 
     kind: str  # tau-count | sigma-exponent | permutation
@@ -82,8 +81,7 @@ def distinctness_certificate(w1: SMWord, w2: SMWord) -> DistinctnessCertificate 
     return None
 
 
-@dataclass(frozen=True)
-class UnfaithfulnessWitness:
+class UnfaithfulnessWitness(NamedTuple):
     """Two distinct words with exactly equal images under the given extension."""
 
     w1: SMWord
@@ -151,8 +149,9 @@ def find_scalar_witness(
     K = c * bitlen(B) + 1 bits, where low is the lowest exponent and
     B = max(D, row sums of a letter's coefficient magnitudes times D) bounds
     every coefficient by B**c.  A step is one integer product per entry
-    pair, an exact division by D and a shift.  A target value**(-s) * D**c * 1
-    that is not integral, or has a coefficient above B**c, has no key and no
+    pair, an exact division by D and a shift.  A target value**(-s) * 1 is
+    keyed off the scalar itself, with no matrix built; if value**(-s) * D**c
+    is not integral, or has a coefficient above B**c, it has no key and no
     hit.  c starts at min(len_max, 8) and doubles, restarting the walk, while
     the level at c is nonempty, so K follows the depth reached, not len_max.
     Where products could span more than `scalars.MAX_SPAN` exponents, the
@@ -178,7 +177,7 @@ def find_scalar_witness(
         packed = rep.backend == "matrix" and _kronecker_keys(images, depth)
         if not packed:  # the elements are their own keys, at any depth
             depth = len_max
-        key, steps, mul = packed or (lambda x: x, images, operator.mul)
+        key, target, steps, mul = packed or (lambda x: x, one.scale, images, operator.mul)
         start = key(one)
         first: dict[object, tuple[GenLetter, ...]] = {start: ()}
         level: list[tuple[tuple[GenLetter, ...], object]] = [((), start)]
@@ -199,7 +198,7 @@ def find_scalar_witness(
             break
         depth = min(2 * depth, len_max)  # the keys only hold products of up to depth images
     for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
-        letters = first.get(key(one.scale(value**-s)))
+        letters = first.get(target(value**-s))
         if letters is not None:
             return SMWord(rep.n, letters), s
     return None
@@ -244,8 +243,7 @@ def scalar_power_witness(
 # --- SM_2 kernel searches ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     """Bounded grid search over tau_1^p sigma_1^q, 0 <= p <= p_max, |q| <= q_max.
 
     Hits with p == 0 (possible only for an unfaithful rho) are recorded too;

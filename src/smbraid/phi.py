@@ -19,10 +19,9 @@ under a scalar character d by multinomial expansion and by direct powering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterator, TypeVar
+from typing import Iterator, NamedTuple, TypeVar
 
 from .algebra import AlgebraElement, linear_combination
 from .reps import BraidRep, rep_eval
@@ -35,11 +34,10 @@ from .scalars import (
     is_unit,
     multinomial_coeff,
 )
-from .words import GenLetter, RelationInstance, defining_relations, tau
+from .words import GenLetter, SMWord, defining_relations, tau
 
 
-@dataclass(frozen=True)
-class PhiParams:
+class PhiParams(NamedTuple):
     a: ScalarValue
     b: ScalarValue
     c: ScalarValue
@@ -73,13 +71,18 @@ class Extension:
         return self.rep.one()
 
 
-@dataclass(frozen=True)
-class RelationCheck(RelationInstance):
+class RelationCheck(NamedTuple):
+    """A `RelationInstance` and whether its two sides have one image."""
+
+    family: int
+    name: str
+    indices: tuple[int, ...]
+    lhs: SMWord
+    rhs: SMWord
     passed: bool
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     params: PhiParams
     checks: tuple[RelationCheck, ...]
 
@@ -113,7 +116,7 @@ def check_relations(rep: BraidRep, params: PhiParams) -> RelationReport:
     checks = []
     for inst in defining_relations(rep.n):
         passed = rep_eval(ext, inst.lhs) == rep_eval(ext, inst.rhs)
-        checks.append(RelationCheck(inst.family, inst.name, inst.indices, inst.lhs, inst.rhs, passed))
+        checks.append(RelationCheck(*inst, passed))
     return RelationReport(params, tuple(checks))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
@@ -59,19 +58,38 @@ def tau(i: int) -> GenLetter:
     return GenLetter("t", i)
 
 
-@dataclass(frozen=True)
 class SMWord:
-    """A word in SM_n: ambient strand count plus a finite letter sequence."""
+    """A word in SM_n: ambient strand count plus a finite letter sequence.
+    Words are values: equal when their fields are equal, hashable, and
+    their fields cannot be rebound."""
 
-    n: int
-    letters: tuple[GenLetter, ...] = ()
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        for letter in self.letters:
-            if not 1 <= letter.index <= self.n - 1:
-                raise ValueError(f"letter {letter.token()} out of range for n={self.n}")
+    def __init__(self, n: int, letters: tuple[GenLetter, ...] = ()):
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        for letter in letters:
+            if not 1 <= letter.index <= n - 1:
+                raise ValueError(f"letter {letter.token()} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.letters))
+
+    def __reduce__(self):
+        return SMWord, (self.n, self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -166,8 +184,7 @@ def permutation_image(w: SMWord) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@dataclass(frozen=True)
-class SM2NormalForm:
+class SM2NormalForm(NamedTuple):
     """The complete invariant of SM_2 = N x Z: (tau count, sigma exponent)."""
 
     p: int
@@ -258,8 +275,7 @@ def conjugate(w: SMWord, u: SMWord) -> SMWord:
     return u * w * u.inverse()
 
 
-@dataclass(frozen=True)
-class TauBlockForm:
+class TauBlockForm(NamedTuple):
     """A word rewritten as  prefix . tau_1^{r_1} u_1 ... tau_1^{r_k} u_k.
 
     `prefix` collects any leading braid letters (kept explicit rather than
@@ -304,23 +320,43 @@ def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
     return TauBlockForm(w.n, prefix, tuple(blocks))
 
 
-@dataclass(frozen=True)
 class ShapeForm:
     """Kernel-power shape  tau_1^{r_i} v^{m_i} u_i ...  with
     v = tau_1^p sigma_1^q and 0 <= r_i < p; a leading braid segment appears
-    as a (0, 0, u) block."""
+    as a (0, 0, u) block.  A value, like `SMWord`."""
 
-    n: int
-    p: int
-    q: int
-    blocks: tuple[tuple[int, int, SMWord], ...]
+    __slots__ = ("n", "p", "q", "blocks")
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __init__(self, n: int, p: int, q: int, blocks: tuple[tuple[int, int, SMWord], ...]):
+        if p < 1:
             raise ValueError("reference pair needs p >= 1")
-        for r, m, _ in self.blocks:
-            if not (0 <= r < self.p and m >= 0):
+        for r, m, _ in blocks:
+            if not (0 <= r < p and m >= 0):
                 raise ValueError(f"block ({r}, {m}) violates 0 <= r < p, m >= 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.p, self.q, self.blocks) == (other.n, other.p, other.q, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p, self.q, self.blocks))
+
+    def __reduce__(self):
+        return ShapeForm, (self.n, self.p, self.q, self.blocks)
+
+    def __repr__(self) -> str:
+        return f"ShapeForm(n={self.n!r}, p={self.p!r}, q={self.q!r}, blocks={self.blocks!r})"
 
     def assemble(self) -> SMWord:
         v = (tau(1),) * self.p + sigma_power(self.n, 1, self.q).letters
@@ -373,8 +409,7 @@ def braid_letters(n: int) -> tuple[GenLetter, ...]:
 # --- defining relations -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(NamedTuple):
     family: int
     name: str
     indices: tuple[int, ...]

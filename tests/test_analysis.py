@@ -230,10 +230,31 @@ def test_find_scalar_witness_keys_are_injective_up_to_the_bound():
     # key coefficient may reach 4 in magnitude; every (q + r t) / 2 * 1 with
     # |q| <= 4, |r| <= 1 and q + r t != 0 must keep a key of its own.
     m = Matrix([[0, -2 * T], [1, 0]])
-    key, _, _ = _kronecker_keys([m, m.inverse()], 1)
+    key, *_ = _kronecker_keys([m, m.inverse()], 1)
     one = Matrix.identity(2)
     keys = [key(one.scale(Fraction(q, 2) + Fraction(r, 2) * T)) for q in range(-4, 5) for r in (-1, 0, 1) if q or r]
     assert None not in keys and len(set(keys)) == len(keys)
+
+
+def test_find_scalar_witness_keys_targets_from_the_scalar():
+    # The walk keys each target value**-s * 1 off the scalar's (low, nums, den)
+    # triple, with no matrix built; the key must be that of the matrix, and
+    # None exactly where the matrix has no key.
+    keyed = missing = 0
+    for name, rep in WITNESS_REPS.items():
+        if rep.backend != "matrix":
+            continue
+        images = [rep.letters[letter] for letter in braid_letters(rep.n)]
+        one = rep.one()
+        for depth in (1, 4):
+            key, scalar_key, _, _ = _kronecker_keys(images, depth)
+            for value in WITNESS_VALUES:
+                for s in (1, 2, 3, 4, -1, -2, -3, -4):
+                    expected = key(one.scale(value**-s))
+                    assert scalar_key(value**-s) == expected, (name, depth, value, s)
+                    keyed += expected is not None
+                    missing += expected is None
+    assert keyed and missing
 
 
 def test_find_scalar_witness_sizes_keys_by_the_depth_reached():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -27,6 +29,17 @@ def run_json(capsys, *argv):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 1, "JSON mode must emit exactly one document"
     return json.loads(lines[0]), lines[0]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # A fresh process pays for every module the CLI imports; these two alone
+    # cost about a fifth of a CLI call's start-up.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, smbraid.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONSTARTUP")}
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_kernel2_json(capsys):
