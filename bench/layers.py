@@ -7,7 +7,7 @@ from the `src` directory next to this script's parent:
 
 * scalars: a product and a sum of two 6-term Laurent polynomials with
   rational coefficients, and a product and a sum of two rational constants
-  (3/2 and -4/3, as the scalar values `as_scalar` makes of them);
+  (3/2 and -4/3, as `parse_scalar` reads them);
 * algebra: a 4x4 unreduced Burau product (the image of a 6-letter word times
   a generator image, as in a word fold), the algebra of one tau image
   a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation (one
@@ -46,6 +46,9 @@ from the `src` directory next to this script's parent:
   And `cli.startup_sm2_grid`: a fresh interpreter answering the `sm2-grid`
   workload's probe query through `python -m smbraid.cli`, start-up included.
 
+Every operand is built before the timing starts, so an operation times only
+the call it names.
+
 Each in-process operation is timed in 7 repeats of a loop long enough to
 last about 0.2 s.  After each repeat the reference kernel of
 `perfbench/refkernel.py` (stdlib `Fraction` arithmetic that no change to
@@ -79,7 +82,6 @@ import subprocess
 import sys
 import time
 import timeit
-from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -92,7 +94,7 @@ from smbraid.algebra import Matrix, linear_combination  # noqa: E402
 from smbraid.analysis import _sm3_oracle, find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations, tau_power_expand  # noqa: E402
 from smbraid.reps import as_formal, burau_reduced, burau_unreduced, matrix_rep_from_images, rep_eval  # noqa: E402
-from smbraid.scalars import T, LaurentPoly, as_scalar  # noqa: E402
+from smbraid.scalars import T, as_scalar, parse_scalar  # noqa: E402
 from smbraid.words import defining_relations, parse_word, shape_form  # noqa: E402
 
 REPEATS = 7
@@ -107,13 +109,13 @@ def cli_call(argv: list[str]):
 
 
 def operations() -> dict:
-    x = LaurentPoly({e: Fraction(3 * e + 1, 4) for e in range(-2, 4)})
-    y = LaurentPoly({e: Fraction(2 * e - 5, 3) for e in range(-3, 3)})
-    p, q = as_scalar(Fraction(3, 2)), as_scalar(Fraction(-4, 3))
+    x = sum([(3 * e + 1) * T**e for e in range(-2, 4)]) * as_scalar(4) ** -1
+    y = sum([(2 * e - 5) * T**e for e in range(-3, 3)]) * as_scalar(3) ** -1
+    p, q = parse_scalar("3/2"), parse_scalar("-4/3")
     rep = burau_unreduced(4)
     word = rep_eval(rep, parse_word("s1 s2 S3 s1 s2 s3", 4))
     step = rep.image(2)
-    params = PhiParams.of(T, Fraction(-1, 2), 3)
+    params = PhiParams.of(T, parse_scalar("-1/2"), 3)
     sm4 = Extension(rep, params)
     sm4_word = parse_word("t1 s2 S3 t3 s1 t2 S2 s3", 4)
     burau3 = Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
@@ -123,7 +125,8 @@ def operations() -> dict:
     rational2_image = Matrix([[0, -2], [1, 0]])
     rational2 = matrix_rep_from_images(2, [rational2_image])
     grid_params = PhiParams.of(1, 2, 1)
-    rational = PhiParams.of(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
+    rational = PhiParams.of(parse_scalar("1/2"), parse_scalar("-2/3"), parse_scalar("3/5"))
+    rational_d, two = parse_scalar("-3/2"), as_scalar(2)
     walk_rep = burau_unreduced(3)
     reduced3 = burau_reduced(3)
     shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
@@ -148,12 +151,12 @@ def operations() -> dict:
         "words.relations_sm4": lambda: list(defining_relations(4)),
         "reps.burau_unreduced4": lambda: burau_unreduced(4),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
-        "phi.tau_power_expand_p8": lambda: tau_power_expand(rational, Fraction(-3, 2), 8, 1),
+        "phi.tau_power_expand_p8": lambda: tau_power_expand(rational, rational_d, 8, 1),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
-        "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, Fraction(2), 4, 8),
-        "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, 2, 4, 6),
-        "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, Fraction(3, 2), 4, 5),
+        "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
+        "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),
+        "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]

@@ -25,7 +25,8 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .scalars import (
-    MAX_SPAN, ONE, ZERO, _ZERO_ENTRY, ScalarValue, _accumulate, _format, _make, _parts, as_scalar, format_scalar, is_unit
+    MAX_SPAN, ONE, ZERO, _ZERO_ENTRY, LaurentPoly, _accumulate, _format, _make, _parts, as_scalar, format_scalar,
+    is_unit, parse_scalar
 )
 
 
@@ -37,9 +38,8 @@ class Matrix:
 
     __slots__ = ("_den", "_entries", "_hash")
 
-    def __init__(self, rows: Iterable[Iterable[ScalarValue | int]]):
-        # as_scalar is reached only by a non-scalar, which it refuses
-        parts = [[_parts(entry) or as_scalar(entry) for entry in row] for row in rows]
+    def __init__(self, rows: Iterable[Iterable[LaurentPoly | int]]):
+        parts = [[_parts(entry) for entry in row] for row in rows]
         dim = len(parts)
         if dim == 0 or any([len(row) != dim for row in parts]):
             raise ValueError("matrix must be square and nonempty")
@@ -52,7 +52,7 @@ class Matrix:
         )
 
     @property
-    def rows(self) -> tuple[tuple[ScalarValue, ...], ...]:
+    def rows(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The entries as canonical scalars."""
         return tuple(tuple(_make(*entry, self._den) for entry in row) for row in self._entries)
 
@@ -88,10 +88,10 @@ class Matrix:
             rows.append([_accumulate(entry) for entry in terms])
         return _canonical(self._den * other._den, rows)
 
-    def scale(self, s: ScalarValue | int) -> "Matrix":
+    def scale(self, s: LaurentPoly | int) -> "Matrix":
         return linear_combination([(s, self)])
 
-    def det(self) -> ScalarValue:
+    def det(self) -> LaurentPoly:
         """Exact determinant by cofactor expansion (dimensions here are small)
         on the stored numerators, over den**dim."""
         return _make(*_det(self._entries), self._den**self.dim)
@@ -117,7 +117,7 @@ class Matrix:
     def is_identity(self) -> bool:
         return self.scalar_multiple_of_identity() == 1
 
-    def scalar_multiple_of_identity(self) -> ScalarValue | None:
+    def scalar_multiple_of_identity(self) -> LaurentPoly | None:
         """The scalar d with self == d * I, or None."""
         d = self._entries[0][0]
         for i, row in enumerate(self._entries):
@@ -195,7 +195,7 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Cal
             return None
         return packed(m, f)
 
-    def scalar_key(x: ScalarValue) -> tuple[int, tuple[int, ...]] | None:
+    def scalar_key(x: LaurentPoly) -> tuple[int, tuple[int, ...]] | None:
         low, nums, d = _parts(x)
         f, rem = divmod(scale, d)
         if rem or max([abs(n) for n in nums]) * f > cap:
@@ -220,7 +220,7 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Cal
     return key, scalar_key, steps, product
 
 
-def linear_combination(terms: Sequence[tuple[ScalarValue | int, AlgebraElement]]) -> AlgebraElement:
+def linear_combination(terms: Sequence[tuple[LaurentPoly | int, AlgebraElement]]) -> AlgebraElement:
     """The sum of s * x over the nonempty pairs (s, x) of `terms`, elements of
     one backend: matrices in one pass over their numerators on a common
     denominator, other elements by `scale` and `+`."""
@@ -231,7 +231,7 @@ def linear_combination(terms: Sequence[tuple[ScalarValue | int, AlgebraElement]]
     for _, x in rest:
         if x.dim != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {x.dim}")
-    parts = [(*(_parts(c) or as_scalar(c)), x) for c, x in terms]
+    parts = [(*_parts(c), x) for c, x in terms]
     den = lcm(*(d * x._den for _, _, d, x in parts))
     scaled = [(low, tuple([n * (den // (d * x._den)) for n in nums]), x._entries) for low, nums, d, x in parts if nums]
     idx = range(dim)
@@ -263,8 +263,6 @@ def _det(entries: tuple, minors: list | None = None) -> tuple[int, tuple[int, ..
 
 def parse_matrix(text: str) -> Matrix:
     """Read a matrix from text: one row per line, entries comma-separated."""
-    from .scalars import parse_scalar
-
     rows = []
     for line in text.splitlines():
         line = line.strip()
@@ -372,8 +370,8 @@ class FormalElement:
 
     __slots__ = ("identity", "coeffs")
 
-    def __init__(self, identity: Permutation | Matrix | SL2ZxZ, terms: Iterable[tuple[object, ScalarValue | int]] = ()):
-        coeffs: dict[object, ScalarValue] = {}
+    def __init__(self, identity: Permutation | Matrix | SL2ZxZ, terms: Iterable[tuple[object, LaurentPoly | int]] = ()):
+        coeffs: dict[object, LaurentPoly] = {}
         for g, c in terms:
             old = coeffs.get(g)
             acc = as_scalar(c) if old is None else old + c
@@ -388,7 +386,7 @@ class FormalElement:
     def one(identity: Permutation | Matrix | SL2ZxZ) -> "FormalElement":
         return FormalElement(identity, [(identity, 1)])
 
-    def terms(self) -> list[tuple[object, ScalarValue]]:
+    def terms(self) -> list[tuple[object, LaurentPoly]]:
         """(element, coefficient) pairs in printed order."""
         return sorted(self.coeffs.items(), key=lambda term: term[0].text())
 
@@ -411,7 +409,7 @@ class FormalElement:
             ],
         )
 
-    def scale(self, s: ScalarValue | int) -> "FormalElement":
+    def scale(self, s: LaurentPoly | int) -> "FormalElement":
         return FormalElement(self.identity, [(g, s * c) for g, c in self.coeffs.items()])
 
     def is_identity(self) -> bool:
@@ -444,7 +442,7 @@ class CyclicElement:
 
     __slots__ = ("order", "twist", "coords")
 
-    def __init__(self, order: int, twist: ScalarValue, coords: tuple[ScalarValue, ...]):
+    def __init__(self, order: int, twist: LaurentPoly, coords: tuple[LaurentPoly, ...]):
         if order < 1:
             raise ValueError("need order >= 1")
         if not is_unit(twist):
@@ -473,11 +471,11 @@ class CyclicElement:
         return CyclicElement, (self.order, self.twist, self.coords)
 
     @staticmethod
-    def one(order: int, twist: ScalarValue | int) -> "CyclicElement":
+    def one(order: int, twist: LaurentPoly | int) -> "CyclicElement":
         return CyclicElement.x_power(order, twist, 0)
 
     @staticmethod
-    def x_power(order: int, twist: ScalarValue | int, k: int) -> "CyclicElement":
+    def x_power(order: int, twist: LaurentPoly | int, k: int) -> "CyclicElement":
         """X^k for any integer k, reduced via X^order = twist."""
         if order < 1:
             raise ValueError("need order >= 1")
@@ -518,7 +516,7 @@ class CyclicElement:
                 out[e] = out[e] + c
         return CyclicElement(self.order, self.twist, tuple(out))
 
-    def scale(self, s: ScalarValue | int) -> "CyclicElement":
+    def scale(self, s: LaurentPoly | int) -> "CyclicElement":
         return CyclicElement(self.order, self.twist, tuple(s * a for a in self.coords))
 
     def is_identity(self) -> bool:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _kronecker_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
-from .scalars import ScalarValue, as_scalar, format_scalar, is_unit
+from .scalars import LaurentPoly, as_scalar, format_scalar, is_unit
 from .words import (
     GenLetter,
     SMWord,
@@ -91,7 +91,7 @@ class UnfaithfulnessWitness(NamedTuple):
     params: PhiParams
 
 
-def root_of_unity_order(a: ScalarValue | int, r_max: int = 8) -> int | None:
+def root_of_unity_order(a: LaurentPoly | int, r_max: int = 8) -> int | None:
     """Smallest 1 <= r <= r_max with a**r == 1, or None.
 
     The answer is exact, with no search: over Q the only roots of unity are
@@ -106,7 +106,7 @@ def root_of_unity_order(a: ScalarValue | int, r_max: int = 8) -> int | None:
     return r if r is not None and r <= r_max else None
 
 
-def unit_power_witness(rep: BraidRep, mode: str, value: ScalarValue | int, r: int) -> UnfaithfulnessWitness:
+def unit_power_witness(rep: BraidRep, mode: str, value: LaurentPoly | int, r: int) -> UnfaithfulnessWitness:
     """Witness pair for a root-of-unity parameter: tau_1^r against the braid
     word with the same image (value**r == 1 required).  This is the
     scalar-power witness with v the empty word, since rho(empty) = 1 =
@@ -121,7 +121,7 @@ def unit_power_witness(rep: BraidRep, mode: str, value: ScalarValue | int, r: in
 
 def find_scalar_witness(
     rep: BraidRep,
-    value: ScalarValue | int,
+    value: LaurentPoly | int,
     s_max: int,
     len_max: int,
 ) -> tuple[SMWord, int] | None:
@@ -207,7 +207,7 @@ def find_scalar_witness(
 def scalar_power_witness(
     rep: BraidRep,
     mode: str,
-    value: ScalarValue | int,
+    value: LaurentPoly | int,
     v: SMWord,
     s: int,
 ) -> UnfaithfulnessWitness:
@@ -340,7 +340,7 @@ def nonscalar_power_check(rep: BraidRep, s_max: int) -> bool:
     return all(acc.scalar_multiple_of_identity() is None for acc in _powers(rep.image(1), s_max))
 
 
-def scalar_kernel_hits(params: PhiParams, d: ScalarValue | int, p_max: int, q_max: int) -> tuple[tuple[int, int], ...]:
+def scalar_kernel_hits(params: PhiParams, d: LaurentPoly | int, p_max: int, q_max: int) -> tuple[tuple[int, int], ...]:
     """All (p, q) in bounds, p >= 1, whose multinomial character value is 1."""
     d = as_scalar(d)
     if not is_unit(d):
@@ -355,7 +355,7 @@ def scalar_kernel_hits(params: PhiParams, d: ScalarValue | int, p_max: int, q_ma
     return tuple(sorted(hits, key=_hit_order))
 
 
-def scalar_kernel_criterion(params: PhiParams, d: ScalarValue | int, p_max: int, q_max: int) -> tuple[int, int] | None:
+def scalar_kernel_criterion(params: PhiParams, d: LaurentPoly | int, p_max: int, q_max: int) -> tuple[int, int] | None:
     """Smallest (p, q) with the multinomial sum equal to 1, ordered by
     (p, |q|, positive q first); None if no hit in bounds."""
     hits = scalar_kernel_hits(params, d, p_max, q_max)
@@ -365,7 +365,7 @@ def scalar_kernel_criterion(params: PhiParams, d: ScalarValue | int, p_max: int,
 def compare_matrix_cyclic_kernels(
     m: Matrix,
     s: int,
-    d_s: ScalarValue | int,
+    d_s: LaurentPoly | int,
     params: PhiParams,
     p_max: int,
     q_max: int,

@@ -28,7 +28,7 @@ from .reps import BraidRep, rep_eval
 from .scalars import (
     ONE,
     ZERO,
-    ScalarValue,
+    LaurentPoly,
     as_scalar,
     format_scalar,
     is_unit,
@@ -38,12 +38,12 @@ from .words import GenLetter, SMWord, defining_relations, tau
 
 
 class PhiParams(NamedTuple):
-    a: ScalarValue
-    b: ScalarValue
-    c: ScalarValue
+    a: LaurentPoly
+    b: LaurentPoly
+    c: LaurentPoly
 
     @staticmethod
-    def of(a: ScalarValue | int, b: ScalarValue | int, c: ScalarValue | int) -> "PhiParams":
+    def of(a: LaurentPoly | int, b: LaurentPoly | int, c: LaurentPoly | int) -> "PhiParams":
         return PhiParams(as_scalar(a), as_scalar(b), as_scalar(c))
 
     def text(self) -> str:
@@ -120,7 +120,7 @@ def check_relations(rep: BraidRep, params: PhiParams) -> RelationReport:
     return RelationReport(params, tuple(checks))
 
 
-def _unit_d(d: ScalarValue | int, p: int) -> ScalarValue:
+def _unit_d(d: LaurentPoly | int, p: int) -> LaurentPoly:
     """d as a scalar, after the checks both `tau_power_*` routes make."""
     d = as_scalar(d)
     if p < 0:
@@ -130,7 +130,7 @@ def _unit_d(d: ScalarValue | int, p: int) -> ScalarValue:
     return d
 
 
-def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) -> ScalarValue:
+def tau_power_expand(params: PhiParams, d: LaurentPoly | int, p: int, q: int) -> LaurentPoly:
     """Scalar image of tau_1^p sigma_1^q under the character sigma_1 -> d:
 
         sum over i+j+k = p of  p!/(i! j! k!) * a^i b^j c^k * d^(i - j + q).
@@ -138,10 +138,10 @@ def tau_power_expand(params: PhiParams, d: ScalarValue | int, p: int, q: int) ->
     return _multinomial_sum(params, _unit_d(d, p), p, q)
 
 
-def _multinomial_sum(params: PhiParams, d: ScalarValue, p: int, q: int) -> ScalarValue:
+def _multinomial_sum(params: PhiParams, d: LaurentPoly, p: int, q: int) -> LaurentPoly:
     """The sum of `tau_power_expand`, for a unit scalar d and p >= 0."""
     a_pow, b_pow, c_pow = ([ONE, *_powers(x, p)] for x in (params.a, params.b, params.c))
-    total: ScalarValue = ZERO
+    total: LaurentPoly = ZERO
     for i in range(p + 1):
         for j in range(p - i + 1):
             k = p - i - j
@@ -150,7 +150,7 @@ def _multinomial_sum(params: PhiParams, d: ScalarValue, p: int, q: int) -> Scala
     return total
 
 
-_Power = TypeVar("_Power", ScalarValue, AlgebraElement)
+_Power = TypeVar("_Power", LaurentPoly, AlgebraElement)
 
 
 def _powers(x: _Power, k: int) -> Iterator[_Power]:
@@ -158,12 +158,12 @@ def _powers(x: _Power, k: int) -> Iterator[_Power]:
     return accumulate(repeat(x, k), mul)
 
 
-def tau_power_direct(params: PhiParams, d: ScalarValue | int, p: int, q: int) -> ScalarValue:
+def tau_power_direct(params: PhiParams, d: LaurentPoly | int, p: int, q: int) -> LaurentPoly:
     """Independent evaluation of the same scalar: (a d + b d^-1 + c)^p d^q by
     repeated multiplication."""
     d = _unit_d(d, p)
     base = params.a * d + params.b * d**-1 + params.c
-    acc: ScalarValue = ONE
+    acc: LaurentPoly = ONE
     for _ in range(p):
         acc = acc * base
     return acc * d**q

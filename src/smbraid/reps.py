@@ -35,7 +35,7 @@ from .algebra import (
 )
 from .scalars import (
     T,
-    ScalarValue,
+    LaurentPoly,
     as_scalar,
     format_scalar,
     is_unit,
@@ -169,7 +169,7 @@ def permutation_rep(n: int) -> BraidRep:
     return BraidRep(n, FormalElement.one(e), images, images, name="perm")
 
 
-def scalar_char(d: ScalarValue | int, n: int) -> BraidRep:
+def scalar_char(d: LaurentPoly | int, n: int) -> BraidRep:
     """Scalar character sigma_i -> d (a unit), realized as 1x1 matrices."""
     d = as_scalar(d)
     if not is_unit(d):
@@ -194,7 +194,7 @@ def matrix_rep_from_images(
     return BraidRep(n, one, matrices, inverses, name=name)
 
 
-def cyclic_rep(order: int, twist: ScalarValue | int, n: int = 2) -> BraidRep:
+def cyclic_rep(order: int, twist: LaurentPoly | int, n: int = 2) -> BraidRep:
     """sigma_i -> X in the twisted cyclic algebra with X^order = twist."""
     twist = as_scalar(twist)
     one = CyclicElement.one(order, twist)

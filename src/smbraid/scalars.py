@@ -15,14 +15,12 @@ with the monomials that put them on a common denominator.  A product of two
 one-term values, or a sum of two at the same exponent, is one integer product
 or sum and one ``gcd``.
 
-``LaurentPoly`` arithmetic (``+ - * **`` with ``int``, ``Fraction`` or
-``LaurentPoly`` operands) returns canonical ``LaurentPoly`` values.
-``fractions.Fraction`` is accepted at the boundary, as an operand, in
-comparisons, by ``as_scalar`` and by the constructor, and ``items()`` yields
-``Fraction`` coefficients, but no operation returns one.  A constant equals
-and hashes like the ``int`` or ``Fraction`` of the same value.  ``as_scalar``
-is the coercion at the boundary (a negative power of a plain ``int`` would be
-a float).
+``LaurentPoly`` arithmetic (``+ - * **`` with ``int`` or ``LaurentPoly``
+operands) returns canonical ``LaurentPoly`` values, and a value equal to an
+``int`` compares and hashes like it.  No other type is a scalar: a value is
+built by ``as_scalar`` (the coercion of an ``int``; a negative power of a plain
+``int`` would be a float), by ``parse_scalar`` or by arithmetic from ``T``,
+never by calling the class.
 
 Units of Q[t, t^-1] are exactly the nonzero monomials c*t^k; ``x ** -1`` and
 other negative powers are only defined for those.
@@ -31,10 +29,7 @@ other negative powers are only defined for those.
 from __future__ import annotations
 
 import re
-import sys
-from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterator
 
 
 class LaurentPoly:
@@ -48,34 +43,10 @@ class LaurentPoly:
 
     __slots__ = ("_low", "_nums", "_den")
 
-    def __init__(self, coeffs: dict[int, Fraction | int] | None = None):
-        terms: dict[int, Fraction] = {}
-        for exp, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                terms[int(exp)] = c
-        if not terms:
-            self._low, self._nums, self._den = 0, (), 1
-            return
-        low, high = min(terms), max(terms)
-        _check_span(high - low + 1)
-        # Each coefficient is in lowest terms, so the lcm of the denominators
-        # shares no factor with all the scaled numerators together.
-        den = lcm(*(c.denominator for c in terms.values()))
-        self._low, self._den = low, den
-        self._nums = tuple(
-            c.numerator * (den // c.denominator) if (c := terms.get(e)) else 0
-            for e in range(low, high + 1)
-        )
-
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        """Terms in descending exponent order."""
-        low, den = self._low, self._den
-        return (
-            (low + i, Fraction(n, den))
-            for i, n in reversed(tuple(enumerate(self._nums)))
-            if n
-        )
+    # _new builds every value without calling __init__, and copy and pickle
+    # restore one without it too.
+    def __init__(self, *args: object):
+        raise TypeError("LaurentPoly values come from as_scalar, parse_scalar and arithmetic")
 
     def __bool__(self) -> bool:
         return bool(self._nums)
@@ -91,10 +62,9 @@ class LaurentPoly:
             return _sum(self._low, self._nums, self._den, other._low, other._nums, other._den, 1)
         if type(other) is int:
             return _sum(self._low, self._nums, self._den, 0, (other,) if other else (), 1, 1)
-        parts = _parts(other)
-        if parts is None:
+        if not isinstance(other, int):
             return NotImplemented
-        return _sum(self._low, self._nums, self._den, *parts, 1)
+        return _sum(self._low, self._nums, self._den, *_parts(other), 1)
 
     __radd__ = __add__
 
@@ -104,27 +74,24 @@ class LaurentPoly:
     def __sub__(self, other: object) -> LaurentPoly:
         if type(other) is LaurentPoly:
             return _sum(self._low, self._nums, self._den, other._low, other._nums, other._den, -1)
-        parts = _parts(other)
-        if parts is None:
+        if not isinstance(other, int):
             return NotImplemented
-        return _sum(self._low, self._nums, self._den, *parts, -1)
+        return _sum(self._low, self._nums, self._den, *_parts(other), -1)
 
     def __rsub__(self, other: object) -> LaurentPoly:
-        parts = _parts(other)
-        if parts is None:
+        if not isinstance(other, int):
             return NotImplemented
-        return _sum(*parts, self._low, self._nums, self._den, -1)
+        return _sum(*_parts(other), self._low, self._nums, self._den, -1)
 
     def __mul__(self, other: object) -> LaurentPoly:
         if type(other) is LaurentPoly:
             low, b, den = other._low, other._nums, other._den
         elif type(other) is int:
             low, b, den = 0, (other,) if other else (), 1
+        elif isinstance(other, int):
+            low, b, den = _parts(other)
         else:
-            parts = _parts(other)
-            if parts is None:
-                return NotImplemented
-            low, b, den = parts
+            return NotImplemented
         a = self._nums
         if len(a) == 1 and len(b) == 1:
             # one term times one term: one integer product and one gcd
@@ -169,47 +136,22 @@ class LaurentPoly:
             if not other:
                 return not nums
             return len(nums) == 1 and nums[0] == other and self._den == 1 and not self._low
-        parts = _parts(other)
-        if parts is None:
+        if not isinstance(other, int):
             return NotImplemented
-        return (self._low, self._nums, self._den) == parts
+        return (self._low, self._nums, self._den) == _parts(other)
 
     def __hash__(self) -> int:
-        # A constant hashes like its int or Fraction value.  Any other value
-        # hashes like the tuple of its (exponent, Fraction coefficient) pairs
-        # in ascending order; a tuple's hash depends only on the hashes of its
-        # items, and each coefficient's hash is an int that hashes to itself.
+        # A value equal to an int hashes like it; any other hashes its triple.
         low, nums, den = self._low, self._nums, self._den
-        if not low and len(nums) <= 1:
-            if not nums:
-                return 0
-            return hash(nums[0]) if den == 1 else _fraction_hash(nums[0], den)
-        if den == 1:
-            return hash(tuple([(e, n) for e, n in enumerate(nums, low) if n]))
-        return hash(tuple([(e, _fraction_hash(n, den)) for e, n in enumerate(nums, low) if n]))
+        if not low and den == 1 and len(nums) <= 1:
+            return hash(nums[0]) if nums else 0
+        return hash((low, nums, den))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_scalar(self)!r})"
 
     def __str__(self) -> str:
         return format_scalar(self)
-
-
-# The one scalar type; the name is kept for annotations.
-ScalarValue = LaurentPoly
-
-_HASH_MODULUS = sys.hash_info.modulus
-
-
-def _fraction_hash(n: int, den: int) -> int:
-    """hash(Fraction(n, den)) for n/den in lowest terms, den > 0, computed
-    as Fraction.__hash__ does, without building the Fraction."""
-    try:
-        h = hash(hash(abs(n)) * pow(den, -1, _HASH_MODULUS))
-    except ValueError:  # den is a multiple of the modulus
-        h = sys.hash_info.inf
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
 
 
 def _new(low: int, nums: tuple[int, ...], den: int) -> LaurentPoly:
@@ -236,17 +178,16 @@ def _check_span(span: int) -> None:
         raise ValueError(f"Laurent polynomial spans {span} exponents, more than {MAX_SPAN}")
 
 
-def _parts(x: object) -> tuple[int, tuple[int, ...], int] | None:
-    """The canonical (low, nums, den) triple of an operand, or None for a
-    non-scalar.  The operators read LaurentPoly and int operands directly
-    first; this is their general case, for Fraction and subclasses too."""
+def _parts(x: object) -> tuple[int, tuple[int, ...], int]:
+    """The canonical (low, nums, den) triple of a LaurentPoly or an int (int
+    subclasses included); TypeError for anything else.  The operators read
+    LaurentPoly and int operands directly and come here only for a subclass
+    of int."""
     if isinstance(x, LaurentPoly):
         return x._low, x._nums, x._den
-    if isinstance(x, Fraction):
-        return 0, (x.numerator,) if x else (), x.denominator
     if isinstance(x, int):
         return 0, (int(x),) if x else (), 1
-    return None
+    raise TypeError(f"not a scalar: {x!r}")
 
 
 def _sum(
@@ -325,17 +266,14 @@ def _accumulate(terms: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> tu
     return (low + start, tuple(out[start:end])) if end else _ZERO_ENTRY
 
 
-def as_scalar(x: LaurentPoly | Fraction | int) -> LaurentPoly:
-    """Coerce an int, Fraction or LaurentPoly to its LaurentPoly value."""
+def as_scalar(x: LaurentPoly | int) -> LaurentPoly:
+    """Coerce an int or LaurentPoly to its LaurentPoly value."""
     if type(x) is LaurentPoly:
         return x
-    parts = _parts(x)
-    if parts is None:
-        raise TypeError(f"not a scalar: {x!r}")
-    return _new(*parts)
+    return _new(*_parts(x))
 
 
-def is_unit(x: LaurentPoly | Fraction | int) -> bool:
+def is_unit(x: LaurentPoly | int) -> bool:
     return as_scalar(x).is_unit()
 
 
@@ -382,32 +320,40 @@ def parse_scalar(text: str) -> LaurentPoly:
             raise ValueError(f"bad rational {text!r}: expected p or p/q")
         num, den = _rational(text, text)
         return _make(0, (num,) if num else (), den)
-    coeffs: dict[int, Fraction] = {}
+    terms: list[tuple[int, int, int]] = []  # (exponent, numerator, denominator)
     pos = 0
-    first = True
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None or m.end() == pos:
             raise ValueError(f"bad scalar {text!r} at position {pos}")
         sep, sign = m.group("sep"), m.group("sign")
-        if sep is None and sign is None and not first:
+        if sep is None and sign is None and terms:
             raise ValueError(f"missing +/- between terms in {text!r}")
-        c = Fraction(*_rational(m.group("coeff"), text)) if m.group("coeff") else Fraction(1)
+        num, den = _rational(m.group("coeff"), text) if m.group("coeff") else (1, 1)
         for mark in (sep, sign):
             if mark == "-":
-                c = -c
+                num = -num
         has_t = m.group("coeff") is None or "t" in text[m.start() : m.end()]
         exp = 0
         if has_t:
             exp_text = m.group("exp1") or m.group("exp2")
             exp = int(exp_text) if exp_text else 1
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
+        terms.append((exp, num, den))
         pos = m.end()
-        first = False
-    return LaurentPoly(coeffs)
+    # the numerators of each exponent, added up over the common denominator
+    den = lcm(*[d for _, _, d in terms])
+    sums: dict[int, int] = {}
+    for exp, num, d in terms:
+        sums[exp] = sums.get(exp, 0) + num * (den // d)
+    exps = [exp for exp, n in sums.items() if n]
+    if not exps:
+        return ZERO
+    low, high = min(exps), max(exps)
+    _check_span(high - low + 1)
+    return _make(low, tuple([sums.get(e, 0) for e in range(low, high + 1)]), den)
 
 
-def format_scalar(x: LaurentPoly | Fraction | int) -> str:
+def format_scalar(x: LaurentPoly | int) -> str:
     x = as_scalar(x)
     return _format(x._low, x._nums, x._den)
 

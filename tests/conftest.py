@@ -1,12 +1,32 @@
-"""Shared test helpers: seeded random word generators and the enumeration
-of freely reduced braid words."""
+"""Shared test helpers: seeded random word generators, the enumeration of
+freely reduced braid words, and the one conversion between the library's
+scalars and the ``Fraction`` values the tests use as their oracle."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Iterator
 
+from smbraid.scalars import LaurentPoly, T, _parts, as_scalar
 from smbraid.words import SMWord, braid_letters, tau
+
+
+def scalar(x: int | Fraction | dict[int, Fraction | int]) -> LaurentPoly:
+    """An int, a Fraction or a map {exponent: coefficient} as a LaurentPoly,
+    built by arithmetic: each term is as_scalar(n) * as_scalar(d)**-1 * T**e."""
+    total = as_scalar(0)
+    for e, c in (x if isinstance(x, dict) else {0: x}).items():
+        c = Fraction(c)
+        total += as_scalar(c.numerator) * as_scalar(c.denominator) ** -1 * T**e
+    return total
+
+
+def terms(x: LaurentPoly) -> dict[int, Fraction]:
+    """The nonzero terms of a LaurentPoly as {exponent: Fraction}, read from
+    its stored (low, nums, den) triple."""
+    low, nums, den = _parts(x)
+    return {e: Fraction(n, den) for e, n in enumerate(nums, low) if n}
 
 
 def random_braid_word(rng: random.Random, n: int, max_len: int) -> SMWord:

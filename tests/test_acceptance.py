@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_braid_word, random_sm_word
+from conftest import random_braid_word, random_sm_word, scalar
 from smbraid.algebra import Matrix
 from smbraid.analysis import (
     compare_matrix_cyclic_kernels,
@@ -31,7 +31,7 @@ from smbraid.analysis import (
 )
 from smbraid.phi import Extension, PhiParams, check_relations, tau_power_direct, tau_power_expand
 from smbraid.reps import burau_reduced, burau_unreduced, permutation_rep, rep_eval, scalar_char
-from smbraid.scalars import T
+from smbraid.scalars import LaurentPoly, T
 from smbraid.words import (
     ShapeForm,
     SMWord,
@@ -62,11 +62,11 @@ class Budget:
         print(f"PASS {self.name} [{elapsed:.2f}s]{suffix}")
 
 
-def random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
+def random_rational(rng: random.Random, nonzero: bool = False) -> LaurentPoly:
     while True:
         value = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         if value != 0 or not nonzero:
-            return value
+            return scalar(value)
 
 
 def random_params(rng: random.Random, nonzero: bool = False) -> PhiParams:
@@ -113,16 +113,16 @@ def test_criterion_02_all_zero_parameters():
 def test_criterion_03_root_of_unity_witnesses():
     budget = Budget("criterion 3 (root-of-unity witnesses, all three slots)", 1)
     rep = burau_reduced(3)
-    wa = unit_power_witness(rep, "a00", Fraction(-1), 2)
+    wa = unit_power_witness(rep, "a00", -1, 2)
     assert wa.w1 == tau_power(3, 1, 2) and wa.w2 == sigma_power(3, 1, 2)
     assert wa.certificate.kind == "tau-count"
     assert wa.image == rep_eval(rep, sigma_power(3, 1, 2))
 
-    wb = unit_power_witness(rep, "0b0", Fraction(-1), 2)
+    wb = unit_power_witness(rep, "0b0", -1, 2)
     assert wb.w1 == tau_power(3, 1, 2) and wb.w2 == sigma_power(3, 1, -2)
     assert wb.image == rep_eval(rep, sigma_power(3, 1, -2))
 
-    wc = unit_power_witness(rep, "00c", Fraction(1), 1)
+    wc = unit_power_witness(rep, "00c", 1, 1)
     assert wc.w1 == tau_power(3, 1, 1) and len(wc.w2) == 0
     assert wc.image.is_identity()
     budget.done("tau_1^2 vs s1^2, s1^-2, and tau_1 vs empty word")
@@ -131,11 +131,11 @@ def test_criterion_03_root_of_unity_witnesses():
 def test_criterion_04_scalar_power_witness_search():
     budget = Budget("criterion 4 (scalar-power witness search)", 5)
     rep = scalar_char(2, 2)
-    hit = find_scalar_witness(rep, Fraction(2), 4, 4)
+    hit = find_scalar_witness(rep, 2, 4, 4)
     assert hit is not None
     v, s = hit
     assert v == sigma_power(2, 1, -1) and s == 1
-    witness = scalar_power_witness(rep, "a00", Fraction(2), v, s)
+    witness = scalar_power_witness(rep, "a00", 2, v, s)
     assert witness.image == rep.one().scale(2)
     assert rep_eval(Extension(rep, PhiParams.of(2, 0, 0)), witness.w1) == rep.one().scale(2)
     budget.done("found (S1, 1); both witness images equal 2*identity")
@@ -178,7 +178,7 @@ def test_criterion_06_nonscalar_image_evidence():
 def test_criterion_07_multinomial_formula():
     budget = Budget("criterion 7 (multinomial expansion vs direct powering)", 60)
     rng = random.Random(107)
-    ds = [Fraction(2), Fraction(1, 2), Fraction(-1), -T]
+    ds = [2, scalar(Fraction(1, 2)), -1, -T]
     triples = [random_params(rng) for _ in range(20)]
     for params in triples:
         for d in ds:
@@ -200,12 +200,12 @@ def test_criterion_08_matrix_vs_cyclic_backends():
     m = Matrix([[0, -2], [1, 0]])
     assert m * m == Matrix.identity(2).scale(-2)
 
-    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, Fraction(-2), PhiParams.of(1, 2, 1), 5, 6)
+    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, -2, PhiParams.of(1, 2, 1), 5, 6)
     assert equal
     assert mr.minimal_generator == (1, 0) and cr.minimal_generator == (1, 0)
     assert (m + m.inverse().scale(2) + Matrix.identity(2)).is_identity()
 
-    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, Fraction(-2), PhiParams.of(1, -1, 0), 5, 6)
+    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, -2, PhiParams.of(1, -1, 0), 5, 6)
     assert equal and mr.hits == () and cr.hits == ()
     budget.done("(1,2,1): both minimal (1,0); (1,-1,0): both empty")
 

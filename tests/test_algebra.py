@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import enumerate_braid_words, random_braid_word
+from conftest import enumerate_braid_words, random_braid_word, scalar, terms
 from smbraid.algebra import (
     CyclicElement,
     FormalElement,
@@ -107,7 +107,7 @@ def test_group_axioms_on_random_triples(model, seed):
         e = Matrix.identity(n)
         elements = []
         while len(elements) < 5:
-            m = Matrix([[random_fraction(rng) for _ in range(n)] for _ in range(n)])
+            m = Matrix([[scalar(random_fraction(rng)) for _ in range(n)] for _ in range(n)])
             try:
                 m.inverse()
             except ValueError:
@@ -229,7 +229,7 @@ def test_matrix_square_twist():
 def test_matrix_power_and_inverse():
     m = Matrix([[0, -2], [1, 0]])
     assert m * m * m * m == Matrix.identity(2).scale(4)  # (-2)^2
-    assert m.inverse() == Matrix([[0, 1], [Fraction(-1, 2), 0]])
+    assert m.inverse() == Matrix([[0, 1], [scalar(Fraction(-1, 2)), 0]])
 
 
 def test_matrix_laurent_inverse_stays_in_ring():
@@ -255,17 +255,17 @@ def test_matrix_is_identity_compares_in_place(monkeypatch):
 
 
 def random_sparse_entry(rng: random.Random):
-    """Zero most of the time, else an int, a Fraction or a LaurentPoly that may
-    be constant or zero."""
+    """Zero most of the time, else an int, a rational constant or a LaurentPoly
+    that may be constant or zero."""
     kind = rng.random()
     if kind < 0.55:
         return 0
     if kind < 0.65:
         return rng.randint(-3, 3)
     if kind < 0.8:
-        return random_fraction(rng)
+        return scalar(random_fraction(rng))
     exps = rng.sample(range(-2, 3), rng.randint(0, 3))
-    return LaurentPoly({e: random_fraction(rng) for e in exps})
+    return scalar({e: random_fraction(rng) for e in exps})
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -275,7 +275,7 @@ def test_sparse_matrix_product_matches_dense_sum(seed):
         dim = rng.randint(1, 4)
         x, y = (Matrix([[random_sparse_entry(rng) for _ in range(dim)] for _ in range(dim)]) for _ in range(2))
         cols = list(zip(*y.rows))
-        dense = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in x.rows]
+        dense = [[sum((a * b for a, b in zip(row, col)), ZERO) for col in cols] for row in x.rows]
         product = x * y
         assert product == Matrix(dense)
         # every entry is canonical already: coercing it again changes nothing
@@ -319,11 +319,11 @@ def reference_sum(x_rows, y_rows):
 mixed_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 mixed_scalars = st.one_of(
     st.just(ZERO),
-    mixed_coefficients.map(as_scalar),
-    st.dictionaries(st.integers(-3, 3), mixed_coefficients, max_size=3).map(LaurentPoly),
+    mixed_coefficients.map(scalar),
+    st.dictionaries(st.integers(-3, 3), mixed_coefficients, max_size=3).map(scalar),
 )
 mixed_units = st.builds(
-    lambda c, e: c * T**e, st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2, 5)]),
+    lambda c, e: scalar(c) * T**e, st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-2, 5)]),
     st.integers(-2, 2),
 )
 
@@ -398,7 +398,7 @@ def test_matrix_non_invertible_raises():
     for m, det in [
         (Matrix([[1, 1], [1, 1]]), "0"),
         (Matrix([[1, T], [0, 1 + T]]), "1*t^1 + 1*t^0"),  # det 1+t is not a unit
-        (Matrix([[Fraction(1, 2), 0], [0, 1 + T]]), "1/2*t^1 + 1/2*t^0"),
+        (Matrix([[scalar(Fraction(1, 2)), 0], [0, 1 + T]]), "1/2*t^1 + 1/2*t^0"),
     ]:
         with pytest.raises(ValueError) as exc:
             m.inverse()
@@ -410,23 +410,21 @@ def test_matrix_non_invertible_raises():
 t_sym = sympy.Symbol("t")
 
 
-def scalar_to_sympy(x) -> sympy.Expr:
-    if isinstance(x, LaurentPoly):
-        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * t_sym**e for e, c in x.items()))
-    return sympy.Rational(x.numerator, x.denominator)
+def scalar_to_sympy(x: LaurentPoly) -> sympy.Expr:
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * t_sym**e for e, c in terms(x).items()))
 
 
 def matrix_to_sympy(m: Matrix) -> sympy.Matrix:
     return sympy.Matrix([[scalar_to_sympy(a) for a in row] for row in m.rows])
 
 
-rational_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+rational_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3).map(scalar)
 laurent_entries = st.one_of(
     rational_entries,
     st.sampled_from([T, -T, 1 - T, T**-1, T + T**-1, 2 * T**2 - 1]),
 )
 unit_entries = st.one_of(
-    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]).map(scalar),
     st.sampled_from([T, -T, T**-1, 2 * T**2]),
 )
 
@@ -483,9 +481,9 @@ def test_matrix_hash_is_stable_and_route_independent(m):
         Matrix.identity(dim) * m,
         m * Matrix.identity(dim),
         m.scale(1),
-        (m + m).scale(Fraction(1, 2)),
+        (m + m).scale(scalar(Fraction(1, 2))),
         parse_matrix(text),
-        Matrix([[Fraction(format_scalar(a)) if a.is_constant() else a for a in row] for row in m.rows]),
+        Matrix([[scalar(Fraction(format_scalar(a))) if a.is_constant() else a for a in row] for row in m.rows]),
     ]
     for other in routes:
         assert other == m and hash(other) == h == hash(other)
@@ -506,9 +504,9 @@ def test_parse_matrix_round_trip():
 
 def test_formal_singleton_convolution():
     # [[2]] has infinite order in GL_1, so its powers are distinct basis elements
-    g, ginv, e = Matrix([[2]]), Matrix([[Fraction(1, 2)]]), Matrix.identity(1)
+    g, ginv, e = Matrix([[2]]), Matrix([[scalar(Fraction(1, 2))]]), Matrix.identity(1)
     z = e
-    x = FormalElement(z, [(g, Fraction(3)), (e, Fraction(5))])
+    x = FormalElement(z, [(g, scalar(3)), (e, scalar(5))])
     product = x * FormalElement(z, [(ginv, 1)])
     assert product == FormalElement(z, [(e, 3), (ginv, 5)])
 
@@ -518,9 +516,9 @@ def test_formal_square_expansion():
     z = Matrix.identity(1)
 
     def g(k: int) -> Matrix:
-        return Matrix([[Fraction(2) ** k]])
+        return Matrix([[scalar(Fraction(2) ** k)]])
 
-    a, b, c = Fraction(2), Fraction(-3), Fraction(5)
+    a, b, c = 2, -3, 5
     x = FormalElement(z, [(g(1), a), (g(-1), b), (g(0), c)])
     expected = FormalElement(
         z,
@@ -539,16 +537,16 @@ def test_formal_product_matches_brute_force_oracle():
     rng = random.Random(9)
     s3 = Permutation.identity(3)
     for _ in range(20):
-        xs = [(g, random_fraction(rng)) for g in symmetric_elements(3, rng, 3)]
-        ys = [(g, random_fraction(rng)) for g in symmetric_elements(3, rng, 3)]
+        xs = [(g, scalar(random_fraction(rng))) for g in symmetric_elements(3, rng, 3)]
+        ys = [(g, scalar(random_fraction(rng))) for g in symmetric_elements(3, rng, 3)]
         x, y = FormalElement(s3, xs), FormalElement(s3, ys)
         # oracle: double loop over support pairs, collecting by group element
-        total: dict[tuple[int, ...], Fraction] = {}
+        total: dict[tuple[int, ...], LaurentPoly] = {}
         for g, cg in x.terms():
             for h, ch in y.terms():
                 # g after h, composed here on the image tuples
                 gh = tuple(g.images[h.images[k]] for k in range(3))
-                total[gh] = total.get(gh, Fraction(0)) + cg * ch
+                total[gh] = total.get(gh, ZERO) + cg * ch
         product = x * y
         assert {k.images: v for k, v in product.coeffs.items()} == {k: v for k, v in total.items() if v != 0}
 
@@ -570,8 +568,8 @@ def test_formal_keys_are_group_elements():
 def test_formal_cancelled_terms_are_purged():
     gl2 = Matrix.identity(2)
     g, h = Matrix([[0, -2], [1, 0]]), Matrix([[1 - T, T], [1, 0]])
-    x = FormalElement(gl2, [(g, T), (h, Fraction(1, 2)), (g, -T), (h, 0), (gl2, 0)])
-    assert x.coeffs == {h: Fraction(1, 2)}
+    x = FormalElement(gl2, [(g, T), (h, scalar(Fraction(1, 2))), (g, -T), (h, 0), (gl2, 0)])
+    assert x.coeffs == {h: scalar(Fraction(1, 2))}
     # a key deleted on cancellation comes back when a later term adds it again
     y = FormalElement(gl2, [(g, T), (g, -T), (g, 3)])
     assert y.coeffs == {g: 3}
@@ -627,28 +625,28 @@ def test_formal_backend_mismatch_raises():
 
 def test_cyclic_square_reduces_via_twist():
     x = CyclicElement.x_power(2, -2, 1)
-    assert x * x == CyclicElement(2, Fraction(-2), (Fraction(-2), Fraction(0)))
-    assert x * x * x * x == CyclicElement(2, Fraction(-2), (Fraction(4), Fraction(0)))
+    assert x * x == CyclicElement(2, scalar(-2), (scalar(-2), scalar(0)))
+    assert x * x * x * x == CyclicElement(2, scalar(-2), (scalar(4), scalar(0)))
 
 
 def test_cyclic_negative_x_powers():
     x_inv = CyclicElement.x_power(2, -2, -1)
     x = CyclicElement.x_power(2, -2, 1)
     assert (x * x_inv).is_identity()
-    assert x_inv == CyclicElement(2, Fraction(-2), (Fraction(0), Fraction(-1, 2)))
+    assert x_inv == CyclicElement(2, scalar(-2), (scalar(0), scalar(Fraction(-1, 2))))
 
 
 def test_cyclic_is_identity():
     assert CyclicElement.one(3, 5).is_identity()
     assert not CyclicElement.x_power(3, 5, 1).is_identity()
-    assert not CyclicElement(3, Fraction(5), (Fraction(0),) * 3).is_identity()
+    assert not CyclicElement(3, scalar(5), (scalar(0),) * 3).is_identity()
 
 
 def test_cyclic_matches_matrix_power_span():
     # X^i -> M^i is an algebra isomorphism when M^s = twist * I with s minimal
     rng = random.Random(12)
     m = Matrix([[0, -2], [1, 0]])
-    s, twist = 2, Fraction(-2)
+    s, twist = 2, scalar(-2)
 
     def to_matrix(v: CyclicElement) -> Matrix:
         acc, m_i = Matrix([[0, 0], [0, 0]]), Matrix.identity(2)
@@ -658,8 +656,8 @@ def test_cyclic_matches_matrix_power_span():
         return acc
 
     for _ in range(20):
-        u = CyclicElement(s, twist, tuple(random_fraction(rng) for _ in range(s)))
-        v = CyclicElement(s, twist, tuple(random_fraction(rng) for _ in range(s)))
+        u = CyclicElement(s, twist, tuple(scalar(random_fraction(rng)) for _ in range(s)))
+        v = CyclicElement(s, twist, tuple(scalar(random_fraction(rng)) for _ in range(s)))
         assert to_matrix(u * v) == to_matrix(u) * to_matrix(v)
         assert to_matrix(u + v) == to_matrix(u) + to_matrix(v)
 
@@ -679,19 +677,19 @@ def test_backend_algebra_axioms(seed):
     rng = random.Random(seed)
     s3 = Permutation.identity(3)
     formal = [
-        FormalElement(s3, [(g, random_fraction(rng)) for g in symmetric_elements(3, rng, 2)])
+        FormalElement(s3, [(g, scalar(random_fraction(rng))) for g in symmetric_elements(3, rng, 2)])
         for _ in range(3)
     ]
-    mats = [Matrix([[random_fraction(rng) for _ in range(2)] for _ in range(2)]) for _ in range(3)]
+    mats = [Matrix([[scalar(random_fraction(rng)) for _ in range(2)] for _ in range(2)]) for _ in range(3)]
     cyc = [
-        CyclicElement(2, Fraction(-2), (random_fraction(rng), random_fraction(rng)))
+        CyclicElement(2, scalar(-2), (scalar(random_fraction(rng)), scalar(random_fraction(rng))))
         for _ in range(3)
     ]
     for x, y, z in (formal, mats, cyc):
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         assert (x + y) * z == x * z + y * z
-        s = random_fraction(rng)
+        s = scalar(random_fraction(rng))
         assert (x + y).scale(s) == x.scale(s) + y.scale(s)
         assert x.scale(s) * y == (x * y).scale(s)
 
@@ -706,9 +704,9 @@ BAD_INPUT_CASES = [
     ("matrix-mul-dims", lambda: _ONE3 * _ONE2, "dimension mismatch: 3 vs 2"),
     # CyclicElement.x_power checks order and twist first, so only direct
     # construction reaches the element's own checks
-    ("cyclic-order-0", lambda: CyclicElement(0, Fraction(1), ()), "need order >= 1"),
-    ("cyclic-twist-0", lambda: CyclicElement(1, Fraction(0), (Fraction(1),)), "twist must be a unit"),
-    ("cyclic-coords", lambda: CyclicElement(2, Fraction(-2), (Fraction(1),)), "need 2 coordinates, got 1"),
+    ("cyclic-order-0", lambda: CyclicElement(0, scalar(1), ()), "need order >= 1"),
+    ("cyclic-twist-0", lambda: CyclicElement(1, scalar(0), (scalar(1),)), "twist must be a unit"),
+    ("cyclic-coords", lambda: CyclicElement(2, scalar(-2), (scalar(1),)), "need 2 coordinates, got 1"),
 ]
 
 

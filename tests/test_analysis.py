@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_braid_words, random_braid_word, random_sm_word
+from conftest import enumerate_braid_words, random_braid_word, random_sm_word, scalar
 from smbraid import analysis, reps
 from smbraid.algebra import FormalElement, Matrix, _kronecker_keys
 from smbraid.analysis import (
@@ -72,16 +72,16 @@ def scalar_hits_oracle(a, b, c, d, p_max, q_max):
 
 
 def test_root_of_unity_order():
-    assert root_of_unity_order(Fraction(-1)) == 2
-    assert root_of_unity_order(Fraction(1)) == 1
-    assert root_of_unity_order(Fraction(2)) is None
+    assert root_of_unity_order(-1) == 2
+    assert root_of_unity_order(1) == 1
+    assert root_of_unity_order(2) is None
     assert root_of_unity_order(-T) is None
     with pytest.raises(ValueError):
-        root_of_unity_order(Fraction(0))
+        root_of_unity_order(0)
 
 
 def test_unit_power_witness_a_mode():
-    w = unit_power_witness(burau_reduced(3), "a00", Fraction(-1), 2)
+    w = unit_power_witness(burau_reduced(3), "a00", -1, 2)
     assert w.w1 == tau_power(3, 1, 2)
     assert w.w2 == sigma_power(3, 1, 2)
     assert w.certificate.kind == "tau-count"
@@ -92,58 +92,58 @@ def test_unit_power_witness_a_mode():
 
 
 def test_unit_power_witness_b_and_c_modes():
-    wb = unit_power_witness(burau_reduced(3), "0b0", Fraction(-1), 2)
+    wb = unit_power_witness(burau_reduced(3), "0b0", -1, 2)
     assert wb.w2 == sigma_power(3, 1, -2)
-    wc = unit_power_witness(burau_reduced(3), "00c", Fraction(1), 1)
+    wc = unit_power_witness(burau_reduced(3), "00c", 1, 1)
     assert wc.w1 == tau_power(3, 1, 1)
     assert wc.w2 == SMWord(3)
     assert wc.image.is_identity()
 
 
 def test_unit_power_witness_on_permutation_rep():
-    w = unit_power_witness(permutation_rep(3), "a00", Fraction(-1), 2)
+    w = unit_power_witness(permutation_rep(3), "a00", -1, 2)
     assert w.image.is_identity()
 
 
 def test_unit_power_witness_reduced_n2_image():
     # (-1)^2 * (-t)^2 == t^2 times the 1x1 identity
-    w = unit_power_witness(burau_reduced(2), "a00", Fraction(-1), 2)
+    w = unit_power_witness(burau_reduced(2), "a00", -1, 2)
     assert w.image == Matrix([[T**2]])
 
 
 def test_unit_power_witness_trivial_root():
     # a == 1 already collapses tau_1 onto sigma_1
-    w = unit_power_witness(scalar_char(5, 2), "a00", Fraction(1), 1)
+    w = unit_power_witness(scalar_char(5, 2), "a00", 1, 1)
     assert w.w1 == tau_power(2, 1, 1) and w.w2 == sigma_power(2, 1, 1)
 
 
 def test_unit_power_witness_rejects_non_root():
     with pytest.raises(ValueError):
-        unit_power_witness(burau_reduced(3), "a00", Fraction(2), 2)
+        unit_power_witness(burau_reduced(3), "a00", 2, 2)
     with pytest.raises(ValueError):
-        unit_power_witness(burau_reduced(3), "a00", Fraction(-1), 0)
+        unit_power_witness(burau_reduced(3), "a00", -1, 0)
 
 
 def test_find_scalar_witness_scalar_char():
-    hit = find_scalar_witness(scalar_char(2, 2), Fraction(2), 4, 4)
+    hit = find_scalar_witness(scalar_char(2, 2), 2, 4, 4)
     assert hit is not None
     v, s = hit
     assert v == sigma_power(2, 1, -1) and s == 1
 
 
 def test_find_scalar_witness_absent_on_burau():
-    assert find_scalar_witness(burau_unreduced(2), Fraction(2), 4, 6) is None
+    assert find_scalar_witness(burau_unreduced(2), 2, 4, 6) is None
 
 
 def test_find_scalar_witness_absent_on_mismatched_bases():
     # 2^-s never equals a power of 3
-    assert find_scalar_witness(scalar_char(3, 2), Fraction(2), 4, 8) is None
+    assert find_scalar_witness(scalar_char(3, 2), 2, 4, 8) is None
 
 
 def test_find_scalar_witness_rejects_negative_bounds():
     for s_max, len_max in ((-1, 4), (4, -1), (-1, -3)):
         with pytest.raises(ValueError, match="bounds must be nonnegative"):
-            find_scalar_witness(scalar_char(2, 2), Fraction(-1), s_max, len_max)
+            find_scalar_witness(scalar_char(2, 2), -1, s_max, len_max)
 
 
 def enumerated_witness_states(rep, len_max):
@@ -180,7 +180,7 @@ WITNESS_REPS = {
     "burau-reduced3-formal": as_formal(burau_reduced(3)),
     "scalar2-n2": scalar_char(2, 2),
     "scalar2-n3": scalar_char(2, 3),
-    "scalar1_2-n3": scalar_char(Fraction(1, 2), 3),
+    "scalar1_2-n3": scalar_char(scalar(Fraction(1, 2)), 3),
     "scalar-1-n3": scalar_char(-1, 3),
     "scalar-t-n3": scalar_char(-T, 3),
     "cyclic2_2-n2": cyclic_rep(2, 2),
@@ -193,7 +193,9 @@ WITNESS_REPS = {
 # -1/2 t^-1 gives the Laurent matrix rep a hit.  Under that rep at len_max 4,
 # the target 8/7 * 1 (value 7/8, s = 1) is not integral over the keys' scale
 # 2^4, and truncating it would give the identity's key.
-WITNESS_VALUES = (Fraction(2), Fraction(-1), Fraction(1, 2), T, -T, 2 * T**-1, Fraction(-1, 2) * T**-1, Fraction(7, 8))
+WITNESS_VALUES = (
+    scalar(2), scalar(-1), scalar(Fraction(1, 2)), T, -T, 2 * T**-1, scalar(Fraction(-1, 2)) * T**-1, scalar(Fraction(7, 8))
+)
 
 
 @pytest.mark.parametrize("name", WITNESS_REPS)
@@ -219,8 +221,8 @@ def test_find_scalar_witness_matches_enumeration_on_reduced_burau3():
     rng = random.Random(20)
     rep = burau_reduced(3)
     states = enumerated_witness_states(rep, 5)
-    values = [Fraction(3, 2), Fraction(2, 3), Fraction(1), Fraction(-1)]
-    values += [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5)) * T ** rng.randint(-3, 3) for _ in range(6)]
+    values = [scalar(x) for x in (Fraction(3, 2), Fraction(2, 3), 1, -1)]
+    values += [scalar(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))) * T ** rng.randint(-3, 3) for _ in range(6)]
     for value in values:
         assert find_scalar_witness(rep, value, 4, 5) == enumerated_witness(states, rep, value, 4), value
 
@@ -232,7 +234,7 @@ def test_find_scalar_witness_keys_are_injective_up_to_the_bound():
     m = Matrix([[0, -2 * T], [1, 0]])
     key, *_ = _kronecker_keys([m, m.inverse()], 1)
     one = Matrix.identity(2)
-    keys = [key(one.scale(Fraction(q, 2) + Fraction(r, 2) * T)) for q in range(-4, 5) for r in (-1, 0, 1) if q or r]
+    keys = [key(one.scale(scalar({0: Fraction(q, 2), 1: Fraction(r, 2)}))) for q in range(-4, 5) for r in (-1, 0, 1) if q or r]
     assert None not in keys and len(set(keys)) == len(keys)
 
 
@@ -272,8 +274,8 @@ def test_find_scalar_witness_sizes_keys_by_the_depth_reached():
 def test_find_scalar_witness_restarts_past_the_first_depth():
     # s1^9 = 2^9 * 1 lies past the first depth (8), so the walk must restart deeper.
     rep = matrix_rep_from_images(2, [Matrix([[2]])])
-    assert find_scalar_witness(rep, Fraction(1, 2**9), 1, 8) is None
-    assert find_scalar_witness(rep, Fraction(1, 2**9), 1, 9) == (sigma_power(2, 1, 9), 1)
+    assert find_scalar_witness(rep, scalar(Fraction(1, 2**9)), 1, 8) is None
+    assert find_scalar_witness(rep, scalar(Fraction(1, 2**9)), 1, 9) == (sigma_power(2, 1, 9), 1)
 
 
 def test_find_scalar_witness_keeps_the_matrix_span_limit():
@@ -312,7 +314,7 @@ def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
     # S_4 has 24 elements and each kept image is extended by at most 6 letters.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 24 * 6)
-    assert find_scalar_witness(rep, Fraction(2), 4, 6) is None
+    assert find_scalar_witness(rep, 2, 4, 6) is None
     assert calls["mul"] <= 24 * 6
     assert calls["rep_eval"] == 0
 
@@ -329,18 +331,18 @@ def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
     # Once a level adds no new image the walk ends, whatever len_max says.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 24 * 6)
-    assert find_scalar_witness(rep, Fraction(2), 4, 10**6) is None
+    assert find_scalar_witness(rep, 2, 4, 10**6) is None
     assert calls["mul"] <= 24 * 6
 
 
 def test_scalar_power_witness_examples():
     rep = scalar_char(2, 2)
-    w = scalar_power_witness(rep, "a00", Fraction(2), sigma_power(2, 1, -1), 1)
+    w = scalar_power_witness(rep, "a00", 2, sigma_power(2, 1, -1), 1)
     assert w.w1 == parse_word("t1 S1", 2)
     assert w.w2 == sigma_power(2, 1, 1)
     assert w.image == rep.one().scale(2)
 
-    w = scalar_power_witness(rep, "a00", Fraction(2), sigma_power(2, 1, -2), 2)
+    w = scalar_power_witness(rep, "a00", 2, sigma_power(2, 1, -2), 2)
     assert w.w1 == parse_word("t1 t1 S1 S1", 2)
     assert w.image == rep.one().scale(4)
 
@@ -348,13 +350,13 @@ def test_scalar_power_witness_examples():
 def test_scalar_power_witness_normalizes_negative_s():
     rep = scalar_char(2, 2)
     # rho(sigma_1) = 2 = 2^-(-1): the (v, s) = (s1, -1) arrangement
-    w = scalar_power_witness(rep, "a00", Fraction(2), sigma_power(2, 1, 1), -1)
+    w = scalar_power_witness(rep, "a00", 2, sigma_power(2, 1, 1), -1)
     assert w.w1 == parse_word("t1 S1", 2)
 
 
 def test_scalar_power_witness_c_mode():
-    rep = scalar_char(Fraction(1, 2), 2)
-    w = scalar_power_witness(rep, "00c", Fraction(2), sigma_power(2, 1, 1), 1)
+    rep = scalar_char(scalar(Fraction(1, 2)), 2)
+    w = scalar_power_witness(rep, "00c", 2, sigma_power(2, 1, 1), 1)
     assert w.w1 == parse_word("t1 s1", 2)
     assert w.w2 == SMWord(2)
     assert w.image.is_identity()
@@ -363,18 +365,18 @@ def test_scalar_power_witness_c_mode():
 def test_scalar_power_witness_rejects_bad_precondition():
     rep = scalar_char(2, 2)
     with pytest.raises(ValueError):
-        scalar_power_witness(rep, "a00", Fraction(2), SMWord(2), 1)
+        scalar_power_witness(rep, "a00", 2, SMWord(2), 1)
     with pytest.raises(ValueError):
-        scalar_power_witness(rep, "a00", Fraction(2), sigma_power(2, 1, -1), 0)
+        scalar_power_witness(rep, "a00", 2, sigma_power(2, 1, -1), 0)
 
 
 def test_witnesses_reject_unknown_mode():
     # the CLI's argparse choices stop a bad mode first, so only the library sees one
     message = r"^mode must be one of \('a00', '0b0', '00c'\), got 'zzz'$"
     with pytest.raises(ValueError, match=message):
-        scalar_power_witness(scalar_char(2, 2), "zzz", Fraction(2), sigma_power(2, 1, -1), 1)
+        scalar_power_witness(scalar_char(2, 2), "zzz", 2, sigma_power(2, 1, -1), 1)
     with pytest.raises(ValueError, match=message):
-        unit_power_witness(burau_reduced(3), "zzz", Fraction(-1), 2)
+        unit_power_witness(burau_reduced(3), "zzz", -1, 2)
 
 
 def test_distinctness_certificate_kinds():
@@ -473,7 +475,7 @@ GRID_TRIPLES = [
     PhiParams.of(1, 0, -3),
     PhiParams.of(1, -1, 0),
     PhiParams.of(0, 0, 1),
-    PhiParams.of(Fraction(1, 2), -1, 2),
+    PhiParams.of(scalar(Fraction(1, 2)), -1, 2),
 ]
 GRID_BOUNDS = [(0, 0), (0, 5), (4, 0), (4, 8)]
 
@@ -512,7 +514,7 @@ def test_kernel_search_matches_cell_by_cell_grid_property(d, a, b, c, k, p_max, 
     if k is not None:
         # plant a d + b d^-1 + c = d^-k, so tau^p sigma^(k p) maps to 1
         c = d**-k - a * d - b / d
-    rep, params = scalar_char(d, 2), PhiParams.of(a, b, c)
+    rep, params = scalar_char(scalar(d), 2), PhiParams.of(scalar(a), scalar(b), scalar(c))
     expected = grid_reference(rep, params, p_max, q_max)
     assert kernel_search_sm2(rep, params, p_max, q_max).hits == expected
     if k is not None and 1 <= p_max and abs(k) <= q_max:
@@ -570,8 +572,8 @@ def test_nonscalar_power_check():
 
 
 def test_scalar_kernel_criterion_examples():
-    assert scalar_kernel_criterion(PhiParams.of(2, 0, 0), Fraction(2), 6, 12) == (1, -2)
-    assert scalar_kernel_criterion(PhiParams.of(1, 0, -3), Fraction(2), 6, 12) == (2, 0)
+    assert scalar_kernel_criterion(PhiParams.of(2, 0, 0), 2, 6, 12) == (1, -2)
+    assert scalar_kernel_criterion(PhiParams.of(1, 0, -3), 2, 6, 12) == (2, 0)
     assert scalar_kernel_criterion(PhiParams.of(1, -1, 0), -T, 6, 12) is None
 
 
@@ -585,10 +587,10 @@ def test_scalar_kernel_hits_reject_negative_bounds():
 
 def test_scalar_criterion_agrees_with_kernel_search():
     rng = random.Random(43)
-    ds = [Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(-3, 2)]
+    ds = [2, scalar(Fraction(1, 2)), -1, scalar(Fraction(-3, 2))]
     for _ in range(6):
         params = PhiParams.of(
-            Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
+            rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)
         )
         for d in ds:
             hits = scalar_kernel_hits(params, d, 4, 6)
@@ -600,10 +602,10 @@ def test_scalar_criterion_agrees_with_kernel_search():
 def test_scalar_kernel_hits_match_per_cell_expansion():
     rng = random.Random(53)
     triples = [PhiParams.of(2, 0, 0), PhiParams.of(1, 0, -3)] + [
-        PhiParams.of(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))) for _ in range(4)
+        PhiParams.of(*(scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(3))) for _ in range(4)
     ]
     for params in triples:
-        for d in (Fraction(2), Fraction(1, 2), Fraction(-1), -T):
+        for d in (2, scalar(Fraction(1, 2)), -1, -T):
             expected = tuple(
                 (p, q) for p in range(1, 4) for q in range(-6, 7) if tau_power_expand(params, d, p, q) == 1
             )
@@ -615,32 +617,32 @@ def test_scalar_kernel_hits_match_per_cell_expansion():
 
 def test_compare_backends_identity_instance():
     m = Matrix([[0, -2], [1, 0]])
-    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, Fraction(-2), PhiParams.of(1, 2, 1), 5, 6)
+    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, -2, PhiParams.of(1, 2, 1), 5, 6)
     assert equal
     assert mr.minimal_generator == (1, 0) and cr.minimal_generator == (1, 0)
 
 
 def test_compare_backends_empty_instance():
     m = Matrix([[0, -2], [1, 0]])
-    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, Fraction(-2), PhiParams.of(1, -1, 0), 5, 6)
+    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, -2, PhiParams.of(1, -1, 0), 5, 6)
     assert equal and mr.hits == () and cr.hits == ()
 
 
 def test_compare_backends_pure_c_instance():
     m = Matrix([[0, -2], [1, 0]])
-    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, Fraction(-2), PhiParams.of(0, 0, 1), 5, 6)
+    mr, cr, equal = compare_matrix_cyclic_kernels(m, 2, -2, PhiParams.of(0, 0, 1), 5, 6)
     assert equal and (1, 0) in mr.hits
 
 
 def test_compare_backends_validates_hypotheses():
     m = Matrix([[0, -2], [1, 0]])
     with pytest.raises(ValueError):
-        compare_matrix_cyclic_kernels(m, 2, Fraction(5), PhiParams.of(1, 0, 0), 3, 3)
+        compare_matrix_cyclic_kernels(m, 2, 5, PhiParams.of(1, 0, 0), 3, 3)
     with pytest.raises(ValueError):
-        compare_matrix_cyclic_kernels(Matrix.identity(2).scale(2), 1, Fraction(2), PhiParams.of(1, 0, 0), 3, 3)
+        compare_matrix_cyclic_kernels(Matrix.identity(2).scale(2), 1, 2, PhiParams.of(1, 0, 0), 3, 3)
     with pytest.raises(ValueError):
         # s not minimal: m^2 = -2 I already scalar, so s = 4 must be rejected
-        compare_matrix_cyclic_kernels(m, 4, Fraction(4), PhiParams.of(1, 0, 0), 3, 3)
+        compare_matrix_cyclic_kernels(m, 4, 4, PhiParams.of(1, 0, 0), 3, 3)
 
 
 # --- conjugation closure ------------------------------------------------------------------

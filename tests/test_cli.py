@@ -32,10 +32,12 @@ def run_json(capsys, *argv):
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # A fresh process pays for every module the CLI imports; these two alone
-    # cost about a fifth of a CLI call's start-up.
+    # A fresh process pays for every module the CLI imports; dataclasses and
+    # inspect alone cost about a fifth of a CLI call's start-up, and fractions
+    # pulls in decimal and numbers.  Scalars are LaurentPoly values only.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import sys, smbraid.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    absent = {"dataclasses", "inspect", "fractions", "decimal", "_decimal", "numbers"}
+    code = f"import sys, smbraid.cli; print(sorted({absent!r} & set(sys.modules)))"
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONSTARTUP")}
     proc = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

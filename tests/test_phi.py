@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sm_word
+from conftest import random_sm_word, scalar
 from smbraid.algebra import CyclicElement, FormalElement, Matrix
 from smbraid.phi import (
     Extension,
@@ -28,7 +28,7 @@ from smbraid.reps import (
     rep_eval,
     scalar_char,
 )
-from smbraid.scalars import T
+from smbraid.scalars import T, as_scalar
 from smbraid.words import (
     SMWord,
     braid_letters,
@@ -42,7 +42,7 @@ from smbraid.words import (
 
 
 def random_params(rng: random.Random) -> PhiParams:
-    pick = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    pick = lambda: scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
     return PhiParams.of(pick(), pick(), pick())
 
 
@@ -72,7 +72,7 @@ def test_check_relations_builds_one_extension(monkeypatch):
 
 def test_scalar_extension_matches_direct_power():
     rng = random.Random(19)
-    for d in (Fraction(2), Fraction(-1, 3), -T):
+    for d in (2, scalar(Fraction(-1, 3)), -T):
         params = random_params(rng)
         ext = Extension(scalar_char(d, 2), params)
         for p in range(4):
@@ -201,18 +201,18 @@ def test_relation_report_text_counts_families():
 def test_tau_power_expand_examples():
     # p=1, q=0: a d + b d^-1 + c
     d = Fraction(5)
-    val = tau_power_expand(PhiParams.of(2, 3, 7), d, 1, 0)
-    assert val == 2 * d + 3 / d + 7
+    val = tau_power_expand(PhiParams.of(2, 3, 7), scalar(d), 1, 0)
+    assert val == scalar(2 * d + 3 / d + 7)
     # p=0: just d^q
-    assert tau_power_expand(PhiParams.of(1, 1, 1), Fraction(2), 0, 5) == 32
+    assert tau_power_expand(PhiParams.of(1, 1, 1), 2, 0, 5) == 32
     # (2 - 3)^2 * 2^0 == 1: a kernel generator for (1, 0, -3) at d = 2
-    assert tau_power_expand(PhiParams.of(1, 0, -3), Fraction(2), 2, 0) == 1
+    assert tau_power_expand(PhiParams.of(1, 0, -3), 2, 2, 0) == 1
 
 
 def test_tau_power_direct_examples():
-    assert tau_power_direct(PhiParams.of(2, 0, 0), Fraction(2), 3, -3) == 8
-    assert tau_power_direct(PhiParams.of(1, 0, -3), Fraction(2), 2, 0) == 1
-    assert tau_power_direct(PhiParams.of(1, 2, 1), Fraction(2), 1, 0) == 2 + 1 + 1
+    assert tau_power_direct(PhiParams.of(2, 0, 0), 2, 3, -3) == 8
+    assert tau_power_direct(PhiParams.of(1, 0, -3), 2, 2, 0) == 1
+    assert tau_power_direct(PhiParams.of(1, 2, 1), 2, 1, 0) == 2 + 1 + 1
 
 
 def test_tau_power_routes_agree_on_laurent_unit():
@@ -225,7 +225,7 @@ def test_tau_power_routes_agree_on_laurent_unit():
 
 def test_tau_power_routes_agree_random_rationals():
     rng = random.Random(41)
-    ds = [Fraction(2), Fraction(1, 2), Fraction(-1), -T]
+    ds = [2, scalar(Fraction(1, 2)), -1, -T]
     for _ in range(8):
         params = random_params(rng)
         for d in ds:
@@ -245,9 +245,9 @@ def test_tau_power_rejects_non_unit():
     with pytest.raises(ValueError):
         tau_power_expand(PhiParams.of(1, 1, 1), 1 + T, 1, 0)
     with pytest.raises(ValueError):
-        tau_power_direct(PhiParams.of(1, 1, 1), Fraction(0), 1, 0)
+        tau_power_direct(PhiParams.of(1, 1, 1), 0, 1, 0)
     with pytest.raises(ValueError):
-        tau_power_expand(PhiParams.of(1, 1, 1), Fraction(2), -1, 0)
+        tau_power_expand(PhiParams.of(1, 1, 1), 2, -1, 0)
 
 
 # --- image equality -----------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_scalar_invert_consistency_in_tau_image():
     rep = burau_unreduced(2)
     img = Extension(rep, PhiParams.of(0, 1, 0)).letters[tau(1)]
     assert img == rep.image(1).inverse()
-    assert Fraction(2) ** -1 == Fraction(1, 2)
+    assert as_scalar(2) ** -1 == scalar(Fraction(1, 2))
 
 
 # --- cross-backend property: each backend maps onto the matrix image ---------------
@@ -301,7 +301,7 @@ def permutation_matrix(g) -> Matrix:
 
 
 cross_scalars = st.one_of(
-    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(scalar),
     st.sampled_from([T, -T, 1 - T, T**-1, T + T**-1]),
 )
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import scalar
 from smbraid.algebra import CyclicElement, Matrix
 from smbraid.analysis import DistinctnessCertificate, KernelReport, UnfaithfulnessWitness
 from smbraid.phi import PhiParams, RelationCheck, RelationReport
@@ -37,7 +38,7 @@ RECORDS = {
     "TauBlockForm": (lambda: TauBlockForm(3, parse_word("s1", 3), ((2, parse_word("S2", 3)),)), "blocks"),
     "ShapeForm": (lambda: ShapeForm(2, 2, 1, ((1, 3, parse_word("s1", 2)),)), "p"),
     "RelationInstance": (lambda: RelationInstance(3, "tau far commutation", (1, 3), parse_word("t1 t3", 4), parse_word("t3 t1", 4)), "lhs"),
-    "PhiParams": (lambda: PhiParams.of(Fraction(1, 2), T, 0), "a"),
+    "PhiParams": (lambda: PhiParams.of(scalar(Fraction(1, 2)), T, 0), "a"),
     "RelationCheck": (_relation_check, "passed"),
     "RelationReport": (lambda: RelationReport(PhiParams.of(1, -1, 0), (_relation_check(),)), "checks"),
     "DistinctnessCertificate": (lambda: DistinctnessCertificate("permutation", (1, 0, 2), (0, 1, 2)), "left"),
@@ -52,7 +53,7 @@ RECORDS = {
         "image",
     ),
     "KernelReport": (lambda: KernelReport(6, 12, ((1, -2), (2, -4)), (1, -2), True), "hits"),
-    "CyclicElement": (lambda: CyclicElement(2, Fraction(-2), (as_scalar(Fraction(1, 2)), as_scalar(T))), "coords"),
+    "CyclicElement": (lambda: CyclicElement(2, scalar(-2), (scalar(Fraction(1, 2)), as_scalar(T))), "coords"),
 }
 
 
@@ -90,7 +91,7 @@ def test_records_of_different_classes_differ():
     # The validating records compare by class as well as by fields.
     assert SMWord(2) != ShapeForm(2, 1, 0, ())
     assert SMWord(2, (sigma(1),)) != (2, (sigma(1),))
-    assert CyclicElement(1, Fraction(1), (as_scalar(1),)) != (1, as_scalar(1), (as_scalar(1),))
+    assert CyclicElement(1, scalar(1), (as_scalar(1),)) != (1, as_scalar(1), (as_scalar(1),))
 
 
 def test_plain_records_are_tuples_of_their_fields():
@@ -125,11 +126,11 @@ def test_shape_form_checks_its_fields():
 
 def test_cyclic_element_checks_its_fields():
     with pytest.raises(ValueError, match=r"^need order >= 1$"):
-        CyclicElement(0, Fraction(1), ())
+        CyclicElement(0, scalar(1), ())
     with pytest.raises(ValueError, match=r"^twist must be a unit$"):
-        CyclicElement(1, Fraction(0), (as_scalar(1),))
+        CyclicElement(1, scalar(0), (as_scalar(1),))
     with pytest.raises(ValueError, match=r"^need 2 coordinates, got 1$"):
-        CyclicElement(2, Fraction(1), (as_scalar(1),))
+        CyclicElement(2, scalar(1), (as_scalar(1),))
 
 
 def test_reprs_are_pinned():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_braid_word
+from conftest import random_braid_word, scalar
 from smbraid.algebra import CyclicElement, FormalElement, Matrix, Permutation
 from smbraid.reps import (
     BraidRep,
@@ -88,7 +88,7 @@ def test_scalar_char_metadata():
 
 def test_scalar_char_powers():
     rep = scalar_char(2, 2)
-    assert rep_eval(rep, sigma_power(2, 1, -3)) == Matrix([[Fraction(1, 8)]])
+    assert rep_eval(rep, sigma_power(2, 1, -3)) == Matrix([[scalar(Fraction(1, 8))]])
     assert rep_eval(rep, SMWord(2)).is_identity()
 
 
@@ -109,7 +109,7 @@ def test_rep_eval_free_cancellation():
 
 def test_rep_eval_empty_and_one_letter_words():
     rep = burau_unreduced(3)
-    ext = Extension(rep, PhiParams.of(T, Fraction(-1, 2), 3))
+    ext = Extension(rep, PhiParams.of(T, scalar(Fraction(-1, 2)), 3))
     for target in (rep, ext):
         assert rep_eval(target, SMWord(3)) == target.one()
     for letter in braid_letters(3):
@@ -186,7 +186,7 @@ def test_rep_from_selector(tmp_path):
     assert rep_from_selector("burau-unreduced", 3).name == "burau-unreduced"
     assert rep_from_selector("burau-reduced", 2).name == "burau-reduced"
     assert rep_from_selector("perm", 4).name == "perm"
-    assert rep_from_selector("scalar:1/2", 2).image(1) == Matrix([[Fraction(1, 2)]])
+    assert rep_from_selector("scalar:1/2", 2).image(1) == Matrix([[scalar(Fraction(1, 2))]])
     path = tmp_path / "m.txt"
     path.write_text("0,-2\n1,0\n")
     rep = rep_from_selector(f"matrix:{path}", 2)
@@ -250,7 +250,9 @@ def _perm_case(n: int):
 
 
 def _scalar_case(d, text: str, n: int):
-    images = [(Matrix([[d]]), Matrix([[d**-1]]))] * (n - 1)
+    # a Fraction d is inverted by Fraction arithmetic, the Laurent unit -t by the library
+    d, inverse = (scalar(d), scalar(d**-1)) if isinstance(d, Fraction) else (d, d**-1)
+    images = [(Matrix([[d]]), Matrix([[inverse]]))] * (n - 1)
     return (f"scalar{text}-{n}", lambda: scalar_char(d, n), images,
             f"BraidRep(scalar:{text} (n={n}, backend=matrix))")
 
@@ -275,8 +277,8 @@ CONSTRUCTION_CASES = [
     _scalar_case(-T, "-1*t^1", 2),
     _scalar_case(-T, "-1*t^1", 3),
     ("cyclic2", lambda: cyclic_rep(2, -2),
-     [(CyclicElement(2, Fraction(-2), (Fraction(0), Fraction(1))),
-       CyclicElement(2, Fraction(-2), (Fraction(0), Fraction(-1, 2))))],
+     [(CyclicElement(2, scalar(-2), (scalar(0), scalar(1))),
+       CyclicElement(2, scalar(-2), (scalar(0), scalar(Fraction(-1, 2)))))],
      "BraidRep(cyclic:2:-2 (n=2, backend=cyclic))"),
     ("cyclic1", lambda: cyclic_rep(1, T),
      [(CyclicElement(1, T, (T,)), CyclicElement(1, T, (T**-1,)))],
@@ -285,7 +287,7 @@ CONSTRUCTION_CASES = [
      [(FormalElement(_FORMAL2, [(m, 1)]), FormalElement(_FORMAL2, [(m_inv, 1)])) for m, m_inv in _REDUCED3],
      "BraidRep(burau-reduced+formal (n=3, backend=formal))"),
     ("matrix-images", lambda: matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])], name="m"),
-     [(Matrix([[0, -2], [1, 0]]), Matrix([[0, 1], [Fraction(-1, 2), 0]]))],
+     [(Matrix([[0, -2], [1, 0]]), Matrix([[0, 1], [scalar(Fraction(-1, 2)), 0]]))],
      "BraidRep(m (n=2, backend=matrix))"),
 ]
 
