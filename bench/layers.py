@@ -32,7 +32,11 @@ from the `src` directory next to this script's parent:
 * analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
   path, which builds its own extension; the `SM_2` kernel grid (p <= 6,
   |q| <= 12) of sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of
-  `prop8`; `scalar_kernel_hits` for the character d = 2 (p <= 4,
+  `prop8`; the same grid of sigma_1 -> X in the twisted cyclic algebra
+  X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its 32 `CyclicElement`
+  heads and powers are hashed and its six hits (p, -p) compared, as in the
+  cyclic half of `prop8` and in `kernel2 --rep cyclic:<s>:<ds>`;
+  `scalar_kernel_hits` for the character d = 2 (p <= 4,
   |q| <= 8), the route of acceptance criterion 7; and the witness walk of
   `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
   words of length <= 6) and on `burau_reduced(3)` (value 3/2, s <= 4,
@@ -93,7 +97,9 @@ from smbraid import cli  # noqa: E402
 from smbraid.algebra import Matrix, linear_combination  # noqa: E402
 from smbraid.analysis import _sm3_oracle, find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations, tau_power_expand  # noqa: E402
-from smbraid.reps import as_formal, burau_reduced, burau_unreduced, matrix_rep_from_images, rep_eval  # noqa: E402
+from smbraid.reps import (  # noqa: E402
+    as_formal, burau_reduced, burau_unreduced, cyclic_rep, matrix_rep_from_images, rep_eval
+)
 from smbraid.scalars import T, as_scalar, parse_scalar  # noqa: E402
 from smbraid.words import defining_relations, parse_word, shape_form  # noqa: E402
 
@@ -124,6 +130,7 @@ def operations() -> dict:
     u3, v3 = rep_eval(_sm3_oracle(), w1), rep_eval(_sm3_oracle(), w2)
     rational2_image = Matrix([[0, -2], [1, 0]])
     rational2 = matrix_rep_from_images(2, [rational2_image])
+    cyclic4, cyclic_params = cyclic_rep(4, p), PhiParams.of(1, 0, 0)
     grid_params = PhiParams.of(1, 2, 1)
     rational = PhiParams.of(parse_scalar("1/2"), parse_scalar("-2/3"), parse_scalar("3/5"))
     rational_d, two = parse_scalar("-3/2"), as_scalar(2)
@@ -154,6 +161,7 @@ def operations() -> dict:
         "phi.tau_power_expand_p8": lambda: tau_power_expand(rational, rational_d, 8, 1),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
+        "analysis.kernel2_cyclic4": lambda: kernel_search_sm2(cyclic4, cyclic_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
         "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),
         "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),

@@ -28,6 +28,7 @@ from .scalars import (
     MAX_SPAN, ONE, ZERO, _ZERO_ENTRY, LaurentPoly, _accumulate, _format, _make, _parts, as_scalar, format_scalar,
     is_unit, parse_scalar
 )
+from .words import FrozenValue
 
 
 class Matrix:
@@ -435,40 +436,23 @@ class FormalElement:
 # --- twisted cyclic algebra ------------------------------------------------------
 
 
-class CyclicElement:
-    """Element of the twisted cyclic algebra K[X]/(X^order - twist).
-    Elements are values: equal when their fields are equal, hashable, and
-    their fields cannot be rebound."""
+class CyclicElement(FrozenValue):
+    """Element of the twisted cyclic algebra K[X]/(X^order - twist), its
+    coordinates stored as a tuple.  A `words.FrozenValue`."""
 
     __slots__ = ("order", "twist", "coords")
 
-    def __init__(self, order: int, twist: LaurentPoly, coords: tuple[LaurentPoly, ...]):
+    def __init__(self, order: int, twist: LaurentPoly, coords: Iterable[LaurentPoly]):
         if order < 1:
             raise ValueError("need order >= 1")
         if not is_unit(twist):
             raise ValueError("twist must be a unit")
+        coords = tuple(coords)
         if len(coords) != order:
             raise ValueError(f"need {order} coordinates, got {len(coords)}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.twist, self.coords) == (other.order, other.twist, other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.twist, self.coords))
-
-    def __reduce__(self):
-        return CyclicElement, (self.order, self.twist, self.coords)
 
     @staticmethod
     def one(order: int, twist: LaurentPoly | int) -> "CyclicElement":
@@ -486,7 +470,7 @@ class CyclicElement:
         m = (k - j) // order
         coords = [ZERO] * order
         coords[j] = twist**m
-        return CyclicElement(order, twist, tuple(coords))
+        return CyclicElement(order, twist, coords)
 
     def _require_same(self, other: "CyclicElement") -> None:
         if not isinstance(other, CyclicElement) or (self.order, self.twist) != (other.order, other.twist):
@@ -494,10 +478,7 @@ class CyclicElement:
 
     def __add__(self, other: "CyclicElement") -> "CyclicElement":
         self._require_same(other)
-        return CyclicElement(
-            self.order, self.twist,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
+        return CyclicElement(self.order, self.twist, (a + b for a, b in zip(self.coords, other.coords)))
 
     def __mul__(self, other: "CyclicElement") -> "CyclicElement":
         self._require_same(other)
@@ -514,10 +495,10 @@ class CyclicElement:
                     e -= self.order
                     c = c * self.twist
                 out[e] = out[e] + c
-        return CyclicElement(self.order, self.twist, tuple(out))
+        return CyclicElement(self.order, self.twist, out)
 
     def scale(self, s: LaurentPoly | int) -> "CyclicElement":
-        return CyclicElement(self.order, self.twist, tuple(s * a for a in self.coords))
+        return CyclicElement(self.order, self.twist, (s * a for a in self.coords))
 
     def is_identity(self) -> bool:
         return self.coords[0] == 1 and all(a == 0 for a in self.coords[1:])

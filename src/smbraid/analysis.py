@@ -97,7 +97,8 @@ def root_of_unity_order(a: LaurentPoly | int, r_max: int = 8) -> int | None:
     The answer is exact, with no search: over Q the only roots of unity are
     1 and -1, and in Q[t, t^-1] the units are the monomials c*t^k, whose
     powers can be 1 only when k == 0, which reduces to the rational case.
-    The bound is kept for interface symmetry with the bounded searches.
+    r_max caps the order reported: with r_max = 0, or r_max = 1 for -1, the
+    answer is None, and `smbraid unfaith` then runs the scalar-power search.
     """
     a = as_scalar(a)
     if a == 0:

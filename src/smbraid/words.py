@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterator, NamedTuple
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GenLetter(NamedTuple):
@@ -58,21 +59,23 @@ def tau(i: int) -> GenLetter:
     return GenLetter("t", i)
 
 
-class SMWord:
-    """A word in SM_n: ambient strand count plus a finite letter sequence.
-    Words are values: equal when their fields are equal, hashable, and
-    their fields cannot be rebound."""
+_KINDS = frozenset(("s", "S", "t"))
 
-    __slots__ = ("n", "letters")
 
-    def __init__(self, n: int, letters: tuple[GenLetter, ...] = ()):
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
-        for letter in letters:
-            if not 1 <= letter.index <= n - 1:
-                raise ValueError(f"letter {letter.token()} out of range for n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
+class FrozenValue:
+    """Base of the records that check their fields in a constructor of their
+    own (`SMWord`, `ShapeForm`, `algebra.CyclicElement`).  A record is a value:
+    equal to a record of its own class whose fields are equal, hashed by its
+    fields, and its fields cannot be assigned or deleted.  A subclass names
+    its fields in `__slots__`, sets them with `object.__setattr__`, and takes
+    them in that order as its constructor's arguments, which copying and
+    pickling call."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,13 +86,33 @@ class SMWord:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n == other.n and self.letters == other.letters
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.letters))
+        return hash(self._values(self))
 
     def __reduce__(self):
-        return SMWord, (self.n, self.letters)
+        return self.__class__, self._values(self)
+
+
+class SMWord(FrozenValue):
+    """A word in SM_n: ambient strand count plus a finite letter sequence,
+    stored as a tuple.  A `FrozenValue`."""
+
+    __slots__ = ("n", "letters")
+
+    def __init__(self, n: int, letters: Iterable[GenLetter] = ()):
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        letters = tuple(letters)
+        for letter in letters:
+            if letter.kind not in _KINDS:
+                raise ValueError(f"letter {letter.token()} has unknown kind {letter.kind!r}")
+            if not 0 < letter.index < n:
+                raise ValueError(f"letter {letter.token()} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -109,7 +132,7 @@ class SMWord:
         return not any(letter.is_tau for letter in self.letters)
 
     def inverse(self) -> "SMWord":
-        return SMWord(self.n, tuple(l.inverse() for l in reversed(self.letters)))
+        return SMWord(self.n, (l.inverse() for l in reversed(self.letters)))
 
     def text(self) -> str:
         return " ".join(letter.token() for letter in self.letters)
@@ -146,13 +169,13 @@ def parse_word(text: str, n: int) -> SMWord:
             letters.extend(sigma_inv(i) for i in range(n - 1, 0, -1))
             continue
         head, tail = token[0], token[1:]
-        if head not in ("s", "S", "t") or _INDEX_RE.fullmatch(tail) is None:
+        if head not in _KINDS or _INDEX_RE.fullmatch(tail) is None:
             raise ValueError(f"unknown token {token!r}")
         index = int(tail)
         if not 1 <= index <= n - 1:
             raise ValueError(f"index out of range in token {token!r} for n={n}")
         letters.append(GenLetter(head, index))
-    return SMWord(n, tuple(letters))
+    return SMWord(n, letters)
 
 
 # --- relation-invariant statistics ------------------------------------------
@@ -217,7 +240,7 @@ def tau_conjugator(i: int, n: int) -> SMWord:
     letters: list[GenLetter] = []
     for j in range(i - 1, 0, -1):
         letters.extend((sigma(j), sigma(j + 1)))
-    return SMWord(n, tuple(letters))
+    return SMWord(n, letters)
 
 
 def _expand_taus(w: SMWord) -> list[GenLetter]:
@@ -265,7 +288,7 @@ def free_reduce(w: SMWord) -> SMWord:
             stack.pop()
         else:
             stack.append(letter)
-    return SMWord(w.n, tuple(stack))
+    return SMWord(w.n, stack)
 
 
 def conjugate(w: SMWord, u: SMWord) -> SMWord:
@@ -291,7 +314,7 @@ class TauBlockForm(NamedTuple):
         letters = list(self.prefix.letters)
         for r, u in self.blocks:
             letters += (tau(1),) * r + u.letters
-        return SMWord(self.n, tuple(letters))
+        return SMWord(self.n, letters)
 
 
 def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
@@ -305,7 +328,7 @@ def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
     pos = 0
     while pos < len(expanded) and not expanded[pos].is_tau:
         pos += 1
-    prefix = SMWord(w.n, tuple(expanded[:pos]))
+    prefix = SMWord(w.n, expanded[:pos])
 
     blocks: list[tuple[int, SMWord]] = []
     while pos < len(expanded):
@@ -316,20 +339,22 @@ def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
         start = pos
         while pos < len(expanded) and not expanded[pos].is_tau:
             pos += 1
-        blocks.append((r, SMWord(w.n, tuple(expanded[start:pos]))))
+        blocks.append((r, SMWord(w.n, expanded[start:pos])))
     return TauBlockForm(w.n, prefix, tuple(blocks))
 
 
-class ShapeForm:
+class ShapeForm(FrozenValue):
     """Kernel-power shape  tau_1^{r_i} v^{m_i} u_i ...  with
     v = tau_1^p sigma_1^q and 0 <= r_i < p; a leading braid segment appears
-    as a (0, 0, u) block.  A value, like `SMWord`."""
+    as a (0, 0, u) block, and the blocks are stored as a tuple.  A
+    `FrozenValue`."""
 
     __slots__ = ("n", "p", "q", "blocks")
 
-    def __init__(self, n: int, p: int, q: int, blocks: tuple[tuple[int, int, SMWord], ...]):
+    def __init__(self, n: int, p: int, q: int, blocks: Iterable[tuple[int, int, SMWord]]):
         if p < 1:
             raise ValueError("reference pair needs p >= 1")
+        blocks = tuple(blocks)
         for r, m, _ in blocks:
             if not (0 <= r < p and m >= 0):
                 raise ValueError(f"block ({r}, {m}) violates 0 <= r < p, m >= 0")
@@ -337,23 +362,6 @@ class ShapeForm:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.p, self.q, self.blocks) == (other.n, other.p, other.q, other.blocks)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, self.q, self.blocks))
-
-    def __reduce__(self):
-        return ShapeForm, (self.n, self.p, self.q, self.blocks)
 
     def __repr__(self) -> str:
         return f"ShapeForm(n={self.n!r}, p={self.p!r}, q={self.q!r}, blocks={self.blocks!r})"
@@ -363,7 +371,7 @@ class ShapeForm:
         letters: list[GenLetter] = []
         for r, m, u in self.blocks:
             letters += (tau(1),) * r + v * m + u.letters
-        return SMWord(self.n, tuple(letters))
+        return SMWord(self.n, letters)
 
     def strip(self) -> SMWord:
         """Drop every v^{m_i} factor.
@@ -374,7 +382,7 @@ class ShapeForm:
         letters: list[GenLetter] = []
         for r, _, u in self.blocks:
             letters += (tau(1),) * r + u.letters
-        return SMWord(self.n, tuple(letters))
+        return SMWord(self.n, letters)
 
 
 def shape_form(w: SMWord, p: int, q: int) -> ShapeForm:
@@ -394,7 +402,7 @@ def shape_form(w: SMWord, p: int, q: int) -> ShapeForm:
     for s, u in form.blocks:
         m, r = divmod(s, p)
         blocks.append((r, m, free_reduce(sigma_power(w.n, 1, -m * q) * u)))
-    return ShapeForm(w.n, p, q, tuple(blocks))
+    return ShapeForm(w.n, p, q, blocks)
 
 
 def braid_letters(n: int) -> tuple[GenLetter, ...]:

@@ -94,6 +94,15 @@ def test_unfaith_root_of_unity(capsys):
     assert doc["witnesses"][0]["w2"] == "s1 s1"
 
 
+@pytest.mark.parametrize("rmax, kind", [("0", "scalar-power"), ("1", "scalar-power"), ("2", "root-of-unity")])
+def test_unfaith_rmax_caps_the_root_of_unity_order(capsys, rmax, kind):
+    # -1 has order 2: below that bound the scalar-power search finds tau_1^2 = 1 instead
+    doc, _ = run_json(capsys, "unfaith", "--mode", "a00", "--val", "-1",
+                      "--rep", "perm", "--n", "3", "--rmax", rmax)
+    assert doc["found"] and doc["kind"] == kind
+    assert doc["witnesses"][0]["w1"] == "t1 t1"
+
+
 def test_unfaith_scalar_power(capsys):
     doc, _ = run_json(capsys, "unfaith", "--mode", "a00", "--val", "2",
                       "--rep", "scalar:2", "--n", "2", "--smax", "4", "--lmax", "4")

@@ -15,6 +15,7 @@ from smbraid.analysis import DistinctnessCertificate, KernelReport, Unfaithfulne
 from smbraid.phi import PhiParams, RelationCheck, RelationReport
 from smbraid.scalars import T, as_scalar
 from smbraid.words import (
+    GenLetter,
     RelationInstance,
     ShapeForm,
     SM2NormalForm,
@@ -138,3 +139,26 @@ def test_reprs_are_pinned():
     assert repr(SMWord(2)) == "SMWord(2, '')"
     assert repr(SM2NormalForm(2, -1)) == "SM2NormalForm(p=2, q=-1)"
     assert repr(ShapeForm(2, 1, 0, ())) == "ShapeForm(n=2, p=1, q=0, blocks=())"
+
+
+# Each validating record, from its sequence field, with that field's items.
+SEQUENCE_FIELDS = {
+    "SMWord": (lambda seq: SMWord(3, seq), "letters", (sigma(1), tau(2), sigma(1))),
+    "ShapeForm": (lambda seq: ShapeForm(2, 2, 1, seq), "blocks", ((0, 0, parse_word("s1", 2)), (1, 3, SMWord(2)))),
+    "CyclicElement": (lambda seq: CyclicElement(2, scalar(-2), seq), "coords", (scalar(Fraction(1, 2)), as_scalar(T))),
+}
+
+
+@pytest.mark.parametrize("name", SEQUENCE_FIELDS)
+def test_sequence_fields_are_stored_as_tuples(name):
+    make, field, items = SEQUENCE_FIELDS[name]
+    ref = make(items)
+    for x in (make(list(items)), make(iter(items)), make(item for item in items)):
+        assert getattr(x, field) == items and type(getattr(x, field)) is tuple
+        assert x == ref and hash(x) == hash(ref)
+
+
+def test_smword_rejects_unknown_letter_kinds():
+    for kind in ("q", "T", "", "st"):
+        with pytest.raises(ValueError, match=rf"^letter {kind}1 has unknown kind '{kind}'$"):
+            SMWord(2, (sigma(1), GenLetter(kind, 1)))
