@@ -19,10 +19,11 @@ from the `src` directory next to this script's parent:
   `analysis._sm3_oracle()` (the `wordeq3` oracle path); and the inverse of
   [[0, -2], [1, 0]], which every `prop8` query takes when it builds its
   representation from a matrix file;
-* words: `shape_form` of the fixed SM_3 word "t1 t1 s2 t2 S1 s1" (three tau
-  letters) against v = tau_1^2 sigma_1, with `assemble` and `strip` of the
-  result, and `list(defining_relations(4))`, which builds the 13 relation
-  instances of SM_4;
+* words: `decompose_tau_blocks(w).shape(2, 1)` of the fixed SM_3 word
+  w = "t1 t1 s2 t2 S1 s1" (three tau letters), the split against
+  v = tau_1^2 sigma_1, with `assemble` and `strip` of the result, and
+  `list(defining_relations(4))`, which builds the 13 relation instances of
+  SM_4;
 * reps: building a fresh `burau_unreduced(4)`, which takes the cofactor
   inverses of its three generator images and checks its braid relations;
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
@@ -35,18 +36,19 @@ from the `src` directory next to this script's parent:
   `prop8`; the same grid of sigma_1 -> X in the twisted cyclic algebra
   X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its 32 `CyclicElement`
   heads and powers are hashed and its six hits (p, -p) compared, as in the
-  cyclic half of `prop8` and in `kernel2 --rep cyclic:<s>:<ds>`;
+  cyclic half of `prop8` and in `kernel2 --backend cyclic:<s>:<ds>`;
   `scalar_kernel_hits` for the character d = 2 (p <= 4,
   |q| <= 8), the route of acceptance criterion 7; and the witness walk of
   `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
   words of length <= 6) and on `burau_reduced(3)` (value 3/2, s <= 4,
   words of length <= 5, the shape of the `word-search` workload's
   `unfaith` queries), which multiply and key matrix images;
-* cli: three whole in-process CLI calls, `cli.main([..., "--json"])` with
+* cli: four whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
-  the same n = 4 Burau representation and parameters as above, and a
-  `kernel2` query on the scalar character 3/2.  They cover
-  argument parsing and representation selection as well as the algebra.
+  the same n = 4 Burau representation and parameters as above, a `kernel2`
+  query on the scalar character 3/2, and a `shape` query on the SM_3 word
+  and v of the words op.  They cover argument parsing and representation
+  selection as well as the algebra.
   And `cli.startup_sm2_grid`: a fresh interpreter answering the `sm2-grid`
   workload's probe query through `python -m smbraid.cli`, start-up included.
 
@@ -101,7 +103,7 @@ from smbraid.reps import (  # noqa: E402
     as_formal, burau_reduced, burau_unreduced, cyclic_rep, matrix_rep_from_images, rep_eval
 )
 from smbraid.scalars import T, as_scalar, parse_scalar  # noqa: E402
-from smbraid.words import defining_relations, parse_word, shape_form  # noqa: E402
+from smbraid.words import decompose_tau_blocks, defining_relations, parse_word  # noqa: E402
 
 REPEATS = 7
 
@@ -139,7 +141,7 @@ def operations() -> dict:
     shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
 
     def shape_sm3():
-        form = shape_form(shape_word, 2, 1)
+        form = decompose_tau_blocks(shape_word).shape(2, 1)
         return form.assemble(), form.strip()
 
     return {
@@ -171,6 +173,9 @@ def operations() -> dict:
         ),
         "cli.main_kernel2_scalar": cli_call(
             ["kernel2", "--rep", "scalar:3/2", "--a=1/2", "--b=-1", "--c=2", "--json"]
+        ),
+        "cli.main_shape3": cli_call(
+            ["shape", "--n", "3", "--word", "t1 t1 s2 t2 S1 s1", "--p", "2", "--q", "1", "--json"]
         ),
     }
 

@@ -273,7 +273,7 @@ def cmd_wordeq3(args: argparse.Namespace) -> int:
 def cmd_shape(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word, args.n)
     blocks = words.decompose_tau_blocks(w)
-    sf = words.shape_form(w, args.p, args.q)
+    sf = blocks.shape(args.p, args.q)
     doc = {
         "command": "shape",
         "n": args.n,

@@ -250,10 +250,10 @@ def _expand_taus(w: SMWord) -> list[GenLetter]:
         if not letter.is_tau:
             expanded.append(letter)
             continue
-        conj = tau_conjugator(letter.index, w.n)
-        expanded.extend(conj.letters)
+        conj = tau_conjugator(letter.index, w.n).letters
+        expanded += conj
         expanded.append(tau(1))
-        expanded.extend(conj.inverse().letters)
+        expanded += (l.inverse() for l in reversed(conj))
     return expanded
 
 
@@ -316,6 +316,23 @@ class TauBlockForm(NamedTuple):
             letters += (tau(1),) * r + u.letters
         return SMWord(self.n, letters)
 
+    def shape(self, p: int, q: int) -> "ShapeForm":
+        """Split each tau_1 run against v = tau_1^p sigma_1^q.
+
+        A run tau_1^s becomes tau_1^{s mod p} v^{s div p} sigma_1^{-(s div p) q},
+        with the sigma correction merged (freely reduced) into the block's
+        braid tail.  The result assembles to a word with the same image as
+        this form under every representation, because tau_1 and sigma_1
+        commute.
+        """
+        if p < 1:
+            raise ValueError("need p >= 1")
+        blocks = [(0, 0, self.prefix)] if len(self.prefix) else []
+        for s, u in self.blocks:
+            m, r = divmod(s, p)
+            blocks.append((r, m, free_reduce(sigma_power(self.n, 1, -m * q) * u)))
+        return ShapeForm(self.n, p, q, blocks)
+
 
 def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
     """Rewrite w so the only singular letter is tau_1, grouped into blocks.
@@ -346,18 +363,20 @@ def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
 class ShapeForm(FrozenValue):
     """Kernel-power shape  tau_1^{r_i} v^{m_i} u_i ...  with
     v = tau_1^p sigma_1^q and 0 <= r_i < p; a leading braid segment appears
-    as a (0, 0, u) block, and the blocks are stored as a tuple.  A
-    `FrozenValue`."""
+    as a (0, 0, u) block.  The blocks are stored as a tuple of (r, m, u)
+    tuples, and each u must have n strands.  A `FrozenValue`."""
 
     __slots__ = ("n", "p", "q", "blocks")
 
     def __init__(self, n: int, p: int, q: int, blocks: Iterable[tuple[int, int, SMWord]]):
         if p < 1:
             raise ValueError("reference pair needs p >= 1")
-        blocks = tuple(blocks)
-        for r, m, _ in blocks:
+        blocks = tuple((r, m, u) for r, m, u in blocks)
+        for r, m, u in blocks:
             if not (0 <= r < p and m >= 0):
                 raise ValueError(f"block ({r}, {m}) violates 0 <= r < p, m >= 0")
+            if u.n != n:
+                raise ValueError(f"strand counts differ: {n} vs {u.n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -367,7 +386,7 @@ class ShapeForm(FrozenValue):
         return f"ShapeForm(n={self.n!r}, p={self.p!r}, q={self.q!r}, blocks={self.blocks!r})"
 
     def assemble(self) -> SMWord:
-        v = (tau(1),) * self.p + sigma_power(self.n, 1, self.q).letters
+        v = (tau(1),) * self.p + (sigma(1) if self.q >= 0 else sigma_inv(1),) * abs(self.q)
         letters: list[GenLetter] = []
         for r, m, u in self.blocks:
             letters += (tau(1),) * r + v * m + u.letters
@@ -383,26 +402,6 @@ class ShapeForm(FrozenValue):
         for r, _, u in self.blocks:
             letters += (tau(1),) * r + u.letters
         return SMWord(self.n, letters)
-
-
-def shape_form(w: SMWord, p: int, q: int) -> ShapeForm:
-    """Split each tau_1 run of the block form of w against v = tau_1^p sigma_1^q.
-
-    A run tau_1^s becomes tau_1^{s mod p} v^{s div p} sigma_1^{-(s div p) q},
-    with the sigma correction merged (freely reduced) into the block's braid
-    tail.  The result assembles to a word with the same image as w under
-    every representation, because tau_1 and sigma_1 commute.
-    """
-    if p < 1:
-        raise ValueError("need p >= 1")
-    form = decompose_tau_blocks(w)
-    blocks: list[tuple[int, int, SMWord]] = []
-    if len(form.prefix):
-        blocks.append((0, 0, form.prefix))
-    for s, u in form.blocks:
-        m, r = divmod(s, p)
-        blocks.append((r, m, free_reduce(sigma_power(w.n, 1, -m * q) * u)))
-    return ShapeForm(w.n, p, q, blocks)
 
 
 def braid_letters(n: int) -> tuple[GenLetter, ...]:

@@ -48,7 +48,6 @@ from smbraid.words import (
     decompose_tau_blocks,
     defining_relations,
     parse_word,
-    shape_form,
     sigma_power,
     sm2_normal_form,
     tau,
@@ -705,13 +704,13 @@ def test_sm3_oracle_rejects_other_n():
 
 def test_sm3_oracle_confirms_rewrites_on_random_words():
     from conftest import random_sm_word
-    from smbraid.words import decompose_tau_blocks, shape_form
+    from smbraid.words import decompose_tau_blocks
 
     rng = random.Random(53)
     for _ in range(10):
         w = random_sm_word(rng, 3, 5)
         assert sm3_word_equality(w, decompose_tau_blocks(w).assemble())
-        assert sm3_word_equality(w, shape_form(w, 2, -1).assemble())
+        assert sm3_word_equality(w, decompose_tau_blocks(w).shape(2, -1).assemble())
 
 
 def test_sm3_oracle_sends_tau_to_sigma_minus_its_inverse():
@@ -749,7 +748,7 @@ def sm3_pairs(draw):
     if kind == "blocks":
         return w, decompose_tau_blocks(w).assemble(), True
     p, q = draw(st.integers(1, 3)), draw(st.integers(-2, 2))
-    return w, shape_form(w, p, q).assemble(), True
+    return w, decompose_tau_blocks(w).shape(p, q).assemble(), True
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smbraid import cli
+from smbraid import cli, words
 from smbraid.cli import main
 
 
@@ -148,6 +148,20 @@ def test_shape_command(capsys):
     assert doc["blocks"] == [{"tau_run": 1, "v_power": 1, "braid": ""}]
     assert doc["assembled"] == "t1 t1 t1"
     assert doc["stripped"] == "t1"
+
+
+def test_shape_expands_the_word_once(capsys, monkeypatch):
+    expand, calls = words._expand_taus, []
+
+    def counted(w):
+        calls.append(w)
+        return expand(w)
+
+    monkeypatch.setattr(words, "_expand_taus", counted)
+    doc, _ = run_json(capsys, "shape", "--n", "3", "--word", "t1 t1 s2 t2 S1 s1",
+                      "--p", "2", "--q", "1")
+    assert doc["stripped"] == "S1 s2 s1 s2 t1 S2 S1"
+    assert len(calls) == 1
 
 
 def test_domain_error_exit_code(capsys):

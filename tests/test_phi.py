@@ -34,7 +34,6 @@ from smbraid.words import (
     braid_letters,
     decompose_tau_blocks,
     parse_word,
-    shape_form,
     sigma_power,
     tau,
     tau_power,
@@ -135,7 +134,7 @@ def test_phi_invariant_under_block_and_shape_rewrites():
     for _ in range(15):
         w = random_sm_word(rng, 3, 6)
         assert rep_eval(ext, w) == rep_eval(ext, decompose_tau_blocks(w).assemble())
-        assert rep_eval(ext, w) == rep_eval(ext, shape_form(w, 2, 1).assemble())
+        assert rep_eval(ext, w) == rep_eval(ext, decompose_tau_blocks(w).shape(2, 1).assemble())
 
 
 def test_stripping_kernel_generator_powers_preserves_image():
@@ -146,7 +145,7 @@ def test_stripping_kernel_generator_powers_preserves_image():
     assert rep_eval(ext, parse_word("t1 S1 S1", 2)).is_identity()
     for _ in range(20):
         w = random_sm_word(rng, 2, 8)
-        sf = shape_form(w, 1, -2)
+        sf = decompose_tau_blocks(w).shape(1, -2)
         assert rep_eval(ext, w) == rep_eval(ext, sf.strip())
 
 

@@ -162,3 +162,12 @@ def test_smword_rejects_unknown_letter_kinds():
     for kind in ("q", "T", "", "st"):
         with pytest.raises(ValueError, match=rf"^letter {kind}1 has unknown kind '{kind}'$"):
             SMWord(2, (sigma(1), GenLetter(kind, 1)))
+
+
+def test_shape_form_stores_each_block_as_a_tuple():
+    u = parse_word("s1", 2)
+    ref = ShapeForm(2, 2, 1, ((1, 3, u), (0, 0, SMWord(2))))
+    for blocks in ([[1, 3, u], [0, 0, SMWord(2)]], [iter((1, 3, u)), (0, 0, SMWord(2))]):
+        x = ShapeForm(2, 2, 1, blocks)
+        assert all(type(block) is tuple for block in x.blocks)
+        assert x == ref and hash(x) == hash(ref)

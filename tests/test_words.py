@@ -21,6 +21,7 @@ from smbraid.phi import Extension, PhiParams
 from smbraid.reps import burau_unreduced, permutation_rep, rep_eval
 from smbraid.words import (
     ShapeForm,
+    _expand_taus,
     SMWord,
     braid_relations,
     conjugate,
@@ -29,7 +30,6 @@ from smbraid.words import (
     free_reduce,
     parse_word,
     permutation_image,
-    shape_form,
     sigma,
     sigma_exponent_sum,
     sigma_inv,
@@ -251,6 +251,22 @@ def test_decompose_examples():
     assert form.assemble() == SMWord(3)
 
 
+def test_expand_taus_builds_one_word_per_tau_letter(monkeypatch):
+    built = []
+    init = SMWord.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    w = parse_word("t3 s1 t2 t1 S3", 4)
+    monkeypatch.setattr(SMWord, "__init__", counted)
+    expanded = _expand_taus(w)
+    monkeypatch.undo()
+    assert len(built) <= tau_count(w) == 3
+    assert SMWord(4, expanded) == parse_word("s2 s3 s1 s2 t1 S2 S1 S3 S2 s1 s1 s2 t1 S2 S1 t1 S3", 4)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_decompose_preserves_images_and_tau_count(n):
     rng = random.Random(11)
@@ -293,7 +309,7 @@ def test_assembled_words_match_the_folded_route(n, p, q):
         w = random_sm_word(rng, n, 10)
         form = decompose_tau_blocks(w)
         assert form.assemble() == folded_block_form(form)
-        sf = shape_form(w, p, q)
+        sf = decompose_tau_blocks(w).shape(p, q)
         assert sf.assemble() == folded_shape(sf)
         assert sf.strip() == folded_shape(sf, strip=True)
 
@@ -302,17 +318,17 @@ def test_assembled_words_match_the_folded_route(n, p, q):
 
 
 def test_shape_examples():
-    sf = shape_form(SMWord(2, (tau(1),) * 3), 2, 0)
+    sf = decompose_tau_blocks(SMWord(2, (tau(1),) * 3)).shape(2, 0)
     assert [(r, m, u.text()) for r, m, u in sf.blocks] == [(1, 1, "")]
 
-    sf = shape_form(tau_power(2, 1, 5) * sigma_power(2, 1, -10), 1, -2)
+    sf = decompose_tau_blocks(tau_power(2, 1, 5) * sigma_power(2, 1, -10)).shape(1, -2)
     assert [(r, m, u.text()) for r, m, u in sf.blocks] == [(0, 5, "")]
 
-    sf = shape_form(SMWord(2, (sigma(1),)), 3, 1)
+    sf = decompose_tau_blocks(SMWord(2, (sigma(1),))).shape(3, 1)
     assert [(r, m, u.text()) for r, m, u in sf.blocks] == [(0, 0, "s1")]
 
     with pytest.raises(ValueError):
-        shape_form(SMWord(2, (tau(1),)), 0, 1)
+        decompose_tau_blocks(SMWord(2, (tau(1),))).shape(0, 1)
 
 
 @pytest.mark.parametrize("n,p,q", [(2, 1, -2), (2, 2, 0), (3, 2, 1), (3, 3, -1)])
@@ -320,18 +336,18 @@ def test_shape_preserves_images(n, p, q):
     rng = random.Random(5)
     for _ in range(20):
         w = random_sm_word(rng, n, 8)
-        sf = shape_form(w, p, q)
+        sf = decompose_tau_blocks(w).shape(p, q)
         for r, m, _ in sf.blocks:
             assert 0 <= r < p and m >= 0
         assert images_equal(w, sf.assemble())
 
 
 def test_strip_examples():
-    sf = shape_form(SMWord(2, (tau(1),) * 3), 2, 0)
+    sf = decompose_tau_blocks(SMWord(2, (tau(1),) * 3)).shape(2, 0)
     assert sf.strip() == SMWord(2, (tau(1),))
-    sf = shape_form(tau_power(2, 1, 5) * sigma_power(2, 1, -10), 1, -2)
+    sf = decompose_tau_blocks(tau_power(2, 1, 5) * sigma_power(2, 1, -10)).shape(1, -2)
     assert sf.strip() == SMWord(2)
-    sf = shape_form(tau_power(3, 1, 2) * SMWord(3, (sigma(2),)), 1, 0)
+    sf = decompose_tau_blocks(tau_power(3, 1, 2) * SMWord(3, (sigma(2),))).shape(1, 0)
     assert sf.strip() == SMWord(3, (sigma(2),))
 
 
@@ -418,6 +434,8 @@ BAD_INPUT_CASES = [
      "block (2, 0) violates 0 <= r < p, m >= 0"),
     ("shape-m-negative", lambda: ShapeForm(2, 2, 1, ((0, -1, SMWord(2)),)),
      "block (0, -1) violates 0 <= r < p, m >= 0"),
+    ("shape-block-mixed-n", lambda: ShapeForm(2, 1, 0, ((0, 0, parse_word("s2", 3)),)),
+     "strand counts differ: 2 vs 3"),
 ]
 
 
