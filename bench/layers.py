@@ -53,7 +53,10 @@ from the `src` directory next to this script's parent:
   workload's probe query through `python -m smbraid.cli`, start-up included.
 
 Every operand is built before the timing starts, so an operation times only
-the call it names.
+the call it names.  Before any timing, the script compiles `src` with
+`compileall` (quiet), as `perfbench/run.py` does, so that the start-up
+operation reads bytecode from the cache however the tree was checked out or
+whatever `PYTHONDONTWRITEBYTECODE` says.
 
 Each in-process operation is timed in 7 repeats of a loop long enough to
 last about 0.2 s.  After each repeat the reference kernel of
@@ -78,6 +81,7 @@ their medians.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import io
 import json
@@ -230,6 +234,7 @@ def main() -> None:
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     ap.add_argument("--out", default=os.path.dirname(os.path.abspath(__file__)), help="output directory")
     args = ap.parse_args()
+    compileall.compile_dir(os.path.join(ROOT, "src"), quiet=1)
     ref = timeit.Timer(kernel)
     ref_loop, _ = ref.autorange()
     ops = {name: time_op(fn, ref, ref_loop) for name, fn in operations().items()}

@@ -167,13 +167,20 @@ def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Ma
 
 def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Callable, list, Callable] | None:
     """Kronecker-packed keys (D. Harvey, J. Symbolic Comput. 44, 2009) for
-    products of at most `depth` of `images`, as `analysis.find_scalar_witness`
-    states them: `key(m)`, the key of m, or None where m * D**depth is not
-    integral or has a coefficient above B**depth; `scalar_key(x)`, the key
-    of the nonzero scalar x times the identity, read off x's (low, nums, den)
-    triple; the images packed over D; and `product(key, image)`.  None
-    instead where such a product could span more than MAX_SPAN exponents,
-    the most a `Matrix` product allows."""
+    products of at most c = `depth` of `images`.  With D the lcm of the
+    images' denominators, the key of a matrix M is (low, ents): the entries
+    of t^-low * M * D**c, each packed as one integer in slots of
+    K = c * bitlen(B) + 1 bits, where low is the lowest exponent and
+    B = max(D, row sums of an image's coefficient magnitudes times D) bounds
+    every coefficient of such a product by B**c.  A step is one integer
+    product per entry pair, an exact division by D and a shift.
+
+    Returns `key(m)`, the key of m, or None where m * D**c is not integral
+    or has a coefficient above B**c; `scalar_key(x)`, the key of the nonzero
+    scalar x times the identity, read off x's (low, nums, den) triple; the
+    images packed over D; and `product(key, image)`.  Returns None instead
+    where such a product could span more than MAX_SPAN exponents, the most a
+    `Matrix` product allows."""
     den = lcm(*[m._den for m in images])
     spread, bound = 0, den
     for m in images:

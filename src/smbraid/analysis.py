@@ -143,20 +143,14 @@ def find_scalar_witness(
     letter by letter in `braid_letters` order.  The walk stops early when a
     level reaches no new image (a finite image group is exhausted).
 
-    A matrix image is held as a key, never as a `Matrix`
-    (`algebra._kronecker_keys`).  With D the lcm of the letter denominators
-    and c the depth, the key of M is (low, ents): the entries of
-    t^-low * M * D**c, each packed as one integer in slots of
-    K = c * bitlen(B) + 1 bits, where low is the lowest exponent and
-    B = max(D, row sums of a letter's coefficient magnitudes times D) bounds
-    every coefficient by B**c.  A step is one integer product per entry
-    pair, an exact division by D and a shift.  A target value**(-s) * 1 is
-    keyed off the scalar itself, with no matrix built; if value**(-s) * D**c
-    is not integral, or has a coefficient above B**c, it has no key and no
-    hit.  c starts at min(len_max, 8) and doubles, restarting the walk, while
-    the level at c is nonempty, so K follows the depth reached, not len_max.
-    Where products could span more than `scalars.MAX_SPAN` exponents, the
-    walk multiplies the matrices themselves, and raises as their product does.
+    A matrix image is held as a key, never as a `Matrix`, in the format that
+    `algebra._kronecker_keys` states for a depth c.  A target value**(-s) * 1
+    is keyed off the scalar itself, with no matrix built; a target with no
+    key is no hit.  c starts at min(len_max, 8) and doubles, restarting the
+    walk, while the level at c is nonempty, so the key size follows the
+    depth reached, not len_max.  Where products could span more than
+    `scalars.MAX_SPAN` exponents, the walk multiplies the matrices
+    themselves, and raises as their product does.
 
     Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
     returned exponent is positive whenever a positive one exists in bounds;

@@ -280,15 +280,20 @@ def to_s1x_generators(w: SMWord) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-def free_reduce(w: SMWord) -> SMWord:
+def _free_reduce(letters: Iterable[GenLetter]) -> list[GenLetter]:
     """Cancel adjacent sigma/sigma^-1 pairs; tau letters block cancellation."""
     stack: list[GenLetter] = []
-    for letter in w:
-        if stack and not letter.is_tau and not stack[-1].is_tau and stack[-1] == letter.inverse():
+    for letter in letters:
+        if stack and not letter.is_tau and stack[-1] == letter.inverse():
             stack.pop()
         else:
             stack.append(letter)
-    return SMWord(w.n, stack)
+    return stack
+
+
+def free_reduce(w: SMWord) -> SMWord:
+    """w with adjacent sigma/sigma^-1 pairs cancelled (see `_free_reduce`)."""
+    return SMWord(w.n, _free_reduce(w))
 
 
 def conjugate(w: SMWord, u: SMWord) -> SMWord:
@@ -328,9 +333,10 @@ class TauBlockForm(NamedTuple):
         if p < 1:
             raise ValueError("need p >= 1")
         blocks = [(0, 0, self.prefix)] if len(self.prefix) else []
+        undo_q = (sigma_inv(1) if q >= 0 else sigma(1),) * abs(q)
         for s, u in self.blocks:
             m, r = divmod(s, p)
-            blocks.append((r, m, free_reduce(sigma_power(self.n, 1, -m * q) * u)))
+            blocks.append((r, m, SMWord(self.n, _free_reduce(undo_q * m + u.letters))))
         return ShapeForm(self.n, p, q, blocks)
 
 
@@ -339,25 +345,17 @@ def decompose_tau_blocks(w: SMWord) -> TauBlockForm:
 
     Each tau_i is replaced by w_i tau_1 w_i^-1 (an equality that follows from
     the sliding relations), so the assembled form has the same image as w
-    under every representation and the same tau count.
+    under every representation and the same tau count.  The prefix and the
+    blocks are the maximal runs of the expanded letters, none of them reduced.
     """
-    expanded = _expand_taus(w)
-    pos = 0
-    while pos < len(expanded) and not expanded[pos].is_tau:
-        pos += 1
-    prefix = SMWord(w.n, expanded[:pos])
-
-    blocks: list[tuple[int, SMWord]] = []
-    while pos < len(expanded):
-        r = 0
-        while pos < len(expanded) and expanded[pos].is_tau:
-            r += 1
-            pos += 1
-        start = pos
-        while pos < len(expanded) and not expanded[pos].is_tau:
-            pos += 1
-        blocks.append((r, SMWord(w.n, expanded[start:pos])))
-    return TauBlockForm(w.n, prefix, tuple(blocks))
+    prefix: list[GenLetter] = []
+    blocks: list[tuple[int, list[GenLetter]]] = []
+    for is_tau, run in itertools.groupby(_expand_taus(w), attrgetter("is_tau")):
+        if is_tau:
+            blocks.append((sum(1 for _ in run), []))
+        else:
+            (blocks[-1][1] if blocks else prefix).extend(run)
+    return TauBlockForm(w.n, SMWord(w.n, prefix), tuple((r, SMWord(w.n, u)) for r, u in blocks))
 
 
 class ShapeForm(FrozenValue):
@@ -386,11 +384,7 @@ class ShapeForm(FrozenValue):
         return f"ShapeForm(n={self.n!r}, p={self.p!r}, q={self.q!r}, blocks={self.blocks!r})"
 
     def assemble(self) -> SMWord:
-        v = (tau(1),) * self.p + (sigma(1) if self.q >= 0 else sigma_inv(1),) * abs(self.q)
-        letters: list[GenLetter] = []
-        for r, m, u in self.blocks:
-            letters += (tau(1),) * r + v * m + u.letters
-        return SMWord(self.n, letters)
+        return self._join((tau(1),) * self.p + (sigma(1) if self.q >= 0 else sigma_inv(1),) * abs(self.q))
 
     def strip(self) -> SMWord:
         """Drop every v^{m_i} factor.
@@ -398,9 +392,13 @@ class ShapeForm(FrozenValue):
         When v lies in the kernel of the representation under test, the
         stripped word has the same image as the assembled one.
         """
+        return self._join(())
+
+    def _join(self, v: tuple[GenLetter, ...]) -> SMWord:
+        """The blocks tau_1^{r_i} v^{m_i} u_i as one word, for v given by its letters."""
         letters: list[GenLetter] = []
-        for r, _, u in self.blocks:
-            letters += (tau(1),) * r + u.letters
+        for r, m, u in self.blocks:
+            letters += (tau(1),) * r + v * m + u.letters
         return SMWord(self.n, letters)
 
 

@@ -499,6 +499,10 @@ def test_parse_matrix_round_trip():
         parse_matrix("1,2\n3\n")
 
 
+def test_parse_matrix_skips_blank_lines():
+    assert parse_matrix("1,0\n\n0,1\n") == Matrix.identity(2)
+
+
 # --- formal group algebra ----------------------------------------------------------
 
 

@@ -644,6 +644,11 @@ def test_compare_backends_validates_hypotheses():
         compare_matrix_cyclic_kernels(m, 4, 4, PhiParams.of(1, 0, 0), 3, 3)
 
 
+def test_compare_backends_rejects_s_below_1():
+    with pytest.raises(ValueError, match="^need s >= 1$"):
+        compare_matrix_cyclic_kernels(Matrix([[0, -2], [1, 0]]), 0, -2, PhiParams.of(1, 0, 0), 3, 3)
+
+
 # --- conjugation closure ------------------------------------------------------------------
 
 

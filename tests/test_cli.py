@@ -72,6 +72,13 @@ def test_kernel2_cyclic_backend(capsys):
     assert doc["minimal_generator"] == [1, 0]
 
 
+def test_kernel2_matrix_backend_keeps_a_matrix_rep(capsys):
+    args = ("kernel2", "--rep", "scalar:2", "--a", "1", "--b", "0", "--c", "0")
+    _, raw = run_json(capsys, *args, "--backend", "matrix")
+    _, plain = run_json(capsys, *args)
+    assert raw == plain
+
+
 def test_relcheck_text(capsys):
     code, out, _ = run_cli(capsys, "relcheck", "--n", "3", "--rep", "burau-unreduced",
                            "--a", "1", "--b", "-1", "--c", "0")
@@ -125,6 +132,14 @@ def test_prop8_command(capsys, tmp_path):
     assert doc["equal"] is True
     assert doc["matrix_report"]["minimal_generator"] == [1, 0]
     assert doc["cyclic_report"]["minimal_generator"] == [1, 0]
+
+
+def test_prop8_rejects_s_below_1(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("0,-2\n1,0\n")
+    code, out, err = run_cli(capsys, "prop8", "--matrix", str(path), "--s", "0", "--ds", "-2",
+                             "--a", "1", "--b", "2", "--c", "1")
+    assert (code, out, err) == (1, "", "error: need s >= 1\n")
 
 
 def test_multinomial_command(capsys):

@@ -385,6 +385,11 @@ def test_parse_scalar(text, value):
     assert parse_scalar(text) == scalar(value)
 
 
+def test_parse_scalar_terms_that_cancel_give_zero():
+    assert parse_scalar("t - t") == 0
+    assert parse_scalar("1*t^2 - 1*t^2") == 0
+
+
 def test_parse_rejects_garbage():
     # rationals are p or p/q in ASCII digits; a zero denominator is an error, not a crash
     for bad in ["", "q", "t^", "2 2", "5t", "1e3", "1.5", ".5", "1.", "1_000", "\u0661", "1/\u0662",

@@ -267,6 +267,22 @@ def test_expand_taus_builds_one_word_per_tau_letter(monkeypatch):
     assert SMWord(4, expanded) == parse_word("s2 s3 s1 s2 t1 S2 S1 S3 S2 s1 s1 s2 t1 S2 S1 t1 S3", 4)
 
 
+def test_shape_builds_one_word_per_block(monkeypatch):
+    built = []
+    init = SMWord.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    form = decompose_tau_blocks(parse_word("t1 t1 s2 t2 S1 s1", 3))
+    monkeypatch.setattr(SMWord, "__init__", counted)
+    sf = form.shape(2, 1)
+    monkeypatch.undo()
+    assert len(built) == len(sf.blocks) == 2
+    assert sf.blocks == ((0, 1, parse_word("S1 s2 s1 s2", 3)), (1, 0, parse_word("S2 S1", 3)))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_decompose_preserves_images_and_tau_count(n):
     rng = random.Random(11)
@@ -436,6 +452,7 @@ BAD_INPUT_CASES = [
      "block (0, -1) violates 0 <= r < p, m >= 0"),
     ("shape-block-mixed-n", lambda: ShapeForm(2, 1, 0, ((0, 0, parse_word("s2", 3)),)),
      "strand counts differ: 2 vs 3"),
+    ("tau-power-negative", lambda: tau_power(2, 1, -1), "tau letters have no inverse"),
 ]
 
 
