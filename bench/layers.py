@@ -33,7 +33,15 @@ from the `src` directory next to this script's parent:
 * analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
   path, which builds its own extension; the `SM_2` kernel grid (p <= 6,
   |q| <= 12) of sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of
-  `prop8`; the same grid of sigma_1 -> X in the twisted cyclic algebra
+  `prop8` (where tau_1 -> 1, as 2 * rho(sigma_1)^-1 = -rho(sigma_1)), and
+  the grid of the same matrix at p <= 40, |q| <= 80 and (1/2, -2/3, 3/5),
+  whose tau_1 powers grow, both held as Kronecker-packed keys since every
+  image sits at one exponent; the grid
+  (p <= 6, |q| <= 12) of the scalar character 3/2 at (1, 2, 1), as 1x1
+  matrices, the grid of `kernel2 --rep scalar:<d>`; the grid (p <= 300,
+  q = 0) of `burau_reduced(2)` at (1, -1, 0), whose tau_1 image -t + t^-1
+  spans three exponents, so its heads stay `Matrix` values; the grid
+  (p <= 6, |q| <= 12) of sigma_1 -> X in the twisted cyclic algebra
   X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its 32 `CyclicElement`
   heads and powers are hashed and its six hits (p, -p) compared, as in the
   cyclic half of `prop8` and in `kernel2 --backend cyclic:<s>:<ds>`;
@@ -104,7 +112,7 @@ from smbraid.algebra import Matrix, linear_combination  # noqa: E402
 from smbraid.analysis import _sm3_oracle, find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations, tau_power_expand  # noqa: E402
 from smbraid.reps import (  # noqa: E402
-    as_formal, burau_reduced, burau_unreduced, cyclic_rep, matrix_rep_from_images, rep_eval
+    as_formal, burau_reduced, burau_unreduced, cyclic_rep, matrix_rep_from_images, rep_eval, scalar_char
 )
 from smbraid.scalars import T, as_scalar, parse_scalar  # noqa: E402
 from smbraid.words import decompose_tau_blocks, defining_relations, parse_word  # noqa: E402
@@ -136,6 +144,7 @@ def operations() -> dict:
     u3, v3 = rep_eval(_sm3_oracle(), w1), rep_eval(_sm3_oracle(), w2)
     rational2_image = Matrix([[0, -2], [1, 0]])
     rational2 = matrix_rep_from_images(2, [rational2_image])
+    scalar3_2, reduced2, birman = scalar_char(p, 2), burau_reduced(2), PhiParams.of(1, -1, 0)
     cyclic4, cyclic_params = cyclic_rep(4, p), PhiParams.of(1, 0, 0)
     grid_params = PhiParams.of(1, 2, 1)
     rational = PhiParams.of(parse_scalar("1/2"), parse_scalar("-2/3"), parse_scalar("3/5"))
@@ -167,6 +176,9 @@ def operations() -> dict:
         "phi.tau_power_expand_p8": lambda: tau_power_expand(rational, rational_d, 8, 1),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
+        "analysis.kernel2_rational2_deep": lambda: kernel_search_sm2(rational2, rational, 40, 80),
+        "analysis.kernel2_scalar": lambda: kernel_search_sm2(scalar3_2, grid_params, 6, 12),
+        "analysis.kernel2_burau_reduced2_p300": lambda: kernel_search_sm2(reduced2, birman, 300, 0),
         "analysis.kernel2_cyclic4": lambda: kernel_search_sm2(cyclic4, cyclic_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
         "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),

@@ -165,7 +165,9 @@ def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Ma
     return m
 
 
-def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Callable, list, Callable] | None:
+def _kronecker_keys(
+    images: Sequence[Matrix], depth: int, max_span: int = MAX_SPAN
+) -> tuple[Callable, Callable, list, Callable] | None:
     """Kronecker-packed keys (D. Harvey, J. Symbolic Comput. 44, 2009) for
     products of at most c = `depth` of `images`.  With D the lcm of the
     images' denominators, the key of a matrix M is (low, ents): the entries
@@ -173,40 +175,51 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Cal
     K = c * bitlen(B) + 1 bits, where low is the lowest exponent and
     B = max(D, row sums of an image's coefficient magnitudes times D) bounds
     every coefficient of such a product by B**c.  A step is one integer
-    product per entry pair, an exact division by D and a shift.
+    product per entry pair, an exact division by D and a shift.  A zero
+    image and a zero product are keyed too: every zero matrix has the one
+    key (0, (0,) * dim**2).
 
     Returns `key(m)`, the key of m, or None where m * D**c is not integral
-    or has a coefficient above B**c; `scalar_key(x)`, the key of the nonzero
-    scalar x times the identity, read off x's (low, nums, den) triple; the
-    images packed over D; and `product(key, image)`.  Returns None instead
-    where such a product could span more than MAX_SPAN exponents, the most a
-    `Matrix` product allows."""
+    or has a coefficient above B**c; `scalar_key(x)`, the key of the scalar
+    x times the identity, read off x's (low, nums, den) triple; the images
+    packed over D; and `product(key, image)`, the key of m * image from the
+    key of m, a product of fewer than c images.  Returns None instead where
+    such a product could span more than `max_span` exponents: by default
+    MAX_SPAN, the most a `Matrix` product allows.  With max_span = 1 (and
+    c >= 1) only images that are each a power of t times a rational matrix
+    are packed, so every key entry stays one integer at any depth and a
+    step skips the shift; the SM_2 grid of `analysis.kernel_search_sm2`
+    asks for that.  It does not pack Laurent images: there each entry
+    holds up to c * spread + 1 slots of K bits, and a deep grid of such
+    keys ran 5 to 8 times slower than its `Matrix` products, which cancel
+    and trim as they go (the numbers are in that docstring)."""
     den = lcm(*[m._den for m in images])
     spread, bound = 0, den
     for m in images:
-        f = den // m._den
         ends = [(low, low + len(nums) - 1) for row in m._entries for low, nums in row if nums]
-        spread = max(spread, max([e for _, e in ends]) - min([e for e, _ in ends]))
+        if ends:
+            spread = max(spread, max([e for _, e in ends]) - min([e for e, _ in ends]))
+        if depth * spread >= max_span:
+            return None
+        f = den // m._den
         bound = max(bound, *[sum([abs(n) for _, nums in row for n in nums]) * f for row in m._entries])
-    if depth * spread >= MAX_SPAN:
-        return None
     dim, slot, scale, cap = images[0].dim, depth * bound.bit_length() + 1, den**depth, bound**depth
 
     def packed(m: Matrix, f: int) -> tuple[int, tuple[int, ...]]:
         entries = [entry for row in m._entries for entry in row]
-        low = min([e for e, nums in entries if nums])
+        low = min([e for e, nums in entries if nums], default=0)
         return low, tuple([sum([n * f << slot * i for i, n in enumerate(nums, e - low)]) for e, nums in entries])
 
     def key(m: Matrix) -> tuple[int, tuple[int, ...]] | None:
         f, rem = divmod(scale, m._den)
-        if rem or max([abs(n) for row in m._entries for _, nums in row for n in nums]) * f > cap:
+        if rem or max([abs(n) for row in m._entries for _, nums in row for n in nums], default=0) * f > cap:
             return None
         return packed(m, f)
 
     def scalar_key(x: LaurentPoly) -> tuple[int, tuple[int, ...]] | None:
         low, nums, d = _parts(x)
         f, rem = divmod(scale, d)
-        if rem or max([abs(n) for n in nums]) * f > cap:
+        if rem or max([abs(n) for n in nums], default=0) * f > cap:
             return None
         diagonal = sum([n * f << slot * i for i, n in enumerate(nums)])
         return low, tuple([0 if i % (dim + 1) else diagonal for i in range(dim * dim)])
@@ -216,7 +229,10 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Cal
         ents = [sum(map(mul, a[r : r + dim], col)) for r in range(0, dim * dim, dim) for col in cols]
         if den > 1:
             ents = [x // den for x in ents]
-        z = (min([x & -x for x in ents if x]).bit_length() - 1) // slot  # the lowest nonzero slot
+        if not any(ents):
+            return 0, tuple(ents)
+        # the lowest nonzero slot, always 0 when each image sits at one exponent
+        z = spread and (min([x & -x for x in ents if x]).bit_length() - 1) // slot
         if z:
             ents = [x >> slot * z for x in ents]
         return low + image_low + z, tuple(ents)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import accumulate, repeat
+from typing import Iterable, NamedTuple
 
 from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _kronecker_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
@@ -284,20 +285,39 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     p_max + 2*q_max products and no identity test.  Several p share a head
     when tau_1 has finite image order.  The hits are sorted into hit order,
     by p, then |q|, positive q first, rather than scanned in it.
+
+    A matrix grid whose three images (tau_1, sigma_1, sigma_1^-1) are each
+    a power of t times a rational matrix holds its heads and powers as the
+    keys of `algebra._kronecker_keys` at depth max(p_max, q_max), as the
+    witness walk of `find_scalar_witness` does: each key entry is then one
+    integer, whatever the depth, and a zero image or power is keyed too.
+    Every other grid keys by the elements themselves: a matrix with Laurent
+    entries, a formal or a cyclic element.  Packed, a Laurent key entry
+    holds one slot per exponent, each as wide as the depth needs, and the
+    grid gets slower, not faster (Python 3.11, one process on a 2-core
+    host): `burau_reduced(2)` at (1, -1, 0), p_max = 300, q_max = 0, took
+    22 ms as matrices and 120 ms packed, and `burau_unreduced(2)` at
+    (1, 2, 1), p_max = 6, q_max = 200, 23 ms and 183 ms.
     """
     if rep.n != 2:
         raise ValueError(f"SM_2 kernel search needs n=2, got n={rep.n}")
     if p_max < 0 or q_max < 0:
         raise ValueError("bounds must be nonnegative")
-    one = rep.one()
-    t_img = Extension(rep, params).letters[tau(1)]
-    rows: dict[AlgebraElement, list[int]] = {one: [0]}
-    for p, head in enumerate(_powers(t_img, p_max), start=1):
+    images = [Extension(rep, params).letters[tau(1)], rep.image(1), rep.image_inv(1)]
+    packed = rep.backend == "matrix" and _kronecker_keys(images, max(p_max, q_max), 1)
+    key, _, steps, mul = packed or (lambda x: x, None, images, operator.mul)
+
+    def powers(i: int, k: int) -> Iterable:
+        """The keys of images[i]**1..k: one product per power after the first."""
+        return accumulate(repeat(steps[i], k - 1), mul, initial=key(images[i])) if k else ()
+
+    start = key(rep.one())
+    rows: dict[object, list[int]] = {start: [0]}
+    for p, head in enumerate(powers(0, p_max), start=1):
         rows.setdefault(head, []).append(p)
 
-    hits = [(p, 0) for p in rows[one] if p]
-    powers = zip(_powers(rep.image(1), q_max), _powers(rep.image_inv(1), q_max))
-    for q, (pos, neg) in enumerate(powers, start=1):
+    hits = [(p, 0) for p in rows[start] if p]
+    for q, (pos, neg) in enumerate(zip(powers(1, q_max), powers(2, q_max)), start=1):
         hits.extend((p, q) for p in rows.get(neg, ()))
         hits.extend((p, -q) for p in rows.get(pos, ()))
     hits.sort(key=_hit_order)

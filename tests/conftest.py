@@ -1,5 +1,6 @@
-"""Shared test helpers: seeded random word generators, the enumeration of
-freely reduced braid words, and the one conversion between the library's
+"""Shared test helpers: seeded random word generators, the brute-force
+routes of the witness walk (the enumeration of freely reduced braid words)
+and of the SM_2 kernel grid, and the one conversion between the library's
 scalars and the ``Fraction`` values the tests use as their oracle."""
 
 from __future__ import annotations
@@ -58,3 +59,27 @@ def enumerate_braid_words(n: int, max_len: int) -> Iterator[SMWord]:
                 next_level.append(letters)
                 yield SMWord(n, letters)
         level = next_level
+
+
+def grid_reference(rep, params, p_max, q_max):
+    """The brute-force route of `analysis.kernel_search_sm2`: the grid cell
+    by cell, in hit order, each row head tau_1^p times sigma_1^q and
+    sigma_1^-q, each cell tested with is_identity()."""
+    s, s_inv, one = rep.image(1), rep.image_inv(1), rep.one()
+    t = s.scale(params.a) + s_inv.scale(params.b) + one.scale(params.c)
+    hits = []
+    head = one
+    for p in range(p_max + 1):
+        if p:
+            head = head * t
+        if p and head.is_identity():
+            hits.append((p, 0))
+        pos = neg = head
+        for q in range(1, q_max + 1):
+            pos = pos * s
+            neg = neg * s_inv
+            if pos.is_identity():
+                hits.append((p, q))
+            if neg.is_identity():
+                hits.append((p, -q))
+    return tuple(hits)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_braid_words, random_braid_word, random_sm_word, scalar
+from conftest import enumerate_braid_words, grid_reference, random_braid_word, random_sm_word, scalar
 from smbraid import analysis, reps
 from smbraid.algebra import FormalElement, Matrix, _kronecker_keys
 from smbraid.analysis import (
@@ -237,6 +237,22 @@ def test_find_scalar_witness_keys_are_injective_up_to_the_bound():
     assert None not in keys and len(set(keys)) == len(keys)
 
 
+def test_kronecker_keys_take_zero_images_and_products():
+    # A zero image and a product that vanishes are keyed like any matrix, and
+    # every zero matrix has the one key (0, (0,) * dim**2).
+    zero, nil, shear = Matrix([[0, 0], [0, 0]]), Matrix([[0, 3 * T], [0, 0]]), Matrix([[1, 1], [0, 1]])
+    images = [zero, nil, shear, Matrix([[scalar(Fraction(1, 2)), 0], [0, 2]])]
+    for max_span in (MAX_SPAN, 1):
+        key, scalar_key, steps, product = _kronecker_keys(images, 3, max_span)
+        assert key(zero) == scalar_key(scalar(0)) == (0, (0, 0, 0, 0))
+        for m in (Matrix.identity(2), *images, nil * shear):
+            for image, step in zip(images, steps):
+                assert product(key(m), step) == key(m * image), (m, image)
+        assert product(key(nil), steps[1]) == (0, (0, 0, 0, 0))
+    key, *_ = _kronecker_keys([zero], 2)
+    assert key(zero) == (0, (0, 0, 0, 0)) and key(Matrix.identity(2)) is not None
+
+
 def test_find_scalar_witness_keys_targets_from_the_scalar():
     # The walk keys each target value**-s * 1 off the scalar's (low, nums, den)
     # triple, with no matrix built; the key must be that of the matrix, and
@@ -444,34 +460,12 @@ def test_kernel_hits_closed_under_addition():
                 assert (p1 + p2, q1 + q2) in hits
 
 
-def grid_reference(rep, params, p_max, q_max):
-    """The grid cell by cell, in hit order: each row head tau_1^p times
-    sigma_1^q and sigma_1^-q, each cell tested with is_identity()."""
-    s, s_inv, one = rep.image(1), rep.image_inv(1), rep.one()
-    t = s.scale(params.a) + s_inv.scale(params.b) + one.scale(params.c)
-    hits = []
-    head = one
-    for p in range(p_max + 1):
-        if p:
-            head = head * t
-        if p and head.is_identity():
-            hits.append((p, 0))
-        pos = neg = head
-        for q in range(1, q_max + 1):
-            pos = pos * s
-            neg = neg * s_inv
-            if pos.is_identity():
-                hits.append((p, q))
-            if neg.is_identity():
-                hits.append((p, -q))
-    return tuple(hits)
-
-
 GRID_TRIPLES = [
     PhiParams.of(1, 0, 0),
     PhiParams.of(0, 0, 0),
     PhiParams.of(2, 0, 0),
     PhiParams.of(1, 0, -3),
+    PhiParams.of(1, 0, -1),
     PhiParams.of(1, -1, 0),
     PhiParams.of(0, 0, 1),
     PhiParams.of(scalar(Fraction(1, 2)), -1, 2),
@@ -480,7 +474,15 @@ GRID_BOUNDS = [(0, 0), (0, 5), (4, 0), (4, 8)]
 
 
 def grid_reps():
+    # scalar_char(T) has spread 0 off exponent 0: sigma_1 -> t, tau_1 -> t at (1, 0, 0)
     yield from (scalar_char(d, 2) for d in (2, 1, -1, T))
+    # the prop8 shapes: [[0, -2], [1, 0]] squares to -2, and the companion matrix
+    # of x^2 - x/2 + 1/4 cubes to -1/8, here conjugated by a unimodular matrix
+    yield matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])])
+    half, u = scalar(Fraction(1, 2)), Matrix([[-1, 1], [-2, 1]])
+    yield matrix_rep_from_images(2, [u * Matrix([[0, -half * half], [1, half]]) * u.inverse()])
+    # tau_1 -> [[0, 1], [0, 0]] at (1, 0, -1), so tau_1^2 = 0
+    yield matrix_rep_from_images(2, [Matrix([[1, 1], [0, 1]])])
     yield permutation_rep(2)
     yield burau_reduced(2)
     yield burau_unreduced(2)
@@ -518,6 +520,55 @@ def test_kernel_search_matches_cell_by_cell_grid_property(d, a, b, c, k, p_max, 
     assert kernel_search_sm2(rep, params, p_max, q_max).hits == expected
     if k is not None and 1 <= p_max and abs(k) <= q_max:
         assert (1, k) in expected
+
+
+invertible_rational_2x2 = st.lists(small_rationals, min_size=4, max_size=4).filter(lambda e: e[0] * e[3] != e[1] * e[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=invertible_rational_2x2,
+    k=st.integers(-2, 2),
+    a=small_rationals,
+    b=small_rationals,
+    c=small_rationals,
+    p_max=st.integers(0, 4),
+    q_max=st.integers(0, 8),
+)
+def test_kernel_search_matches_cell_by_cell_grid_rational_2x2_property(entries, k, a, b, c, p_max, q_max):
+    # sigma_1 -> t^k * M for an invertible rational M: a grid that packs its keys
+    rows = [[scalar(x) * T**k for x in entries[:2]], [scalar(x) * T**k for x in entries[2:]]]
+    rep, params = matrix_rep_from_images(2, [Matrix(rows)]), PhiParams.of(scalar(a), scalar(b), scalar(c))
+    assert kernel_search_sm2(rep, params, p_max, q_max).hits == grid_reference(rep, params, p_max, q_max)
+
+
+def test_kernel_search_packs_only_single_exponent_matrix_grids(monkeypatch):
+    # Kronecker keys for a matrix grid whose tau_1, sigma_1 and sigma_1^-1
+    # images each sit at one exponent; element keys for Laurent matrices.
+    packed = []
+
+    def spy(*args):
+        keys = _kronecker_keys(*args)
+        packed.append(keys is not None)
+        return keys
+
+    monkeypatch.setattr(analysis, "_kronecker_keys", spy)
+    cases = [
+        (matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]), PhiParams.of(1, 2, 1), True),
+        (scalar_char(T, 2), PhiParams.of(1, 0, 0), True),
+        (scalar_char(T, 2), PhiParams.of(0, 0, 0), True),
+        (scalar_char(T, 2), PhiParams.of(1, 0, 1), False),
+        (burau_reduced(2), PhiParams.of(1, -1, 0), False),
+        (burau_unreduced(2), PhiParams.of(1, 0, 0), False),
+    ]
+    for rep, params, expected in cases:
+        packed.clear()
+        report = kernel_search_sm2(rep, params, 4, 8)
+        assert packed == [expected], (rep.name, params.text())
+        assert report.hits == grid_reference(rep, params, 4, 8)
+    packed.clear()
+    kernel_search_sm2(cyclic_rep(4, T), PhiParams.of(1, 0, 0), 4, 8)
+    assert packed == []
 
 
 def test_kernel_search_dense_grid_in_hit_order():
