@@ -50,12 +50,16 @@ from the `src` directory next to this script's parent:
   `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
   words of length <= 6) and on `burau_reduced(3)` (value 3/2, s <= 4,
   words of length <= 5, the shape of the `word-search` workload's
-  `unfaith` queries), which multiply and key matrix images;
-* cli: four whole in-process CLI calls, `cli.main([..., "--json"])` with
+  reduced Burau `unfaith` queries), which multiply and key matrix images,
+  and on `permutation_rep(4)` (value 3/2, s <= 4, words of length <= 4, the
+  shape of its `unfaith --rep perm --n 4` queries), which keys each image
+  by its permutation;
+* cli: five whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, a `kernel2`
-  query on the scalar character 3/2, and a `shape` query on the SM_3 word
-  and v of the words op.  They cover argument parsing and representation
+  query on the scalar character 3/2, a `shape` query on the SM_3 word
+  and v of the words op, and an `unfaith` query on the permutation
+  representation of the permutation walk above.  They cover argument parsing and representation
   selection as well as the algebra.
   And `cli.startup_sm2_grid`: a fresh interpreter answering the `sm2-grid`
   workload's probe query through `python -m smbraid.cli`, start-up included.
@@ -112,7 +116,8 @@ from smbraid.algebra import Matrix, linear_combination  # noqa: E402
 from smbraid.analysis import _sm3_oracle, find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations, tau_power_expand  # noqa: E402
 from smbraid.reps import (  # noqa: E402
-    as_formal, burau_reduced, burau_unreduced, cyclic_rep, matrix_rep_from_images, rep_eval, scalar_char
+    as_formal, burau_reduced, burau_unreduced, cyclic_rep, matrix_rep_from_images, permutation_rep, rep_eval,
+    scalar_char
 )
 from smbraid.scalars import T, as_scalar, parse_scalar  # noqa: E402
 from smbraid.words import decompose_tau_blocks, defining_relations, parse_word  # noqa: E402
@@ -151,6 +156,7 @@ def operations() -> dict:
     rational_d, two = parse_scalar("-3/2"), as_scalar(2)
     walk_rep = burau_unreduced(3)
     reduced3 = burau_reduced(3)
+    perm4 = permutation_rep(4)
     shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
 
     def shape_sm3():
@@ -183,6 +189,7 @@ def operations() -> dict:
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
         "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),
         "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),
+        "analysis.witness_walk_perm4": lambda: find_scalar_witness(perm4, p, 4, 4),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]
@@ -192,6 +199,9 @@ def operations() -> dict:
         ),
         "cli.main_shape3": cli_call(
             ["shape", "--n", "3", "--word", "t1 t1 s2 t2 S1 s1", "--p", "2", "--q", "1", "--json"]
+        ),
+        "cli.main_unfaith_perm4": cli_call(
+            ["unfaith", "--mode", "a00", "--val=3/2", "--rep", "perm", "--n", "4", "--lmax", "4", "--json"]
         ),
     }
 

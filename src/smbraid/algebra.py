@@ -244,6 +244,31 @@ def _kronecker_keys(
     return key, scalar_key, steps, product
 
 
+def _group_element(x: object) -> object | None:
+    """g where x is the formal element 1 * g, else None."""
+    if isinstance(x, FormalElement) and len(x.coeffs) == 1:
+        [(g, c)] = x.coeffs.items()
+        if c == 1:
+            return g
+    return None
+
+
+def _group_keys(images: Sequence[AlgebraElement]) -> tuple[Callable, Callable, list, Callable] | None:
+    """Keys for products of formal images that are each one group element
+    with coefficient 1, in the shape `_kronecker_keys` returns: the key of
+    1 * g is g itself, `key(x)` is None where x is not such an element, a
+    step is the group product g * h, and the scalar x times the identity is
+    keyed as the group's identity when x == 1 and has no key otherwise.
+    Such keys hold products of any length.  Returns None unless every image
+    is such an element: a scaled letter would make each step multiply, and
+    hash, a coefficient as well."""
+    steps = [_group_element(x) for x in images]
+    if any(g is None for g in steps):
+        return None
+    identity = images[0].identity
+    return _group_element, lambda x: identity if x == 1 else None, steps, mul
+
+
 def linear_combination(terms: Sequence[tuple[LaurentPoly | int, AlgebraElement]]) -> AlgebraElement:
     """The sum of s * x over the nonempty pairs (s, x) of `terms`, elements of
     one backend: matrices in one pass over their numerators on a common

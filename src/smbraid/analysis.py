@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple
 
-from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _kronecker_keys
+from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _group_keys, _kronecker_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import LaurentPoly, as_scalar, format_scalar, is_unit
@@ -153,6 +153,14 @@ def find_scalar_witness(
     `scalars.MAX_SPAN` exponents, the walk multiplies the matrices
     themselves, and raises as their product does.
 
+    When every letter image is a formal element that is one group element
+    with coefficient 1 (a permutation representation, an `as_formal` lift),
+    each image is held as that group element, a step is one group product,
+    and the walk never restarts: the keys of `algebra._group_keys`.  The
+    target value**(-s) * 1 is then the group's identity when value**(-s)
+    is 1, and no hit otherwise.  Any other formal image, and a cyclic one,
+    is held as itself.
+
     Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
     returned exponent is positive whenever a positive one exists in bounds;
     with s_max == 0 there is nothing to try and no walk is made.
@@ -168,9 +176,10 @@ def find_scalar_witness(
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
     one = rep.one()
-    depth = min(len_max, 8)
+    matrix = rep.backend == "matrix"
+    depth = min(len_max, 8) if matrix else len_max  # only Kronecker keys are sized by the depth
     while True:
-        packed = rep.backend == "matrix" and _kronecker_keys(images, depth)
+        packed = _kronecker_keys(images, depth) if matrix else _group_keys(images)
         if not packed:  # the elements are their own keys, at any depth
             depth = len_max
         key, target, steps, mul = packed or (lambda x: x, one.scale, images, operator.mul)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_braid_words, grid_reference, random_braid_word, random_sm_word, scalar
 from smbraid import analysis, reps
-from smbraid.algebra import FormalElement, Matrix, _kronecker_keys
+from smbraid.algebra import FormalElement, Matrix, Permutation, _group_keys, _kronecker_keys
 from smbraid.analysis import (
     KernelReport,
     compare_matrix_cyclic_kernels,
@@ -32,6 +32,7 @@ from smbraid.analysis import (
 )
 from smbraid.phi import Extension, PhiParams, tau_power_expand
 from smbraid.reps import (
+    BraidRep,
     as_formal,
     burau_reduced,
     burau_unreduced,
@@ -169,10 +170,22 @@ def enumerated_witness(states, rep, value, s_max):
     return None
 
 
+def scaled_permutation_rep(n, d):
+    """sigma_i -> d * (i i+1) and sigma_i^-1 -> d^-1 * (i i+1) in the group
+    algebra of S_n: formal letters that are not 1 * g, with rho(s1 s1) = d^2 * 1."""
+    e = Permutation.identity(n)
+    swaps = [Permutation.transposition(n, i) for i in range(1, n)]
+    images = [FormalElement(e, [(g, d)]) for g in swaps]
+    inverses = [FormalElement(e, [(g, d**-1)]) for g in swaps]
+    return BraidRep(n, FormalElement.one(e), images, inverses, name="scaled-perm")
+
+
 WITNESS_REPS = {
     "perm2": permutation_rep(2),
     "perm3": permutation_rep(3),
     "perm4": permutation_rep(4),
+    "perm5": permutation_rep(5),
+    "scaled2-perm3": scaled_permutation_rep(3, scalar(2)),
     "burau-reduced3": burau_reduced(3),
     "burau-unreduced2": burau_unreduced(2),
     "burau-unreduced3": burau_unreduced(3),
@@ -211,8 +224,8 @@ def test_find_scalar_witness_matches_enumeration(name):
                 got = find_scalar_witness(rep, value, s_max, len_max)
                 assert got == expected, (len_max, value, s_max)
                 found += expected is not None
-    if name.startswith(("scalar", "cyclic", "matrix")):
-        assert found, "grid rows for scalar, cyclic and matrix reps must include hits"
+    if name.startswith(("scalar", "cyclic", "scaled", "matrix")):
+        assert found, "grid rows for scalar, cyclic, scaled and matrix reps must include hits"
 
 
 def test_find_scalar_witness_matches_enumeration_on_reduced_burau3():
@@ -302,15 +315,21 @@ def test_find_scalar_witness_keeps_the_matrix_span_limit():
 
 
 def count_search_work(monkeypatch, mul_budget):
-    """Count FormalElement products and `rep_eval` calls; a product past the
-    budget fails at once instead of running on."""
+    """Count `FormalElement` products ("mul"), group products of permutations
+    ("group_mul", the steps of a walk on group keys, and also the products
+    inside a formal one) and `rep_eval` calls; a product of either kind past
+    the budget fails at once instead of running on."""
     calls = Counter()
-    mul = FormalElement.__mul__
 
-    def counted_mul(self, other):
-        calls["mul"] += 1
-        assert calls["mul"] <= mul_budget, f"more than {mul_budget} multiplications"
-        return mul(self, other)
+    def counted_mul(cls, name):
+        mul = cls.__mul__
+
+        def wrapper(self, other):
+            calls[name] += 1
+            assert calls[name] <= mul_budget, f"more than {mul_budget} {name} calls"
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", wrapper)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -319,7 +338,8 @@ def count_search_work(monkeypatch, mul_budget):
 
         return wrapper
 
-    monkeypatch.setattr(FormalElement, "__mul__", counted_mul)
+    counted_mul(FormalElement, "mul")
+    counted_mul(Permutation, "group_mul")
     for module in (analysis, reps):
         monkeypatch.setattr(module, "rep_eval", counted("rep_eval", module.rep_eval))
     return calls
@@ -327,10 +347,13 @@ def count_search_work(monkeypatch, mul_budget):
 
 def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
     # S_4 has 24 elements and each kept image is extended by at most 6 letters.
+    # The walk keys each image by its permutation, so every product is a
+    # group product and no formal element is multiplied.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 24 * 6)
     assert find_scalar_witness(rep, 2, 4, 6) is None
-    assert calls["mul"] <= 24 * 6
+    assert 0 < calls["group_mul"] <= 24 * 6
+    assert calls["mul"] == 0
     assert calls["rep_eval"] == 0
 
 
@@ -339,7 +362,7 @@ def test_find_scalar_witness_without_exponents_walks_nothing(monkeypatch):
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 0)
     assert find_scalar_witness(rep, 2, 0, 6) is None
-    assert calls["mul"] == 0
+    assert calls["mul"] == calls["group_mul"] == 0
 
 
 def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
@@ -347,7 +370,52 @@ def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 24 * 6)
     assert find_scalar_witness(rep, 2, 4, 10**6) is None
-    assert calls["mul"] <= 24 * 6
+    assert 0 < calls["group_mul"] <= 24 * 6
+
+
+def test_find_scalar_witness_keys_only_unit_coefficient_letters_by_group(monkeypatch):
+    # Group keys for formal letters that are each 1 * g, a permutation or a
+    # matrix; element keys for scaled formal letters; no group keys for a
+    # matrix rep, which packs, or a cyclic one.
+    grouped = []
+
+    def spy(images):
+        keys = _group_keys(images)
+        grouped.append(keys is not None)
+        return keys
+
+    monkeypatch.setattr(analysis, "_group_keys", spy)
+    cases = [
+        (permutation_rep(4), [True]),
+        (as_formal(burau_reduced(3)), [True]),
+        (scaled_permutation_rep(3, scalar(2)), [False]),
+        (scaled_permutation_rep(3, scalar(1)), [True]),
+        (burau_reduced(3), []),
+        (cyclic_rep(3, -1, 3), [False]),
+    ]
+    for rep, expected in cases:
+        states = enumerated_witness_states(rep, 3)
+        for value in (scalar(Fraction(1, 2)), scalar(-1), T):
+            grouped.clear()
+            assert find_scalar_witness(rep, value, 4, 3) == enumerated_witness(states, rep, value, 4), (rep.name, value)
+            assert grouped == expected, (rep.name, value)
+
+
+def test_group_keys_follow_formal_products():
+    # The key of 1 * g is g, a step multiplies it by the letter's element,
+    # and the target c * 1 is the identity's key exactly when c == 1.
+    for rep in (permutation_rep(3), as_formal(burau_reduced(3))):
+        images = list(rep.letters.values())
+        key, target, steps, product = _group_keys(images)
+        one = rep.one()
+        assert key(one) == target(scalar(1)) == one.identity
+        assert target(scalar(2)) is None and target(scalar(-1)) is None
+        assert key(one.scale(2)) is None and key(images[0] + images[-1]) is None
+        for x in (one, *images, images[0] * images[-1]):
+            for image, step in zip(images, steps):
+                assert product(key(x), step) == key(x * image)
+    scaled = scaled_permutation_rep(3, scalar(2))
+    assert _group_keys(list(scaled.letters.values())) is None
 
 
 def test_scalar_power_witness_examples():
