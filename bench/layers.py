@@ -44,7 +44,11 @@ from the `src` directory next to this script's parent:
   (p <= 6, |q| <= 12) of sigma_1 -> X in the twisted cyclic algebra
   X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its 32 `CyclicElement`
   heads and powers are hashed and its six hits (p, -p) compared, as in the
-  cyclic half of `prop8` and in `kernel2 --backend cyclic:<s>:<ds>`;
+  cyclic half of `prop8` and in `kernel2 --backend cyclic:<s>:<ds>`; the
+  grid (p <= 6, |q| <= 12) of `as_formal(burau_reduced(2))` at (1, 0, 0),
+  the path of `kernel2 --backend formal`, whose three images are each one
+  group element with coefficient 1, so its heads and powers are keyed by
+  their group elements;
   `scalar_kernel_hits` for the character d = 2 (p <= 4,
   |q| <= 8), the route of acceptance criterion 7; and the witness walk of
   `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
@@ -151,6 +155,7 @@ def operations() -> dict:
     rational2 = matrix_rep_from_images(2, [rational2_image])
     scalar3_2, reduced2, birman = scalar_char(p, 2), burau_reduced(2), PhiParams.of(1, -1, 0)
     cyclic4, cyclic_params = cyclic_rep(4, p), PhiParams.of(1, 0, 0)
+    formal_reduced2 = as_formal(reduced2)
     grid_params = PhiParams.of(1, 2, 1)
     rational = PhiParams.of(parse_scalar("1/2"), parse_scalar("-2/3"), parse_scalar("3/5"))
     rational_d, two = parse_scalar("-3/2"), as_scalar(2)
@@ -186,6 +191,7 @@ def operations() -> dict:
         "analysis.kernel2_scalar": lambda: kernel_search_sm2(scalar3_2, grid_params, 6, 12),
         "analysis.kernel2_burau_reduced2_p300": lambda: kernel_search_sm2(reduced2, birman, 300, 0),
         "analysis.kernel2_cyclic4": lambda: kernel_search_sm2(cyclic4, cyclic_params, 6, 12),
+        "analysis.kernel2_formal_burau2": lambda: kernel_search_sm2(formal_reduced2, cyclic_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
         "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),
         "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),

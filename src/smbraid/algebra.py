@@ -253,20 +253,34 @@ def _group_element(x: object) -> object | None:
     return None
 
 
-def _group_keys(images: Sequence[AlgebraElement]) -> tuple[Callable, Callable, list, Callable] | None:
-    """Keys for products of formal images that are each one group element
-    with coefficient 1, in the shape `_kronecker_keys` returns: the key of
-    1 * g is g itself, `key(x)` is None where x is not such an element, a
-    step is the group product g * h, and the scalar x times the identity is
-    keyed as the group's identity when x == 1 and has no key otherwise.
-    Such keys hold products of any length.  Returns None unless every image
-    is such an element: a scaled letter would make each step multiply, and
-    hash, a coefficient as well."""
-    steps = [_group_element(x) for x in images]
-    if any(g is None for g in steps):
-        return None
-    identity = images[0].identity
-    return _group_element, lambda x: identity if x == 1 else None, steps, mul
+def _search_keys(
+    one: AlgebraElement, images: Sequence[AlgebraElement], depth: int, max_span: int = MAX_SPAN
+) -> tuple[Callable, Callable, Sequence, Callable, int | None]:
+    """The one choice of how a bounded search keys products of `images`,
+    elements with identity `one`: (key, scalar_key, steps, product, bound).
+    `key(x)`, and `scalar_key(c)` for c * one, are None where there is no
+    key; `product(key(x), step)` is the key of x * image; `bound` is the
+    most images a keyed product may hold, or None for any number.  The
+    first kind that applies:
+
+    * matrices: `_kronecker_keys(images, depth, max_span)`, bound `depth`,
+      where that function packs them;
+    * formal images that are each 1 * g for a group element g (`perm`, an
+      `as_formal` lift): the key of 1 * g is g, a step is a group product,
+      and c * one has the identity's key when c == 1 and none otherwise (a
+      scaled letter is not keyed so: each step would multiply and hash a
+      coefficient too);
+    * any other element is its own key."""
+    if isinstance(one, Matrix):
+        packed = _kronecker_keys(images, depth, max_span)
+        if packed:
+            return (*packed, depth)
+    else:
+        steps = [_group_element(x) for x in images]
+        if all(g is not None for g in steps):
+            identity = one.identity
+            return _group_element, lambda c: identity if c == 1 else None, steps, mul, None
+    return lambda x: x, one.scale, images, mul, None
 
 
 def linear_combination(terms: Sequence[tuple[LaurentPoly | int, AlgebraElement]]) -> AlgebraElement:

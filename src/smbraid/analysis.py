@@ -22,12 +22,11 @@ SL(2, Z) x Z; `sm3_word_equality` states what "true implies equal" rests on.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple
 
-from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _group_keys, _kronecker_keys
+from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _search_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import LaurentPoly, as_scalar, format_scalar, is_unit
@@ -144,22 +143,12 @@ def find_scalar_witness(
     letter by letter in `braid_letters` order.  The walk stops early when a
     level reaches no new image (a finite image group is exhausted).
 
-    A matrix image is held as a key, never as a `Matrix`, in the format that
-    `algebra._kronecker_keys` states for a depth c.  A target value**(-s) * 1
-    is keyed off the scalar itself, with no matrix built; a target with no
-    key is no hit.  c starts at min(len_max, 8) and doubles, restarting the
-    walk, while the level at c is nonempty, so the key size follows the
-    depth reached, not len_max.  Where products could span more than
-    `scalars.MAX_SPAN` exponents, the walk multiplies the matrices
-    themselves, and raises as their product does.
-
-    When every letter image is a formal element that is one group element
-    with coefficient 1 (a permutation representation, an `as_formal` lift),
-    each image is held as that group element, a step is one group product,
-    and the walk never restarts: the keys of `algebra._group_keys`.  The
-    target value**(-s) * 1 is then the group's identity when value**(-s)
-    is 1, and no hit otherwise.  Any other formal image, and a cyclic one,
-    is held as itself.
+    Each image is held as the key that `algebra._search_keys` gives it, and
+    a target value**(-s) * 1 is keyed off the scalar itself; a target with
+    no key is no hit.  Keys bounded to products of c images are asked for
+    at c = min(len_max, 8), and c doubles, restarting the walk, while the
+    level at c is nonempty, so the key size follows the depth reached, not
+    len_max; keys that hold any depth are walked to len_max at once.
 
     Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
     returned exponent is positive whenever a positive one exists in bounds;
@@ -176,13 +165,11 @@ def find_scalar_witness(
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
     one = rep.one()
-    matrix = rep.backend == "matrix"
-    depth = min(len_max, 8) if matrix else len_max  # only Kronecker keys are sized by the depth
+    depth = min(len_max, 8)
     while True:
-        packed = _kronecker_keys(images, depth) if matrix else _group_keys(images)
-        if not packed:  # the elements are their own keys, at any depth
+        key, target, steps, mul, bound = _search_keys(one, images, depth)
+        if bound is None:  # the keys hold products of any length
             depth = len_max
-        key, target, steps, mul = packed or (lambda x: x, one.scale, images, operator.mul)
         start = key(one)
         first: dict[object, tuple[GenLetter, ...]] = {start: ()}
         level: list[tuple[tuple[GenLetter, ...], object]] = [((), start)]
@@ -295,26 +282,23 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     when tau_1 has finite image order.  The hits are sorted into hit order,
     by p, then |q|, positive q first, rather than scanned in it.
 
-    A matrix grid whose three images (tau_1, sigma_1, sigma_1^-1) are each
-    a power of t times a rational matrix holds its heads and powers as the
-    keys of `algebra._kronecker_keys` at depth max(p_max, q_max), as the
-    witness walk of `find_scalar_witness` does: each key entry is then one
-    integer, whatever the depth, and a zero image or power is keyed too.
-    Every other grid keys by the elements themselves: a matrix with Laurent
-    entries, a formal or a cyclic element.  Packed, a Laurent key entry
-    holds one slot per exponent, each as wide as the depth needs, and the
-    grid gets slower, not faster (Python 3.11, one process on a 2-core
-    host): `burau_reduced(2)` at (1, -1, 0), p_max = 300, q_max = 0, took
-    22 ms as matrices and 120 ms packed, and `burau_unreduced(2)` at
-    (1, 2, 1), p_max = 6, q_max = 200, 23 ms and 183 ms.
+    Heads and powers are held as the keys of `algebra._search_keys` at
+    depth max(p_max, q_max) with max_span = 1, so a matrix grid packs only
+    images that are each a power of t times a rational matrix: each key
+    entry is then one integer, whatever the depth, and a zero image or
+    power is keyed too.  Packed, a Laurent key entry holds one slot per
+    exponent, each as wide as the depth needs, and the grid gets slower,
+    not faster (Python 3.11, one process on a 2-core host):
+    `burau_reduced(2)` at (1, -1, 0), p_max = 300, q_max = 0, took 22 ms as
+    matrices and 120 ms packed, and `burau_unreduced(2)` at (1, 2, 1),
+    p_max = 6, q_max = 200, 23 ms and 183 ms.
     """
     if rep.n != 2:
         raise ValueError(f"SM_2 kernel search needs n=2, got n={rep.n}")
     if p_max < 0 or q_max < 0:
         raise ValueError("bounds must be nonnegative")
     images = [Extension(rep, params).letters[tau(1)], rep.image(1), rep.image_inv(1)]
-    packed = rep.backend == "matrix" and _kronecker_keys(images, max(p_max, q_max), 1)
-    key, _, steps, mul = packed or (lambda x: x, None, images, operator.mul)
+    key, _, steps, mul, _ = _search_keys(rep.one(), images, max(p_max, q_max), 1)
 
     def powers(i: int, k: int) -> Iterable:
         """The keys of images[i]**1..k: one product per power after the first."""
@@ -333,9 +317,7 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
 
     minimal = next((h for h in hits if h[0] >= 1), None)
     report = KernelReport(p_max, q_max, tuple(hits), minimal, None)
-    if minimal is not None:
-        report = KernelReport(p_max, q_max, tuple(hits), minimal, verify_cyclic_structure(report))
-    return report
+    return report._replace(cyclic_structure_verified=verify_cyclic_structure(report)) if minimal else report
 
 
 def verify_cyclic_structure(report: KernelReport) -> bool:

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_braid_words, grid_reference, random_braid_word, random_sm_word, scalar
-from smbraid import analysis, reps
-from smbraid.algebra import FormalElement, Matrix, Permutation, _group_keys, _kronecker_keys
+from smbraid import algebra, analysis, reps
+from smbraid.algebra import FormalElement, Matrix, Permutation, _kronecker_keys, _search_keys
 from smbraid.analysis import (
     KernelReport,
     compare_matrix_cyclic_kernels,
@@ -267,23 +267,27 @@ def test_kronecker_keys_take_zero_images_and_products():
 
 
 def test_find_scalar_witness_keys_targets_from_the_scalar():
-    # The walk keys each target value**-s * 1 off the scalar's (low, nums, den)
-    # triple, with no matrix built; the key must be that of the matrix, and
-    # None exactly where the matrix has no key.
+    # Every kind of key `_search_keys` gives keeps one contract: a target
+    # c * 1 is keyed off the scalar, with no element built, and its key is
+    # that of the element, None exactly where the element has no key; and a
+    # step takes the key of x to the key of x times the letter's image.
     keyed = missing = 0
     for name, rep in WITNESS_REPS.items():
-        if rep.backend != "matrix":
-            continue
         images = [rep.letters[letter] for letter in braid_letters(rep.n)]
         one = rep.one()
         for depth in (1, 4):
-            key, scalar_key, _, _ = _kronecker_keys(images, depth)
+            key, scalar_key, steps, product, bound = _search_keys(one, images, depth)
             for value in WITNESS_VALUES:
                 for s in (1, 2, 3, 4, -1, -2, -3, -4):
                     expected = key(one.scale(value**-s))
                     assert scalar_key(value**-s) == expected, (name, depth, value, s)
                     keyed += expected is not None
                     missing += expected is None
+            if bound is not None and bound < 3:
+                continue  # the keys hold no product of three images
+            for x in (one, *images, images[0] * images[-1]):
+                for image, step in zip(images, steps):
+                    assert product(key(x), step) == key(x * image), (name, depth, x, image)
     assert keyed and missing
 
 
@@ -373,32 +377,44 @@ def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
     assert 0 < calls["group_mul"] <= 24 * 6
 
 
-def test_find_scalar_witness_keys_only_unit_coefficient_letters_by_group(monkeypatch):
-    # Group keys for formal letters that are each 1 * g, a permutation or a
-    # matrix; element keys for scaled formal letters; no group keys for a
-    # matrix rep, which packs, or a cyclic one.
-    grouped = []
+def key_kind(keys, x):
+    """Which kind of key `_search_keys` returned, read off the key of x."""
+    key, *_, bound = keys
+    return "kronecker" if bound is not None else "element" if key(x) is x else "group"
 
-    def spy(images):
-        keys = _group_keys(images)
-        grouped.append(keys is not None)
+
+def spy_key_kinds(monkeypatch):
+    """Record the kind of every key set that `analysis._search_keys` hands out."""
+    kinds = []
+
+    def spy(one, images, *args):
+        keys = _search_keys(one, images, *args)
+        kinds.append(key_kind(keys, images[0]))
         return keys
 
-    monkeypatch.setattr(analysis, "_group_keys", spy)
+    monkeypatch.setattr(analysis, "_search_keys", spy)
+    return kinds
+
+
+def test_find_scalar_witness_keys_only_unit_coefficient_letters_by_group(monkeypatch):
+    # Group keys for formal letters that are each 1 * g, a permutation or a
+    # matrix; element keys for scaled formal letters and a cyclic rep; and
+    # Kronecker keys, never group keys, for a matrix rep.
+    kinds = spy_key_kinds(monkeypatch)
     cases = [
-        (permutation_rep(4), [True]),
-        (as_formal(burau_reduced(3)), [True]),
-        (scaled_permutation_rep(3, scalar(2)), [False]),
-        (scaled_permutation_rep(3, scalar(1)), [True]),
-        (burau_reduced(3), []),
-        (cyclic_rep(3, -1, 3), [False]),
+        (permutation_rep(4), ["group"]),
+        (as_formal(burau_reduced(3)), ["group"]),
+        (scaled_permutation_rep(3, scalar(2)), ["element"]),
+        (scaled_permutation_rep(3, scalar(1)), ["group"]),
+        (burau_reduced(3), ["kronecker"]),
+        (cyclic_rep(3, -1, 3), ["element"]),
     ]
     for rep, expected in cases:
         states = enumerated_witness_states(rep, 3)
         for value in (scalar(Fraction(1, 2)), scalar(-1), T):
-            grouped.clear()
+            kinds.clear()
             assert find_scalar_witness(rep, value, 4, 3) == enumerated_witness(states, rep, value, 4), (rep.name, value)
-            assert grouped == expected, (rep.name, value)
+            assert kinds == expected, (rep.name, value)
 
 
 def test_group_keys_follow_formal_products():
@@ -406,8 +422,9 @@ def test_group_keys_follow_formal_products():
     # and the target c * 1 is the identity's key exactly when c == 1.
     for rep in (permutation_rep(3), as_formal(burau_reduced(3))):
         images = list(rep.letters.values())
-        key, target, steps, product = _group_keys(images)
         one = rep.one()
+        key, target, steps, product, bound = _search_keys(one, images, 2)
+        assert bound is None
         assert key(one) == target(scalar(1)) == one.identity
         assert target(scalar(2)) is None and target(scalar(-1)) is None
         assert key(one.scale(2)) is None and key(images[0] + images[-1]) is None
@@ -415,7 +432,8 @@ def test_group_keys_follow_formal_products():
             for image, step in zip(images, steps):
                 assert product(key(x), step) == key(x * image)
     scaled = scaled_permutation_rep(3, scalar(2))
-    assert _group_keys(list(scaled.letters.values())) is None
+    images = list(scaled.letters.values())
+    assert key_kind(_search_keys(scaled.one(), images, 2), images[0]) == "element"
 
 
 def test_scalar_power_witness_examples():
@@ -612,7 +630,8 @@ def test_kernel_search_matches_cell_by_cell_grid_rational_2x2_property(entries, 
 
 def test_kernel_search_packs_only_single_exponent_matrix_grids(monkeypatch):
     # Kronecker keys for a matrix grid whose tau_1, sigma_1 and sigma_1^-1
-    # images each sit at one exponent; element keys for Laurent matrices.
+    # images each sit at one exponent; element keys for Laurent matrices;
+    # group keys exactly for a formal grid whose three images are each 1 * g.
     packed = []
 
     def spy(*args):
@@ -620,23 +639,31 @@ def test_kernel_search_packs_only_single_exponent_matrix_grids(monkeypatch):
         packed.append(keys is not None)
         return keys
 
-    monkeypatch.setattr(analysis, "_kronecker_keys", spy)
+    monkeypatch.setattr(algebra, "_kronecker_keys", spy)
+    kinds = spy_key_kinds(monkeypatch)
+    perm2, formal_burau2, formal_scalar2 = permutation_rep(2), as_formal(burau_reduced(2)), as_formal(scalar_char(2, 2))
     cases = [
-        (matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]), PhiParams.of(1, 2, 1), True),
-        (scalar_char(T, 2), PhiParams.of(1, 0, 0), True),
-        (scalar_char(T, 2), PhiParams.of(0, 0, 0), True),
-        (scalar_char(T, 2), PhiParams.of(1, 0, 1), False),
-        (burau_reduced(2), PhiParams.of(1, -1, 0), False),
-        (burau_unreduced(2), PhiParams.of(1, 0, 0), False),
+        (matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]), PhiParams.of(1, 2, 1), "kronecker"),
+        (scalar_char(T, 2), PhiParams.of(1, 0, 0), "kronecker"),
+        (scalar_char(T, 2), PhiParams.of(0, 0, 0), "kronecker"),
+        (scalar_char(T, 2), PhiParams.of(1, 0, 1), "element"),
+        (burau_reduced(2), PhiParams.of(1, -1, 0), "element"),
+        (burau_unreduced(2), PhiParams.of(1, 0, 0), "element"),
+        (cyclic_rep(4, T), PhiParams.of(1, 0, 0), "element"),
+        (perm2, PhiParams.of(1, 0, 0), "group"),
+        (perm2, PhiParams.of(0, 1, 0), "group"),
+        (perm2, PhiParams.of(0, 0, 1), "group"),
+        (perm2, PhiParams.of(2, 0, 0), "element"),
+        (formal_burau2, PhiParams.of(1, 0, 0), "group"),
+        (formal_scalar2, PhiParams.of(1, 0, 0), "group"),
     ]
-    for rep, params, expected in cases:
+    for rep, params, kind in cases:
         packed.clear()
+        kinds.clear()
         report = kernel_search_sm2(rep, params, 4, 8)
-        assert packed == [expected], (rep.name, params.text())
+        assert packed == ([kind == "kronecker"] if rep.backend == "matrix" else []), (rep.name, params.text())
+        assert kinds == [kind], (rep.name, params.text())
         assert report.hits == grid_reference(rep, params, 4, 8)
-    packed.clear()
-    kernel_search_sm2(cyclic_rep(4, T), PhiParams.of(1, 0, 0), 4, 8)
-    assert packed == []
 
 
 def test_kernel_search_dense_grid_in_hit_order():
