@@ -56,8 +56,9 @@ from the `src` directory next to this script's parent:
   words of length <= 5, the shape of the `word-search` workload's
   reduced Burau `unfaith` queries), which multiply and key matrix images,
   and on `permutation_rep(4)` (value 3/2, s <= 4, words of length <= 4, the
-  shape of its `unfaith --rep perm --n 4` queries), which keys each image
-  by its permutation;
+  shape of its `unfaith --rep perm --n 4` queries), which would key each
+  image by its permutation but, as no target (3/2)**-s * 1 has a group key,
+  returns without a walk;
 * cli: five whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, a `kernel2`

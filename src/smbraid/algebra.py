@@ -454,7 +454,9 @@ class FormalElement:
         return sorted(self.coeffs.items(), key=lambda term: term[0].text())
 
     def _require_same(self, other: "FormalElement") -> None:
-        if not isinstance(other, FormalElement) or self.identity != other.identity:
+        if not isinstance(other, FormalElement) or (
+            self.identity is not other.identity and self.identity != other.identity
+        ):
             raise ValueError("formal elements over different groups")
 
     def __add__(self, other: "FormalElement") -> "FormalElement":
@@ -462,15 +464,35 @@ class FormalElement:
         return FormalElement(self.identity, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __mul__(self, other: "FormalElement") -> "FormalElement":
+        """Convolution by right translation: each term b * h of `other` moves
+        every term a * g of self to (a * b) * (g * h) in one dict pass, with
+        no coefficient product where b == 1.  Right translation by a group
+        element is injective and the scalars are a domain, so the moved terms
+        are distinct and nonzero: terms meet, and may cancel, only across
+        different h.  A non-invertible `Matrix` h can send two g to one g * h;
+        the moved map then comes out short, and its terms are summed instead."""
         self._require_same(other)
-        return FormalElement(
-            self.identity,
-            [
-                (g * h, a * b)
-                for g, a in self.coeffs.items()
-                for h, b in other.coeffs.items()
-            ],
-        )
+        left = self.coeffs.items()
+        coeffs: dict[object, LaurentPoly] = {}
+        for h, b in other.coeffs.items():
+            moved = {g * h: a for g, a in left} if b == 1 else {g * h: a * b for g, a in left}
+            if len(moved) < len(left):
+                moved = FormalElement(self.identity, [(g * h, a * b) for g, a in left]).coeffs
+            if not coeffs:
+                coeffs = moved
+                continue
+            for g, c in moved.items():
+                old = coeffs.get(g)
+                if old is None:
+                    coeffs[g] = c
+                elif acc := old + c:
+                    coeffs[g] = acc
+                else:
+                    del coeffs[g]
+        product = object.__new__(FormalElement)  # coeffs holds no zero: skip the constructor's pass
+        product.identity = self.identity
+        product.coeffs = coeffs
+        return product
 
     def scale(self, s: LaurentPoly | int) -> "FormalElement":
         return FormalElement(self.identity, [(g, s * c) for g, c in self.coeffs.items()])

@@ -151,8 +151,10 @@ def find_scalar_witness(
     len_max; keys that hold any depth are walked to len_max at once.
 
     Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
-    returned exponent is positive whenever a positive one exists in bounds;
-    with s_max == 0 there is nothing to try and no walk is made.
+    returned exponent is positive whenever a positive one exists in bounds.
+    No walk is made where nothing can hit: with s_max == 0 there is nothing
+    to try, and once c reaches len_max (at once for keys of any depth), the
+    targets are keyed before the walk, and if none has a key there is no hit.
     Absence of a hit is evidence only; the search is bounded.
     """
     value = as_scalar(value)
@@ -165,11 +167,15 @@ def find_scalar_witness(
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
     one = rep.one()
+    exponents = [*range(1, s_max + 1), *range(-1, -s_max - 1, -1)]
     depth = min(len_max, 8)
     while True:
         key, target, steps, mul, bound = _search_keys(one, images, depth)
         if bound is None:  # the keys hold products of any length
             depth = len_max
+        targets = [(s, target(value**-s)) for s in exponents]
+        if depth == len_max and all(t is None for _, t in targets):
+            return None  # no restart can follow, so no target will ever have a key
         start = key(one)
         first: dict[object, tuple[GenLetter, ...]] = {start: ()}
         level: list[tuple[tuple[GenLetter, ...], object]] = [((), start)]
@@ -189,8 +195,8 @@ def find_scalar_witness(
         if not level or depth == len_max:
             break
         depth = min(2 * depth, len_max)  # the keys only hold products of up to depth images
-    for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
-        letters = first.get(target(value**-s))
+    for s, t in targets:
+        letters = first.get(t)
         if letters is not None:
             return SMWord(rep.n, letters), s
     return None

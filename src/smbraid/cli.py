@@ -24,6 +24,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import analysis, phi, words
 from .algebra import parse_matrix
@@ -58,11 +59,13 @@ def _index_sized(name: str, value: int) -> int:
     return value
 
 
-def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
+def _emit(doc: dict, as_json: bool, lines: Callable[[], list[str]]) -> None:
+    """Print `doc` as one JSON line, or else the text lines, which `lines()`
+    builds only then."""
     if as_json:
         print(json.dumps(doc, sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -110,7 +113,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "image": image.text(),
         "is_identity": image.is_identity(),
     }
-    _emit(doc, [f"image: {doc['image']}", f"is_identity: {doc['is_identity']}"], args.json)
+    _emit(doc, args.json, lambda: [f"image: {doc['image']}", f"is_identity: {doc['is_identity']}"])
     return 0
 
 
@@ -136,7 +139,7 @@ def cmd_relcheck(args: argparse.Namespace) -> int:
             for c in report.checks
         ],
     }
-    _emit(doc, [report.format_text()], args.json)
+    _emit(doc, args.json, lambda: [report.format_text()])
     return 0 if report.all_pass else 1
 
 
@@ -150,13 +153,12 @@ def cmd_kernel2(args: argparse.Namespace) -> int:
         "params": params.text(),
         **report.to_dict(),
     }
-    lines = [
+    _emit(doc, args.json, lambda: [
         f"bounds: p <= {report.p_max}, |q| <= {report.q_max} (bounded search)",
         f"hits: {[tuple(h) for h in report.hits]}",
         f"minimal_generator: {report.minimal_generator}",
         f"cyclic_ok: {report.cyclic_structure_verified}",
-    ]
-    _emit(doc, lines, args.json)
+    ])
     return 0
 
 
@@ -184,19 +186,18 @@ def cmd_unfaith(args: argparse.Namespace) -> int:
     else:
         hit = analysis.find_scalar_witness(rep, value, args.smax, args.lmax)
         if hit is None:
-            _emit(doc, ["no witness found within bounds (bounded search, not a proof)"], args.json)
+            _emit(doc, args.json, lambda: ["no witness found within bounds (bounded search, not a proof)"])
             return 0
         v, s = hit
         witness = analysis.scalar_power_witness(rep, args.mode, value, v, s)
         doc.update(kind="scalar-power", v=v.text(), s=s)
         head = f"scalar power: rho({v.text() or 'empty word'}) = value^-({s}) * identity"
     doc.update(found=True, witnesses=[_witness_doc(witness)])
-    lines = [
+    _emit(doc, args.json, lambda: [
         head,
         f"witness: {witness.w1.text()!r} vs {witness.w2.text()!r}",
         f"certificate: {witness.certificate.text()}",
-    ]
-    _emit(doc, lines, args.json)
+    ])
     return 0
 
 
@@ -216,12 +217,11 @@ def cmd_prop8(args: argparse.Namespace) -> int:
         "cyclic_report": cyclic_report.to_dict(),
         "equal": equal,
     }
-    lines = [
+    _emit(doc, args.json, lambda: [
         f"matrix backend hits: {[tuple(h) for h in matrix_report.hits]}",
         f"cyclic backend hits: {[tuple(h) for h in cyclic_report.hits]}",
         f"kernels agree within bounds: {equal}",
-    ]
-    _emit(doc, lines, args.json)
+    ])
     return 0
 
 
@@ -241,12 +241,11 @@ def cmd_multinomial(args: argparse.Namespace) -> int:
         "agree": expand == direct,
         "is_one": expand == 1,
     }
-    lines = [
+    _emit(doc, args.json, lambda: [
         f"expanded sum: {doc['expand']}",
         f"direct power: {doc['direct']}",
         f"routes agree: {doc['agree']}; equals 1: {doc['is_one']}",
-    ]
-    _emit(doc, lines, args.json)
+    ])
     return 0
 
 
@@ -262,11 +261,9 @@ def cmd_wordeq3(args: argparse.Namespace) -> int:
         "equal": equal,
         "certificate": cert.text() if cert else None,
     }
-    if equal:
-        lines = ["equal (under the faithful oracle instance)"]
-    else:
-        lines = [f"distinct{f' ({cert.text()})' if cert else ''}"]
-    _emit(doc, lines, args.json)
+    _emit(doc, args.json, lambda: [
+        "equal (under the faithful oracle instance)" if equal else f"distinct{f' ({cert.text()})' if cert else ''}"
+    ])
     return 0
 
 
@@ -286,15 +283,14 @@ def cmd_shape(args: argparse.Namespace) -> int:
         "assembled": sf.assemble().text(),
         "stripped": sf.strip().text(),
     }
-    lines = [
+    _emit(doc, args.json, lambda: [
         f"tau blocks: prefix={blocks.prefix.text()!r}, "
         + ", ".join(f"(tau^{r}, {u.text()!r})" for r, u in blocks.blocks),
         f"shape blocks (v = t1^{args.p} s1^{args.q}): "
         + ", ".join(f"(tau^{r}, v^{m}, {u.text()!r})" for r, m, u in sf.blocks),
         f"assembled: {doc['assembled']!r}",
         f"stripped:  {doc['stripped']!r}",
-    ]
-    _emit(doc, lines, args.json)
+    ])
     return 0
 
 
@@ -309,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process.
 
     `parse_args` leaves the parser unchanged, so `main` reuses it across
-    calls; `build_parser.__wrapped__()` builds a fresh one.
+    calls; `build_parser.__wrapped__()` builds a fresh one.  Its `commands`
+    maps each command name to that command's own parser: the `choices` of
+    its subparsers action.
     """
     parser = argparse.ArgumentParser(
         prog="smbraid",
@@ -378,11 +376,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true")
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """argv (by default `sys.argv[1:]`) parsed in one argparse pass by the
+    parser of the command it names.  Where it names no command, or leaves
+    arguments that parser does not know, the full parser parses it instead.
+    That parser hands the same arguments to the same command parser, so
+    every usage text and exit code comes from the parser that gives it on
+    the full route."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         for name, value in vars(args).items():
             if type(value) is int:

@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random word generators, the brute-force
-routes of the witness walk (the enumeration of freely reduced braid words)
-and of the SM_2 kernel grid, and the one conversion between the library's
-scalars and the ``Fraction`` values the tests use as their oracle."""
+routes of the witness walk (the enumeration of freely reduced braid words),
+of the SM_2 kernel grid and of the formal product, and the one conversion
+between the library's scalars and the ``Fraction`` values the tests use as
+their oracle."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
+from smbraid.algebra import FormalElement
 from smbraid.scalars import LaurentPoly, T, _parts, as_scalar
 from smbraid.words import SMWord, braid_letters, tau
 
@@ -83,3 +85,10 @@ def grid_reference(rep, params, p_max, q_max):
             if neg.is_identity():
                 hits.append((p, -q))
     return tuple(hits)
+
+
+def formal_product_reference(x: FormalElement, y: FormalElement) -> FormalElement:
+    """The all-pairs route of `FormalElement.__mul__`: every pair of terms
+    a * g of x and b * h of y goes through the accumulating constructor as
+    (a * b) * (g * h), whether or not two pairs can meet."""
+    return FormalElement(x.identity, [(g * h, a * b) for g, a in x.coeffs.items() for h, b in y.coeffs.items()])

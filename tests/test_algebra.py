@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import enumerate_braid_words, random_braid_word, scalar, terms
+from conftest import enumerate_braid_words, formal_product_reference, random_braid_word, scalar, terms
 from smbraid.algebra import (
     CyclicElement,
     FormalElement,
@@ -555,6 +555,73 @@ def test_formal_product_matches_brute_force_oracle():
         assert {k.images: v for k, v in product.coeffs.items()} == {k: v for k, v in total.items() if v != 0}
 
 
+def _products(one, gens, length):
+    """The distinct products of at most `length` of `gens`, `one` first."""
+    pool, level = [one], [one]
+    for _ in range(length):
+        level = [g * h for g in level for h in gens]
+        pool.extend(g for g in dict.fromkeys(level) if g not in pool)
+    return pool
+
+
+_S3 = Permutation.identity(3)
+_SL2Z_ONE = SL2ZxZ((1, 0, 0, 1, 0))
+_GL2 = Matrix.identity(2)
+# Each pool holds an identity and elements whose products meet, so terms of a
+# product collide and may cancel.  The matrices include singular ones (two of
+# rank 1, a nilpotent and zero), under which distinct terms move to one.
+FORMAL_POOLS = {
+    "perm3": (_S3, _products(_S3, [Permutation.transposition(3, i) for i in (1, 2)], 3)),
+    "sl2z": (_SL2Z_ONE, _products(
+        _SL2Z_ONE, [SL2ZxZ(g) for g in ((1, 1, 0, 1, 1), (1, 0, -1, 1, 1), (1, -1, 0, 1, -1), (1, 0, 1, 1, -1))], 2
+    )),
+    "matrix2": (_GL2, [
+        _GL2, Matrix([[0, -2], [1, 0]]), Matrix([[1, 1], [0, 1]]), Matrix([[T, 0], [0, 1]]),
+        Matrix([[1, 0], [0, 0]]), Matrix([[1, 1], [0, 0]]), Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [0, 0]]),
+    ]),
+}
+FORMAL_COEFFS = [1, -1, 2, -2, scalar(Fraction(1, 2)), T, -(T**-1), 1 - T]
+
+
+@pytest.mark.parametrize("group", FORMAL_POOLS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_formal_product_matches_all_pairs_reference(group, data):
+    # Zero factors, scaled letters (one term, coefficient not 1) and terms that
+    # cancel are all drawn: lists of up to five terms from small pools.
+    identity, pool = FORMAL_POOLS[group]
+    drawn = st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(FORMAL_COEFFS)), max_size=5)
+    x, y = FormalElement(identity, data.draw(drawn)), FormalElement(identity, data.draw(drawn))
+    product = x * y
+    assert product == formal_product_reference(x, y)
+    assert all(type(c) is LaurentPoly and c for c in product.coeffs.values())
+
+
+def test_formal_product_edge_cases():
+    s3 = Permutation.identity(3)
+    t1, t2 = (FormalElement(s3, [(Permutation.transposition(3, i), 1)]) for i in (1, 2))
+    one, zero = FormalElement.one(s3), FormalElement(s3)
+    g1, g2, h = Matrix.identity(2), Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [0, 0]])
+    gl2 = FormalElement.one(g1)
+    x, y = FormalElement(g1, [(g1, 2), (g2, 3)]), FormalElement(g1, [(g1, 1), (g2, -1)])
+    hh = FormalElement(g1, [(h, 1)])
+    cases = [
+        # the identity terms of the four pairs cancel
+        ((t1 + t2) * (t1 + t2.scale(-1)), t2 * t1 + (t1 * t2).scale(-1)),
+        (zero * t1, zero),
+        (t1 * zero, zero),
+        (t1.scale(2) * t1.scale(scalar(Fraction(1, 2))), one),
+        # h has rank 1: I * h == [[1, 1], [0, 1]] * h, so the moved terms meet
+        (x * hh, FormalElement(g1, [(h, 5)])),
+        (y * hh, FormalElement(g1)),
+        (y * (hh + gl2), y),
+    ]
+    for got, expected in cases:
+        assert got == expected
+    for a, b in ((t1 + t2, t1 + t2.scale(-1)), (x, hh), (y, hh), (y, hh + gl2)):
+        assert a * b == formal_product_reference(a, b)
+
+
 def test_formal_keys_are_group_elements():
     s3 = Permutation.identity(3)
     t1, t2 = Permutation.transposition(3, 1), Permutation.transposition(3, 2)
@@ -614,6 +681,8 @@ def test_formal_embed_inverse_cancels():
 
 def test_formal_backend_mismatch_raises():
     s3 = FormalElement.one(Permutation.identity(3))
+    # equal identities held as two objects are one group
+    assert s3 * FormalElement.one(Permutation.identity(3)) == s3
     with pytest.raises(ValueError):
         s3 + FormalElement.one(Permutation.identity(4))
     with pytest.raises(ValueError):

@@ -310,6 +310,21 @@ def test_find_scalar_witness_restarts_past_the_first_depth():
     assert find_scalar_witness(rep, scalar(Fraction(1, 2**9)), 1, 9) == (sigma_power(2, 1, 9), 1)
 
 
+@pytest.mark.parametrize("name", ["burau-unreduced2", "matrix2x2-n2", "matrix2x2-laurent-n2", "scalar2-n2"])
+def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatch):
+    # Kronecker keys are first sized for depth 8; a longer walk restarts with
+    # keys for a deeper one, and must still keep the enumeration's words.
+    rep = WITNESS_REPS[name]
+    kinds = spy_key_kinds(monkeypatch)
+    for len_max in (9, 12, 17):
+        states = enumerated_witness_states(rep, len_max)
+        for value in WITNESS_VALUES:
+            kinds.clear()
+            expected = enumerated_witness(states, rep, value, 4)
+            assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
+            assert kinds[0] == "kronecker" and len(kinds) > 1, (len_max, value)
+
+
 def test_find_scalar_witness_keeps_the_matrix_span_limit():
     # Products of this image span more exponents than a LaurentPoly may, so the
     # walk multiplies matrices and raises as their product does.
@@ -352,13 +367,25 @@ def count_search_work(monkeypatch, mul_budget):
 def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
     # S_4 has 24 elements and each kept image is extended by at most 6 letters.
     # The walk keys each image by its permutation, so every product is a
-    # group product and no formal element is multiplied.
+    # group product and no formal element is multiplied.  Under value -1 the
+    # target 1 * 1 (s = 2) has the identity's key, so the walk runs and finds
+    # the empty word.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 24 * 6)
-    assert find_scalar_witness(rep, 2, 4, 6) is None
+    assert find_scalar_witness(rep, -1, 4, 6) == (SMWord(4), 2)
     assert 0 < calls["group_mul"] <= 24 * 6
     assert calls["mul"] == 0
     assert calls["rep_eval"] == 0
+
+
+def test_find_scalar_witness_with_no_keyed_target_walks_nothing(monkeypatch):
+    # A permutation image has coefficient 1, so under value 2 no target
+    # 2**-s * 1 has a group key and no product is worth making.
+    rep = permutation_rep(4)
+    calls = count_search_work(monkeypatch, 0)
+    assert find_scalar_witness(rep, 2, 4, 6) is None
+    assert find_scalar_witness(rep, scalar(Fraction(3, 2)), 4, 10**6) is None
+    assert calls["mul"] == calls["group_mul"] == 0
 
 
 def test_find_scalar_witness_without_exponents_walks_nothing(monkeypatch):
@@ -373,7 +400,7 @@ def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
     # Once a level adds no new image the walk ends, whatever len_max says.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 24 * 6)
-    assert find_scalar_witness(rep, 2, 4, 10**6) is None
+    assert find_scalar_witness(rep, -1, 4, 10**6) == (SMWord(4), 2)
     assert 0 < calls["group_mul"] <= 24 * 6
 
 

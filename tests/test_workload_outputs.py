@@ -7,6 +7,9 @@ one SHA-256 per workload over each query's exit code, stdout and stderr is
 compared with `workload_outputs.json`.  argv is left out of the digest,
 because the `prop8` queries name matrix files in a temporary directory.
 
+The queries of seeds 1-3, and a set of usage errors, also end alike whether
+`main` parses argv in its one pass or through the full parser.
+
 A deliberate output change regenerates the digests with
 
     PYTHONPATH=src python tests/test_workload_outputs.py > tests/workload_outputs.json
@@ -67,6 +70,48 @@ def test_workload_outputs_are_pinned(workload, tmp_path, monkeypatch):
     got, bad = digest(workload, str(tmp_path))
     assert bad == []
     assert got == expected
+
+
+# No command, an unknown one, help at both levels, an extra positional
+# argument, --json before the command, an option abbreviated (uniquely and
+# ambiguously), a missing required option and a "--" separator.
+USAGE_ERRORS = [
+    [],
+    ["not-a-command", "--json"],
+    ["-h"],
+    ["wordeq3", "-h"],
+    ["wordeq3", "--w1", "s1", "--w2", "s1", "extra", "--json"],
+    ["--json", "wordeq3", "--w1", "s1", "--w2", "s1"],
+    ["kernel2", "--re", "scalar:2", "--a", "1", "--b", "0", "--c", "0", "--js"],
+    ["wordeq3", "--w", "s1", "--w2", "s1"],
+    ["eval", "--n", "2", "--json"],
+    ["wordeq3", "--w1", "s1", "--", "--w2", "s1"],
+]
+
+
+def both_routes(argvs: list, monkeypatch) -> tuple[list, list]:
+    """Each argv's (exit code, stdout, stderr) from `main` as it parses, in one
+    pass, and as it parses when a fresh full parser takes every argv."""
+    monkeypatch.setenv("COLUMNS", "80")
+    one_pass = [run(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", cli.build_parser.__wrapped__().parse_args)
+    return one_pass, [run(argv) for argv in argvs]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_one_pass_parse_matches_the_full_parser(workload, tmp_path, monkeypatch):
+    queries = [q.argv for seed in (1, 2, 3) for q in workloads.build(workload, seed, str(tmp_path))]
+    one_pass, full = both_routes(queries, monkeypatch)
+    assert one_pass == full
+
+
+def test_one_pass_parse_keeps_every_usage_error(monkeypatch):
+    one_pass, full = both_routes(USAGE_ERRORS, monkeypatch)
+    assert one_pass == full
+    assert [code for code, _, _ in one_pass] == [2, 2, 0, 0, 2, 2, 0, 2, 2, 2]
+    for argv, (code, out, err) in zip(USAGE_ERRORS, one_pass):
+        if code or "-h" in argv:
+            assert "usage: smbraid" in (err if code else out), argv
 
 
 if __name__ == "__main__":
