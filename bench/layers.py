@@ -42,9 +42,13 @@ from the `src` directory next to this script's parent:
   q = 0) of `burau_reduced(2)` at (1, -1, 0), whose tau_1 image -t + t^-1
   spans three exponents, so its heads stay `Matrix` values; the grid
   (p <= 6, |q| <= 12) of sigma_1 -> X in the twisted cyclic algebra
-  X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its 32 `CyclicElement`
-  heads and powers are hashed and its six hits (p, -p) compared, as in the
-  cyclic half of `prop8` and in `kernel2 --backend cyclic:<s>:<ds>`; the
+  X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its heads and powers are
+  keyed by their integer coordinates and its six hits (p, -p) compared;
+  the grid (p <= 6, |q| <= 12) of X^3 = -8 at (1/2, -4/3, 2/3), whose
+  tau_1 image has all three coordinates nonzero, the shape of the cyclic
+  half of `prop8` and of `kernel2 --backend cyclic:<s>:<ds>`; the grid
+  (p <= 20, |q| <= 40) of X^500 = 2 at the same parameters, where a head
+  fills up to 41 of the 500 coordinates and a power of X one; the
   grid (p <= 6, |q| <= 12) of `as_formal(burau_reduced(2))` at (1, 0, 0),
   the path of `kernel2 --backend formal`, whose three images are each one
   group element with coefficient 1, so its heads and powers are keyed by
@@ -58,7 +62,9 @@ from the `src` directory next to this script's parent:
   and on `permutation_rep(4)` (value 3/2, s <= 4, words of length <= 4, the
   shape of its `unfaith --rep perm --n 4` queries), which would key each
   image by its permutation but, as no target (3/2)**-s * 1 has a group key,
-  returns without a walk;
+  returns without a walk; and on `permutation_rep(4)` at value -1 (s <= 4,
+  length <= 4), whose target at s = 2 is the identity, so it walks the
+  whole ball on permutation keys and returns the empty word;
 * cli: five whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, a `kernel2`
@@ -156,6 +162,8 @@ def operations() -> dict:
     rational2 = matrix_rep_from_images(2, [rational2_image])
     scalar3_2, reduced2, birman = scalar_char(p, 2), burau_reduced(2), PhiParams.of(1, -1, 0)
     cyclic4, cyclic_params = cyclic_rep(4, p), PhiParams.of(1, 0, 0)
+    cyclic3, cyclic500 = cyclic_rep(3, -8), cyclic_rep(500, 2)
+    dense = PhiParams.of(parse_scalar("1/2"), q, parse_scalar("2/3"))
     formal_reduced2 = as_formal(reduced2)
     grid_params = PhiParams.of(1, 2, 1)
     rational = PhiParams.of(parse_scalar("1/2"), parse_scalar("-2/3"), parse_scalar("3/5"))
@@ -192,11 +200,14 @@ def operations() -> dict:
         "analysis.kernel2_scalar": lambda: kernel_search_sm2(scalar3_2, grid_params, 6, 12),
         "analysis.kernel2_burau_reduced2_p300": lambda: kernel_search_sm2(reduced2, birman, 300, 0),
         "analysis.kernel2_cyclic4": lambda: kernel_search_sm2(cyclic4, cyclic_params, 6, 12),
+        "analysis.kernel2_cyclic3_dense": lambda: kernel_search_sm2(cyclic3, dense, 6, 12),
+        "analysis.kernel2_cyclic500": lambda: kernel_search_sm2(cyclic500, dense, 20, 40),
         "analysis.kernel2_formal_burau2": lambda: kernel_search_sm2(formal_reduced2, cyclic_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
         "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),
         "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),
         "analysis.witness_walk_perm4": lambda: find_scalar_witness(perm4, p, 4, 4),
+        "analysis.witness_walk_perm4_unit": lambda: find_scalar_witness(perm4, -1, 4, 4),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]

@@ -244,6 +244,85 @@ def _kronecker_keys(
     return key, scalar_key, steps, product
 
 
+def _constant(x: LaurentPoly) -> tuple[int, int] | None:
+    """(n, den) where x == n/den is a rational constant, else None; zero is (0, 1)."""
+    low, nums, den = _parts(x)
+    if not nums:
+        return 0, 1
+    return (nums[0], den) if not low and len(nums) == 1 else None
+
+
+def _cyclic_keys(
+    one: CyclicElement, images: Sequence[CyclicElement], depth: int
+) -> tuple[Callable, Callable, list, Callable] | None:
+    """Integer coordinate keys for products of at most c = `depth` of
+    `images` in a twisted cyclic algebra X^s = twist, where the twist and
+    every nonzero coordinate x of every image are rational constants.  A
+    factor of a product of images is such an x, or x * twist where the
+    exponent wraps past s, so with D the lcm of the denominators of every x
+    and every x * twist (both: x = 1/2 under twist 1/2 gives 1/4), the
+    coordinates of a product of k images are over D**k.  The key of an
+    element is its coordinates times D**c, a tuple of s ints.  A step holds
+    only an image's nonzero coordinates, as integer triples
+    (k, x * D, x * twist * D) for x at X^k; a product is one sparse cyclic
+    convolution that takes the twisted integer on wrap-around, then an
+    exact division by D.
+
+    Returns `key(x)`, None where a coordinate of x is not a constant or
+    not integral over D**c; `scalar_key(y)`, the key of y * one read off
+    the scalar; the steps; and `product(key, step)`, as `_kronecker_keys`
+    does.  Returns None instead where the twist or a coordinate of an image
+    is not a rational constant.  A dense s-by-s step, or the regular
+    representation's matrices packed by `_kronecker_keys`, ran slower than
+    these sparse steps (the numbers are in ROADMAP)."""
+    order, twist = one.order, _constant(one.twist)
+    if twist is None:
+        return None
+    t_num, t_den = twist
+    terms = []
+    for x in images:
+        row = []
+        for k, c in enumerate(x.coords):
+            ratio = _constant(c)
+            if ratio is None:
+                return None
+            if ratio[0]:
+                row.append((k, *ratio))
+        terms.append(row)
+    ratios = [(n, d) for row in terms for _, n, d in row]
+    den = lcm(*[d for _, d in ratios], *[d * t_den // gcd(n * t_num, d * t_den) for n, d in ratios])
+    scale = den**depth
+
+    def scaled(ratio: tuple[int, int] | None) -> int | None:
+        if ratio is None:
+            return None
+        n, rem = divmod(ratio[0] * scale, ratio[1])
+        return None if rem else n
+
+    def key(x: CyclicElement) -> tuple[int, ...] | None:
+        coords = tuple([scaled(_constant(c)) for c in x.coords])
+        return None if None in coords else coords
+
+    def scalar_key(y: LaurentPoly) -> tuple[int, ...] | None:
+        n = scaled(_constant(y))
+        return None if n is None else (n,) + (0,) * (order - 1)
+
+    def product(held: tuple[int, ...], step: list[tuple[int, int, int]]) -> tuple[int, ...]:
+        out = [0] * order
+        for i, a in enumerate(held):
+            if a:
+                for k, b, wrapped in step:
+                    e = i + k
+                    if e < order:
+                        out[e] += a * b
+                    else:
+                        out[e - order] += a * wrapped
+        return tuple([x // den for x in out] if den > 1 else out)
+
+    steps = [[(k, n * den // d, n * t_num * den // (d * t_den)) for k, n, d in row] for row in terms]
+    return key, scalar_key, steps, product
+
+
 def _group_element(x: object) -> object | None:
     """g where x is the formal element 1 * g, else None."""
     if isinstance(x, FormalElement) and len(x.coeffs) == 1:
@@ -265,6 +344,9 @@ def _search_keys(
 
     * matrices: `_kronecker_keys(images, depth, max_span)`, bound `depth`,
       where that function packs them;
+    * cyclic elements over a rational twist whose images have rational
+      coordinates: `_cyclic_keys(one, images, depth)`, bound `depth`, each
+      key the element's coordinates as integers over one scale;
     * formal images that are each 1 * g for a group element g (`perm`, an
       `as_formal` lift): the key of 1 * g is g, a step is a group product,
       and c * one has the identity's key when c == 1 and none otherwise (a
@@ -273,13 +355,16 @@ def _search_keys(
     * any other element is its own key."""
     if isinstance(one, Matrix):
         packed = _kronecker_keys(images, depth, max_span)
-        if packed:
-            return (*packed, depth)
+    elif isinstance(one, CyclicElement):
+        packed = _cyclic_keys(one, images, depth)
     else:
         steps = [_group_element(x) for x in images]
         if all(g is not None for g in steps):
             identity = one.identity
             return _group_element, lambda c: identity if c == 1 else None, steps, mul, None
+        packed = None
+    if packed:
+        return (*packed, depth)
     return lambda x: x, one.scale, images, mul, None
 
 

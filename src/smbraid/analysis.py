@@ -145,10 +145,12 @@ def find_scalar_witness(
 
     Each image is held as the key that `algebra._search_keys` gives it, and
     a target value**(-s) * 1 is keyed off the scalar itself; a target with
-    no key is no hit.  Keys bounded to products of c images are asked for
-    at c = min(len_max, 8), and c doubles, restarting the walk, while the
-    level at c is nonempty, so the key size follows the depth reached, not
-    len_max; keys that hold any depth are walked to len_max at once.
+    no key is no hit.  Keys bounded to products of c images (the
+    Kronecker-packed keys of a matrix rep, the cyclic coordinate keys of a
+    cyclic rep over a rational twist) are asked for at c = min(len_max, 8),
+    and c doubles, restarting the walk, while the level at c is nonempty,
+    so the key size follows the depth reached, not len_max; keys that hold
+    any depth are walked to len_max at once.
 
     Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
     returned exponent is positive whenever a positive one exists in bounds.
@@ -298,6 +300,12 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     `burau_reduced(2)` at (1, -1, 0), p_max = 300, q_max = 0, took 22 ms as
     matrices and 120 ms packed, and `burau_unreduced(2)` at (1, 2, 1),
     p_max = 6, q_max = 200, 23 ms and 183 ms.
+
+    A cyclic grid over a rational twist whose tau_1 image has rational
+    coordinates, the cyclic half of `prop8`, is held as cyclic coordinate
+    keys: the coordinates as integers over one scale, so a power is one
+    sparse integer convolution and builds no `LaurentPoly`.  A Laurent
+    twist or tau_1 image keeps `CyclicElement` keys.
     """
     if rep.n != 2:
         raise ValueError(f"SM_2 kernel search needs n=2, got n={rep.n}")

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_braid_words, grid_reference, random_braid_word, random_sm_word, scalar
 from smbraid import algebra, analysis, reps
-from smbraid.algebra import FormalElement, Matrix, Permutation, _kronecker_keys, _search_keys
+from smbraid.algebra import (
+    CyclicElement, FormalElement, Matrix, Permutation, _cyclic_keys, _kronecker_keys, _search_keys
+)
 from smbraid.analysis import (
     KernelReport,
     compare_matrix_cyclic_kernels,
@@ -198,6 +200,9 @@ WITNESS_REPS = {
     "cyclic2_2-n2": cyclic_rep(2, 2),
     "cyclic3_-1-n3": cyclic_rep(3, -1, 3),
     "cyclic2_2t^-1-n3": cyclic_rep(2, 2 * T**-1, 3),
+    # rational twists: X wraps to the twist 1/2, and X^-1 = -2/3 X
+    "cyclic3_1_2-n2": cyclic_rep(3, scalar(Fraction(1, 2))),
+    "cyclic2_-3_2-n2": cyclic_rep(2, scalar(Fraction(-3, 2))),
     "matrix2x2-n2": matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]),
     # the inverse has denominator 2 and a t^-1 entry, and the square is -2t * 1
     "matrix2x2-laurent-n2": matrix_rep_from_images(2, [Matrix([[0, -2 * T], [1, 0]])]),
@@ -266,6 +271,46 @@ def test_kronecker_keys_take_zero_images_and_products():
     assert key(zero) == (0, (0, 0, 0, 0)) and key(Matrix.identity(2)) is not None
 
 
+def test_cyclic_keys_follow_cyclic_products():
+    # Coordinate keys over a rational twist: a step takes the key of x to
+    # the key of x times the image for every product x of fewer than c
+    # images, zero included, and a target y * 1 is keyed off y.  Under twist
+    # 1/2 the coordinate 1/2 wraps to 1/4, so the scale must hold x * twist
+    # as well as x.
+    for order in (1, 2, 3, 4):
+        for twist in (Fraction(1, 2), Fraction(-3, 2), Fraction(2), Fraction(-1)):
+            one = CyclicElement.one(order, scalar(twist))
+            x, x_inv = (CyclicElement.x_power(order, scalar(twist), k) for k in (1, -1))
+            half = x.scale(scalar(Fraction(1, 2)))
+            images = [half + x_inv.scale(scalar(Fraction(2, 3))), x, x_inv, one.scale(0)]
+            depth = 3
+            key, scalar_key, steps, product = _cyclic_keys(one, images, depth)
+            assert [len(step) for step in steps] == [len([c for c in m.coords if c]) for m in images]
+            held = [one]
+            for _ in range(depth):
+                for m in held:
+                    for image, step in zip(images, steps):
+                        assert product(key(m), step) == key(m * image), (order, twist, m, image)
+                held = [m * image for m in held for image in images[:3]]
+            for y in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-5, 4), Fraction(1, 2 * 3**4 * 2**9)):
+                assert scalar_key(scalar(y)) == key(one.scale(scalar(y))), (order, twist, y)
+            assert scalar_key(T) is None and key(x.scale(T)) is None
+
+
+def test_cyclic_keys_take_only_rational_constants():
+    # A Laurent twist or a Laurent coordinate leaves the element keys; the
+    # steps keep only nonzero coordinates, so an order-500 image X is one
+    # triple and the grid stays cheap.
+    assert _cyclic_keys(CyclicElement.one(4, T), [CyclicElement.x_power(4, T, 1)], 2) is None
+    one = CyclicElement.one(3, scalar(2))
+    assert _cyclic_keys(one, [CyclicElement.x_power(3, 2, 1).scale(T)], 2) is None
+    one = CyclicElement.one(500, scalar(2))
+    images = [CyclicElement.x_power(500, 2, k) for k in (1, -1)]
+    key, _, steps, product = _cyclic_keys(one, images, 4)
+    assert steps == [[(1, 2, 4)], [(499, 1, 2)]]
+    assert product(product(key(one), steps[0]), steps[1]) == key(one)
+
+
 def test_find_scalar_witness_keys_targets_from_the_scalar():
     # Every kind of key `_search_keys` gives keeps one contract: a target
     # c * 1 is keyed off the scalar, with no element built, and its key is
@@ -310,11 +355,16 @@ def test_find_scalar_witness_restarts_past_the_first_depth():
     assert find_scalar_witness(rep, scalar(Fraction(1, 2**9)), 1, 9) == (sigma_power(2, 1, 9), 1)
 
 
-@pytest.mark.parametrize("name", ["burau-unreduced2", "matrix2x2-n2", "matrix2x2-laurent-n2", "scalar2-n2"])
+@pytest.mark.parametrize(
+    "name",
+    ["burau-unreduced2", "matrix2x2-n2", "matrix2x2-laurent-n2", "scalar2-n2", "cyclic2_2-n2", "cyclic3_1_2-n2"],
+)
 def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatch):
-    # Kronecker keys are first sized for depth 8; a longer walk restarts with
-    # keys for a deeper one, and must still keep the enumeration's words.
+    # Kronecker and cyclic coordinate keys are first sized for depth 8; a
+    # longer walk restarts with keys for a deeper one, and must still keep
+    # the enumeration's words.
     rep = WITNESS_REPS[name]
+    kind = "cyclic" if rep.backend == "cyclic" else "kronecker"
     kinds = spy_key_kinds(monkeypatch)
     for len_max in (9, 12, 17):
         states = enumerated_witness_states(rep, len_max)
@@ -322,7 +372,7 @@ def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatc
             kinds.clear()
             expected = enumerated_witness(states, rep, value, 4)
             assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
-            assert kinds[0] == "kronecker" and len(kinds) > 1, (len_max, value)
+            assert kinds[0] == kind and len(kinds) > 1, (len_max, value)
 
 
 def test_find_scalar_witness_keeps_the_matrix_span_limit():
@@ -405,9 +455,12 @@ def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
 
 
 def key_kind(keys, x):
-    """Which kind of key `_search_keys` returned, read off the key of x."""
+    """Which kind of key `_search_keys` returned: keys of any depth read off
+    the key of x, bounded ones off the backend of x."""
     key, *_, bound = keys
-    return "kronecker" if bound is not None else "element" if key(x) is x else "group"
+    if bound is None:
+        return "element" if key(x) is x else "group"
+    return "cyclic" if isinstance(x, CyclicElement) else "kronecker"
 
 
 def spy_key_kinds(monkeypatch):
@@ -425,8 +478,9 @@ def spy_key_kinds(monkeypatch):
 
 def test_find_scalar_witness_keys_only_unit_coefficient_letters_by_group(monkeypatch):
     # Group keys for formal letters that are each 1 * g, a permutation or a
-    # matrix; element keys for scaled formal letters and a cyclic rep; and
-    # Kronecker keys, never group keys, for a matrix rep.
+    # matrix; element keys for scaled formal letters and a cyclic rep with a
+    # Laurent twist; cyclic coordinate keys for a cyclic rep with a rational
+    # twist; and Kronecker keys, never group keys, for a matrix rep.
     kinds = spy_key_kinds(monkeypatch)
     cases = [
         (permutation_rep(4), ["group"]),
@@ -434,7 +488,9 @@ def test_find_scalar_witness_keys_only_unit_coefficient_letters_by_group(monkeyp
         (scaled_permutation_rep(3, scalar(2)), ["element"]),
         (scaled_permutation_rep(3, scalar(1)), ["group"]),
         (burau_reduced(3), ["kronecker"]),
-        (cyclic_rep(3, -1, 3), ["element"]),
+        (cyclic_rep(3, -1, 3), ["cyclic"]),
+        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), ["cyclic"]),
+        (cyclic_rep(2, 2 * T**-1, 3), ["element"]),
     ]
     for rep, expected in cases:
         states = enumerated_witness_states(rep, 3)
@@ -655,10 +711,36 @@ def test_kernel_search_matches_cell_by_cell_grid_rational_2x2_property(entries, 
     assert kernel_search_sm2(rep, params, p_max, q_max).hits == grid_reference(rep, params, p_max, q_max)
 
 
+cyclic_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+cyclic_twists = [Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2), Fraction(2), Fraction(-1), Fraction(2, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.integers(1, 5),
+    twist=st.sampled_from(cyclic_twists),
+    abc=st.one_of(
+        st.just((0, 0, 0)),
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, -1), (-1, 0, 0)]),
+        st.tuples(cyclic_rationals, cyclic_rationals, cyclic_rationals),
+    ),
+    p_max=st.integers(0, 5),
+    q_max=st.integers(0, 10),
+)
+def test_kernel_search_matches_cell_by_cell_grid_rational_cyclic_property(order, twist, abc, p_max, q_max):
+    # sigma_1 -> X with X^order = twist and a rational tau_1 image: a grid on
+    # cyclic coordinate keys, whose denominators compound with the twist's.
+    # (0, 0, 0) sends tau_1 to zero; (1, 0, 0) and (0, 1, 0) plant hits.
+    rep, params = cyclic_rep(order, scalar(twist)), PhiParams.of(*(scalar(x) for x in abc))
+    assert kernel_search_sm2(rep, params, p_max, q_max).hits == grid_reference(rep, params, p_max, q_max)
+
+
 def test_kernel_search_packs_only_single_exponent_matrix_grids(monkeypatch):
     # Kronecker keys for a matrix grid whose tau_1, sigma_1 and sigma_1^-1
-    # images each sit at one exponent; element keys for Laurent matrices;
-    # group keys exactly for a formal grid whose three images are each 1 * g.
+    # images each sit at one exponent; element keys for Laurent matrices and
+    # for a cyclic grid with a Laurent twist or tau_1 image; cyclic
+    # coordinate keys for a rational cyclic grid; group keys exactly for a
+    # formal grid whose three images are each 1 * g.
     packed = []
 
     def spy(*args):
@@ -677,6 +759,10 @@ def test_kernel_search_packs_only_single_exponent_matrix_grids(monkeypatch):
         (burau_reduced(2), PhiParams.of(1, -1, 0), "element"),
         (burau_unreduced(2), PhiParams.of(1, 0, 0), "element"),
         (cyclic_rep(4, T), PhiParams.of(1, 0, 0), "element"),
+        (cyclic_rep(3, 2), PhiParams.of(T, 0, 0), "element"),
+        (cyclic_rep(3, -8), PhiParams.of(*(scalar(Fraction(*x)) for x in ((1, 2), (-4, 3), (2, 3)))), "cyclic"),
+        (cyclic_rep(4, scalar(Fraction(3, 2))), PhiParams.of(1, 0, 0), "cyclic"),
+        (cyclic_rep(2, -1), PhiParams.of(0, 0, 0), "cyclic"),
         (perm2, PhiParams.of(1, 0, 0), "group"),
         (perm2, PhiParams.of(0, 1, 0), "group"),
         (perm2, PhiParams.of(0, 0, 1), "group"),
