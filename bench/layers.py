@@ -12,13 +12,11 @@ from the `src` directory next to this script's parent:
   a generator image, as in a word fold), the algebra of one tau image
   a*rho(sigma_2) + b*rho(sigma_2)^-1 + c of the same representation (one
   `linear_combination`, a single pass over the stored numerators, as
-  `phi.Extension` builds it), two products of formal elements, the images of
-  two SM_3 words with two tau letters each under Phi_{1,-1,0} into a group
-  algebra: over the reduced Burau group in GL_2 (the tests' independent
-  route to SM_3 equality), and over B_3 kept in SL(2, Z) x Z through
-  `analysis._sm3_oracle()` (the `wordeq3` oracle path); and the inverse of
-  [[0, -2], [1, 0]], which every `prop8` query takes when it builds its
-  representation from a matrix file;
+  `phi.Extension` builds it), a product of the images of two SM_3 words
+  with two tau letters each under Phi_{1,-1,0} into the group algebra of
+  the reduced Burau group in GL_2 (the tests' independent route to SM_3
+  equality); and the inverse of [[0, -2], [1, 0]], which every `prop8`
+  query takes when it builds its representation from a matrix file;
 * words: `decompose_tau_blocks(w).shape(2, 1)` of the fixed SM_3 word
   w = "t1 t1 s2 t2 S1 s1" (three tau letters), the split against
   v = tau_1^2 sigma_1, with `assemble` and `strip` of the result, and
@@ -30,7 +28,9 @@ from the `src` directory next to this script's parent:
   `Extension(burau_unreduced(4), params)`, the extension's table built once,
   and `tau_power_expand` at p = 8 for rational a, b, c and d, the multinomial
   sum of acceptance criterion 7;
-* analysis: `check_relations(burau_unreduced(4), params)`, the `relcheck`
+* analysis: `sm3_word_equality` on the same two SM_3 words, the `wordeq3`
+  oracle, which folds both words on integer 5-tuples of SL(2, Z) x Z;
+  `check_relations(burau_unreduced(4), params)`, the `relcheck`
   path, which builds its own extension; the `SM_2` kernel grid (p <= 6,
   |q| <= 12) of sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of
   `prop8` (where tau_1 -> 1, as 2 * rho(sigma_1)^-1 = -rho(sigma_1)), and
@@ -124,7 +124,7 @@ import workloads  # noqa: E402
 from refkernel import kernel  # noqa: E402
 from smbraid import cli  # noqa: E402
 from smbraid.algebra import Matrix, linear_combination  # noqa: E402
-from smbraid.analysis import _sm3_oracle, find_scalar_witness, kernel_search_sm2, scalar_kernel_hits  # noqa: E402
+from smbraid.analysis import find_scalar_witness, kernel_search_sm2, scalar_kernel_hits, sm3_word_equality  # noqa: E402
 from smbraid.phi import Extension, PhiParams, check_relations, tau_power_expand  # noqa: E402
 from smbraid.reps import (  # noqa: E402
     as_formal, burau_reduced, burau_unreduced, cyclic_rep, matrix_rep_from_images, permutation_rep, rep_eval,
@@ -157,7 +157,6 @@ def operations() -> dict:
     burau3 = Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
     w1, w2 = parse_word("t1 s2 t2 S1", 3), parse_word("s1 t2 S2 t1", 3)
     u, v = rep_eval(burau3, w1), rep_eval(burau3, w2)
-    u3, v3 = rep_eval(_sm3_oracle(), w1), rep_eval(_sm3_oracle(), w2)
     rational2_image = Matrix([[0, -2], [1, 0]])
     rational2 = matrix_rep_from_images(2, [rational2_image])
     scalar3_2, reduced2, birman = scalar_char(p, 2), burau_reduced(2), PhiParams.of(1, -1, 0)
@@ -187,13 +186,13 @@ def operations() -> dict:
             [(params.a, rep.image(2)), (params.b, rep.image_inv(2)), (params.c, rep.one())]
         ),
         "algebra.formal_mul_burau3": lambda: u * v,
-        "algebra.formal_mul_sm3_oracle": lambda: u3 * v3,
         "algebra.inverse_rational2": lambda: rational2_image.inverse(),
         "words.shape_sm3": shape_sm3,
         "words.relations_sm4": lambda: list(defining_relations(4)),
         "reps.burau_unreduced4": lambda: burau_unreduced(4),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
         "phi.tau_power_expand_p8": lambda: tau_power_expand(rational, rational_d, 8, 1),
+        "analysis.sm3_equality": lambda: sm3_word_equality(w1, w2),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
         "analysis.kernel2_rational2_deep": lambda: kernel_search_sm2(rational2, rational, 40, 80),

@@ -12,10 +12,9 @@ Three backends realize "a scalar-linear combination of group elements":
   generator image has a scalar power.
 
 Group elements are canonical, hashable values that multiply themselves
-(`Permutation`, `Matrix`, `SL2ZxZ` in SL(2, Z) x Z), and a formal element is
-a map from those elements to their coefficients.  Each element's `text()`
-renders it for output; it is injective, so sorting terms by it gives a
-canonical printed form.
+(`Permutation`, `Matrix`), and a formal element is a map from those elements
+to their coefficients.  Each element's `text()` renders it for output; it is
+injective, so sorting terms by it gives a canonical printed form.
 """
 
 from __future__ import annotations
@@ -475,34 +474,6 @@ class Permutation:
         return f"Permutation({self.text()})"
 
 
-class SL2ZxZ:
-    """(M, e) in SL(2, Z) x Z, held as the integers (a, b, c, d, e) of
-    M = [[a, b], [c, d]] and the degree e; a dict key, so never rebound."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: tuple[int, int, int, int, int]):
-        self._entries = entries
-
-    def __mul__(self, other: "SL2ZxZ") -> "SL2ZxZ":
-        if not isinstance(other, SL2ZxZ):
-            return NotImplemented
-        a, b, c, d, e = self._entries
-        p, q, r, s, f = other._entries
-        return SL2ZxZ((a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s, e + f))
-
-    def text(self) -> str:
-        return "([[{},{}],[{},{}]],{})".format(*self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SL2ZxZ):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-
 # --- formal group algebra -------------------------------------------------------
 
 
@@ -518,7 +489,7 @@ class FormalElement:
 
     __slots__ = ("identity", "coeffs")
 
-    def __init__(self, identity: Permutation | Matrix | SL2ZxZ, terms: Iterable[tuple[object, LaurentPoly | int]] = ()):
+    def __init__(self, identity: Permutation | Matrix, terms: Iterable[tuple[object, LaurentPoly | int]] = ()):
         coeffs: dict[object, LaurentPoly] = {}
         for g, c in terms:
             old = coeffs.get(g)
@@ -531,7 +502,7 @@ class FormalElement:
         self.coeffs = coeffs
 
     @staticmethod
-    def one(identity: Permutation | Matrix | SL2ZxZ) -> "FormalElement":
+    def one(identity: Permutation | Matrix) -> "FormalElement":
         return FormalElement(identity, [(identity, 1)])
 
     def terms(self) -> list[tuple[object, LaurentPoly]]:

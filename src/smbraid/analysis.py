@@ -17,16 +17,18 @@ for n = 2 the tau count and the sigma exponent sum are the normal form
 tau_1^p sigma_1^q of SM_2 = N x Z, so they already decide equality there.
 
 SM_3 word equality is decided in the group algebra of B_3, embedded in
-SL(2, Z) x Z; `sm3_word_equality` states what "true implies equal" rests on.
+SL(2, Z) x Z: a braid is five integers, a word's image a map from them to
+integer coefficients, and `sm3_word_equality` states what "true implies
+equal" rests on.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import reduce
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple
 
-from .algebra import AlgebraElement, FormalElement, Matrix, SL2ZxZ, _search_keys
+from .algebra import AlgebraElement, Matrix, _search_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import LaurentPoly, as_scalar, format_scalar, is_unit
@@ -34,9 +36,12 @@ from .words import (
     GenLetter,
     SMWord,
     braid_letters,
+    braid_relations,
     conjugate,
     permutation_image,
+    sigma,
     sigma_exponent_sum,
+    sigma_inv,
     sigma_power,
     tau,
     tau_count,
@@ -429,29 +434,88 @@ def conjugation_kernel_check(
 
 # --- SM_3 equality oracle -----------------------------------------------------------
 
+# B_3 -> SL(2, Z) x Z: a braid g as the five integers (a, b, c, d, e) of
+# (rho(g), e(g)), rho(g) = [[a, b], [c, d]] its reduced Burau image at t = -1
+# and e(g) its exponent sum.
+_SL2Z_ONE = (1, 0, 0, 1, 0)
+_SL2Z_LETTERS = {
+    sigma(1): (1, 1, 0, 1, 1),
+    sigma_inv(1): (1, -1, 0, 1, -1),
+    sigma(2): (1, 0, -1, 1, 1),
+    sigma_inv(2): (1, 0, 1, 1, -1),
+}
 
-@lru_cache(maxsize=1)
-def _sm3_oracle() -> Extension:
-    """Phi_{1,-1,0}, each braid kept as its image in SL(2, Z) x Z."""
-    e = SL2ZxZ((1, 0, 0, 1, 0))
-    images = [FormalElement(e, [(SL2ZxZ(g), 1)]) for g in ((1, 1, 0, 1, 1), (1, 0, -1, 1, 1))]
-    inverses = [FormalElement(e, [(SL2ZxZ(g), 1)]) for g in ((1, -1, 0, 1, -1), (1, 0, 1, 1, -1))]
-    rep = BraidRep(3, FormalElement.one(e), images, inverses, name="sl2z-x-z")
-    return Extension(rep, PhiParams.of(1, -1, 0))
+
+def _sl2z_mul(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    a, b, c, d, e = g
+    p, q, r, s, f = h
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s, e + f)
+
+
+def _check_sl2z_table(letters: dict[GenLetter, tuple[int, ...]]) -> None:
+    """Raise unless the images of sigma_i and sigma_i^-1 are inverses both
+    ways and satisfy the braid relations of B_3, as a `BraidRep` would."""
+    for i in (1, 2):
+        g, g_inv = letters[sigma(i)], letters[sigma_inv(i)]
+        if not _sl2z_mul(g, g_inv) == _SL2Z_ONE == _sl2z_mul(g_inv, g):
+            raise ValueError(f"image of generator {i} is not invertible")
+    for inst in braid_relations(3):
+        lhs, rhs = ([letters[letter] for letter in word] for word in (inst.lhs, inst.rhs))
+        if reduce(_sl2z_mul, lhs, _SL2Z_ONE) != reduce(_sl2z_mul, rhs, _SL2Z_ONE):
+            raise ValueError(
+                f"relation ({inst.family}) {inst.name} {inst.indices} fails on the images: "
+                f"{inst.lhs.text()!r} vs {inst.rhs.text()!r}"
+            )
+
+
+_check_sl2z_table(_SL2Z_LETTERS)
+# tau_i -> sigma_i - sigma_i^-1: the two group elements of each tau image
+_SL2Z_TAUS = {i: (_SL2Z_LETTERS[sigma(i)], _SL2Z_LETTERS[sigma_inv(i)]) for i in (1, 2)}
+
+
+def _moved(image: dict[tuple[int, ...], int], g: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Each term c * h of `image` moved to c * hg; right translation is
+    injective, so the moved terms stay distinct."""
+    return {_sl2z_mul(h, g): k for h, k in image.items()}
+
+
+def _sm3_image(w: SMWord) -> dict[tuple[int, ...], int]:
+    """Phi_{1,-1,0}(w) in the group algebra Z[SL(2, Z) x Z]: a map from the
+    5-tuples of the group elements to their nonzero integer coefficients.
+
+    The word is folded left to right.  The braid letters since the last tau
+    letter are held as one group element g; a tau letter tau_i moves the
+    image by g sigma_i and by g sigma_i^-1 and subtracts the second from the
+    first, dropping zeros.
+    """
+    image = {_SL2Z_ONE: 1}
+    g = _SL2Z_ONE
+    for letter in w.letters:
+        if letter.kind != "t":
+            g = _sl2z_mul(g, _SL2Z_LETTERS[letter])
+            continue
+        plus, minus = _SL2Z_TAUS[letter.index]
+        moved = _moved(image, _sl2z_mul(g, plus))
+        for h, k in _moved(image, _sl2z_mul(g, minus)).items():
+            if acc := moved.pop(h, 0) - k:
+                moved[h] = acc
+        image, g = moved, _SL2Z_ONE
+    return _moved(image, g)
 
 
 def sm3_word_equality(w1: SMWord, w2: SMWord) -> bool:
     """Decide equality of SM_3 words through a faithful instance.
 
     Images are compared in the group algebra of B_3 at parameters (1, -1, 0),
-    a braid g kept as (rho(g), e(g)) in SL(2, Z) x Z: rho(sigma_1) = [[1, 1],
-    [0, 1]], rho(sigma_2) = [[1, 0], [-1, 1]], e the exponent sum.  "False
-    implies distinct" is unconditional.  "True implies equal" rests on the
-    faithfulness of this instance (Paris) and on g -> (rho(g), e(g)) being
-    injective: ker rho is generated by (sigma_1 sigma_2)^6 (Kassel-Turaev),
-    of exponent sum 12, so rho(g) = I and e(g) = 0 force g = 1.
+    tau_i -> sigma_i - sigma_i^-1, a braid g kept as (rho(g), e(g)) in
+    SL(2, Z) x Z, held as the integers (a, b, c, d, e):
+    rho(sigma_1) = [[1, 1], [0, 1]], rho(sigma_2) = [[1, 0], [-1, 1]], e the
+    exponent sum.  "False implies distinct" is unconditional.  "True implies
+    equal" rests on the faithfulness of this instance (Paris) and on
+    g -> (rho(g), e(g)) being injective: ker rho is generated by
+    (sigma_1 sigma_2)^6 (Kassel-Turaev), of exponent sum 12, so rho(g) = I
+    and e(g) = 0 force g = 1.
     """
     if w1.n != 3 or w2.n != 3:
         raise ValueError(f"oracle is for n=3 words, got n={w1.n} and n={w2.n}")
-    ext = _sm3_oracle()
-    return rep_eval(ext, w1) == rep_eval(ext, w2)
+    return _sm3_image(w1) == _sm3_image(w2)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -17,10 +19,10 @@ from smbraid.algebra import (
     FormalElement,
     Matrix,
     Permutation,
-    SL2ZxZ,
     linear_combination,
     parse_matrix,
 )
+from smbraid.analysis import _SL2Z_LETTERS, _SL2Z_ONE, _check_sl2z_table, _sl2z_mul
 from smbraid.reps import burau_reduced, permutation_rep, rep_eval
 from smbraid.scalars import MAX_SPAN, ZERO, T, LaurentPoly, as_scalar, format_scalar, is_unit
 from smbraid.words import parse_word, sigma, sigma_inv
@@ -123,42 +125,32 @@ def test_group_axioms_on_random_triples(model, seed):
                 assert (g * h) * k == g * (h * k)
 
 
-# --- SL(2, Z) x Z ----------------------------------------------------------------
+# --- SL(2, Z) x Z, the SM_3 oracle's group ----------------------------------------
 
-SL2_ONE = SL2ZxZ((1, 0, 0, 1, 0))
 # B_3 -> SL(2, Z) x Z: reduced Burau at t = -1, paired with the exponent sum
-SL2_LETTERS = {
-    sigma(1): SL2ZxZ((1, 1, 0, 1, 1)),
-    sigma(2): SL2ZxZ((1, 0, -1, 1, 1)),
-    sigma_inv(1): SL2ZxZ((1, -1, 0, 1, -1)),
-    sigma_inv(2): SL2ZxZ((1, 0, 1, 1, -1)),
-}
+SL2_ONE, SL2_LETTERS, sl2_mul = _SL2Z_ONE, _SL2Z_LETTERS, _sl2z_mul
 
 
-def sl2_image(w) -> SL2ZxZ:
-    acc = SL2_ONE
-    for letter in w:
-        acc = acc * SL2_LETTERS[letter]
-    return acc
+def sl2_image(w) -> tuple[int, ...]:
+    return reduce(sl2_mul, [SL2_LETTERS[letter] for letter in w], SL2_ONE)
 
 
 def test_sl2zxz_identity_and_generator_inverses():
-    assert SL2_ONE.text() == "([[1,0],[0,1]],0)"
-    assert SL2_LETTERS[sigma_inv(2)].text() == "([[1,0],[1,1]],-1)"
+    assert SL2_LETTERS[sigma_inv(2)] == (1, 0, 1, 1, -1)
     for g in SL2_LETTERS.values():
-        assert g * SL2_ONE == g == SL2_ONE * g
+        assert sl2_mul(g, SL2_ONE) == g == sl2_mul(SL2_ONE, g)
     for i in (1, 2):
         g, g_inv = SL2_LETTERS[sigma(i)], SL2_LETTERS[sigma_inv(i)]
-        assert g * g_inv == SL2_ONE == g_inv * g
+        assert sl2_mul(g, g_inv) == SL2_ONE == sl2_mul(g_inv, g)
 
 
 def test_sl2zxz_powers_of_s1_s2():
     s1s2 = sl2_image(parse_word("s1 s2", 3))
-    cube = s1s2 * s1s2 * s1s2
-    assert cube == SL2ZxZ((-1, 0, 0, -1, 6))
+    cube = reduce(sl2_mul, [s1s2] * 3)
+    assert cube == (-1, 0, 0, -1, 6)
     # (s1 s2)^6 has the identity matrix but degree 12: it is not the identity,
     # and neither is its reduced Burau image
-    assert cube * cube == SL2ZxZ((1, 0, 0, 1, 12)) != SL2_ONE
+    assert sl2_mul(cube, cube) == (1, 0, 0, 1, 12) != SL2_ONE
     burau = burau_reduced(3)
     assert rep_eval(burau, parse_word("s1 s2 " * 6, 3)) != burau.one()
 
@@ -170,31 +162,24 @@ def test_sl2zxz_associative_on_random_triples(seed):
     for g in elements:
         for h in elements:
             for k in elements:
-                assert (g * h) * k == g * (h * k)
+                assert sl2_mul(sl2_mul(g, h), k) == sl2_mul(g, sl2_mul(h, k))
 
 
-def test_sl2zxz_equality_hash_and_text_agree():
-    # freely reduced words of length <= 4 reach many elements more than once
-    images = [sl2_image(w) for w in enumerate_braid_words(3, 4)]
-    by_text: dict[str, list[SL2ZxZ]] = {}
-    for g in images:
-        by_text.setdefault(g.text(), []).append(g)
-    for group in by_text.values():
-        assert all(g == group[0] and hash(g) == hash(group[0]) for g in group)
-    # unequal elements have unequal texts
-    assert len(by_text) == len(set(images)) < len(images)
+def test_sl2zxz_table_satisfies_the_braid_relation():
+    assert sl2_image(parse_word("s1 s2 s1", 3)) == sl2_image(parse_word("s2 s1 s2", 3)) == (0, 1, -1, 0, 3)
+    _check_sl2z_table(SL2_LETTERS)
 
 
-def test_sl2zxz_rejects_other_group_elements():
-    g = SL2_LETTERS[sigma(1)]
-    for other in (Permutation.identity(2), Matrix([[1, 1], [0, 1]])):
-        assert g != other
-        with pytest.raises(TypeError):
-            g * other
-        with pytest.raises(TypeError):
-            other * g
-    with pytest.raises(ValueError):
-        FormalElement.one(SL2_ONE) * FormalElement.one(Matrix.identity(2))
+@pytest.mark.parametrize("changes,message", [
+    # sigma_1^-1 -> [[1, -1], [0, 1]] at degree +1 misses the inverse of sigma_1
+    ({sigma_inv(1): (1, -1, 0, 1, 1)}, "image of generator 1 is not invertible"),
+    # sigma_2 -> [[1, 0], [1, 1]] and its inverse: s1 s2 s1 = [[2, 3], [1, 2]], s2 s1 s2 = [[2, 1], [3, 2]]
+    ({sigma(2): (1, 0, 1, 1, 1), sigma_inv(2): (1, 0, -1, 1, -1)},
+     "relation (1) braid (1,) fails on the images: 's1 s2 s1' vs 's2 s1 s2'"),
+], ids=["inverse", "braid-relation"])
+def test_sl2zxz_table_check_raises_on_a_broken_table(changes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _check_sl2z_table({**SL2_LETTERS, **changes})
 
 
 def test_sl2zxz_images_match_reduced_burau():
@@ -565,16 +550,12 @@ def _products(one, gens, length):
 
 
 _S3 = Permutation.identity(3)
-_SL2Z_ONE = SL2ZxZ((1, 0, 0, 1, 0))
 _GL2 = Matrix.identity(2)
 # Each pool holds an identity and elements whose products meet, so terms of a
 # product collide and may cancel.  The matrices include singular ones (two of
 # rank 1, a nilpotent and zero), under which distinct terms move to one.
 FORMAL_POOLS = {
     "perm3": (_S3, _products(_S3, [Permutation.transposition(3, i) for i in (1, 2)], 3)),
-    "sl2z": (_SL2Z_ONE, _products(
-        _SL2Z_ONE, [SL2ZxZ(g) for g in ((1, 1, 0, 1, 1), (1, 0, -1, 1, 1), (1, -1, 0, 1, -1), (1, 0, 1, 1, -1))], 2
-    )),
     "matrix2": (_GL2, [
         _GL2, Matrix([[0, -2], [1, 0]]), Matrix([[1, 1], [0, 1]]), Matrix([[T, 0], [0, 1]]),
         Matrix([[1, 0], [0, 0]]), Matrix([[1, 1], [0, 0]]), Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [0, 0]]),

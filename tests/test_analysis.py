@@ -51,6 +51,8 @@ from smbraid.words import (
     decompose_tau_blocks,
     defining_relations,
     parse_word,
+    sigma,
+    sigma_inv,
     sigma_power,
     sm2_normal_form,
     tau,
@@ -979,11 +981,19 @@ def test_sm3_oracle_confirms_rewrites_on_random_words():
 
 def test_sm3_oracle_sends_tau_to_sigma_minus_its_inverse():
     # the cited theorem (Paris) is about tau_i -> sigma_i - sigma_i^-1 alone
-    ext = analysis._sm3_oracle()
+    letters = analysis._SL2Z_LETTERS
     for i in (1, 2):
-        s, s_inv, t = (rep_eval(ext, parse_word(f"{kind}{i}", 3)) for kind in "sSt")
-        assert t == s + s_inv.scale(-1)
-        assert len(t.coeffs) == 2
+        s, s_inv = letters[sigma(i)], letters[sigma_inv(i)]
+        assert analysis._sm3_image(parse_word(f"s{i}", 3)) == {s: 1}
+        assert analysis._sm3_image(parse_word(f"S{i}", 3)) == {s_inv: 1}
+        assert analysis._sm3_image(parse_word(f"t{i}", 3)) == {s: 1, s_inv: -1}
+
+
+def test_sm3_oracle_coefficients_leave_plus_minus_one():
+    # (s1 - S1)^2 = s1^2 - 2 + S1^2
+    square = {(1, 2, 0, 1, 2): 1, (1, 0, 0, 1, 0): -2, (1, -2, 0, 1, -2): 1}
+    assert analysis._sm3_image(parse_word("t1 t1", 3)) == square
+    assert analysis._sm3_image(SMWord(3)) == {(1, 0, 0, 1, 0): 1}
 
 
 # The reduced Burau route to SM_3 equality: Phi_{1,-1,0} into the group algebra
@@ -1023,6 +1033,33 @@ def test_sm3_oracle_matches_reduced_burau_route(pair):
     equal = sm3_word_equality(w1, w2)
     assert equal == (rep_eval(BURAU_SM3, w1) == rep_eval(BURAU_SM3, w2))
     assert equal or not known_equal
+
+
+def _wordeq3_tokens(rng: random.Random, length: int, taus: int) -> list[str]:
+    """`length` tokens, `taus` of them tau letters, the others sigma letters
+    of either sign or the twist tokens x and X, which expand to two letters."""
+    kinds = ["t"] * taus + ["s"] * (length - taus)
+    rng.shuffle(kinds)
+    return [f"t{rng.randint(1, 2)}" if k == "t" else rng.choice(("s1", "s2", "S1", "S2", "x", "X")) for k in kinds]
+
+
+def test_sm3_oracle_matches_reduced_burau_route_on_wordeq3_shaped_pairs():
+    # The shape of the wordeq3 queries: 6-9 tokens with three tau letters.
+    # Every other pair is equal in SM_3 by a relation spliced into a context.
+    rng = random.Random(31)
+    for k in range(200):
+        if k % 2:
+            w1, w2 = (parse_word(" ".join(_wordeq3_tokens(rng, rng.randint(6, 9), 3)), 3) for _ in range(2))
+        else:
+            inst = rng.choice(SM3_RELATIONS)
+            context = _wordeq3_tokens(rng, rng.randint(6, 9) - len(inst.lhs), 3 - tau_count(inst.lhs))
+            cut = rng.randint(0, len(context))
+            u, v = parse_word(" ".join(context[:cut]), 3), parse_word(" ".join(context[cut:]), 3)
+            w1, w2 = u * inst.lhs * v, u * inst.rhs * v
+        equal = sm3_word_equality(w1, w2)
+        assert equal == (rep_eval(BURAU_SM3, w1) == rep_eval(BURAU_SM3, w2))
+        assert equal or k % 2
+        assert tau_count(w1) == 3
 
 
 # --- input checks ------------------------------------------------------------------
