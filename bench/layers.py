@@ -15,15 +15,20 @@ from the `src` directory next to this script's parent:
   `phi.Extension` builds it), a product of the images of two SM_3 words
   with two tau letters each under Phi_{1,-1,0} into the group algebra of
   the reduced Burau group in GL_2 (the tests' independent route to SM_3
-  equality); and the inverse of [[0, -2], [1, 0]], which every `prop8`
-  query takes when it builds its representation from a matrix file;
+  equality); the inverse of [[0, -2], [1, 0]], which every `prop8`
+  query takes when it builds its representation from a matrix file; and
+  the inverse of a dense 8x8 integer matrix of determinant 1, the product
+  of 64 elementary matrices drawn from a fixed seed, the size of a
+  `kernel2 --rep matrix:<file>` query on a large matrix;
 * words: `decompose_tau_blocks(w).shape(2, 1)` of the fixed SM_3 word
   w = "t1 t1 s2 t2 S1 s1" (three tau letters), the split against
   v = tau_1^2 sigma_1, with `assemble` and `strip` of the result, and
   `list(defining_relations(4))`, which builds the 13 relation instances of
   SM_4;
-* reps: building a fresh `burau_unreduced(4)`, which takes the cofactor
-  inverses of its three generator images and checks its braid relations;
+* reps: building a fresh `burau_unreduced(4)`, which inverts its three
+  generator images and checks its braid relations, and a fresh
+  `burau_unreduced(24)`, where the 23 inversions of 24x24 images and the
+  relation checks dominate;
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
   `Extension(burau_unreduced(4), params)`, the extension's table built once,
   and `tau_power_expand` at p = 8 for rational a, b, c and d, the multinomial
@@ -110,6 +115,7 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -171,6 +177,11 @@ def operations() -> dict:
     reduced3 = burau_reduced(3)
     perm4 = permutation_rep(4)
     shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
+    dense8, rng = Matrix.identity(8), random.Random(8)
+    for _ in range(64):  # elementary factors: the identity with x at (i, j)
+        i, j = rng.sample(range(8), 2)
+        x = rng.choice([-2, -1, 1, 2])
+        dense8 = dense8 * Matrix([[x if (r, c) == (i, j) else int(r == c) for c in range(8)] for r in range(8)])
 
     def shape_sm3():
         form = decompose_tau_blocks(shape_word).shape(2, 1)
@@ -187,9 +198,11 @@ def operations() -> dict:
         ),
         "algebra.formal_mul_burau3": lambda: u * v,
         "algebra.inverse_rational2": lambda: rational2_image.inverse(),
+        "algebra.inverse_dense8": lambda: dense8.inverse(),
         "words.shape_sm3": shape_sm3,
         "words.relations_sm4": lambda: list(defining_relations(4)),
         "reps.burau_unreduced4": lambda: burau_unreduced(4),
+        "reps.burau_unreduced24": lambda: burau_unreduced(24),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
         "phi.tau_power_expand_p8": lambda: tau_power_expand(rational, rational_d, 8, 1),
         "analysis.sm3_equality": lambda: sm3_word_equality(w1, w2),

@@ -85,34 +85,28 @@ class Matrix:
                 if a:
                     for j, other_low, b in other_rows[k]:
                         terms[j].append((low + other_low, a, b))
-            rows.append([_accumulate(entry) for entry in terms])
+            rows.append([_accumulate(entry) if entry else _ZERO_ENTRY for entry in terms])
         return _canonical(self._den * other._den, rows)
 
     def scale(self, s: LaurentPoly | int) -> "Matrix":
         return linear_combination([(s, self)])
 
     def det(self) -> LaurentPoly:
-        """Exact determinant by cofactor expansion (dimensions here are small)
-        on the stored numerators, over den**dim."""
-        return _make(*_det(self._entries), self._den**self.dim)
+        """Exact determinant: that of the stored numerators over den**dim."""
+        (low, d), _ = _faddeev_leverrier(self)
+        return _make(low, d, self._den**self.dim)
 
     def inverse(self) -> "Matrix":
-        """Adjugate inverse on the stored numerators; requires the determinant,
-        the expansion along row 0 over the minors, to be a unit so the result
-        stays inside the scalar ring.  Each minor is computed once."""
-        dim, den, entries = self.dim, self._den, self._entries
-        minors = [[_det(_minor(entries, i, j)) for j in range(dim)] for i in range(dim)]
-        d_low, d = _det(entries, minors[0])
+        """den * N / c on the stored numerators E, for E * N == c * I from
+        `_faddeev_leverrier`; requires c = +-det E to be a unit so the
+        result stays inside the scalar ring."""
+        dim, den = self.dim, self._den
+        (low, d), adj = _faddeev_leverrier(self)
         if len(d) != 1:
-            raise ValueError(f"matrix not invertible over the scalar ring (det = {_format(d_low, d, den**dim)})")
-        # The minors are over den**(dim-1) and det = d[0] * t^d_low / den**dim, so entry
-        # (i, j) of the inverse is (-1)**(i+j) * minor (j, i) * t^-d_low * den / d[0].
-        f = (den, -den) if d[0] > 0 else (-den, den)  # the factors at even and odd i + j
-        adj = [
-            [(e - d_low, tuple([n * f[(i + j) % 2] for n in m])) if m else _ZERO_ENTRY for j, (e, m) in enumerate(col)]
-            for i, col in enumerate(zip(*minors))
-        ]
-        return _canonical(abs(d[0]), adj)
+            raise ValueError(f"matrix not invertible over the scalar ring (det = {_format(low, d, den**dim)})")
+        # c = (-1)**(dim-1) * d[0] * t^low, so entry (i, j) is N (i, j) * t^-low * den / c
+        f = den if (d[0] > 0) == (dim % 2 == 1) else -den
+        return _canonical(abs(d[0]), [[(e - low, tuple([n * f for n in a])) if a else _ZERO_ENTRY for e, a in row] for row in adj])
 
     def is_identity(self) -> bool:
         return self.scalar_multiple_of_identity() == 1
@@ -386,26 +380,29 @@ def linear_combination(terms: Sequence[tuple[LaurentPoly | int, AlgebraElement]]
     return _canonical(den, [[_accumulate(t) for t in row] for row in cells])
 
 
-def _minor(entries: tuple, i: int, j: int) -> tuple:
-    """The rows of trimmed entries without row i and column j."""
-    return tuple(row[:j] + row[j + 1 :] for r, row in enumerate(entries) if r != i)
-
-
-def _det(entries: tuple, minors: list | None = None) -> tuple[int, tuple[int, ...]]:
-    """Cofactor expansion along row 0 of trimmed entries, skipping zeros, as a
-    trimmed entry over den**dim; `minors`, if given, holds the determinants of
-    the minors of row 0.  The empty matrix has determinant 1."""
-    if not entries:
-        return 0, (1,)
-    if len(entries) == 1:
-        return entries[0][0]
-    terms = []
-    for j, (low, a) in enumerate(entries[0]):
-        if a:
-            m_low, m = minors[j] if minors else _det(_minor(entries, 0, j))
-            if m:
-                terms.append((low + m_low, a if j % 2 == 0 else tuple([-n for n in a]), m))
-    return _accumulate(terms)
+def _faddeev_leverrier(m: Matrix) -> tuple[tuple[int, tuple[int, ...]], list]:
+    """The Faddeev-LeVerrier recurrence (U. Le Verrier 1840; D. K. Faddeev and
+    I. S. Sominsky 1949) on the stored numerators E of m, a matrix over 1:
+    N_1 = I and N_(k+1) = E * N_k - (tr(E * N_k) / k) * I.  Each
+    tr(E * N_k) / k is a coefficient of the characteristic polynomial of E,
+    so the division is exact in Z[t, t^-1], and by Cayley-Hamilton
+    E * N_dim == c * I with c = tr(E * N_dim) / dim = (-1)**(dim-1) * det E.
+    Returns det E, a trimmed entry, and the rows of N_dim, after dim - 2
+    products: E * N_1 is E, and c needs only the trace of E * N_dim."""
+    e = m if m._den == 1 else _canonical(1, m._entries)
+    dim = e.dim
+    rows, p = [[(0, (1,))]], e  # N_1 = I, kept as such only where dim == 1
+    for k in range(1, dim):
+        low, tr = _accumulate([(*row[i], (1,)) for i, row in enumerate(p._entries) if row[i][1]])
+        c = tuple([x // k for x in tr])
+        rows = [list(row) for row in p._entries]
+        for i, row in enumerate(rows if c else ()):  # N_(k+1) = E * N_k - c * I
+            row[i] = _accumulate([term for term in ((*row[i], (1,)), (low, c, (-1,))) if term[1]])
+        if k < dim - 1:
+            p = e * _canonical(1, rows)
+    pairs = [(x, y) for row, col in zip(e._entries, zip(*rows)) for x, y in zip(row, col) if x[1] and y[1]]
+    low, tr = _accumulate([(x_low + y_low, a, b) for (x_low, a), (y_low, b) in pairs])
+    return (low, tuple([x // (dim if dim % 2 else -dim) for x in tr])), rows  # det E = c / (-1)**(dim-1)
 
 
 def parse_matrix(text: str) -> Matrix:

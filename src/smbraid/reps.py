@@ -243,12 +243,20 @@ def rep_from_selector(selector: str, n: int) -> BraidRep:
     return _shipped_rep(selector, n)
 
 
+# The largest n of a `burau-unreduced` selector: its n - 1 images are n x n
+# matrices, each inverted and all relation-checked at construction, which
+# takes about a second at n = 32.  `burau_unreduced(n)` takes any n >= 2.
+MAX_BURAU_UNREDUCED_N = 32
+
+
 # Bounded so that a long-lived process does not grow with each distinct
 # `scalar:` value; a selector error is raised again on every call, because
 # the cache stores only returned values.
 @lru_cache(maxsize=32)
 def _shipped_rep(selector: str, n: int) -> BraidRep:
     if selector == "burau-unreduced":
+        if n > MAX_BURAU_UNREDUCED_N:
+            raise ValueError(f"burau-unreduced selectors support n <= {MAX_BURAU_UNREDUCED_N}, got {n}")
         return burau_unreduced(n)
     if selector == "burau-reduced":
         return burau_reduced(n)

@@ -454,6 +454,80 @@ def test_det_and_inverse_match_sympy(m):
     assert inv == rebuilt and hash(inv) == hash(rebuilt) and inv.text() == rebuilt.text()
 
 
+def elementary(dim: int, i: int, j: int, x) -> Matrix:
+    """The identity with x at (i, j), i != j; its determinant is 1."""
+    return Matrix([[x if (r, c) == (i, j) else int(r == c) for c in range(dim)] for r in range(dim)])
+
+
+def assert_zeros_canonical(m: Matrix):
+    # a zero entry is stored as (0, ()), never at a shifted exponent
+    for row in m._entries:
+        for low, nums in row:
+            assert nums or low == 0
+
+
+def test_dense_unimodular_12x12_inverse():
+    # a dense product of elementary integer matrices, determinant 1, at a
+    # size where a factorial-time route such as cofactor expansion stalls
+    rng, dim = random.Random(12), 12
+    m = Matrix.identity(dim)
+    for _ in range(8 * dim):
+        i, j = rng.sample(range(dim), 2)
+        m = m * elementary(dim, i, j, rng.choice([-2, -1, 1, 2]))
+    assert sum(a == 0 for row in m.rows for a in row) < dim
+    inv = m.inverse()
+    identity = Matrix.identity(dim)
+    assert m * inv == identity == inv * m
+    assert m.det() == 1 and inv.det() == 1
+    assert_zeros_canonical(inv)
+
+
+@st.composite
+def unimodular_products(draw, dim: int):
+    """A product of up to 2 * dim factors of dimension `dim`, each an
+    elementary matrix or a diagonal matrix of units, over rational or
+    Laurent entries: invertible by construction."""
+    entries = draw(st.sampled_from([rational_entries, laurent_entries]))
+    m = Matrix.identity(dim)
+    for _ in range(draw(st.integers(0, 2 * dim))):
+        if dim > 1 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+            m = m * elementary(dim, i, j, draw(entries))
+        else:
+            m = m * Matrix([[draw(unit_entries) if r == c else 0 for c in range(dim)] for r in range(dim)])
+    return m
+
+
+@st.composite
+def matrix_triples(draw):
+    """Two invertible products and one matrix of random entries, which may
+    be singular, all of one dimension from 1 to 8."""
+    dim = draw(st.integers(1, 8))
+    entries = draw(st.sampled_from([rational_entries, laurent_entries]))
+    dense = Matrix([[draw(entries) for _ in range(dim)] for _ in range(dim)])
+    return draw(unimodular_products(dim)), draw(unimodular_products(dim)), dense
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrix_triples())
+def test_inverse_is_two_sided_and_det_multiplicative(triple):
+    a, b, c = triple
+    identity = Matrix.identity(a.dim)
+    for m in (a, b, c):
+        assert_zeros_canonical(m)
+        if not is_unit(m.det()):
+            assert m is c
+            with pytest.raises(ValueError, match="matrix not invertible over the scalar ring"):
+                m.inverse()
+            continue
+        inv = m.inverse()
+        assert m * inv == identity == inv * m
+        assert inv.det() * m.det() == 1
+        assert_zeros_canonical(inv)
+    for x, y in [(a, b), (a, c), (c, b)]:
+        assert (x * y).det() == x.det() * y.det()
+
+
 @settings(max_examples=50, deadline=None)
 @given(square_matrices())
 def test_matrix_hash_is_stable_and_route_independent(m):

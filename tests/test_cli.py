@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smbraid import cli, words
+from smbraid import cli, reps, words
 from smbraid.cli import main
 
 
@@ -234,6 +234,17 @@ def test_huge_integers_are_domain_errors(capsys, argv, name):
         assert err == "error: out of memory\n"
     else:
         assert err == f"error: {name} must lie between -{sys.maxsize} and {sys.maxsize}\n"
+
+
+def test_burau_unreduced_n_ceiling(capsys):
+    ceiling = reps.MAX_BURAU_UNREDUCED_N
+    argv = ["eval", "--rep", "burau-unreduced", "--a", "1", "--b", "0", "--c", "0", "--word", "s1"]
+    code, out, err = run_cli(capsys, *argv, "--n", str(ceiling + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: burau-unreduced selectors support n <= {ceiling}, got {ceiling + 1}\n"
+    # the ceiling itself builds
+    report, _ = run_json(capsys, *argv, "--n", str(ceiling))
+    assert report["image"].count("],[") == ceiling - 1
 
 
 @pytest.mark.parametrize("flag", ["--smax", "--lmax", "--rmax"])

@@ -264,7 +264,7 @@ _REDUCED3 = [
 _FORMAL2 = Matrix.identity(2)
 
 CONSTRUCTION_CASES = [
-    *(_burau_unreduced_case(n) for n in (2, 3, 4)),
+    *(_burau_unreduced_case(n) for n in (2, 3, 4, 24)),  # 24 needs a polynomial-time inverse
     ("burau-reduced2", lambda: burau_reduced(2), [(Matrix([[-T]]), Matrix([[-(T**-1)]]))],
      "BraidRep(burau-reduced (n=2, backend=matrix))"),
     ("burau-reduced3", lambda: burau_reduced(3), _REDUCED3,
