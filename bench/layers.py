@@ -30,8 +30,13 @@ from the `src` directory next to this script's parent:
   `burau_unreduced(24)`, where the 23 inversions of 24x24 images and the
   relation checks dominate;
 * phi: `rep_eval` of an 8-letter SM_4 word with three tau letters over
-  `Extension(burau_unreduced(4), params)`, the extension's table built once,
-  and `tau_power_expand` at p = 8 for rational a, b, c and d, the multinomial
+  `Extension(burau_unreduced(4), params)`, the extension's table built once;
+  `rep_eval` of the 7-letter SM_4 word "t1 s2 t3 S1 s3 t2 s1" (three tau
+  letters) over `Extension(permutation_rep(4), (2, -1, 3))`, a fold of
+  formal elements in which each tau image, 2 s_i - s_i^-1 + 3 = s_i + 3 as
+  s_i is an involution, has two terms, so each product after the first tau
+  letter is a convolution of several terms; and
+  `tau_power_expand` at p = 8 for rational a, b, c and d, the multinomial
   sum of acceptance criterion 7;
 * analysis: `sm3_word_equality` on the same two SM_3 words, the `wordeq3`
   oracle, which folds both words on integer 5-tuples of SL(2, Z) x Z;
@@ -160,6 +165,8 @@ def operations() -> dict:
     params = PhiParams.of(T, parse_scalar("-1/2"), 3)
     sm4 = Extension(rep, params)
     sm4_word = parse_word("t1 s2 S3 t3 s1 t2 S2 s3", 4)
+    perm4_ext = Extension(permutation_rep(4), PhiParams.of(2, -1, 3))
+    perm4_word = parse_word("t1 s2 t3 S1 s3 t2 s1", 4)
     burau3 = Extension(as_formal(burau_reduced(3)), PhiParams.of(1, -1, 0))
     w1, w2 = parse_word("t1 s2 t2 S1", 3), parse_word("s1 t2 S2 t1", 3)
     u, v = rep_eval(burau3, w1), rep_eval(burau3, w2)
@@ -204,6 +211,7 @@ def operations() -> dict:
         "reps.burau_unreduced4": lambda: burau_unreduced(4),
         "reps.burau_unreduced24": lambda: burau_unreduced(24),
         "phi.rep_eval_sm4_8": lambda: rep_eval(sm4, sm4_word),
+        "phi.rep_eval_perm4": lambda: rep_eval(perm4_ext, perm4_word),
         "phi.tau_power_expand_p8": lambda: tau_power_expand(rational, rational_d, 8, 1),
         "analysis.sm3_equality": lambda: sm3_word_equality(w1, w2),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),

@@ -34,9 +34,9 @@ class Matrix:
     """Square matrix over Q[t, t^-1]: entries (lowest exponent, trimmed integer
     numerators), zero as (0, ()), over one positive denominator sharing no factor
     with all the numerators, so equal matrices are stored alike.  A matrix is a
-    dict key and keeps its hash once computed: never rebind a field."""
+    dict key: never rebind a field."""
 
-    __slots__ = ("_den", "_entries", "_hash")
+    __slots__ = ("_den", "_entries")
 
     def __init__(self, rows: Iterable[Iterable[LaurentPoly | int]]):
         parts = [[_parts(entry) for entry in row] for row in rows]
@@ -129,12 +129,7 @@ class Matrix:
         return self._den == other._den and self._entries == other._entries
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self._den, self._entries))
-            self._hash = h
-            return h
+        return hash((self._den, self._entries))
 
     def __repr__(self) -> str:
         return f"Matrix({self.text()})"
@@ -489,14 +484,9 @@ class FormalElement:
     def __init__(self, identity: Permutation | Matrix, terms: Iterable[tuple[object, LaurentPoly | int]] = ()):
         coeffs: dict[object, LaurentPoly] = {}
         for g, c in terms:
-            old = coeffs.get(g)
-            acc = as_scalar(c) if old is None else old + c
-            if acc:
-                coeffs[g] = acc
-            elif old is not None:
-                del coeffs[g]
+            coeffs[g] = coeffs.get(g, ZERO) + c
         self.identity = identity
-        self.coeffs = coeffs
+        self.coeffs = {g: c for g, c in coeffs.items() if c}
 
     @staticmethod
     def one(identity: Permutation | Matrix) -> "FormalElement":
@@ -507,9 +497,7 @@ class FormalElement:
         return sorted(self.coeffs.items(), key=lambda term: term[0].text())
 
     def _require_same(self, other: "FormalElement") -> None:
-        if not isinstance(other, FormalElement) or (
-            self.identity is not other.identity and self.identity != other.identity
-        ):
+        if not isinstance(other, FormalElement) or self.identity != other.identity:
             raise ValueError("formal elements over different groups")
 
     def __add__(self, other: "FormalElement") -> "FormalElement":
@@ -517,35 +505,13 @@ class FormalElement:
         return FormalElement(self.identity, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __mul__(self, other: "FormalElement") -> "FormalElement":
-        """Convolution by right translation: each term b * h of `other` moves
-        every term a * g of self to (a * b) * (g * h) in one dict pass, with
-        no coefficient product where b == 1.  Right translation by a group
-        element is injective and the scalars are a domain, so the moved terms
-        are distinct and nonzero: terms meet, and may cancel, only across
-        different h.  A non-invertible `Matrix` h can send two g to one g * h;
-        the moved map then comes out short, and its terms are summed instead."""
+        """Convolution: (a * b) * (g * h) for every term a * g of self and
+        b * h of `other`; the constructor sums the terms that meet and purges
+        zeros."""
         self._require_same(other)
-        left = self.coeffs.items()
-        coeffs: dict[object, LaurentPoly] = {}
-        for h, b in other.coeffs.items():
-            moved = {g * h: a for g, a in left} if b == 1 else {g * h: a * b for g, a in left}
-            if len(moved) < len(left):
-                moved = FormalElement(self.identity, [(g * h, a * b) for g, a in left]).coeffs
-            if not coeffs:
-                coeffs = moved
-                continue
-            for g, c in moved.items():
-                old = coeffs.get(g)
-                if old is None:
-                    coeffs[g] = c
-                elif acc := old + c:
-                    coeffs[g] = acc
-                else:
-                    del coeffs[g]
-        product = object.__new__(FormalElement)  # coeffs holds no zero: skip the constructor's pass
-        product.identity = self.identity
-        product.coeffs = coeffs
-        return product
+        return FormalElement(
+            self.identity, [(g * h, a * b) for h, b in other.coeffs.items() for g, a in self.coeffs.items()]
+        )
 
     def scale(self, s: LaurentPoly | int) -> "FormalElement":
         return FormalElement(self.identity, [(g, s * c) for g, c in self.coeffs.items()])

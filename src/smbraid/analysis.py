@@ -36,7 +36,7 @@ from .words import (
     GenLetter,
     SMWord,
     braid_letters,
-    braid_relations,
+    check_braid_relations,
     conjugate,
     permutation_image,
     sigma,
@@ -459,13 +459,7 @@ def _check_sl2z_table(letters: dict[GenLetter, tuple[int, ...]]) -> None:
         g, g_inv = letters[sigma(i)], letters[sigma_inv(i)]
         if not _sl2z_mul(g, g_inv) == _SL2Z_ONE == _sl2z_mul(g_inv, g):
             raise ValueError(f"image of generator {i} is not invertible")
-    for inst in braid_relations(3):
-        lhs, rhs = ([letters[letter] for letter in word] for word in (inst.lhs, inst.rhs))
-        if reduce(_sl2z_mul, lhs, _SL2Z_ONE) != reduce(_sl2z_mul, rhs, _SL2Z_ONE):
-            raise ValueError(
-                f"relation ({inst.family}) {inst.name} {inst.indices} fails on the images: "
-                f"{inst.lhs.text()!r} vs {inst.rhs.text()!r}"
-            )
+    check_braid_relations(3, lambda w: reduce(_sl2z_mul, [letters[letter] for letter in w], _SL2Z_ONE))
 
 
 _check_sl2z_table(_SL2Z_LETTERS)

@@ -3,9 +3,10 @@
 A `BraidRep` is its letter-image table: each braid letter sigma_i^(+-1) maps
 to an invertible element of one of the algebra backends, and a word's image
 is the left-to-right product of its letters' images.  Construction checks
-every instance of `words.braid_relations` exactly, through `rep_eval`.  The
-classical results below are documentation only: the library never claims to
-decide faithfulness of a representation by itself.
+every instance of `words.braid_relations` exactly, through `rep_eval` and
+`words.check_braid_relations`.  The classical results below are
+documentation only: the library never claims to decide faithfulness of a
+representation by itself.
 
 Shipped representations:
 
@@ -21,7 +22,7 @@ Shipped representations:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,7 +42,7 @@ from .scalars import (
     is_unit,
     parse_scalar,
 )
-from .words import GenLetter, SMWord, braid_relations, sigma, sigma_inv
+from .words import GenLetter, SMWord, check_braid_relations, sigma, sigma_inv
 
 if TYPE_CHECKING:
     from .phi import Extension
@@ -83,12 +84,7 @@ class BraidRep:
                 raise ValueError(f"image of generator {i} is not invertible")
             self.letters[sigma(i)] = img
             self.letters[sigma_inv(i)] = inv
-        for inst in braid_relations(n):
-            if rep_eval(self, inst.lhs) != rep_eval(self, inst.rhs):
-                raise ValueError(
-                    f"relation ({inst.family}) {inst.name} {inst.indices} fails on the images: "
-                    f"{inst.lhs.text()!r} vs {inst.rhs.text()!r}"
-                )
+        check_braid_relations(n, lambda w: rep_eval(self, w))
 
     @property
     def backend(self) -> str:
@@ -243,10 +239,12 @@ def rep_from_selector(selector: str, n: int) -> BraidRep:
     return _shipped_rep(selector, n)
 
 
-# The largest n of a `burau-unreduced` selector: its n - 1 images are n x n
-# matrices, each inverted and all relation-checked at construction, which
-# takes about a second at n = 32.  `burau_unreduced(n)` takes any n >= 2.
-MAX_BURAU_UNREDUCED_N = 32
+# The largest n of a shipped selector that takes any n (`burau-unreduced`,
+# `perm`, `scalar:<d>`).  Construction checks all (n-1)(n-2)/2 braid
+# relations, and a `burau-unreduced` representation also inverts its n - 1
+# n x n images, which takes about a second at n = 32.  The library functions
+# take any n >= 2.
+MAX_SELECTOR_N = 32
 
 
 # Bounded so that a long-lived process does not grow with each distinct
@@ -254,14 +252,16 @@ MAX_BURAU_UNREDUCED_N = 32
 # the cache stores only returned values.
 @lru_cache(maxsize=32)
 def _shipped_rep(selector: str, n: int) -> BraidRep:
-    if selector == "burau-unreduced":
-        if n > MAX_BURAU_UNREDUCED_N:
-            raise ValueError(f"burau-unreduced selectors support n <= {MAX_BURAU_UNREDUCED_N}, got {n}")
-        return burau_unreduced(n)
     if selector == "burau-reduced":
         return burau_reduced(n)
-    if selector == "perm":
-        return permutation_rep(n)
-    if selector.startswith("scalar:"):
-        return scalar_char(parse_scalar(selector[len("scalar:") :]), n)
-    raise ValueError(f"unknown representation selector {selector!r}")
+    if selector == "burau-unreduced":
+        name, build = selector, burau_unreduced
+    elif selector == "perm":
+        name, build = selector, permutation_rep
+    elif selector.startswith("scalar:"):
+        name, build = "scalar", partial(scalar_char, parse_scalar(selector[len("scalar:") :]))
+    else:
+        raise ValueError(f"unknown representation selector {selector!r}")
+    if n > MAX_SELECTOR_N:
+        raise ValueError(f"{name} selectors support n <= {MAX_SELECTOR_N}, got {n}")
+    return build(n)

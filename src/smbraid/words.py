@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class GenLetter(NamedTuple):
@@ -451,6 +451,17 @@ def braid_relations(n: int) -> Iterator[RelationInstance]:
         yield _relation(n, 1, (i,), (sigma(i), sigma(i + 1), sigma(i)), (sigma(i + 1), sigma(i), sigma(i + 1)))
     for i, j in _far_pairs(n):
         yield _relation(n, 2, (i, j), (sigma(i), sigma(j)), (sigma(j), sigma(i)))
+
+
+def check_braid_relations(n: int, image: Callable[[SMWord], object]) -> None:
+    """Raise ValueError naming the first instance of `braid_relations(n)`
+    whose two sides have unequal images under `image`."""
+    for inst in braid_relations(n):
+        if image(inst.lhs) != image(inst.rhs):
+            raise ValueError(
+                f"relation ({inst.family}) {inst.name} {inst.indices} fails on the images: "
+                f"{inst.lhs.text()!r} vs {inst.rhs.text()!r}"
+            )
 
 
 def defining_relations(n: int) -> Iterator[RelationInstance]:

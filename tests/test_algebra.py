@@ -649,7 +649,7 @@ def test_formal_product_matches_all_pairs_reference(group, data):
     x, y = FormalElement(identity, data.draw(drawn)), FormalElement(identity, data.draw(drawn))
     product = x * y
     assert product == formal_product_reference(x, y)
-    assert all(type(c) is LaurentPoly and c for c in product.coeffs.values())
+    assert all(type(c) is LaurentPoly and c for z in (x, y, product) for c in z.coeffs.values())
 
 
 def test_formal_product_edge_cases():
@@ -666,7 +666,7 @@ def test_formal_product_edge_cases():
         (zero * t1, zero),
         (t1 * zero, zero),
         (t1.scale(2) * t1.scale(scalar(Fraction(1, 2))), one),
-        # h has rank 1: I * h == [[1, 1], [0, 1]] * h, so the moved terms meet
+        # h has rank 1: I * h == [[1, 1], [0, 1]] * h, so two terms meet
         (x * hh, FormalElement(g1, [(h, 5)])),
         (y * hh, FormalElement(g1)),
         (y * (hh + gl2), y),

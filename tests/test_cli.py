@@ -236,15 +236,20 @@ def test_huge_integers_are_domain_errors(capsys, argv, name):
         assert err == f"error: {name} must lie between -{sys.maxsize} and {sys.maxsize}\n"
 
 
-def test_burau_unreduced_n_ceiling(capsys):
-    ceiling = reps.MAX_BURAU_UNREDUCED_N
-    argv = ["eval", "--rep", "burau-unreduced", "--a", "1", "--b", "0", "--c", "0", "--word", "s1"]
+@pytest.mark.parametrize("selector,name", [
+    ("burau-unreduced", "burau-unreduced"),
+    ("perm", "perm"),
+    ("scalar:2", "scalar"),
+], ids=["burau-unreduced", "perm", "scalar"])
+def test_selector_n_ceiling(capsys, selector, name):
+    ceiling = reps.MAX_SELECTOR_N
+    argv = ["eval", "--rep", selector, "--a", "1", "--b", "0", "--c", "0", "--word", "s1"]
     code, out, err = run_cli(capsys, *argv, "--n", str(ceiling + 1))
     assert (code, out) == (1, "")
-    assert err == f"error: burau-unreduced selectors support n <= {ceiling}, got {ceiling + 1}\n"
+    assert err == f"error: {name} selectors support n <= {ceiling}, got {ceiling + 1}\n"
     # the ceiling itself builds
     report, _ = run_json(capsys, *argv, "--n", str(ceiling))
-    assert report["image"].count("],[") == ceiling - 1
+    assert (report["n"], report["rep"]) == (ceiling, selector)
 
 
 @pytest.mark.parametrize("flag", ["--smax", "--lmax", "--rmax"])
