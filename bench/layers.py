@@ -48,9 +48,15 @@ from the `src` directory next to this script's parent:
   whose tau_1 powers grow, both held as Kronecker-packed keys since every
   image sits at one exponent; the grid
   (p <= 6, |q| <= 12) of the scalar character 3/2 at (1, 2, 1), as 1x1
-  matrices, the grid of `kernel2 --rep scalar:<d>`; the grid (p <= 300,
+  matrices, the grid of `kernel2 --rep scalar:<d>`; two grids of Laurent
+  images on either side of the packing rule of `algebra._kronecker_keys`
+  (packed where the depth max(p, |q|) times the widest exponent range of
+  an image is at most `algebra.PACKED_SPAN` = 128): the grid (p <= 4,
+  |q| <= 8) of `burau_unreduced(2)` at (t, -1/2, 3), the shape of the
+  `laurent-eval` workload's `kernel2` queries, whose tau_1 image spans
+  exponents -1..2, so 8 * 3 = 24 and it is packed, and the grid (p <= 300,
   q = 0) of `burau_reduced(2)` at (1, -1, 0), whose tau_1 image -t + t^-1
-  spans three exponents, so its heads stay `Matrix` values; the grid
+  spans -1..1, so 300 * 2 = 600 and its heads stay `Matrix` values; the grid
   (p <= 6, |q| <= 12) of sigma_1 -> X in the twisted cyclic algebra
   X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its heads and powers are
   keyed by their integer coordinates and its six hits (p, -p) compared;
@@ -68,7 +74,9 @@ from the `src` directory next to this script's parent:
   `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
   words of length <= 6) and on `burau_reduced(3)` (value 3/2, s <= 4,
   words of length <= 5, the shape of the `word-search` workload's
-  reduced Burau `unfaith` queries), which multiply and key matrix images,
+  reduced Burau `unfaith` queries), whose letter images each span two
+  exponents, so at depths 6 and 5 (6 * 1 and 5 * 1 <= 128) both walks key
+  them as packed integers,
   and on `permutation_rep(4)` (value 3/2, s <= 4, words of length <= 4, the
   shape of its `unfaith --rep perm --n 4` queries), which would key each
   image by its permutation but, as no target (3/2)**-s * 1 has a group key,
@@ -173,6 +181,7 @@ def operations() -> dict:
     rational2_image = Matrix([[0, -2], [1, 0]])
     rational2 = matrix_rep_from_images(2, [rational2_image])
     scalar3_2, reduced2, birman = scalar_char(p, 2), burau_reduced(2), PhiParams.of(1, -1, 0)
+    unreduced2 = burau_unreduced(2)
     cyclic4, cyclic_params = cyclic_rep(4, p), PhiParams.of(1, 0, 0)
     cyclic3, cyclic500 = cyclic_rep(3, -8), cyclic_rep(500, 2)
     dense = PhiParams.of(parse_scalar("1/2"), q, parse_scalar("2/3"))
@@ -218,6 +227,7 @@ def operations() -> dict:
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
         "analysis.kernel2_rational2_deep": lambda: kernel_search_sm2(rational2, rational, 40, 80),
         "analysis.kernel2_scalar": lambda: kernel_search_sm2(scalar3_2, grid_params, 6, 12),
+        "analysis.kernel2_burau_unreduced2": lambda: kernel_search_sm2(unreduced2, params, 4, 8),
         "analysis.kernel2_burau_reduced2_p300": lambda: kernel_search_sm2(reduced2, birman, 300, 0),
         "analysis.kernel2_cyclic4": lambda: kernel_search_sm2(cyclic4, cyclic_params, 6, 12),
         "analysis.kernel2_cyclic3_dense": lambda: kernel_search_sm2(cyclic3, dense, 6, 12),

@@ -24,8 +24,8 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .scalars import (
-    MAX_SPAN, ONE, ZERO, _ZERO_ENTRY, LaurentPoly, _accumulate, _format, _make, _parts, as_scalar, format_scalar,
-    is_unit, parse_scalar
+    ONE, ZERO, _ZERO_ENTRY, LaurentPoly, _accumulate, _format, _make, _parts, as_scalar, format_scalar, is_unit,
+    parse_scalar
 )
 from .words import FrozenValue
 
@@ -153,9 +153,10 @@ def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Ma
     return m
 
 
-def _kronecker_keys(
-    images: Sequence[Matrix], depth: int, max_span: int = MAX_SPAN
-) -> tuple[Callable, Callable, list, Callable] | None:
+PACKED_SPAN = 128
+
+
+def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Callable, list, Callable] | None:
     """Kronecker-packed keys (D. Harvey, J. Symbolic Comput. 44, 2009) for
     products of at most c = `depth` of `images`.  With D the lcm of the
     images' denominators, the key of a matrix M is (low, ents): the entries
@@ -172,22 +173,20 @@ def _kronecker_keys(
     x times the identity, read off x's (low, nums, den) triple; the images
     packed over D; and `product(key, image)`, the key of m * image from the
     key of m, a product of fewer than c images.  Returns None instead where
-    such a product could span more than `max_span` exponents: by default
-    MAX_SPAN, the most a `Matrix` product allows.  With max_span = 1 (and
-    c >= 1) only images that are each a power of t times a rational matrix
-    are packed, so every key entry stays one integer at any depth and a
-    step skips the shift; the SM_2 grid of `analysis.kernel_search_sm2`
-    asks for that.  It does not pack Laurent images: there each entry
-    holds up to c * spread + 1 slots of K bits, and a deep grid of such
-    keys ran 5 to 8 times slower than its `Matrix` products, which cancel
-    and trim as they go (the numbers are in that docstring)."""
+    c * spread > PACKED_SPAN, with spread the widest exponent range of one
+    image: a key entry holds up to c * spread + 1 slots of K bits, while
+    `Matrix` products cancel and trim as they go.  On SM_2 grids (Python
+    3.11, 2 cores) packed keys took 0.51-0.77 times the `Matrix` time up to
+    c * spread = 120, were mixed at 180-200 and mostly slower from 300.
+    Images that each sit at one exponent pack at any depth, one integer per
+    key entry, and a step skips the shift."""
     den = lcm(*[m._den for m in images])
     spread, bound = 0, den
     for m in images:
         ends = [(low, low + len(nums) - 1) for row in m._entries for low, nums in row if nums]
         if ends:
             spread = max(spread, max([e for _, e in ends]) - min([e for e, _ in ends]))
-        if depth * spread >= max_span:
+        if depth * spread > PACKED_SPAN:
             return None
         f = den // m._den
         bound = max(bound, *[sum([abs(n) for _, nums in row for n in nums]) * f for row in m._entries])
@@ -321,7 +320,7 @@ def _group_element(x: object) -> object | None:
 
 
 def _search_keys(
-    one: AlgebraElement, images: Sequence[AlgebraElement], depth: int, max_span: int = MAX_SPAN
+    one: AlgebraElement, images: Sequence[AlgebraElement], depth: int
 ) -> tuple[Callable, Callable, Sequence, Callable, int | None]:
     """The one choice of how a bounded search keys products of `images`,
     elements with identity `one`: (key, scalar_key, steps, product, bound).
@@ -330,8 +329,8 @@ def _search_keys(
     most images a keyed product may hold, or None for any number.  The
     first kind that applies:
 
-    * matrices: `_kronecker_keys(images, depth, max_span)`, bound `depth`,
-      where that function packs them;
+    * matrices: `_kronecker_keys(images, depth)`, bound `depth`, where
+      depth * spread <= PACKED_SPAN;
     * cyclic elements over a rational twist whose images have rational
       coordinates: `_cyclic_keys(one, images, depth)`, bound `depth`, each
       key the element's coordinates as integers over one scale;
@@ -342,7 +341,7 @@ def _search_keys(
       coefficient too);
     * any other element is its own key."""
     if isinstance(one, Matrix):
-        packed = _kronecker_keys(images, depth, max_span)
+        packed = _kronecker_keys(images, depth)
     elif isinstance(one, CyclicElement):
         packed = _cyclic_keys(one, images, depth)
     else:

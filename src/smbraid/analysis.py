@@ -296,15 +296,10 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     by p, then |q|, positive q first, rather than scanned in it.
 
     Heads and powers are held as the keys of `algebra._search_keys` at
-    depth max(p_max, q_max) with max_span = 1, so a matrix grid packs only
-    images that are each a power of t times a rational matrix: each key
-    entry is then one integer, whatever the depth, and a zero image or
-    power is keyed too.  Packed, a Laurent key entry holds one slot per
-    exponent, each as wide as the depth needs, and the grid gets slower,
-    not faster (Python 3.11, one process on a 2-core host):
-    `burau_reduced(2)` at (1, -1, 0), p_max = 300, q_max = 0, took 22 ms as
-    matrices and 120 ms packed, and `burau_unreduced(2)` at (1, 2, 1),
-    p_max = 6, q_max = 200, 23 ms and 183 ms.
+    depth max(p_max, q_max), as the witness walk holds its images: a matrix
+    grid is Kronecker-packed where that depth times the widest exponent
+    range of an image is at most `algebra.PACKED_SPAN`, zero images and
+    powers included, and keeps `Matrix` keys past it.
 
     A cyclic grid over a rational twist whose tau_1 image has rational
     coordinates, the cyclic half of `prop8`, is held as cyclic coordinate
@@ -317,7 +312,7 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     if p_max < 0 or q_max < 0:
         raise ValueError("bounds must be nonnegative")
     images = [Extension(rep, params).letters[tau(1)], rep.image(1), rep.image_inv(1)]
-    key, _, steps, mul, _ = _search_keys(rep.one(), images, max(p_max, q_max), 1)
+    key, _, steps, mul, _ = _search_keys(rep.one(), images, max(p_max, q_max))
 
     def powers(i: int, k: int) -> Iterable:
         """The keys of images[i]**1..k: one product per power after the first."""

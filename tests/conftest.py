@@ -87,8 +87,24 @@ def grid_reference(rep, params, p_max, q_max):
     return tuple(hits)
 
 
-def formal_product_reference(x: FormalElement, y: FormalElement) -> FormalElement:
-    """The all-pairs route of `FormalElement.__mul__`: every pair of terms
-    a * g of x and b * h of y goes through the accumulating constructor as
-    (a * b) * (g * h), whether or not two pairs can meet."""
-    return FormalElement(x.identity, [(g * h, a * b) for g, a in x.coeffs.items() for h, b in y.coeffs.items()])
+def formal_terms(x: FormalElement) -> dict[object, dict[int, Fraction]]:
+    """The coefficients of a formal element as {group element: terms(c)}."""
+    return {g: terms(c) for g, c in x.coeffs.items()}
+
+
+def formal_product_reference(x: FormalElement, y: FormalElement) -> dict[object, dict[int, Fraction]]:
+    """The all-pairs route of `FormalElement.__mul__`, in plain Python on
+    `formal_terms`: every pair of terms a * g of x and b * h of y adds the
+    convolution of the {exponent: Fraction} maps of a and b to the map at
+    g * h; maps that cancel to nothing, and their zero terms, are dropped.
+    No LaurentPoly arithmetic and no FormalElement constructor is used."""
+    total: dict[object, dict[int, Fraction]] = {}
+    ys = formal_terms(y).items()
+    for g, a in formal_terms(x).items():
+        for h, b in ys:
+            acc = total.setdefault(g * h, {})
+            for i, u in a.items():
+                for j, v in b.items():
+                    acc[i + j] = acc.get(i + j, 0) + u * v
+    purged = {gh: {e: c for e, c in acc.items() if c} for gh, acc in total.items()}
+    return {gh: acc for gh, acc in purged.items() if acc}

@@ -262,13 +262,12 @@ def test_kronecker_keys_take_zero_images_and_products():
     # every zero matrix has the one key (0, (0,) * dim**2).
     zero, nil, shear = Matrix([[0, 0], [0, 0]]), Matrix([[0, 3 * T], [0, 0]]), Matrix([[1, 1], [0, 1]])
     images = [zero, nil, shear, Matrix([[scalar(Fraction(1, 2)), 0], [0, 2]])]
-    for max_span in (MAX_SPAN, 1):
-        key, scalar_key, steps, product = _kronecker_keys(images, 3, max_span)
-        assert key(zero) == scalar_key(scalar(0)) == (0, (0, 0, 0, 0))
-        for m in (Matrix.identity(2), *images, nil * shear):
-            for image, step in zip(images, steps):
-                assert product(key(m), step) == key(m * image), (m, image)
-        assert product(key(nil), steps[1]) == (0, (0, 0, 0, 0))
+    key, scalar_key, steps, product = _kronecker_keys(images, 3)
+    assert key(zero) == scalar_key(scalar(0)) == (0, (0, 0, 0, 0))
+    for m in (Matrix.identity(2), *images, nil * shear):
+        for image, step in zip(images, steps):
+            assert product(key(m), step) == key(m * image), (m, image)
+    assert product(key(nil), steps[1]) == (0, (0, 0, 0, 0))
     key, *_ = _kronecker_keys([zero], 2)
     assert key(zero) == (0, (0, 0, 0, 0)) and key(Matrix.identity(2)) is not None
 
@@ -713,6 +712,32 @@ def test_kernel_search_matches_cell_by_cell_grid_rational_2x2_property(entries, 
     assert kernel_search_sm2(rep, params, p_max, q_max).hits == grid_reference(rep, params, p_max, q_max)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=invertible_rational_2x2,
+    f=st.dictionaries(st.integers(-2, 2), small_rationals, max_size=3),
+    k=st.integers(-2, 2),
+    abc=st.one_of(
+        st.sampled_from([(1, 0, 0), (0, 1, 0)]), st.tuples(small_rationals, small_rationals, small_rationals)
+    ),
+    p_max=st.integers(0, 4),
+    q_max=st.integers(0, 8),
+)
+def test_kernel_search_matches_cell_by_cell_grid_laurent_2x2_property(entries, f, k, abc, p_max, q_max):
+    # sigma_1 -> t^k * [[1, f], [0, 1]] * M for a Laurent f and an invertible
+    # rational M: every image spans at most 9 exponents, so at depth <= 8 the
+    # grid packs them.  (1, 0, 0) plants the hits (p, -p), (0, 1, 0) (p, p).
+    m = Matrix([[scalar(x) for x in entries[:2]], [scalar(x) for x in entries[2:]]])
+    rep = matrix_rep_from_images(2, [Matrix([[1, scalar(f)], [0, 1]]) * m.scale(T**k)])
+    params = PhiParams.of(*(scalar(x) for x in abc))
+    images = [Extension(rep, params).letters[tau(1)], rep.image(1), rep.image_inv(1)]
+    assert _kronecker_keys(images, max(p_max, q_max)) is not None
+    hits = kernel_search_sm2(rep, params, p_max, q_max).hits
+    assert hits == grid_reference(rep, params, p_max, q_max)
+    if abc in ((1, 0, 0), (0, 1, 0)) and p_max and q_max:
+        assert (1, -1 if abc[0] else 1) in hits
+
+
 cyclic_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 cyclic_twists = [Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2), Fraction(2), Fraction(-1), Fraction(2, 3)]
 
@@ -737,12 +762,14 @@ def test_kernel_search_matches_cell_by_cell_grid_rational_cyclic_property(order,
     assert kernel_search_sm2(rep, params, p_max, q_max).hits == grid_reference(rep, params, p_max, q_max)
 
 
-def test_kernel_search_packs_only_single_exponent_matrix_grids(monkeypatch):
-    # Kronecker keys for a matrix grid whose tau_1, sigma_1 and sigma_1^-1
-    # images each sit at one exponent; element keys for Laurent matrices and
-    # for a cyclic grid with a Laurent twist or tau_1 image; cyclic
-    # coordinate keys for a rational cyclic grid; group keys exactly for a
-    # formal grid whose three images are each 1 * g.
+def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
+    # Kronecker keys for a matrix grid whose depth (here 8) times the widest
+    # exponent range of its tau_1, sigma_1 and sigma_1^-1 images is at most
+    # PACKED_SPAN, Laurent images included; element keys for a matrix grid
+    # past it (range 17: 8 * 17 = 136) and for a cyclic grid with a Laurent
+    # twist or tau_1 image; cyclic coordinate keys for a rational cyclic
+    # grid; group keys exactly for a formal grid whose three images are each
+    # 1 * g.
     packed = []
 
     def spy(*args):
@@ -757,9 +784,11 @@ def test_kernel_search_packs_only_single_exponent_matrix_grids(monkeypatch):
         (matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]), PhiParams.of(1, 2, 1), "kronecker"),
         (scalar_char(T, 2), PhiParams.of(1, 0, 0), "kronecker"),
         (scalar_char(T, 2), PhiParams.of(0, 0, 0), "kronecker"),
-        (scalar_char(T, 2), PhiParams.of(1, 0, 1), "element"),
-        (burau_reduced(2), PhiParams.of(1, -1, 0), "element"),
-        (burau_unreduced(2), PhiParams.of(1, 0, 0), "element"),
+        (scalar_char(T, 2), PhiParams.of(1, 0, 1), "kronecker"),
+        (burau_reduced(2), PhiParams.of(1, -1, 0), "kronecker"),
+        (burau_unreduced(2), PhiParams.of(1, 0, 0), "kronecker"),
+        (burau_unreduced(2), PhiParams.of(T, scalar(Fraction(-1, 2)), 3), "kronecker"),
+        (matrix_rep_from_images(2, [Matrix([[T**9, 0], [0, T**-8]])]), PhiParams.of(1, 0, 0), "element"),
         (cyclic_rep(4, T), PhiParams.of(1, 0, 0), "element"),
         (cyclic_rep(3, 2), PhiParams.of(T, 0, 0), "element"),
         (cyclic_rep(3, -8), PhiParams.of(*(scalar(Fraction(*x)) for x in ((1, 2), (-4, 3), (2, 3)))), "cyclic"),
@@ -779,6 +808,19 @@ def test_kernel_search_packs_only_single_exponent_matrix_grids(monkeypatch):
         assert packed == ([kind == "kronecker"] if rep.backend == "matrix" else []), (rep.name, params.text())
         assert kinds == [kind], (rep.name, params.text())
         assert report.hits == grid_reference(rep, params, 4, 8)
+
+
+def test_kernel_search_packs_up_to_the_packed_span(monkeypatch):
+    # burau_reduced(2) at (1, -1, 0): tau_1 -> -t + t^-1 spans exponents -1..1,
+    # so a grid of depth 64 (64 * 2 = PACKED_SPAN) packs and one of depth 65
+    # keeps Matrix keys; both agree with the cell-by-cell grid.
+    assert algebra.PACKED_SPAN == 128
+    kinds = spy_key_kinds(monkeypatch)
+    rep, params = burau_reduced(2), PhiParams.of(1, -1, 0)
+    for q_max, kind in ((64, "kronecker"), (65, "element")):
+        kinds.clear()
+        assert kernel_search_sm2(rep, params, 4, q_max).hits == grid_reference(rep, params, 4, q_max)
+        assert kinds == [kind], q_max
 
 
 def test_kernel_search_dense_grid_in_hit_order():

@@ -566,3 +566,43 @@ def test_golden_json_output(capsys, tmp_path, argv, expected):
     argv = [str(path) if arg == "{matrix}" else arg.replace("{laurent}", str(laurent)) for arg in argv]
     _, raw = run_json(capsys, *argv)
     assert raw == expected
+
+
+# Exact text-mode output of the reports whose text lines no JSON query prints:
+# a scalar-power witness (one with a nonempty v and one with the empty word), a
+# root-of-unity witness and a prop8 comparison.
+GOLDEN_TEXT = [
+    (
+        ["unfaith", "--mode", "a00", "--val", "2", "--rep", "scalar:2", "--n", "2", "--smax", "4", "--lmax", "4"],
+        "scalar power: rho(S1) = value^-(1) * identity\n"
+        "witness: 't1 S1' vs 's1'\n"
+        "certificate: tau-count: 1 != 0\n",
+    ),
+    (
+        ["unfaith", "--mode", "a00", "--val", "-1", "--rep", "perm", "--n", "3", "--rmax", "0"],
+        "scalar power: rho(empty word) = value^-(2) * identity\n"
+        "witness: 't1 t1' vs 's1 s1'\n"
+        "certificate: tau-count: 2 != 0\n",
+    ),
+    (
+        ["unfaith", "--mode", "a00", "--val", "-1", "--rep", "burau-reduced", "--n", "3"],
+        "root of unity: order 2\n"
+        "witness: 't1 t1' vs 's1 s1'\n"
+        "certificate: tau-count: 2 != 0\n",
+    ),
+    (
+        ["prop8", "--matrix", "{matrix}", "--s", "2", "--ds", "-2", "--a", "1", "--b", "2", "--c", "1",
+         "--pmax", "3", "--qmax", "4"],
+        "matrix backend hits: [(1, 0), (2, 0), (3, 0)]\n"
+        "cyclic backend hits: [(1, 0), (2, 0), (3, 0)]\n"
+        "kernels agree within bounds: True\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_TEXT, ids=[f"{i:02d}-{a[0]}" for i, (a, _) in enumerate(GOLDEN_TEXT)])
+def test_golden_text_output(capsys, tmp_path, argv, expected):
+    path = tmp_path / "m.txt"
+    path.write_text("0,-2\n1,0\n")
+    code, out, err = run_cli(capsys, *[str(path) if arg == "{matrix}" else arg for arg in argv])
+    assert (code, out, err) == (0, expected, "")
