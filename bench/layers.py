@@ -70,13 +70,19 @@ from the `src` directory next to this script's parent:
   group element with coefficient 1, so its heads and powers are keyed by
   their group elements;
   `scalar_kernel_hits` for the character d = 2 (p <= 4,
-  |q| <= 8), the route of acceptance criterion 7; and the witness walk of
+  |q| <= 8), the route of acceptance criterion 7; and the witness search
   `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
   words of length <= 6) and on `burau_reduced(3)` (value 3/2, s <= 4,
   words of length <= 5, the shape of the `word-search` workload's
-  reduced Burau `unfaith` queries), whose letter images each span two
-  exponents, so at depths 6 and 5 (6 * 1 and 5 * 1 <= 128) both walks key
-  them as packed integers,
+  reduced Burau `unfaith` queries), which return without a walk: det
+  rho(sigma_1) = -t, so no word's determinant (-t)^e is that of a target
+  value^-s * 1, a rational constant other than 1; on `burau_unreduced(3)`
+  at value -t (s <= 4, length <= 6), whose targets at s = +-1 and +-2
+  have the determinants (-t)^(-3s) of words of exponent sum -3s, so it
+  walks the ball, keying the letter images, which each span two
+  exponents, as packed integers (6 * 1 <= 128); on `burau_unreduced(4)`
+  at value 2 (s <= 4, length <= 10), the deep search that no word's
+  determinant can satisfy, so it too returns without a walk;
   and on `permutation_rep(4)` (value 3/2, s <= 4, words of length <= 4, the
   shape of its `unfaith --rep perm --n 4` queries), which would key each
   image by its permutation but, as no target (3/2)**-s * 1 has a group key,
@@ -235,6 +241,8 @@ def operations() -> dict:
         "analysis.kernel2_formal_burau2": lambda: kernel_search_sm2(formal_reduced2, cyclic_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
         "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),
+        "analysis.witness_walk_burau3_admissible": lambda: find_scalar_witness(walk_rep, -T, 4, 6),
+        "analysis.witness_obstructed_burau_unreduced4_l10": lambda: find_scalar_witness(rep, two, 4, 10),
         "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),
         "analysis.witness_walk_perm4": lambda: find_scalar_witness(perm4, p, 4, 4),
         "analysis.witness_walk_perm4_unit": lambda: find_scalar_witness(perm4, -1, 4, 4),

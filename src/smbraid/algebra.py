@@ -391,12 +391,33 @@ def _faddeev_leverrier(m: Matrix) -> tuple[tuple[int, tuple[int, ...]], list]:
         c = tuple([x // k for x in tr])
         rows = [list(row) for row in p._entries]
         for i, row in enumerate(rows if c else ()):  # N_(k+1) = E * N_k - c * I
-            row[i] = _accumulate([term for term in ((*row[i], (1,)), (low, c, (-1,))) if term[1]])
+            row[i] = _minus(row[i], low, c)
         if k < dim - 1:
             p = e * _canonical(1, rows)
     pairs = [(x, y) for row, col in zip(e._entries, zip(*rows)) for x, y in zip(row, col) if x[1] and y[1]]
     low, tr = _accumulate([(x_low + y_low, a, b) for (x_low, a), (y_low, b) in pairs])
     return (low, tuple([x // (dim if dim % 2 else -dim) for x in tr])), rows  # det E = c / (-1)**(dim-1)
+
+
+def _minus(entry: tuple[int, tuple[int, ...]], low: int, c: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The trimmed entry minus t^low * c, for nonempty trimmed c: c is
+    subtracted from the numerators aligned at the lower of the two lowest
+    exponents, and only the ends that cancel are trimmed."""
+    a_low, a = entry
+    if not a:
+        return low, tuple([-x for x in c])
+    start = min(a_low, low)
+    out = [0] * (max(a_low + len(a), low + len(c)) - start)
+    out[a_low - start : a_low - start + len(a)] = a
+    for i, x in enumerate(c, low - start):
+        out[i] -= x
+    end = len(out)
+    while end and not out[end - 1]:
+        end -= 1
+    first = 0
+    while first < end and not out[first]:
+        first += 1
+    return (start + first, tuple(out[first:end])) if end else _ZERO_ENTRY
 
 
 def parse_matrix(text: str) -> Matrix:

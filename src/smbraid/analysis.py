@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, repeat
+from math import log
 from typing import Iterable, NamedTuple
 
 from .algebra import AlgebraElement, Matrix, _search_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
-from .scalars import LaurentPoly, as_scalar, format_scalar, is_unit
+from .scalars import LaurentPoly, _parts, as_scalar, format_scalar, is_unit
 from .words import (
     GenLetter,
     SMWord,
@@ -163,6 +164,18 @@ def find_scalar_witness(
     to try, and once c reaches len_max (at once for keys of any depth), the
     targets are keyed before the walk, and if none has a key there is no hit.
     Absence of a hit is evidence only; the search is bounded.
+
+    A matrix rep first drops every s whose target no word in bounds can
+    reach, by determinants (the Burau determinant argument; J. Birman,
+    Braids, Links, and Mapping Class Groups, 1974).  The braid relations,
+    checked when the rep is built, make every sigma_i conjugate to sigma_1,
+    so det rho(v) = delta**e(v), where delta = det rho(sigma_1) is a unit
+    and e(v) is the exponent sum of v, with |e(v)| <= len(v) <= len_max.
+    The target value**(-s) * 1 has determinant value**(-s * dim), so s is
+    kept only where `_det_reachable` finds that power of delta; if no s is
+    kept, there is no walk.  The kept exponents are tried in the same
+    order, and a dropped one could never hit, so every result is the one
+    the unfiltered search returns.
     """
     value = as_scalar(value)
     if not is_unit(value):
@@ -171,10 +184,15 @@ def find_scalar_witness(
         raise ValueError("bounds must be nonnegative")
     if s_max == 0:
         return None
-    walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
-    images = [rep.letters[letter] for letter, _ in walk_letters]
     one = rep.one()
     exponents = [*range(1, s_max + 1), *range(-1, -s_max - 1, -1)]
+    if isinstance(one, Matrix):
+        delta = rep.image(1).det()
+        exponents = [s for s in exponents if _det_reachable(delta, value ** (-s * one.dim), len_max)]
+        if not exponents:
+            return None  # no word of length <= len_max has a target's determinant
+    walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
+    images = [rep.letters[letter] for letter, _ in walk_letters]
     depth = min(len_max, 8)
     while True:
         key, target, steps, mul, bound = _search_keys(one, images, depth)
@@ -207,6 +225,37 @@ def find_scalar_witness(
         if letters is not None:
             return SMWord(rep.n, letters), s
     return None
+
+
+def _det_reachable(delta: LaurentPoly, target: LaurentPoly, len_max: int) -> bool:
+    """Whether delta**e == target for some |e| <= len_max, for units delta
+    and target, by one candidate e and one exact power.  With delta = c*t^k:
+
+    * k != 0: e is the t-exponent of target over k, if that divides;
+    * delta = +-1: only the parity of e matters, so e is 0 for target 1 and
+      1 for any other;
+    * any other constant p/q: a hit needs target = P/Q with
+      |P| * Q = (|p| * q)**|e|, so |e| is that integer logarithm, read off
+      the float ratio of the two natural logs and rounded, and e is
+      negative where exactly one of |target| and |delta| exceeds 1.  Both
+      logarithms are of integers >= 2 or of 1, so the ratio is off by less
+      than 1/2 unless |e| nears 10**15, a target of as many bits.
+    """
+    d_low, (d_num,), d_den = _parts(delta)
+    low, (num,), den = _parts(target)
+    if d_low:
+        e, rem = divmod(low, d_low)
+        if rem:
+            return False
+    elif low:
+        return False
+    elif abs(d_num) == d_den:
+        e = 0 if target == 1 else 1
+    else:
+        e = round(log(abs(num) * den) / log(abs(d_num) * d_den))
+        if (abs(num) > den) != (abs(d_num) > d_den):
+            e = -e
+    return abs(e) <= len_max and delta**e == target
 
 
 def scalar_power_witness(

@@ -19,6 +19,7 @@ from smbraid.algebra import (
     FormalElement,
     Matrix,
     Permutation,
+    _minus,
     linear_combination,
     parse_matrix,
 )
@@ -452,6 +453,25 @@ def test_det_and_inverse_match_sympy(m):
     # the stored inverse is canonical: rebuilt from its rows it is stored alike
     rebuilt = Matrix(inv.rows)
     assert inv == rebuilt and hash(inv) == hash(rebuilt) and inv.text() == rebuilt.text()
+
+
+trimmed_nums = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(lambda nums: nums[0] and nums[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 3), st.one_of(st.just([]), trimmed_nums), st.integers(-3, 3), trimmed_nums)
+def test_diagonal_subtraction_matches_termwise_difference(a_low, a, low, c):
+    # The Faddeev-LeVerrier step subtracts t^low * c from a diagonal entry;
+    # against the difference of the {exponent: coefficient} maps, with the
+    # entry trimmed at both ends and zero stored as (0, ()).
+    entry = (a_low if a else 0, tuple(a))
+    expected = {e: x for e, x in enumerate(a, a_low)}
+    for e, x in enumerate(c, low):
+        expected[e] = expected.get(e, 0) - x
+    expected = {e: x for e, x in expected.items() if x}
+    got_low, got = _minus(entry, low, tuple(c))
+    assert (got[0] and got[-1]) if got else got_low == 0
+    assert {e: x for e, x in enumerate(got, got_low) if x} == expected
 
 
 def elementary(dim: int, i: int, j: int, x) -> Matrix:

@@ -337,16 +337,20 @@ def test_find_scalar_witness_keys_targets_from_the_scalar():
     assert keyed and missing
 
 
-def test_find_scalar_witness_sizes_keys_by_the_depth_reached():
+def test_find_scalar_witness_sizes_keys_by_the_depth_reached(monkeypatch):
     # Both images have order 2, so the walk ends at depth 2 whatever len_max
     # says; slots and scales sized from len_max would take billions of bits.
     # The constant image is packed at any depth, as its products span one
-    # exponent.
+    # exponent.  Both have determinant -1, so the target -1 * 1 (s = +-1),
+    # of determinant 1, is walked for; no image is -1 * 1.
+    kinds = spy_key_kinds(monkeypatch)
     for m in (Matrix([[1, -2 * T], [0, -1]]), Matrix([[1, -2], [0, -1]])):
         rep = matrix_rep_from_images(2, [m])
+        kinds.clear()
         start = time.perf_counter()
-        assert find_scalar_witness(rep, 2, 4, 10**9) is None
+        assert find_scalar_witness(rep, -1, 1, 10**9) is None
         assert time.perf_counter() - start < 0.5
+        assert kinds == ["kronecker"], m
 
 
 def test_find_scalar_witness_restarts_past_the_first_depth():
@@ -356,10 +360,92 @@ def test_find_scalar_witness_restarts_past_the_first_depth():
     assert find_scalar_witness(rep, scalar(Fraction(1, 2**9)), 1, 9) == (sigma_power(2, 1, 9), 1)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["burau-unreduced2", "matrix2x2-n2", "matrix2x2-laurent-n2", "scalar2-n2", "cyclic2_2-n2", "cyclic3_1_2-n2"],
-)
+@pytest.mark.parametrize("name", [name for name, rep in WITNESS_REPS.items() if rep.backend == "matrix"])
+def test_find_scalar_witness_drops_only_targets_no_determinant_reaches(name):
+    # det rho(v) = delta**e(v) with |e(v)| <= len(v), for delta = det
+    # rho(sigma_1), so a matrix rep may drop the exponent s only where no
+    # such power is the determinant of value**-s * 1.  Each verdict of the
+    # closed form is checked against that definition, looped over e; every
+    # s of an enumerated hit must be kept; and the search must still return
+    # the enumeration's (v, s).  Values are +-2^j t^k.
+    rng = random.Random(35)
+    rep = WITNESS_REPS[name]
+    one, delta = rep.one(), rep.image(1).det()
+    all_states = enumerated_witness_states(rep, 6)
+    hits = 0
+    for len_max in (0, 1, 2, 4, 6):
+        states = [(v, img) for v, img in all_states if len(v) <= len_max]
+        values = [scalar(-1), T**-1, T**3, scalar(Fraction(1, 2))]
+        values += [rng.choice((-1, 1)) * scalar(Fraction(2) ** rng.randint(-3, 3)) * T ** rng.randint(-3, 3) for _ in range(8)]
+        for value in values:
+            expected = enumerated_witness(states, rep, value, 4)
+            assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
+            for s in (1, 2, 3, 4, -1, -2, -3, -4):
+                target = value ** (-s * one.dim)
+                kept = analysis._det_reachable(delta, target, len_max)
+                assert kept == any(delta**e == target for e in range(-len_max, len_max + 1)), (len_max, value, s)
+                image = one.scale(value**-s)
+                hit = any(img == image for _, img in states)
+                assert kept or not hit, (len_max, value, s)
+                hits += hit
+    assert hits
+
+
+def test_find_scalar_witness_keeps_the_full_twist_of_reduced_burau3():
+    # rho(Delta^2) = t^3 * 1 for the full twist Delta^2 = (s1 s2)^3: six
+    # letters of exponent sum 6, and t^6 = (-t)^6 is its determinant.  So the
+    # filter keeps the exponent that reaches it, and the search finds it at
+    # len_max 6 and not before.
+    rep = burau_reduced(3)
+    assert rep_eval(rep, parse_word("s1 s2 s1 s2 s1 s2", 3)) == rep.one().scale(T**3)
+    states = enumerated_witness_states(rep, 6)
+    for value, s in ((T**-1, 3), (T**-3, 1), (T**3, 1)):
+        expected = enumerated_witness(states, rep, value, 4)
+        assert expected is not None and len(expected[0]) == 6 and expected[1] == s, value
+        assert find_scalar_witness(rep, value, 4, 6) == expected, value
+        assert find_scalar_witness(rep, value, 4, 5) is None, value
+
+
+def test_find_scalar_witness_returns_at_once_where_no_determinant_reaches():
+    # Unreduced Burau at n = 4 has det rho(sigma_1) = -t, so no word's
+    # determinant is 2**(-4s): the search returns without a walk, however long
+    # the words it may take.
+    rep = burau_unreduced(4)
+    for len_max in (10, 10**9):
+        start = time.perf_counter()
+        assert find_scalar_witness(rep, 2, 4, len_max) is None
+        assert time.perf_counter() - start < 0.5, len_max
+
+
+def test_find_scalar_witness_decides_constant_determinants_in_closed_form():
+    # delta = 2 for the character 2 and delta = -1 for [[1, -2], [0, -1]]:
+    # each verdict is one candidate exponent and one power, not a loop over
+    # every |e| <= len_max, so a bound of 10**9 costs nothing.
+    cases = [
+        (scalar_char(2, 2), (scalar(3), 2 * T, scalar(6), scalar(Fraction(-3, 4)))),
+        (matrix_rep_from_images(2, [Matrix([[1, -2], [0, -1]])]), (scalar(2), T, scalar(Fraction(3, 2)), scalar(-2))),
+    ]
+    for rep, values in cases:
+        for value in values:
+            start = time.perf_counter()
+            assert find_scalar_witness(rep, value, 4, 10**9) is None, (rep.name, value)
+            assert time.perf_counter() - start < 0.5, (rep.name, value)
+
+
+# Values whose targets some word's determinant reaches, so a matrix rep walks:
+# det rho(sigma_1) is -t for unreduced Burau, 2 for [[0, -2], [1, 0]] and
+# [[2]], and 2t for [[0, -2t], [1, 0]].
+RESTART_VALUES = {
+    "burau-unreduced2": (T, -T, scalar(-1)),
+    "matrix2x2-n2": (scalar(2), scalar(-1), scalar(Fraction(1, 2))),
+    "matrix2x2-laurent-n2": (scalar(Fraction(-1, 2)) * T**-1, scalar(-1), 2 * T),
+    "scalar2-n2": (scalar(2), scalar(-1), scalar(Fraction(1, 2))),
+    "cyclic2_2-n2": WITNESS_VALUES,
+    "cyclic3_1_2-n2": WITNESS_VALUES,
+}
+
+
+@pytest.mark.parametrize("name", RESTART_VALUES)
 def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatch):
     # Kronecker and cyclic coordinate keys are first sized for depth 8; a
     # longer walk restarts with keys for a deeper one, and must still keep
@@ -369,7 +455,7 @@ def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatc
     kinds = spy_key_kinds(monkeypatch)
     for len_max in (9, 12, 17):
         states = enumerated_witness_states(rep, len_max)
-        for value in WITNESS_VALUES:
+        for value in RESTART_VALUES[name]:
             kinds.clear()
             expected = enumerated_witness(states, rep, value, 4)
             assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
@@ -378,10 +464,11 @@ def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatc
 
 def test_find_scalar_witness_keeps_the_matrix_span_limit():
     # Products of this image span more exponents than a LaurentPoly may, so the
-    # walk multiplies matrices and raises as their product does.
+    # walk multiplies matrices and raises as their product does.  The target
+    # -1 * 1 has determinant 1, that of the empty word, so the walk runs.
     rep = matrix_rep_from_images(2, [Matrix([[T ** (MAX_SPAN // 2 + 1), 1], [0, 1]])])
     with pytest.raises(ValueError, match="spans"):
-        find_scalar_witness(rep, 2, 1, 3)
+        find_scalar_witness(rep, -1, 1, 3)
 
 
 def count_search_work(monkeypatch, mul_budget):
@@ -482,20 +569,23 @@ def test_find_scalar_witness_keys_only_unit_coefficient_letters_by_group(monkeyp
     # matrix; element keys for scaled formal letters and a cyclic rep with a
     # Laurent twist; cyclic coordinate keys for a cyclic rep with a rational
     # twist; and Kronecker keys, never group keys, for a matrix rep.
+    # The matrix rep takes values whose targets some word's determinant
+    # reaches (det rho(sigma_1) = -t), so that it walks.
     kinds = spy_key_kinds(monkeypatch)
+    units = (scalar(Fraction(1, 2)), scalar(-1), T)
     cases = [
-        (permutation_rep(4), ["group"]),
-        (as_formal(burau_reduced(3)), ["group"]),
-        (scaled_permutation_rep(3, scalar(2)), ["element"]),
-        (scaled_permutation_rep(3, scalar(1)), ["group"]),
-        (burau_reduced(3), ["kronecker"]),
-        (cyclic_rep(3, -1, 3), ["cyclic"]),
-        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), ["cyclic"]),
-        (cyclic_rep(2, 2 * T**-1, 3), ["element"]),
+        (permutation_rep(4), ["group"], units),
+        (as_formal(burau_reduced(3)), ["group"], units),
+        (scaled_permutation_rep(3, scalar(2)), ["element"], units),
+        (scaled_permutation_rep(3, scalar(1)), ["group"], units),
+        (burau_reduced(3), ["kronecker"], (-T**-1, scalar(-1), T)),
+        (cyclic_rep(3, -1, 3), ["cyclic"], units),
+        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), ["cyclic"], units),
+        (cyclic_rep(2, 2 * T**-1, 3), ["element"], units),
     ]
-    for rep, expected in cases:
+    for rep, expected, values in cases:
         states = enumerated_witness_states(rep, 3)
-        for value in (scalar(Fraction(1, 2)), scalar(-1), T):
+        for value in values:
             kinds.clear()
             assert find_scalar_witness(rep, value, 4, 3) == enumerated_witness(states, rep, value, 4), (rep.name, value)
             assert kinds == expected, (rep.name, value)
