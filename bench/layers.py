@@ -87,8 +87,14 @@ from the `src` directory next to this script's parent:
   shape of its `unfaith --rep perm --n 4` queries), which would key each
   image by its permutation but, as no target (3/2)**-s * 1 has a group key,
   returns without a walk; and on `permutation_rep(4)` at value -1 (s <= 4,
-  length <= 4), whose target at s = 2 is the identity, so it walks the
-  whole ball on permutation keys and returns the empty word;
+  length <= 4), whose target at s = 2 is the identity, which the empty
+  word reaches, so it returns before any product; and two searches whose
+  answer is settled long before their bound, each returning at the product
+  that reaches it: `burau_reduced(3)` at value t^-3 (s <= 4, length
+  <= 12), whose answer at s = 1, the first s tried, is the full twist
+  rho(s1 s1 s2 s1 s1 s2) = t^3 * 1, reached in the walk keyed for depth 8,
+  and `scalar_char(2, 2)` at value 2 (s <= 4, length <= 4096), whose answer
+  S1 is its second product;
 * cli: five whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, a `kernel2`
@@ -198,6 +204,7 @@ def operations() -> dict:
     walk_rep = burau_unreduced(3)
     reduced3 = burau_reduced(3)
     perm4 = permutation_rep(4)
+    scalar2 = scalar_char(2, 2)
     shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
     dense8, rng = Matrix.identity(8), random.Random(8)
     for _ in range(64):  # elementary factors: the identity with x at (i, j)
@@ -246,6 +253,8 @@ def operations() -> dict:
         "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),
         "analysis.witness_walk_perm4": lambda: find_scalar_witness(perm4, p, 4, 4),
         "analysis.witness_walk_perm4_unit": lambda: find_scalar_witness(perm4, -1, 4, 4),
+        "analysis.witness_settled_burau_reduced3_l12": lambda: find_scalar_witness(reduced3, T**-3, 4, 12),
+        "analysis.witness_settled_scalar2_l4096": lambda: find_scalar_witness(scalar2, two, 4, 4096),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]

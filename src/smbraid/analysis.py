@@ -158,50 +158,56 @@ def find_scalar_witness(
     so the key size follows the depth reached, not len_max; keys that hold
     any depth are walked to len_max at once.
 
-    Exponents are then tried s = 1..s_max, then s = -1..-s_max, so the
-    returned exponent is positive whenever a positive one exists in bounds.
-    No walk is made where nothing can hit: with s_max == 0 there is nothing
-    to try, and once c reaches len_max (at once for keys of any depth), the
-    targets are keyed before the walk, and if none has a key there is no hit.
-    Absence of a hit is evidence only; the search is bounded.
+    Exponents are tried s = 1..s_max, then s = -1..-s_max, so the returned
+    exponent is positive whenever a positive one exists in bounds.  The
+    answer is the first s in that order whose target is hit, with that
+    target's first word, and the search ends by one rule: as soon as that
+    answer is settled.  An s is open while it may still be hit: the
+    determinant filter below keeps it and, once no restart can follow, its
+    target has a key.  The walk returns at the product that first reaches
+    the target of the first open s, even mid-level, since no later word of
+    that image and no later s can come first; if that target is never
+    reached, the targets are looked up once the walk ends.  If no s is
+    open, the answer is None and there is no walk.  On group keys the only
+    keyed target is the identity, which the empty word reaches, so such a
+    search makes no product.  Absence of a hit is evidence only; the search
+    is bounded.
 
     A matrix rep first drops every s whose target no word in bounds can
     reach, by determinants (the Burau determinant argument; J. Birman,
     Braids, Links, and Mapping Class Groups, 1974).  The braid relations,
     checked when the rep is built, make every sigma_i conjugate to sigma_1,
-    so det rho(v) = delta**e(v), where delta = det rho(sigma_1) is a unit
-    and e(v) is the exponent sum of v, with |e(v)| <= len(v) <= len_max.
-    The target value**(-s) * 1 has determinant value**(-s * dim), so s is
-    kept only where `_det_reachable` finds that power of delta; if no s is
-    kept, there is no walk.  The kept exponents are tried in the same
-    order, and a dropped one could never hit, so every result is the one
-    the unfiltered search returns.
+    so det rho(v) = delta**e(v), where delta = det rho(sigma_1) is a unit,
+    computed once per rep, and e(v) is the exponent sum of v, with
+    |e(v)| <= len(v) <= len_max.  The target value**(-s) * 1 has
+    determinant value**(-s * dim), so s is kept only where `_det_reachable`
+    finds that power of delta.  A dropped s could never hit, so every
+    result is the one the unfiltered search returns.
     """
     value = as_scalar(value)
     if not is_unit(value):
         raise ValueError(f"need a unit, got {format_scalar(value)}")
     if s_max < 0 or len_max < 0:
         raise ValueError("bounds must be nonnegative")
-    if s_max == 0:
-        return None
     one = rep.one()
     exponents = [*range(1, s_max + 1), *range(-1, -s_max - 1, -1)]
     if isinstance(one, Matrix):
-        delta = rep.image(1).det()
-        exponents = [s for s in exponents if _det_reachable(delta, value ** (-s * one.dim), len_max)]
-        if not exponents:
-            return None  # no word of length <= len_max has a target's determinant
+        exponents = [s for s in exponents if _det_reachable(rep._delta, value ** (-s * one.dim), len_max)]
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
     depth = min(len_max, 8)
-    while True:
+    while exponents:  # some s is open, so keys are worth building
         key, target, steps, mul, bound = _search_keys(one, images, depth)
         if bound is None:  # the keys hold products of any length
             depth = len_max
-        targets = [(s, target(value**-s)) for s in exponents]
-        if depth == len_max and all(t is None for _, t in targets):
-            return None  # no restart can follow, so no target will ever have a key
+        # the open s: once no restart can follow, only those whose target has a key
+        targets = [(s, t) for s in exponents if (t := target(value**-s)) is not None or depth < len_max]
+        if not targets:
+            break
+        goal_s, goal = targets[0]
         start = key(one)
+        if start == goal:
+            return SMWord(rep.n), goal_s
         first: dict[object, tuple[GenLetter, ...]] = {start: ()}
         level: list[tuple[tuple[GenLetter, ...], object]] = [((), start)]
         for _ in range(depth):
@@ -213,18 +219,16 @@ def find_scalar_witness(
                     grown = letters + (letter,)
                     new = mul(img, step)
                     if first.setdefault(new, grown) is grown:
+                        if new == goal:
+                            return SMWord(rep.n, grown), goal_s
                         next_level.append((grown, new))
             level = next_level
             if not level:
                 break
-        if not level or depth == len_max:
-            break
+        if not level or depth == len_max:  # the target of the first open s was never reached
+            return next(((SMWord(rep.n, first[t]), s) for s, t in targets if t in first), None)
         depth = min(2 * depth, len_max)  # the keys only hold products of up to depth images
-    for s, t in targets:
-        letters = first.get(t)
-        if letters is not None:
-            return SMWord(rep.n, letters), s
-    return None
+    return None  # no s is open
 
 
 def _det_reachable(delta: LaurentPoly, target: LaurentPoly, len_max: int) -> bool:

@@ -22,7 +22,7 @@ Shipped representations:
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -102,6 +102,12 @@ class BraidRep:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range for n={self.n}")
         return self.letters[sigma_inv(i)]
+
+    @cached_property
+    def _delta(self) -> LaurentPoly:
+        """det rho(sigma_1) of a matrix rep, for the determinant filter of
+        `analysis.find_scalar_witness`; a rep is immutable, so it is taken once."""
+        return self.letters[sigma(1)].det()
 
     def __repr__(self) -> str:
         return f"BraidRep({self.name} (n={self.n}, backend={self.backend}))"

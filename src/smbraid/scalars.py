@@ -51,9 +51,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._nums)
 
-    def is_constant(self) -> bool:
-        return not self._nums or (self._low == 0 and len(self._nums) == 1)
-
     def is_unit(self) -> bool:
         return len(self._nums) == 1
 

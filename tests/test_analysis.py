@@ -445,11 +445,25 @@ RESTART_VALUES = {
 }
 
 
+def first_kept_exponent(rep, value, len_max):
+    """The first s in try order that the determinant filter keeps (every s
+    of a rep that is not a matrix rep is kept)."""
+    one = rep.one()
+    for s in (1, 2, 3, 4, -1, -2, -3, -4):
+        if not isinstance(one, Matrix) or analysis._det_reachable(rep.image(1).det(), value ** (-s * one.dim), len_max):
+            return s
+    return None
+
+
 @pytest.mark.parametrize("name", RESTART_VALUES)
 def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatch):
     # Kronecker and cyclic coordinate keys are first sized for depth 8; a
-    # longer walk restarts with keys for a deeper one, and must still keep
-    # the enumeration's words.
+    # walk that looks further restarts with keys for a deeper one, and must
+    # still keep the enumeration's words.  The walk at depth 8 settles the
+    # search, with no restart, exactly where the answer's s is the first one
+    # kept and its word has at most 8 letters: a miss, a longer word, or an
+    # earlier s left open needs the restart.  Every image group here is
+    # infinite, so no walk ends early by exhaustion.
     rep = WITNESS_REPS[name]
     kind = "cyclic" if rep.backend == "cyclic" else "kronecker"
     kinds = spy_key_kinds(monkeypatch)
@@ -459,7 +473,12 @@ def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatc
             kinds.clear()
             expected = enumerated_witness(states, rep, value, 4)
             assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
-            assert kinds[0] == kind and len(kinds) > 1, (len_max, value)
+            settled = (
+                expected is not None
+                and len(expected[0]) <= 8
+                and expected[1] == first_kept_exponent(rep, value, len_max)
+            )
+            assert kinds[0] == kind and (len(kinds) > 1) != settled, (len_max, value)
 
 
 def test_find_scalar_witness_keeps_the_matrix_span_limit():
@@ -502,18 +521,45 @@ def count_search_work(monkeypatch, mul_budget):
     return calls
 
 
+def spy_products(monkeypatch):
+    """Count the products of keys that `analysis._search_keys` hands out,
+    the steps of a walk, under calls["product"]."""
+    calls = Counter()
+
+    def spy(*args):
+        key, target, steps, product, bound = _search_keys(*args)
+
+        def counted(x, step):
+            calls["product"] += 1
+            return product(x, step)
+
+        return key, target, steps, counted, bound
+
+    monkeypatch.setattr(analysis, "_search_keys", spy)
+    return calls
+
+
+# S_3 as permutation matrices: a finite group without -1 * 1, so at value -1
+# the target of s = 1 is never reached and the walk exhausts the group.
+PERM3_MATRICES = matrix_rep_from_images(
+    3, [Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])]
+)
+
+
 def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
-    # S_4 has 24 elements and each kept image is extended by at most 6 letters.
-    # The walk keys each image by its permutation, so every product is a
-    # group product and no formal element is multiplied.  Under value -1 the
-    # target 1 * 1 (s = 2) has the identity's key, so the walk runs and finds
-    # the empty word.
+    # On group keys the only keyed target is the identity, 1 * 1 (s = 2 at
+    # value -1), which the empty word reaches: `permutation_rep(4)` makes no
+    # product at all.  S_3 as permutation matrices keeps walking for s = 1:
+    # it has 6 elements and each kept image is extended by at most 4
+    # letters, one key product each, and no formal element is multiplied.
     rep = permutation_rep(4)
-    calls = count_search_work(monkeypatch, 24 * 6)
+    calls = count_search_work(monkeypatch, 0)
+    products = spy_products(monkeypatch)
     assert find_scalar_witness(rep, -1, 4, 6) == (SMWord(4), 2)
-    assert 0 < calls["group_mul"] <= 24 * 6
-    assert calls["mul"] == 0
-    assert calls["rep_eval"] == 0
+    assert products["product"] == calls["group_mul"] == calls["mul"] == calls["rep_eval"] == 0
+    assert find_scalar_witness(PERM3_MATRICES, -1, 4, 6) == (SMWord(3), 2)
+    assert 0 < products["product"] <= 6 * 4
+    assert calls["mul"] == calls["rep_eval"] == 0
 
 
 def test_find_scalar_witness_with_no_keyed_target_walks_nothing(monkeypatch):
@@ -535,11 +581,64 @@ def test_find_scalar_witness_without_exponents_walks_nothing(monkeypatch):
 
 
 def test_find_scalar_witness_stops_when_images_are_exhausted(monkeypatch):
-    # Once a level adds no new image the walk ends, whatever len_max says.
+    # Once a level adds no new image the walk ends, whatever len_max says:
+    # S_3 as permutation matrices is exhausted in the first walk, with no
+    # restart, after the same 19 products at len_max 6 and 10**6.  On
+    # `permutation_rep(4)` the empty word settles the search first.
+    products = spy_products(monkeypatch)
+    for len_max in (6, 10**6):
+        products.clear()
+        assert find_scalar_witness(PERM3_MATRICES, -1, 4, len_max) == (SMWord(3), 2)
+        assert products["product"] == 19, len_max
     rep = permutation_rep(4)
-    calls = count_search_work(monkeypatch, 24 * 6)
+    calls = count_search_work(monkeypatch, 0)
     assert find_scalar_witness(rep, -1, 4, 10**6) == (SMWord(4), 2)
-    assert 0 < calls["group_mul"] <= 24 * 6
+    assert calls["group_mul"] == 0
+
+
+def test_find_scalar_witness_returns_once_its_answer_is_settled(monkeypatch):
+    # The answer is the first hit s in try order, with its target's first
+    # word, so once the first open s is hit no later product can change it.
+    # The character 2 at value 2 hits s = 1 with S1, its second product, at
+    # any len_max; walking on would double the depth without end.
+    products = spy_products(monkeypatch)
+    for len_max in (8, 4096, 10**6):
+        products.clear()
+        assert find_scalar_witness(scalar_char(2, 2), 2, 4, len_max) == (sigma_power(2, 1, -1), 1), len_max
+        assert products["product"] == 2, len_max
+    # Reduced Burau at t^-3 hits s = 1, the first s tried, with the full
+    # twist (6 letters), so no longer word can change the enumeration's
+    # answer, and the walk keyed for depth 8 (L = 12) stops where the one
+    # keyed for depth 6 does.
+    rep = burau_reduced(3)
+    expected = enumerated_witness(enumerated_witness_states(rep, 6), rep, T**-3, 4)
+    assert expected[1] == 1 and len(expected[0]) == 6
+    counts = []
+    for len_max in (6, 12):
+        products.clear()
+        assert find_scalar_witness(rep, T**-3, 4, len_max) == expected, len_max
+        counts.append(products["product"])
+    assert counts[0] == counts[1] > 0
+
+
+def test_find_scalar_witness_takes_one_determinant_per_rep(monkeypatch):
+    # delta = det rho(sigma_1) depends on the rep only, so two searches on
+    # one rep take it once.  No word's determinant (-t)^e is 2**(-8s) or
+    # (3/2)**(-8s), so no s is open and neither search builds keys, which
+    # on burau_unreduced(32) would cost several times that determinant.
+    rep = burau_unreduced(8)
+    dets = Counter()
+    det = Matrix.det
+
+    def counted(self):
+        dets["det"] += 1
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counted)
+    kinds = spy_key_kinds(monkeypatch)
+    for value in (scalar(2), scalar(Fraction(3, 2))):
+        assert find_scalar_witness(rep, value, 4, 10) is None
+    assert dets["det"] == 1 and kinds == []
 
 
 def key_kind(keys, x):

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -116,6 +117,26 @@ def test_unfaith_scalar_power(capsys):
     assert doc["found"] and doc["kind"] == "scalar-power"
     assert doc["v"] == "S1" and doc["s"] == 1
     assert doc["witnesses"][0]["w1"] == "t1 S1"
+
+
+def test_unfaith_stops_once_its_answer_is_settled():
+    # S1 settles the search at its second product, so a bound of 10**6 costs
+    # nothing; a walk on to the bound would double its depth until the
+    # address cap ends it.  Run in a child process under a 1 GB cap.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONSTARTUP")}
+    argv = ["unfaith", "--mode", "a00", "--val", "2", "--rep", "scalar:2", "--n", "2", "--lmax", "1000000", "--json"]
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "smbraid.cli", *argv],
+        env={**env, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=5,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["v"] == "S1"
 
 
 def test_unfaith_absent(capsys):
