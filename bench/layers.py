@@ -66,9 +66,8 @@ from the `src` directory next to this script's parent:
   (p <= 20, |q| <= 40) of X^500 = 2 at the same parameters, where a head
   fills up to 41 of the 500 coordinates and a power of X one; the
   grid (p <= 6, |q| <= 12) of `as_formal(burau_reduced(2))` at (1, 0, 0),
-  the path of `kernel2 --backend formal`, whose three images are each one
-  group element with coefficient 1, so its heads and powers are keyed by
-  their group elements;
+  the path of `kernel2 --backend formal`, whose heads and powers are keyed
+  by the formal elements themselves, so each product is a convolution;
   `scalar_kernel_hits` for the character d = 2 (p <= 4,
   |q| <= 8), the route of acceptance criterion 7; and the witness search
   `find_scalar_witness` on `burau_unreduced(3)` (value 2, s <= 4,
@@ -84,17 +83,21 @@ from the `src` directory next to this script's parent:
   at value 2 (s <= 4, length <= 10), the deep search that no word's
   determinant can satisfy, so it too returns without a walk;
   and on `permutation_rep(4)` (value 3/2, s <= 4, words of length <= 4, the
-  shape of its `unfaith --rep perm --n 4` queries), which would key each
-  image by its permutation but, as no target (3/2)**-s * 1 has a group key,
-  returns without a walk; and on `permutation_rep(4)` at value -1 (s <= 4,
-  length <= 4), whose target at s = 2 is the identity, which the empty
-  word reaches, so it returns before any product; and two searches whose
+  shape of its `unfaith --rep perm --n 4` queries), which returns before
+  building keys: every image has coefficient sum 1, and so has every word's
+  image, so no target (3/2)**-s * 1 is kept; and on `permutation_rep(4)` at
+  value -1 (s <= 4, length <= 4), whose kept targets, at s = +-2 and +-4,
+  are the identity, which the empty word reaches, so it builds element keys
+  and returns before any product; and two searches whose
   answer is settled long before their bound, each returning at the product
   that reaches it: `burau_reduced(3)` at value t^-3 (s <= 4, length
   <= 12), whose answer at s = 1, the first s tried, is the full twist
   rho(s1 s1 s2 s1 s1 s2) = t^3 * 1, reached in the walk keyed for depth 8,
   and `scalar_char(2, 2)` at value 2 (s <= 4, length <= 4096), whose answer
-  S1 is its second product;
+  S1 is its second product.  A witness op is named by what it times:
+  `witness_walk_*` makes step products, `witness_obstructed_*` returns
+  before building keys, as no target is kept, and `witness_settled_*`
+  returns once its answer is settled;
 * cli: five whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, a `kernel2`
@@ -247,12 +250,12 @@ def operations() -> dict:
         "analysis.kernel2_cyclic500": lambda: kernel_search_sm2(cyclic500, dense, 20, 40),
         "analysis.kernel2_formal_burau2": lambda: kernel_search_sm2(formal_reduced2, cyclic_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
-        "analysis.witness_walk_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),
+        "analysis.witness_obstructed_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),
         "analysis.witness_walk_burau3_admissible": lambda: find_scalar_witness(walk_rep, -T, 4, 6),
         "analysis.witness_obstructed_burau_unreduced4_l10": lambda: find_scalar_witness(rep, two, 4, 10),
-        "analysis.witness_walk_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),
-        "analysis.witness_walk_perm4": lambda: find_scalar_witness(perm4, p, 4, 4),
-        "analysis.witness_walk_perm4_unit": lambda: find_scalar_witness(perm4, -1, 4, 4),
+        "analysis.witness_obstructed_burau_reduced3": lambda: find_scalar_witness(reduced3, p, 4, 5),
+        "analysis.witness_obstructed_perm4": lambda: find_scalar_witness(perm4, p, 4, 4),
+        "analysis.witness_settled_perm4_unit": lambda: find_scalar_witness(perm4, -1, 4, 4),
         "analysis.witness_settled_burau_reduced3_l12": lambda: find_scalar_witness(reduced3, T**-3, 4, 12),
         "analysis.witness_settled_scalar2_l4096": lambda: find_scalar_witness(scalar2, two, 4, 4096),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),

@@ -310,15 +310,6 @@ def _cyclic_keys(
     return key, scalar_key, steps, product
 
 
-def _group_element(x: object) -> object | None:
-    """g where x is the formal element 1 * g, else None."""
-    if isinstance(x, FormalElement) and len(x.coeffs) == 1:
-        [(g, c)] = x.coeffs.items()
-        if c == 1:
-            return g
-    return None
-
-
 def _search_keys(
     one: AlgebraElement, images: Sequence[AlgebraElement], depth: int
 ) -> tuple[Callable, Callable, Sequence, Callable, int | None]:
@@ -327,29 +318,21 @@ def _search_keys(
     `key(x)`, and `scalar_key(c)` for c * one, are None where there is no
     key; `product(key(x), step)` is the key of x * image; `bound` is the
     most images a keyed product may hold, or None for any number.  The
-    first kind that applies:
+    first of three kinds that applies:
 
     * matrices: `_kronecker_keys(images, depth)`, bound `depth`, where
       depth * spread <= PACKED_SPAN;
     * cyclic elements over a rational twist whose images have rational
       coordinates: `_cyclic_keys(one, images, depth)`, bound `depth`, each
       key the element's coordinates as integers over one scale;
-    * formal images that are each 1 * g for a group element g (`perm`, an
-      `as_formal` lift): the key of 1 * g is g, a step is a group product,
-      and c * one has the identity's key when c == 1 and none otherwise (a
-      scaled letter is not keyed so: each step would multiply and hash a
-      coefficient too);
-    * any other element is its own key."""
+    * any other element is its own key, and c * one is `one.scale(c)`:
+      every formal element, a matrix past the packed span, and a cyclic
+      element with a Laurent twist or coordinate."""
+    packed = None
     if isinstance(one, Matrix):
         packed = _kronecker_keys(images, depth)
     elif isinstance(one, CyclicElement):
         packed = _cyclic_keys(one, images, depth)
-    else:
-        steps = [_group_element(x) for x in images]
-        if all(g is not None for g in steps):
-            identity = one.identity
-            return _group_element, lambda c: identity if c == 1 else None, steps, mul, None
-        packed = None
     if packed:
         return (*packed, depth)
     return lambda x: x, one.scale, images, mul, None
@@ -391,33 +374,12 @@ def _faddeev_leverrier(m: Matrix) -> tuple[tuple[int, tuple[int, ...]], list]:
         c = tuple([x // k for x in tr])
         rows = [list(row) for row in p._entries]
         for i, row in enumerate(rows if c else ()):  # N_(k+1) = E * N_k - c * I
-            row[i] = _minus(row[i], low, c)
+            row[i] = _accumulate([t for t in ((*row[i], (1,)), (low, c, (-1,))) if t[1]])
         if k < dim - 1:
             p = e * _canonical(1, rows)
     pairs = [(x, y) for row, col in zip(e._entries, zip(*rows)) for x, y in zip(row, col) if x[1] and y[1]]
     low, tr = _accumulate([(x_low + y_low, a, b) for (x_low, a), (y_low, b) in pairs])
     return (low, tuple([x // (dim if dim % 2 else -dim) for x in tr])), rows  # det E = c / (-1)**(dim-1)
-
-
-def _minus(entry: tuple[int, tuple[int, ...]], low: int, c: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The trimmed entry minus t^low * c, for nonempty trimmed c: c is
-    subtracted from the numerators aligned at the lower of the two lowest
-    exponents, and only the ends that cancel are trimmed."""
-    a_low, a = entry
-    if not a:
-        return low, tuple([-x for x in c])
-    start = min(a_low, low)
-    out = [0] * (max(a_low + len(a), low + len(c)) - start)
-    out[a_low - start : a_low - start + len(a)] = a
-    for i, x in enumerate(c, low - start):
-        out[i] -= x
-    end = len(out)
-    while end and not out[end - 1]:
-        end -= 1
-    first = 0
-    while first < end and not out[first]:
-        first += 1
-    return (start + first, tuple(out[first:end])) if end else _ZERO_ENTRY
 
 
 def parse_matrix(text: str) -> Matrix:

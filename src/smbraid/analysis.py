@@ -168,21 +168,26 @@ def find_scalar_witness(
     the target of the first open s, even mid-level, since no later word of
     that image and no later s can come first; if that target is never
     reached, the targets are looked up once the walk ends.  If no s is
-    open, the answer is None and there is no walk.  On group keys the only
-    keyed target is the identity, which the empty word reaches, so such a
-    search makes no product.  Absence of a hit is evidence only; the search
-    is bounded.
+    open, the answer is None and there is no walk.  Absence of a hit is
+    evidence only; the search is bounded.
 
-    A matrix rep first drops every s whose target no word in bounds can
-    reach, by determinants (the Burau determinant argument; J. Birman,
-    Braids, Links, and Mapping Class Groups, 1974).  The braid relations,
-    checked when the rep is built, make every sigma_i conjugate to sigma_1,
-    so det rho(v) = delta**e(v), where delta = det rho(sigma_1) is a unit,
-    computed once per rep, and e(v) is the exponent sum of v, with
+    A matrix or formal rep first drops every s whose target no word in
+    bounds can reach, by a multiplicative map chi to the scalars: the
+    determinant of a matrix rep (the Burau determinant argument; J. Birman,
+    Braids, Links, and Mapping Class Groups, 1974), and the coefficient sum
+    of a formal rep, the augmentation of the group algebra, a ring
+    homomorphism.  The braid relations, checked when the rep is built, make
+    every sigma_i conjugate to sigma_1, so chi(rho(v)) = delta**e(v), where
+    delta = chi(rho(sigma_1)) is a unit, computed once per rep
+    (`BraidRep._delta`), and e(v) is the exponent sum of v, with
     |e(v)| <= len(v) <= len_max.  The target value**(-s) * 1 has
-    determinant value**(-s * dim), so s is kept only where `_det_reachable`
-    finds that power of delta.  A dropped s could never hit, so every
-    result is the one the unfiltered search returns.
+    chi = value**(-s * k), with k the dimension of a matrix rep and 1 for a
+    formal rep, so s is kept only where `_det_reachable` finds that power of
+    delta.  A dropped s could never hit, so every result is the one the
+    unfiltered search returns.  Letter images that are each 1 * g (`perm`,
+    an `as_formal` lift) have delta = 1, so the only s kept has the target
+    1 * 1, which the empty word reaches, and such a search makes no product.
+    A cyclic rep is not filtered.
     """
     value = as_scalar(value)
     if not is_unit(value):
@@ -191,8 +196,9 @@ def find_scalar_witness(
         raise ValueError("bounds must be nonnegative")
     one = rep.one()
     exponents = [*range(1, s_max + 1), *range(-1, -s_max - 1, -1)]
-    if isinstance(one, Matrix):
-        exponents = [s for s in exponents if _det_reachable(rep._delta, value ** (-s * one.dim), len_max)]
+    if character := rep._delta:
+        delta, k = character
+        exponents = [s for s in exponents if _det_reachable(delta, value ** (-s * k), len_max)]
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
     depth = min(len_max, 8)

@@ -36,6 +36,7 @@ from .algebra import (
 )
 from .scalars import (
     T,
+    ZERO,
     LaurentPoly,
     as_scalar,
     format_scalar,
@@ -104,10 +105,18 @@ class BraidRep:
         return self.letters[sigma_inv(i)]
 
     @cached_property
-    def _delta(self) -> LaurentPoly:
-        """det rho(sigma_1) of a matrix rep, for the determinant filter of
+    def _delta(self) -> tuple[LaurentPoly, int] | None:
+        """(chi(rho(sigma_1)), k) for a multiplicative map chi to the scalars
+        with chi(c * 1) = c**k: (det, dim) for a matrix rep, and (coefficient
+        sum, 1) for a formal rep, the augmentation of its group algebra; None
+        for a cyclic rep.  For the character filter of
         `analysis.find_scalar_witness`; a rep is immutable, so it is taken once."""
-        return self.letters[sigma(1)].det()
+        x = self.letters[sigma(1)]
+        if isinstance(x, Matrix):
+            return x.det(), x.dim
+        if isinstance(x, FormalElement):
+            return sum(x.coeffs.values(), ZERO), 1
+        return None
 
     def __repr__(self) -> str:
         return f"BraidRep({self.name} (n={self.n}, backend={self.backend}))"

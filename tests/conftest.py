@@ -7,9 +7,11 @@ their oracle."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
+from smbraid import analysis
 from smbraid.algebra import FormalElement
 from smbraid.scalars import LaurentPoly, T, _parts, as_scalar
 from smbraid.words import SMWord, braid_letters, tau
@@ -61,6 +63,27 @@ def enumerate_braid_words(n: int, max_len: int) -> Iterator[SMWord]:
                 next_level.append(letters)
                 yield SMWord(n, letters)
         level = next_level
+
+
+def spy_products(monkeypatch) -> Counter:
+    """Count the key sets that `analysis._search_keys` hands out, under
+    calls["keys"], and the products of those keys, the steps of a walk,
+    under calls["product"]."""
+    calls = Counter()
+    search_keys = analysis._search_keys
+
+    def spy(*args):
+        calls["keys"] += 1
+        key, target, steps, product, bound = search_keys(*args)
+
+        def counted(x, step):
+            calls["product"] += 1
+            return product(x, step)
+
+        return key, target, steps, counted, bound
+
+    monkeypatch.setattr(analysis, "_search_keys", spy)
+    return calls
 
 
 def grid_reference(rep, params, p_max, q_max):

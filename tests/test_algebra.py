@@ -19,13 +19,12 @@ from smbraid.algebra import (
     FormalElement,
     Matrix,
     Permutation,
-    _minus,
     linear_combination,
     parse_matrix,
 )
 from smbraid.analysis import _SL2Z_LETTERS, _SL2Z_ONE, _check_sl2z_table, _sl2z_mul
 from smbraid.reps import burau_reduced, permutation_rep, rep_eval
-from smbraid.scalars import MAX_SPAN, ZERO, T, LaurentPoly, as_scalar, format_scalar, is_unit
+from smbraid.scalars import MAX_SPAN, ZERO, T, LaurentPoly, _accumulate, as_scalar, format_scalar, is_unit
 from smbraid.words import parse_word, sigma, sigma_inv
 
 
@@ -461,15 +460,16 @@ trimmed_nums = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(lambd
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-3, 3), st.one_of(st.just([]), trimmed_nums), st.integers(-3, 3), trimmed_nums)
 def test_diagonal_subtraction_matches_termwise_difference(a_low, a, low, c):
-    # The Faddeev-LeVerrier step subtracts t^low * c from a diagonal entry;
-    # against the difference of the {exponent: coefficient} maps, with the
-    # entry trimmed at both ends and zero stored as (0, ()).
+    # The Faddeev-LeVerrier step subtracts t^low * c from a diagonal entry
+    # by one `_accumulate` over the nonempty triples entry * 1 and
+    # t^low * c * -1; against the difference of the {exponent: coefficient}
+    # maps, with the entry trimmed at both ends and zero stored as (0, ()).
     entry = (a_low if a else 0, tuple(a))
     expected = {e: x for e, x in enumerate(a, a_low)}
     for e, x in enumerate(c, low):
         expected[e] = expected.get(e, 0) - x
     expected = {e: x for e, x in expected.items() if x}
-    got_low, got = _minus(entry, low, tuple(c))
+    got_low, got = _accumulate([t for t in ((*entry, (1,)), (low, tuple(c), (-1,))) if t[1]])
     assert (got[0] and got[-1]) if got else got_low == 0
     assert {e: x for e, x in enumerate(got, got_low) if x} == expected
 

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_braid_words, grid_reference, random_braid_word, random_sm_word, scalar
+from conftest import (
+    enumerate_braid_words, grid_reference, random_braid_word, random_sm_word, scalar, spy_products
+)
 from smbraid import algebra, analysis, reps
 from smbraid.algebra import (
     CyclicElement, FormalElement, Matrix, Permutation, _cyclic_keys, _kronecker_keys, _search_keys
@@ -360,20 +362,37 @@ def test_find_scalar_witness_restarts_past_the_first_depth():
     assert find_scalar_witness(rep, scalar(Fraction(1, 2**9)), 1, 9) == (sigma_power(2, 1, 9), 1)
 
 
-@pytest.mark.parametrize("name", [name for name, rep in WITNESS_REPS.items() if rep.backend == "matrix"])
+def character(rep):
+    """(chi(rho(sigma_1)), k) with chi(c * 1) = c**k, read off the letter
+    image: (det, dim) of a matrix, (coefficient sum, 1) of a formal element;
+    None for a cyclic rep, which the witness search does not filter."""
+    x = rep.image(1)
+    if rep.backend == "matrix":
+        return x.det(), x.dim
+    if rep.backend == "formal":
+        return sum(x.coeffs.values(), scalar(0)), 1
+    return None
+
+
+@pytest.mark.parametrize("name", [name for name, rep in WITNESS_REPS.items() if character(rep)])
 def test_find_scalar_witness_drops_only_targets_no_determinant_reaches(name):
-    # det rho(v) = delta**e(v) with |e(v)| <= len(v), for delta = det
-    # rho(sigma_1), so a matrix rep may drop the exponent s only where no
-    # such power is the determinant of value**-s * 1.  Each verdict of the
-    # closed form is checked against that definition, looped over e; every
-    # s of an enumerated hit must be kept; and the search must still return
-    # the enumeration's (v, s).  Values are +-2^j t^k.
+    # chi(rho(v)) = delta**e(v) with |e(v)| <= len(v), for delta =
+    # chi(rho(sigma_1)) and chi the determinant of a matrix rep or the
+    # coefficient sum of a formal one, so the search may drop the exponent s
+    # only where no such power is chi(value**-s * 1) = value**(-s * k).  Each
+    # verdict of the closed form is checked against that definition, looped
+    # over e; every s of an enumerated hit must be kept; and the search must
+    # still return the enumeration's (v, s).  Values are +-2^j t^k.  The
+    # bound stops at 4 on perm4 and perm5, whose balls of radius 6 hold 19k
+    # and 134k words, each evaluated from scratch.
     rng = random.Random(35)
     rep = WITNESS_REPS[name]
-    one, delta = rep.one(), rep.image(1).det()
-    all_states = enumerated_witness_states(rep, 6)
+    one, (delta, k) = rep.one(), character(rep)
+    assert rep._delta == (delta, k)
+    bounds = (0, 1, 2, 4, 6) if rep.n <= 3 else (0, 1, 2, 4)
+    all_states = enumerated_witness_states(rep, bounds[-1])
     hits = 0
-    for len_max in (0, 1, 2, 4, 6):
+    for len_max in bounds:
         states = [(v, img) for v, img in all_states if len(v) <= len_max]
         values = [scalar(-1), T**-1, T**3, scalar(Fraction(1, 2))]
         values += [rng.choice((-1, 1)) * scalar(Fraction(2) ** rng.randint(-3, 3)) * T ** rng.randint(-3, 3) for _ in range(8)]
@@ -381,7 +400,7 @@ def test_find_scalar_witness_drops_only_targets_no_determinant_reaches(name):
             expected = enumerated_witness(states, rep, value, 4)
             assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
             for s in (1, 2, 3, 4, -1, -2, -3, -4):
-                target = value ** (-s * one.dim)
+                target = value ** (-s * k)
                 kept = analysis._det_reachable(delta, target, len_max)
                 assert kept == any(delta**e == target for e in range(-len_max, len_max + 1)), (len_max, value, s)
                 image = one.scale(value**-s)
@@ -446,11 +465,11 @@ RESTART_VALUES = {
 
 
 def first_kept_exponent(rep, value, len_max):
-    """The first s in try order that the determinant filter keeps (every s
-    of a rep that is not a matrix rep is kept)."""
-    one = rep.one()
+    """The first s in try order that the character filter keeps (every s of
+    a rep without a character is kept)."""
+    chi = character(rep)
     for s in (1, 2, 3, 4, -1, -2, -3, -4):
-        if not isinstance(one, Matrix) or analysis._det_reachable(rep.image(1).det(), value ** (-s * one.dim), len_max):
+        if chi is None or analysis._det_reachable(chi[0], value ** (-s * chi[1]), len_max):
             return s
     return None
 
@@ -492,8 +511,8 @@ def test_find_scalar_witness_keeps_the_matrix_span_limit():
 
 def count_search_work(monkeypatch, mul_budget):
     """Count `FormalElement` products ("mul"), group products of permutations
-    ("group_mul", the steps of a walk on group keys, and also the products
-    inside a formal one) and `rep_eval` calls; a product of either kind past
+    ("group_mul", the products inside a formal one) and `rep_eval` calls; a
+    product of either kind past
     the budget fails at once instead of running on."""
     calls = Counter()
 
@@ -521,24 +540,6 @@ def count_search_work(monkeypatch, mul_budget):
     return calls
 
 
-def spy_products(monkeypatch):
-    """Count the products of keys that `analysis._search_keys` hands out,
-    the steps of a walk, under calls["product"]."""
-    calls = Counter()
-
-    def spy(*args):
-        key, target, steps, product, bound = _search_keys(*args)
-
-        def counted(x, step):
-            calls["product"] += 1
-            return product(x, step)
-
-        return key, target, steps, counted, bound
-
-    monkeypatch.setattr(analysis, "_search_keys", spy)
-    return calls
-
-
 # S_3 as permutation matrices: a finite group without -1 * 1, so at value -1
 # the target of s = 1 is never reached and the walk exhausts the group.
 PERM3_MATRICES = matrix_rep_from_images(
@@ -547,9 +548,10 @@ PERM3_MATRICES = matrix_rep_from_images(
 
 
 def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
-    # On group keys the only keyed target is the identity, 1 * 1 (s = 2 at
-    # value -1), which the empty word reaches: `permutation_rep(4)` makes no
-    # product at all.  S_3 as permutation matrices keeps walking for s = 1:
+    # Every image of `permutation_rep(4)` has coefficient sum 1, so at value
+    # -1 the character filter keeps only s = +-2 and +-4, whose target 1 * 1
+    # the empty word reaches: it makes no product at all.  S_3 as
+    # permutation matrices has determinants +-1 and keeps walking for s = 1:
     # it has 6 elements and each kept image is extended by at most 4
     # letters, one key product each, and no formal element is multiplied.
     rep = permutation_rep(4)
@@ -563,13 +565,15 @@ def test_find_scalar_witness_multiplies_once_per_new_image(monkeypatch):
 
 
 def test_find_scalar_witness_with_no_keyed_target_walks_nothing(monkeypatch):
-    # A permutation image has coefficient 1, so under value 2 no target
-    # 2**-s * 1 has a group key and no product is worth making.
+    # A permutation image has coefficient sum 1, so every word's image has
+    # too, and under value 2 no target 2**-s * 1 is kept: no key is built
+    # and no product made.
     rep = permutation_rep(4)
     calls = count_search_work(monkeypatch, 0)
+    kinds = spy_key_kinds(monkeypatch)
     assert find_scalar_witness(rep, 2, 4, 6) is None
     assert find_scalar_witness(rep, scalar(Fraction(3, 2)), 4, 10**6) is None
-    assert calls["mul"] == calls["group_mul"] == 0
+    assert calls["mul"] == calls["group_mul"] == 0 and kinds == []
 
 
 def test_find_scalar_witness_without_exponents_walks_nothing(monkeypatch):
@@ -642,11 +646,12 @@ def test_find_scalar_witness_takes_one_determinant_per_rep(monkeypatch):
 
 
 def key_kind(keys, x):
-    """Which kind of key `_search_keys` returned: keys of any depth read off
-    the key of x, bounded ones off the backend of x."""
+    """Which kind of key `_search_keys` returned: keys of any depth are the
+    elements, bounded ones are read off the backend of x."""
     key, *_, bound = keys
     if bound is None:
-        return "element" if key(x) is x else "group"
+        assert key(x) is x
+        return "element"
     return "cyclic" if isinstance(x, CyclicElement) else "kronecker"
 
 
@@ -663,50 +668,32 @@ def spy_key_kinds(monkeypatch):
     return kinds
 
 
-def test_find_scalar_witness_keys_only_unit_coefficient_letters_by_group(monkeypatch):
-    # Group keys for formal letters that are each 1 * g, a permutation or a
-    # matrix; element keys for scaled formal letters and a cyclic rep with a
-    # Laurent twist; cyclic coordinate keys for a cyclic rep with a rational
-    # twist; and Kronecker keys, never group keys, for a matrix rep.
-    # The matrix rep takes values whose targets some word's determinant
-    # reaches (det rho(sigma_1) = -t), so that it walks.
+def test_find_scalar_witness_keys_by_backend(monkeypatch):
+    # Kronecker keys for a matrix rep; cyclic coordinate keys for a cyclic
+    # rep with a rational twist; element keys for every formal rep, whether
+    # its letters are each 1 * g, a permutation or a matrix, or scaled, and
+    # for a cyclic rep with a Laurent twist.  The matrix and formal reps
+    # take values whose targets some word's character reaches, so that keys
+    # are built: chi(rho(sigma_1)) is 1 for the unit letters, 2 for the
+    # scaled ones and -t for reduced Burau.
     kinds = spy_key_kinds(monkeypatch)
     units = (scalar(Fraction(1, 2)), scalar(-1), T)
     cases = [
-        (permutation_rep(4), ["group"], units),
-        (as_formal(burau_reduced(3)), ["group"], units),
-        (scaled_permutation_rep(3, scalar(2)), ["element"], units),
-        (scaled_permutation_rep(3, scalar(1)), ["group"], units),
-        (burau_reduced(3), ["kronecker"], (-T**-1, scalar(-1), T)),
-        (cyclic_rep(3, -1, 3), ["cyclic"], units),
-        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), ["cyclic"], units),
-        (cyclic_rep(2, 2 * T**-1, 3), ["element"], units),
+        (permutation_rep(4), "element", (scalar(-1),)),
+        (as_formal(burau_reduced(3)), "element", (scalar(-1),)),
+        (scaled_permutation_rep(3, scalar(2)), "element", units[:2]),
+        (scaled_permutation_rep(3, scalar(1)), "element", (scalar(-1),)),
+        (burau_reduced(3), "kronecker", (-T**-1, scalar(-1), T)),
+        (cyclic_rep(3, -1, 3), "cyclic", units),
+        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), "cyclic", units),
+        (cyclic_rep(2, 2 * T**-1, 3), "element", units),
     ]
     for rep, expected, values in cases:
         states = enumerated_witness_states(rep, 3)
         for value in values:
             kinds.clear()
             assert find_scalar_witness(rep, value, 4, 3) == enumerated_witness(states, rep, value, 4), (rep.name, value)
-            assert kinds == expected, (rep.name, value)
-
-
-def test_group_keys_follow_formal_products():
-    # The key of 1 * g is g, a step multiplies it by the letter's element,
-    # and the target c * 1 is the identity's key exactly when c == 1.
-    for rep in (permutation_rep(3), as_formal(burau_reduced(3))):
-        images = list(rep.letters.values())
-        one = rep.one()
-        key, target, steps, product, bound = _search_keys(one, images, 2)
-        assert bound is None
-        assert key(one) == target(scalar(1)) == one.identity
-        assert target(scalar(2)) is None and target(scalar(-1)) is None
-        assert key(one.scale(2)) is None and key(images[0] + images[-1]) is None
-        for x in (one, *images, images[0] * images[-1]):
-            for image, step in zip(images, steps):
-                assert product(key(x), step) == key(x * image)
-    scaled = scaled_permutation_rep(3, scalar(2))
-    images = list(scaled.letters.values())
-    assert key_kind(_search_keys(scaled.one(), images, 2), images[0]) == "element"
+            assert kinds == [expected], (rep.name, value)
 
 
 def test_scalar_power_witness_examples():
@@ -956,9 +943,8 @@ def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
     # exponent range of its tau_1, sigma_1 and sigma_1^-1 images is at most
     # PACKED_SPAN, Laurent images included; element keys for a matrix grid
     # past it (range 17: 8 * 17 = 136) and for a cyclic grid with a Laurent
-    # twist or tau_1 image; cyclic coordinate keys for a rational cyclic
-    # grid; group keys exactly for a formal grid whose three images are each
-    # 1 * g.
+    # twist or tau_1 image and for every formal grid; cyclic coordinate keys
+    # for a rational cyclic grid.
     packed = []
 
     def spy(*args):
@@ -983,12 +969,12 @@ def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
         (cyclic_rep(3, -8), PhiParams.of(*(scalar(Fraction(*x)) for x in ((1, 2), (-4, 3), (2, 3)))), "cyclic"),
         (cyclic_rep(4, scalar(Fraction(3, 2))), PhiParams.of(1, 0, 0), "cyclic"),
         (cyclic_rep(2, -1), PhiParams.of(0, 0, 0), "cyclic"),
-        (perm2, PhiParams.of(1, 0, 0), "group"),
-        (perm2, PhiParams.of(0, 1, 0), "group"),
-        (perm2, PhiParams.of(0, 0, 1), "group"),
+        (perm2, PhiParams.of(1, 0, 0), "element"),
+        (perm2, PhiParams.of(0, 1, 0), "element"),
+        (perm2, PhiParams.of(0, 0, 1), "element"),
         (perm2, PhiParams.of(2, 0, 0), "element"),
-        (formal_burau2, PhiParams.of(1, 0, 0), "group"),
-        (formal_scalar2, PhiParams.of(1, 0, 0), "group"),
+        (formal_burau2, PhiParams.of(1, 0, 0), "element"),
+        (formal_scalar2, PhiParams.of(1, 0, 0), "element"),
     ]
     for rep, params, kind in cases:
         packed.clear()
