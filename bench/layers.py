@@ -41,32 +41,42 @@ from the `src` directory next to this script's parent:
 * analysis: `sm3_word_equality` on the same two SM_3 words, the `wordeq3`
   oracle, which folds both words on integer 5-tuples of SL(2, Z) x Z;
   `check_relations(burau_unreduced(4), params)`, the `relcheck`
-  path, which builds its own extension; the `SM_2` kernel grid (p <= 6,
-  |q| <= 12) of sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of
-  `prop8` (where tau_1 -> 1, as 2 * rho(sigma_1)^-1 = -rho(sigma_1)), and
-  the grid of the same matrix at p <= 40, |q| <= 80 and (1/2, -2/3, 3/5),
-  whose tau_1 powers grow, both held as Kronecker-packed keys since every
-  image sits at one exponent; the grid
-  (p <= 6, |q| <= 12) of the scalar character 3/2 at (1, 2, 1), as 1x1
-  matrices, the grid of `kernel2 --rep scalar:<d>`; two grids of Laurent
-  images on either side of the packing rule of `algebra._kronecker_keys`
-  (packed where the depth max(p, |q|) times the widest exponent range of
-  an image is at most `algebra.PACKED_SPAN` = 128): the grid (p <= 4,
-  |q| <= 8) of `burau_unreduced(2)` at (t, -1/2, 3), the shape of the
-  `laurent-eval` workload's `kernel2` queries, whose tau_1 image spans
-  exponents -1..2, so 8 * 3 = 24 and it is packed, and the grid (p <= 300,
-  q = 0) of `burau_reduced(2)` at (1, -1, 0), whose tau_1 image -t + t^-1
-  spans -1..1, so 300 * 2 = 600 and its heads stay `Matrix` values; the grid
-  (p <= 6, |q| <= 12) of sigma_1 -> X in the twisted cyclic algebra
+  path, which builds its own extension; the `SM_2` kernel grids, each at
+  p <= 6, |q| <= 12 unless stated.  A matrix grid op is named by what it
+  times, as the witness ops below are: `kernel2_walk_*` builds keys and
+  makes products, and `kernel2_obstructed_*` returns before building keys,
+  because no det tau_1^p * det sigma_1^q is 1 in bounds but at (0, 0), so
+  the box of `kernel_search_sm2` is empty.  They are: the grid of
+  sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of `prop8`
+  (where tau_1 -> 1, as 2 * rho(sigma_1)^-1 = -rho(sigma_1)), whose box
+  (6, 0, 0) leaves it the row heads only, no power of sigma_1; the grid of
+  the same matrix at p <= 40, |q| <= 80 and (1, 0, 0), where tau_1 ->
+  sigma_1 and the box is (40, -40, 0), so its tau_1 powers grow, and at
+  (1/2, -2/3, 3/5), obstructed (det tau_1 = 787/450 and det sigma_1 = 2),
+  all held as Kronecker-packed keys since every image sits at one
+  exponent; the grid of the scalar character 3/2, as 1x1 matrices, the
+  grid of `kernel2 --rep scalar:<d>`, at (1, 2, -13/6), planted so that
+  tau_1 -> 2/3 and the hits are (p, p), and at (1, 2, 1), obstructed
+  (tau_1 -> 23/6); the grid (p <= 4, |q| <= 8) of `burau_unreduced(2)` at
+  (1, 0, 0), where tau_1 -> sigma_1 and the box is (4, -4, 0), packed
+  under the rule of `algebra._kronecker_keys` (the depth max(p_top, q_hi,
+  -q_lo) of the box times the widest exponent range of an image is at most
+  `algebra.PACKED_SPAN` = 128), and at (t, -1/2, 3), the shape of the
+  `laurent-eval` workload's `kernel2` queries, obstructed (det tau_1 is no
+  unit); and the grid (p <= 300, q = 0) of `burau_reduced(2)` at
+  (1, -1, 0), obstructed (tau_1 -> -t + t^-1 is no unit).  The cyclic
+  grids, which the filter leaves whole: the grid of sigma_1 -> X in the
+  twisted cyclic algebra
   X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its heads and powers are
   keyed by their integer coordinates and its six hits (p, -p) compared;
-  the grid (p <= 6, |q| <= 12) of X^3 = -8 at (1/2, -4/3, 2/3), whose
+  the grid of X^3 = -8 at (1/2, -4/3, 2/3), whose
   tau_1 image has all three coordinates nonzero, the shape of the cyclic
   half of `prop8` and of `kernel2 --backend cyclic:<s>:<ds>`; the grid
   (p <= 20, |q| <= 40) of X^500 = 2 at the same parameters, where a head
-  fills up to 41 of the 500 coordinates and a power of X one; the
-  grid (p <= 6, |q| <= 12) of `as_formal(burau_reduced(2))` at (1, 0, 0),
-  the path of `kernel2 --backend formal`, whose heads and powers are keyed
+  fills up to 41 of the 500 coordinates and a power of X one.  The grid
+  of `as_formal(burau_reduced(2))` at (1, 0, 0), the path of
+  `kernel2 --backend formal`, which the filter leaves whole too (every
+  image has coefficient sum 1), and whose heads and powers are keyed
   by the formal elements themselves, so each product is a convolution;
   `scalar_kernel_hits` for the character d = 2 (p <= 4,
   |q| <= 8), the route of acceptance criterion 7; and the witness search
@@ -198,6 +208,7 @@ def operations() -> dict:
     scalar3_2, reduced2, birman = scalar_char(p, 2), burau_reduced(2), PhiParams.of(1, -1, 0)
     unreduced2 = burau_unreduced(2)
     cyclic4, cyclic_params = cyclic_rep(4, p), PhiParams.of(1, 0, 0)
+    sigma_params, planted = cyclic_params, PhiParams.of(1, 2, parse_scalar("-13/6"))
     cyclic3, cyclic500 = cyclic_rep(3, -8), cyclic_rep(500, 2)
     dense = PhiParams.of(parse_scalar("1/2"), q, parse_scalar("2/3"))
     formal_reduced2 = as_formal(reduced2)
@@ -241,10 +252,13 @@ def operations() -> dict:
         "analysis.sm3_equality": lambda: sm3_word_equality(w1, w2),
         "analysis.relcheck_burau4": lambda: check_relations(rep, params),
         "analysis.kernel2_rational2": lambda: kernel_search_sm2(rational2, grid_params, 6, 12),
-        "analysis.kernel2_rational2_deep": lambda: kernel_search_sm2(rational2, rational, 40, 80),
-        "analysis.kernel2_scalar": lambda: kernel_search_sm2(scalar3_2, grid_params, 6, 12),
-        "analysis.kernel2_burau_unreduced2": lambda: kernel_search_sm2(unreduced2, params, 4, 8),
-        "analysis.kernel2_burau_reduced2_p300": lambda: kernel_search_sm2(reduced2, birman, 300, 0),
+        "analysis.kernel2_walk_rational2_deep": lambda: kernel_search_sm2(rational2, sigma_params, 40, 80),
+        "analysis.kernel2_walk_scalar": lambda: kernel_search_sm2(scalar3_2, planted, 6, 12),
+        "analysis.kernel2_walk_burau_unreduced2": lambda: kernel_search_sm2(unreduced2, sigma_params, 4, 8),
+        "analysis.kernel2_obstructed_rational2_deep": lambda: kernel_search_sm2(rational2, rational, 40, 80),
+        "analysis.kernel2_obstructed_scalar": lambda: kernel_search_sm2(scalar3_2, grid_params, 6, 12),
+        "analysis.kernel2_obstructed_burau_unreduced2": lambda: kernel_search_sm2(unreduced2, params, 4, 8),
+        "analysis.kernel2_obstructed_burau_reduced2_p300": lambda: kernel_search_sm2(reduced2, birman, 300, 0),
         "analysis.kernel2_cyclic4": lambda: kernel_search_sm2(cyclic4, cyclic_params, 6, 12),
         "analysis.kernel2_cyclic3_dense": lambda: kernel_search_sm2(cyclic3, dense, 6, 12),
         "analysis.kernel2_cyclic500": lambda: kernel_search_sm2(cyclic500, dense, 20, 40),

@@ -338,6 +338,18 @@ def _search_keys(
     return lambda x: x, one.scale, images, mul, None
 
 
+def _character(x: AlgebraElement) -> tuple[LaurentPoly, int] | None:
+    """(chi(x), k) for a multiplicative map chi to the scalars with
+    chi(c * 1) = c**k: (det, dim) for a matrix, and (coefficient sum, 1)
+    for a formal element, the augmentation of the group algebra, a ring
+    homomorphism; None for a cyclic element."""
+    if isinstance(x, Matrix):
+        return x.det(), x.dim
+    if isinstance(x, FormalElement):
+        return sum(x.coeffs.values(), ZERO), 1
+    return None
+
+
 def linear_combination(terms: Sequence[tuple[LaurentPoly | int, AlgebraElement]]) -> AlgebraElement:
     """The sum of s * x over the nonempty pairs (s, x) of `terms`, elements of
     one backend: matrices in one pass over their numerators on a common

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, repeat
-from math import log
+from math import gcd, log
 from typing import Iterable, NamedTuple
 
-from .algebra import AlgebraElement, Matrix, _search_keys
+from .algebra import AlgebraElement, Matrix, _character, _search_keys
 from .phi import Extension, PhiParams, _multinomial_sum, _powers
 from .reps import BraidRep, cyclic_rep, matrix_rep_from_images, rep_eval
 from .scalars import LaurentPoly, _parts, as_scalar, format_scalar, is_unit
@@ -166,9 +166,10 @@ def find_scalar_witness(
     determinant filter below keeps it and, once no restart can follow, its
     target has a key.  The walk returns at the product that first reaches
     the target of the first open s, even mid-level, since no later word of
-    that image and no later s can come first; if that target is never
-    reached, the targets are looked up once the walk ends.  If no s is
-    open, the answer is None and there is no walk.  Absence of a hit is
+    that image and no later s can come first.  Only that target is keyed
+    before the walk; if it is never reached, the later targets are keyed
+    and looked up once the walk ends.  If no s is open, the answer is None
+    and there is no walk.  Absence of a hit is
     evidence only; the search is bounded.
 
     A matrix or formal rep first drops every s whose target no word in
@@ -206,11 +207,12 @@ def find_scalar_witness(
         key, target, steps, mul, bound = _search_keys(one, images, depth)
         if bound is None:  # the keys hold products of any length
             depth = len_max
-        # the open s: once no restart can follow, only those whose target has a key
-        targets = [(s, t) for s in exponents if (t := target(value**-s)) is not None or depth < len_max]
-        if not targets:
+        # the open s, keyed as they are asked for: once no restart can
+        # follow, only those whose target has a key
+        targets = ((s, t) for s in exponents if (t := target(value**-s)) is not None or depth < len_max)
+        goal_s, goal = next(targets, (None, None))
+        if goal_s is None:
             break
-        goal_s, goal = targets[0]
         start = key(one)
         if start == goal:
             return SMWord(rep.n), goal_s
@@ -345,20 +347,30 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     in the kernel and flags an unfaithful rho.  The trivial pair (0, 0) is
     never reported.
 
+    A matrix or formal rep first narrows the grid to a box by the
+    multiplicative map chi of `algebra._character` (the determinant, or
+    the coefficient sum): a hit has chi(tau_1)**p * delta**q = chi(1) = 1,
+    with delta = chi(rho(sigma_1)) (`BraidRep._delta`).  `_grid_box`
+    gives a box, p <= p_top and q_lo <= q <= q_hi, holding every cell that
+    passes, so no hit lies outside it and the report is the one the whole
+    grid gives.  When (0, 0) is its only cell, the report comes
+    back with no key built and no product.  A cyclic grid is the whole grid.
+
     A cell is a hit iff its row head tau_1^p equals sigma_1^-q: the images of
     sigma_1 and sigma_1^-1 are two-sided inverses (matrices over a domain,
-    the commutative cyclic algebra, single group elements).  So the p_max + 1
-    heads are computed once and held, keyed by image, and sigma_1^q and
-    sigma_1^-q are streamed for q = 1..q_max with one lookup each: at most
-    p_max + 2*q_max products and no identity test.  Several p share a head
-    when tau_1 has finite image order.  The hits are sorted into hit order,
-    by p, then |q|, positive q first, rather than scanned in it.
+    the commutative cyclic algebra, single group elements).  So the
+    p_top + 1 heads are computed once and held, keyed by image, and
+    sigma_1^-q is streamed for q = 1..q_hi and sigma_1^q for q = 1..-q_lo,
+    with one lookup each: at most p_top + q_hi - q_lo products and no
+    identity test.  Several p share a head when tau_1 has finite image
+    order.  The hits are sorted into hit order, by p, then |q|, positive q
+    first, rather than scanned in it.
 
-    Heads and powers are held as the keys of `algebra._search_keys` at
-    depth max(p_max, q_max), as the witness walk holds its images: a matrix
-    grid is Kronecker-packed where that depth times the widest exponent
-    range of an image is at most `algebra.PACKED_SPAN`, zero images and
-    powers included, and keeps `Matrix` keys past it.
+    Heads and powers are held as the keys of `algebra._search_keys` at the
+    box's depth max(p_top, q_hi, -q_lo), as the witness walk holds its
+    images: a matrix grid is Kronecker-packed where that depth times the
+    widest exponent range of an image is at most `algebra.PACKED_SPAN`,
+    zero images and powers included, and keeps `Matrix` keys past it.
 
     A cyclic grid over a rational twist whose tau_1 image has rational
     coordinates, the cyclic half of `prop8`, is held as cyclic coordinate
@@ -371,7 +383,12 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     if p_max < 0 or q_max < 0:
         raise ValueError("bounds must be nonnegative")
     images = [Extension(rep, params).letters[tau(1)], rep.image(1), rep.image_inv(1)]
-    key, _, steps, mul, _ = _search_keys(rep.one(), images, max(p_max, q_max))
+    p_top, q_lo, q_hi = p_max, -q_max, q_max
+    if character := rep._delta:
+        p_top, q_lo, q_hi = _grid_box(_character(images[0])[0], character[0], p_max, q_max)
+    if not (p_top or q_lo or q_hi):  # (0, 0) is the only cell left
+        return KernelReport(p_max, q_max, (), None, None)
+    key, _, steps, mul, _ = _search_keys(rep.one(), images, max(p_top, q_hi, -q_lo))
 
     def powers(i: int, k: int) -> Iterable:
         """The keys of images[i]**1..k: one product per power after the first."""
@@ -379,18 +396,93 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
 
     start = key(rep.one())
     rows: dict[object, list[int]] = {start: [0]}
-    for p, head in enumerate(powers(0, p_max), start=1):
+    for p, head in enumerate(powers(0, p_top), start=1):
         rows.setdefault(head, []).append(p)
 
     hits = [(p, 0) for p in rows[start] if p]
-    for q, (pos, neg) in enumerate(zip(powers(1, q_max), powers(2, q_max)), start=1):
+    for q, neg in enumerate(powers(2, q_hi), start=1):
         hits.extend((p, q) for p in rows.get(neg, ()))
+    for q, pos in enumerate(powers(1, -q_lo), start=1):
         hits.extend((p, -q) for p in rows.get(pos, ()))
     hits.sort(key=_hit_order)
 
     minimal = next((h for h in hits if h[0] >= 1), None)
     report = KernelReport(p_max, q_max, tuple(hits), minimal, None)
     return report._replace(cyclic_structure_verified=verify_cyclic_structure(report)) if minimal else report
+
+
+def _grid_box(x: LaurentPoly, delta: LaurentPoly, p_max: int, q_max: int) -> tuple[int, int, int]:
+    """A box (p_top, q_lo, q_hi), 0 <= p <= p_top and q_lo <= q <= q_hi,
+    holding every cell (p, q) with 0 <= p <= p_max, |q| <= q_max and
+    x**p * delta**q == 1, for a scalar x and a unit delta; the smallest
+    such box unless delta = +-1, and (0, 0, 0) when (0, 0) is the only such
+    cell.  With x = c_x * t^k_x and delta = c_d * t^k_d when both are units:
+
+    * delta = +-1 leaves q free.  A row p >= 1 needs x**p = +-1, so x = +-1:
+      every row, or only the even ones where x = -1 and delta = 1.  Row 0
+      stays whatever x is: a finite-order sigma_1 image hits at (0, q).
+    * Otherwise delta has infinite order, so a cell with p = 0 has q = 0,
+      and x must be a unit for p >= 1.  The cells that pass are then the
+      multiples m * (p0, q0), m >= 1, of one vector with p0 >= 1.  A first
+      vector (p1, q1) is read off the t-exponents, p * k_x + q * k_d = 0,
+      when k_d != 0 (none when k_d = 0 and k_x != 0), or off the sizes when
+      k_d = k_x = 0, below.  Any passing cell is a multiple k * (p1, q1),
+      and a positive rational is 1 only when its k-th power is, so
+      r = c_x**p1 * c_d**q1 decides: (p0, q0) = (p1, q1) for r = 1,
+      (2 p1, 2 q1) for r = -1, and no cell otherwise.  That one exact power
+      is taken only when (p1, q1) lies in bounds, so it is no larger than
+      the grid's own largest power.
+
+    With k_d = k_x = 0 the sizes give |c_x|**p = |c_d|**(-q), and, reading
+    numerator times denominator of both reduced fractions, n_x**p = n_d**j
+    with j = |q|, n = |num| * den and n_d >= 2.  So j = p * ratio with
+    ratio = log(n_x) / log(n_d), and the sign of q is read off which of
+    |c_x| and |c_d| exceed 1.  If a coprime (p1, j1) with p1 <= p_max solves
+    it, ratio = j1 / p1, so every row p < p1 lies at least 1 / p1 >= 1 / p_max
+    from an integer, and p1 is the first row within 1 / (2 p_max) of one.
+    The floats find that row in one pass over the rows, stopping once
+    j passes q_max: both logarithms are of integers, ratio is off by a
+    relative 2**-50 at most, so p * ratio, up to q_max + 1, is off by less
+    than (q_max + 1) * 2**-49, which is below 1 / (2 p_max) while
+    p_max * (q_max + 1) < 2**48.  Past that the box is the whole grid.
+    The row found is confirmed by the exact r above.
+    """
+    if delta == 1 or delta == -1:
+        if x == 1 or x == -1 and delta == -1:
+            return p_max, -q_max, q_max
+        return (p_max - p_max % 2 if x == -1 else 0), -q_max, q_max
+    if not x.is_unit():
+        return 0, 0, 0
+    x_low, (x_num,), x_den = _parts(x)
+    d_low, (d_num,), d_den = _parts(delta)
+    if d_low:
+        g = gcd(x_low, d_low)
+        p, q = abs(d_low) // g, (-x_low if d_low > 0 else x_low) // g
+    elif x_low:
+        return 0, 0, 0
+    elif p_max * (q_max + 1) >= 1 << 48:
+        return p_max, -q_max, q_max
+    else:
+        ratio = log(abs(x_num) * x_den) / log(abs(d_num) * d_den)
+        sign = -1 if (abs(x_num) > x_den) == (abs(d_num) > d_den) else 1
+        for p in range(1, p_max + 1):
+            j = round(p * ratio)
+            if j > q_max:
+                return 0, 0, 0
+            if abs(p * ratio - j) < 1 / (2 * p_max):
+                q = sign * j
+                break
+        else:
+            return 0, 0, 0
+    if p > p_max or abs(q) > q_max:
+        return 0, 0, 0
+    r = x**p * delta**q
+    if r == -1:
+        p, q = 2 * p, 2 * q
+    elif r != 1:
+        return 0, 0, 0
+    m = min(p_max // p, q_max // abs(q)) if q else p_max // p
+    return m * p, min(0, m * q), max(0, m * q)
 
 
 def verify_cyclic_structure(report: KernelReport) -> bool:

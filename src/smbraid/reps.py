@@ -32,11 +32,11 @@ from .algebra import (
     FormalElement,
     Matrix,
     Permutation,
+    _character,
     parse_matrix,
 )
 from .scalars import (
     T,
-    ZERO,
     LaurentPoly,
     as_scalar,
     format_scalar,
@@ -106,17 +106,11 @@ class BraidRep:
 
     @cached_property
     def _delta(self) -> tuple[LaurentPoly, int] | None:
-        """(chi(rho(sigma_1)), k) for a multiplicative map chi to the scalars
-        with chi(c * 1) = c**k: (det, dim) for a matrix rep, and (coefficient
-        sum, 1) for a formal rep, the augmentation of its group algebra; None
-        for a cyclic rep.  For the character filter of
-        `analysis.find_scalar_witness`; a rep is immutable, so it is taken once."""
-        x = self.letters[sigma(1)]
-        if isinstance(x, Matrix):
-            return x.det(), x.dim
-        if isinstance(x, FormalElement):
-            return sum(x.coeffs.values(), ZERO), 1
-        return None
+        """`algebra._character` of rho(sigma_1): (det, dim) for a matrix rep,
+        (coefficient sum, 1) for a formal rep, None for a cyclic rep.  For
+        the character filters of `analysis.find_scalar_witness` and
+        `analysis.kernel_search_sm2`; a rep is immutable, so it is taken once."""
+        return _character(self.letters[sigma(1)])
 
     def __repr__(self) -> str:
         return f"BraidRep({self.name} (n={self.n}, backend={self.backend}))"

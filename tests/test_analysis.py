@@ -46,7 +46,7 @@ from smbraid.reps import (
     rep_eval,
     scalar_char,
 )
-from smbraid.scalars import MAX_SPAN, T
+from smbraid.scalars import MAX_SPAN, T, as_scalar
 from smbraid.words import (
     SMWord,
     braid_letters,
@@ -625,6 +625,32 @@ def test_find_scalar_witness_returns_once_its_answer_is_settled(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_find_scalar_witness_keys_only_the_first_open_target_before_the_walk(monkeypatch):
+    # The character filter keeps s = 2, 4, -2, -4 for `permutation_rep(4)`
+    # at -1, and the empty word reaches the target of s = 2, so that one
+    # target is keyed.  Where the first target is missed (S_3 as matrices,
+    # whose determinants keep s = 1..4 and -1..-4: the group has no
+    # -1 * 1), the later targets are keyed once the walk ends, up to the
+    # first that it reached.
+    keyed = []
+
+    def spy(*args):
+        key, target, steps, product, bound = _search_keys(*args)
+
+        def counted(value):
+            keyed.append(value)
+            return target(value)
+
+        return key, counted, steps, product, bound
+
+    monkeypatch.setattr(analysis, "_search_keys", spy)
+    assert find_scalar_witness(permutation_rep(4), -1, 4, 4) == (SMWord(4), 2)
+    assert keyed == [1]
+    keyed.clear()
+    assert find_scalar_witness(PERM3_MATRICES, -1, 4, 6) == (SMWord(3), 2)
+    assert keyed == [-1, 1]
+
+
 def test_find_scalar_witness_takes_one_determinant_per_rep(monkeypatch):
     # delta = det rho(sigma_1) depends on the rep only, so two searches on
     # one rep take it once.  No word's determinant (-t)^e is 2**(-8s) or
@@ -939,12 +965,14 @@ def test_kernel_search_matches_cell_by_cell_grid_rational_cyclic_property(order,
 
 
 def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
-    # Kronecker keys for a matrix grid whose depth (here 8) times the widest
-    # exponent range of its tau_1, sigma_1 and sigma_1^-1 images is at most
-    # PACKED_SPAN, Laurent images included; element keys for a matrix grid
-    # past it (range 17: 8 * 17 = 136) and for a cyclic grid with a Laurent
-    # twist or tau_1 image and for every formal grid; cyclic coordinate keys
-    # for a rational cyclic grid.
+    # Kronecker keys for a matrix grid whose box depth (8 for a det +-1
+    # image, 4 where the character leaves a box such as (4, -4, 0))
+    # times the widest exponent range of its tau_1, sigma_1 and sigma_1^-1
+    # images is at most PACKED_SPAN, Laurent images included; element keys
+    # for a matrix grid past it (range 18: 8 * 18 = 144) and for a cyclic
+    # grid with a Laurent twist or tau_1 image and for every formal grid;
+    # cyclic coordinate keys for a rational cyclic grid.  Every matrix grid
+    # here keeps a nonempty box, so each builds one key set.
     packed = []
 
     def spy(*args):
@@ -955,15 +983,17 @@ def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
     monkeypatch.setattr(algebra, "_kronecker_keys", spy)
     kinds = spy_key_kinds(monkeypatch)
     perm2, formal_burau2, formal_scalar2 = permutation_rep(2), as_formal(burau_reduced(2)), as_formal(scalar_char(2, 2))
+    diagonal = matrix_rep_from_images(2, [Matrix([[T, 0], [0, T**-1]])])
     cases = [
         (matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]), PhiParams.of(1, 2, 1), "kronecker"),
         (scalar_char(T, 2), PhiParams.of(1, 0, 0), "kronecker"),
-        (scalar_char(T, 2), PhiParams.of(0, 0, 0), "kronecker"),
-        (scalar_char(T, 2), PhiParams.of(1, 0, 1), "kronecker"),
-        (burau_reduced(2), PhiParams.of(1, -1, 0), "kronecker"),
+        (scalar_char(T, 2), PhiParams.of(0, 1, 0), "kronecker"),
+        (diagonal, PhiParams.of(1, 0, 0), "kronecker"),
+        (diagonal, PhiParams.of(1, 0, 1), "kronecker"),
+        (burau_reduced(2), PhiParams.of(0, 1, 0), "kronecker"),
         (burau_unreduced(2), PhiParams.of(1, 0, 0), "kronecker"),
-        (burau_unreduced(2), PhiParams.of(T, scalar(Fraction(-1, 2)), 3), "kronecker"),
-        (matrix_rep_from_images(2, [Matrix([[T**9, 0], [0, T**-8]])]), PhiParams.of(1, 0, 0), "element"),
+        (burau_unreduced(2), PhiParams.of(0, 1, 0), "kronecker"),
+        (matrix_rep_from_images(2, [Matrix([[T**9, 0], [0, T**-9]])]), PhiParams.of(1, 0, 0), "element"),
         (cyclic_rep(4, T), PhiParams.of(1, 0, 0), "element"),
         (cyclic_rep(3, 2), PhiParams.of(T, 0, 0), "element"),
         (cyclic_rep(3, -8), PhiParams.of(*(scalar(Fraction(*x)) for x in ((1, 2), (-4, 3), (2, 3)))), "cyclic"),
@@ -986,16 +1016,142 @@ def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
 
 
 def test_kernel_search_packs_up_to_the_packed_span(monkeypatch):
-    # burau_reduced(2) at (1, -1, 0): tau_1 -> -t + t^-1 spans exponents -1..1,
-    # so a grid of depth 64 (64 * 2 = PACKED_SPAN) packs and one of depth 65
+    # sigma_1 -> [[t, 0], [0, t^-1]] at (1, 0, 0): every image spans
+    # exponents -1..1 and has det 1, so the box keeps the whole grid, and a
+    # grid of depth 64 (64 * 2 = PACKED_SPAN) packs and one of depth 65
     # keeps Matrix keys; both agree with the cell-by-cell grid.
     assert algebra.PACKED_SPAN == 128
     kinds = spy_key_kinds(monkeypatch)
-    rep, params = burau_reduced(2), PhiParams.of(1, -1, 0)
+    rep, params = matrix_rep_from_images(2, [Matrix([[T, 0], [0, T**-1]])]), PhiParams.of(1, 0, 0)
     for q_max, kind in ((64, "kronecker"), (65, "element")):
         kinds.clear()
         assert kernel_search_sm2(rep, params, 4, q_max).hits == grid_reference(rep, params, 4, q_max)
         assert kinds == [kind], q_max
+
+
+def test_kernel_search_with_an_empty_box_builds_no_keys(monkeypatch):
+    # chi(tau_1) = det(-t + t^-1) is no unit for burau_reduced(2) at
+    # (1, -1, 0), and tau_1 -> 3 under the character 2 at (1, 0, 1) has no
+    # power 2^-q: (0, 0) is each box's only cell, so no key set is built.
+    calls = spy_products(monkeypatch)
+    for rep, params in ((burau_reduced(2), PhiParams.of(1, -1, 0)), (scalar_char(2, 2), PhiParams.of(1, 0, 1))):
+        for p_max, q_max in ((4, 65), (300, 0), (6, 12)):
+            calls.clear()
+            report = kernel_search_sm2(rep, params, p_max, q_max)
+            assert report == KernelReport(p_max, q_max, (), None, None)
+            assert report.hits == grid_reference(rep, params, p_max, q_max)
+            assert calls["keys"] == calls["product"] == 0, (rep.name, p_max, q_max)
+
+
+def box_reps():
+    """Matrix and formal reps whose character filter a grid must survive:
+    scalar characters at +-1, at rational values and at Laurent units, the
+    two Burau reps, 2x2 images with det +-1 (finite order: 6, 4 and 2;
+    infinite: unipotent, hyperbolic, diagonal Laurent) or not, and formal
+    lifts, with `perm2`; one cyclic rep, which keeps the whole grid."""
+    third, half = scalar(Fraction(1, 3)), scalar(Fraction(1, 2))
+    values = (1, -1, 2, -8, 4, scalar(Fraction(-1, 2)), scalar(Fraction(2, 3)), T, -T, 2 * T**-1, T**2 * third)
+    yield from (scalar_char(d, 2) for d in values)
+    yield from (burau_reduced(2), burau_unreduced(2))
+    images = (
+        [[0, -1], [1, 1]], [[0, -1], [1, 0]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[2, 1], [1, 1]],
+        [[T, 0], [0, T**-1]], [[0, -2], [1, 0]], [[T, 1], [0, half]],
+    )
+    yield from (matrix_rep_from_images(2, [Matrix(m)]) for m in images)
+    yield from (permutation_rep(2), as_formal(burau_reduced(2)), as_formal(scalar_char(2, 2)), cyclic_rep(3, -8))
+
+
+BOX_REPS = list(box_reps())
+box_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def box_params(draw, rep):
+    """Random params, or params planted so that hits are likely: tau_1 ->
+    sigma_1^+-1, tau_1 -> c * 1 for a power c of a small base, or, on a
+    scalar character d, c = d^k - a*d - b*d^-1."""
+    kind = draw(st.sampled_from(["random", "sigma", "scalar", "planted"]))
+    if kind == "sigma":
+        return PhiParams.of(*draw(st.sampled_from([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)])))
+    if kind == "scalar":
+        base = draw(st.sampled_from([Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(3, 2)]))
+        c = scalar(base ** draw(st.integers(-3, 3))) * T ** draw(st.sampled_from([0, 0, 1, -1, 2]))
+        return PhiParams.of(0, 0, c)
+    a, b, c = (scalar(draw(box_rationals)) for _ in range(3))
+    if kind == "planted" and rep.backend == "matrix" and rep.image(1).dim == 1:
+        (d,), = rep.image(1).rows
+        c = d ** draw(st.integers(-2, 2)) - a * d - b * d**-1
+    return PhiParams.of(a, b, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rep=st.sampled_from(BOX_REPS), p_max=st.integers(0, 7), q_max=st.integers(0, 13))
+def test_kernel_search_box_holds_every_hit(data, rep, p_max, q_max):
+    # The grid equals the cell-by-cell grid, and the box of `_grid_box`
+    # holds every reference hit and every cell that the character passes.
+    # Where delta != +-1 the box is the smallest that holds those cells.
+    params = data.draw(box_params(rep))
+    expected = grid_reference(rep, params, p_max, q_max)
+    assert kernel_search_sm2(rep, params, p_max, q_max).hits == expected
+    if rep._delta is None:
+        return
+    x, delta = algebra._character(Extension(rep, params).letters[tau(1)])[0], rep._delta[0]
+    p_top, q_lo, q_hi = analysis._grid_box(x, delta, p_max, q_max)
+    cells = [
+        (p, q) for p in range(p_max + 1) for q in range(-q_max, q_max + 1) if (p, q) != (0, 0) and x**p * delta**q == 1
+    ]
+    assert set(expected) <= set(cells)
+    assert all(p <= p_top and q_lo <= q <= q_hi for p, q in cells)
+    if delta != 1 and delta != -1:
+        qs = [0, *(q for _, q in cells)]
+        assert (p_top, q_lo, q_hi) == (max([p for p, _ in cells], default=0), min(qs), max(qs))
+
+
+def test_grid_box_closed_forms():
+    # (p_top, q_lo, q_hi) from the lattice of cells x^p delta^q = 1
+    box = analysis._grid_box
+    cases = [
+        ((T, T), (6, -6, 0)),  # (1, -1)
+        ((T, -T**-2), (4, 0, 2)),  # (2, 1) gives -1, so (4, 2)
+        ((T**2, T**-3), (6, 0, 4)),  # (3, 2)
+        ((scalar(Fraction(1, 4)), 8), (6, 0, 4)),  # (3, 2)
+        ((8, 4), (6, -9, 0)),  # (2, -3)
+        ((4, -8), (6, -4, 0)),  # (3, -2)
+        ((6, scalar(Fraction(2, 3))), (0, 0, 0)),  # |num| * den agree, sizes do not
+        ((scalar(Fraction(41, 30)), 2), (0, 0, 0)),
+        ((-1, 2), (6, 0, 0)),  # (2, 0)
+        ((1, T), (6, 0, 0)),  # (1, 0)
+        ((T + 1, T), (0, 0, 0)),  # no unit
+        ((0, 2), (0, 0, 0)),
+        ((-1, 1), (6, -12, 12)),  # only even rows, and 6 is even
+        ((2, -1), (0, -12, 12)),  # row 0 only
+        ((-1, -1), (6, -12, 12)),
+    ]
+    for (x, delta), expected in cases:
+        assert box(as_scalar(x), as_scalar(delta), 6, 12) == expected, (x, delta)
+    assert box(as_scalar(-1), as_scalar(1), 5, 12) == (4, -12, 12)
+    # (2, 1) doubled is (4, 2): past p_max = 3
+    assert box(T, -T**-2, 3, 12) == (0, 0, 0)
+    # past the float argument the box is the whole grid; below it, a bound
+    # of 10**5 costs one short pass
+    half, two = scalar(Fraction(1, 2)), as_scalar(2)
+    assert box(half, two, 10**18, 10**18) == (10**18, -(10**18), 10**18)
+    assert box(half, two, 10**5, 10**5) == (10**5, 0, 10**5)
+    assert box(scalar(Fraction(41, 30)), two, 10**5, 10**5) == (0, 0, 0)
+
+
+def test_kernel_search_makes_no_product_outside_its_box(monkeypatch):
+    # scalar:2 at (1, 0, 0) sends tau_1 to 2, so its hits are (p, -p): the
+    # box is (6, -6, 0), and the grid makes 5 head products and 5 products
+    # of sigma_1^k, where the whole grid makes (6 - 1) + 2 * (12 - 1) = 27.
+    # A cyclic grid keeps the whole grid.
+    calls = spy_products(monkeypatch)
+    report = kernel_search_sm2(scalar_char(2, 2), PhiParams.of(1, 0, 0), 6, 12)
+    assert report.hits == tuple((p, -p) for p in range(1, 7))
+    assert calls["keys"] == 1 and calls["product"] == 10
+    calls.clear()
+    kernel_search_sm2(cyclic_rep(3, -8), PhiParams.of(1, 0, 0), 6, 12)
+    assert calls["product"] == 27
 
 
 def test_kernel_search_dense_grid_in_hit_order():

@@ -139,6 +139,28 @@ def test_unfaith_stops_once_its_answer_is_settled():
     assert json.loads(proc.stdout)["v"] == "S1"
 
 
+def test_kernel2_skips_a_grid_its_character_empties():
+    # tau_1 -> 41/30 under the character 2: no 41/30^p * 2^q is 1, so the
+    # box is empty and bounds of 10**5 cost one short float pass, where the
+    # whole grid would grow its powers until the address cap ends it.  Run
+    # in a child process under a 1 GB cap.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONSTARTUP")}
+    argv = ["kernel2", "--rep", "scalar:2", "--a=1/2", "--b=1/3", "--c=1/5", "--pmax", "100000", "--qmax", "100000",
+            "--json"]
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "smbraid.cli", *argv],
+        env={**env, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=2,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["hits"] == []
+
+
 def test_unfaith_absent(capsys):
     doc, _ = run_json(capsys, "unfaith", "--mode", "a00", "--val", "2",
                       "--rep", "burau-unreduced", "--n", "2", "--smax", "3", "--lmax", "4")
