@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, repeat
-from math import gcd, log
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .algebra import AlgebraElement, Matrix, _character, _search_keys
@@ -183,11 +183,15 @@ def find_scalar_witness(
     (`BraidRep._delta`), and e(v) is the exponent sum of v, with
     |e(v)| <= len(v) <= len_max.  The target value**(-s) * 1 has
     chi = value**(-s * k), with k the dimension of a matrix rep and 1 for a
-    formal rep, so s is kept only where `_det_reachable` finds that power of
-    delta.  A dropped s could never hit, so every result is the one the
-    unfiltered search returns.  Letter images that are each 1 * g (`perm`,
-    an `as_formal` lift) have delta = 1, so the only s kept has the target
-    1 * 1, which the empty word reaches, and such a search makes no product.
+    formal rep, so s can be hit only where (value**k)**s * delta**e == 1 for
+    some |e| <= len_max.  Those cells (s, e) are symmetric under
+    (s, e) -> (-s, -e), so s is kept iff |s| is a row that `_grid_box`
+    finds on the grid 0 <= s <= s_max, |e| <= len_max: a multiple of its
+    step up to its p_top.  A dropped s could never hit, so every result is
+    the one the unfiltered search returns.  Letter images that are each
+    1 * g (`perm`, an `as_formal` lift) have delta = 1, so the only s kept
+    has the target 1 * 1, which the empty word reaches, and such a search
+    makes no product.
     A cyclic rep is not filtered.
     """
     value = as_scalar(value)
@@ -196,10 +200,11 @@ def find_scalar_witness(
     if s_max < 0 or len_max < 0:
         raise ValueError("bounds must be nonnegative")
     one = rep.one()
-    exponents = [*range(1, s_max + 1), *range(-1, -s_max - 1, -1)]
+    stride, top = 1, s_max
     if character := rep._delta:
         delta, k = character
-        exponents = [s for s in exponents if _det_reachable(delta, value ** (-s * k), len_max)]
+        stride, top, _, _ = _grid_box(value**k, delta, s_max, len_max)
+    exponents = [*range(stride, top + 1, stride), *range(-stride, -top - 1, -stride)]
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
     depth = min(len_max, 8)
@@ -237,37 +242,6 @@ def find_scalar_witness(
             return next(((SMWord(rep.n, first[t]), s) for s, t in targets if t in first), None)
         depth = min(2 * depth, len_max)  # the keys only hold products of up to depth images
     return None  # no s is open
-
-
-def _det_reachable(delta: LaurentPoly, target: LaurentPoly, len_max: int) -> bool:
-    """Whether delta**e == target for some |e| <= len_max, for units delta
-    and target, by one candidate e and one exact power.  With delta = c*t^k:
-
-    * k != 0: e is the t-exponent of target over k, if that divides;
-    * delta = +-1: only the parity of e matters, so e is 0 for target 1 and
-      1 for any other;
-    * any other constant p/q: a hit needs target = P/Q with
-      |P| * Q = (|p| * q)**|e|, so |e| is that integer logarithm, read off
-      the float ratio of the two natural logs and rounded, and e is
-      negative where exactly one of |target| and |delta| exceeds 1.  Both
-      logarithms are of integers >= 2 or of 1, so the ratio is off by less
-      than 1/2 unless |e| nears 10**15, a target of as many bits.
-    """
-    d_low, (d_num,), d_den = _parts(delta)
-    low, (num,), den = _parts(target)
-    if d_low:
-        e, rem = divmod(low, d_low)
-        if rem:
-            return False
-    elif low:
-        return False
-    elif abs(d_num) == d_den:
-        e = 0 if target == 1 else 1
-    else:
-        e = round(log(abs(num) * den) / log(abs(d_num) * d_den))
-        if (abs(num) > den) != (abs(d_num) > d_den):
-            e = -e
-    return abs(e) <= len_max and delta**e == target
 
 
 def scalar_power_witness(
@@ -385,7 +359,7 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     images = [Extension(rep, params).letters[tau(1)], rep.image(1), rep.image_inv(1)]
     p_top, q_lo, q_hi = p_max, -q_max, q_max
     if character := rep._delta:
-        p_top, q_lo, q_hi = _grid_box(_character(images[0])[0], character[0], p_max, q_max)
+        _, p_top, q_lo, q_hi = _grid_box(_character(images[0])[0], character[0], p_max, q_max)
     if not (p_top or q_lo or q_hi):  # (0, 0) is the only cell left
         return KernelReport(p_max, q_max, (), None, None)
     key, _, steps, mul, _ = _search_keys(rep.one(), images, max(p_top, q_hi, -q_lo))
@@ -411,78 +385,84 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     return report._replace(cyclic_structure_verified=verify_cyclic_structure(report)) if minimal else report
 
 
-def _grid_box(x: LaurentPoly, delta: LaurentPoly, p_max: int, q_max: int) -> tuple[int, int, int]:
-    """A box (p_top, q_lo, q_hi), 0 <= p <= p_top and q_lo <= q <= q_hi,
-    holding every cell (p, q) with 0 <= p <= p_max, |q| <= q_max and
-    x**p * delta**q == 1, for a scalar x and a unit delta; the smallest
-    such box unless delta = +-1, and (0, 0, 0) when (0, 0) is the only such
+def _grid_box(x: LaurentPoly, delta: LaurentPoly, p_max: int, q_max: int) -> tuple[int, int, int, int]:
+    """The cells (p, q) with 0 <= p <= p_max, |q| <= q_max and
+    x**p * delta**q == 1, for a scalar x and a unit delta, as
+    (step, p_top, q_lo, q_hi): the rows p >= 1 that hold such a cell are
+    exactly the multiples of step up to p_top, and the box 0 <= p <= p_top,
+    q_lo <= q <= q_hi holds every such cell.  The box is the smallest one
+    unless delta = +-1, and p_top = q_lo = q_hi = 0 when (0, 0) is the only
     cell.  With x = c_x * t^k_x and delta = c_d * t^k_d when both are units:
 
     * delta = +-1 leaves q free.  A row p >= 1 needs x**p = +-1, so x = +-1:
-      every row, or only the even ones where x = -1 and delta = 1.  Row 0
-      stays whatever x is: a finite-order sigma_1 image hits at (0, q).
+      every row where x = 1, or x = -1 with delta = -1 and q_max >= 1 (an
+      odd row needs an odd q); otherwise only the even ones where x = -1.
+      Row 0 stays whatever x is: a finite-order sigma_1 image hits at (0, q).
     * Otherwise delta has infinite order, so a cell with p = 0 has q = 0,
       and x must be a unit for p >= 1.  The cells that pass are then the
       multiples m * (p0, q0), m >= 1, of one vector with p0 >= 1.  A first
       vector (p1, q1) is read off the t-exponents, p * k_x + q * k_d = 0,
       when k_d != 0 (none when k_d = 0 and k_x != 0), or off the sizes when
-      k_d = k_x = 0, below.  Any passing cell is a multiple k * (p1, q1),
-      and a positive rational is 1 only when its k-th power is, so
-      r = c_x**p1 * c_d**q1 decides: (p0, q0) = (p1, q1) for r = 1,
-      (2 p1, 2 q1) for r = -1, and no cell otherwise.  That one exact power
-      is taken only when (p1, q1) lies in bounds, so it is no larger than
-      the grid's own largest power.
-
-    With k_d = k_x = 0 the sizes give |c_x|**p = |c_d|**(-q), and, reading
-    numerator times denominator of both reduced fractions, n_x**p = n_d**j
-    with j = |q|, n = |num| * den and n_d >= 2.  So j = p * ratio with
-    ratio = log(n_x) / log(n_d), and the sign of q is read off which of
-    |c_x| and |c_d| exceed 1.  If a coprime (p1, j1) with p1 <= p_max solves
-    it, ratio = j1 / p1, so every row p < p1 lies at least 1 / p1 >= 1 / p_max
-    from an integer, and p1 is the first row within 1 / (2 p_max) of one.
-    The floats find that row in one pass over the rows, stopping once
-    j passes q_max: both logarithms are of integers, ratio is off by a
-    relative 2**-50 at most, so p * ratio, up to q_max + 1, is off by less
-    than (q_max + 1) * 2**-49, which is below 1 / (2 p_max) while
-    p_max * (q_max + 1) < 2**48.  Past that the box is the whole grid.
-    The row found is confirmed by the exact r above.
+      k_d = k_x = 0: |c_x|**p = |c_d|**-q, and reading numerator times
+      denominator of both reduced fractions, n_x**p = n_d**|q| with
+      n = |num| * den and n_d >= 2, which `_common_power` solves; the sign
+      of q is read off which of |c_x| and |c_d| exceed 1.  Any passing cell
+      is a multiple k * (p1, q1), and a positive rational is 1 only when
+      its k-th power is, so r = c_x**p1 * c_d**q1 decides: (p0, q0) =
+      (p1, q1) for r = 1, (2 p1, 2 q1) for r = -1, and no cell otherwise.
+      That one exact power is taken only when (p1, q1) lies in bounds, so
+      it is no larger than the grid's own largest power.
     """
     if delta == 1 or delta == -1:
-        if x == 1 or x == -1 and delta == -1:
-            return p_max, -q_max, q_max
-        return (p_max - p_max % 2 if x == -1 else 0), -q_max, q_max
+        if x == 1 or x == -1 and delta == -1 and q_max:
+            return 1, p_max, -q_max, q_max
+        return (2, p_max - p_max % 2, -q_max, q_max) if x == -1 else (1, 0, -q_max, q_max)
     if not x.is_unit():
-        return 0, 0, 0
+        return 1, 0, 0, 0
     x_low, (x_num,), x_den = _parts(x)
     d_low, (d_num,), d_den = _parts(delta)
     if d_low:
         g = gcd(x_low, d_low)
         p, q = abs(d_low) // g, (-x_low if d_low > 0 else x_low) // g
-    elif x_low:
-        return 0, 0, 0
-    elif p_max * (q_max + 1) >= 1 << 48:
-        return p_max, -q_max, q_max
+    elif x_low or not (common := _common_power(abs(x_num) * x_den, abs(d_num) * d_den)):
+        return 1, 0, 0, 0
     else:
-        ratio = log(abs(x_num) * x_den) / log(abs(d_num) * d_den)
-        sign = -1 if (abs(x_num) > x_den) == (abs(d_num) > d_den) else 1
-        for p in range(1, p_max + 1):
-            j = round(p * ratio)
-            if j > q_max:
-                return 0, 0, 0
-            if abs(p * ratio - j) < 1 / (2 * p_max):
-                q = sign * j
-                break
-        else:
-            return 0, 0, 0
+        p, q = common
+        if (abs(x_num) > x_den) == (abs(d_num) > d_den):
+            q = -q
     if p > p_max or abs(q) > q_max:
-        return 0, 0, 0
+        return 1, 0, 0, 0
     r = x**p * delta**q
     if r == -1:
         p, q = 2 * p, 2 * q
     elif r != 1:
-        return 0, 0, 0
+        return 1, 0, 0, 0
     m = min(p_max // p, q_max // abs(q)) if q else p_max // p
-    return m * p, min(0, m * q), max(0, m * q)
+    return p, m * p, min(0, m * q), max(0, m * q)
+
+
+def _common_power(m: int, n: int) -> tuple[int, int] | None:
+    """The coprime (p, j) with p >= 1 and m**p == n**j, for m >= 1 and
+    n >= 2, or None if there is none.
+
+    Euclid's algorithm run on exponents (D. Knuth, TAOCP vol. 2, 4.5.2): a
+    solution means m = g**j and n = g**p for one integer g, and then, as
+    long as neither is 1, the larger of the two is a power of g divisible by
+    the smaller, so it is replaced by the quotient.  Each of a and b is held
+    with the exponents (u, v) of its value m**u * n**v, and each step is
+    unimodular, so once a = 1 its (u, v) is the primitive relation; a
+    remainder on the way proves there is no g.  There are at most as many
+    steps as m and n have bits.
+    """
+    a, ua, va, b, ub, vb = m, 1, 0, n, 0, 1
+    while a != 1:
+        if a < b:
+            a, ua, va, b, ub, vb = b, ub, vb, a, ua, va
+        a, rem = divmod(a, b)
+        if rem:
+            return None
+        ua, va = ua - ub, va - vb
+    return (ua, -va) if ua > 0 else (-ua, va)
 
 
 def verify_cyclic_structure(report: KernelReport) -> bool:

@@ -6,6 +6,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -399,9 +400,10 @@ def test_find_scalar_witness_drops_only_targets_no_determinant_reaches(name):
         for value in values:
             expected = enumerated_witness(states, rep, value, 4)
             assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
+            step, top, _, _ = analysis._grid_box(value**k, delta, 4, len_max)
             for s in (1, 2, 3, 4, -1, -2, -3, -4):
                 target = value ** (-s * k)
-                kept = analysis._det_reachable(delta, target, len_max)
+                kept = abs(s) <= top and s % step == 0
                 assert kept == any(delta**e == target for e in range(-len_max, len_max + 1)), (len_max, value, s)
                 image = one.scale(value**-s)
                 hit = any(img == image for _, img in states)
@@ -438,8 +440,8 @@ def test_find_scalar_witness_returns_at_once_where_no_determinant_reaches():
 
 def test_find_scalar_witness_decides_constant_determinants_in_closed_form():
     # delta = 2 for the character 2 and delta = -1 for [[1, -2], [0, -1]]:
-    # each verdict is one candidate exponent and one power, not a loop over
-    # every |e| <= len_max, so a bound of 10**9 costs nothing.
+    # the exponents kept come from one exact solve on the (s, e) grid, not a
+    # loop over every |e| <= len_max, so a bound of 10**9 costs nothing.
     cases = [
         (scalar_char(2, 2), (scalar(3), 2 * T, scalar(6), scalar(Fraction(-3, 4)))),
         (matrix_rep_from_images(2, [Matrix([[1, -2], [0, -1]])]), (scalar(2), T, scalar(Fraction(3, 2)), scalar(-2))),
@@ -468,10 +470,8 @@ def first_kept_exponent(rep, value, len_max):
     """The first s in try order that the character filter keeps (every s of
     a rep without a character is kept)."""
     chi = character(rep)
-    for s in (1, 2, 3, 4, -1, -2, -3, -4):
-        if chi is None or analysis._det_reachable(chi[0], value ** (-s * chi[1]), len_max):
-            return s
-    return None
+    step, top = (1, 4) if chi is None else analysis._grid_box(value ** chi[1], chi[0], 4, len_max)[:2]
+    return next((s for s in (1, 2, 3, 4, -1, -2, -3, -4) if abs(s) <= top and s % step == 0), None)
 
 
 @pytest.mark.parametrize("name", RESTART_VALUES)
@@ -1089,18 +1089,21 @@ def box_params(draw, rep):
 def test_kernel_search_box_holds_every_hit(data, rep, p_max, q_max):
     # The grid equals the cell-by-cell grid, and the box of `_grid_box`
     # holds every reference hit and every cell that the character passes.
-    # Where delta != +-1 the box is the smallest that holds those cells.
+    # Its rows p >= 1 that hold a cell are exactly the multiples of its
+    # step up to p_top.  Where delta != +-1 the box is the smallest that
+    # holds those cells.
     params = data.draw(box_params(rep))
     expected = grid_reference(rep, params, p_max, q_max)
     assert kernel_search_sm2(rep, params, p_max, q_max).hits == expected
     if rep._delta is None:
         return
     x, delta = algebra._character(Extension(rep, params).letters[tau(1)])[0], rep._delta[0]
-    p_top, q_lo, q_hi = analysis._grid_box(x, delta, p_max, q_max)
+    step, p_top, q_lo, q_hi = analysis._grid_box(x, delta, p_max, q_max)
     cells = [
         (p, q) for p in range(p_max + 1) for q in range(-q_max, q_max + 1) if (p, q) != (0, 0) and x**p * delta**q == 1
     ]
     assert set(expected) <= set(cells)
+    assert sorted({p for p, _ in cells if p}) == list(range(step, p_top + 1, step))
     assert all(p <= p_top and q_lo <= q <= q_hi for p, q in cells)
     if delta != 1 and delta != -1:
         qs = [0, *(q for _, q in cells)]
@@ -1108,36 +1111,64 @@ def test_kernel_search_box_holds_every_hit(data, rep, p_max, q_max):
 
 
 def test_grid_box_closed_forms():
-    # (p_top, q_lo, q_hi) from the lattice of cells x^p delta^q = 1
+    # (step, p_top, q_lo, q_hi) from the lattice of cells x^p delta^q = 1
     box = analysis._grid_box
     cases = [
-        ((T, T), (6, -6, 0)),  # (1, -1)
-        ((T, -T**-2), (4, 0, 2)),  # (2, 1) gives -1, so (4, 2)
-        ((T**2, T**-3), (6, 0, 4)),  # (3, 2)
-        ((scalar(Fraction(1, 4)), 8), (6, 0, 4)),  # (3, 2)
-        ((8, 4), (6, -9, 0)),  # (2, -3)
-        ((4, -8), (6, -4, 0)),  # (3, -2)
-        ((6, scalar(Fraction(2, 3))), (0, 0, 0)),  # |num| * den agree, sizes do not
-        ((scalar(Fraction(41, 30)), 2), (0, 0, 0)),
-        ((-1, 2), (6, 0, 0)),  # (2, 0)
-        ((1, T), (6, 0, 0)),  # (1, 0)
-        ((T + 1, T), (0, 0, 0)),  # no unit
-        ((0, 2), (0, 0, 0)),
-        ((-1, 1), (6, -12, 12)),  # only even rows, and 6 is even
-        ((2, -1), (0, -12, 12)),  # row 0 only
-        ((-1, -1), (6, -12, 12)),
+        ((T, T), (1, 6, -6, 0)),  # (1, -1)
+        ((T, -T**-2), (4, 4, 0, 2)),  # (2, 1) gives -1, so (4, 2)
+        ((T**2, T**-3), (3, 6, 0, 4)),  # (3, 2)
+        ((scalar(Fraction(1, 4)), 8), (3, 6, 0, 4)),  # (3, 2)
+        ((8, 4), (2, 6, -9, 0)),  # (2, -3)
+        ((4, -8), (3, 6, -4, 0)),  # (3, -2)
+        ((6, scalar(Fraction(2, 3))), (1, 0, 0, 0)),  # |num| * den agree, sizes do not
+        ((scalar(Fraction(41, 30)), 2), (1, 0, 0, 0)),
+        ((-1, 2), (2, 6, 0, 0)),  # (2, 0)
+        ((1, T), (1, 6, 0, 0)),  # (1, 0)
+        ((T + 1, T), (1, 0, 0, 0)),  # no unit
+        ((0, 2), (1, 0, 0, 0)),
+        ((-1, 1), (2, 6, -12, 12)),  # only even rows, and 6 is even
+        ((2, -1), (1, 0, -12, 12)),  # row 0 only
+        ((-1, -1), (1, 6, -12, 12)),
     ]
     for (x, delta), expected in cases:
         assert box(as_scalar(x), as_scalar(delta), 6, 12) == expected, (x, delta)
-    assert box(as_scalar(-1), as_scalar(1), 5, 12) == (4, -12, 12)
+    assert box(as_scalar(-1), as_scalar(1), 5, 12) == (2, 4, -12, 12)
+    # an odd row of x = -1 against delta = -1 needs an odd q
+    assert box(as_scalar(-1), as_scalar(-1), 5, 0) == (2, 4, 0, 0)
     # (2, 1) doubled is (4, 2): past p_max = 3
-    assert box(T, -T**-2, 3, 12) == (0, 0, 0)
-    # past the float argument the box is the whole grid; below it, a bound
-    # of 10**5 costs one short pass
+    assert box(T, -T**-2, 3, 12) == (4, 0, 0, 0)
+    # the solve is exact at any bound: no pass over the rows
     half, two = scalar(Fraction(1, 2)), as_scalar(2)
-    assert box(half, two, 10**18, 10**18) == (10**18, -(10**18), 10**18)
-    assert box(half, two, 10**5, 10**5) == (10**5, 0, 10**5)
-    assert box(scalar(Fraction(41, 30)), two, 10**5, 10**5) == (0, 0, 0)
+    assert box(half, two, 10**18, 10**18) == (1, 10**18, 0, 10**18)
+    assert box(half, two, 10**5, 10**5) == (1, 10**5, 0, 10**5)
+    assert box(scalar(Fraction(41, 30)), two, 10**18, 10**18) == (1, 0, 0, 0)
+    # 12 = 2^2 3 and 24 = 2^3 3 are no powers of one integer
+    assert box(as_scalar(12), as_scalar(24), 10**5, 10**5) == (1, 0, 0, 0)
+    # (10^-300)^7 * (10^7)^300 = 1, and |q| <= 10^5 allows 333 multiples
+    assert box(scalar(Fraction(1, 10**300)), as_scalar(10**7), 10**5, 10**5) == (7, 2331, 0, 99900)
+
+
+def test_common_power_matches_brute_force():
+    # Exhaustive for small m and n: every coprime (p, j) with m**p == n**j
+    # has p, j <= log2(300) < 9, and there is at most one.
+    for m in range(1, 300):
+        for n in range(2, 80):
+            sols = {(p, j) for p in range(1, 10) for j in range(10) if gcd(p, j) == 1 and m**p == n**j}
+            assert sols == ({found} if (found := analysis._common_power(m, n)) else set()), (m, n)
+    assert analysis._common_power(2**60 * 3**120, 2**45 * 3**90) == (3, 4)
+    assert analysis._common_power(10**300, 10**7) == (7, 300)
+    assert analysis._common_power(10**300 + 1, 10**7) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.integers(2, 10**6), a=st.integers(0, 60), b=st.integers(1, 60), extra=st.sampled_from((2, 3, 5, 7, 11)))
+def test_common_power_of_common_base_powers(g, a, b, extra):
+    # m = g^a and n = g^b share every relation (p, j) = (b, a) / gcd(a, b),
+    # whatever g is; a prime factor of m that n lacks leaves none.
+    d = gcd(a, b)
+    assert analysis._common_power(g**a, g**b) == (b // d, a // d)
+    if g % extra:
+        assert analysis._common_power(g**a * extra, g**b) is None
 
 
 def test_kernel_search_makes_no_product_outside_its_box(monkeypatch):

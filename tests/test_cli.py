@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -43,6 +44,31 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     proc = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_library_has_no_floating_point():
+    # Every equality smbraid reports is a ring identity, so no module may
+    # hold a float literal, name `float`, or import from `math` anything but
+    # the integer functions gcd, lcm and factorial (`import math` whole
+    # would let math.log in).
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    allowed = {"gcd", "lcm", "factorial"}
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((name, node.lineno, repr(node.value)))
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append((name, node.lineno, "float"))
+            elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+                found.append((name, node.lineno, "import math"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.extend((name, node.lineno, a.name) for a in node.names if a.name not in allowed)
+    assert found == []
 
 
 def test_kernel2_json(capsys):
@@ -140,25 +166,26 @@ def test_unfaith_stops_once_its_answer_is_settled():
 
 
 def test_kernel2_skips_a_grid_its_character_empties():
-    # tau_1 -> 41/30 under the character 2: no 41/30^p * 2^q is 1, so the
-    # box is empty and bounds of 10**5 cost one short float pass, where the
-    # whole grid would grow its powers until the address cap ends it.  Run
-    # in a child process under a 1 GB cap.
+    # tau_1 -> 41/30 under the character 2: no 41/30^p * 2^q is 1, since
+    # 41 * 30 is no power of 2, so the box is empty at any bound, found by
+    # one exact integer solve, where the whole grid would grow its powers
+    # until the address cap ends it.  Run in a child process under a 1 GB cap.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONSTARTUP")}
-    argv = ["kernel2", "--rep", "scalar:2", "--a=1/2", "--b=1/3", "--c=1/5", "--pmax", "100000", "--qmax", "100000",
-            "--json"]
     cap = 1 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "smbraid.cli", *argv],
-        env={**env, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=2,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["hits"] == []
+    for bound in ("100000", "16777216"):
+        argv = ["kernel2", "--rep", "scalar:2", "--a=1/2", "--b=1/3", "--c=1/5", "--pmax", bound, "--qmax", bound,
+                "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "smbraid.cli", *argv],
+            env={**env, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=2,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 0, (bound, proc.stderr)
+        assert json.loads(proc.stdout)["hits"] == [], bound
 
 
 def test_unfaith_absent(capsys):
