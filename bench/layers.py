@@ -42,11 +42,12 @@ from the `src` directory next to this script's parent:
   oracle, which folds both words on integer 5-tuples of SL(2, Z) x Z;
   `check_relations(burau_unreduced(4), params)`, the `relcheck`
   path, which builds its own extension; the `SM_2` kernel grids, each at
-  p <= 6, |q| <= 12 unless stated.  A matrix grid op is named by what it
-  times, as the witness ops below are: `kernel2_walk_*` builds keys and
-  makes products, and `kernel2_obstructed_*` returns before building keys,
-  because no det tau_1^p * det sigma_1^q is 1 in bounds but at (0, 0), so
-  the box of `kernel_search_sm2` is empty.  They are: the grid of
+  p <= 6, |q| <= 12 unless stated.  A matrix or cyclic grid op is named
+  by what it times, as the witness ops below are: `kernel2_walk_*` builds
+  keys and makes products, and `kernel2_obstructed_*` returns before
+  building keys, because no det tau_1^p * det sigma_1^q (norm, for a
+  cyclic grid) is 1 in bounds but at (0, 0), so the box of
+  `kernel_search_sm2` is empty.  They are: the grid of
   sigma_1 -> [[0, -2], [1, 0]] at (1, 2, 1), the matrix half of `prop8`
   (where tau_1 -> 1, as 2 * rho(sigma_1)^-1 = -rho(sigma_1)), whose box
   (6, 0, 0) leaves it the row heads only, no power of sigma_1; the grid of
@@ -65,17 +66,20 @@ from the `src` directory next to this script's parent:
   `laurent-eval` workload's `kernel2` queries, obstructed (det tau_1 is no
   unit); and the grid (p <= 300, q = 0) of `burau_reduced(2)` at
   (1, -1, 0), obstructed (tau_1 -> -t + t^-1 is no unit).  The cyclic
-  grids, which the filter leaves whole: the grid of sigma_1 -> X in the
-  twisted cyclic algebra
-  X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its heads and powers are
-  keyed by their integer coordinates and its six hits (p, -p) compared;
-  the grid of X^3 = -8 at (1/2, -4/3, 2/3), whose
-  tau_1 image has all three coordinates nonzero, the shape of the cyclic
-  half of `prop8` and of `kernel2 --backend cyclic:<s>:<ds>`; the grid
-  (p <= 20, |q| <= 40) of X^500 = 2 at the same parameters, where a head
-  fills up to 41 of the 500 coordinates and a power of X one.  The grid
+  grids, filtered by the norm, the determinant of multiplication in the
+  algebra: the grid of sigma_1 -> X in the twisted cyclic algebra
+  X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its box is (6, -6, 0),
+  its heads and powers are keyed by their integer coordinates and its six
+  hits (p, -p) compared; the grid of X^3 = -8 at (1, 4, 2), whose tau_1
+  image has all three coordinates nonzero, the shape of the cyclic half of
+  `prop8` and of `kernel2 --backend cyclic:<s>:<ds>`, with the norm -32
+  against -8 and the box (6, -10, 0), step 3; and two cyclic grids
+  obstructed at (1/2, -4/3, 2/3): X^3 = -8, where tau_1 has the norm
+  25/27, and X^500 = 2 (p <= 20, |q| <= 40), whose norm, 451 digits
+  over 389, is taken by the doubling ladder of `algebra._character` and
+  has no power that one of -2 cancels.  The grid
   of `as_formal(burau_reduced(2))` at (1, 0, 0), the path of
-  `kernel2 --backend formal`, which the filter leaves whole too (every
+  `kernel2 --backend formal`, which the filter leaves whole (every
   image has coefficient sum 1), and whose heads and powers are keyed
   by the formal elements themselves, so each product is a convolution;
   `scalar_kernel_hits` for the character d = 2 (p <= 4,
@@ -210,7 +214,7 @@ def operations() -> dict:
     cyclic4, cyclic_params = cyclic_rep(4, p), PhiParams.of(1, 0, 0)
     sigma_params, planted = cyclic_params, PhiParams.of(1, 2, parse_scalar("-13/6"))
     cyclic3, cyclic500 = cyclic_rep(3, -8), cyclic_rep(500, 2)
-    dense = PhiParams.of(parse_scalar("1/2"), q, parse_scalar("2/3"))
+    dense, cyclic_dense = PhiParams.of(parse_scalar("1/2"), q, parse_scalar("2/3")), PhiParams.of(1, 4, 2)
     formal_reduced2 = as_formal(reduced2)
     grid_params = PhiParams.of(1, 2, 1)
     rational = PhiParams.of(parse_scalar("1/2"), parse_scalar("-2/3"), parse_scalar("3/5"))
@@ -260,8 +264,9 @@ def operations() -> dict:
         "analysis.kernel2_obstructed_burau_unreduced2": lambda: kernel_search_sm2(unreduced2, params, 4, 8),
         "analysis.kernel2_obstructed_burau_reduced2_p300": lambda: kernel_search_sm2(reduced2, birman, 300, 0),
         "analysis.kernel2_cyclic4": lambda: kernel_search_sm2(cyclic4, cyclic_params, 6, 12),
-        "analysis.kernel2_cyclic3_dense": lambda: kernel_search_sm2(cyclic3, dense, 6, 12),
-        "analysis.kernel2_cyclic500": lambda: kernel_search_sm2(cyclic500, dense, 20, 40),
+        "analysis.kernel2_walk_cyclic3_dense": lambda: kernel_search_sm2(cyclic3, cyclic_dense, 6, 12),
+        "analysis.kernel2_obstructed_cyclic3_dense": lambda: kernel_search_sm2(cyclic3, dense, 6, 12),
+        "analysis.kernel2_obstructed_cyclic500": lambda: kernel_search_sm2(cyclic500, dense, 20, 40),
         "analysis.kernel2_formal_burau2": lambda: kernel_search_sm2(formal_reduced2, cyclic_params, 6, 12),
         "analysis.scalar_kernel_hits": lambda: scalar_kernel_hits(grid_params, two, 4, 8),
         "analysis.witness_obstructed_burau3": lambda: find_scalar_witness(walk_rep, two, 4, 6),

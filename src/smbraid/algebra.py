@@ -338,16 +338,44 @@ def _search_keys(
     return lambda x: x, one.scale, images, mul, None
 
 
-def _character(x: AlgebraElement) -> tuple[LaurentPoly, int] | None:
+def _character(x: AlgebraElement) -> tuple[LaurentPoly, int]:
     """(chi(x), k) for a multiplicative map chi to the scalars with
-    chi(c * 1) = c**k: (det, dim) for a matrix, and (coefficient sum, 1)
-    for a formal element, the augmentation of the group algebra, a ring
-    homomorphism; None for a cyclic element."""
+    chi(c * 1) = c**k: (det, dim) for a matrix; (coefficient sum, 1) for a
+    formal element, the augmentation of the group algebra, a ring
+    homomorphism; and (norm, s) for a cyclic element of order s, the norm
+    being the determinant of multiplication by x on K[X]/(X^s - d),
+    multiplicative as that algebra is commutative.
+
+    The norm is taken in closed form for x = a*X + c + b*X^-1, the only
+    shape a letter or tau image has: c = coords[0], a = coords[1] (s >= 2)
+    and b = coords[s-1] * d (s >= 3), as X^-1 = X^(s-1) / d; a coordinate
+    outside {X^-1, 1, X} raises ValueError.  N(x) is the product of
+    a*xi + c + b/xi over the s roots xi of X^s = d, which is
+    (-1)**(s+1) * (b**s - d * W_s + d**2 * a**s) / d, with W_k = y1**k + y2**k
+    for the roots of y**2 + c*y + a*b: the Lucas sequence W_0 = 2,
+    W_1 = -c, W_k = -c * W_(k-1) - a*b * W_(k-2) (E. Lucas, Amer. J. Math. 1,
+    1878).  W_s is taken by a doubling ladder over the bits of s below the
+    leading one (D. Knuth, TAOCP vol. 2, 4.6.3) on (W_k, W_(k+1), (a*b)**k)
+    from k = 1, with W_2k = W_k**2 - 2 (a*b)**k and
+    W_(2k+1) = W_k * W_(k+1) + c (a*b)**k: O(log s) scalar products."""
     if isinstance(x, Matrix):
         return x.det(), x.dim
     if isinstance(x, FormalElement):
         return sum(x.coeffs.values(), ZERO), 1
-    return None
+    s, d, coords = x.order, as_scalar(x.twist), x.coords
+    if any(coords[2:-1]):
+        raise ValueError("the cyclic norm needs an element a*X + c + b*X^-1")
+    c, a, b = coords[0], coords[1] if s > 1 else ZERO, coords[-1] * d if s > 2 else ZERO
+    ab = a * b
+    w, w_next, power = -c, c * c - 2 * ab, ab
+    for bit in bin(s)[3:]:
+        odd = w * w_next + c * power
+        if bit == "0":
+            w, w_next, power = w * w - 2 * power, odd, power * power
+        else:
+            w, w_next, power = odd, w_next * w_next - 2 * power * ab, power * power * ab
+    norm = b**s * d**-1 - w + d * a**s
+    return (norm if s % 2 else -norm), s
 
 
 def linear_combination(terms: Sequence[tuple[LaurentPoly | int, AlgebraElement]]) -> AlgebraElement:

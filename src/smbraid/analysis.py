@@ -172,19 +172,20 @@ def find_scalar_witness(
     and there is no walk.  Absence of a hit is
     evidence only; the search is bounded.
 
-    A matrix or formal rep first drops every s whose target no word in
-    bounds can reach, by a multiplicative map chi to the scalars: the
-    determinant of a matrix rep (the Burau determinant argument; J. Birman,
-    Braids, Links, and Mapping Class Groups, 1974), and the coefficient sum
-    of a formal rep, the augmentation of the group algebra, a ring
-    homomorphism.  The braid relations, checked when the rep is built, make
-    every sigma_i conjugate to sigma_1, so chi(rho(v)) = delta**e(v), where
+    The search first drops every s whose target no word in bounds can
+    reach, by the multiplicative map chi to the scalars of
+    `algebra._character`: the determinant of a matrix rep (the Burau
+    determinant argument; J. Birman, Braids, Links, and Mapping Class
+    Groups, 1974), the coefficient sum of a formal rep, the augmentation of
+    the group algebra, a ring homomorphism, and the norm of a cyclic rep.
+    The braid relations, checked when the rep is built, make every sigma_i
+    conjugate to sigma_1, so chi(rho(v)) = delta**e(v), where
     delta = chi(rho(sigma_1)) is a unit, computed once per rep
     (`BraidRep._delta`), and e(v) is the exponent sum of v, with
     |e(v)| <= len(v) <= len_max.  The target value**(-s) * 1 has
-    chi = value**(-s * k), with k the dimension of a matrix rep and 1 for a
-    formal rep, so s can be hit only where (value**k)**s * delta**e == 1 for
-    some |e| <= len_max.  Those cells (s, e) are symmetric under
+    chi = value**(-s * k), with k the dimension of a matrix rep, 1 for a
+    formal rep and the order of a cyclic one, so s can be hit only where
+    (value**k)**s * delta**e == 1 for some |e| <= len_max.  Those cells (s, e) are symmetric under
     (s, e) -> (-s, -e), so s is kept iff |s| is a row that `_grid_box`
     finds on the grid 0 <= s <= s_max, |e| <= len_max: a multiple of its
     step up to its p_top.  A dropped s could never hit, so every result is
@@ -192,18 +193,14 @@ def find_scalar_witness(
     1 * g (`perm`, an `as_formal` lift) have delta = 1, so the only s kept
     has the target 1 * 1, which the empty word reaches, and such a search
     makes no product.
-    A cyclic rep is not filtered.
     """
     value = as_scalar(value)
     if not is_unit(value):
         raise ValueError(f"need a unit, got {format_scalar(value)}")
     if s_max < 0 or len_max < 0:
         raise ValueError("bounds must be nonnegative")
-    one = rep.one()
-    stride, top = 1, s_max
-    if character := rep._delta:
-        delta, k = character
-        stride, top, _, _ = _grid_box(value**k, delta, s_max, len_max)
+    one, (delta, k) = rep.one(), rep._delta
+    stride, top, _, _ = _grid_box(value**k, delta, s_max, len_max)
     exponents = [*range(stride, top + 1, stride), *range(-stride, -top - 1, -stride)]
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
@@ -321,14 +318,14 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     in the kernel and flags an unfaithful rho.  The trivial pair (0, 0) is
     never reported.
 
-    A matrix or formal rep first narrows the grid to a box by the
-    multiplicative map chi of `algebra._character` (the determinant, or
-    the coefficient sum): a hit has chi(tau_1)**p * delta**q = chi(1) = 1,
+    The grid is first narrowed to a box by the multiplicative map chi of
+    `algebra._character` (the determinant, the coefficient sum, or the
+    cyclic norm): a hit has chi(tau_1)**p * delta**q = chi(1) = 1,
     with delta = chi(rho(sigma_1)) (`BraidRep._delta`).  `_grid_box`
     gives a box, p <= p_top and q_lo <= q <= q_hi, holding every cell that
     passes, so no hit lies outside it and the report is the one the whole
     grid gives.  When (0, 0) is its only cell, the report comes
-    back with no key built and no product.  A cyclic grid is the whole grid.
+    back with no key built and no product.
 
     A cell is a hit iff its row head tau_1^p equals sigma_1^-q: the images of
     sigma_1 and sigma_1^-1 are two-sided inverses (matrices over a domain,
@@ -357,9 +354,7 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     if p_max < 0 or q_max < 0:
         raise ValueError("bounds must be nonnegative")
     images = [Extension(rep, params).letters[tau(1)], rep.image(1), rep.image_inv(1)]
-    p_top, q_lo, q_hi = p_max, -q_max, q_max
-    if character := rep._delta:
-        _, p_top, q_lo, q_hi = _grid_box(_character(images[0])[0], character[0], p_max, q_max)
+    _, p_top, q_lo, q_hi = _grid_box(_character(images[0])[0], rep._delta[0], p_max, q_max)
     if not (p_top or q_lo or q_hi):  # (0, 0) is the only cell left
         return KernelReport(p_max, q_max, (), None, None)
     key, _, steps, mul, _ = _search_keys(rep.one(), images, max(p_top, q_hi, -q_lo))
@@ -406,7 +401,11 @@ def _grid_box(x: LaurentPoly, delta: LaurentPoly, p_max: int, q_max: int) -> tup
       k_d = k_x = 0: |c_x|**p = |c_d|**-q, and reading numerator times
       denominator of both reduced fractions, n_x**p = n_d**|q| with
       n = |num| * den and n_d >= 2, which `_common_power` solves; the sign
-      of q is read off which of |c_x| and |c_d| exceed 1.  Any passing cell
+      of q is read off which of |c_x| and |c_d| exceed 1.  A passing cell
+      has n_x <= n_d**q_max, so an n_x of more than q_max * bitlen(n_d) + 1
+      bits has none (the + 1 keeps n_x = 1 at q_max = 0), and is dropped
+      before that solve, which would strip the large denominator of a
+      cyclic norm, such as 2**s, about one bit per step.  Any passing cell
       is a multiple k * (p1, q1), and a positive rational is 1 only when
       its k-th power is, so r = c_x**p1 * c_d**q1 decides: (p0, q0) =
       (p1, q1) for r = 1, (2 p1, 2 q1) for r = -1, and no cell otherwise.
@@ -421,10 +420,11 @@ def _grid_box(x: LaurentPoly, delta: LaurentPoly, p_max: int, q_max: int) -> tup
         return 1, 0, 0, 0
     x_low, (x_num,), x_den = _parts(x)
     d_low, (d_num,), d_den = _parts(delta)
+    n_x, n_d = abs(x_num) * x_den, abs(d_num) * d_den
     if d_low:
         g = gcd(x_low, d_low)
         p, q = abs(d_low) // g, (-x_low if d_low > 0 else x_low) // g
-    elif x_low or not (common := _common_power(abs(x_num) * x_den, abs(d_num) * d_den)):
+    elif x_low or n_x.bit_length() > q_max * n_d.bit_length() + 1 or not (common := _common_power(n_x, n_d)):
         return 1, 0, 0, 0
     else:
         p, q = common

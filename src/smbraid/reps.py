@@ -105,9 +105,10 @@ class BraidRep:
         return self.letters[sigma_inv(i)]
 
     @cached_property
-    def _delta(self) -> tuple[LaurentPoly, int] | None:
+    def _delta(self) -> tuple[LaurentPoly, int]:
         """`algebra._character` of rho(sigma_1): (det, dim) for a matrix rep,
-        (coefficient sum, 1) for a formal rep, None for a cyclic rep.  For
+        (coefficient sum, 1) for a formal rep, (norm, order) for a cyclic
+        rep, where the norm of X under X^s = d is (-1)**(s+1) * d.  For
         the character filters of `analysis.find_scalar_witness` and
         `analysis.kernel_search_sm2`; a rep is immutable, so it is taken once."""
         return _character(self.letters[sigma(1)])

@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random word generators, the brute-force
 routes of the witness walk (the enumeration of freely reduced braid words),
-of the SM_2 kernel grid and of the formal product, and the one conversion
+of the SM_2 kernel grid, of the formal product and of the cyclic norm, and
+the one conversion
 between the library's scalars and the ``Fraction`` values the tests use as
 their oracle."""
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from smbraid import analysis
-from smbraid.algebra import FormalElement
+from smbraid.algebra import CyclicElement, FormalElement, Matrix
 from smbraid.scalars import LaurentPoly, T, _parts, as_scalar
 from smbraid.words import SMWord, braid_letters, tau
 
@@ -131,3 +132,12 @@ def formal_product_reference(x: FormalElement, y: FormalElement) -> dict[object,
                     acc[i + j] = acc.get(i + j, 0) + u * v
     purged = {gh: {e: c for e, c in acc.items() if c} for gh, acc in total.items()}
     return {gh: acc for gh, acc in purged.items() if acc}
+
+
+def multiplication_matrix(x: CyclicElement) -> Matrix:
+    """The brute-force route of the cyclic norm in `algebra._character`:
+    the s-by-s matrix of y -> x * y on the basis X^0 .. X^(s-1) of the
+    algebra of x, whose column j holds the coordinates of x * X^j.  Its
+    determinant is the norm of x."""
+    cols = [(x * CyclicElement.x_power(x.order, x.twist, j)).coords for j in range(x.order)]
+    return Matrix([[col[i] for col in cols] for i in range(x.order)])

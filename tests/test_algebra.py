@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import enumerate_braid_words, formal_product_reference, formal_terms, random_braid_word, scalar, terms
+from conftest import (
+    enumerate_braid_words, formal_product_reference, formal_terms, multiplication_matrix, random_braid_word, scalar,
+    terms
+)
 from smbraid.algebra import (
     CyclicElement,
     FormalElement,
     Matrix,
     Permutation,
+    _character,
     linear_combination,
     parse_matrix,
 )
@@ -820,6 +824,71 @@ def test_cyclic_mismatch_raises():
         CyclicElement.one(2, -2) * CyclicElement.one(2, 5)
 
 
+# Rationals, zero among them, and Laurent scalars of one or two terms.
+norm_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+norm_scalars = st.one_of(
+    st.just(scalar(0)),
+    norm_rationals.map(scalar),
+    st.builds(lambda c, e: scalar({e: c}), norm_rationals, st.integers(-2, 2)),
+    st.builds(lambda c, d: scalar({0: c, 1: d}), norm_rationals, norm_rationals),
+)
+norm_twists = st.builds(
+    lambda c, e: scalar({e: c}), norm_rationals.filter(bool), st.sampled_from([0, 0, -1, 1, 2])
+)
+
+
+def tau_shaped(order, twist, a, b, c):
+    """a*X + b*X^-1 + c in K[X]/(X^order - twist)."""
+    x, x_inv, one = (CyclicElement.x_power(order, twist, k) for k in (1, -1, 0))
+    return x.scale(a) + x_inv.scale(b) + one.scale(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 7), twist=norm_twists, a=norm_scalars, b=norm_scalars, c=norm_scalars)
+def test_cyclic_norm_is_the_multiplication_determinant(order, twist, a, b, c):
+    # The closed form of the norm, its Lucas sequence walked by the doubling
+    # ladder, against the determinant of multiplication by the element.
+    x = tau_shaped(order, twist, a, b, c)
+    assert _character(x) == (multiplication_matrix(x).det(), order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.integers(3, 70),
+    twist=norm_rationals.filter(bool),
+    a=norm_rationals,
+    b=norm_rationals,
+    c=norm_rationals,
+)
+def test_cyclic_norm_ladder_matches_the_lucas_recurrence(order, twist, a, b, c):
+    # The determinant check above reaches orders whose doubling ladder has
+    # at most two steps.  Here the closed form is taken in Fractions, with
+    # W_s by the linear recurrence, up to ladders of six steps.
+    w = [Fraction(2), -c]
+    for _ in range(order - 1):
+        w.append(-c * w[-1] - a * b * w[-2])
+    norm = (-1) ** (order + 1) * (b**order - twist * w[order] + twist**2 * a**order) / twist
+    x = tau_shaped(order, scalar(twist), *(scalar(v) for v in (a, b, c)))
+    assert _character(x) == (scalar(norm), order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.integers(1, 7),
+    twist=norm_twists,
+    xs=st.tuples(norm_scalars, norm_scalars, norm_scalars),
+    ys=st.tuples(norm_scalars, norm_scalars, norm_scalars),
+    c=norm_scalars,
+)
+def test_cyclic_norm_is_multiplicative(order, twist, xs, ys, c):
+    # N(x * y) = N(x) * N(y) wherever x * y keeps the shape a*X + c + b*X^-1,
+    # as it always does for order <= 3, and N(c * 1) = c**order.
+    x, y = tau_shaped(order, twist, *xs), tau_shaped(order, twist, *ys)
+    if not any((x * y).coords[2:-1]):
+        assert _character(x * y)[0] == _character(x)[0] * _character(y)[0]
+    assert _character(CyclicElement.one(order, twist).scale(c)) == (c**order, order)
+
+
 # --- generic bilinearity across backends -----------------------------------------------
 
 
@@ -858,6 +927,9 @@ BAD_INPUT_CASES = [
     ("cyclic-order-0", lambda: CyclicElement(0, scalar(1), ()), "need order >= 1"),
     ("cyclic-twist-0", lambda: CyclicElement(1, scalar(0), (scalar(1),)), "twist must be a unit"),
     ("cyclic-coords", lambda: CyclicElement(2, scalar(-2), (scalar(1),)), "need 2 coordinates, got 1"),
+    # the closed-form norm covers a*X + c + b*X^-1; X^2 is outside it at order 4
+    ("cyclic-norm-shape", lambda: _character(CyclicElement.x_power(4, 2, 2)),
+     "the cyclic norm needs an element a*X + c + b*X^-1"),
 ]
 
 

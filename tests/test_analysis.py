@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    enumerate_braid_words, grid_reference, random_braid_word, random_sm_word, scalar, spy_products
+    enumerate_braid_words, grid_reference, multiplication_matrix, random_braid_word, random_sm_word, scalar,
+    spy_products
 )
 from smbraid import algebra, analysis, reps
 from smbraid.algebra import (
@@ -365,21 +366,23 @@ def test_find_scalar_witness_restarts_past_the_first_depth():
 
 def character(rep):
     """(chi(rho(sigma_1)), k) with chi(c * 1) = c**k, read off the letter
-    image: (det, dim) of a matrix, (coefficient sum, 1) of a formal element;
-    None for a cyclic rep, which the witness search does not filter."""
+    image: (det, dim) of a matrix, (coefficient sum, 1) of a formal element,
+    and (norm, order) of a cyclic element, the norm taken as the determinant
+    of its multiplication matrix."""
     x = rep.image(1)
     if rep.backend == "matrix":
         return x.det(), x.dim
     if rep.backend == "formal":
         return sum(x.coeffs.values(), scalar(0)), 1
-    return None
+    return multiplication_matrix(x).det(), x.order
 
 
-@pytest.mark.parametrize("name", [name for name, rep in WITNESS_REPS.items() if character(rep)])
+@pytest.mark.parametrize("name", WITNESS_REPS)
 def test_find_scalar_witness_drops_only_targets_no_determinant_reaches(name):
     # chi(rho(v)) = delta**e(v) with |e(v)| <= len(v), for delta =
-    # chi(rho(sigma_1)) and chi the determinant of a matrix rep or the
-    # coefficient sum of a formal one, so the search may drop the exponent s
+    # chi(rho(sigma_1)) and chi the determinant of a matrix rep, the
+    # coefficient sum of a formal one or the norm of a cyclic one, so the
+    # search may drop the exponent s
     # only where no such power is chi(value**-s * 1) = value**(-s * k).  Each
     # verdict of the closed form is checked against that definition, looped
     # over e; every s of an enumerated hit must be kept; and the search must
@@ -467,10 +470,9 @@ RESTART_VALUES = {
 
 
 def first_kept_exponent(rep, value, len_max):
-    """The first s in try order that the character filter keeps (every s of
-    a rep without a character is kept)."""
-    chi = character(rep)
-    step, top = (1, 4) if chi is None else analysis._grid_box(value ** chi[1], chi[0], 4, len_max)[:2]
+    """The first s in try order that the character filter keeps, or None."""
+    delta, k = character(rep)
+    step, top = analysis._grid_box(value**k, delta, 4, len_max)[:2]
     return next((s for s in (1, 2, 3, 4, -1, -2, -3, -4) if abs(s) <= top and s % step == 0), None)
 
 
@@ -482,7 +484,8 @@ def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatc
     # search, with no restart, exactly where the answer's s is the first one
     # kept and its word has at most 8 letters: a miss, a longer word, or an
     # earlier s left open needs the restart.  Every image group here is
-    # infinite, so no walk ends early by exhaustion.
+    # infinite, so no walk ends early by exhaustion.  Where the filter keeps
+    # no s, no key is built.
     rep = WITNESS_REPS[name]
     kind = "cyclic" if rep.backend == "cyclic" else "kronecker"
     kinds = spy_key_kinds(monkeypatch)
@@ -492,11 +495,11 @@ def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatc
             kinds.clear()
             expected = enumerated_witness(states, rep, value, 4)
             assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
-            settled = (
-                expected is not None
-                and len(expected[0]) <= 8
-                and expected[1] == first_kept_exponent(rep, value, len_max)
-            )
+            first = first_kept_exponent(rep, value, len_max)
+            if first is None:
+                assert expected is None and kinds == [], (len_max, value)
+                continue
+            settled = expected is not None and len(expected[0]) <= 8 and expected[1] == first
             assert kinds[0] == kind and (len(kinds) > 1) != settled, (len_max, value)
 
 
@@ -698,10 +701,11 @@ def test_find_scalar_witness_keys_by_backend(monkeypatch):
     # Kronecker keys for a matrix rep; cyclic coordinate keys for a cyclic
     # rep with a rational twist; element keys for every formal rep, whether
     # its letters are each 1 * g, a permutation or a matrix, or scaled, and
-    # for a cyclic rep with a Laurent twist.  The matrix and formal reps
-    # take values whose targets some word's character reaches, so that keys
-    # are built: chi(rho(sigma_1)) is 1 for the unit letters, 2 for the
-    # scaled ones and -t for reduced Burau.
+    # for a cyclic rep with a Laurent twist.  Every rep takes values whose
+    # targets some word's character reaches, so that keys are built:
+    # chi(rho(sigma_1)) is 1 for the unit letters, 2 for the scaled ones, -t
+    # for reduced Burau, and the norm (-1)**(s+1) * d of X under X^s = d for
+    # a cyclic rep: -1, -1/2 and -2t^-1 here.
     kinds = spy_key_kinds(monkeypatch)
     units = (scalar(Fraction(1, 2)), scalar(-1), T)
     cases = [
@@ -710,9 +714,9 @@ def test_find_scalar_witness_keys_by_backend(monkeypatch):
         (scaled_permutation_rep(3, scalar(2)), "element", units[:2]),
         (scaled_permutation_rep(3, scalar(1)), "element", (scalar(-1),)),
         (burau_reduced(3), "kronecker", (-T**-1, scalar(-1), T)),
-        (cyclic_rep(3, -1, 3), "cyclic", units),
-        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), "cyclic", units),
-        (cyclic_rep(2, 2 * T**-1, 3), "element", units),
+        (cyclic_rep(3, -1, 3), "cyclic", (scalar(-1),)),
+        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), "cyclic", units[:2]),
+        (cyclic_rep(2, 2 * T**-1, 3), "element", (scalar(-1), T * scalar(Fraction(1, 2)))),
     ]
     for rep, expected, values in cases:
         states = enumerated_witness_states(rep, 3)
@@ -971,8 +975,11 @@ def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
     # images is at most PACKED_SPAN, Laurent images included; element keys
     # for a matrix grid past it (range 18: 8 * 18 = 144) and for a cyclic
     # grid with a Laurent twist or tau_1 image and for every formal grid;
-    # cyclic coordinate keys for a rational cyclic grid.  Every matrix grid
-    # here keeps a nonempty box, so each builds one key set.
+    # cyclic coordinate keys for a rational cyclic grid.  Every grid here
+    # keeps a nonempty box, so each builds one key set: the norm of tau_1 ->
+    # t * X under X^3 = 1 is t^3, no unit power of delta = 1, so that box is
+    # row 0, and tau_1 -> -4/3 X - 4/3 X^-1 + 2/3 under X^3 = -8 has norm 16,
+    # and 16^3 * (-8)^-4 = 1.
     packed = []
 
     def spy(*args):
@@ -995,8 +1002,8 @@ def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
         (burau_unreduced(2), PhiParams.of(0, 1, 0), "kronecker"),
         (matrix_rep_from_images(2, [Matrix([[T**9, 0], [0, T**-9]])]), PhiParams.of(1, 0, 0), "element"),
         (cyclic_rep(4, T), PhiParams.of(1, 0, 0), "element"),
-        (cyclic_rep(3, 2), PhiParams.of(T, 0, 0), "element"),
-        (cyclic_rep(3, -8), PhiParams.of(*(scalar(Fraction(*x)) for x in ((1, 2), (-4, 3), (2, 3)))), "cyclic"),
+        (cyclic_rep(3, 1), PhiParams.of(T, 0, 0), "element"),
+        (cyclic_rep(3, -8), PhiParams.of(*(scalar(Fraction(*x)) for x in ((-4, 3), (-4, 3), (2, 3)))), "cyclic"),
         (cyclic_rep(4, scalar(Fraction(3, 2))), PhiParams.of(1, 0, 0), "cyclic"),
         (cyclic_rep(2, -1), PhiParams.of(0, 0, 0), "cyclic"),
         (perm2, PhiParams.of(1, 0, 0), "element"),
@@ -1048,7 +1055,7 @@ def box_reps():
     scalar characters at +-1, at rational values and at Laurent units, the
     two Burau reps, 2x2 images with det +-1 (finite order: 6, 4 and 2;
     infinite: unipotent, hyperbolic, diagonal Laurent) or not, and formal
-    lifts, with `perm2`; one cyclic rep, which keeps the whole grid."""
+    lifts, with `perm2`; and one cyclic rep, filtered by its norm."""
     third, half = scalar(Fraction(1, 3)), scalar(Fraction(1, 2))
     values = (1, -1, 2, -8, 4, scalar(Fraction(-1, 2)), scalar(Fraction(2, 3)), T, -T, 2 * T**-1, T**2 * third)
     yield from (scalar_char(d, 2) for d in values)
@@ -1095,8 +1102,6 @@ def test_kernel_search_box_holds_every_hit(data, rep, p_max, q_max):
     params = data.draw(box_params(rep))
     expected = grid_reference(rep, params, p_max, q_max)
     assert kernel_search_sm2(rep, params, p_max, q_max).hits == expected
-    if rep._delta is None:
-        return
     x, delta = algebra._character(Extension(rep, params).letters[tau(1)])[0], rep._delta[0]
     step, p_top, q_lo, q_hi = analysis._grid_box(x, delta, p_max, q_max)
     cells = [
@@ -1110,7 +1115,7 @@ def test_kernel_search_box_holds_every_hit(data, rep, p_max, q_max):
         assert (p_top, q_lo, q_hi) == (max([p for p, _ in cells], default=0), min(qs), max(qs))
 
 
-def test_grid_box_closed_forms():
+def test_grid_box_closed_forms(monkeypatch):
     # (step, p_top, q_lo, q_hi) from the lattice of cells x^p delta^q = 1
     box = analysis._grid_box
     cases = [
@@ -1146,6 +1151,16 @@ def test_grid_box_closed_forms():
     assert box(as_scalar(12), as_scalar(24), 10**5, 10**5) == (1, 0, 0, 0)
     # (10^-300)^7 * (10^7)^300 = 1, and |q| <= 10^5 allows 333 multiples
     assert box(scalar(Fraction(1, 10**300)), as_scalar(10**7), 10**5, 10**5) == (7, 2331, 0, 99900)
+    # n_x = 1 has one bit, and n_d**0 = 1 too: the cell (2, 0) of x = -1
+    # stays at q_max = 0
+    assert box(as_scalar(-1), two, 6, 0) == (2, 6, 0, 0)
+    # a passing cell has n_x <= n_d**q_max, so a 50003-bit n_x against
+    # n_d = 2 and q_max = 12 has none, decided before the exponent solve
+    def no_solve(*args):
+        raise AssertionError("_common_power called")
+
+    monkeypatch.setattr(analysis, "_common_power", no_solve)
+    assert box(5 * half**50000, two, 6, 12) == (1, 0, 0, 0)
 
 
 def test_common_power_matches_brute_force():
@@ -1175,14 +1190,16 @@ def test_kernel_search_makes_no_product_outside_its_box(monkeypatch):
     # scalar:2 at (1, 0, 0) sends tau_1 to 2, so its hits are (p, -p): the
     # box is (6, -6, 0), and the grid makes 5 head products and 5 products
     # of sigma_1^k, where the whole grid makes (6 - 1) + 2 * (12 - 1) = 27.
-    # A cyclic grid keeps the whole grid.
+    # X^3 = -8 at (1, 0, 0) has the norm -8 for tau_1 and for sigma_1, so
+    # its box is (6, -6, 0) too.
     calls = spy_products(monkeypatch)
     report = kernel_search_sm2(scalar_char(2, 2), PhiParams.of(1, 0, 0), 6, 12)
     assert report.hits == tuple((p, -p) for p in range(1, 7))
     assert calls["keys"] == 1 and calls["product"] == 10
     calls.clear()
-    kernel_search_sm2(cyclic_rep(3, -8), PhiParams.of(1, 0, 0), 6, 12)
-    assert calls["product"] == 27
+    report = kernel_search_sm2(cyclic_rep(3, -8), PhiParams.of(1, 0, 0), 6, 12)
+    assert report.hits == tuple((p, -p) for p in range(1, 7))
+    assert calls["keys"] == 1 and calls["product"] == 10
 
 
 def test_kernel_search_dense_grid_in_hit_order():

@@ -169,13 +169,16 @@ def test_kernel2_skips_a_grid_its_character_empties():
     # tau_1 -> 41/30 under the character 2: no 41/30^p * 2^q is 1, since
     # 41 * 30 is no power of 2, so the box is empty at any bound, found by
     # one exact integer solve, where the whole grid would grow its powers
-    # until the address cap ends it.  Run in a child process under a 1 GB cap.
+    # until the address cap ends it.  The cyclic backends are filtered by
+    # their norms: X^1 = 2 gives the same 41/30 against 2, and X^3 = 8 the
+    # norm of tau_1 against 8.  Run in a child process under a 1 GB cap.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONSTARTUP")}
     cap = 1 << 30
-    for bound in ("100000", "16777216"):
-        argv = ["kernel2", "--rep", "scalar:2", "--a=1/2", "--b=1/3", "--c=1/5", "--pmax", bound, "--qmax", bound,
-                "--json"]
+    cyclic = [("100000", ["--backend", b]) for b in ("cyclic:1:2", "cyclic:3:8")]
+    for bound, backend in [("100000", []), ("16777216", []), *cyclic]:
+        argv = ["kernel2", "--rep", "scalar:2", "--a=1/2", "--b=1/3", "--c=1/5", *backend, "--pmax", bound,
+                "--qmax", bound, "--json"]
         proc = subprocess.run(
             [sys.executable, "-m", "smbraid.cli", *argv],
             env={**env, "PYTHONPATH": src},
@@ -184,8 +187,8 @@ def test_kernel2_skips_a_grid_its_character_empties():
             timeout=2,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
-        assert proc.returncode == 0, (bound, proc.stderr)
-        assert json.loads(proc.stdout)["hits"] == [], bound
+        assert proc.returncode == 0, (bound, backend, proc.stderr)
+        assert json.loads(proc.stdout)["hits"] == [], (bound, backend)
 
 
 def test_unfaith_absent(capsys):
