@@ -90,8 +90,8 @@ from the `src` directory next to this script's parent:
   reduced Burau `unfaith` queries), which return without a walk: det
   rho(sigma_1) = -t, so no word's determinant (-t)^e is that of a target
   value^-s * 1, a rational constant other than 1; on `burau_unreduced(3)`
-  at value -t (s <= 4, length <= 6), whose targets at s = +-1 and +-2
-  have the determinants (-t)^(-3s) of words of exponent sum -3s, so it
+  at value -t (s <= 4, length <= 6), whose targets at s = 1 and 2 have
+  the determinants (-t)^(-3s) of words of exponent sum -3s, so it
   walks the ball, keying the letter images, which each span two
   exponents, as packed integers (6 * 1 <= 128); on `burau_unreduced(4)`
   at value 2 (s <= 4, length <= 10), the deep search that no word's
@@ -100,7 +100,7 @@ from the `src` directory next to this script's parent:
   shape of its `unfaith --rep perm --n 4` queries), which returns before
   building keys: every image has coefficient sum 1, and so has every word's
   image, so no target (3/2)**-s * 1 is kept; and on `permutation_rep(4)` at
-  value -1 (s <= 4, length <= 4), whose kept targets, at s = +-2 and +-4,
+  value -1 (s <= 4, length <= 4), whose kept targets, at s = 2 and 4,
   are the identity, which the empty word reaches, so it builds element keys
   and returns before any product; and two searches whose
   answer is settled long before their bound, each returning at the product
@@ -111,7 +111,11 @@ from the `src` directory next to this script's parent:
   S1 is its second product.  A witness op is named by what it times:
   `witness_walk_*` makes step products, `witness_obstructed_*` returns
   before building keys, as no target is kept, and `witness_settled_*`
-  returns once its answer is settled;
+  returns once its answer is settled.  And `scalar_power_witness` in
+  mode a00 on that answer of `burau_reduced(3)`, v = s1 s1 s2 s1 s1 s2 at
+  value t^-3 and s = 1, the witness an `unfaith` hit builds: it folds
+  tau_1 v and sigma_1 through the extension, and the comparison of the two
+  images is its one check of rho(v);
 * cli: five whole in-process CLI calls, `cli.main([..., "--json"])` with
   stdout sent to a `StringIO`: a `wordeq3` query and a `relcheck` query on
   the same n = 4 Burau representation and parameters as above, a `kernel2`
@@ -172,7 +176,9 @@ import workloads  # noqa: E402
 from refkernel import kernel  # noqa: E402
 from smbraid import cli  # noqa: E402
 from smbraid.algebra import Matrix, linear_combination  # noqa: E402
-from smbraid.analysis import find_scalar_witness, kernel_search_sm2, scalar_kernel_hits, sm3_word_equality  # noqa: E402
+from smbraid.analysis import (  # noqa: E402
+    find_scalar_witness, kernel_search_sm2, scalar_kernel_hits, scalar_power_witness, sm3_word_equality
+)
 from smbraid.phi import Extension, PhiParams, check_relations, tau_power_expand  # noqa: E402
 from smbraid.reps import (  # noqa: E402
     as_formal, burau_reduced, burau_unreduced, cyclic_rep, matrix_rep_from_images, permutation_rep, rep_eval,
@@ -223,6 +229,7 @@ def operations() -> dict:
     reduced3 = burau_reduced(3)
     perm4 = permutation_rep(4)
     scalar2 = scalar_char(2, 2)
+    full_twist, twist_value = parse_word("s1 s1 s2 s1 s1 s2", 3), T**-3
     shape_word = parse_word("t1 t1 s2 t2 S1 s1", 3)
     dense8, rng = Matrix.identity(8), random.Random(8)
     for _ in range(64):  # elementary factors: the identity with x at (i, j)
@@ -277,6 +284,7 @@ def operations() -> dict:
         "analysis.witness_settled_perm4_unit": lambda: find_scalar_witness(perm4, -1, 4, 4),
         "analysis.witness_settled_burau_reduced3_l12": lambda: find_scalar_witness(reduced3, T**-3, 4, 12),
         "analysis.witness_settled_scalar2_l4096": lambda: find_scalar_witness(scalar2, two, 4, 4096),
+        "analysis.certify_full_twist_reduced3": lambda: scalar_power_witness(reduced3, "a00", twist_value, full_twist, 1),
         "cli.main_wordeq3": cli_call(["wordeq3", "--w1", "t1 s2 t2 S1", "--w2", "s1 t2 S2 t1", "--json"]),
         "cli.main_relcheck4": cli_call(
             ["relcheck", "--n", "4", "--rep", "burau-unreduced", "--a", "t", "--b=-1/2", "--c", "3", "--json"]

@@ -115,14 +115,9 @@ def root_of_unity_order(a: LaurentPoly | int, r_max: int = 8) -> int | None:
 
 def unit_power_witness(rep: BraidRep, mode: str, value: LaurentPoly | int, r: int) -> UnfaithfulnessWitness:
     """Witness pair for a root-of-unity parameter: tau_1^r against the braid
-    word with the same image (value**r == 1 required).  This is the
-    scalar-power witness with v the empty word, since rho(empty) = 1 =
-    value**(-r) * 1."""
-    value = as_scalar(value)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if value**r != 1:
-        raise ValueError(f"{format_scalar(value)}**{r} != 1")
+    word with the same image.  This is the scalar-power witness with v the
+    empty word, so its image comparison holds exactly when value**r == 1,
+    and it needs r >= 1 as it needs s >= 1."""
     return scalar_power_witness(rep, mode, value, SMWord(rep.n), r)
 
 
@@ -158,19 +153,20 @@ def find_scalar_witness(
     so the key size follows the depth reached, not len_max; keys that hold
     any depth are walked to len_max at once.
 
-    Exponents are tried s = 1..s_max, then s = -1..-s_max, so the returned
-    exponent is positive whenever a positive one exists in bounds.  The
-    answer is the first s in that order whose target is hit, with that
-    target's first word, and the search ends by one rule: as soon as that
-    answer is settled.  An s is open while it may still be hit: the
-    determinant filter below keeps it and, once no restart can follow, its
-    target has a key.  The walk returns at the product that first reaches
-    the target of the first open s, even mid-level, since no later word of
-    that image and no later s can come first.  Only that target is keyed
-    before the walk; if it is never reached, the later targets are keyed
-    and looked up once the walk ends.  If no s is open, the answer is None
-    and there is no walk.  Absence of a hit is
-    evidence only; the search is bounded.
+    Exponents are tried in the order s = 1..s_max, and no negative s is
+    tried: whenever a word v reaches value**s * 1, its inverse, of the same
+    length, reaches value**(-s) * 1, so a negative s is only ever hit where
+    a positive one already is.  The answer is the first s in that order
+    whose target is hit, with that target's first word, and the search ends
+    by one rule: as soon as that answer is settled.  An s is open while it
+    may still be hit: the determinant filter below keeps it and, once no
+    restart can follow, its target has a key.  The walk returns at the
+    product that first reaches the target of the first open s, even
+    mid-level, since no later word of that image and no later s can come
+    first.  Only that target is keyed before the walk; if it is never
+    reached, the later targets are keyed and looked up once the walk ends.
+    If no s is open, the answer is None and there is no walk.  Absence of a
+    hit is evidence only; the search is bounded.
 
     The search first drops every s whose target no word in bounds can
     reach, by the multiplicative map chi to the scalars of
@@ -185,11 +181,11 @@ def find_scalar_witness(
     |e(v)| <= len(v) <= len_max.  The target value**(-s) * 1 has
     chi = value**(-s * k), with k the dimension of a matrix rep, 1 for a
     formal rep and the order of a cyclic one, so s can be hit only where
-    (value**k)**s * delta**e == 1 for some |e| <= len_max.  Those cells (s, e) are symmetric under
-    (s, e) -> (-s, -e), so s is kept iff |s| is a row that `_grid_box`
-    finds on the grid 0 <= s <= s_max, |e| <= len_max: a multiple of its
-    step up to its p_top.  A dropped s could never hit, so every result is
-    the one the unfiltered search returns.  Letter images that are each
+    (value**k)**s * delta**e == 1 for some |e| <= len_max, so s is kept
+    iff it is a row that `_grid_box` finds on the grid 0 <= s <= s_max,
+    |e| <= len_max: a multiple of its step up to its p_top.  A dropped s
+    could never hit, so every result is the one the unfiltered search
+    returns.  Letter images that are each
     1 * g (`perm`, an `as_formal` lift) have delta = 1, so the only s kept
     has the target 1 * 1, which the empty word reaches, and such a search
     makes no product.
@@ -201,7 +197,7 @@ def find_scalar_witness(
         raise ValueError("bounds must be nonnegative")
     one, (delta, k) = rep.one(), rep._delta
     stride, top, _, _ = _grid_box(value**k, delta, s_max, len_max)
-    exponents = [*range(stride, top + 1, stride), *range(-stride, -top - 1, -stride)]
+    exponents = range(stride, top + 1, stride)
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
     depth = min(len_max, 8)
@@ -248,33 +244,32 @@ def scalar_power_witness(
     v: SMWord,
     s: int,
 ) -> UnfaithfulnessWitness:
-    """Witness pair built from rho(v) == value**(-s) * identity: tau_1^s v
-    against the braid word with the same image.  A negative s is normalized
-    by replacing (v, s) with (v^-1, -s)."""
+    """Witness pair built from rho(v) == value**(-s) * identity, for s >= 1
+    and a braid word v: w1 = tau_1^s v against w2 = sigma_1^(e*s), with e the
+    sign of the mode.  Their tau counts, s and 0, are the certificate.
+
+    Phi sends tau_1 to value * rho(sigma_1)^e, so the image of w1 is
+    value**s * rho(sigma_1)^(e*s) * rho(v) and the image of w2 is
+    rho(sigma_1)^(e*s): the two are equal exactly when rho(v) =
+    value**(-s) * 1.  So comparing them is the one check of rho(v)."""
     value = as_scalar(value)
     if not is_unit(value):
         raise ValueError(f"need a unit, got {format_scalar(value)}")
-    if s == 0:
-        raise ValueError("need s != 0")
-    if s < 0:
-        v, s = v.inverse(), -s
-    expected = rep.one().scale(value**-s)
-    if rep_eval(rep, v) != expected:
-        raise ValueError("rho(v) is not the required scalar multiple of the identity")
+    if s < 1:
+        raise ValueError("need s >= 1")
+    if not v.is_braid:
+        raise ValueError("v must be a braid word (no tau letters)")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     slot, sign = _MODES[mode]
     params = PhiParams.of(*(value if i == slot else 0 for i in range(3)))
     w1 = tau_power(rep.n, 1, s) * v
     w2 = sigma_power(rep.n, 1, sign * s)
-    cert = distinctness_certificate(w1, w2)
-    if cert is None:
-        raise ValueError("words are not separated by any invariant; no distinctness certificate")
     ext = Extension(rep, params)
     image = rep_eval(ext, w1)
     if rep_eval(ext, w2) != image:
-        raise ValueError("images differ; the pair is not a witness")
-    return UnfaithfulnessWitness(w1, w2, cert, image, params)
+        raise ValueError("rho(v) is not value**-s * 1, so the images differ")
+    return UnfaithfulnessWitness(w1, w2, distinctness_certificate(w1, w2), image, params)
 
 
 # --- SM_2 kernel searches ---------------------------------------------------------

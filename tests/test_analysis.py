@@ -169,6 +169,10 @@ def enumerated_witness_states(rep, len_max):
 
 
 def enumerated_witness(states, rep, value, s_max):
+    """The brute-force route of `find_scalar_witness`: the first s in
+    1..s_max, then -1..-s_max, whose target an enumerated image equals, with
+    its first word.  It tries the negative s that the search skips, so an
+    agreement shows that no negative s comes first."""
     one = rep.one()
     for s in list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)):
         target = one.scale(value**-s)
@@ -345,7 +349,7 @@ def test_find_scalar_witness_sizes_keys_by_the_depth_reached(monkeypatch):
     # Both images have order 2, so the walk ends at depth 2 whatever len_max
     # says; slots and scales sized from len_max would take billions of bits.
     # The constant image is packed at any depth, as its products span one
-    # exponent.  Both have determinant -1, so the target -1 * 1 (s = +-1),
+    # exponent.  Both have determinant -1, so the target -1 * 1 (s = 1),
     # of determinant 1, is walked for; no image is -1 * 1.
     kinds = spy_key_kinds(monkeypatch)
     for m in (Matrix([[1, -2 * T], [0, -1]]), Matrix([[1, -2], [0, -1]])):
@@ -386,9 +390,12 @@ def test_find_scalar_witness_drops_only_targets_no_determinant_reaches(name):
     # only where no such power is chi(value**-s * 1) = value**(-s * k).  Each
     # verdict of the closed form is checked against that definition, looped
     # over e; every s of an enumerated hit must be kept; and the search must
-    # still return the enumeration's (v, s).  Values are +-2^j t^k.  The
-    # bound stops at 4 on perm4 and perm5, whose balls of radius 6 hold 19k
-    # and 134k words, each evaluated from scratch.
+    # still return the enumeration's (v, s).  The enumeration tries
+    # s = -1..-4 after 1..4 and the search does not, which is sound because
+    # value**s * 1 and value**-s * 1 are reached together, first by words of
+    # one length (v and its inverse), so every result has s >= 1.  Values
+    # are +-2^j t^k.  The bound stops at 4 on perm4 and perm5, whose balls
+    # of radius 6 hold 19k and 134k words, each evaluated from scratch.
     rng = random.Random(35)
     rep = WITNESS_REPS[name]
     one, (delta, k) = rep.one(), character(rep)
@@ -402,7 +409,12 @@ def test_find_scalar_witness_drops_only_targets_no_determinant_reaches(name):
         values += [rng.choice((-1, 1)) * scalar(Fraction(2) ** rng.randint(-3, 3)) * T ** rng.randint(-3, 3) for _ in range(8)]
         for value in values:
             expected = enumerated_witness(states, rep, value, 4)
-            assert find_scalar_witness(rep, value, 4, len_max) == expected, (len_max, value)
+            got = find_scalar_witness(rep, value, 4, len_max)
+            assert got == expected and (got is None or got[1] >= 1), (len_max, value)
+            for s in range(1, 5):
+                # the states keep each image's shortlex-first word
+                up, down = (next((len(v) for v, img in states if img == one.scale(value**e)), None) for e in (s, -s))
+                assert up == down, (len_max, value, s)
             step, top, _, _ = analysis._grid_box(value**k, delta, 4, len_max)
             for s in (1, 2, 3, 4, -1, -2, -3, -4):
                 target = value ** (-s * k)
@@ -473,7 +485,7 @@ def first_kept_exponent(rep, value, len_max):
     """The first s in try order that the character filter keeps, or None."""
     delta, k = character(rep)
     step, top = analysis._grid_box(value**k, delta, 4, len_max)[:2]
-    return next((s for s in (1, 2, 3, 4, -1, -2, -3, -4) if abs(s) <= top and s % step == 0), None)
+    return next((s for s in range(1, 5) if s <= top and s % step == 0), None)
 
 
 @pytest.mark.parametrize("name", RESTART_VALUES)
@@ -738,11 +750,14 @@ def test_scalar_power_witness_examples():
     assert w.image == rep.one().scale(4)
 
 
-def test_scalar_power_witness_normalizes_negative_s():
+def test_scalar_power_witness_rejects_s_below_1():
+    # rho(sigma_1) = 2 = 2^-(-1), but the (v, s) = (s1, -1) arrangement is
+    # not inverted: a witness takes s >= 1, and (S1, 1) is the same pair.
     rep = scalar_char(2, 2)
-    # rho(sigma_1) = 2 = 2^-(-1): the (v, s) = (s1, -1) arrangement
-    w = scalar_power_witness(rep, "a00", 2, sigma_power(2, 1, 1), -1)
-    assert w.w1 == parse_word("t1 S1", 2)
+    for v, s in ((sigma_power(2, 1, 1), -1), (sigma_power(2, 1, -1), 0)):
+        with pytest.raises(ValueError, match="^need s >= 1$"):
+            scalar_power_witness(rep, "a00", 2, v, s)
+    assert scalar_power_witness(rep, "a00", 2, sigma_power(2, 1, -1), 1).w1 == parse_word("t1 S1", 2)
 
 
 def test_scalar_power_witness_c_mode():
@@ -759,6 +774,41 @@ def test_scalar_power_witness_rejects_bad_precondition():
         scalar_power_witness(rep, "a00", 2, SMWord(2), 1)
     with pytest.raises(ValueError):
         scalar_power_witness(rep, "a00", 2, sigma_power(2, 1, -1), 0)
+
+
+IMAGES_DIFFER = r"^rho\(v\) is not value\*\*-s \* 1, so the images differ$"
+WITNESS_REJECTIONS = [
+    ("s-zero", lambda: scalar_power_witness(scalar_char(2, 2), "a00", 2, sigma_power(2, 1, -1), 0),
+     "^need s >= 1$"),
+    ("wrong-image", lambda: scalar_power_witness(scalar_char(2, 2), "a00", 2, SMWord(2), 1), IMAGES_DIFFER),
+    ("wrong-image-c-mode", lambda: scalar_power_witness(scalar_char(2, 2), "00c", 2, sigma_power(2, 1, 1), 1),
+     IMAGES_DIFFER),
+    ("tau-letter", lambda: scalar_power_witness(scalar_char(2, 2), "a00", 2, parse_word("t1 S1 S1", 2), 1),
+     r"^v must be a braid word \(no tau letters\)$"),
+    ("other-strand-count", lambda: scalar_power_witness(scalar_char(2, 2), "a00", 2, sigma_power(3, 1, -1), 1),
+     "^strand counts differ: 2 vs 3$"),
+    ("unknown-mode", lambda: scalar_power_witness(scalar_char(2, 2), "zzz", 2, sigma_power(2, 1, -1), 1),
+     "^mode must be one of"),
+    ("non-unit", lambda: scalar_power_witness(scalar_char(2, 2), "a00", 0, sigma_power(2, 1, -1), 1),
+     "^need a unit, got 0$"),
+    ("r-zero", lambda: unit_power_witness(burau_reduced(3), "a00", -1, 0), "^need s >= 1$"),
+    ("non-root", lambda: unit_power_witness(burau_reduced(3), "a00", 2, 2), IMAGES_DIFFER),
+    ("non-root-odd", lambda: unit_power_witness(burau_reduced(3), "0b0", -1, 1), IMAGES_DIFFER),
+    ("non-root-c-mode", lambda: unit_power_witness(permutation_rep(3), "00c", -T, 4), IMAGES_DIFFER),
+    ("non-root-non-unit", lambda: unit_power_witness(burau_reduced(3), "a00", 0, 1), "^need a unit, got 0$"),
+]
+
+
+@pytest.mark.parametrize("make,message", [c[1:] for c in WITNESS_REJECTIONS],
+                         ids=[c[0] for c in WITNESS_REJECTIONS])
+def test_witnesses_reject_every_bad_precondition(make, message):
+    # Each input here breaks one precondition of a witness: s >= 1 (r >= 1),
+    # a braid v on the rep's strands with rho(v) = value**-s * 1
+    # (value**r = 1), a known mode, a unit value.  The image comparison is
+    # the one check of rho(v), so a wrong rho(v) and a value**r != 1 both
+    # fail there.
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_witnesses_reject_unknown_mode():
