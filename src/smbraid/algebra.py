@@ -156,7 +156,7 @@ def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Ma
 PACKED_SPAN = 128
 
 
-def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Callable, list, Callable] | None:
+def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, list, Callable] | None:
     """Kronecker-packed keys (D. Harvey, J. Symbolic Comput. 44, 2009) for
     products of at most c = `depth` of `images`.  With D the lcm of the
     images' denominators, the key of a matrix M is (low, ents): the entries
@@ -169,13 +169,12 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Cal
     key (0, (0,) * dim**2).
 
     Returns `key(m)`, the key of m, or None where m * D**c is not integral
-    or has a coefficient above B**c; `scalar_key(x)`, the key of the scalar
-    x times the identity, read off x's (low, nums, den) triple; the images
-    packed over D; and `product(key, image)`, the key of m * image from the
-    key of m, a product of fewer than c images.  Returns None instead where
-    c * spread > PACKED_SPAN, with spread the widest exponent range of one
-    image: a key entry holds up to c * spread + 1 slots of K bits, while
-    `Matrix` products cancel and trim as they go.  On SM_2 grids (Python
+    or has a coefficient above B**c; the images packed over D; and
+    `product(key, image)`, the key of m * image from the key of m, a product
+    of fewer than c images.  Returns None instead where c * spread >
+    PACKED_SPAN, with spread the widest exponent range of one image: a key
+    entry holds up to c * spread + 1 slots of K bits, while `Matrix`
+    products cancel and trim as they go.  On SM_2 grids (Python
     3.11, 2 cores) packed keys took 0.51-0.77 times the `Matrix` time up to
     c * spread = 120, were mixed at 180-200 and mostly slower from 300.
     Images that each sit at one exponent pack at any depth, one integer per
@@ -203,14 +202,6 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Cal
             return None
         return packed(m, f)
 
-    def scalar_key(x: LaurentPoly) -> tuple[int, tuple[int, ...]] | None:
-        low, nums, d = _parts(x)
-        f, rem = divmod(scale, d)
-        if rem or max([abs(n) for n in nums], default=0) * f > cap:
-            return None
-        diagonal = sum([n * f << slot * i for i, n in enumerate(nums)])
-        return low, tuple([0 if i % (dim + 1) else diagonal for i in range(dim * dim)])
-
     def product(held: tuple[int, tuple[int, ...]], image: tuple[int, list]) -> tuple[int, tuple[int, ...]]:
         (low, a), (image_low, cols) = held, image
         ents = [sum(map(mul, a[r : r + dim], col)) for r in range(0, dim * dim, dim) for col in cols]
@@ -228,7 +219,7 @@ def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, Cal
     for m in images:
         low, ents = packed(m, den // m._den)
         steps.append((low, [ents[j::dim] for j in range(dim)]))
-    return key, scalar_key, steps, product
+    return key, steps, product
 
 
 def _constant(x: LaurentPoly) -> tuple[int, int] | None:
@@ -241,7 +232,7 @@ def _constant(x: LaurentPoly) -> tuple[int, int] | None:
 
 def _cyclic_keys(
     one: CyclicElement, images: Sequence[CyclicElement], depth: int
-) -> tuple[Callable, Callable, list, Callable] | None:
+) -> tuple[Callable, list, Callable] | None:
     """Integer coordinate keys for products of at most c = `depth` of
     `images` in a twisted cyclic algebra X^s = twist, where the twist and
     every nonzero coordinate x of every image are rational constants.  A
@@ -256,12 +247,12 @@ def _cyclic_keys(
     exact division by D.
 
     Returns `key(x)`, None where a coordinate of x is not a constant or
-    not integral over D**c; `scalar_key(y)`, the key of y * one read off
-    the scalar; the steps; and `product(key, step)`, as `_kronecker_keys`
-    does.  Returns None instead where the twist or a coordinate of an image
-    is not a rational constant.  A dense s-by-s step, or the regular
-    representation's matrices packed by `_kronecker_keys`, ran slower than
-    these sparse steps (the numbers are in ROADMAP)."""
+    not integral over D**c; the steps; and `product(key, step)`, as
+    `_kronecker_keys` does.  Returns None instead where the twist or a
+    coordinate of an image is not a rational constant.  A dense s-by-s
+    step, or the regular representation's matrices packed by
+    `_kronecker_keys`, ran slower than these sparse steps (the numbers are
+    in ROADMAP)."""
     order, twist = one.order, _constant(one.twist)
     if twist is None:
         return None
@@ -290,10 +281,6 @@ def _cyclic_keys(
         coords = tuple([scaled(_constant(c)) for c in x.coords])
         return None if None in coords else coords
 
-    def scalar_key(y: LaurentPoly) -> tuple[int, ...] | None:
-        n = scaled(_constant(y))
-        return None if n is None else (n,) + (0,) * (order - 1)
-
     def product(held: tuple[int, ...], step: list[tuple[int, int, int]]) -> tuple[int, ...]:
         out = [0] * order
         for i, a in enumerate(held):
@@ -307,27 +294,28 @@ def _cyclic_keys(
         return tuple([x // den for x in out] if den > 1 else out)
 
     steps = [[(k, n * den // d, n * t_num * den // (d * t_den)) for k, n, d in row] for row in terms]
-    return key, scalar_key, steps, product
+    return key, steps, product
 
 
 def _search_keys(
     one: AlgebraElement, images: Sequence[AlgebraElement], depth: int
-) -> tuple[Callable, Callable, Sequence, Callable, int | None]:
+) -> tuple[Callable, Sequence, Callable, int | None]:
     """The one choice of how a bounded search keys products of `images`,
-    elements with identity `one`: (key, scalar_key, steps, product, bound).
-    `key(x)`, and `scalar_key(c)` for c * one, are None where there is no
-    key; `product(key(x), step)` is the key of x * image; `bound` is the
-    most images a keyed product may hold, or None for any number.  The
-    first of three kinds that applies:
+    elements with identity `one`: (key, steps, product, bound).  `key(x)`
+    is None where x has no key; `product(key(x), step)` is the key of
+    x * image; `bound` is the most images a keyed product may hold, or None
+    for any number.  Every product of at most `bound` images has a key, so
+    an element with none is no such product.  The first of three kinds that
+    applies:
 
     * matrices: `_kronecker_keys(images, depth)`, bound `depth`, where
       depth * spread <= PACKED_SPAN;
     * cyclic elements over a rational twist whose images have rational
       coordinates: `_cyclic_keys(one, images, depth)`, bound `depth`, each
       key the element's coordinates as integers over one scale;
-    * any other element is its own key, and c * one is `one.scale(c)`:
-      every formal element, a matrix past the packed span, and a cyclic
-      element with a Laurent twist or coordinate."""
+    * any other element is its own key: every formal element, a matrix
+      past the packed span, and a cyclic element with a Laurent twist or
+      coordinate."""
     packed = None
     if isinstance(one, Matrix):
         packed = _kronecker_keys(images, depth)
@@ -335,7 +323,7 @@ def _search_keys(
         packed = _cyclic_keys(one, images, depth)
     if packed:
         return (*packed, depth)
-    return lambda x: x, one.scale, images, mul, None
+    return lambda x: x, images, mul, None
 
 
 def _character(x: AlgebraElement) -> tuple[LaurentPoly, int]:

@@ -144,14 +144,14 @@ def find_scalar_witness(
     letter by letter in `braid_letters` order.  The walk stops early when a
     level reaches no new image (a finite image group is exhausted).
 
-    Each image is held as the key that `algebra._search_keys` gives it, and
-    a target value**(-s) * 1 is keyed off the scalar itself; a target with
-    no key is no hit.  Keys bounded to products of c images (the
-    Kronecker-packed keys of a matrix rep, the cyclic coordinate keys of a
-    cyclic rep over a rational twist) are asked for at c = min(len_max, 8),
-    and c doubles, restarting the walk, while the level at c is nonempty,
-    so the key size follows the depth reached, not len_max; keys that hold
-    any depth are walked to len_max at once.
+    Each image, and each target value**(-s) * 1, is held as the key that
+    `algebra._search_keys` gives it; a product of at most c images has a
+    key, so a target with none is not reached at depth c.  Keys bounded to
+    products of c images (the Kronecker-packed keys of a matrix rep, the
+    cyclic coordinate keys of a cyclic rep over a rational twist) are asked
+    for at c = min(len_max, 8), and c doubles, restarting the walk, while
+    the level at c is nonempty, so the key size follows the depth reached,
+    not len_max; keys that hold any depth are walked to len_max at once.
 
     Exponents are tried in the order s = 1..s_max, and no negative s is
     tried: whenever a word v reaches value**s * 1, its inverse, of the same
@@ -159,11 +159,10 @@ def find_scalar_witness(
     a positive one already is.  The answer is the first s in that order
     whose target is hit, with that target's first word, and the search ends
     by one rule: as soon as that answer is settled.  An s is open while it
-    may still be hit: the determinant filter below keeps it and, once no
-    restart can follow, its target has a key.  The walk returns at the
-    product that first reaches the target of the first open s, even
-    mid-level, since no later word of that image and no later s can come
-    first.  Only that target is keyed before the walk; if it is never
+    may still be hit: the character filter below keeps it.  The walk
+    returns at the product that first reaches the target of the first open
+    s, even mid-level, since no later word of that image and no later s can
+    come first.  Only that target is keyed before the walk; if it is never
     reached, the later targets are keyed and looked up once the walk ends.
     If no s is open, the answer is None and there is no walk.  Absence of a
     hit is evidence only; the search is bounded.
@@ -189,6 +188,15 @@ def find_scalar_witness(
     1 * g (`perm`, an `as_formal` lift) have delta = 1, so the only s kept
     has the target 1 * 1, which the empty word reaches, and such a search
     makes no product.
+
+    A kept s has a target with a key at depth c = len_max: its scalar
+    lambda = value**(-s) has lambda**k = delta**e, |e| <= c.  With D and B
+    as in `algebra._kronecker_keys`, D * rho(sigma_1**+-1) is integral, its
+    determinant D**k * delta**+-1 of size at most B**k (the row-sum bound).
+    So lambda * D**|e|, a rational whose k-th power (D**k * delta**+-1)**|e|
+    is an integer, is an integer of size at most B**|e|, and lambda * D**c
+    one of size at most B**c.  Cyclic keys argue alike with the norm of
+    D * rho(sigma_1**+-1); element keys are never None.
     """
     value = as_scalar(value)
     if not is_unit(value):
@@ -198,19 +206,17 @@ def find_scalar_witness(
     one, (delta, k) = rep.one(), rep._delta
     stride, top, _, _ = _grid_box(value**k, delta, s_max, len_max)
     exponents = range(stride, top + 1, stride)
+    if not exponents:  # no s is open, so no key is worth building
+        return None
     walk_letters = [(letter, letter.inverse()) for letter in braid_letters(rep.n)]
     images = [rep.letters[letter] for letter, _ in walk_letters]
     depth = min(len_max, 8)
-    while exponents:  # some s is open, so keys are worth building
-        key, target, steps, mul, bound = _search_keys(one, images, depth)
+    while True:
+        key, steps, mul, bound = _search_keys(one, images, depth)
         if bound is None:  # the keys hold products of any length
             depth = len_max
-        # the open s, keyed as they are asked for: once no restart can
-        # follow, only those whose target has a key
-        targets = ((s, t) for s in exponents if (t := target(value**-s)) is not None or depth < len_max)
-        goal_s, goal = next(targets, (None, None))
-        if goal_s is None:
-            break
+        targets = ((s, key(one.scale(value**-s))) for s in exponents)  # keyed as they are asked for
+        goal_s, goal = next(targets)
         start = key(one)
         if start == goal:
             return SMWord(rep.n), goal_s
@@ -234,7 +240,6 @@ def find_scalar_witness(
         if not level or depth == len_max:  # the target of the first open s was never reached
             return next(((SMWord(rep.n, first[t]), s) for s, t in targets if t in first), None)
         depth = min(2 * depth, len_max)  # the keys only hold products of up to depth images
-    return None  # no s is open
 
 
 def scalar_power_witness(
@@ -352,7 +357,7 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     _, p_top, q_lo, q_hi = _grid_box(_character(images[0])[0], rep._delta[0], p_max, q_max)
     if not (p_top or q_lo or q_hi):  # (0, 0) is the only cell left
         return KernelReport(p_max, q_max, (), None, None)
-    key, _, steps, mul, _ = _search_keys(rep.one(), images, max(p_top, q_hi, -q_lo))
+    key, steps, mul, _ = _search_keys(rep.one(), images, max(p_top, q_hi, -q_lo))
 
     def powers(i: int, k: int) -> Iterable:
         """The keys of images[i]**1..k: one product per power after the first."""
@@ -521,19 +526,24 @@ def compare_matrix_cyclic_kernels(
 
     Requires m^s == d_s * I with s minimal and m itself non-scalar, i.e. the
     hypotheses under which the cyclic algebra is the subalgebra generated by
-    the image.
+    the image.  m^s is taken by square-and-multiply, in O(log s) products;
+    if it is scalar, the walk m, m^2, ... below s stops at the first scalar
+    power, whose index divides s: 2, 3, 4 or 6 for a 2x2 m, whose
+    eigenvalue ratio is then a root of unity of degree at most 2 over Q.
     """
     d_s = as_scalar(d_s)
     if s < 1:
         raise ValueError("need s >= 1")
     if m.scalar_multiple_of_identity() is not None:
         raise ValueError("generator image is already scalar; use a scalar character instead")
-    for k, acc in enumerate(_powers(m, s), start=1):
-        scalar = acc.scalar_multiple_of_identity()
-        if k < s and scalar is not None:
+    power = m
+    for bit in bin(s)[3:]:  # the bits of s below the leading one
+        power = power * power * m if bit == "1" else power * power
+    if power != Matrix.identity(m.dim).scale(d_s):
+        raise ValueError(f"m**{s} != d_s * identity")
+    for k, acc in enumerate(_powers(m, s - 1), start=1):
+        if acc.scalar_multiple_of_identity() is not None:
             raise ValueError(f"m**{k} is already scalar; s={s} is not minimal")
-        if k == s and (scalar is None or scalar != d_s):
-            raise ValueError(f"m**{s} != d_s * identity")
     matrix_report = kernel_search_sm2(matrix_rep_from_images(2, [m]), params, p_max, q_max)
     cyclic_report = kernel_search_sm2(cyclic_rep(s, d_s), params, p_max, q_max)
     return matrix_report, cyclic_report, matrix_report.hits == cyclic_report.hits

@@ -75,13 +75,13 @@ def spy_products(monkeypatch) -> Counter:
 
     def spy(*args):
         calls["keys"] += 1
-        key, target, steps, product, bound = search_keys(*args)
+        key, steps, product, bound = search_keys(*args)
 
         def counted(x, step):
             calls["product"] += 1
             return product(x, step)
 
-        return key, target, steps, counted, bound
+        return key, steps, counted, bound
 
     monkeypatch.setattr(analysis, "_search_keys", spy)
     return calls

@@ -270,8 +270,8 @@ def test_kronecker_keys_take_zero_images_and_products():
     # every zero matrix has the one key (0, (0,) * dim**2).
     zero, nil, shear = Matrix([[0, 0], [0, 0]]), Matrix([[0, 3 * T], [0, 0]]), Matrix([[1, 1], [0, 1]])
     images = [zero, nil, shear, Matrix([[scalar(Fraction(1, 2)), 0], [0, 2]])]
-    key, scalar_key, steps, product = _kronecker_keys(images, 3)
-    assert key(zero) == scalar_key(scalar(0)) == (0, (0, 0, 0, 0))
+    key, steps, product = _kronecker_keys(images, 3)
+    assert key(zero) == key(Matrix.identity(2).scale(0)) == (0, (0, 0, 0, 0))
     for m in (Matrix.identity(2), *images, nil * shear):
         for image, step in zip(images, steps):
             assert product(key(m), step) == key(m * image), (m, image)
@@ -283,9 +283,10 @@ def test_kronecker_keys_take_zero_images_and_products():
 def test_cyclic_keys_follow_cyclic_products():
     # Coordinate keys over a rational twist: a step takes the key of x to
     # the key of x times the image for every product x of fewer than c
-    # images, zero included, and a target y * 1 is keyed off y.  Under twist
-    # 1/2 the coordinate 1/2 wraps to 1/4, so the scale must hold x * twist
-    # as well as x.
+    # images, zero included, and a target y * 1 is keyed as y times the key
+    # of 1, or not at all where that is not an integer.  Under twist 1/2 the
+    # coordinate 1/2 wraps to 1/4, so the scale must hold x * twist as well
+    # as x.
     for order in (1, 2, 3, 4):
         for twist in (Fraction(1, 2), Fraction(-3, 2), Fraction(2), Fraction(-1)):
             one = CyclicElement.one(order, scalar(twist))
@@ -293,7 +294,7 @@ def test_cyclic_keys_follow_cyclic_products():
             half = x.scale(scalar(Fraction(1, 2)))
             images = [half + x_inv.scale(scalar(Fraction(2, 3))), x, x_inv, one.scale(0)]
             depth = 3
-            key, scalar_key, steps, product = _cyclic_keys(one, images, depth)
+            key, steps, product = _cyclic_keys(one, images, depth)
             assert [len(step) for step in steps] == [len([c for c in m.coords if c]) for m in images]
             held = [one]
             for _ in range(depth):
@@ -302,8 +303,10 @@ def test_cyclic_keys_follow_cyclic_products():
                         assert product(key(m), step) == key(m * image), (order, twist, m, image)
                 held = [m * image for m in held for image in images[:3]]
             for y in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-5, 4), Fraction(1, 2 * 3**4 * 2**9)):
-                assert scalar_key(scalar(y)) == key(one.scale(scalar(y))), (order, twist, y)
-            assert scalar_key(T) is None and key(x.scale(T)) is None
+                n = key(one)[0] * y
+                expected = (int(n),) + (0,) * (order - 1) if n.denominator == 1 else None
+                assert key(one.scale(scalar(y))) == expected, (order, twist, y)
+            assert key(one.scale(T)) is None and key(x.scale(T)) is None
 
 
 def test_cyclic_keys_take_only_rational_constants():
@@ -315,34 +318,40 @@ def test_cyclic_keys_take_only_rational_constants():
     assert _cyclic_keys(one, [CyclicElement.x_power(3, 2, 1).scale(T)], 2) is None
     one = CyclicElement.one(500, scalar(2))
     images = [CyclicElement.x_power(500, 2, k) for k in (1, -1)]
-    key, _, steps, product = _cyclic_keys(one, images, 4)
+    key, steps, product = _cyclic_keys(one, images, 4)
     assert steps == [[(1, 2, 4)], [(499, 1, 2)]]
     assert product(product(key(one), steps[0]), steps[1]) == key(one)
 
 
-def test_find_scalar_witness_keys_targets_from_the_scalar():
-    # Every kind of key `_search_keys` gives keeps one contract: a target
-    # c * 1 is keyed off the scalar, with no element built, and its key is
-    # that of the element, None exactly where the element has no key; and a
-    # step takes the key of x to the key of x times the letter's image.
-    keyed = missing = 0
+def test_find_scalar_witness_keys_every_kept_target():
+    # Every s that the character filter keeps at bound len_max has a target
+    # value**-s * 1 with a key at depth len_max, so the walk needs no
+    # keyability filter, while bounded keys leave some dropped s with none.
+    # And a step takes the key of x to the key of x times the letter's image.
     for name, rep in WITNESS_REPS.items():
         images = [rep.letters[letter] for letter in braid_letters(rep.n)]
-        one = rep.one()
-        for depth in (1, 4):
-            key, scalar_key, steps, product, bound = _search_keys(one, images, depth)
+        one, (delta, k) = rep.one(), character(rep)
+        kept = unkeyed_dropped = 0
+        for len_max in (*range(10), 12):
+            key, steps, product, bound = _search_keys(one, images, len_max)
             for value in WITNESS_VALUES:
-                for s in (1, 2, 3, 4, -1, -2, -3, -4):
-                    expected = key(one.scale(value**-s))
-                    assert scalar_key(value**-s) == expected, (name, depth, value, s)
-                    keyed += expected is not None
-                    missing += expected is None
+                step, top = analysis._grid_box(value**k, delta, 4, len_max)[:2]
+                for s in range(1, 5):
+                    target = key(one.scale(value**-s))
+                    if s <= top and s % step == 0:
+                        assert target is not None, (name, len_max, value, s)
+                        kept += 1
+                    else:
+                        unkeyed_dropped += target is None
+        assert kept, name
+        assert unkeyed_dropped or bound is None, name
+        for depth in (1, 4):
+            key, steps, product, bound = _search_keys(one, images, depth)
             if bound is not None and bound < 3:
                 continue  # the keys hold no product of three images
             for x in (one, *images, images[0] * images[-1]):
                 for image, step in zip(images, steps):
                     assert product(key(x), step) == key(x * image), (name, depth, x, image)
-    assert keyed and missing
 
 
 def test_find_scalar_witness_sizes_keys_by_the_depth_reached(monkeypatch):
@@ -641,24 +650,21 @@ def test_find_scalar_witness_returns_once_its_answer_is_settled(monkeypatch):
 
 
 def test_find_scalar_witness_keys_only_the_first_open_target_before_the_walk(monkeypatch):
-    # The character filter keeps s = 2, 4, -2, -4 for `permutation_rep(4)`
-    # at -1, and the empty word reaches the target of s = 2, so that one
-    # target is keyed.  Where the first target is missed (S_3 as matrices,
-    # whose determinants keep s = 1..4 and -1..-4: the group has no
-    # -1 * 1), the later targets are keyed once the walk ends, up to the
-    # first that it reached.
+    # The character filter keeps s = 2, 4 for `permutation_rep(4)` at -1,
+    # and the empty word reaches the target of s = 2, so that one target is
+    # built as a scaled identity and keyed.  Where the first target is
+    # missed (S_3 as matrices, whose determinants keep s = 1..4: the group
+    # has no -1 * 1), the later targets are built once the walk ends, up to
+    # the first that it reached.
     keyed = []
+    for cls in (FormalElement, Matrix):
 
-    def spy(*args):
-        key, target, steps, product, bound = _search_keys(*args)
+        def counted(x, c, scale=cls.scale):
+            if x.is_identity():
+                keyed.append(c)
+            return scale(x, c)
 
-        def counted(value):
-            keyed.append(value)
-            return target(value)
-
-        return key, counted, steps, product, bound
-
-    monkeypatch.setattr(analysis, "_search_keys", spy)
+        monkeypatch.setattr(cls, "scale", counted)
     assert find_scalar_witness(permutation_rep(4), -1, 4, 4) == (SMWord(4), 2)
     assert keyed == [1]
     keyed.clear()
@@ -1374,6 +1380,29 @@ def test_compare_backends_validates_hypotheses():
     with pytest.raises(ValueError):
         # s not minimal: m^2 = -2 I already scalar, so s = 4 must be rejected
         compare_matrix_cyclic_kernels(m, 4, 4, PhiParams.of(1, 0, 0), 3, 3)
+
+
+def test_compare_backends_checks_a_huge_s_in_log_s_products(monkeypatch):
+    # m**s is taken by square-and-multiply before the walk for a smaller
+    # scalar power, so a shear fails at s = 10**6 after at most 2 * 20
+    # products, a rotation of order 4 stops its walk at m**2, and an input
+    # that fails both checks reports m**s.
+    products = Counter()
+    mul = Matrix.__mul__
+
+    def counted(x, y):
+        products["mul"] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    params = PhiParams.of(1, 0, 0)
+    with pytest.raises(ValueError, match=r"^m\*\*1000000 != d_s \* identity$"):
+        compare_matrix_cyclic_kernels(Matrix([[1, 1], [0, 1]]), 10**6, 1, params, 3, 3)
+    assert products["mul"] <= 2 * (10**6).bit_length()
+    with pytest.raises(ValueError, match=r"^m\*\*2 is already scalar; s=1000000 is not minimal$"):
+        compare_matrix_cyclic_kernels(Matrix([[0, -1], [1, 0]]), 10**6, 1, params, 3, 3)
+    with pytest.raises(ValueError, match=r"^m\*\*4 != d_s \* identity$"):
+        compare_matrix_cyclic_kernels(Matrix([[0, -2], [1, 0]]), 4, 5, params, 3, 3)
 
 
 def test_compare_backends_rejects_s_below_1():

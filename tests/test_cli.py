@@ -643,7 +643,7 @@ def test_golden_json_output(capsys, tmp_path, argv, expected):
 
 # Exact text-mode output of the reports whose text lines no JSON query prints:
 # a scalar-power witness (one with a nonempty v and one with the empty word), a
-# root-of-unity witness and a prop8 comparison.
+# root-of-unity witness, a prop8 comparison and a shape rewrite.
 GOLDEN_TEXT = [
     (
         ["unfaith", "--mode", "a00", "--val", "2", "--rep", "scalar:2", "--n", "2", "--smax", "4", "--lmax", "4"],
@@ -669,6 +669,13 @@ GOLDEN_TEXT = [
         "matrix backend hits: [(1, 0), (2, 0), (3, 0)]\n"
         "cyclic backend hits: [(1, 0), (2, 0), (3, 0)]\n"
         "kernels agree within bounds: True\n",
+    ),
+    (
+        ["shape", "--n", "3", "--word", "t2 t1 t1 s2", "--p", "2", "--q", "1"],
+        "tau blocks: prefix='s1 s2', (tau^1, 'S2 S1'), (tau^2, 's2')\n"
+        "shape blocks (v = t1^2 s1^1): (tau^0, v^0, 's1 s2'), (tau^1, v^0, 'S2 S1'), (tau^0, v^1, 'S1 s2')\n"
+        "assembled: 's1 s2 t1 S2 S1 t1 t1 s1 S1 s2'\n"
+        "stripped:  's1 s2 t1 S2 S1 S1 s2'\n",
     ),
 ]
 

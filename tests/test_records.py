@@ -139,6 +139,9 @@ def test_reprs_are_pinned():
     assert repr(SMWord(2)) == "SMWord(2, '')"
     assert repr(SM2NormalForm(2, -1)) == "SM2NormalForm(p=2, q=-1)"
     assert repr(ShapeForm(2, 1, 0, ())) == "ShapeForm(n=2, p=1, q=0, blocks=())"
+    x = CyclicElement(3, scalar(Fraction(1, 2)), (scalar(2), as_scalar(0), -T))
+    assert repr(x) == "CyclicElement(order=3, twist=1/2, [2,0,-1*t^1])"
+    assert x.text() == "2*X^0 + 0*X^1 + -1*t^1*X^2"
 
 
 # Each validating record, from its sequence field, with that field's items.
