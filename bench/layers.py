@@ -60,17 +60,20 @@ from the `src` directory next to this script's parent:
   tau_1 -> 2/3 and the hits are (p, p), and at (1, 2, 1), obstructed
   (tau_1 -> 23/6); the grid (p <= 4, |q| <= 8) of `burau_unreduced(2)` at
   (1, 0, 0), where tau_1 -> sigma_1 and the box is (4, -4, 0), packed
-  under the rule of `algebra._kronecker_keys` (the depth max(p_top, q_hi,
-  -q_lo) of the box times the widest exponent range of an image is at most
-  `algebra.PACKED_SPAN` = 128), and at (t, -1/2, 3), the shape of the
+  under the rule of `algebra._packed_keys` (the depth max(p_top, q_hi,
+  -q_lo) of the box times the widest exponent range of an image's
+  right-multiplication map is at most `algebra.PACKED_SPAN` = 128), and at
+  (t, -1/2, 3), the shape of the
   `laurent-eval` workload's `kernel2` queries, obstructed (det tau_1 is no
   unit); and the grid (p <= 300, q = 0) of `burau_reduced(2)` at
   (1, -1, 0), obstructed (tau_1 -> -t + t^-1 is no unit).  The cyclic
   grids, filtered by the norm, the determinant of multiplication in the
   algebra: the grid of sigma_1 -> X in the twisted cyclic algebra
   X^4 = 3/2 at (1, 0, 0), where tau_1 -> X, so its box is (6, -6, 0),
-  its heads and powers are keyed by their integer coordinates and its six
-  hits (p, -p) compared; the grid of X^3 = -8 at (1, 4, 2), whose tau_1
+  its heads and powers are held as packed keys, one integer per coordinate,
+  and its six hits (p, -p) compared; the same grid under the Laurent twist
+  X^4 = t, whose map wraps X^3 to t, so each key coordinate packs slots of
+  several exponents; the grid of X^3 = -8 at (1, 4, 2), whose tau_1
   image has all three coordinates nonzero, the shape of the cyclic half of
   `prop8` and of `kernel2 --backend cyclic:<s>:<ds>`, with the norm -32
   against -8 and the box (6, -10, 0), step 3; and two cyclic grids
@@ -217,7 +220,7 @@ def operations() -> dict:
     rational2 = matrix_rep_from_images(2, [rational2_image])
     scalar3_2, reduced2, birman = scalar_char(p, 2), burau_reduced(2), PhiParams.of(1, -1, 0)
     unreduced2 = burau_unreduced(2)
-    cyclic4, cyclic_params = cyclic_rep(4, p), PhiParams.of(1, 0, 0)
+    cyclic4, cyclic4_laurent, cyclic_params = cyclic_rep(4, p), cyclic_rep(4, T), PhiParams.of(1, 0, 0)
     sigma_params, planted = cyclic_params, PhiParams.of(1, 2, parse_scalar("-13/6"))
     cyclic3, cyclic500 = cyclic_rep(3, -8), cyclic_rep(500, 2)
     dense, cyclic_dense = PhiParams.of(parse_scalar("1/2"), q, parse_scalar("2/3")), PhiParams.of(1, 4, 2)
@@ -272,6 +275,7 @@ def operations() -> dict:
         "analysis.kernel2_obstructed_burau_reduced2_p300": lambda: kernel_search_sm2(reduced2, birman, 300, 0),
         "analysis.kernel2_cyclic4": lambda: kernel_search_sm2(cyclic4, cyclic_params, 6, 12),
         "analysis.kernel2_walk_cyclic3_dense": lambda: kernel_search_sm2(cyclic3, cyclic_dense, 6, 12),
+        "analysis.kernel2_walk_cyclic4_laurent": lambda: kernel_search_sm2(cyclic4_laurent, cyclic_params, 6, 12),
         "analysis.kernel2_obstructed_cyclic3_dense": lambda: kernel_search_sm2(cyclic3, dense, 6, 12),
         "analysis.kernel2_obstructed_cyclic500": lambda: kernel_search_sm2(cyclic500, dense, 20, 40),
         "analysis.kernel2_formal_burau2": lambda: kernel_search_sm2(formal_reduced2, cyclic_params, 6, 12),

@@ -156,173 +156,138 @@ def _canonical(den: int, entries: list[list[tuple[int, tuple[int, ...]]]]) -> Ma
 PACKED_SPAN = 128
 
 
-def _kronecker_keys(images: Sequence[Matrix], depth: int) -> tuple[Callable, list, Callable] | None:
-    """Kronecker-packed keys (D. Harvey, J. Symbolic Comput. 44, 2009) for
-    products of at most c = `depth` of `images`.  With D the lcm of the
-    images' denominators, the key of a matrix M is (low, ents): the entries
-    of t^-low * M * D**c, each packed as one integer in slots of
-    K = c * bitlen(B) + 1 bits, where low is the lowest exponent and
-    B = max(D, row sums of an image's coefficient magnitudes times D) bounds
-    every coefficient of such a product by B**c.  A step is one integer
-    product per entry pair, an exact division by D and a shift.  A zero
-    image and a zero product are keyed too: every zero matrix has the one
-    key (0, (0,) * dim**2).
+def _coordinates(x: Matrix | CyclicElement) -> list[tuple[int, tuple[int, ...], int]]:
+    """The coordinates of x as (low, nums, den) triples: a matrix's entries
+    row by row over its one denominator, a cyclic element's coordinates at
+    X^0 .. X^(s-1)."""
+    if isinstance(x, Matrix):
+        den = x._den
+        return [(low, nums, den) for row in x._entries for low, nums in row]
+    return [_parts(c) for c in x.coords]
 
-    Returns `key(m)`, the key of m, or None where m * D**c is not integral
-    or has a coefficient above B**c; the images packed over D; and
-    `product(key, image)`, the key of m * image from the key of m, a product
-    of fewer than c images.  Returns None instead where c * spread >
-    PACKED_SPAN, with spread the widest exponent range of one image: a key
-    entry holds up to c * spread + 1 slots of K bits, while `Matrix`
-    products cancel and trim as they go.  On SM_2 grids (Python
-    3.11, 2 cores) packed keys took 0.51-0.77 times the `Matrix` time up to
-    c * spread = 120, were mixed at 180-200 and mostly slower from 300.
-    Images that each sit at one exponent pack at any depth, one integer per
-    key entry, and a step skips the shift."""
-    den = lcm(*[m._den for m in images])
-    spread, bound = 0, den
-    for m in images:
-        ends = [(low, low + len(nums) - 1) for row in m._entries for low, nums in row if nums]
-        if ends:
-            spread = max(spread, max([e for _, e in ends]) - min([e for e, _ in ends]))
+
+def _right_map(g: Matrix | CyclicElement) -> tuple[list, list[tuple[int, int, int]]]:
+    """y -> y * g on coordinates, as (coefs, triples): the nonzero
+    coefficients (low, nums, den), each once, and sparse triples (i, j, c), each adding
+    coordinate i of y times coefs[c] to coordinate j of the product.  For a
+    matrix of dimension d, I (x) g: entry r*d+k goes to r*d+j with g[k][j].
+    For a cyclic element, X^i goes to X^(i+k) with its coordinate x_k, or
+    with x_k * twist where i + k wraps past s."""
+    if isinstance(g, Matrix):
+        dim, den = g.dim, g._den
+        coefs, terms = [], []
+        for k, row in enumerate(g._entries):
+            for j, (low, nums) in enumerate(row):
+                if nums:
+                    terms.append((k, j, len(coefs)))
+                    coefs.append((low, nums, den))
+        return coefs, [(r + k, r + j, c) for r in range(0, dim * dim, dim) for k, j, c in terms]
+    s, coefs, terms = g.order, [], []
+    for k, x in enumerate(g.coords):
+        part = _parts(x)
+        if part[1]:
+            terms.append((k, len(coefs)))
+            coefs += [part, _parts(x * g.twist)] if k else [part]  # X^0 never wraps
+    return coefs, [(i, i + k, c) if i + k < s else (i, i + k - s, c + 1) for i in range(s) for k, c in terms]
+
+
+def _packed_keys(images: Sequence[Matrix | CyclicElement], depth: int) -> tuple[Callable, list, Callable] | None:
+    """Kronecker-packed keys (D. Harvey, J. Symbolic Comput. 44, 2009) for
+    products of at most c = `depth` of `images`, all matrices or all cyclic
+    elements of one algebra, each read as its right-multiplication map
+    (`_right_map`).  With D the lcm of the maps' denominators, the key of
+    an element x is (low, ents): the coordinates of t^-low * x * D**c, each
+    packed as one integer in slots of K = c * bitlen(B) + 1 bits, where low
+    is the lowest exponent and B = max(D, row sums of a map's coefficient
+    magnitudes times D) bounds every coefficient of such a product by B**c.
+    Each coefficient of a map is packed once, over D and from the map's
+    lowest exponent; a step is one pass over its triples, an exact division
+    by D and a shift.  A zero image and a zero product are keyed too: every
+    zero element has the one key (0, (0,) * size).
+
+    Returns `key(x)`, the key of x, or None where x * D**c is not integral
+    or has a coefficient above B**c; the steps; and `product(key, step)`,
+    the key of x * image from the key of x, a product of fewer than c
+    images.  Returns None instead where c * spread > PACKED_SPAN, with
+    spread the widest exponent range of one map: a key coordinate holds up
+    to c * spread + 1 slots of K bits, while `Matrix` products cancel and
+    trim as they go.  On SM_2 grids (Python 3.11, 2 cores) packed keys took
+    0.51-0.77 times the `Matrix` time up to c * spread = 120, were mixed at
+    180-200 and mostly slower from 300.  Maps that each sit at one exponent
+    pack at any depth, one integer per key coordinate, and a step skips the
+    shift."""
+    maps = [_right_map(g) for g in images]
+    den = lcm(*[d for coefs, _ in maps for _, _, d in coefs])
+    size = len(_coordinates(images[0]))
+    spread, bound, lows = 0, den, []
+    for coefs, triples in maps:
+        low = min([e for e, _, _ in coefs], default=0)
+        spread = max([spread, *[e + len(nums) - 1 - low for e, nums, _ in coefs]])
         if depth * spread > PACKED_SPAN:
             return None
-        f = den // m._den
-        bound = max(bound, *[sum([abs(n) for _, nums in row for n in nums]) * f for row in m._entries])
-    dim, slot, scale, cap = images[0].dim, depth * bound.bit_length() + 1, den**depth, bound**depth
+        norms, sums = [sum(map(abs, nums)) * (den // d) for _, nums, d in coefs], [0] * size
+        for i, _, c in triples:
+            sums[i] += norms[c]
+        bound = max(bound, *sums)
+        lows.append(low)
+    slot, scale, cap = depth * bound.bit_length() + 1, den**depth, bound**depth
 
-    def packed(m: Matrix, f: int) -> tuple[int, tuple[int, ...]]:
-        entries = [entry for row in m._entries for entry in row]
-        low = min([e for e, nums in entries if nums], default=0)
-        return low, tuple([sum([n * f << slot * i for i, n in enumerate(nums, e - low)]) for e, nums in entries])
+    def pack(low: int, nums: tuple[int, ...], f: int) -> int:
+        if len(nums) == 1:
+            return nums[0] * f << slot * low
+        return sum([n * f << slot * i for i, n in enumerate(nums, low)])
 
-    def key(m: Matrix) -> tuple[int, tuple[int, ...]] | None:
-        f, rem = divmod(scale, m._den)
-        if rem or max([abs(n) for row in m._entries for _, nums in row for n in nums], default=0) * f > cap:
-            return None
-        return packed(m, f)
+    def key(x: Matrix | CyclicElement) -> tuple[int, tuple[int, ...]] | None:
+        coords = _coordinates(x)
+        low, ents = min([e for e, nums, _ in coords if nums], default=0), []
+        for e, nums, d in coords:
+            if nums:
+                f, rem = divmod(scale, d)
+                if rem or max(map(abs, nums)) * f > cap:
+                    return None
+                ents.append(pack(e - low, nums, f))
+            else:
+                ents.append(0)
+        return low, tuple(ents)
 
     def product(held: tuple[int, tuple[int, ...]], image: tuple[int, list]) -> tuple[int, tuple[int, ...]]:
-        (low, a), (image_low, cols) = held, image
-        ents = [sum(map(mul, a[r : r + dim], col)) for r in range(0, dim * dim, dim) for col in cols]
+        (low, a), (image_low, triples) = held, image
+        out = [0] * size
+        for i, j, c in triples:
+            out[j] += a[i] * c
         if den > 1:
-            ents = [x // den for x in ents]
-        if not any(ents):
-            return 0, tuple(ents)
-        # the lowest nonzero slot, always 0 when each image sits at one exponent
-        z = spread and (min([x & -x for x in ents if x]).bit_length() - 1) // slot
+            out = [x // den for x in out]
+        if not any(out):
+            return 0, tuple(out)
+        # the lowest nonzero slot, always 0 when each map sits at one exponent
+        z = spread and (min([x & -x for x in out if x]).bit_length() - 1) // slot
         if z:
-            ents = [x >> slot * z for x in ents]
-        return low + image_low + z, tuple(ents)
+            out = [x >> slot * z for x in out]
+        return low + image_low + z, tuple(out)
 
     steps = []
-    for m in images:
-        low, ents = packed(m, den // m._den)
-        steps.append((low, [ents[j::dim] for j in range(dim)]))
+    for (coefs, triples), image_low in zip(maps, lows):
+        packed = [pack(e - image_low, nums, den // d) for e, nums, d in coefs]
+        steps.append((image_low, [(i, j, packed[c]) for i, j, c in triples]))
     return key, steps, product
 
 
-def _constant(x: LaurentPoly) -> tuple[int, int] | None:
-    """(n, den) where x == n/den is a rational constant, else None; zero is (0, 1)."""
-    low, nums, den = _parts(x)
-    if not nums:
-        return 0, 1
-    return (nums[0], den) if not low and len(nums) == 1 else None
-
-
-def _cyclic_keys(
-    one: CyclicElement, images: Sequence[CyclicElement], depth: int
-) -> tuple[Callable, list, Callable] | None:
-    """Integer coordinate keys for products of at most c = `depth` of
-    `images` in a twisted cyclic algebra X^s = twist, where the twist and
-    every nonzero coordinate x of every image are rational constants.  A
-    factor of a product of images is such an x, or x * twist where the
-    exponent wraps past s, so with D the lcm of the denominators of every x
-    and every x * twist (both: x = 1/2 under twist 1/2 gives 1/4), the
-    coordinates of a product of k images are over D**k.  The key of an
-    element is its coordinates times D**c, a tuple of s ints.  A step holds
-    only an image's nonzero coordinates, as integer triples
-    (k, x * D, x * twist * D) for x at X^k; a product is one sparse cyclic
-    convolution that takes the twisted integer on wrap-around, then an
-    exact division by D.
-
-    Returns `key(x)`, None where a coordinate of x is not a constant or
-    not integral over D**c; the steps; and `product(key, step)`, as
-    `_kronecker_keys` does.  Returns None instead where the twist or a
-    coordinate of an image is not a rational constant.  A dense s-by-s
-    step, or the regular representation's matrices packed by
-    `_kronecker_keys`, ran slower than these sparse steps (the numbers are
-    in ROADMAP)."""
-    order, twist = one.order, _constant(one.twist)
-    if twist is None:
-        return None
-    t_num, t_den = twist
-    terms = []
-    for x in images:
-        row = []
-        for k, c in enumerate(x.coords):
-            ratio = _constant(c)
-            if ratio is None:
-                return None
-            if ratio[0]:
-                row.append((k, *ratio))
-        terms.append(row)
-    ratios = [(n, d) for row in terms for _, n, d in row]
-    den = lcm(*[d for _, d in ratios], *[d * t_den // gcd(n * t_num, d * t_den) for n, d in ratios])
-    scale = den**depth
-
-    def scaled(ratio: tuple[int, int] | None) -> int | None:
-        if ratio is None:
-            return None
-        n, rem = divmod(ratio[0] * scale, ratio[1])
-        return None if rem else n
-
-    def key(x: CyclicElement) -> tuple[int, ...] | None:
-        coords = tuple([scaled(_constant(c)) for c in x.coords])
-        return None if None in coords else coords
-
-    def product(held: tuple[int, ...], step: list[tuple[int, int, int]]) -> tuple[int, ...]:
-        out = [0] * order
-        for i, a in enumerate(held):
-            if a:
-                for k, b, wrapped in step:
-                    e = i + k
-                    if e < order:
-                        out[e] += a * b
-                    else:
-                        out[e - order] += a * wrapped
-        return tuple([x // den for x in out] if den > 1 else out)
-
-    steps = [[(k, n * den // d, n * t_num * den // (d * t_den)) for k, n, d in row] for row in terms]
-    return key, steps, product
-
-
-def _search_keys(
-    one: AlgebraElement, images: Sequence[AlgebraElement], depth: int
-) -> tuple[Callable, Sequence, Callable, int | None]:
+def _search_keys(images: Sequence[AlgebraElement], depth: int) -> tuple[Callable, Sequence, Callable, int | None]:
     """The one choice of how a bounded search keys products of `images`,
-    elements with identity `one`: (key, steps, product, bound).  `key(x)`
-    is None where x has no key; `product(key(x), step)` is the key of
-    x * image; `bound` is the most images a keyed product may hold, or None
-    for any number.  Every product of at most `bound` images has a key, so
-    an element with none is no such product.  The first of three kinds that
-    applies:
+    elements of one algebra: (key, steps, product, bound).  `key(x)` is None
+    where x has no key; `product(key(x), step)` is the key of x * image;
+    `bound` is the most images a keyed product may hold, or None for any
+    number.  Every product of at most `bound` images has a key, so an
+    element with none is no such product.  Two kinds:
 
-    * matrices: `_kronecker_keys(images, depth)`, bound `depth`, where
-      depth * spread <= PACKED_SPAN;
-    * cyclic elements over a rational twist whose images have rational
-      coordinates: `_cyclic_keys(one, images, depth)`, bound `depth`, each
-      key the element's coordinates as integers over one scale;
-    * any other element is its own key: every formal element, a matrix
-      past the packed span, and a cyclic element with a Laurent twist or
-      coordinate."""
-    packed = None
-    if isinstance(one, Matrix):
-        packed = _kronecker_keys(images, depth)
-    elif isinstance(one, CyclicElement):
-        packed = _cyclic_keys(one, images, depth)
-    if packed:
-        return (*packed, depth)
+    * matrices and cyclic elements within the packed span:
+      `_packed_keys(images, depth)`, bound `depth`;
+    * any other element is its own key: every formal element, and a matrix
+      or cyclic element past the packed span."""
+    if not isinstance(images[0], FormalElement):
+        packed = _packed_keys(images, depth)
+        if packed:
+            return (*packed, depth)
     return lambda x: x, images, mul, None
 
 

@@ -147,11 +147,11 @@ def find_scalar_witness(
     Each image, and each target value**(-s) * 1, is held as the key that
     `algebra._search_keys` gives it; a product of at most c images has a
     key, so a target with none is not reached at depth c.  Keys bounded to
-    products of c images (the Kronecker-packed keys of a matrix rep, the
-    cyclic coordinate keys of a cyclic rep over a rational twist) are asked
-    for at c = min(len_max, 8), and c doubles, restarting the walk, while
-    the level at c is nonempty, so the key size follows the depth reached,
-    not len_max; keys that hold any depth are walked to len_max at once.
+    products of c images (the packed keys of a matrix or cyclic rep) are
+    asked for at c = min(len_max, 8), and c doubles, restarting the walk,
+    while the level at c is nonempty, so the key size follows the depth
+    reached, not len_max; keys that hold any depth are walked to len_max at
+    once.
 
     Exponents are tried in the order s = 1..s_max, and no negative s is
     tried: whenever a word v reaches value**s * 1, its inverse, of the same
@@ -189,14 +189,20 @@ def find_scalar_witness(
     has the target 1 * 1, which the empty word reaches, and such a search
     makes no product.
 
-    A kept s has a target with a key at depth c = len_max: its scalar
-    lambda = value**(-s) has lambda**k = delta**e, |e| <= c.  With D and B
-    as in `algebra._kronecker_keys`, D * rho(sigma_1**+-1) is integral, its
-    determinant D**k * delta**+-1 of size at most B**k (the row-sum bound).
-    So lambda * D**|e|, a rational whose k-th power (D**k * delta**+-1)**|e|
-    is an integer, is an integer of size at most B**|e|, and lambda * D**c
-    one of size at most B**c.  Cyclic keys argue alike with the norm of
-    D * rho(sigma_1**+-1); element keys are never None.
+    A kept s has a target with a key at depth c = len_max, by one argument
+    for both packed kinds: its scalar lambda = value**(-s) has
+    lambda**k = delta**e, |e| <= c.  With D and B as in
+    `algebra._packed_keys`, the right-multiplication map R of
+    D * rho(sigma_1**+-1) on the N coordinates is an integral matrix whose
+    row sums are at most B, so its determinant is an integer of size at
+    most B**N (the row-sum bound).  That determinant is D**N times
+    det R(rho(sigma_1))**+-1, where det R(x) is det(x)**dim for a matrix
+    (R is I (x) x, N = dim**2) and the norm of x for a cyclic element
+    (N = k = s): chi(x)**(N/k) either way.  The target's map is
+    lambda * I, so (lambda * D**|e|)**N = (D**N * delta**(+-N/k))**|e| is
+    an integer of size at most B**(N*|e|), and so lambda * D**|e|, a
+    rational, is an integer of size at most B**|e|, and lambda * D**c one
+    of size at most B**c.  Element keys are never None.
     """
     value = as_scalar(value)
     if not is_unit(value):
@@ -212,7 +218,7 @@ def find_scalar_witness(
     images = [rep.letters[letter] for letter, _ in walk_letters]
     depth = min(len_max, 8)
     while True:
-        key, steps, mul, bound = _search_keys(one, images, depth)
+        key, steps, mul, bound = _search_keys(images, depth)
         if bound is None:  # the keys hold products of any length
             depth = len_max
         targets = ((s, key(one.scale(value**-s))) for s in exponents)  # keyed as they are asked for
@@ -339,15 +345,15 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
 
     Heads and powers are held as the keys of `algebra._search_keys` at the
     box's depth max(p_top, q_hi, -q_lo), as the witness walk holds its
-    images: a matrix grid is Kronecker-packed where that depth times the
-    widest exponent range of an image is at most `algebra.PACKED_SPAN`,
-    zero images and powers included, and keeps `Matrix` keys past it.
-
-    A cyclic grid over a rational twist whose tau_1 image has rational
-    coordinates, the cyclic half of `prop8`, is held as cyclic coordinate
-    keys: the coordinates as integers over one scale, so a power is one
-    sparse integer convolution and builds no `LaurentPoly`.  A Laurent
-    twist or tau_1 image keeps `CyclicElement` keys.
+    images.  A matrix or cyclic grid, the cyclic half of `prop8` included,
+    is packed where that depth times the widest exponent range of an
+    image's right-multiplication map is at most `algebra.PACKED_SPAN`,
+    zero images and powers and Laurent twists included, so a power is one
+    sparse pass of integer products and builds no `LaurentPoly`; it keeps
+    element keys past that span.  The identity and every head and power
+    are products of at most that depth of images, so each has a key; the
+    keyability argument of `find_scalar_witness`, through the determinant
+    of D * R(sigma_1**+-1), covers any other scalar multiple of 1.
     """
     if rep.n != 2:
         raise ValueError(f"SM_2 kernel search needs n=2, got n={rep.n}")
@@ -357,7 +363,7 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
     _, p_top, q_lo, q_hi = _grid_box(_character(images[0])[0], rep._delta[0], p_max, q_max)
     if not (p_top or q_lo or q_hi):  # (0, 0) is the only cell left
         return KernelReport(p_max, q_max, (), None, None)
-    key, steps, mul, _ = _search_keys(rep.one(), images, max(p_top, q_hi, -q_lo))
+    key, steps, mul, _ = _search_keys(images, max(p_top, q_hi, -q_lo))
 
     def powers(i: int, k: int) -> Iterable:
         """The keys of images[i]**1..k: one product per power after the first."""
@@ -526,24 +532,34 @@ def compare_matrix_cyclic_kernels(
 
     Requires m^s == d_s * I with s minimal and m itself non-scalar, i.e. the
     hypotheses under which the cyclic algebra is the subalgebra generated by
-    the image.  m^s is taken by square-and-multiply, in O(log s) products;
-    if it is scalar, the walk m, m^2, ... below s stops at the first scalar
-    power, whose index divides s: 2, 3, 4 or 6 for a 2x2 m, whose
-    eigenvalue ratio is then a root of unity of degree at most 2 over Q.
+    the image.  They are checked by walking m, m^2, ... up to m^s and
+    stopping at the first scalar power, which must be m^s, compared with
+    d_s.  A non-scalar 2x2 m whose powers reach a scalar first does so at
+    2, 3, 4 or 6, as its eigenvalue ratio is then a root of unity of degree
+    at most 2 over Q, so the walk stops by m^6 whatever s is.  A larger m
+    walking past m^6 first checks m^s == d_s * I by square-and-multiply, in
+    O(log s) products, then walks on to m^(s-1).
     """
     d_s = as_scalar(d_s)
     if s < 1:
         raise ValueError("need s >= 1")
-    if m.scalar_multiple_of_identity() is not None:
+    power, k = m, 1
+    while (c := power.scalar_multiple_of_identity()) is None:
+        if k == s or k == 6 and m.dim == 2:
+            raise ValueError(f"m**{s} != d_s * identity")
+        if k == 6:
+            ladder = m
+            for bit in bin(s)[3:]:  # the bits of s below the leading one
+                ladder = ladder * ladder * m if bit == "1" else ladder * ladder
+            if ladder.scalar_multiple_of_identity() != d_s:
+                raise ValueError(f"m**{s} != d_s * identity")
+        power, k = power * m, k + 1
+    if k == 1:
         raise ValueError("generator image is already scalar; use a scalar character instead")
-    power = m
-    for bit in bin(s)[3:]:  # the bits of s below the leading one
-        power = power * power * m if bit == "1" else power * power
-    if power != Matrix.identity(m.dim).scale(d_s):
+    if k < s:
+        raise ValueError(f"m**{k} is already scalar; s={s} is not minimal")
+    if c != d_s:
         raise ValueError(f"m**{s} != d_s * identity")
-    for k, acc in enumerate(_powers(m, s - 1), start=1):
-        if acc.scalar_multiple_of_identity() is not None:
-            raise ValueError(f"m**{k} is already scalar; s={s} is not minimal")
     matrix_report = kernel_search_sm2(matrix_rep_from_images(2, [m]), params, p_max, q_max)
     cyclic_report = kernel_search_sm2(cyclic_rep(s, d_s), params, p_max, q_max)
     return matrix_report, cyclic_report, matrix_report.hits == cyclic_report.hits

@@ -398,7 +398,14 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  While it runs, CPython's limit on the digits of an
+    int read from or written as a string (3.11, and 3.10.7 on) is lifted, so
+    exact scalars of any length are read and printed; the limit is restored
+    afterwards.  Bounds, parsed before, keep it."""
     args = _parse(argv)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         for name, value in vars(args).items():
             if type(value) is int:
@@ -410,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # carries no message
         print("error: out of memory", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     enumerate_braid_words, grid_reference, multiplication_matrix, random_braid_word, random_sm_word, scalar,
-    spy_products
+    spy_products, terms
 )
 from smbraid import algebra, analysis, reps
 from smbraid.algebra import (
-    CyclicElement, FormalElement, Matrix, Permutation, _cyclic_keys, _kronecker_keys, _search_keys
+    CyclicElement, FormalElement, Matrix, Permutation, _packed_keys, _search_keys
 )
 from smbraid.analysis import (
     KernelReport,
@@ -48,7 +48,7 @@ from smbraid.reps import (
     rep_eval,
     scalar_char,
 )
-from smbraid.scalars import MAX_SPAN, T, as_scalar
+from smbraid.scalars import MAX_SPAN, LaurentPoly, T, as_scalar
 from smbraid.words import (
     SMWord,
     braid_letters,
@@ -210,6 +210,9 @@ WITNESS_REPS = {
     "cyclic2_2-n2": cyclic_rep(2, 2),
     "cyclic3_-1-n3": cyclic_rep(3, -1, 3),
     "cyclic2_2t^-1-n3": cyclic_rep(2, 2 * T**-1, 3),
+    # Laurent twists, whose right-multiplication maps are packed
+    "cyclic4_t-n2": cyclic_rep(4, T),
+    "cyclic2_2t^-1-n2": cyclic_rep(2, 2 * T**-1),
     # rational twists: X wraps to the twist 1/2, and X^-1 = -2/3 X
     "cyclic3_1_2-n2": cyclic_rep(3, scalar(Fraction(1, 2))),
     "cyclic2_-3_2-n2": cyclic_rep(2, scalar(Fraction(-3, 2))),
@@ -259,7 +262,7 @@ def test_find_scalar_witness_keys_are_injective_up_to_the_bound():
     # key coefficient may reach 4 in magnitude; every (q + r t) / 2 * 1 with
     # |q| <= 4, |r| <= 1 and q + r t != 0 must keep a key of its own.
     m = Matrix([[0, -2 * T], [1, 0]])
-    key, *_ = _kronecker_keys([m, m.inverse()], 1)
+    key, *_ = _packed_keys([m, m.inverse()], 1)
     one = Matrix.identity(2)
     keys = [key(one.scale(scalar({0: Fraction(q, 2), 1: Fraction(r, 2)}))) for q in range(-4, 5) for r in (-1, 0, 1) if q or r]
     assert None not in keys and len(set(keys)) == len(keys)
@@ -270,23 +273,26 @@ def test_kronecker_keys_take_zero_images_and_products():
     # every zero matrix has the one key (0, (0,) * dim**2).
     zero, nil, shear = Matrix([[0, 0], [0, 0]]), Matrix([[0, 3 * T], [0, 0]]), Matrix([[1, 1], [0, 1]])
     images = [zero, nil, shear, Matrix([[scalar(Fraction(1, 2)), 0], [0, 2]])]
-    key, steps, product = _kronecker_keys(images, 3)
+    key, steps, product = _packed_keys(images, 3)
     assert key(zero) == key(Matrix.identity(2).scale(0)) == (0, (0, 0, 0, 0))
     for m in (Matrix.identity(2), *images, nil * shear):
         for image, step in zip(images, steps):
             assert product(key(m), step) == key(m * image), (m, image)
     assert product(key(nil), steps[1]) == (0, (0, 0, 0, 0))
-    key, *_ = _kronecker_keys([zero], 2)
+    key, *_ = _packed_keys([zero], 2)
     assert key(zero) == (0, (0, 0, 0, 0)) and key(Matrix.identity(2)) is not None
 
 
 def test_cyclic_keys_follow_cyclic_products():
-    # Coordinate keys over a rational twist: a step takes the key of x to
-    # the key of x times the image for every product x of fewer than c
-    # images, zero included, and a target y * 1 is keyed as y times the key
-    # of 1, or not at all where that is not an integer.  Under twist 1/2 the
-    # coordinate 1/2 wraps to 1/4, so the scale must hold x * twist as well
-    # as x.
+    # Packed keys over a rational twist: a step takes the key of x to the
+    # key of x times the image for every product x of fewer than c images,
+    # zero included, and a target y * 1 is keyed as y * D**c, or not at all
+    # where that is not an integer or exceeds B**c.  D and B are read off
+    # the multiplication matrices: multiplying by X^i * image sends X^i to
+    # column i, so its magnitudes sum to a row sum of the map.  Under twist
+    # 1/2 the coordinate 1/2 wraps to 1/4, so the scale must hold
+    # x * twist as well as x.  A factor t moves a key's lowest exponent and
+    # nothing else.
     for order in (1, 2, 3, 4):
         for twist in (Fraction(1, 2), Fraction(-3, 2), Fraction(2), Fraction(-1)):
             one = CyclicElement.one(order, scalar(twist))
@@ -294,32 +300,52 @@ def test_cyclic_keys_follow_cyclic_products():
             half = x.scale(scalar(Fraction(1, 2)))
             images = [half + x_inv.scale(scalar(Fraction(2, 3))), x, x_inv, one.scale(0)]
             depth = 3
-            key, steps, product = _cyclic_keys(one, images, depth)
-            assert [len(step) for step in steps] == [len([c for c in m.coords if c]) for m in images]
+            key, steps, product = _packed_keys(images, depth)
             held = [one]
             for _ in range(depth):
                 for m in held:
                     for image, step in zip(images, steps):
                         assert product(key(m), step) == key(m * image), (order, twist, m, image)
                 held = [m * image for m in held for image in images[:3]]
+            cols = [[terms(c).get(0, 0) for c in col] for m in images for col in zip(*multiplication_matrix(m).rows)]
+            d = lcm(*[c.denominator for col in cols for c in col if c])
+            cap = max([d, *[sum(map(abs, col)) * d for col in cols]]) ** depth
+            assert key(one) == (0, (d**depth,) + (0,) * (order - 1))
             for y in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-5, 4), Fraction(1, 2 * 3**4 * 2**9)):
-                n = key(one)[0] * y
-                expected = (int(n),) + (0,) * (order - 1) if n.denominator == 1 else None
+                n = d**depth * y
+                expected = (0, (int(n),) + (0,) * (order - 1)) if n.denominator == 1 and abs(n) <= cap else None
                 assert key(one.scale(scalar(y))) == expected, (order, twist, y)
-            assert key(one.scale(T)) is None and key(x.scale(T)) is None
+            for m in (one, x, images[0]):
+                low, ents = key(m)
+                assert key(m.scale(T)) == (low + 1, ents), (order, twist, m)
 
 
-def test_cyclic_keys_take_only_rational_constants():
-    # A Laurent twist or a Laurent coordinate leaves the element keys; the
-    # steps keep only nonzero coordinates, so an order-500 image X is one
-    # triple and the grid stays cheap.
-    assert _cyclic_keys(CyclicElement.one(4, T), [CyclicElement.x_power(4, T, 1)], 2) is None
-    one = CyclicElement.one(3, scalar(2))
-    assert _cyclic_keys(one, [CyclicElement.x_power(3, 2, 1).scale(T)], 2) is None
+def test_cyclic_keys_take_laurent_twists():
+    # A Laurent twist or a Laurent coordinate is packed like a matrix entry:
+    # a step takes the key of x to the key of x times the image for every
+    # product x of fewer than c images, where wrapping past X^(s-1) moves
+    # the exponents by those of the twist.  Distinct products keep distinct
+    # keys.  An order-500 image X is one triple per coordinate, and X then
+    # X^-1 returns to the key of 1.
+    for order in (1, 2, 3, 4):
+        for twist in (T, 2 * T**-1, scalar({-3: Fraction(-1, 3)}), scalar(Fraction(1, 2))):
+            one = CyclicElement.one(order, twist)
+            x, x_inv = (CyclicElement.x_power(order, twist, k) for k in (1, -1))
+            tau_image = x.scale(T) + x_inv.scale(scalar({0: Fraction(1, 2), 1: -1})) + one.scale(scalar(Fraction(2, 3)))
+            images = [tau_image, x, x_inv, one.scale(0)]
+            depth = 3
+            key, steps, product = _packed_keys(images, depth)
+            held, keys = [one], {}
+            for _ in range(depth):
+                for m in held:
+                    assert keys.setdefault(key(m), m) == m, (order, twist, m)
+                    for image, step in zip(images, steps):
+                        assert product(key(m), step) == key(m * image), (order, twist, m, image)
+                held = [m * image for m in held for image in images[:3]]
     one = CyclicElement.one(500, scalar(2))
     images = [CyclicElement.x_power(500, 2, k) for k in (1, -1)]
-    key, steps, product = _cyclic_keys(one, images, 4)
-    assert steps == [[(1, 2, 4)], [(499, 1, 2)]]
+    key, steps, product = _packed_keys(images, 4)
+    assert [len(triples) for _, triples in steps] == [500, 500]
     assert product(product(key(one), steps[0]), steps[1]) == key(one)
 
 
@@ -333,7 +359,7 @@ def test_find_scalar_witness_keys_every_kept_target():
         one, (delta, k) = rep.one(), character(rep)
         kept = unkeyed_dropped = 0
         for len_max in (*range(10), 12):
-            key, steps, product, bound = _search_keys(one, images, len_max)
+            key, steps, product, bound = _search_keys(images, len_max)
             for value in WITNESS_VALUES:
                 step, top = analysis._grid_box(value**k, delta, 4, len_max)[:2]
                 for s in range(1, 5):
@@ -346,7 +372,7 @@ def test_find_scalar_witness_keys_every_kept_target():
         assert kept, name
         assert unkeyed_dropped or bound is None, name
         for depth in (1, 4):
-            key, steps, product, bound = _search_keys(one, images, depth)
+            key, steps, product, bound = _search_keys(images, depth)
             if bound is not None and bound < 3:
                 continue  # the keys hold no product of three images
             for x in (one, *images, images[0] * images[-1]):
@@ -367,7 +393,7 @@ def test_find_scalar_witness_sizes_keys_by_the_depth_reached(monkeypatch):
         start = time.perf_counter()
         assert find_scalar_witness(rep, -1, 1, 10**9) is None
         assert time.perf_counter() - start < 0.5
-        assert kinds == ["kronecker"], m
+        assert kinds == ["packed"], m
 
 
 def test_find_scalar_witness_restarts_past_the_first_depth():
@@ -499,7 +525,7 @@ def first_kept_exponent(rep, value, len_max):
 
 @pytest.mark.parametrize("name", RESTART_VALUES)
 def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatch):
-    # Kronecker and cyclic coordinate keys are first sized for depth 8; a
+    # Packed keys, of a matrix or a cyclic rep, are first sized for depth 8; a
     # walk that looks further restarts with keys for a deeper one, and must
     # still keep the enumeration's words.  The walk at depth 8 settles the
     # search, with no restart, exactly where the answer's s is the first one
@@ -508,7 +534,6 @@ def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatc
     # infinite, so no walk ends early by exhaustion.  Where the filter keeps
     # no s, no key is built.
     rep = WITNESS_REPS[name]
-    kind = "cyclic" if rep.backend == "cyclic" else "kronecker"
     kinds = spy_key_kinds(monkeypatch)
     for len_max in (9, 12, 17):
         states = enumerated_witness_states(rep, len_max)
@@ -521,7 +546,7 @@ def test_find_scalar_witness_matches_enumeration_past_a_restart(name, monkeypatc
                 assert expected is None and kinds == [], (len_max, value)
                 continue
             settled = expected is not None and len(expected[0]) <= 8 and expected[1] == first
-            assert kinds[0] == kind and (len(kinds) > 1) != settled, (len_max, value)
+            assert kinds[0] == "packed" and (len(kinds) > 1) != settled, (len_max, value)
 
 
 def test_find_scalar_witness_keeps_the_matrix_span_limit():
@@ -694,20 +719,20 @@ def test_find_scalar_witness_takes_one_determinant_per_rep(monkeypatch):
 
 def key_kind(keys, x):
     """Which kind of key `_search_keys` returned: keys of any depth are the
-    elements, bounded ones are read off the backend of x."""
+    elements, bounded ones are packed."""
     key, *_, bound = keys
     if bound is None:
         assert key(x) is x
         return "element"
-    return "cyclic" if isinstance(x, CyclicElement) else "kronecker"
+    return "packed"
 
 
 def spy_key_kinds(monkeypatch):
     """Record the kind of every key set that `analysis._search_keys` hands out."""
     kinds = []
 
-    def spy(one, images, *args):
-        keys = _search_keys(one, images, *args)
+    def spy(images, *args):
+        keys = _search_keys(images, *args)
         kinds.append(key_kind(keys, images[0]))
         return keys
 
@@ -716,10 +741,10 @@ def spy_key_kinds(monkeypatch):
 
 
 def test_find_scalar_witness_keys_by_backend(monkeypatch):
-    # Kronecker keys for a matrix rep; cyclic coordinate keys for a cyclic
-    # rep with a rational twist; element keys for every formal rep, whether
-    # its letters are each 1 * g, a permutation or a matrix, or scaled, and
-    # for a cyclic rep with a Laurent twist.  Every rep takes values whose
+    # Packed keys for a matrix rep and for a cyclic rep, over a rational or
+    # a Laurent twist; element keys for every formal rep, whether its
+    # letters are each 1 * g, a permutation or a matrix, or scaled.  Every
+    # rep takes values whose
     # targets some word's character reaches, so that keys are built:
     # chi(rho(sigma_1)) is 1 for the unit letters, 2 for the scaled ones, -t
     # for reduced Burau, and the norm (-1)**(s+1) * d of X under X^s = d for
@@ -731,10 +756,10 @@ def test_find_scalar_witness_keys_by_backend(monkeypatch):
         (as_formal(burau_reduced(3)), "element", (scalar(-1),)),
         (scaled_permutation_rep(3, scalar(2)), "element", units[:2]),
         (scaled_permutation_rep(3, scalar(1)), "element", (scalar(-1),)),
-        (burau_reduced(3), "kronecker", (-T**-1, scalar(-1), T)),
-        (cyclic_rep(3, -1, 3), "cyclic", (scalar(-1),)),
-        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), "cyclic", units[:2]),
-        (cyclic_rep(2, 2 * T**-1, 3), "element", (scalar(-1), T * scalar(Fraction(1, 2)))),
+        (burau_reduced(3), "packed", (-T**-1, scalar(-1), T)),
+        (cyclic_rep(3, -1, 3), "packed", (scalar(-1),)),
+        (cyclic_rep(2, scalar(Fraction(1, 2)), 3), "packed", units[:2]),
+        (cyclic_rep(2, 2 * T**-1, 3), "packed", (scalar(-1), T * scalar(Fraction(1, 2)))),
     ]
     for rep, expected, values in cases:
         states = enumerated_witness_states(rep, 3)
@@ -993,7 +1018,7 @@ def test_kernel_search_matches_cell_by_cell_grid_laurent_2x2_property(entries, f
     rep = matrix_rep_from_images(2, [Matrix([[1, scalar(f)], [0, 1]]) * m.scale(T**k)])
     params = PhiParams.of(*(scalar(x) for x in abc))
     images = [Extension(rep, params).letters[tau(1)], rep.image(1), rep.image_inv(1)]
-    assert _kronecker_keys(images, max(p_max, q_max)) is not None
+    assert _packed_keys(images, max(p_max, q_max)) is not None
     hits = kernel_search_sm2(rep, params, p_max, q_max).hits
     assert hits == grid_reference(rep, params, p_max, q_max)
     if abc in ((1, 0, 0), (0, 1, 0)) and p_max and q_max:
@@ -1018,50 +1043,69 @@ cyclic_twists = [Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2), Fraction(2), 
 )
 def test_kernel_search_matches_cell_by_cell_grid_rational_cyclic_property(order, twist, abc, p_max, q_max):
     # sigma_1 -> X with X^order = twist and a rational tau_1 image: a grid on
-    # cyclic coordinate keys, whose denominators compound with the twist's.
+    # packed keys, whose denominators compound with the twist's.
     # (0, 0, 0) sends tau_1 to zero; (1, 0, 0) and (0, 1, 0) plant hits.
     rep, params = cyclic_rep(order, scalar(twist)), PhiParams.of(*(scalar(x) for x in abc))
     assert kernel_search_sm2(rep, params, p_max, q_max).hits == grid_reference(rep, params, p_max, q_max)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rep=st.sampled_from([cyclic_rep(4, T), cyclic_rep(2, 2 * T**-1), cyclic_rep(3, scalar(Fraction(-1, 2)) * T**2)]),
+    abc=st.one_of(
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, -1)]),
+        st.tuples(cyclic_rationals, cyclic_rationals, cyclic_rationals),
+        st.tuples(st.sampled_from([T, -T**-1, 2 * T]), cyclic_rationals, cyclic_rationals),
+    ),
+    p_max=st.integers(0, 5),
+    q_max=st.integers(0, 10),
+)
+def test_kernel_search_matches_cell_by_cell_grid_laurent_cyclic_property(rep, abc, p_max, q_max):
+    # sigma_1 -> X with X^order = a Laurent twist: a grid on packed keys,
+    # whose wrapped coefficients move the exponents by the twist's.
+    params = PhiParams.of(*(x if isinstance(x, LaurentPoly) else scalar(x) for x in abc))
+    assert kernel_search_sm2(rep, params, p_max, q_max).hits == grid_reference(rep, params, p_max, q_max)
+
+
 def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
-    # Kronecker keys for a matrix grid whose box depth (8 for a det +-1
-    # image, 4 where the character leaves a box such as (4, -4, 0))
-    # times the widest exponent range of its tau_1, sigma_1 and sigma_1^-1
-    # images is at most PACKED_SPAN, Laurent images included; element keys
-    # for a matrix grid past it (range 18: 8 * 18 = 144) and for a cyclic
-    # grid with a Laurent twist or tau_1 image and for every formal grid;
-    # cyclic coordinate keys for a rational cyclic grid.  Every grid here
-    # keeps a nonempty box, so each builds one key set: the norm of tau_1 ->
-    # t * X under X^3 = 1 is t^3, no unit power of delta = 1, so that box is
-    # row 0, and tau_1 -> -4/3 X - 4/3 X^-1 + 2/3 under X^3 = -8 has norm 16,
-    # and 16^3 * (-8)^-4 = 1.
+    # Packed keys for a matrix or cyclic grid whose box depth (8 for a
+    # det +-1 image, 4 where the character leaves a box such as (4, -4, 0))
+    # times the widest exponent range of the right-multiplication maps of
+    # its tau_1, sigma_1 and sigma_1^-1 images is at most PACKED_SPAN,
+    # Laurent images and twists included; element keys for a grid past it
+    # (a matrix of range 18: 8 * 18 = 144; X under X^4 = t^40, whose map
+    # wraps X^3 to t^40: 4 * 40 = 160) and for every formal grid.  Every
+    # grid here keeps a nonempty box, so each builds one key set: the norm
+    # of tau_1 -> t * X under X^3 = 1 is t^3, no unit power of delta = 1,
+    # so that box is row 0, and tau_1 -> -4/3 X - 4/3 X^-1 + 2/3 under
+    # X^3 = -8 has norm 16, and 16^3 * (-8)^-4 = 1.
     packed = []
 
     def spy(*args):
-        keys = _kronecker_keys(*args)
+        keys = _packed_keys(*args)
         packed.append(keys is not None)
         return keys
 
-    monkeypatch.setattr(algebra, "_kronecker_keys", spy)
+    monkeypatch.setattr(algebra, "_packed_keys", spy)
     kinds = spy_key_kinds(monkeypatch)
     perm2, formal_burau2, formal_scalar2 = permutation_rep(2), as_formal(burau_reduced(2)), as_formal(scalar_char(2, 2))
     diagonal = matrix_rep_from_images(2, [Matrix([[T, 0], [0, T**-1]])])
     cases = [
-        (matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]), PhiParams.of(1, 2, 1), "kronecker"),
-        (scalar_char(T, 2), PhiParams.of(1, 0, 0), "kronecker"),
-        (scalar_char(T, 2), PhiParams.of(0, 1, 0), "kronecker"),
-        (diagonal, PhiParams.of(1, 0, 0), "kronecker"),
-        (diagonal, PhiParams.of(1, 0, 1), "kronecker"),
-        (burau_reduced(2), PhiParams.of(0, 1, 0), "kronecker"),
-        (burau_unreduced(2), PhiParams.of(1, 0, 0), "kronecker"),
-        (burau_unreduced(2), PhiParams.of(0, 1, 0), "kronecker"),
+        (matrix_rep_from_images(2, [Matrix([[0, -2], [1, 0]])]), PhiParams.of(1, 2, 1), "packed"),
+        (scalar_char(T, 2), PhiParams.of(1, 0, 0), "packed"),
+        (scalar_char(T, 2), PhiParams.of(0, 1, 0), "packed"),
+        (diagonal, PhiParams.of(1, 0, 0), "packed"),
+        (diagonal, PhiParams.of(1, 0, 1), "packed"),
+        (burau_reduced(2), PhiParams.of(0, 1, 0), "packed"),
+        (burau_unreduced(2), PhiParams.of(1, 0, 0), "packed"),
+        (burau_unreduced(2), PhiParams.of(0, 1, 0), "packed"),
         (matrix_rep_from_images(2, [Matrix([[T**9, 0], [0, T**-9]])]), PhiParams.of(1, 0, 0), "element"),
-        (cyclic_rep(4, T), PhiParams.of(1, 0, 0), "element"),
-        (cyclic_rep(3, 1), PhiParams.of(T, 0, 0), "element"),
-        (cyclic_rep(3, -8), PhiParams.of(*(scalar(Fraction(*x)) for x in ((-4, 3), (-4, 3), (2, 3)))), "cyclic"),
-        (cyclic_rep(4, scalar(Fraction(3, 2))), PhiParams.of(1, 0, 0), "cyclic"),
-        (cyclic_rep(2, -1), PhiParams.of(0, 0, 0), "cyclic"),
+        (cyclic_rep(4, T), PhiParams.of(1, 0, 0), "packed"),
+        (cyclic_rep(4, T**40), PhiParams.of(1, 0, 0), "element"),
+        (cyclic_rep(3, 1), PhiParams.of(T, 0, 0), "packed"),
+        (cyclic_rep(3, -8), PhiParams.of(*(scalar(Fraction(*x)) for x in ((-4, 3), (-4, 3), (2, 3)))), "packed"),
+        (cyclic_rep(4, scalar(Fraction(3, 2))), PhiParams.of(1, 0, 0), "packed"),
+        (cyclic_rep(2, -1), PhiParams.of(0, 0, 0), "packed"),
         (perm2, PhiParams.of(1, 0, 0), "element"),
         (perm2, PhiParams.of(0, 1, 0), "element"),
         (perm2, PhiParams.of(0, 0, 1), "element"),
@@ -1073,7 +1117,7 @@ def test_kernel_search_packs_matrix_grids_within_the_packed_span(monkeypatch):
         packed.clear()
         kinds.clear()
         report = kernel_search_sm2(rep, params, 4, 8)
-        assert packed == ([kind == "kronecker"] if rep.backend == "matrix" else []), (rep.name, params.text())
+        assert packed == ([kind == "packed"] if rep.backend != "formal" else []), (rep.name, params.text())
         assert kinds == [kind], (rep.name, params.text())
         assert report.hits == grid_reference(rep, params, 4, 8)
 
@@ -1086,7 +1130,7 @@ def test_kernel_search_packs_up_to_the_packed_span(monkeypatch):
     assert algebra.PACKED_SPAN == 128
     kinds = spy_key_kinds(monkeypatch)
     rep, params = matrix_rep_from_images(2, [Matrix([[T, 0], [0, T**-1]])]), PhiParams.of(1, 0, 0)
-    for q_max, kind in ((64, "kronecker"), (65, "element")):
+    for q_max, kind in ((64, "packed"), (65, "element")):
         kinds.clear()
         assert kernel_search_sm2(rep, params, 4, q_max).hits == grid_reference(rep, params, 4, q_max)
         assert kinds == [kind], q_max
@@ -1383,10 +1427,12 @@ def test_compare_backends_validates_hypotheses():
 
 
 def test_compare_backends_checks_a_huge_s_in_log_s_products(monkeypatch):
-    # m**s is taken by square-and-multiply before the walk for a smaller
-    # scalar power, so a shear fails at s = 10**6 after at most 2 * 20
-    # products, a rotation of order 4 stops its walk at m**2, and an input
-    # that fails both checks reports m**s.
+    # The walk m, m^2, ... stops at the first scalar power, and a 2x2 m has
+    # none past m^6, so a 2x2 input is decided in at most 5 products
+    # whatever s is: a shear or a hyperbolic m fails at s = 10**6 or 10**7
+    # as m**s != d_s * identity, a rotation of order 4 stops at m**2, and
+    # [[0, -2], [1, 0]], whose square is -2 * 1, stops there at s = 4 with
+    # the wrong d_s and at s = 10**9.
     products = Counter()
     mul = Matrix.__mul__
 
@@ -1396,13 +1442,56 @@ def test_compare_backends_checks_a_huge_s_in_log_s_products(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__mul__", counted)
     params = PhiParams.of(1, 0, 0)
-    with pytest.raises(ValueError, match=r"^m\*\*1000000 != d_s \* identity$"):
-        compare_matrix_cyclic_kernels(Matrix([[1, 1], [0, 1]]), 10**6, 1, params, 3, 3)
-    assert products["mul"] <= 2 * (10**6).bit_length()
-    with pytest.raises(ValueError, match=r"^m\*\*2 is already scalar; s=1000000 is not minimal$"):
-        compare_matrix_cyclic_kernels(Matrix([[0, -1], [1, 0]]), 10**6, 1, params, 3, 3)
-    with pytest.raises(ValueError, match=r"^m\*\*4 != d_s \* identity$"):
-        compare_matrix_cyclic_kernels(Matrix([[0, -2], [1, 0]]), 4, 5, params, 3, 3)
+    cases = [
+        ([[1, 1], [0, 1]], 10**6, 1, r"^m\*\*1000000 != d_s \* identity$", 5),
+        ([[2, 1], [1, 1]], 10**7, 1, r"^m\*\*10000000 != d_s \* identity$", 5),
+        ([[0, -1], [1, 0]], 10**6, 1, r"^m\*\*2 is already scalar; s=1000000 is not minimal$", 1),
+        ([[0, -2], [1, 0]], 4, 5, r"^m\*\*2 is already scalar; s=4 is not minimal$", 1),
+        ([[0, -2], [1, 0]], 10**9, 4, r"^m\*\*2 is already scalar; s=1000000000 is not minimal$", 1),
+    ]
+    for rows, s, d_s, message, most in cases:
+        products.clear()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            compare_matrix_cyclic_kernels(Matrix(rows), s, d_s, params, 3, 3)
+        assert time.perf_counter() - start < 0.5, (rows, s)
+        assert products["mul"] <= most, (rows, s, products["mul"])
+
+
+def test_compare_backends_checks_m_s_first_past_m6_for_a_larger_m(monkeypatch):
+    # The companion matrix of X^7 - 2 has m^7 = 2 * 1 and no earlier scalar
+    # power, which no 2x2 m can have, so past m^6 the walk checks m**s by
+    # square-and-multiply first: s = 7 passes both checks and compares the
+    # backends, s = 14 fails the ladder at d_s = 3 and the walk at
+    # d_s = 4, and s = 10**6 fails the ladder at once.  A 3x3 m with no
+    # scalar power and s <= 6 fails when the walk reaches m**s, and the
+    # 3-cycle reaches 1 * 1 at m**3 whatever s is.
+    products = Counter()
+    mul = Matrix.__mul__
+
+    def counted(x, y):
+        products["mul"] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    companion = Matrix([[2 if (i, j) == (0, 6) else int(i == j + 1) for j in range(7)] for i in range(7)])
+    assert companion.inverse() * companion == Matrix.identity(7)
+    params = PhiParams.of(1, 0, 0)
+    products.clear()
+    mr, cr, equal = compare_matrix_cyclic_kernels(companion, 7, 2, params, 2, 3)
+    assert equal and mr.hits == cr.hits == ((1, -1), (2, -2))
+    cases = [
+        (companion, 14, 3, r"^m\*\*14 != d_s \* identity$"),
+        (companion, 14, 4, r"^m\*\*7 is already scalar; s=14 is not minimal$"),
+        (companion, 10**6, 2, r"^m\*\*1000000 != d_s \* identity$"),
+        (Matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]), 5, 1, r"^m\*\*5 != d_s \* identity$"),
+        (Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 10**9, 1, r"^m\*\*3 is already scalar; s=1000000000 is not minimal$"),
+    ]
+    for m, s, d_s, message in cases:
+        products.clear()
+        with pytest.raises(ValueError, match=message):
+            compare_matrix_cyclic_kernels(m, s, d_s, params, 3, 3)
+        assert products["mul"] <= 13 + 2 * s.bit_length(), (s, d_s, products["mul"])
 
 
 def test_compare_backends_rejects_s_below_1():

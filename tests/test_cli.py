@@ -222,6 +222,42 @@ def test_multinomial_command(capsys):
     assert doc["agree"] is True and doc["is_one"] is True
 
 
+def lifted_str(n: int) -> str:
+    """str(n) with CPython's limit on int-to-str digits lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_multinomial_prints_an_exact_value_of_any_length(capsys):
+    # d**q = 2**20000 has 6021 digits, past CPython's default limit of 4300
+    # on int-to-str conversion; the CLI prints it whole, in text and JSON,
+    # and leaves the limit as it found it.
+    limit = sys.get_int_max_str_digits()
+    expected = lifted_str(2**20000)
+    argv = ["multinomial", "--a", "1", "--b", "0", "--c", "0", "--d", "2", "--p", "0", "--q", "20000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [f"expanded sum: {expected}", f"direct power: {expected}"]
+    doc, _ = run_json(capsys, *argv)
+    assert doc["expand"] == doc["direct"] == expected and doc["agree"] is True
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_multinomial_reads_an_exact_scalar_of_any_length(capsys):
+    # --a 2**20000 / 3 at p = 1, q = 0 is tau_1 -> a * d, read past the
+    # default limit on str-to-int conversion and printed back.
+    limit = sys.get_int_max_str_digits()
+    big = lifted_str(2**20000)
+    doc, _ = run_json(capsys, "multinomial", "--a", f"{big}/3", "--b", "0", "--c", "0",
+                      "--d", "1", "--p", "1", "--q", "0")
+    assert doc["expand"] == doc["direct"] == f"{big}/3"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_wordeq3_command(capsys):
     doc, _ = run_json(capsys, "wordeq3", "--w1", "s1 s2 t1", "--w2", "t2 s1 s2")
     assert doc["equal"] is True
