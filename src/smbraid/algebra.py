@@ -205,6 +205,18 @@ def _packed_keys(images: Sequence[Matrix | CyclicElement], depth: int) -> tuple[
     by D and a shift.  A zero image and a zero product are keyed too: every
     zero element has the one key (0, (0,) * size).
 
+    A scalar multiple lambda * 1 has a key too where lambda**k = chi(g)**e
+    for an image g and 0 <= e <= c, with (chi, k) of `_character`.  The
+    map R of D * g on the N coordinates is an integral matrix whose row
+    sums are at most B, so its determinant is an integer of size at most
+    B**N (the row-sum bound).  That determinant is D**N * det R(g), where
+    det R(g) is det(g)**dim for a matrix (R is I (x) g, N = dim**2) and the
+    norm of g for a cyclic element (N = k = s): chi(g)**(N/k) either way.
+    The map of lambda * 1 is lambda * I, so
+    (lambda * D**e)**N = (D**N * chi(g)**(N/k))**e is an integer of size at
+    most B**(N*e), and so lambda * D**e, a rational, is an integer of size
+    at most B**e, and lambda * D**c, as D <= B, one of size at most B**c.
+
     Returns `key(x)`, the key of x, or None where x * D**c is not integral
     or has a coefficient above B**c; the steps; and `product(key, step)`,
     the key of x * image from the key of x, a product of fewer than c

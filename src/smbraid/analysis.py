@@ -189,20 +189,10 @@ def find_scalar_witness(
     has the target 1 * 1, which the empty word reaches, and such a search
     makes no product.
 
-    A kept s has a target with a key at depth c = len_max, by one argument
-    for both packed kinds: its scalar lambda = value**(-s) has
-    lambda**k = delta**e, |e| <= c.  With D and B as in
-    `algebra._packed_keys`, the right-multiplication map R of
-    D * rho(sigma_1**+-1) on the N coordinates is an integral matrix whose
-    row sums are at most B, so its determinant is an integer of size at
-    most B**N (the row-sum bound).  That determinant is D**N times
-    det R(rho(sigma_1))**+-1, where det R(x) is det(x)**dim for a matrix
-    (R is I (x) x, N = dim**2) and the norm of x for a cyclic element
-    (N = k = s): chi(x)**(N/k) either way.  The target's map is
-    lambda * I, so (lambda * D**|e|)**N = (D**N * delta**(+-N/k))**|e| is
-    an integer of size at most B**(N*|e|), and so lambda * D**|e|, a
-    rational, is an integer of size at most B**|e|, and lambda * D**c one
-    of size at most B**c.  Element keys are never None.
+    A kept s has a target with a key at depth c = len_max, by the argument
+    of `algebra._packed_keys`, as its lambda = value**(-s) has
+    lambda**k = delta**e = chi(rho(sigma_1**+-1))**|e| with |e| <= c;
+    element keys are never None.
     """
     value = as_scalar(value)
     if not is_unit(value):
@@ -345,15 +335,11 @@ def kernel_search_sm2(rep: BraidRep, params: PhiParams, p_max: int, q_max: int) 
 
     Heads and powers are held as the keys of `algebra._search_keys` at the
     box's depth max(p_top, q_hi, -q_lo), as the witness walk holds its
-    images.  A matrix or cyclic grid, the cyclic half of `prop8` included,
-    is packed where that depth times the widest exponent range of an
-    image's right-multiplication map is at most `algebra.PACKED_SPAN`,
-    zero images and powers and Laurent twists included, so a power is one
-    sparse pass of integer products and builds no `LaurentPoly`; it keeps
-    element keys past that span.  The identity and every head and power
-    are products of at most that depth of images, so each has a key; the
-    keyability argument of `find_scalar_witness`, through the determinant
-    of D * R(sigma_1**+-1), covers any other scalar multiple of 1.
+    images, so a packed power is one sparse pass of integer products and
+    builds no `LaurentPoly`.  The identity and every head and power are
+    products of at most that depth of images, so each has a key; when a
+    grid is packed, and which scalar multiples of 1 have a key, is stated
+    at `algebra._packed_keys`.
     """
     if rep.n != 2:
         raise ValueError(f"SM_2 kernel search needs n=2, got n={rep.n}")

@@ -268,7 +268,7 @@ def test_find_scalar_witness_keys_are_injective_up_to_the_bound():
     assert None not in keys and len(set(keys)) == len(keys)
 
 
-def test_kronecker_keys_take_zero_images_and_products():
+def test_packed_keys_take_zero_images_and_products():
     # A zero image and a product that vanishes are keyed like any matrix, and
     # every zero matrix has the one key (0, (0,) * dim**2).
     zero, nil, shear = Matrix([[0, 0], [0, 0]]), Matrix([[0, 3 * T], [0, 0]]), Matrix([[1, 1], [0, 1]])
@@ -283,7 +283,7 @@ def test_kronecker_keys_take_zero_images_and_products():
     assert key(zero) == (0, (0, 0, 0, 0)) and key(Matrix.identity(2)) is not None
 
 
-def test_cyclic_keys_follow_cyclic_products():
+def test_packed_keys_follow_cyclic_products():
     # Packed keys over a rational twist: a step takes the key of x to the
     # key of x times the image for every product x of fewer than c images,
     # zero included, and a target y * 1 is keyed as y * D**c, or not at all
@@ -320,7 +320,7 @@ def test_cyclic_keys_follow_cyclic_products():
                 assert key(m.scale(T)) == (low + 1, ents), (order, twist, m)
 
 
-def test_cyclic_keys_take_laurent_twists():
+def test_packed_keys_take_laurent_twists():
     # A Laurent twist or a Laurent coordinate is packed like a matrix entry:
     # a step takes the key of x to the key of x times the image for every
     # product x of fewer than c images, where wrapping past X^(s-1) moves

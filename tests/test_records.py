@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import scalar
-from smbraid.algebra import CyclicElement, Matrix
+from smbraid.algebra import CyclicElement, FormalElement, Matrix, Permutation
 from smbraid.analysis import DistinctnessCertificate, KernelReport, UnfaithfulnessWitness
 from smbraid.phi import PhiParams, RelationCheck, RelationReport
 from smbraid.scalars import T, as_scalar
@@ -142,6 +142,20 @@ def test_reprs_are_pinned():
     x = CyclicElement(3, scalar(Fraction(1, 2)), (scalar(2), as_scalar(0), -T))
     assert repr(x) == "CyclicElement(order=3, twist=1/2, [2,0,-1*t^1])"
     assert x.text() == "2*X^0 + 0*X^1 + -1*t^1*X^2"
+    assert repr(Matrix([[1, -T], [0, scalar(Fraction(1, 2))]])) == "Matrix([[1,-1*t^1],[0,1/2]])"
+    swap, e = Permutation((1, 0, 2)), Permutation((0, 1, 2))
+    assert repr(swap) == "Permutation([2,1,3])"
+    assert repr(FormalElement(e, [(swap, 2), (e, -T)])) == "FormalElement(-1*t^1 * [1,2,3] + 2 * [2,1,3])"
+    assert repr(FormalElement(e)) == "FormalElement(0)"
+
+
+def test_elements_and_ints_do_not_mix():
+    for x in (Matrix.identity(2), Permutation((1, 0)), SMWord(2, (sigma(1),))):
+        with pytest.raises(TypeError):
+            x * 1
+    with pytest.raises(TypeError):
+        Matrix.identity(2) + 1
+    assert (FormalElement.one(Permutation((0, 1))) == 1) is False
 
 
 # Each validating record, from its sequence field, with that field's items.

@@ -1,20 +1,21 @@
-"""Golden outputs: every query of seed 1 of each benchmark workload.
+"""Golden outputs: every query of seeds 1-3 of each benchmark workload.
 
-The batches come from `perfbench/workloads.py` and run through
-`smbraid.cli.main` in process.  Every query must end as that file's
-independent oracle expects (`outcome` is "ok"), and the bytes must not move:
-one SHA-256 per workload over each query's exit code, stdout and stderr is
-compared with `workload_outputs.json`.  argv is left out of the digest,
-because the `prop8` queries name matrix files in a temporary directory.
+The batches come from `perfbench/workloads.py`.  Each workload's batches are
+built once per run, and every query runs through `smbraid.cli.main` in
+process, once as `main` parses argv in its one pass and once through the full
+parser.  Every query must end as that file's independent oracle expects
+(`outcome` is "ok"), and its bytes must not move: the SHA-256 of each query's
+exit code, stdout and stderr is compared with that query's own digest in
+`workload_outputs.json`, listed by workload and seed in batch order.  argv is
+left out of the digest, because the `prop8` queries name matrix files in a
+temporary directory.  A failure names the seed, position and argv of every
+query that moved, and shows its new output.
 
-The queries of seeds 1-3, and a set of usage errors, also end alike whether
-`main` parses argv in its one pass or through the full parser.
+A set of usage errors also ends alike on both parse routes.
 
 A deliberate output change regenerates the digests with
 
     PYTHONPATH=src python tests/test_workload_outputs.py > tests/workload_outputs.json
-
-and `bench/outputs.py` shows which query differs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 from smbraid import cli  # noqa: E402
 
-SEED = 1
+SEEDS = (1, 2, 3)
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "workload_outputs.json")
 
 
@@ -49,27 +50,41 @@ def run(argv: list) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(workload: str, workdir: str) -> tuple[str, list]:
-    """The workload's digest, and the queries whose outcome is not "ok"."""
-    h = hashlib.sha256()
-    bad = []
-    for q in workloads.build(workload, SEED, workdir):
-        code, out, err = run(q.argv)
-        if workloads.outcome(q, code, out, err, None) != workloads.OK:
-            bad.append(q.argv)
-        h.update(json.dumps([code, out, err]).encode() + b"\n")
-    return h.hexdigest(), bad
+def digest(result: tuple) -> str:
+    return hashlib.sha256(json.dumps(result).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_workload_outputs_are_pinned(workload, tmp_path, monkeypatch):
-    # argparse wraps the usage text of exit-2 queries to the terminal width
-    monkeypatch.setenv("COLUMNS", "80")
+def outputs(workload: str, workdir: str) -> dict:
+    """Each seed's batch of the workload, as (query, (exit code, stdout,
+    stderr)) pairs from the one-pass parse.  Set COLUMNS first: argparse
+    wraps the usage text of exit-2 queries to the terminal width."""
+    return {seed: [(q, run(q.argv)) for q in workloads.build(workload, seed, workdir)] for seed in SEEDS}
+
+
+@pytest.fixture(scope="module", params=workloads.WORKLOADS)
+def batches(request, tmp_path_factory) -> tuple[str, dict]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        return request.param, outputs(request.param, str(tmp_path_factory.mktemp(request.param)))
+
+
+def test_workload_outputs_are_pinned(batches):
+    workload, results = batches
     with open(DIGESTS) as fh:
         expected = json.load(fh)[workload]
-    got, bad = digest(workload, str(tmp_path))
-    assert bad == []
-    assert got == expected
+    assert [len(results[seed]) for seed in SEEDS] == [len(expected[str(seed)]) for seed in SEEDS]
+    moved = []
+    for seed, batch in results.items():
+        for i, ((q, result), pin) in enumerate(zip(batch, expected[str(seed)])):
+            verdict, kept = workloads.outcome(q, *result, None), digest(result) == pin
+            if verdict != workloads.OK or not kept:
+                code, out, err = result
+                moved.append(
+                    f"seed {seed}, query {i}, argv {q.argv}: outcome {verdict}, bytes {'kept' if kept else 'moved'}\n"
+                    f"  exit {code!r}\n  stdout {out!r}\n  stderr {err!r}"
+                )
+    if moved:
+        pytest.fail(f"{len(moved)} {workload} queries moved:\n" + "\n".join(moved), pytrace=False)
 
 
 # No command, an unknown one, help at both levels, an extra positional
@@ -89,20 +104,26 @@ USAGE_ERRORS = [
 ]
 
 
+def full_parse(argvs: list, monkeypatch) -> list:
+    """Each argv's (exit code, stdout, stderr) from `main` as it parses when a
+    fresh full parser takes every argv."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_parse", cli.build_parser.__wrapped__().parse_args)
+    return [run(argv) for argv in argvs]
+
+
 def both_routes(argvs: list, monkeypatch) -> tuple[list, list]:
     """Each argv's (exit code, stdout, stderr) from `main` as it parses, in one
-    pass, and as it parses when a fresh full parser takes every argv."""
+    pass, and through the full parser."""
     monkeypatch.setenv("COLUMNS", "80")
     one_pass = [run(argv) for argv in argvs]
-    monkeypatch.setattr(cli, "_parse", cli.build_parser.__wrapped__().parse_args)
-    return one_pass, [run(argv) for argv in argvs]
+    return one_pass, full_parse(argvs, monkeypatch)
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_one_pass_parse_matches_the_full_parser(workload, tmp_path, monkeypatch):
-    queries = [q.argv for seed in (1, 2, 3) for q in workloads.build(workload, seed, str(tmp_path))]
-    one_pass, full = both_routes(queries, monkeypatch)
-    assert one_pass == full
+def test_one_pass_parse_matches_the_full_parser(batches, monkeypatch):
+    _, results = batches
+    batch = [pair for seed in SEEDS for pair in results[seed]]
+    assert full_parse([q.argv for q, _ in batch], monkeypatch) == [result for _, result in batch]
 
 
 def test_one_pass_parse_keeps_every_usage_error(monkeypatch):
@@ -117,4 +138,8 @@ def test_one_pass_parse_keeps_every_usage_error(monkeypatch):
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as workdir:
-        print(json.dumps({w: digest(w, workdir)[0] for w in workloads.WORKLOADS}, indent=2, sort_keys=True))
+        pins = {
+            w: {str(seed): [digest(result) for _, result in batch] for seed, batch in outputs(w, workdir).items()}
+            for w in workloads.WORKLOADS
+        }
+    print(json.dumps(pins, indent=2, sort_keys=True))
